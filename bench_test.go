@@ -321,6 +321,7 @@ func BenchmarkNewview42SC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		eng.InvalidateAll()
 		eng.NewView(tr.Tips[0].Back)
 	}
 	b.StopTimer()
@@ -374,6 +375,7 @@ func BenchmarkEvaluate42SC(b *testing.B) {
 	var ll float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		eng.InvalidateAll()
 		ll, err = eng.Evaluate(tr.Tips[0])
 		if err != nil {
 			b.Fatal(err)
@@ -384,11 +386,10 @@ func BenchmarkEvaluate42SC(b *testing.B) {
 }
 
 // benchSmooth42SC measures a branch-smoothing sweep over the 42_SC
-// stand-in tree, the hot loop of the search, with and without incremental
-// partial-vector caching. combines/op is the number of newview executions a
-// sweep actually performs; cachehits/op counts the traversal-descriptor
-// stops at valid cached vectors.
-func benchSmooth42SC(b *testing.B, incremental bool, backend string) {
+// stand-in tree, the hot loop of the search. combines/op is the number of
+// newview executions a sweep actually performs; cachehits/op counts the
+// traversal-descriptor stops at valid cached vectors.
+func benchSmooth42SC(b *testing.B, backend string) {
 	rng := rand.New(rand.NewSource(61))
 	m := seqsim.DefaultModel()
 	a, _, err := seqsim.Generate(seqsim.Params42SC(), m, rng)
@@ -400,7 +401,7 @@ func benchSmooth42SC(b *testing.B, incremental bool, backend string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{Incremental: incremental, Backend: backend})
+	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{Backend: backend})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -415,14 +416,13 @@ func benchSmooth42SC(b *testing.B, incremental bool, backend string) {
 	b.ReportMetric(float64(eng.Meter.CacheHits)/float64(b.N), "cachehits/op")
 }
 
-func BenchmarkSmooth42SC(b *testing.B)        { benchSmooth42SC(b, false, "scalar") }
-func BenchmarkSmoothBatched42SC(b *testing.B) { benchSmooth42SC(b, false, "batched") }
-func BenchmarkSmoothCached42SC(b *testing.B)  { benchSmooth42SC(b, true, "scalar") }
+func BenchmarkSmooth42SC(b *testing.B)        { benchSmooth42SC(b, "scalar") }
+func BenchmarkSmoothBatched42SC(b *testing.B) { benchSmooth42SC(b, "batched") }
 
 // benchSearch42SC runs a whole small hill-climbing search per iteration
 // (fresh tree and engine each time) and reports the end-to-end newview-call
-// count under full recomputation vs incremental caching.
-func benchSearch42SC(b *testing.B, incremental bool, backend string) {
+// count.
+func benchSearch42SC(b *testing.B, backend string) {
 	rng := rand.New(rand.NewSource(62))
 	m := seqsim.DefaultModel()
 	a, _, err := seqsim.Generate(seqsim.Params42SC(), m, rng)
@@ -437,7 +437,7 @@ func benchSearch42SC(b *testing.B, incremental bool, backend string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng, err := likelihood.NewEngine(pat, m, likelihood.Config{Incremental: incremental, Backend: backend})
+		eng, err := likelihood.NewEngine(pat, m, likelihood.Config{Backend: backend})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -454,9 +454,8 @@ func benchSearch42SC(b *testing.B, incremental bool, backend string) {
 	b.ReportMetric(float64(hits)/float64(b.N), "cachehits/op")
 }
 
-func BenchmarkSearch42SC(b *testing.B)        { benchSearch42SC(b, false, "scalar") }
-func BenchmarkSearchBatched42SC(b *testing.B) { benchSearch42SC(b, false, "batched") }
-func BenchmarkSearchCached42SC(b *testing.B)  { benchSearch42SC(b, true, "scalar") }
+func BenchmarkSearch42SC(b *testing.B)        { benchSearch42SC(b, "scalar") }
+func BenchmarkSearchBatched42SC(b *testing.B) { benchSearch42SC(b, "batched") }
 
 // BenchmarkParallelSPR42SC is the task-level-parallelism counterpart of
 // BenchmarkSearch42SC: the identical whole-search workload with SPR
@@ -516,6 +515,7 @@ func BenchmarkParallelEvaluate(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				eng.InvalidateAll()
 				if _, err := eng.Evaluate(truth.Tips[0]); err != nil {
 					b.Fatal(err)
 				}

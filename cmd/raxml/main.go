@@ -108,7 +108,6 @@ func main() {
 		cats        = flag.Int("cats", 4, "Gamma rate categories")
 		sdkExp      = flag.Bool("sdk-exp", false, "use the SDK-style fast exp kernel")
 		intCond     = flag.Bool("int-cond", false, "use the integer-cast scaling conditional")
-		incr        = flag.Bool("incremental", false, "cache partial likelihood vectors incrementally (dirty-flag traversal descriptors); same results, fewer newview calls, but not the paper's measured instruction mix")
 		topoMemo    = flag.Bool("topo-memo", true, "memoize SPR/NNI candidate scores by canonical topology hash and skip re-evaluating topologies that provably lose to the acceptance threshold; identical moves and final tree, fewer likelihood evaluations (cache.topo_* metrics)")
 		topoMemoCap = flag.Int("topo-memo-cap", 0, "topology memo capacity in entries, FIFO-evicted (0 = default "+strconv.Itoa(search.DefaultTopoMemoCap)+")")
 		catCats     = flag.Int("cat", 0, "after the search, re-fit the tree under a CAT model with this many per-site rate categories (0 = off; RAxML default 25)")
@@ -214,7 +213,7 @@ func main() {
 					"logl", pr.LogL, "alpha", pr.Alpha)
 			},
 		},
-		Kernel:  likelihood.Config{SDKExp: *sdkExp, IntCond: *intCond, Incremental: *incr, Threads: *threads, Backend: *backend},
+		Kernel:  likelihood.Config{SDKExp: *sdkExp, IntCond: *intCond, Threads: *threads, Backend: *backend},
 		Log:     logger,
 		Metrics: metrics,
 		Trace:   tracer.Root("campaign"),

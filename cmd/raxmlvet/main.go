@@ -1,7 +1,7 @@
 // Command raxmlvet is the project's static-analysis suite (see
 // internal/lint): seven analyzers that enforce simulator determinism
 // (simdeterminism, plus its interprocedural extension nondettaint),
-// incremental-cache coherence (invalidatepair), kernel allocation
+// engine vector-cache coherence (invalidatepair), kernel allocation
 // discipline (hotpathalloc), tolerance-based float comparison (floatcmp),
 // kernel-context ownership under task parallelism (ctxownership) and
 // backend kernel purity (backendpurity). Every run also audits

@@ -74,11 +74,7 @@ type Config struct {
 	Search search.Options
 
 	// Kernel selects the likelihood-kernel variants for every worker
-	// engine. Kernel.Incremental enables x-vector partial-likelihood
-	// caching: identical trees and log-likelihoods, far fewer newview
-	// executions — and therefore a different Meter than the paper's
-	// measured full-recomputation workload, so leave it off when feeding
-	// the aggregate meter to the Cell simulation tables.
+	// engine.
 	Kernel likelihood.Config
 
 	// Log receives structured campaign progress (phases, supervision

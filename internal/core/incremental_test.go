@@ -6,17 +6,19 @@ import (
 	"testing"
 
 	"raxmlcell/internal/alignment"
-	"raxmlcell/internal/phylotree"
+	"raxmlcell/internal/likelihood"
+	"raxmlcell/internal/likelihood/coldref"
 	"raxmlcell/internal/search"
 )
 
-// TestInferOnceIncrementalMatches runs the same seeded inference on the
-// 42_SC fixture with and without Kernel.Incremental and checks the
-// top-level contract: identical topology, log-likelihood within 1e-9, and
-// a strictly reduced newview count in the aggregate meter.
+// TestInferOnceIncrementalMatches runs a seeded inference on the 42_SC
+// fixture and checks the top-level contract of an engine that never
+// recomputes a valid vector: the reported log-likelihood is what a full
+// recomputation of the returned tree gives (within 1e-9), and the aggregate
+// meter shows the cache at work.
 func TestInferOnceIncrementalMatches(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full 42-taxon inferences")
+		t.Skip("full 42-taxon inference")
 	}
 	f, err := os.Open("testdata/42sc.phy")
 	if err != nil {
@@ -33,35 +35,36 @@ func TestInferOnceIncrementalMatches(t *testing.T) {
 	cfg.Seed = 9
 	cfg.Search = search.Options{Radius: 3, MaxRounds: 2, SmoothPasses: 2, Epsilon: 0.05, AlphaOpt: true}
 
-	full, fullMeter, err := InferOnce(pat, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Kernel.Incremental = true
-	cached, cachedMeter, err := InferOnce(pat, cfg)
+	res, meter, err := InferOnce(pat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if math.Abs(cached.LogL-full.LogL) > 1e-9*math.Abs(full.LogL) {
-		t.Errorf("incremental logL %.12f != full %.12f", cached.LogL, full.LogL)
-	}
-	rf, err := phylotree.RobinsonFoulds(full.Tree, cached.Tree)
+	mod, err := ModelFor(pat, res.Alpha, cfg.Cats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rf != 0 {
-		t.Errorf("incremental inference found a different topology (RF=%d)", rf)
+	ref, err := likelihood.NewEngine(pat, mod, cfg.Kernel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cachedMeter.CacheHits == 0 {
-		t.Error("incremental inference recorded no cache hits")
+	want, err := coldref.Evaluate(ref, res.Tree.Tips[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cachedMeter.NewviewCalls >= fullMeter.NewviewCalls {
-		t.Errorf("incremental performed %d newview calls, full %d",
-			cachedMeter.NewviewCalls, fullMeter.NewviewCalls)
+	if math.Abs(res.LogL-want) > 1e-9*math.Abs(want) {
+		t.Errorf("inference logL %.12f != full recomputation %.12f", res.LogL, want)
 	}
-	t.Logf("newview calls: incremental %d vs full %d (%.2fx), %d cache hits",
-		cachedMeter.NewviewCalls, fullMeter.NewviewCalls,
-		float64(fullMeter.NewviewCalls)/float64(cachedMeter.NewviewCalls),
-		cachedMeter.CacheHits)
+	if meter.CacheHits == 0 {
+		t.Error("inference recorded no cache hits")
+	}
+	// Measured 5.1 newview calls per Newton solve (most of them the lazy-SPR
+	// view tables, rebuilt per prune); with the engine recomputing the tree
+	// for every call the same inference measured 11.7.
+	if meter.NewviewCalls > 7*meter.MakenewzCalls {
+		t.Errorf("%d newview calls for %d Newton solves, want <= 7 per solve",
+			meter.NewviewCalls, meter.MakenewzCalls)
+	}
+	t.Logf("newview calls: %d for %d Newton solves, %d cache hits",
+		meter.NewviewCalls, meter.MakenewzCalls, meter.CacheHits)
 }

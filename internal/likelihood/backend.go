@@ -13,7 +13,7 @@ import (
 // swapped in without touching search code.
 //
 // Everything outside the contract is backend-independent and stays in
-// Ctx/Engine: traversal descriptors and incremental invalidation, wavefront
+// Ctx/Engine: traversal descriptors and cache invalidation, wavefront
 // scheduling, Views memoization, transition-matrix and tip-projection table
 // construction, the Newton solver driver, numerical scaling policy, and the
 // Config.Threads pattern-range fan-out. A backend only answers "given these

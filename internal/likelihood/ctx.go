@@ -201,8 +201,7 @@ func (c *Ctx) appendTraversal(steps []*phylotree.Node, p *phylotree.Node) []*phy
 	if p.IsTip() {
 		return steps
 	}
-	e := c.eng
-	if e.orient != nil && e.orient[p.Index] == p {
+	if c.eng.orient[p.Index] == p {
 		c.meter.CacheHits++
 		return steps
 	}
@@ -230,9 +229,7 @@ func (c *Ctx) computeView(p *phylotree.Node) {
 	}
 	c.combine(q, p.Next.Z, qLv, qScale, r, p.Next.Next.Z, rLv, rScale,
 		e.lv[p.Index], e.scale[p.Index])
-	if e.orient != nil {
-		e.orient[p.Index] = p
-	}
+	e.orient[p.Index] = p
 }
 
 // evaluate computes the log-likelihood of the tree across the branch

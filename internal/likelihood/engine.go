@@ -31,18 +31,6 @@ type Config struct {
 	IntCond  bool // Section 5.2.3: integer-cast, vectorized scaling conditional
 	VectorFP bool // Section 5.2.5: SIMD packing of the two FP loops (metering)
 
-	// Incremental enables RAxML's x-vector partial-likelihood caching:
-	// every internal node remembers which of its three ring orientations
-	// its stored vector belongs to, NewView recomputes only the invalid
-	// nodes of a traversal descriptor, and branch-length or topology
-	// changes mark the minimal dirty set via Invalidate/InvalidateAll.
-	// Results are bit-identical to full recomputation; only the number of
-	// newview (combine) executions — and thus the metered instruction mix
-	// — changes. Leave it off to reproduce the paper's original workload
-	// shape (every evaluation recomputes the whole tree, as RAxML's
-	// profile on the Cell was measured).
-	Incremental bool
-
 	// Threads > 1 parallelizes the per-pattern kernel loops over a
 	// goroutine pool — the shared-memory loop-level parallelism of
 	// RAxML-OMP that the paper's LLP scheduler maps onto SPEs. Partial
@@ -86,11 +74,13 @@ func (cfg Config) BackendName() string {
 // substitution model. It owns the partial likelihood vectors for every node
 // index and a Meter of kernel operations.
 //
-// By default the engine recomputes partial vectors on demand with a full
-// per-call traversal, exactly like the code the paper profiled. With
-// Config.Incremental it instead keeps a per-node validity/orientation flag
-// (RAxML's "x-vector") and recomputes only the dirty nodes of a traversal
-// descriptor; see NewView, Invalidate and AttachTree.
+// The engine never recomputes a valid vector: every internal node's lv/scale
+// slot remembers which of its three ring orientations it holds (RAxML's
+// "x-vector"), NewView recomputes only the slots a traversal descriptor
+// finds missing or mis-oriented, and every edit drops exactly the slots it
+// dirtied (Invalidate, AttachTree, SetModel). Whoever changes a tree an
+// engine has seen must tell the engine; full recomputation is what a fresh
+// engine, or InvalidateAll before the call, gives.
 //
 // All per-call kernel scratch lives in a Ctx. The engine owns a primary
 // context that backs every Engine method, so single-threaded use is
@@ -110,7 +100,6 @@ type Engine struct {
 	tipVec     [16][ns]float64
 	expFn      func(float64) float64
 
-	// Incremental-caching state (nil orient slice = caching disabled).
 	// orient[idx] is the ring record whose directed view the lv/scale
 	// slot of internal node idx currently holds, or nil when the slot is
 	// invalid. Record identity doubles as the validity flag: a record
@@ -177,9 +166,7 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 		e.invCats = 1 / float64(e.ncat)
 	}
 	maxIdx := 2*pat.NumTaxa - 2
-	if cfg.Incremental {
-		e.orient = make([]*phylotree.Node, maxIdx)
-	}
+	e.orient = make([]*phylotree.Node, maxIdx)
 	e.lv = make([][]float64, maxIdx)
 	e.scale = make([][]int32, maxIdx)
 	for i := pat.NumTaxa; i < maxIdx; i++ {
@@ -271,12 +258,10 @@ func (e *Engine) UnderflowSites() uint64 { return e.underflowSites }
 // no computation.
 //
 // The work is organized as a traversal descriptor: a postorder list of the
-// ring records whose views must actually be recomputed. Without
-// Config.Incremental the descriptor covers every internal node behind p
-// (full recomputation, the paper's measured behaviour); with it, the
-// descent stops at nodes whose cached vector is valid in the needed
-// orientation, so only the dirty path is recomputed. With a pool attached
-// (UsePool) the descriptor executes wavefront-parallel by dependency level.
+// ring records whose views must actually be recomputed. The descent stops
+// at nodes whose cached vector is valid in the needed orientation, so only
+// the dirty path is recomputed. With a pool attached (UsePool) the
+// descriptor executes wavefront-parallel by dependency level.
 func (e *Engine) NewView(p *phylotree.Node) { e.ctx0.NewView(p) }
 
 // Invalidate marks the minimal dirty set after a change to the branch
@@ -284,45 +269,48 @@ func (e *Engine) NewView(p *phylotree.Node) { e.ctx0.NewView(p) }
 // every view not oriented toward it — is dropped. Views oriented toward the
 // branch exclude it by construction and stay valid, which is what makes
 // branch smoothing O(changed path) instead of O(taxa). The walk is pure
-// pointer chasing (no kernel work) and a no-op without Config.Incremental.
+// pointer chasing (no kernel work).
 //
 // Callers that change a branch length directly via SetZ (rather than
 // through MakeNewz, which invalidates itself) must call this; topology
 // operations on a Tree wired up with AttachTree invalidate automatically.
 func (e *Engine) Invalidate(p *phylotree.Node) {
-	if e.orient == nil && e.shared == nil {
-		return
-	}
 	q := p.Back
 	if q == nil {
 		// Detached record: no branch to orient against, drop everything.
 		e.InvalidateAll()
 		return
 	}
+	var old uint64
 	if e.shared != nil {
-		e.shared.invalidate(p)
+		old = e.shared.epoch.Add(1) - 1
 	}
-	if e.orient != nil {
-		e.invalidateToward(p)
-		e.invalidateToward(q)
-	}
+	e.keepFacing(p, old)
+	e.keepFacing(q, old)
 }
 
-// invalidateToward walks the component behind record a, clearing every
-// cached view not oriented at the record facing the changed branch (a
-// itself at this ring, the corresponding Back records deeper down).
-func (e *Engine) invalidateToward(a *phylotree.Node) {
+// keepFacing is the engine's one staleness rule. It walks the component
+// behind record a, away from the changed branch, and keeps at each ring only
+// the orientation facing that branch (a itself here, the corresponding Back
+// records deeper down): its subtree excludes the branch by construction,
+// every other orientation contains it. The node's own slot is cleared unless
+// it holds that orientation; an installed shared store, whose epoch the
+// caller bumped from old, has that one record carried into the new epoch.
+func (e *Engine) keepFacing(a *phylotree.Node, old uint64) {
 	if a.IsTip() {
 		return
 	}
-	if o := e.orient[a.Index]; o != nil && o != a {
+	if e.orient[a.Index] != a {
 		e.orient[a.Index] = nil
 	}
+	if e.shared != nil {
+		e.shared.retag(a, old)
+	}
 	if b := a.Next.Back; b != nil {
-		e.invalidateToward(b)
+		e.keepFacing(b, old)
 	}
 	if b := a.Next.Next.Back; b != nil {
-		e.invalidateToward(b)
+		e.keepFacing(b, old)
 	}
 }
 
@@ -342,9 +330,8 @@ func (e *Engine) InvalidateAll() {
 // automatically, and clears the caches (the tree may have been mutated
 // before attachment). The hook reads the engine's cache state at call time,
 // so it also covers a shared ancestral-vector store installed *after*
-// attachment (the search attaches first, then installs the store); without
-// Config.Incremental and without a store the hook is a cheap no-op.
-// Direct SetZ calls bypass the hooks — follow them with Invalidate.
+// attachment (the search attaches first, then installs the store). Direct
+// SetZ calls bypass the hooks — follow them with Invalidate.
 func (e *Engine) AttachTree(tr *phylotree.Tree) {
 	tr.OnBranchChange(e.Invalidate)
 	e.InvalidateAll()

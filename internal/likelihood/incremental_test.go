@@ -5,10 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"raxmlcell/internal/likelihood/coldref"
 	"raxmlcell/internal/phylotree"
 )
 
-// incrTol is the agreement bound between incremental and full recomputation.
+// incrTol is the agreement bound between cached and full recomputation.
 // In the serial engine the cached path reuses bit-identical vectors, so the
 // bound mostly guards against platform-dependent FMA contraction.
 const incrTol = 1e-9
@@ -17,15 +18,16 @@ func logLClose(a, b float64) bool {
 	return math.Abs(a-b) <= incrTol*math.Max(1, math.Abs(b))
 }
 
-// enginePair builds one incremental and one full-recompute engine over the
-// same data.
+// enginePair builds two engines over the same data: the one under test, and
+// a second that the tests drive only through coldref, so that every one of
+// its calls is a full recomputation.
 func enginePair(t *testing.T, seed int64, nTaxa, nSites int) (*Engine, *Engine, *phylotree.Tree) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pat := randomPatterns(t, rng, nTaxa, nSites)
 	m := randomModel(t, rng, 4)
 	tr := randomTreeFor(t, rng, pat)
-	cached, err := NewEngine(pat, m, Config{Incremental: true})
+	cached, err := NewEngine(pat, m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func enginePair(t *testing.T, seed int64, nTaxa, nSites int) (*Engine, *Engine, 
 func TestIncrementalEvaluateMatchesFull(t *testing.T) {
 	cached, full, tr := enginePair(t, 111, 12, 80)
 	for i, e := range tr.Edges() {
-		want, err := full.Evaluate(e)
+		want, err := coldref.Evaluate(full, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +80,7 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 		e := edges[i]
 		e.SetZ(e.Z * 1.7)
 		cached.Invalidate(e)
-		want, err := full.Evaluate(tr.Tips[0])
+		want, err := coldref.Evaluate(full, tr.Tips[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +99,7 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := full.Evaluate(tr.Tips[0])
+	want, err := coldref.Evaluate(full, tr.Tips[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestMakeNewzSelfInvalidates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			zf, llf, err := full.MakeNewz(edgesB[i])
+			zf, llf, err := coldref.MakeNewz(full, edgesB[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +151,7 @@ func TestAttachTreeTopologyMoves(t *testing.T) {
 
 	check := func(stage string) {
 		t.Helper()
-		want, err := full.Evaluate(tr.Tips[0])
+		want, err := coldref.Evaluate(full, tr.Tips[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +219,7 @@ func TestSetModelInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := full.Evaluate(tr.Tips[0])
+	want, err := coldref.Evaluate(full, tr.Tips[0])
 	if err != nil {
 		t.Fatal(err)
 	}

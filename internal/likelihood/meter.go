@@ -38,9 +38,9 @@ type Meter struct {
 	TipInnerCalls   uint64
 	InnerInnerCalls uint64
 
-	// CacheHits counts traversal-descriptor stops at valid cached vectors
-	// (Config.Incremental): newview work avoided, not performed. All other
-	// counters always reflect only the operations actually executed.
+	// CacheHits counts traversal-descriptor stops at valid cached vectors:
+	// newview work avoided, not performed. All other counters always
+	// reflect only the operations actually executed.
 	CacheHits uint64
 
 	// SharedHits counts vector requests served by the epoch-tagged shared

@@ -9,8 +9,8 @@ import (
 
 // wavefrontMinNodes is the smallest traversal-descriptor length worth
 // scheduling by dependency level instead of executing serially — short
-// descriptors (the common incremental-cache case) are path-shaped and have
-// no width to exploit.
+// descriptors (the common case: the path one edit dirtied) are path-shaped
+// and have no width to exploit.
 const wavefrontMinNodes = 4
 
 // wavefrontMinWidth is the smallest dependency-level width worth fanning
@@ -160,8 +160,8 @@ func (p *Pool) setBusy(d int64) {
 // This is the engine's analogue of batching independent partial-likelihood
 // operations across tree nodes (the paper's EDTLP dispatch; BEAGLE's
 // operation batching): a full 42-taxon recomputation has ~20 leaf-adjacent
-// views in level 0 alone, while an incremental path descriptor degenerates
-// to width-1 levels and runs serially.
+// views in level 0 alone, while a dirty-path descriptor degenerates to
+// width-1 levels and runs serially.
 func (p *Pool) wavefront(trav []*phylotree.Node) {
 	e := p.eng
 	if e.levelOf == nil {

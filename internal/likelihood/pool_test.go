@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"raxmlcell/internal/likelihood/coldref"
 	"raxmlcell/internal/phylotree"
 )
 
@@ -14,48 +15,56 @@ import (
 // pure scheduling change: with a pool attached, Evaluate must produce the
 // same log-likelihood (the partial vectors are computed by the identical
 // combine calls, only distributed over workers) and the identical Meter
-// totals as the serial engine, for both the full-recompute and the
-// incremental configuration.
+// totals as the serial engine, both when every call recomputes the whole
+// tree (wide dependency levels) and when it reuses cached vectors (path
+// descriptors that mostly stay under the fan-out thresholds).
 func TestWavefrontNewViewMatchesSerial(t *testing.T) {
-	for _, cfg := range []Config{{}, {Incremental: true}} {
+	for _, mode := range []struct {
+		name     string
+		evaluate func(coldref.Engine, *phylotree.Node) (float64, error)
+	}{
+		{"cold", coldref.Evaluate},
+		{"cached", func(e coldref.Engine, p *phylotree.Node) (float64, error) { return e.Evaluate(p) }},
+	} {
+		name, evaluate := mode.name, mode.evaluate
 		rng := rand.New(rand.NewSource(301))
 		pat := randomPatterns(t, rng, 14, 120)
 		m := randomModel(t, rng, 4)
 		tr := randomTreeFor(t, rng, pat)
 
-		serial, err := NewEngine(pat, m, cfg)
+		serial, err := NewEngine(pat, m, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wave, err := NewEngine(pat, m, cfg)
+		wave, err := NewEngine(pat, m, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wave.UsePool(wave.NewPool(4))
 
 		for _, p := range []*phylotree.Node{tr.Tips[0], tr.Tips[5].Back, tr.Tips[9]} {
-			llS, err := serial.Evaluate(p)
+			llS, err := evaluate(serial, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			llW, err := wave.Evaluate(p)
+			llW, err := evaluate(wave, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.Abs(llS-llW) > 0 {
-				t.Fatalf("cfg %+v: wavefront logL %.15f != serial %.15f", cfg, llW, llS)
+				t.Fatalf("%s: wavefront logL %.15f != serial %.15f", name, llW, llS)
 			}
 		}
 		if serial.Meter != wave.Meter {
-			t.Errorf("cfg %+v: wavefront meter diverged from serial:\n serial %+v\n wave   %+v",
-				cfg, serial.Meter, wave.Meter)
+			t.Errorf("%s: wavefront meter diverged from serial:\n serial %+v\n wave   %+v",
+				name, serial.Meter, wave.Meter)
 		}
 		// Every internal-node vector must be bit-identical, not just the
 		// final reduction.
 		for i := pat.NumTaxa; i < 2*pat.NumTaxa-2; i++ {
 			for j := range serial.lv[i] {
 				if math.Abs(serial.lv[i][j]-wave.lv[i][j]) > 0 {
-					t.Fatalf("cfg %+v: lv[%d][%d] differs", cfg, i, j)
+					t.Fatalf("%s: lv[%d][%d] differs", name, i, j)
 				}
 			}
 		}

@@ -10,8 +10,8 @@ import (
 
 // SharedCache is an epoch-tagged, read-mostly store of directed ancestral
 // (partial likelihood) vectors shared by every worker context of one
-// engine. It is the composition point of the PR-1 incremental cache and the
-// PR-5 worker pool: concurrent SPR/NNI candidate scoring used to rebuild
+// engine. It is the composition point of the engine's orientation cache and
+// the worker pool: concurrent SPR/NNI candidate scoring used to rebuild
 // one private Views per worker and recompute the path vectors the engine
 // already held — ~1.7x redundant newview work at 4 workers. With the shared
 // store, every directed vector of the frozen tree is computed exactly once
@@ -27,13 +27,13 @@ import (
 //     iff its tag equals the cache's current epoch.
 //   - Tree edits bump the epoch — implicitly invalidating everything — and
 //     then re-tag into the new epoch exactly the entries the edit provably
-//     did not touch: the walk mirrors Engine.invalidateToward, keeping at
-//     each ring the one orientation facing the changed branch (its subtree
-//     excludes the branch by construction). Engine.Invalidate and
-//     Engine.InvalidateAll forward here when the cache is installed
-//     (Engine.UseSharedCache), so AttachTree hooks, MakeNewz
-//     self-invalidation and explicit post-SetZ invalidations all keep the
-//     store coherent with no extra call sites.
+//     did not touch: Engine.keepFacing, the same walk that clears the
+//     engine's own slots, keeps at each ring the one orientation facing the
+//     changed branch (its subtree excludes the branch by construction).
+//     Engine.Invalidate and Engine.InvalidateAll reach the store whenever
+//     it is installed (Engine.UseSharedCache), so AttachTree hooks, MakeNewz
+//     self-invalidation and explicit post-SetZ invalidations all keep it
+//     coherent with no extra call sites.
 //   - Readers are lock-free on the hit path: one atomic epoch-tag load,
 //     then the vector slices (safe because a vector is never overwritten
 //     while its tag is current, and the tag store is the release point of
@@ -117,43 +117,16 @@ func (s *SharedCache) Waits() uint64 { return s.waits.Load() }
 // here.
 func (s *SharedCache) InvalidateAll() { s.epoch.Add(1) }
 
-// invalidate records a change to the branch (p, p.Back): the epoch is
-// bumped, then every directed view whose subtree provably excludes that
-// branch — the one orientation per ring facing it — is re-tagged into the
-// new epoch and stays servable. Called by Engine.Invalidate with the same
-// records (and at the same pre/post-edit instants) as the engine's own
-// orientation cache, so the two caches keep identical validity sets.
-func (s *SharedCache) invalidate(p *phylotree.Node) {
-	q := p.Back
-	if q == nil {
-		s.InvalidateAll()
-		return
-	}
-	old := s.epoch.Add(1) - 1
-	s.retagToward(p, old)
-	s.retagToward(q, old)
-}
-
-// retagToward walks the component behind record a (away from the changed
-// branch), carrying into the new epoch the one orientation per ring that
-// faces the branch: record a at this ring, the corresponding Back records
-// deeper down. Vectors in other orientations contain the changed branch in
-// their subtree and stay stale under the bumped epoch.
-func (s *SharedCache) retagToward(a *phylotree.Node, old uint64) {
-	if a.IsTip() {
-		return
-	}
+// retag carries record a's entry from epoch old into the epoch that
+// replaced it. Engine.keepFacing calls it for exactly the records whose
+// subtree excludes the changed branch, so the store and the engine's own
+// slots share one walk and one validity rule.
+func (s *SharedCache) retag(a *phylotree.Node, old uint64) {
 	if v, ok := s.entries.Load(a); ok {
 		en := v.(*sharedEntry)
 		if en.epoch.Load() == old {
 			en.epoch.Store(old + 1)
 		}
-	}
-	if b := a.Next.Back; b != nil {
-		s.retagToward(b, old)
-	}
-	if b := a.Next.Next.Back; b != nil {
-		s.retagToward(b, old)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"raxmlcell/internal/likelihood/coldref"
 	"raxmlcell/internal/phylotree"
 )
 
@@ -16,7 +17,7 @@ func sharedFixture(t *testing.T, seed int64, nTaxa, nSites int) (*Engine, *Share
 	pat := randomPatterns(t, rng, nTaxa, nSites)
 	m := randomModel(t, rng, 4)
 	tr := randomTreeFor(t, rng, pat)
-	eng, err := NewEngine(pat, m, Config{Incremental: true})
+	eng, err := NewEngine(pat, m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +301,15 @@ func TestPoolSharedCacheAcrossInvalidations(t *testing.T) {
 }
 
 // FuzzEpochCacheEquivalence drives random interleavings of branch edits,
-// topology moves, full invalidations and reads over a random small tree,
-// asserting after every operation that a sample of shared-store vectors is
-// bit-identical to a cold private recompute at the current epoch.
+// topology moves, model and weight swaps, full invalidations and reads over
+// a random small tree, asserting after every operation that a sample of
+// shared-store vectors is bit-identical to a cold private recompute at the
+// current epoch, and that the engine's own slots answer Evaluate and
+// MakeNewz bit-identically to a fresh engine on a clone of the tree.
 func FuzzEpochCacheEquivalence(f *testing.F) {
-	f.Add(int64(1), []byte{0, 1, 2, 3, 0, 1, 2, 3})
-	f.Add(int64(7), []byte{1, 1, 1, 2, 0, 3, 2, 2, 1, 0})
-	f.Add(int64(42), []byte{2, 0, 2, 0, 2, 1, 3})
+	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 0, 1, 2, 3})
+	f.Add(int64(7), []byte{1, 1, 1, 2, 0, 3, 2, 4, 1, 0})
+	f.Add(int64(42), []byte{2, 0, 5, 0, 2, 1, 3})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -316,7 +319,7 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 		pat := randomPatterns(t, rng, nTaxa, 24)
 		m := randomModel(t, rng, 4)
 		tr := randomTreeFor(t, rng, pat)
-		eng, err := NewEngine(pat, m, Config{Incremental: true})
+		eng, err := NewEngine(pat, m, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,11 +344,44 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 				assertVectorsEqual(t, stage, gotLv, wantLv, gotSc, wantSc)
 			}
 			pv.Release()
+
+			// The engine's own slots: a fresh engine has nothing cached, and
+			// a clone enumerates its edges in the same order.
+			fresh, err := NewEngine(eng.Pat, eng.Mod, eng.Cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges, cloned := tr.Edges(), tr.Clone().Edges()
+			i := rng.Intn(len(edges))
+			got, err := eng.Evaluate(edges[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := coldref.Evaluate(fresh, cloned[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s: Evaluate at edge %d = %.17g, fresh engine %.17g", stage, i, got, want)
+			}
+			i = rng.Intn(len(edges))
+			gotZ, gotLL, err := eng.MakeNewz(edges[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantZ, wantLL, err := coldref.MakeNewz(fresh, cloned[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotZ != wantZ || gotLL != wantLL {
+				t.Fatalf("%s: MakeNewz at edge %d = (%.17g, %.17g), fresh engine (%.17g, %.17g)",
+					stage, i, gotZ, gotLL, wantZ, wantLL)
+			}
 		}
 
 		audit("initial")
 		for _, op := range ops {
-			switch op % 4 {
+			switch op % 6 {
 			case 0: // direct branch change + explicit invalidation
 				edges := tr.Edges()
 				e := edges[rng.Intn(len(edges))]
@@ -384,6 +420,22 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 				}
 			case 3: // drop everything
 				eng.InvalidateAll()
+			case 4: // model swap: every vector depends on the rates
+				m2, err := eng.Mod.WithAlpha(0.1 + rng.Float64()*2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.SetModel(m2); err != nil {
+					t.Fatal(err)
+				}
+			case 5: // weight swap: vectors stay valid, reductions change
+				w := make([]int, pat.NumPatterns())
+				for i := range w {
+					w[i] = rng.Intn(4)
+				}
+				if err := eng.SetWeights(w); err != nil {
+					t.Fatal(err)
+				}
 			}
 			audit("after op")
 		}

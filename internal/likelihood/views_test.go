@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"raxmlcell/internal/likelihood/coldref"
 	"raxmlcell/internal/phylotree"
 )
 
@@ -93,15 +94,17 @@ func TestViewsMemoization(t *testing.T) {
 }
 
 // insertionScoreExhaustive reproduces the pre-lazy trial: physically
-// regraft, run full MakeNewz on the subtree branch, read the likelihood,
-// and undo. It is the ground truth the lazy path must match.
+// regraft, run MakeNewz on the subtree branch from a full recomputation
+// (the tree is edited behind the engine's back, so nothing cached may be
+// trusted), read the likelihood, and undo. It is the ground truth the lazy
+// path must match.
 func insertionScoreExhaustive(t *testing.T, eng *Engine, tr *phylotree.Tree, ps *phylotree.PrunedSubtree, cand *phylotree.Node, z0 float64) (float64, float64) {
 	t.Helper()
 	if err := tr.Regraft(ps, cand); err != nil {
 		t.Fatal(err)
 	}
 	ps.P.SetZ(z0)
-	z, ll, err := eng.MakeNewz(ps.P)
+	z, ll, err := coldref.MakeNewz(eng, ps.P)
 	if err != nil {
 		t.Fatal(err)
 	}

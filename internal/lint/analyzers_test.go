@@ -25,6 +25,13 @@ func TestInvalidatePairGolden(t *testing.T) {
 	linttest.Run(t, lint.InvalidatePair, "raxmlcell/internal/search", "testdata/invalidatepair")
 }
 
+// Every engine caches, so the pairing rule binds wherever an engine can be
+// held: the campaign layer's job runner is the golden case outside the
+// search layer.
+func TestInvalidatePairMWGolden(t *testing.T) {
+	linttest.Run(t, lint.InvalidatePair, "raxmlcell/internal/mw", "testdata/invalidatepair/mw")
+}
+
 func TestHotPathAllocGolden(t *testing.T) {
 	linttest.Run(t, lint.HotPathAlloc, "raxmlcell/internal/likelihood", "testdata/hotpathalloc")
 }
@@ -124,6 +131,14 @@ func TestAnalyzerScopes(t *testing.T) {
 		{lint.SimDeterminism, "raxmlcell/internal/cellar", false},    // segment-aligned, no substring tricks
 		{lint.InvalidatePair, "raxmlcell/internal/search", true},
 		{lint.InvalidatePair, "raxmlcell/internal/core", true},
+		{lint.InvalidatePair, "raxmlcell/internal/likelihood", true},
+		{lint.InvalidatePair, "raxmlcell/internal/mw", true},
+		{lint.InvalidatePair, "raxmlcell/internal/workload", true},
+		{lint.InvalidatePair, "raxmlcell/cmd/raxml", true},
+		{lint.InvalidatePair, "raxmlcell/examples/quickstart", true},
+		{lint.InvalidatePair, "raxmlcell/benchmark", true},
+		{lint.InvalidatePair, "raxmlcell/internal/phylotree", false}, // defines SetZ; cannot import an engine
+		{lint.InvalidatePair, "raxmlcell/internal/seqsim", false},    // builds trees, never scores them
 		{lint.InvalidatePair, "raxmlcell/internal/sim", false},
 		{lint.HotPathAlloc, "raxmlcell/internal/likelihood", true},
 		{lint.HotPathAlloc, "raxmlcell/internal/search", true},

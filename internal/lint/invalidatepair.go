@@ -4,16 +4,18 @@ import (
 	"go/ast"
 )
 
-// InvalidatePair enforces the incremental-cache coherence rule from PR 1.
+// InvalidatePair enforces the cache-coherence rule of likelihood.Engine.
 //
-// likelihood.Engine caches partial likelihood vectors keyed by ring-record
-// orientation. Topology edits made through phylotree.Tree fire branch-change
-// hooks (AttachTree), and MakeNewz invalidates its own branch — but a
-// *direct* branch-length write via Node.SetZ bypasses both. Any search-layer
-// code (internal/search, internal/core) that calls SetZ must therefore
-// follow it, in the same function, with an Engine.Invalidate(node) or
-// Engine.InvalidateAll() call, or cached vectors silently go stale and
-// -incremental returns wrong likelihoods.
+// The engine never recomputes a partial likelihood vector it holds as
+// valid, keyed by ring-record orientation. Topology edits made through
+// phylotree.Tree fire branch-change hooks (AttachTree), and MakeNewz
+// invalidates its own branch — but a *direct* branch-length write via
+// Node.SetZ bypasses both. Any code in a package that can hold an engine
+// (the likelihood package itself, the search and campaign layers, the
+// workload profiler, the commands, the examples and the benchmark) that
+// calls SetZ must therefore follow it, in the same function, with an
+// Engine.Invalidate(node) or Engine.InvalidateAll() call, or the engine
+// serves stale vectors and returns wrong likelihoods.
 //
 // The check is positional: a SetZ call is flagged unless an
 // Invalidate/InvalidateAll method call appears later in the same enclosing
@@ -22,9 +24,11 @@ import (
 // invalidatepair directive with the justification.
 var InvalidatePair = &Analyzer{
 	Name: "invalidatepair",
-	Doc:  "require Engine.Invalidate after direct SetZ branch writes in the search layer",
+	Doc:  "require Engine.Invalidate after direct SetZ branch writes wherever an engine can be held",
 	Match: func(pkgPath string) bool {
-		return pathHasAny(pkgPath, "internal/search", "internal/core")
+		return pathHasAny(pkgPath,
+			"internal/likelihood", "internal/search", "internal/core", "internal/mw",
+			"internal/workload", "cmd", "examples", "benchmark")
 	},
 	Run: runInvalidatePair,
 }
@@ -71,7 +75,7 @@ func checkInvalidatePairs(pass *Pass, fn *ast.FuncDecl) {
 		}
 		if !paired {
 			pass.Reportf(s.call.Pos(),
-				"direct SetZ bypasses the tree's branch-change hooks and is not followed by Engine.Invalidate/InvalidateAll in %s; the incremental cache would serve stale vectors", fn.Name.Name)
+				"direct SetZ bypasses the tree's branch-change hooks and is not followed by Engine.Invalidate/InvalidateAll in %s; the engine would serve stale vectors", fn.Name.Name)
 		}
 	}
 }

@@ -6,10 +6,10 @@
 //     bit-deterministic (no wall clock, no global RNG, no map-order
 //     dependent event scheduling), or the cycle-accurate tables in
 //     EXPERIMENTS.md stop being reproducible.
-//   - invalidatepair: every direct SetZ branch-length write in the search
-//     layer must be followed by an Engine.Invalidate/InvalidateAll, or the
-//     incremental partial-likelihood cache (PR 1) silently serves stale
-//     vectors.
+//   - invalidatepair: every direct SetZ branch-length write in a package
+//     that can hold a likelihood.Engine must be followed by an
+//     Engine.Invalidate/InvalidateAll, or the engine — which never
+//     recomputes a vector it holds as valid — silently serves stale ones.
 //   - hotpathalloc: the likelihood inner kernels must not allocate per
 //     pattern-loop iteration or bypass the configured exp() implementation.
 //   - floatcmp: floating-point == / != is forbidden outside a small

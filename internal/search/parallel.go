@@ -82,7 +82,7 @@ type searchCtx struct {
 
 	// shared, when non-nil, is the engine-wide epoch-tagged vector store
 	// every worker's Views reads through (Options.NoSharedCache opts out):
-	// the composition of the incremental cache with the pool that removes
+	// the composition of the engine's vector cache with the pool that removes
 	// the per-worker recomputation of shared-path vectors. serialViews is
 	// its primary-context binding, used by the below-minParallelCandidates
 	// fallback so small candidate sets still reuse (and warm) the store

@@ -231,7 +231,7 @@ func TestParallelSharedCacheStressSPRCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{Incremental: true})
+	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,9 +206,8 @@ func Run(eng *likelihood.Engine, start *phylotree.Tree, opt Options) (*Result, e
 	if err := start.Validate(); err != nil {
 		return nil, fmt.Errorf("search: starting tree: %w", err)
 	}
-	// With incremental caching enabled, let the engine observe topology
-	// mutations so cached partial vectors are invalidated automatically
-	// (no-op when Config.Incremental is off).
+	// Let the engine observe topology mutations, so Prune/Regraft/Undo drop
+	// the cached partial vectors they dirty.
 	eng.AttachTree(start)
 
 	// Task-level parallelism: candidate scoring and wavefront traversal
