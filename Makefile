@@ -51,12 +51,18 @@ scaling-gate:
 # backend-gate is the local mirror of the CI compute-backend gate: every
 # registered likelihood backend must reproduce the scalar reference on the
 # 42_SC search (same accepted moves, logL within 1e-9), the per-kernel
-# equivalence suite must pass under the race detector, and a short fuzz
-# session hunts for alignment shapes where a backend diverges.
+# equivalence suite — the two Newton passes and the solve's entry-point
+# safeguard included — and the absolute kernel-cost bounds must pass under
+# the race detector, a short fuzz session hunts for alignment shapes where a
+# backend diverges, and one traced 5-s wide24 run holds the exact,
+# host-independent call counts of the serial workload (needs jq).
 backend-gate:
 	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC' ./internal/search
-	$(GO) test -race -count=1 -run 'TestBackend|FuzzBackendEquivalence' ./internal/likelihood
+	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|FuzzBackendEquivalence' ./internal/likelihood
+	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestOptimizeAlphaCost42SC|TestBrentMax' ./internal/search
 	$(GO) test -run=NONE -fuzz=FuzzBackendEquivalence -fuzztime=$(FUZZTIME) ./internal/likelihood
+	$(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 | jq -e \
+		'.failed == 0 and .metrics["likelihood.evaluate_calls"].value <= 12 and .metrics["likelihood.newton_iters"].value == 855'
 
 # obs-gate is the local mirror of the CI observability gate: the span
 # tracer / flight recorder / Prometheus exposition / histogram suite under

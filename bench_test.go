@@ -388,7 +388,8 @@ func BenchmarkEvaluate42SC(b *testing.B) {
 // benchSmooth42SC measures a branch-smoothing sweep over the 42_SC
 // stand-in tree, the hot loop of the search. combines/op is the number of
 // newview executions a sweep actually performs; cachehits/op counts the
-// traversal-descriptor stops at valid cached vectors.
+// traversal-descriptor stops at valid cached vectors. An empty backend is
+// the engine's default; the Scalar twin is the reference loops.
 func benchSmooth42SC(b *testing.B, backend string) {
 	rng := rand.New(rand.NewSource(61))
 	m := seqsim.DefaultModel()
@@ -416,8 +417,8 @@ func benchSmooth42SC(b *testing.B, backend string) {
 	b.ReportMetric(float64(eng.Meter.CacheHits)/float64(b.N), "cachehits/op")
 }
 
-func BenchmarkSmooth42SC(b *testing.B)        { benchSmooth42SC(b, "scalar") }
-func BenchmarkSmoothBatched42SC(b *testing.B) { benchSmooth42SC(b, "batched") }
+func BenchmarkSmooth42SC(b *testing.B)       { benchSmooth42SC(b, "") }
+func BenchmarkSmoothScalar42SC(b *testing.B) { benchSmooth42SC(b, "scalar") }
 
 // benchSearch42SC runs a whole small hill-climbing search per iteration
 // (fresh tree and engine each time) and reports the end-to-end newview-call
@@ -454,8 +455,8 @@ func benchSearch42SC(b *testing.B, backend string) {
 	b.ReportMetric(float64(hits)/float64(b.N), "cachehits/op")
 }
 
-func BenchmarkSearch42SC(b *testing.B)        { benchSearch42SC(b, "scalar") }
-func BenchmarkSearchBatched42SC(b *testing.B) { benchSearch42SC(b, "batched") }
+func BenchmarkSearch42SC(b *testing.B)       { benchSearch42SC(b, "") }
+func BenchmarkSearchScalar42SC(b *testing.B) { benchSearch42SC(b, "scalar") }
 
 // BenchmarkParallelSPR42SC is the task-level-parallelism counterpart of
 // BenchmarkSearch42SC: the identical whole-search workload with SPR

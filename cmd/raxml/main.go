@@ -100,7 +100,7 @@ func main() {
 		seed        = flag.Int64("seed", 42, "master random seed")
 		workers     = flag.Int("workers", 4, "parallel workers (the MPI process count)")
 		searchWk    = flag.Int("search-workers", 1, "concurrent SPR-candidate scoring / wavefront traversal workers inside each search (1 = serial, 0 = auto-size from GOMAXPROCS; see README for the -workers x -search-workers x -threads oversubscription guidance)")
-		backend     = flag.String("backend", likelihood.DefaultBackend, "likelihood compute backend: "+strings.Join(likelihood.Backends(), ", "))
+		backend     = flag.String("backend", likelihood.DefaultBackend, "likelihood compute backend: "+strings.Join(likelihood.Backends(), ", ")+" (batched = pattern-tiled kernels; scalar = the bit-identical reference loops, slower)")
 		threads     = flag.Int("threads", 1, "goroutines splitting the per-pattern loops inside each likelihood kernel call (the RAxML-OMP loop-level axis)")
 		radius      = flag.Int("radius", 5, "SPR rearrangement radius")
 		rounds      = flag.Int("rounds", 10, "maximum SPR rounds per search")

@@ -44,7 +44,7 @@ func TestInferOnceIncrementalMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := likelihood.NewEngine(pat, mod, cfg.Kernel)
+	ref, err := likelihood.NewEngine(pat, mod, likelihood.Config{Backend: "scalar"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,9 +59,17 @@ type Backend interface {
 	// scaling constant contribution of the range.
 	sumTableRange(c *Ctx, op *sumOp, pr patRange, slot int) sumPart
 
-	// newtonRange reduces (logL, dlogL/dt, d2logL/dt2) over patterns
-	// [pr.lo, pr.hi) from c.sumTab and the per-matrix exponential blocks.
-	newtonRange(c *Ctx, op *newtonOp, pr patRange, slot int) newtonPart
+	// newtonDerivRange is the pass every Newton iteration makes: it reduces
+	// (dlogL/dt, d2logL/dt2) over patterns [pr.lo, pr.hi) from c.sumTab and
+	// the three exponential blocks. The iterate depends only on d1/d2, so
+	// the pass takes no logarithm.
+	newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, slot int) derivPart
+
+	// newtonValueRange is the pass a solve makes once, at the point it
+	// returns: the weighted log-likelihood sum of patterns [pr.lo, pr.hi)
+	// from c.sumTab and op.e0 alone — a third of the derivative pass's
+	// table arithmetic and exactly one log per pattern.
+	newtonValueRange(c *Ctx, op *newtonOp, pr patRange, slot int) valuePart
 }
 
 // combineOp is the operand set of one combine (newview) call. Tip children
@@ -113,24 +121,31 @@ type sumPart struct {
 	muls, adds uint64
 }
 
-// newtonOp carries one Newton iteration's exponential blocks
+// newtonOp carries the exponential blocks of one point on the branch
 // (e0 = exp(λrt), e1 = λr·e0, e2 = (λr)²·e0, one ns-block per distinct
-// rate matrix) and the pattern weights.
+// rate matrix) and the pattern weights. The value pass reads e0 only.
 type newtonOp struct {
 	e0, e1, e2 []float64
 	weights    []int
 }
 
-// newtonPart is one range's contribution to the Newton reduction.
-type newtonPart struct {
-	ll, d1, d2 float64
-	underflow  uint64
-	logs       uint64
+// derivPart is one range's contribution to a derivative pass.
+type derivPart struct {
+	d1, d2    float64
+	underflow uint64
+}
+
+// valuePart is one range's contribution to a value pass.
+type valuePart struct {
+	ll        float64
+	underflow uint64
 }
 
 // DefaultBackend is the backend used when Config.Backend is empty: the
-// scalar reference kernels, bit-identical to the pre-backend engine.
-const DefaultBackend = "scalar"
+// pattern-tiled kernels, bit-identical to the scalar reference and faster
+// per pattern in every measured cell. "scalar" stays registered as the
+// oracle the tests and the benchmark compare against.
+const DefaultBackend = "batched"
 
 // backendRegistry maps names to constructors. Backends register at init
 // time; the map is read-only afterwards, so engines may resolve

@@ -287,17 +287,17 @@ func (b batchedBackend) sumTableRange(c *Ctx, op *sumOp, pr patRange, slot int) 
 	return out
 }
 
-func (b batchedBackend) newtonRange(c *Ctx, op *newtonOp, pr patRange, slot int) newtonPart {
+func (b batchedBackend) newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, slot int) derivPart {
 	e := c.eng
 	if e.patCat != nil {
-		return b.scalar.newtonRange(c, op, pr, slot)
+		return b.scalar.newtonDerivRange(c, op, pr, slot)
 	}
 	ncat := e.ncat
 	stride := ncat * ns
 	sumTab := c.sumTab
 	ts := &c.tiles[slot]
 
-	var out newtonPart
+	var out derivPart
 	for lo := pr.lo; lo < pr.hi; lo += batchTile {
 		hi := lo + batchTile
 		if hi > pr.hi {
@@ -348,10 +348,54 @@ func (b batchedBackend) newtonRange(c *Ctx, op *newtonOp, pr patRange, slot int)
 				L = minPositive
 			}
 			w := float64(op.weights[pat])
-			out.ll += w * logFn(L)
 			out.d1 += w * (L1 / L)
 			out.d2 += w * (L2/L - (L1/L)*(L1/L))
-			out.logs++
+		}
+	}
+	return out
+}
+
+func (b batchedBackend) newtonValueRange(c *Ctx, op *newtonOp, pr patRange, slot int) valuePart {
+	e := c.eng
+	if e.patCat != nil {
+		return b.scalar.newtonValueRange(c, op, pr, slot)
+	}
+	ncat := e.ncat
+	stride := ncat * ns
+	sumTab := c.sumTab
+	ts := &c.tiles[slot]
+
+	var out valuePart
+	for lo := pr.lo; lo < pr.hi; lo += batchTile {
+		hi := lo + batchTile
+		if hi > pr.hi {
+			hi = pr.hi
+		}
+		l0 := ts.s[:hi-lo]
+		for j := range l0 {
+			l0[j] = 0
+		}
+		for cat := 0; cat < ncat; cat++ {
+			mb := cat * ns
+			e00, e01, e02, e03 := op.e0[mb], op.e0[mb+1], op.e0[mb+2], op.e0[mb+3]
+			co := cat * ns
+			for pat := lo; pat < hi; pat++ {
+				a := sumTab[pat*stride+co : pat*stride+co+ns]
+				u := l0[pat-lo]
+				u += a[0] * e00
+				u += a[1] * e01
+				u += a[2] * e02
+				u += a[3] * e03
+				l0[pat-lo] = u
+			}
+		}
+		for pat := lo; pat < hi; pat++ {
+			L := l0[pat-lo] * e.invCats
+			if L < minPositive {
+				out.underflow++
+				L = minPositive
+			}
+			out.ll += float64(op.weights[pat]) * logFn(L)
 		}
 	}
 	return out

@@ -178,14 +178,14 @@ func (scalarBackend) sumTableRange(c *Ctx, op *sumOp, pr patRange, _ int) sumPar
 	return out
 }
 
-func (scalarBackend) newtonRange(c *Ctx, op *newtonOp, pr patRange, _ int) newtonPart {
+func (scalarBackend) newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, _ int) derivPart {
 	e := c.eng
 	ncat := e.ncat
 	sumTab := c.sumTab
 	e0, e1, e2 := op.e0, op.e1, op.e2
 	weights := op.weights
 
-	var out newtonPart
+	var out derivPart
 	for pat := pr.lo; pat < pr.hi; pat++ {
 		base := pat * ncat * ns
 		var L, L1, L2 float64
@@ -206,10 +206,35 @@ func (scalarBackend) newtonRange(c *Ctx, op *newtonOp, pr patRange, _ int) newto
 			L = minPositive
 		}
 		w := float64(weights[pat])
-		out.ll += w * logFn(L)
 		out.d1 += w * (L1 / L)
 		out.d2 += w * (L2/L - (L1/L)*(L1/L))
-		out.logs++
+	}
+	return out
+}
+
+func (scalarBackend) newtonValueRange(c *Ctx, op *newtonOp, pr patRange, _ int) valuePart {
+	e := c.eng
+	ncat := e.ncat
+	sumTab := c.sumTab
+	e0 := op.e0
+	weights := op.weights
+
+	var out valuePart
+	for pat := pr.lo; pat < pr.hi; pat++ {
+		base := pat * ncat * ns
+		var L float64
+		for cc := 0; cc < ncat; cc++ {
+			mb := e.matIdx(pat, cc) * ns
+			for k := 0; k < ns; k++ {
+				L += sumTab[base+cc*ns+k] * e0[mb+k]
+			}
+		}
+		L *= e.invCats
+		if L < minPositive {
+			out.underflow++
+			L = minPositive
+		}
+		out.ll += float64(weights[pat]) * logFn(L)
 	}
 	return out
 }

@@ -62,7 +62,7 @@ func TestBackendsMatchScalarGamma(t *testing.T) {
 			m := randomModel(t, rng, 4)
 			tr := randomTreeFor(t, rng, pat)
 
-			ref, err := NewEngine(pat, m, Config{})
+			ref, err := NewEngine(pat, m, Config{Backend: "scalar"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestBackendsMatchScalarCAT(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := NewEngine(pat, cat, Config{})
+			ref, err := NewEngine(pat, cat, Config{Backend: "scalar"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +225,7 @@ func TestBackendThreadsBitIdentical(t *testing.T) {
 	m := randomModel(t, rng, 4)
 	tr := randomTreeFor(t, rng, pat)
 
-	ref, err := NewEngine(pat, m, Config{})
+	ref, err := NewEngine(pat, m, Config{Backend: "scalar"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestBackendUnderPool(t *testing.T) {
 	m := randomModel(t, rng, 4)
 	tr := randomTreeFor(t, rng, pat)
 
-	ref, err := NewEngine(pat, m, Config{})
+	ref, err := NewEngine(pat, m, Config{Backend: "scalar"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,9 @@ func TestBackendUnderPool(t *testing.T) {
 // FuzzBackendEquivalence drives random alignments, models and rate
 // layouts (Gamma and CAT, varying taxa/sites/categories) through every
 // registered backend and asserts agreement with the scalar reference:
-// bit-identical partial vectors and ≤1e-9 relative log-likelihoods.
+// bit-identical partial vectors, ≤1e-9 relative log-likelihoods, and
+// bit-identical Newton passes (d1, d2, value at a random branch length on a
+// random edge) and MakeNewz results from the same start.
 func FuzzBackendEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint16(80), uint8(4), false)
 	f.Add(int64(2), uint8(4), uint16(33), uint8(1), false)
@@ -391,7 +393,7 @@ func FuzzBackendEquivalence(f *testing.F) {
 		}
 		tr := randomTreeFor(t, rng, pat)
 
-		ref, err := NewEngine(pat, m, Config{})
+		ref, err := NewEngine(pat, m, Config{Backend: "scalar"})
 		if err != nil {
 			t.Skip(err)
 		}
@@ -400,6 +402,7 @@ func FuzzBackendEquivalence(f *testing.F) {
 			t.Skip(err)
 		}
 		idx := tr.Tips[0].Back.Index
+		var alts []*Engine
 		for _, name := range Backends() {
 			if name == "scalar" {
 				continue
@@ -421,6 +424,35 @@ func FuzzBackendEquivalence(f *testing.F) {
 					t.Fatalf("%s partial vector diverges at %d (taxa=%d sites=%d cats=%d cat=%v)",
 						name, i, nt, nsites, nc, useCAT)
 				}
+			}
+			alts = append(alts, alt)
+		}
+
+		// The Newton stage moves a branch, so it runs after every vector
+		// comparison, each engine starting from the same length.
+		edge := tr.Edges()[rng.Intn(len(tr.Edges()))]
+		z0, zProbe := edge.Z, phylotree.MaxBranchLength*math.Pow(rng.Float64(), 4)
+		type newtonResult struct{ d1, d2, value, z, logL float64 }
+		newtonStage := func(e *Engine) newtonResult {
+			edge.SetZ(z0)
+			prepareBranch(e, edge)
+			var r newtonResult
+			r.d1, r.d2 = e.ctx0.newtonDerivs(zProbe)
+			r.value = e.ctx0.newtonValue(zProbe)
+			var err error
+			if r.z, r.logL, err = e.MakeNewz(edge); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		want := newtonStage(ref)
+		for _, alt := range alts {
+			if got := newtonStage(alt); got != want {
+				t.Fatalf("%s Newton stage from z=%g, probe %g: %+v, scalar %+v (taxa=%d sites=%d cats=%d cat=%v)",
+					alt.Backend(), z0, zProbe, got, want, nt, nsites, nc, useCAT)
+			}
+			if alt.Meter != ref.Meter {
+				t.Fatalf("%s meter diverges:\n scalar %s\n %s %s", alt.Backend(), ref.Meter.String(), alt.Backend(), alt.Meter.String())
 			}
 		}
 	})

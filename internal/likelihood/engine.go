@@ -42,12 +42,13 @@ type Config struct {
 	Threads int
 
 	// Backend selects the compute backend the kernels' per-pattern inner
-	// loops run on: "scalar" (the reference loops, the default) or
-	// "batched" (pattern-major cache-blocked tiles with fused
-	// transition×partial loops — the Go analogue of the paper's SPU
-	// vectorization). See RegisterBackend/Backends; every registered
-	// backend must agree with scalar to ≤1e-9 logL. Empty means
-	// DefaultBackend.
+	// loops run on: "batched" (the default: pattern-major cache-blocked
+	// tiles with fused transition×partial loops — the Go analogue of the
+	// paper's SPU vectorization; CAT models run the scalar loops through
+	// it) or "scalar" (the reference loops, kept as the oracle the tests
+	// and the benchmark compare against). See RegisterBackend/Backends;
+	// every registered backend must agree with scalar to ≤1e-9 logL. Empty
+	// means DefaultBackend.
 	Backend string
 
 	// Observer, when set together with Now, receives the elapsed wall time

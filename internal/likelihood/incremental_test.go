@@ -31,7 +31,7 @@ func enginePair(t *testing.T, seed int64, nTaxa, nSites int) (*Engine, *Engine, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := NewEngine(pat, m, Config{})
+	full, err := NewEngine(pat, m, Config{Backend: "scalar"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,75 +79,66 @@ func (c *Ctx) MakeNewz(p *phylotree.Node) (float64, float64, error) {
 	return bestT, bestLL, nil
 }
 
-// buildSumTable fills c.sumTab with the eigenmode sum table A[pat][c][k]
-// of the branch between an explicit vector (pLv/pSc) and a q side (tip
-// codes or vector/scale), returning the t-independent scaling constant.
-// The build dispatches to the engine's backend but stays single-range: it
-// runs once per branch while newtonReduce runs once per Newton iteration,
-// and a serial build keeps the scaling-constant summation order
-// independent of Config.Threads.
+// buildSumTable prepares what the Newton passes read for one branch: it
+// fills c.sumTab with the eigenmode sum table A[pat][c][k] of the branch
+// between an explicit vector (pLv/pSc) and a q side (tip codes or
+// vector/scale) and c.lamr with the λ_k·r_c products, and returns the
+// t-independent scaling constant. The build dispatches to the engine's
+// backend but stays single-range: it runs once per branch while the passes
+// run once per Newton iteration, and a serial build keeps the
+// scaling-constant summation order independent of Config.Threads.
 func (c *Ctx) buildSumTable(pLv []float64, pSc []int32, qData []byte, qLv []float64, qSc []int32) float64 {
 	e := c.eng
 	c.sumOp = sumOp{pLv: pLv, pSc: pSc, qData: qData, qLv: qLv, qSc: qSc}
 	part := e.backend.sumTableRange(c, &c.sumOp, patRange{0, e.npat}, 0)
 	c.meter.Muls += part.muls
 	c.meter.Adds += part.adds
+
+	// lamr[matrix][k] = λ_k · r_c, one block per distinct rate category.
+	g := e.Mod.GTR
+	for cat := 0; cat < e.nmat; cat++ {
+		for k := 0; k < ns; k++ {
+			c.lamr[cat*ns+k] = g.Lambda[k] * e.Mod.Cats[cat]
+		}
+	}
+	c.meter.Muls += uint64(e.nmat * ns)
 	return part.scaleConst
 }
 
-// newtonSolve runs the Newton-Raphson branch-length iteration on the sum
-// table prepared in c.sumTab, starting from z0, and returns the best
-// (length, logL + scaleConst) point seen. Shared by MakeNewz and the
-// lazy-SPR scorer (newtonOnBranch).
-func (c *Ctx) newtonSolve(z0, scaleConst float64) (bestT, bestLL float64) {
+// newtonSolve runs the Newton-Raphson branch-length iteration on the tables
+// buildSumTable prepared, starting from z0, and returns the point it ends
+// at with its logL + scaleConst. Shared by MakeNewz and the lazy-SPR scorer
+// (newtonOnBranch).
+//
+// An iteration needs only d1/d2, so each one is a derivative pass; the
+// value is taken once, at the end. A loop that converged and, once inside
+// the concave region, stayed there has climbed to the maximum of the basin
+// it walked into and needs no comparison: a geometric walk from a
+// non-concave start into the concave region, and steps cut at a
+// branch-length bound (every short branch cuts one at MinBranchLength), are
+// the ordinary course of a solve. Any other exit — an iterate thrown back
+// out of the concave region, or the iteration cap — is guarded: the entry
+// point is valued too and kept if it is the better of the two.
+func (c *Ctx) newtonSolve(z0, scaleConst float64) (float64, float64) {
 	e := c.eng
 	var tObs time.Duration
 	timed := e.kobs != nil
 	if timed {
 		tObs = e.know()
 	}
-	g := e.Mod.GTR
-
-	// lamr[matrix][k] = λ_k · r_c, one block per distinct rate category.
-	lamr := c.lamr
-	for cat := 0; cat < e.nmat; cat++ {
-		for k := 0; k < ns; k++ {
-			lamr[cat*ns+k] = g.Lambda[k] * e.Mod.Cats[cat]
-		}
-	}
-	c.meter.Muls += uint64(e.nmat * ns)
-
-	weights := e.Pat.Weights
-	// likelihoodAt evaluates logL, dlogL/dt and d2logL/dt2 at t.
-	likelihoodAt := func(t float64) (ll, d1, d2 float64) {
-		// e0 = exp(λrt), e1 = λr·exp, e2 = (λr)²·exp; context-owned
-		// scratch, since this closure runs once per Newton iteration.
-		e0, e1, e2 := c.newzE0, c.newzE1, c.newzE2
-		for i, lr := range lamr {
-			ex := e.expFn(lr * t)
-			e0[i] = ex
-			e1[i] = lr * ex
-			e2[i] = lr * lr * ex
-		}
-		c.meter.Exps += uint64(e.nmat * ns)
-		c.meter.Muls += uint64(3 * e.nmat * ns)
-		ll, d1, d2 = c.newtonReduce(e0, e1, e2, weights)
-		return ll + scaleConst, d1, d2
-	}
 
 	t := z0
-	bestT, bestLL = t, math.Inf(-1)
-	for iter := 0; iter < newtonMaxIter; iter++ {
+	concave, guarded, converged := false, false, false
+	for iter := 0; iter < newtonMaxIter && !converged; iter++ {
 		c.meter.NewtonIters++
-		ll, d1, d2 := likelihoodAt(t)
-		if ll > bestLL {
-			bestLL, bestT = ll, t
-		}
+		d1, d2 := c.newtonDerivs(t)
 		var next float64
 		if d2 < 0 {
+			concave = true
 			next = t - d1/d2
 		} else {
 			// Not locally concave: move along the gradient geometrically.
+			guarded = guarded || concave
 			if d1 > 0 {
 				next = t * 2
 			} else {
@@ -160,20 +151,18 @@ func (c *Ctx) newtonSolve(z0, scaleConst float64) (bestT, bestLL float64) {
 		if next > phylotree.MaxBranchLength {
 			next = phylotree.MaxBranchLength
 		}
-		if math.Abs(next-t) < newtonTol*(1+t) {
-			t = next
-			break
-		}
+		converged = math.Abs(next-t) < newtonTol*(1+t)
 		t = next
 	}
-	// Evaluate at the final t; keep the best seen point (Newton can
-	// overshoot on flat likelihood surfaces).
-	ll, _, _ := likelihoodAt(t)
-	if ll >= bestLL {
-		bestLL, bestT = ll, t
+	ll := c.newtonValue(t)
+	//lint:ignore floatcmp bit-exact check: a solve that never left its entry point has nothing to compare
+	if (guarded || !converged) && t != z0 {
+		if ll0 := c.newtonValue(z0); ll0 > ll {
+			t, ll = z0, ll0
+		}
 	}
 	if timed {
 		e.kobs.ObserveKernel(OpMakenewz, e.know()-tObs)
 	}
-	return bestT, bestLL
+	return t, ll + scaleConst
 }

@@ -80,39 +80,94 @@ func (e *Engine) runParallel(ranges []patRange, fn func(r patRange, slot int)) {
 	wg.Wait()
 }
 
-// newtonReduce computes the weighted (logL, d1, d2) triple of the Newton
-// iteration from the sum table in c.sumTab and the per-matrix exponential
-// blocks — the reduction shared by MakeNewz and the lazy-SPR scorer,
-// dispatched to the engine's backend and parallelized over patterns when
-// the engine is threaded.
-func (c *Ctx) newtonReduce(e0, e1, e2 []float64, weights []int) (ll, d1, d2 float64) {
+// newtonDerivs fills the three exponential blocks for branch length t and
+// reduces (dlogL/dt, d2logL/dt2) over all patterns from the sum table in
+// c.sumTab: the derivative pass of the Newton iteration shared by MakeNewz
+// and the lazy-SPR scorer, dispatched to the engine's backend and
+// parallelized over patterns when the engine is threaded. Range sums are
+// combined in range order.
+func (c *Ctx) newtonDerivs(t float64) (d1, d2 float64) {
 	e := c.eng
-	ncat := e.ncat
-	c.newtOp = newtonOp{e0: e0, e1: e1, e2: e2, weights: weights}
+	e0, e1, e2 := c.newzE0, c.newzE1, c.newzE2
+	for i, lr := range c.lamr {
+		ex := e.expFn(lr * t)
+		e0[i] = ex
+		e1[i] = lr * ex
+		e2[i] = lr * lr * ex
+	}
+	nexp := uint64(e.nmat * ns)
+	c.meter.Exps += nexp
+	c.meter.Muls += 4 * nexp
+
+	c.newtOp = newtonOp{e0: e0, e1: e1, e2: e2, weights: e.Pat.Weights}
 	op := &c.newtOp
 	bk := e.backend
 
-	var underflow, logs uint64
+	var underflow uint64
 	if e.parallel() {
 		ranges := e.splitPatterns()
-		parts := make([]newtonPart, len(ranges))
+		parts := make([]derivPart, len(ranges))
 		e.runParallel(ranges, func(pr patRange, slot int) {
-			parts[slot] = bk.newtonRange(c, op, pr, slot)
+			parts[slot] = bk.newtonDerivRange(c, op, pr, slot)
 		})
 		for _, p := range parts {
-			ll += p.ll
 			d1 += p.d1
 			d2 += p.d2
 			underflow += p.underflow
-			logs += p.logs
 		}
 	} else {
-		p := bk.newtonRange(c, op, patRange{0, e.npat}, 0)
-		ll, d1, d2, underflow, logs = p.ll, p.d1, p.d2, p.underflow, p.logs
+		p := bk.newtonDerivRange(c, op, patRange{0, e.npat}, 0)
+		d1, d2, underflow = p.d1, p.d2, p.underflow
 	}
 	*c.underflow += underflow
-	c.meter.Logs += logs
-	c.meter.Muls += uint64(3*e.npat*ncat*ns + 3*e.nmat*ns)
-	c.meter.Adds += uint64(3 * e.npat * ncat * ns)
-	return ll, d1, d2
+	// Per pattern: three table dot products, then 3 invCats scalings, 2
+	// divisions, 1 square and 2 weightings; 1 subtraction and 2 sums.
+	table := uint64(e.ncat * ns)
+	c.meter.Muls += uint64(e.npat) * (3*table + 8)
+	c.meter.Adds += uint64(e.npat) * (3*table + 3)
+	return d1, d2
+}
+
+// newtonValue reduces the weighted log-likelihood sum at branch length t
+// from the sum table: the value pass, run once per solve at the point it
+// returns (and once more at the entry point on the safeguard path). Only
+// the e0 block is built and read, and this is the only place a Newton solve
+// takes logarithms — one per pattern.
+func (c *Ctx) newtonValue(t float64) (ll float64) {
+	e := c.eng
+	e0 := c.newzE0
+	for i, lr := range c.lamr {
+		e0[i] = e.expFn(lr * t)
+	}
+	nexp := uint64(e.nmat * ns)
+	c.meter.Exps += nexp
+	c.meter.Muls += nexp
+
+	c.newtOp = newtonOp{e0: e0, weights: e.Pat.Weights}
+	op := &c.newtOp
+	bk := e.backend
+
+	var underflow uint64
+	if e.parallel() {
+		ranges := e.splitPatterns()
+		parts := make([]valuePart, len(ranges))
+		e.runParallel(ranges, func(pr patRange, slot int) {
+			parts[slot] = bk.newtonValueRange(c, op, pr, slot)
+		})
+		for _, p := range parts {
+			ll += p.ll
+			underflow += p.underflow
+		}
+	} else {
+		p := bk.newtonValueRange(c, op, patRange{0, e.npat}, 0)
+		ll, underflow = p.ll, p.underflow
+	}
+	*c.underflow += underflow
+	// Per pattern: one table dot product, the invCats scaling and the
+	// weighting of the log; one sum.
+	table := uint64(e.ncat * ns)
+	c.meter.Logs += uint64(e.npat)
+	c.meter.Muls += uint64(e.npat) * (table + 2)
+	c.meter.Adds += uint64(e.npat) * (table + 1)
+	return ll
 }

@@ -220,7 +220,7 @@ func TestPoolOccupancyHook(t *testing.T) {
 // fix: PR 2 hoisted the per-Newton-iteration scratch (e0/e1/e2 exponential
 // blocks) onto the Engine, which aliased under concurrent callers. The
 // scratch now lives on the per-worker Ctx, and this test drives the shared
-// Newton core (newtonOnBranch — the same sum-table/likelihoodAt machinery
+// Newton core (newtonOnBranch — the same sum-table and Newton-pass machinery
 // MakeNewz runs) from two goroutines at once, each with its own context
 // and Views over the same frozen pruned tree, exactly like parallel SPR
 // candidate scoring. Results must match the serial scores bit for bit.

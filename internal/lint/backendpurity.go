@@ -51,10 +51,11 @@ var BackendPurity = &Analyzer{
 // these names (the interface itself is unexported, so name matching is
 // the stable anchor — and keeps the golden mini-package honest).
 var rangeMethodNames = map[string]bool{
-	"combineRange":  true,
-	"evaluateRange": true,
-	"sumTableRange": true,
-	"newtonRange":   true,
+	"combineRange":     true,
+	"evaluateRange":    true,
+	"sumTableRange":    true,
+	"newtonDerivRange": true,
+	"newtonValueRange": true,
 }
 
 var backendPurityConfig = &TaintConfig{

@@ -24,9 +24,9 @@ import (
 //
 // The compute backends (backend_scalar.go, backend_batched.go) are the
 // same hot 90% behind an interface: their range methods (combineRange,
-// evaluateRange, sumTableRange, newtonRange) and tile helpers run per
-// pattern block, so the fragments below include tile/sumtable/newton to
-// keep every backend implementation in scope.
+// evaluateRange, sumTableRange, newtonDerivRange, newtonValueRange) and
+// tile helpers run per pattern block, so the fragments below include
+// tile/sumtable/newton to keep every backend implementation in scope.
 //
 // The observability helpers ride the same loops: Histogram.Observe and the
 // kernel-observer adapter run once per kernel call, FlightRecorder.Record
@@ -43,9 +43,13 @@ import (
 // whether or not the memo hits. internal/phylotree is in scope and the
 // fragments include memo/hash/probe.
 //
+// The model optimisers' 1-D maximiser (search.brentMax) loops over
+// full-tree recomputations; its bookkeeping is a handful of floats and must
+// stay that way, so the fragments include brent.
+//
 // Inside functions whose name contains combine/newview/makenewz/evaluate/
 // fastexp/spr/nni/insertion/tile/sumtable/newton/observe/record/span/
-// memo/hash/probe (case-insensitive), the analyzer reports:
+// memo/hash/probe/brent (case-insensitive), the analyzer reports:
 //
 //   - make(), append(), new() and slice/map composite literals inside any
 //     loop — preallocate scratch buffers on the Engine (kernels) or the
@@ -64,7 +68,7 @@ var HotPathAlloc = &Analyzer{
 	Run: runHotPathAlloc,
 }
 
-var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "memo", "hash", "probe"}
+var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "memo", "hash", "probe", "brent"}
 
 func isHotFuncName(name string) bool {
 	lower := strings.ToLower(name)

@@ -63,11 +63,11 @@ func (badBackend) combineRange(c *Ctx, op *combineOp, pr patRange, slot int) com
 	return combineStats{}
 }
 
-// newtonRange launders its store through a helper: only the package-local
-// fixed point connects the call site to the write, which is the
-// multi-function case the analyzer exists for.
-func (badBackend) newtonRange(c *Ctx, op *combineOp, pr patRange, slot int) combineStats {
-	bumpUnderflow(c) // want `newtonRange calls likelihood\.bumpUnderflow, which writes Ctx field underflow directly`
+// newtonDerivRange launders its store through a helper: only the
+// package-local fixed point connects the call site to the write, which is
+// the multi-function case the analyzer exists for.
+func (badBackend) newtonDerivRange(c *Ctx, op *combineOp, pr patRange, slot int) combineStats {
+	bumpUnderflow(c) // want `newtonDerivRange calls likelihood\.bumpUnderflow, which writes Ctx field underflow directly`
 	return combineStats{}
 }
 

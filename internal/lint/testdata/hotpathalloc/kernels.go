@@ -75,10 +75,11 @@ func sumTableRangeScratch(sumTab []float64, npat int) {
 	}
 }
 
-// newtonRangeExp mimics a backend newtonRange: the exp blocks must come
-// through the engine's configured expFn, never raw math.Exp.
-func newtonRangeExp(x float64) float64 {
-	return math.Exp(x) // want `raw math.Exp in kernel newtonRangeExp`
+// newtonDerivRangeExp mimics a backend Newton pass (newtonDerivRange,
+// newtonValueRange): the exp blocks must come through the engine's
+// configured expFn, never raw math.Exp.
+func newtonDerivRangeExp(x float64) float64 {
+	return math.Exp(x) // want `raw math.Exp in kernel newtonDerivRangeExp`
 }
 
 // notAKernel is outside the hot set: the same patterns are allowed.

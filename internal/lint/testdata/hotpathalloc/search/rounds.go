@@ -2,7 +2,8 @@
 // live in raxmlcell/internal/search. Functions whose names contain
 // spr/nni/insertion are the search hot loop; per-round buffers (candidate
 // lists, score tables) must be hoisted onto the search context, not
-// reallocated inside the round loop.
+// reallocated inside the round loop. brent is the model optimisers'
+// maximiser: its loop body is one full-tree recomputation and a few floats.
 package search
 
 import "fmt"
@@ -39,6 +40,16 @@ func nniTargetsPrealloc(out []*node, rounds int) []*node {
 	out = out[:0]
 	out = append(out, &node{z: float64(rounds)})
 	return out
+}
+
+func brentMaxHistory(f func(float64) float64, evals int) float64 {
+	var seen []float64
+	best := 0.0
+	for i := 0; i < evals; i++ {
+		seen = append(seen, f(float64(i))) // want `append inside a per-pattern loop`
+		best += seen[i]
+	}
+	return best
 }
 
 // collectCandidates is outside the hot set: the same patterns are allowed.

@@ -190,7 +190,7 @@ func TestIncrementalSmoothingCombineReduction(t *testing.T) {
 
 	edges := tr.Edges()
 	last := edges[len(edges)-1]
-	ref, err := likelihood.NewEngine(pat, m, likelihood.Config{})
+	ref, err := likelihood.NewEngine(pat, m, likelihood.Config{Backend: "scalar"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,162 @@
+package search
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"raxmlcell/internal/likelihood"
+	"raxmlcell/internal/parsimony"
+	"raxmlcell/internal/phylotree"
+	"raxmlcell/internal/seqsim"
+)
+
+// extraValuePasses is the number of Newton solves that took the safeguard
+// path and paid for it: every evaluate and every solve takes one log per
+// pattern, a guarded solve that left its entry point takes them twice.
+func extraValuePasses(t *testing.T, m *likelihood.Meter, npat int) uint64 {
+	t.Helper()
+	base := uint64(npat) * (m.MakenewzCalls + m.EvaluateCalls)
+	if m.Logs < base || (m.Logs-base)%uint64(npat) != 0 {
+		t.Fatalf("Meter.Logs = %d is not %d x (%d solves + %d evaluates) plus whole extra passes",
+			m.Logs, npat, m.MakenewzCalls, m.EvaluateCalls)
+	}
+	return (m.Logs - base) / uint64(npat)
+}
+
+// TestSmoothingOneLogPerPatternPerSolve42SC is the absolute cost of the
+// value pass: over four smoothing passes of the 42_SC tree the engine takes
+// exactly one logarithm per pattern per Newton solve (and per evaluate) —
+// none per iteration, and no solve needs the safeguard's second value pass.
+func TestSmoothingOneLogPerPatternPerSolve42SC(t *testing.T) {
+	pat := load42SC(t)
+	tr, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range likelihood.Backends() {
+		eng, err := likelihood.NewEngine(pat, seqsim.DefaultModel(), likelihood.Config{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SmoothBranches(eng, tr.Clone(), 4, 1e-6); err != nil {
+			t.Fatal(err)
+		}
+		m := &eng.Meter
+		if m.NewtonIters <= m.MakenewzCalls {
+			t.Fatalf("%s: %d Newton iterations for %d solves: nothing iterated", backend, m.NewtonIters, m.MakenewzCalls)
+		}
+		if extra := extraValuePasses(t, m, pat.NumPatterns()); extra != 0 {
+			t.Errorf("%s: Meter.Logs = %d, want %d patterns x (%d solves + %d evaluates): %d solves paid a second value pass",
+				backend, m.Logs, pat.NumPatterns(), m.MakenewzCalls, m.EvaluateCalls, extra)
+		}
+	}
+}
+
+// TestNewtonSafeguardShare42SC reports how often a Newton solve of the
+// 42_SC search leaves the concave region, meets a clamp or runs out of
+// iterations away from its entry point — the only solves that still pay a
+// second value pass — and holds the share under 1 %.
+func TestNewtonSafeguardShare42SC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full SPR search on 42 taxa")
+	}
+	_, m := runSPR42SC(t, 1, nil)
+	extra := extraValuePasses(t, &m, load42SC(t).NumPatterns())
+	share := float64(extra) / float64(m.MakenewzCalls)
+	t.Logf("42_SC search: %d of %d Newton solves took the safeguard path (%.3f %%)", extra, m.MakenewzCalls, 100*share)
+	if share >= 0.01 {
+		t.Errorf("safeguard share %.4f, want < 0.01", share)
+	}
+}
+
+// goldenSectionAlpha is the optimiser OptimizeAlpha used before brentMax: a
+// golden-section search over the whole bracket in log(alpha) space. Kept
+// here as the oracle for where the optimum is, nothing else.
+func goldenSectionAlpha(t *testing.T, eng *likelihood.Engine, tr *phylotree.Tree, lo, hi, tol float64) (alpha, ll float64) {
+	t.Helper()
+	eval := func(x float64) float64 {
+		m, err := eng.Mod.WithAlpha(math.Exp(x))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.SetModel(m); err != nil {
+			t.Fatal(err)
+		}
+		v, err := eng.Evaluate(tr.Tips[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	const phi = 0.6180339887498949
+	a, b := math.Log(lo), math.Log(hi)
+	x1, x2 := b-phi*(b-a), a+phi*(b-a)
+	f1, f2 := eval(x1), eval(x2)
+	for b-a > tol {
+		if f1 < f2 {
+			a, x1, f1 = x1, x2, f2
+			x2 = a + phi*(b-a)
+			f2 = eval(x2)
+		} else {
+			b, x2, f2 = x2, x1, f1
+			x1 = b - phi*(b-a)
+			f1 = eval(x1)
+		}
+	}
+	x := (a + b) / 2
+	return math.Exp(x), eval(x)
+}
+
+// TestOptimizeAlphaCost42SC is the absolute cost of an alpha fit, each
+// evaluation being a full-tree recomputation: on the smoothed 42_SC tree,
+// from starting values on both sides of the optimum, OptimizeAlpha spends
+// at most 12 evaluations (golden section spent 17), lands within tol of the
+// golden-section optimum in log space at a log-likelihood no lower than it
+// by 1e-6·|logL|, and leaves the engine on the alpha it returns.
+func TestOptimizeAlphaCost42SC(t *testing.T) {
+	pat := load42SC(t)
+	start, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lo, hi, tol = 0.02, 50, 1e-2
+	for _, alpha0 := range []float64{0.1, 0.5, 1, 5} {
+		m, err := seqsim.DefaultModel().WithAlpha(alpha0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := start.Clone()
+		if _, err := SmoothBranches(eng, tr, 2, 0.05); err != nil {
+			t.Fatal(err)
+		}
+		before := eng.Meter.EvaluateCalls
+		alpha, ll, err := OptimizeAlpha(eng, tr, lo, hi, tol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spent := eng.Meter.EvaluateCalls - before
+		if eng.Mod.Alpha != alpha {
+			t.Errorf("alpha0=%g: returned alpha %v but the engine's model holds %v", alpha0, alpha, eng.Mod.Alpha)
+		}
+		if at, err := eng.Evaluate(tr.Tips[0]); err != nil || at != ll {
+			t.Errorf("alpha0=%g: returned logL %.10f, engine evaluates to %.10f (err %v)", alpha0, ll, at, err)
+		}
+		wantAlpha, wantLL := goldenSectionAlpha(t, eng, tr, lo, hi, tol)
+		t.Logf("alpha0=%g: %d evaluations, alpha %.5f logL %.6f (golden section: alpha %.5f logL %.6f)",
+			alpha0, spent, alpha, ll, wantAlpha, wantLL)
+		if spent > 12 {
+			t.Errorf("alpha0=%g: %d evaluations, want <= 12", alpha0, spent)
+		}
+		if d := math.Abs(math.Log(alpha) - math.Log(wantAlpha)); d > tol {
+			t.Errorf("alpha0=%g: alpha %.6f is %.4f from the golden-section optimum %.6f in log space, want <= %g", alpha0, alpha, d, wantAlpha, tol)
+		}
+		if ll < wantLL-1e-6*math.Abs(wantLL) {
+			t.Errorf("alpha0=%g: logL %.8f below the golden-section optimum's %.8f", alpha0, ll, wantLL)
+		}
+	}
+}

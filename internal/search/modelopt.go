@@ -9,10 +9,10 @@ import (
 )
 
 // OptimizeGTRRates fits the five free GTR exchangeabilities (GT is the
-// conventional reference fixed at 1) by cyclic golden-section search in log
-// space, updating the engine's model in place. It returns the fitted rates
-// and the final log-likelihood. RAxML performs the same style of
-// coordinate-wise model optimization between search phases.
+// conventional reference fixed at 1) by cyclic coordinate search in log
+// space (Brent's method per rate), updating the engine's model in place. It
+// returns the fitted rates and the final log-likelihood. RAxML performs the
+// same style of coordinate-wise model optimization between search phases.
 func OptimizeGTRRates(eng *likelihood.Engine, tr *phylotree.Tree, sweeps int, tol float64) ([6]float64, float64, error) {
 	if sweeps <= 0 {
 		sweeps = 2
@@ -40,11 +40,11 @@ func OptimizeGTRRates(eng *likelihood.Engine, tr *phylotree.Tree, sweeps int, to
 		return eng.Evaluate(tr.Tips[0])
 	}
 
+	// The engine sits on `rates` before and after every coordinate search.
 	best, err := apply(rates)
 	if err != nil {
 		return rates, 0, err
 	}
-	const phi = 0.6180339887498949
 	for sweep := 0; sweep < sweeps; sweep++ {
 		improved := false
 		for i := 0; i < 5; i++ { // rate 5 (GT) stays fixed at 1
@@ -54,36 +54,8 @@ func OptimizeGTRRates(eng *likelihood.Engine, tr *phylotree.Tree, sweeps int, to
 				return apply(r)
 			}
 			// Bracket around the current value in log space.
-			a := math.Log(rates[i]) - 1.5
-			b := math.Log(rates[i]) + 1.5
-			x1 := b - phi*(b-a)
-			x2 := a + phi*(b-a)
-			f1, err := eval(x1)
-			if err != nil {
-				return rates, 0, err
-			}
-			f2, err := eval(x2)
-			if err != nil {
-				return rates, 0, err
-			}
-			for b-a > tol {
-				if f1 < f2 {
-					a, x1, f1 = x1, x2, f2
-					x2 = a + phi*(b-a)
-					f2, err = eval(x2)
-				} else {
-					b, x2, f2 = x2, x1, f1
-					x1 = b - phi*(b-a)
-					f1, err = eval(x1)
-				}
-				if err != nil {
-					return rates, 0, err
-				}
-			}
-			cand := math.Exp((a + b) / 2)
-			r := rates
-			r[i] = cand
-			ll, err := apply(r)
+			x0 := math.Log(rates[i])
+			x, ll, there, err := brentMax(eval, x0-1.5, x0+1.5, x0, best, tol)
 			if err != nil {
 				return rates, 0, err
 			}
@@ -92,9 +64,9 @@ func OptimizeGTRRates(eng *likelihood.Engine, tr *phylotree.Tree, sweeps int, to
 					improved = true
 				}
 				best = ll
-				rates = r
-			} else {
-				// Restore the engine to the best-known model.
+				rates[i] = math.Exp(x)
+			}
+			if !there {
 				if _, err := apply(rates); err != nil {
 					return rates, 0, err
 				}
@@ -103,10 +75,6 @@ func OptimizeGTRRates(eng *likelihood.Engine, tr *phylotree.Tree, sweeps int, to
 		if !improved {
 			break
 		}
-	}
-	// Leave the engine on the fitted model.
-	if _, err := apply(rates); err != nil {
-		return rates, 0, err
 	}
 	return rates, best, nil
 }

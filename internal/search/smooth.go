@@ -1,6 +1,6 @@
 // Package search implements RAxML's rapid hill-climbing tree search on top
 // of the likelihood kernels: branch-length smoothing sweeps, Gamma shape
-// optimization by golden-section search, and radius-bounded lazy SPR
+// optimization by Brent's method, and radius-bounded lazy SPR
 // rearrangements with a best-insertion list.
 package search
 
@@ -42,9 +42,13 @@ func SmoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, e
 	return last, nil
 }
 
-// OptimizeAlpha fits the Gamma shape parameter by golden-section search on
-// the tree log-likelihood over alpha in [lo, hi], updating the engine's
-// model in place. It returns the best alpha and its log-likelihood.
+// OptimizeAlpha fits the Gamma shape parameter by Brent's method on the tree
+// log-likelihood over alpha in [lo, hi], updating the engine's model in
+// place. The search runs in log(alpha) space (the likelihood surface is much
+// closer to symmetric there) with tol as its resolution, and starts from the
+// engine's current alpha, whose likelihood costs no recomputation when the
+// engine's vectors are current. It returns the best alpha and its
+// log-likelihood.
 func OptimizeAlpha(eng *likelihood.Engine, tr *phylotree.Tree, lo, hi, tol float64) (float64, float64, error) {
 	if eng.Mod.NumCats() <= 1 {
 		// No rate heterogeneity to fit.
@@ -57,8 +61,8 @@ func OptimizeAlpha(eng *likelihood.Engine, tr *phylotree.Tree, lo, hi, tol float
 	if tol <= 0 {
 		tol = 1e-3
 	}
-	eval := func(alpha float64) (float64, error) {
-		m, err := eng.Mod.WithAlpha(alpha)
+	eval := func(x float64) (float64, error) {
+		m, err := eng.Mod.WithAlpha(math.Exp(x))
 		if err != nil {
 			return 0, err
 		}
@@ -67,38 +71,25 @@ func OptimizeAlpha(eng *likelihood.Engine, tr *phylotree.Tree, lo, hi, tol float
 		}
 		return eng.Evaluate(tr.Tips[0])
 	}
-	// Golden-section search in log(alpha) space (the likelihood surface is
-	// much closer to symmetric there).
-	const phi = 0.6180339887498949
 	a, b := math.Log(lo), math.Log(hi)
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
-	f1, err := eval(math.Exp(x1))
+	x0 := math.Log(eng.Mod.Alpha)
+	var f0 float64
+	var err error
+	if x0 >= a && x0 <= b {
+		f0, err = eng.Evaluate(tr.Tips[0])
+	} else {
+		x0 = math.Min(math.Max(x0, a), b)
+		f0, err = eval(x0)
+	}
 	if err != nil {
 		return 0, 0, err
 	}
-	f2, err := eval(math.Exp(x2))
+	x, ll, there, err := brentMax(eval, a, b, x0, f0, tol)
+	if err == nil && !there {
+		ll, err = eval(x)
+	}
 	if err != nil {
 		return 0, 0, err
 	}
-	for b-a > tol {
-		if f1 < f2 {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
-			f2, err = eval(math.Exp(x2))
-		} else {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
-			f1, err = eval(math.Exp(x1))
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	best := math.Exp((a + b) / 2)
-	ll, err := eval(best)
-	if err != nil {
-		return 0, 0, err
-	}
-	return best, ll, nil
+	return eng.Mod.Alpha, ll, nil
 }
