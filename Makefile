@@ -51,18 +51,22 @@ scaling-gate:
 # backend-gate is the local mirror of the CI compute-backend gate: every
 # registered likelihood backend must reproduce the scalar reference on the
 # 42_SC search (same accepted moves, logL within 1e-9), the per-kernel
-# equivalence suite — the two Newton passes and the solve's entry-point
-# safeguard included — and the absolute kernel-cost bounds must pass under
-# the race detector, a short fuzz session hunts for alignment shapes where a
-# backend diverges, and one traced 5-s wide24 run holds the exact,
-# host-independent call counts of the serial workload (needs jq).
+# equivalence suite — the two Newton passes, the step, the stop rule against
+# the parent's and the solve's entry-point safeguard included — the
+# epoch-cache fuzz seeds (lazy-SPR scoring through both view tables against a
+# fresh engine) and the absolute kernel-cost bounds must pass under the race
+# detector, a short fuzz session hunts for alignment shapes where a backend
+# diverges, and two traced 5-s runs hold the exact, host-independent call
+# counts of the serial workloads (needs jq).
 backend-gate:
 	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC' ./internal/search
-	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|FuzzBackendEquivalence' ./internal/likelihood
-	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestOptimizeAlphaCost42SC|TestBrentMax' ./internal/search
+	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
+	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestCandidateCost42SC|TestOptimizeAlphaCost42SC|TestBrentMax' ./internal/search
 	$(GO) test -run=NONE -fuzz=FuzzBackendEquivalence -fuzztime=$(FUZZTIME) ./internal/likelihood
 	$(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 | jq -e \
-		'.failed == 0 and .metrics["likelihood.evaluate_calls"].value <= 12 and .metrics["likelihood.newton_iters"].value == 855'
+		'.failed == 0 and .metrics["likelihood.evaluate_calls"].value <= 12 and .metrics["likelihood.makenewz_calls"].value == 180 and .metrics["likelihood.newview_calls"].value == 506 and .metrics["likelihood.newton_iters"].value == 550'
+	$(GO) run ./benchmark --workload search20-serial --seed 1 --seconds 5 --trace 1 | tail -n 1 | jq -e \
+		'.failed == 0 and .metrics["likelihood.newview_calls"].value <= 5800 and .metrics["likelihood.newton_iters"].value <= 12000'
 
 # obs-gate is the local mirror of the CI observability gate: the span
 # tracer / flight recorder / Prometheus exposition / histogram suite under

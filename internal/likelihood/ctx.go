@@ -134,10 +134,15 @@ func (c *Ctx) transitionMatrices(z float64, dst []float64) {
 		c.meter.Muls += ns // lambda*tr
 		base := cat * ns * ns
 		for i := 0; i < ns; i++ {
+			// (V·e)·V⁻¹ groups as the flat three-factor product does.
+			var ve [ns]float64
+			for k := 0; k < ns; k++ {
+				ve[k] = g.V[i][k] * expl[k]
+			}
 			for j := 0; j < ns; j++ {
 				s := 0.0
 				for k := 0; k < ns; k++ {
-					s += g.V[i][k] * expl[k] * g.VInv[k][j]
+					s += ve[k] * g.VInv[k][j]
 				}
 				if s < 0 {
 					s = 0
@@ -145,20 +150,21 @@ func (c *Ctx) transitionMatrices(z float64, dst []float64) {
 				dst[base+i*ns+j] = s
 			}
 		}
-		c.meter.Muls += ns * ns * 2 * ns
+		c.meter.Muls += ns*ns + ns*ns*ns
 		c.meter.Adds += ns * ns * (ns - 1)
 		c.meter.SmallLoopIters++
 	}
 }
 
-// tipProjection fills dst (layout [cat][code][i]) with P·tipvec for all 16
-// ambiguity codes: the RAxML tip-case specialization that replaces a full
-// per-pattern matrix-vector product by a table lookup.
+// tipProjection fills dst (layout [cat][code][i]) with P·tipvec for the
+// ambiguity codes the alignment contains: the RAxML tip-case specialization
+// that replaces a full per-pattern matrix-vector product by a table lookup.
+// Entries of codes that never occur are never read and stay unset.
 func (c *Ctx) tipProjection(p []float64, dst []float64) {
 	e := c.eng
 	for cat := 0; cat < e.nmat; cat++ {
 		pc := p[cat*ns*ns:]
-		for code := 0; code < 16; code++ {
+		for _, code := range e.tipCodes {
 			tv := &e.tipVec[code]
 			for i := 0; i < ns; i++ {
 				s := 0.0
@@ -169,8 +175,8 @@ func (c *Ctx) tipProjection(p []float64, dst []float64) {
 			}
 		}
 	}
-	c.meter.Muls += uint64(e.nmat * 16 * ns * ns)
-	c.meter.Adds += uint64(e.nmat * 16 * ns * (ns - 1))
+	c.meter.Muls += uint64(e.nmat * len(e.tipCodes) * ns * ns)
+	c.meter.Adds += uint64(e.nmat * len(e.tipCodes) * ns * (ns - 1))
 }
 
 // NewView makes the partial likelihood vector behind the internal ring

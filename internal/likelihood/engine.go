@@ -99,6 +99,7 @@ type Engine struct {
 	lv         [][]float64 // [nodeIndex][pat*ncat*ns + cat*ns + state]
 	scale      [][]int32   // [nodeIndex][pat] cumulative scaling counts
 	tipVec     [16][ns]float64
+	tipCodes   []int // the ambiguity codes that occur in Pat.Data, ascending
 	expFn      func(float64) float64
 
 	// orient[idx] is the ring record whose directed view the lv/scale
@@ -123,9 +124,9 @@ type Engine struct {
 	// meter/underflow sinks are the engine's own counters.
 	ctx0 *Ctx
 
-	// shared, when non-nil (UseSharedCache), is the epoch-tagged
-	// ancestral-vector store serving every worker context; Invalidate and
-	// InvalidateAll forward to it so its epoch tags track the tree.
+	// shared, when non-nil (UseSharedCache), is the epoch-tagged store of
+	// the vectors the node slots cannot hold, serving every worker context;
+	// Invalidate and InvalidateAll bump its epoch.
 	shared *SharedCache
 
 	// Task-level parallelism state: pool, when non-nil (UsePool), executes
@@ -174,11 +175,20 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 		e.lv[i] = make([]float64, e.npat*e.ncat*ns)
 		e.scale[i] = make([]int32, e.npat)
 	}
+	var occurs [16]bool
+	for _, row := range pat.Data {
+		for _, b := range row {
+			occurs[b&0x0f] = true
+		}
+	}
 	for code := 0; code < 16; code++ {
 		for j := 0; j < ns; j++ {
 			if code&(1<<j) != 0 {
 				e.tipVec[code][j] = 1
 			}
+		}
+		if occurs[code] {
+			e.tipCodes = append(e.tipCodes, code)
 		}
 	}
 	e.expFn = math.Exp
@@ -282,36 +292,33 @@ func (e *Engine) Invalidate(p *phylotree.Node) {
 		e.InvalidateAll()
 		return
 	}
-	var old uint64
 	if e.shared != nil {
-		old = e.shared.epoch.Add(1) - 1
+		// The store keeps nothing across an edit: what a search puts there
+		// contains its prune point, which every following edit touches.
+		e.shared.InvalidateAll()
 	}
-	e.keepFacing(p, old)
-	e.keepFacing(q, old)
+	e.keepFacing(p)
+	e.keepFacing(q)
 }
 
 // keepFacing is the engine's one staleness rule. It walks the component
 // behind record a, away from the changed branch, and keeps at each ring only
 // the orientation facing that branch (a itself here, the corresponding Back
 // records deeper down): its subtree excludes the branch by construction,
-// every other orientation contains it. The node's own slot is cleared unless
-// it holds that orientation; an installed shared store, whose epoch the
-// caller bumped from old, has that one record carried into the new epoch.
-func (e *Engine) keepFacing(a *phylotree.Node, old uint64) {
+// every other orientation contains it. The node's slot is cleared unless it
+// holds that orientation.
+func (e *Engine) keepFacing(a *phylotree.Node) {
 	if a.IsTip() {
 		return
 	}
 	if e.orient[a.Index] != a {
 		e.orient[a.Index] = nil
 	}
-	if e.shared != nil {
-		e.shared.retag(a, old)
-	}
 	if b := a.Next.Back; b != nil {
-		e.keepFacing(b, old)
+		e.keepFacing(b)
 	}
 	if b := a.Next.Next.Back; b != nil {
-		e.keepFacing(b, old)
+		e.keepFacing(b)
 	}
 }
 

@@ -617,3 +617,87 @@ func TestEvaluateDeterminism(t *testing.T) {
 		t.Errorf("repeated Evaluate differs: %.15f vs %.15f", a, b)
 	}
 }
+
+// TestTipProjectionOnlyOccurringCodes pins that filling the tip-projection
+// tables for the ambiguity codes of the alignment only is invisible to the
+// kernels: with all 16 codes present and with 4, every newview vector, scale
+// count, evaluate and makenewz result is bit-equal to an engine that fills
+// the full 16-code table on every call, as every engine did before.
+func TestTipProjectionOnlyOccurringCodes(t *testing.T) {
+	for _, tc := range []struct {
+		name, alphabet string
+		zeroCode       bool // code 0 has no character; it is written into the data
+		want           int
+	}{
+		{"all 16 codes", "ACMGRSVTWYHKDB-", true, 16},
+		{"4 codes", "ACGT", false, 4},
+	} {
+		rng := rand.New(rand.NewSource(311))
+		rows, names := make([]string, 9), make([]string, 9)
+		for i := range rows {
+			var b strings.Builder
+			for j := 0; j < 150; j++ {
+				b.WriteByte(tc.alphabet[rng.Intn(len(tc.alphabet))])
+			}
+			rows[i], names[i] = b.String(), fmt.Sprintf("t%02d", i)
+		}
+		pat := patternsFrom(t, rows, names)
+		if tc.zeroCode {
+			pat.Data[3][5] = 0
+		}
+		m := randomModel(t, rng, 4)
+		tr := randomTreeFor(t, rng, pat)
+		for _, backend := range Backends() {
+			eng, err := NewEngine(pat, m, Config{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(eng.tipCodes) != tc.want {
+				t.Fatalf("%s: engine lists %d tip codes %v, want %d", tc.name, len(eng.tipCodes), eng.tipCodes, tc.want)
+			}
+			full, err := NewEngine(pat, m, Config{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			full.tipCodes = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+			for i, e := range tr.Edges() {
+				got, err := eng.Evaluate(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := full.Evaluate(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s/%s: Evaluate at edge %d = %.17g, full table %.17g", tc.name, backend, i, got, want)
+				}
+				for _, r := range [...]*phylotree.Node{e, e.Back} {
+					if !r.IsTip() {
+						assertVectorsEqual(t, tc.name+"/"+backend, eng.lv[r.Index], full.lv[r.Index], eng.scale[r.Index], full.scale[r.Index])
+					}
+				}
+			}
+			z0 := tr.Edges()[2].Z
+			gotZ, gotLL, err := eng.MakeNewz(tr.Edges()[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.Edges()[2].SetZ(z0)
+			wantZ, wantLL, err := full.MakeNewz(tr.Edges()[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.Edges()[2].SetZ(z0)
+			if gotZ != wantZ || gotLL != wantLL {
+				t.Fatalf("%s/%s: MakeNewz = (%.17g, %.17g), full table (%.17g, %.17g)", tc.name, backend, gotZ, gotLL, wantZ, wantLL)
+			}
+			if tc.want == 16 && eng.Meter != full.Meter {
+				t.Errorf("%s/%s: meters differ with every code present:\n %s\n %s", tc.name, backend, eng.Meter.String(), full.Meter.String())
+			}
+			if tc.want < 16 && eng.Meter.Flops() >= full.Meter.Flops() {
+				t.Errorf("%s/%s: %d flops with %d codes, %d with the full table: nothing saved", tc.name, backend, eng.Meter.Flops(), tc.want, full.Meter.Flops())
+			}
+		}
+	}
+}

@@ -14,6 +14,11 @@ const newtonMaxIter = 64
 // newtonTol is the convergence tolerance on the branch length.
 const newtonTol = 1e-9
 
+// newtonGainTol is the convergence tolerance in the unit the callers
+// compare, logL: a step whose predicted gain ½·d1²/|d2| is below it is the
+// last one. Six orders under the search's Epsilon.
+const newtonGainTol = 1e-8
+
 // MakeNewz optimizes the length of the branch (p, p.Back) with respect to
 // the tree likelihood using Newton-Raphson, the paper's makenewz(). As in
 // RAxML it first ensures the partial vectors at both branch ends are
@@ -111,14 +116,16 @@ func (c *Ctx) buildSumTable(pLv []float64, pSc []int32, qData []byte, qLv []floa
 // (newtonOnBranch).
 //
 // An iteration needs only d1/d2, so each one is a derivative pass; the
-// value is taken once, at the end. A loop that converged and, once inside
-// the concave region, stayed there has climbed to the maximum of the basin
-// it walked into and needs no comparison: a geometric walk from a
-// non-concave start into the concave region, and steps cut at a
-// branch-length bound (every short branch cuts one at MinBranchLength), are
-// the ordinary course of a solve. Any other exit — an iterate thrown back
-// out of the concave region, or the iteration cap — is guarded: the entry
-// point is valued too and kept if it is the better of the two.
+// value is taken once, at the end. The loop stops after the step whose
+// predicted gain is below newtonGainTol or whose length is below newtonTol.
+// A loop that converged and, once inside the concave region, stayed there
+// has climbed to the maximum of the basin it walked into and needs no
+// comparison: a geometric walk from a non-concave start into the concave
+// region, and steps cut at a branch-length bound (every short branch cuts
+// one at MinBranchLength), are the ordinary course of a solve. Any other
+// exit — an iterate thrown back out of the concave region, or the iteration
+// cap — is guarded: the entry point is valued too and kept if it is the
+// better of the two.
 func (c *Ctx) newtonSolve(z0, scaleConst float64) (float64, float64) {
 	e := c.eng
 	var tObs time.Duration
@@ -135,7 +142,8 @@ func (c *Ctx) newtonSolve(z0, scaleConst float64) (float64, float64) {
 		var next float64
 		if d2 < 0 {
 			concave = true
-			next = t - d1/d2
+			next = newtonStep(t, d1, d2)
+			converged = d1*d1 < -2*d2*newtonGainTol
 		} else {
 			// Not locally concave: move along the gradient geometrically.
 			guarded = guarded || concave
@@ -151,7 +159,7 @@ func (c *Ctx) newtonSolve(z0, scaleConst float64) (float64, float64) {
 		if next > phylotree.MaxBranchLength {
 			next = phylotree.MaxBranchLength
 		}
-		converged = math.Abs(next-t) < newtonTol*(1+t)
+		converged = converged || math.Abs(next-t) < newtonTol*(1+t)
 		t = next
 	}
 	ll := c.newtonValue(t)
@@ -165,4 +173,21 @@ func (c *Ctx) newtonSolve(z0, scaleConst float64) (float64, float64) {
 		e.kobs.ObserveKernel(OpMakenewz, e.know()-tObs)
 	}
 	return t, ll + scaleConst
+}
+
+// newtonStep is the iterate after t > 0 where the log-likelihood f is locally
+// concave (d2 < 0). Along a branch f is shaped like a·log t − b·t, on which a
+// plain Newton step from below the optimum at most doubles t and from far
+// above it overshoots zero. So the step is Newton's on φ(t) = t·f′(t): same
+// root, linear in t for exactly that shape (one step lands on the optimum
+// from either side), positive from above, the plain step at the root; far
+// below the optimum it extrapolates, so its growth is capped at 8·t. Where φ
+// is not decreasing (d1 + d2·t ≥ 0: f′ falls off slower than 1/t, as it does
+// up from the lower bound) the plain step is taken.
+func newtonStep(t, d1, d2 float64) float64 {
+	den := d1 + d2*t
+	if den >= 0 {
+		return t - d1/d2
+	}
+	return math.Min(d2*t*t/den, 8*t)
 }

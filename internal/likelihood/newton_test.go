@@ -202,6 +202,7 @@ func TestNewtonSolveNeverBelowEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.AttachTree(tr) // the Views below trusts the slots across the Prune
 		c := eng.ctx0
 
 		for _, edge := range tr.Edges() {
@@ -346,5 +347,132 @@ func TestNewtonSafeguardOnAdversarialTables(t *testing.T) {
 	}
 	if escaped*1000 > solves {
 		t.Errorf("%d of %d unguarded solves ended below their entry point, want <= 0.1 %%", escaped, solves)
+	}
+}
+
+// TestNewtonStepExactOnLogShape pins what the φ-step is for: on
+// f(t) = a·log t − b·t (f′ = a/t − b, f″ = −a/t²) one step lands on the
+// optimum a/b from above and from below, where a plain Newton step from below
+// at most doubles t and from far above overshoots past zero. From more than
+// 8x below the optimum the step is the cap, 8·t; at the root it is the plain
+// step: it does not move.
+func TestNewtonStepExactOnLogShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(614))
+	for trial := 0; trial < 1000; trial++ {
+		a := 0.5 + 400*rng.Float64()
+		b := a / (1e-4 + 2*rng.Float64()) // optimum a/b in [1e-4, 2]
+		opt := a / b
+		for _, t0 := range []float64{opt / 7.9, opt / 2.5, opt * 0.999, opt * 1.001, opt * 3, opt * 1e3} {
+			d1, d2 := a/t0-b, -a/(t0*t0)
+			if got := newtonStep(t0, d1, d2); math.Abs(got-opt) > 1e-9*opt {
+				t.Fatalf("a=%g b=%g: one step from %g lands on %.12g, optimum %.12g", a, b, t0, got, opt)
+			}
+			if plain := t0 - d1/d2; t0 < opt/2.5 && plain > 2*t0*(1+1e-12) {
+				t.Fatalf("a=%g b=%g: plain Newton from %g below the optimum reached %g, more than double", a, b, t0, plain)
+			}
+		}
+		if plain := 3*opt - (a/(3*opt)-b)/(-a/(9*opt*opt)); plain > 0 {
+			t.Fatalf("a=%g b=%g: plain Newton from 3x the optimum stayed positive (%g): the test lost its contrast", a, b, plain)
+		}
+		far := opt / 100
+		if got := newtonStep(far, a/far-b, -a/(far*far)); math.Abs(got-8*far) > 0 {
+			t.Fatalf("a=%g b=%g: step from %g = %g, want the cap %g", a, b, far, got, 8*far)
+		}
+		if got := newtonStep(opt, 0, -a/(opt*opt)); math.Abs(got-opt) > 1e-12*opt {
+			t.Fatalf("a=%g b=%g: step at the root moved to %g", a, b, got)
+		}
+	}
+	// Where φ is not decreasing the step is Newton's own.
+	if got, want := newtonStep(0.1, 5, -2), 0.1+5.0/2; math.Abs(got-want) > 0 {
+		t.Errorf("newtonStep(0.1, 5, -2) = %g, want the plain step %g", got, want)
+	}
+}
+
+// parentNewtonSolve is the solver as it was before the φ-step and the gain
+// stop rule — plain Newton steps, newtonTol on the branch length only, the
+// same clamps and the same entry-point safeguard — kept as the oracle for
+// where a solve should end, nothing else.
+func parentNewtonSolve(c *Ctx, z0 float64) (t, ll float64, iters uint64) {
+	t = z0
+	concave, guarded, converged := false, false, false
+	for ; iters < newtonMaxIter && !converged; iters++ {
+		d1, d2 := c.newtonDerivs(t)
+		var next float64
+		if d2 < 0 {
+			concave = true
+			next = t - d1/d2
+		} else {
+			guarded = guarded || concave
+			next = t / 2
+			if d1 > 0 {
+				next = t * 2
+			}
+		}
+		next = math.Min(math.Max(next, phylotree.MinBranchLength), phylotree.MaxBranchLength)
+		converged = math.Abs(next-t) < newtonTol*(1+t)
+		t = next
+	}
+	ll = c.newtonValue(t)
+	if (guarded || !converged) && t != z0 {
+		if ll0 := c.newtonValue(z0); ll0 > ll {
+			t, ll = z0, ll0
+		}
+	}
+	return t, ll, iters
+}
+
+// TestNewtonSolveMatchesParentRule is the accuracy gate of the φ-step and the
+// gain stop rule: over the branches of random trees — data evolved on a tree
+// and unrelated sequences, Gamma and CAT, every backend — from starts on both
+// clamps, near zero, ordinary and saturated, the log-likelihood a solve
+// returns is never more than 1e-7 below what the parent's rule returns on the
+// same table, and it spends fewer iterations in total.
+func TestNewtonSolveMatchesParentRule(t *testing.T) {
+	var solves, iters, parentIters uint64
+	worst := 0.0
+	for trial := 0; trial < 24; trial++ {
+		rng := rand.New(rand.NewSource(int64(7100 + trial)))
+		nt := 5 + rng.Intn(10)
+		var pat *alignment.Patterns
+		if trial%2 == 0 {
+			a, _, err := seqsim.Generate(seqsim.Params{Taxa: nt, Sites: 300, MeanBranch: 0.1, Alpha: 0.8}, seqsim.DefaultModel(), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pat = alignment.Compress(a)
+		} else {
+			pat = randomPatterns(t, rng, nt, 120)
+		}
+		m := randomModel(t, rng, 1+rng.Intn(4))
+		if trial%5 == 4 {
+			m = catModelFor(t, rng, pat)
+		}
+		tr := randomTreeFor(t, rng, pat)
+		eng, err := NewEngine(pat, m, Config{Backend: Backends()[trial%len(Backends())]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := eng.ctx0
+		for _, edge := range tr.Edges() {
+			prepareBranch(eng, edge)
+			for _, z0 := range solveStarts {
+				before := eng.Meter.NewtonIters
+				_, got := c.newtonSolve(z0, 0)
+				iters += eng.Meter.NewtonIters - before
+				_, want, n := parentNewtonSolve(c, z0)
+				parentIters += n
+				solves++
+				if want-got > worst {
+					worst = want - got
+				}
+				if got < want-1e-7 {
+					t.Errorf("trial %d from z0=%g: logL %.10f, parent's rule %.10f (%.3g lower)", trial, z0, got, want, want-got)
+				}
+			}
+		}
+	}
+	t.Logf("%d solves: %d iterations, the parent's rule %d; worst shortfall %.3g logL", solves, iters, parentIters, worst)
+	if iters >= parentIters {
+		t.Errorf("%d iterations, the parent's rule spends %d: the step bought nothing", iters, parentIters)
 	}
 }

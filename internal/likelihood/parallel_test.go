@@ -51,11 +51,12 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 
 	// Branch optimization agrees.
 	e := tr.Edges()[4]
+	z0 := e.Z
 	zS, mlS, err := serial.MakeNewz(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetZ(0.1) // reset
+	e.SetZ(z0) // reset: both solves start from the same point
 	zP, mlP, err := par.MakeNewz(e)
 	if err != nil {
 		t.Fatal(err)

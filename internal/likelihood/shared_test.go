@@ -2,6 +2,7 @@ package likelihood
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -113,21 +114,16 @@ func TestSharedViewsMatchPrivate(t *testing.T) {
 	}
 }
 
-// TestSharedCacheEpochRetag pins the selective invalidation: after a branch
-// change, the one orientation per ring facing the changed branch survives
-// into the new epoch (pure hit), every other orientation recomputes, and
-// the recomputed vectors are bit-identical to a cold private recompute.
-func TestSharedCacheEpochRetag(t *testing.T) {
+// TestSharedCacheEpochInvalidation pins what an edit does to the two stores.
+// After a branch change the engine's slots keep the one orientation per ring
+// that faces the changed branch and the shared store keeps nothing: a facing
+// record held in a slot is served from it (a CacheHit, no compute, the slot's
+// own buffer), every other record recomputes — the store's entries from the
+// old epoch are dead — and the recomputed vectors are bit-identical to a
+// private table's.
+func TestSharedCacheEpochInvalidation(t *testing.T) {
 	eng, shared, tr := sharedFixture(t, 802, 10, 60)
 	sv := eng.NewSharedViews(shared)
-	recs := internalRecords(tr)
-	for _, r := range recs {
-		if _, _, err := sv.Vector(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warm := shared.Computes()
-	epoch0 := shared.Epoch()
 
 	// Find an internal-internal edge so both facing records are internal.
 	var e *phylotree.Node
@@ -140,6 +136,20 @@ func TestSharedCacheEpochRetag(t *testing.T) {
 	if e == nil {
 		t.Fatal("no internal-internal edge")
 	}
+	// Slots face e; the store is warm with every record the slots do not hold.
+	eng.NewView(e)
+	eng.NewView(e.Back)
+	recs := internalRecords(tr)
+	for _, r := range recs {
+		if _, _, err := sv.Vector(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if shared.Computes() == 0 {
+		t.Fatal("warm-up computed nothing through the store")
+	}
+	epoch0 := shared.Epoch()
+
 	e.SetZ(e.Z * 1.31)
 	eng.Invalidate(e)
 	if shared.Epoch() != epoch0+1 {
@@ -147,18 +157,23 @@ func TestSharedCacheEpochRetag(t *testing.T) {
 	}
 
 	// The records facing the changed branch exclude it from their subtree:
-	// both must be served without any recompute.
+	// both are slot reads.
 	for _, r := range [...]*phylotree.Node{e, e.Back} {
-		before := shared.Computes()
-		if _, _, err := sv.Vector(r); err != nil {
+		computes, hits := shared.Computes(), eng.Meter.CacheHits
+		lv, _, err := sv.Vector(r)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if shared.Computes() != before {
-			t.Errorf("facing record recomputed after retag (%d -> %d)", before, shared.Computes())
+		if shared.Computes() != computes || eng.Meter.CacheHits != hits+1 {
+			t.Errorf("facing record: computes %d -> %d, CacheHits %d -> %d, want a slot read",
+				computes, shared.Computes(), hits, eng.Meter.CacheHits)
+		}
+		if &lv[0] != &eng.lv[r.Index][0] {
+			t.Error("facing record served from a buffer that is not the node's slot")
 		}
 	}
 	// The other orientations at e's ring include the changed branch and must
-	// recompute — and match a cold private recompute bit for bit.
+	// recompute — and match a private table bit for bit.
 	pv := eng.NewViews()
 	defer pv.Release()
 	for _, r := range [...]*phylotree.Node{e.Next, e.Next.Next, e.Back.Next, e.Back.Next.Next} {
@@ -177,16 +192,15 @@ func TestSharedCacheEpochRetag(t *testing.T) {
 		assertVectorsEqual(t, "post-invalidate", gotLv, wantLv, gotSc, wantSc)
 	}
 
-	// InvalidateAll drops everything: the next read of anything recomputes.
+	// InvalidateAll drops the slots too: the next read of anything recomputes.
 	eng.InvalidateAll()
 	before := shared.Computes()
-	if _, _, err := sv.Vector(recs[0]); err != nil {
+	if _, _, err := sv.Vector(e); err != nil {
 		t.Fatal(err)
 	}
 	if shared.Computes() == before {
 		t.Error("read after InvalidateAll did not recompute")
 	}
-	_ = warm
 }
 
 // TestPoolSharedCacheSingleFlight is the redundancy theorem under real
@@ -300,16 +314,88 @@ func TestPoolSharedCacheAcrossInvalidations(t *testing.T) {
 	}
 }
 
+// lazyScoreAudit does what the search does to one prune candidate — prune p
+// through the tree's hooks, orient the engine's slots toward the prune
+// point, score every insertion edge within radius 3 — through a private and
+// a shared-backed Views, and requires every score to be bit-identical to the
+// one a fresh engine (nothing cached, nothing to read through) computes for
+// the same candidate of the same prune on a clone of the tree. It returns the
+// pruned subtree with the candidates and the index and branch length of the
+// best one, for the caller to undo or accept.
+func lazyScoreAudit(t *testing.T, stage string, eng *Engine, sv *Views, tr *phylotree.Tree, p *phylotree.Node) (ps *phylotree.PrunedSubtree, cands []*phylotree.Node, best int, bestZ float64) {
+	t.Helper()
+	// A clone enumerates its edges in the same order, which locates p on it.
+	edges, cl := tr.Edges(), tr.Clone()
+	var cp *phylotree.Node
+	for i, e := range cl.Edges() {
+		switch p {
+		case edges[i]:
+			cp = e
+		case edges[i].Back:
+			cp = e.Back
+		}
+	}
+	if cp == nil {
+		t.Fatalf("%s: prune record is not on an edge of the tree", stage)
+	}
+	ps, err := tr.Prune(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps, err := cl.Prune(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.NewView(ps.Q)
+	eng.NewView(ps.R)
+	eng.NewView(ps.P.Back)
+	cands = append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...)
+	ccands := append(phylotree.RadiusEdges(cps.Q, 3), phylotree.RadiusEdges(cps.R, 3)...)
+	if len(cands) != len(ccands) {
+		t.Fatalf("%s: %d candidates, %d on the clone", stage, len(cands), len(ccands))
+	}
+	fresh, err := NewEngine(eng.Pat, eng.Mod, eng.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pv, fv := eng.NewViews(), fresh.NewViews()
+	z0, bestLL := ps.P.Z, math.Inf(-1)
+	best = -1
+	for i, cand := range cands {
+		wantZ, wantLL, err := fv.InsertionScore(ccands[i], cps.P, z0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range [...]*Views{pv, sv} {
+			z, ll, err := v.InsertionScore(cand, ps.P, z0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if z != wantZ || ll != wantLL {
+				t.Fatalf("%s: candidate %d through the %s Views scores (%.17g, %.17g), fresh engine (%.17g, %.17g)",
+					stage, i, [...]string{"private", "shared-backed"}[k], z, ll, wantZ, wantLL)
+			}
+		}
+		if wantLL > bestLL {
+			best, bestZ, bestLL = i, wantZ, wantLL
+		}
+	}
+	pv.Release()
+	return ps, cands, best, bestZ
+}
+
 // FuzzEpochCacheEquivalence drives random interleavings of branch edits,
-// topology moves, model and weight swaps, full invalidations and reads over
-// a random small tree, asserting after every operation that a sample of
-// shared-store vectors is bit-identical to a cold private recompute at the
-// current epoch, and that the engine's own slots answer Evaluate and
-// MakeNewz bit-identically to a fresh engine on a clone of the tree.
+// topology moves, lazy-SPR scoring rounds, model and weight swaps, full
+// invalidations and reads over a random small tree, asserting after every
+// operation that a sample of shared-store vectors is bit-identical to a cold
+// private recompute at the current epoch, and that the engine's own slots
+// answer Evaluate and MakeNewz bit-identically to a fresh engine on a clone
+// of the tree.
 func FuzzEpochCacheEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 0, 1, 2, 3})
 	f.Add(int64(7), []byte{1, 1, 1, 2, 0, 3, 2, 4, 1, 0})
 	f.Add(int64(42), []byte{2, 0, 5, 0, 2, 1, 3})
+	f.Add(int64(9), []byte{6, 1, 6, 2, 6, 0, 6, 4, 6})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -381,7 +467,7 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 
 		audit("initial")
 		for _, op := range ops {
-			switch op % 6 {
+			switch op % 7 {
 			case 0: // direct branch change + explicit invalidation
 				edges := tr.Edges()
 				e := edges[rng.Intn(len(edges))]
@@ -434,6 +520,49 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 					w[i] = rng.Intn(4)
 				}
 				if err := eng.SetWeights(w); err != nil {
+					t.Fatal(err)
+				}
+			case 6: // what a search does: score a prune and undo it, score the
+				// prune next to it and accept its best insertion, score a prune
+				// inside the ring just inserted and undo it
+				var prunable []*phylotree.Node
+				for _, e := range tr.Edges() {
+					for _, r := range [...]*phylotree.Node{e, e.Back} {
+						if !r.IsTip() {
+							prunable = append(prunable, r)
+						}
+					}
+				}
+				ps, _, _, _ := lazyScoreAudit(t, "first prune", eng, sv, tr, prunable[rng.Intn(len(prunable))])
+				if err := tr.Undo(ps); err != nil {
+					t.Fatal(err)
+				}
+				next := ps.Q
+				if next.IsTip() {
+					next = ps.R
+				}
+				if next.IsTip() {
+					continue // a 3-taxon remainder: no neighbouring ring to prune at
+				}
+				ps, cands, best, bestZ := lazyScoreAudit(t, "prune next to the previous one", eng, sv, tr, next.Next)
+				if best < 0 {
+					if err := tr.Undo(ps); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				if err := tr.Regraft(ps, cands[best]); err != nil {
+					t.Fatal(err)
+				}
+				ps.P.SetZ(bestZ)
+				eng.Invalidate(ps.P)
+				for _, b := range [...]*phylotree.Node{ps.P, ps.P.Next, ps.P.Next.Next} {
+					if _, _, err := eng.MakeNewz(b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ps, _, _, _ = lazyScoreAudit(t, "prune after an accepted move", eng, sv, tr, ps.P.Next)
+				if err := tr.Undo(ps); err != nil {
 					t.Fatal(err)
 				}
 			}

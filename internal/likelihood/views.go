@@ -7,17 +7,21 @@ import (
 	"raxmlcell/internal/phylotree"
 )
 
-// Views is a memoized table of directed partial likelihood vectors over a
-// topologically frozen tree: one vector per directed internal ring record,
-// computed on demand and shared across queries. It is the engine's
-// implementation of RAxML's lazy SPR evaluation — after pruning a subtree,
-// every candidate insertion branch can be scored in O(patterns) time from
-// cached vectors instead of recomputing the whole tree.
+// Views is the table of directed partial likelihood vectors the engine's one
+// slot per node cannot hold, over a topologically frozen tree. Vector reads
+// the node's own slot whenever it holds the requested orientation and
+// computes and memoizes the vector otherwise. It is the engine's
+// implementation of RAxML's lazy SPR evaluation: once the search has oriented
+// every slot toward the prune point the table holds only the vectors facing
+// away from it, one per candidate edge, and every candidate insertion branch
+// is scored in O(patterns) time from the two.
 //
-// A Views must be discarded as soon as the tree's topology or any branch
-// length changes. A Views is bound to one kernel context and inherits its
-// (lack of) concurrency: concurrent scoring uses one Views per worker
-// context (see Pool), never one Views from several goroutines.
+// A Views must be released as soon as the tree's topology or any branch
+// length changes, and the engine must have been told of every edit of the
+// tree (AttachTree, Invalidate): the slots are trusted. A Views is bound to
+// one kernel context and inherits its (lack of) concurrency: concurrent
+// scoring uses one Views per worker context (see Pool), never one Views from
+// several goroutines.
 type Views struct {
 	ctx   *Ctx
 	lv    map[*phylotree.Node][]float64
@@ -50,8 +54,8 @@ func (c *Ctx) NewViews() *Views {
 // NewSharedViews creates a view table backed by the engine's shared
 // epoch-tagged vector store instead of private memo tables, bound to the
 // engine's primary context: vector hits and computes are attributed to
-// Engine.Meter directly. Used by the pooled search's serial fallback so
-// small candidate sets still reuse (and warm) the shared store.
+// Engine.Meter directly. Used by the pooled search for candidate sets too
+// small to fan out.
 func (e *Engine) NewSharedViews(s *SharedCache) *Views { return e.ctx0.NewSharedViews(s) }
 
 // NewSharedViews creates a view table backed by the shared epoch-tagged
@@ -105,15 +109,21 @@ func (c *Ctx) getScBuf() []int32 {
 }
 
 // Vector returns the partial likelihood vector and scale counts of the
-// subtree behind record r (computed through r's two other ring members),
-// memoizing recursively. For tip records it returns (nil, nil): callers use
-// the tip codes directly.
+// subtree behind record r (computed through r's two other ring members):
+// the node's own slot when it holds that orientation (Meter.CacheHits), the
+// memoized vector otherwise, computed recursively on first use. The slices
+// are read-only and good until the next NewView or edit. For tip records it
+// returns (nil, nil): callers use the tip codes directly.
 func (v *Views) Vector(r *phylotree.Node) ([]float64, []int32, error) {
-	if v.shared != nil {
-		return v.shared.vector(v.ctx, r)
-	}
 	if r.IsTip() {
 		return nil, nil, nil
+	}
+	if e := v.ctx.eng; e.orient[r.Index] == r {
+		v.ctx.meter.CacheHits++
+		return e.lv[r.Index], e.scale[r.Index], nil
+	}
+	if v.shared != nil {
+		return v.shared.vector(v, r)
 	}
 	if lv, ok := v.lv[r]; ok {
 		return lv, v.scale[r], nil
@@ -155,7 +165,12 @@ func (c *Ctx) combine(q *phylotree.Node, zq float64, qLv []float64, qSc []int32,
 	}
 	c.meter.NewviewCalls++
 	c.transitionMatrices(zq, c.pLeft)
-	c.transitionMatrices(zr, c.pRight)
+	//lint:ignore floatcmp bit-exact check: the same length gives the same matrices (the two halves of a lazy-SPR insertion branch always do)
+	if zr == zq {
+		copy(c.pRight, c.pLeft)
+	} else {
+		c.transitionMatrices(zr, c.pRight)
+	}
 
 	qTip, rTip := q.IsTip(), r.IsTip()
 	switch {
@@ -244,30 +259,28 @@ func (v *Views) InsertionScore(cand *phylotree.Node, sub *phylotree.Node, z0 flo
 	if err != nil {
 		return 0, 0, err
 	}
-	// Virtual node x over the split candidate branch.
-	xLv := c.getLvBuf()
-	xSc := c.getScBuf()
-	defer func() {
-		c.lvPool = append(c.lvPool, xLv)
-		c.scPool = append(c.scPool, xSc)
-	}()
-	half := cand.Z / 2
-	c.combine(cand, half, aLv, aSc, cand.Back, half, bLv, bSc, xLv, xSc)
-
 	// Subtree-side vector: viewed through the subtree root record s, whose
 	// children live inside the pruned subtree.
 	sLv, sSc, err := v.Vector(s)
 	if err != nil {
 		return 0, 0, err
 	}
-	return c.newtonOnBranch(xLv, xSc, s, sLv, sSc, z0)
+	// Virtual node x over the split candidate branch.
+	xLv := c.getLvBuf()
+	xSc := c.getScBuf()
+	half := cand.Z / 2
+	c.combine(cand, half, aLv, aSc, cand.Back, half, bLv, bSc, xLv, xSc)
+	bestZ, logL = c.newtonOnBranch(xLv, xSc, s, sLv, sSc, z0)
+	c.lvPool = append(c.lvPool, xLv)
+	c.scPool = append(c.scPool, xSc)
+	return bestZ, logL, nil
 }
 
 // newtonOnBranch optimizes the branch length between an explicit vector
 // (pLv/pSc) and a node side given by (q, qLv, qSc) — q may be a tip (qLv
 // nil). It is the sum-table core of MakeNewz reused by the lazy SPR path,
 // running entirely on context-owned scratch.
-func (c *Ctx) newtonOnBranch(pLv []float64, pSc []int32, q *phylotree.Node, qLv []float64, qSc []int32, z0 float64) (float64, float64, error) {
+func (c *Ctx) newtonOnBranch(pLv []float64, pSc []int32, q *phylotree.Node, qLv []float64, qSc []int32, z0 float64) (float64, float64) {
 	e := c.eng
 	c.meter.MakenewzCalls++
 	var qData []byte
@@ -275,6 +288,5 @@ func (c *Ctx) newtonOnBranch(pLv []float64, pSc []int32, q *phylotree.Node, qLv 
 		qData = e.Pat.Data[q.Index]
 	}
 	scaleConst := c.buildSumTable(pLv, pSc, qData, qLv, qSc)
-	bestT, bestLL := c.newtonSolve(z0, scaleConst)
-	return bestT, bestLL, nil
+	return c.newtonSolve(z0, scaleConst)
 }

@@ -94,10 +94,9 @@ func TestViewsMemoization(t *testing.T) {
 }
 
 // insertionScoreExhaustive reproduces the pre-lazy trial: physically
-// regraft, run MakeNewz on the subtree branch from a full recomputation
-// (the tree is edited behind the engine's back, so nothing cached may be
-// trusted), read the likelihood, and undo. It is the ground truth the lazy
-// path must match.
+// regraft, run MakeNewz on the subtree branch from a full recomputation,
+// read the likelihood, and undo. It is the ground truth the lazy path must
+// match.
 func insertionScoreExhaustive(t *testing.T, eng *Engine, tr *phylotree.Tree, ps *phylotree.PrunedSubtree, cand *phylotree.Node, z0 float64) (float64, float64) {
 	t.Helper()
 	if err := tr.Regraft(ps, cand); err != nil {
@@ -124,6 +123,8 @@ func TestInsertionScoreMatchesExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A Views trusts the engine's slots, so the engine sees every edit.
+	eng.AttachTree(tr)
 
 	p := tr.Tips[4].Back
 	ps, err := tr.Prune(p)

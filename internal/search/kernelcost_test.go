@@ -160,3 +160,52 @@ func TestOptimizeAlphaCost42SC(t *testing.T) {
 		}
 	}
 }
+
+// TestCandidateCost42SC is the absolute cost of scoring one lazy-SPR
+// candidate, over one SPR round of the smoothed 42_SC tree with the default
+// radius and an acceptance threshold nothing can reach, so that every kernel
+// call of the round is scoring: prune, orient the slots, one vector facing
+// away from the prune point per new candidate edge, the combine of the
+// virtual insertion node, one Newton solve, undo. Both bounds are the
+// measured value plus 10 %.
+func TestCandidateCost42SC(t *testing.T) {
+	pat := load42SC(t)
+	tr, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := likelihood.NewEngine(pat, seqsim.DefaultModel(), likelihood.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.AttachTree(tr)
+	ll, err := SmoothBranches(eng, tr, 4, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := newSearchCtx(eng, Options{NoTopoMemo: true})
+	defer sc.close(eng)
+	before := eng.Meter
+	if _, moves, err := sprRound(eng, tr, sc, DefaultOptions().Radius, ll, math.Inf(1)); err != nil || moves != 0 {
+		t.Fatalf("scoring-only round: %d moves, err %v", moves, err)
+	}
+	m := &eng.Meter
+	cands := m.MakenewzCalls - before.MakenewzCalls // one solve per scored candidate, and nothing else solves
+	newviews := float64(m.NewviewCalls-before.NewviewCalls) / float64(cands)
+	iters := float64(m.NewtonIters-before.NewtonIters) / float64(cands)
+	t.Logf("%d candidates: %.3f newviews and %.3f Newton iterations per candidate", cands, newviews, iters)
+
+	// Measured 2.034: the combine of the insertion node is one, the vector
+	// facing away from the prune point at the candidate's edge the other (each
+	// computed once and shared with the candidates beyond it), re-orienting
+	// the slots after each prune the rest. 3.834 when a private table per
+	// prune recomputed every vector it touched.
+	if newviews > 2.237 {
+		t.Errorf("%.3f newviews per scored candidate, want <= 2.237 (measured 2.034)", newviews)
+	}
+	// Measured 4.295; 8.101 with plain Newton steps stopped on the branch
+	// length alone.
+	if iters > 4.724 {
+		t.Errorf("%.3f Newton iterations per candidate solve, want <= 4.724 (measured 4.295)", iters)
+	}
+}

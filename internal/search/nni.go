@@ -25,6 +25,7 @@ func nniRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, baselin
 	// hotpathalloc analyzer).
 	var stage string
 	var stageErr error
+edges:
 	for _, e := range tr.InternalEdges() {
 		u, v := e, e.Back
 		if u.IsTip() || v.IsTip() {
@@ -62,8 +63,9 @@ func nniRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, baselin
 			ps.P.SetZ(bestZ)
 			eng.Invalidate(ps.P) // direct SetZ bypasses the tree's hooks
 			for _, b := range [...]*phylotree.Node{ps.P, ps.P.Next, ps.P.Next.Next} {
-				if _, ll, err := eng.MakeNewz(b); err == nil {
-					bestLL = ll
+				if _, bestLL, err = eng.MakeNewz(b); err != nil {
+					stage, stageErr = "optimizing the swapped branches", err
+					break edges
 				}
 			}
 			current = bestLL

@@ -50,8 +50,9 @@ func AutoWorkersFrom(reg *obs.Registry) int {
 // lives in the likelihood package and reuses the same pool.
 
 // minParallelCandidates is the smallest candidate count worth fanning out;
-// below it the per-fanout overhead (goroutine spawn, per-worker view
-// warm-up of the shared path to the root) exceeds the win.
+// below it the per-fanout overhead (goroutine spawn, the WaitGroup barrier,
+// the meter merge) exceeds the win: a candidate is two or three kernel
+// calls on vectors that are already there.
 const minParallelCandidates = 4
 
 // candScore is one scored insertion candidate. ok marks candidates that
@@ -80,13 +81,13 @@ type searchCtx struct {
 	pool  *likelihood.Pool
 	views []*likelihood.Views
 
-	// shared, when non-nil, is the engine-wide epoch-tagged vector store
-	// every worker's Views reads through (Options.NoSharedCache opts out):
-	// the composition of the engine's vector cache with the pool that removes
-	// the per-worker recomputation of shared-path vectors. serialViews is
-	// its primary-context binding, used by the below-minParallelCandidates
-	// fallback so small candidate sets still reuse (and warm) the store
-	// with their kernel counters flowing straight into Engine.Meter.
+	// Every vector that faces the prune point is read from the engine's own
+	// node slots; a view table holds only the ones facing away from it, one
+	// per candidate edge, which die with the prune. serialViews is the
+	// primary-context table that scores when there is no pool (private,
+	// released per prune) or too few candidates to fan out. shared is the
+	// pooled search's store of those vectors: views and serialViews read
+	// through it, so each is computed once whichever worker asks first.
 	shared      *likelihood.SharedCache
 	serialViews *likelihood.Views
 
@@ -128,9 +129,10 @@ type searchCtx struct {
 	topoConfDrift *obs.Gauge
 }
 
-// newSearchCtx builds the per-search state from the options: a worker pool
-// with per-worker view tables when opt.Workers > 1 (also installed as the
-// engine's wavefront executor), and metric handles when opt.Metrics is set.
+// newSearchCtx builds the per-search state from the options: one private
+// view table for a serial search; for opt.Workers > 1 a worker pool (also
+// installed as the engine's wavefront executor) whose per-worker view tables
+// read through one shared store; and metric handles when opt.Metrics is set.
 func newSearchCtx(eng *likelihood.Engine, opt Options) *searchCtx {
 	sc := &searchCtx{traceRound: opt.Trace}
 	if !opt.NoTopoMemo {
@@ -151,31 +153,28 @@ func newSearchCtx(eng *likelihood.Engine, opt Options) *searchCtx {
 			sc.topoConfDrift = opt.Metrics.Gauge("cache.topo_confirmed_drift_max")
 		}
 	}
-	if opt.Workers > 1 {
-		sc.pool = eng.NewPool(opt.Workers)
-		eng.UsePool(sc.pool)
-		sc.views = make([]*likelihood.Views, sc.pool.Workers())
-		if !opt.NoSharedCache {
-			sc.shared = eng.NewSharedCache()
-			eng.UseSharedCache(sc.shared)
-			// Shared-backed view tables are built once and survive tree
-			// edits (the store's epoch tags track them) — no per-prune
-			// rebuild, unlike the private per-worker tables they replace.
-			for w := range sc.views {
-				sc.views[w] = sc.pool.Ctx(w).NewSharedViews(sc.shared)
-			}
-			sc.serialViews = eng.NewSharedViews(sc.shared)
-		}
-		if opt.Metrics != nil {
-			opt.Metrics.Gauge("search.pool_workers").Set(float64(sc.pool.Workers()))
-			busy := opt.Metrics.Gauge("search.pool_busy")
-			sc.pool.OnOccupancy = func(b, _ int) { busy.Set(float64(b)) }
-			sc.busyPeak = opt.Metrics.Gauge("search.pool_busy_peak")
-			if sc.shared != nil {
-				sc.sharedHits = opt.Metrics.Counter("cache.shared_hits")
-				sc.epochGauge = opt.Metrics.Gauge("cache.epoch")
-			}
-		}
+	if opt.Workers <= 1 {
+		sc.serialViews = eng.NewViews()
+		return sc
+	}
+	sc.pool = eng.NewPool(opt.Workers)
+	eng.UsePool(sc.pool)
+	sc.shared = eng.NewSharedCache()
+	eng.UseSharedCache(sc.shared)
+	// Shared-backed view tables are built once and survive tree edits (the
+	// store's epoch tags track them).
+	sc.views = make([]*likelihood.Views, sc.pool.Workers())
+	for w := range sc.views {
+		sc.views[w] = sc.pool.Ctx(w).NewSharedViews(sc.shared)
+	}
+	sc.serialViews = eng.NewSharedViews(sc.shared)
+	if opt.Metrics != nil {
+		opt.Metrics.Gauge("search.pool_workers").Set(float64(sc.pool.Workers()))
+		busy := opt.Metrics.Gauge("search.pool_busy")
+		sc.pool.OnOccupancy = func(b, _ int) { busy.Set(float64(b)) }
+		sc.busyPeak = opt.Metrics.Gauge("search.pool_busy_peak")
+		sc.sharedHits = opt.Metrics.Counter("cache.shared_hits")
+		sc.epochGauge = opt.Metrics.Gauge("cache.epoch")
 	}
 	return sc
 }
@@ -185,10 +184,8 @@ func newSearchCtx(eng *likelihood.Engine, opt Options) *searchCtx {
 // engine back to the caller.
 func (sc *searchCtx) close(eng *likelihood.Engine) {
 	sc.publishCacheMetrics()
-	if sc.shared != nil {
-		eng.UseSharedCache(nil)
-	}
 	if sc.pool != nil {
+		eng.UseSharedCache(nil)
 		eng.UsePool(nil)
 		if sc.candidatesScored != nil {
 			sc.pool.OnOccupancy = nil
@@ -199,7 +196,7 @@ func (sc *searchCtx) close(eng *likelihood.Engine) {
 // publishCacheMetrics republishes the shared-store totals and the pool's
 // occupancy high-water mark; called at every round boundary and at close.
 func (sc *searchCtx) publishCacheMetrics() {
-	if sc.shared != nil && sc.sharedHits != nil {
+	if sc.sharedHits != nil {
 		sc.sharedHits.Store(sc.shared.Hits())
 		sc.epochGauge.Set(float64(sc.shared.Epoch()))
 	}
@@ -223,12 +220,15 @@ func (sc *searchCtx) publishCacheMetrics() {
 
 // scoreInsertions fills sc.scores with the lazy insertion score of every
 // candidate edge for the subtree pruned by ps (starting branch length z0).
-// With a pool it fans the candidates out, each worker scoring through its
-// own context's Views; serially it scores through one shared Views in
-// candidate order, exactly like the pre-parallel code. Either way the
-// returned slice is indexed by candidate, so the caller's reduction — and
-// therefore the chosen move — is independent of scheduling. The first
-// error in candidate order wins, matching the serial early-exit.
+// It first orients the engine's slots toward the prune point, so that a
+// candidate costs the vector facing away from it at its edge (shared with
+// the candidates beyond it), the combine of the virtual insertion node and
+// one Newton solve. With a pool it then fans the candidates out, each worker
+// scoring through its own context's Views over the shared store; serially it
+// scores through one Views in candidate order. Either way the same vectors
+// are computed and the returned slice is indexed by candidate, so the
+// caller's reduction — and therefore the chosen move — is independent of
+// scheduling. The first error in candidate order wins.
 //
 // With the topology memo on, every candidate is first priced by the
 // canonical hash of its would-be topology (O(1) per candidate after the
@@ -263,15 +263,15 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 		probes[i] = topoProbe{}
 	}
 
+	// Orient every slot toward the prune point: Prune left valid exactly the
+	// slots that already face the joined branch, so this recomputes only the
+	// mis-oriented ones, and every vector a candidate needs that does not
+	// contain the prune point is then a read of a slot nobody writes.
+	eng.NewView(ps.Q)
+	eng.NewView(ps.R)
+	eng.NewView(sub.Back)
+
 	if sc.pool == nil || len(cands) < minParallelCandidates {
-		// Small candidate sets score serially: through the shared store's
-		// primary-context binding when the search has one (reusing and
-		// warming the same vectors the pooled fan-outs do), otherwise
-		// through a private one-shot Views exactly like the serial search.
-		views, oneShot := sc.serialViews, false
-		if views == nil {
-			views, oneShot = eng.NewViews(), true
-		}
 		for i, cand := range cands {
 			if cand.Back == nil {
 				continue
@@ -279,32 +279,19 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 			if memoOn && sc.probeCandidate(cand, i, scores, probes, z0, limit) {
 				continue
 			}
-			z, ll, err := views.InsertionScore(cand, sub, z0)
+			z, ll, err := sc.serialViews.InsertionScore(cand, sub, z0)
 			if err != nil {
-				if oneShot {
-					views.Release()
-				}
+				sc.serialViews.Release()
 				return nil, err
 			}
 			scores[i] = candScore{z: z, ll: ll, ok: true}
 		}
-		if oneShot {
-			views.Release()
-		}
+		sc.serialViews.Release()
 		sc.insertMisses(scores, probes, memoOn)
 		return scores, nil
 	}
 
 	sc.roundParallel = true
-	if sc.shared == nil {
-		// Private per-worker tables are rebuilt per prune: each worker
-		// recomputes its own copy of the shared-path vectors (the pre-PR-8
-		// redundancy the shared store eliminates; kept as the
-		// NoSharedCache baseline for redundancy accounting).
-		for w := range sc.views {
-			sc.views[w] = sc.pool.Ctx(w).NewViews()
-		}
-	}
 	sc.pool.Run(len(cands), func(w, i int) {
 		cand := cands[i]
 		if cand.Back == nil {
@@ -316,12 +303,6 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 		z, ll, err := sc.views[w].InsertionScore(cand, sub, z0)
 		scores[i] = candScore{z: z, ll: ll, ok: err == nil, err: err}
 	})
-	if sc.shared == nil {
-		for w := range sc.views {
-			sc.views[w].Release()
-			sc.views[w] = nil
-		}
-	}
 	for i := range scores {
 		if scores[i].err != nil {
 			return nil, scores[i].err

@@ -38,20 +38,12 @@ type Options struct {
 	// SPR/NNI insertion candidates of each pruned subtree are scored
 	// concurrently on a pool of Workers kernel contexts, and traversal
 	// descriptors execute wavefront-parallel on the same pool. The chosen
-	// moves, final topology and log-likelihood are identical to the serial
-	// search (up to documented FP summation order, see DESIGN.md
-	// "Parallelism layers"); <= 1 runs fully serial. Orthogonal to
+	// moves, final topology, log-likelihood and kernel call counts are
+	// identical to the serial search (see DESIGN.md "Parallelism layers"
+	// and "Cache × pool composition"); <= 1 runs fully serial. Orthogonal to
 	// likelihood.Config.Threads, which splits the per-pattern loops
 	// *inside* one kernel call — total concurrency ≈ Workers × Threads.
 	Workers int
-
-	// NoSharedCache disables the epoch-tagged shared ancestral-vector
-	// store a pooled search (Workers > 1) installs by default, reverting
-	// to private per-worker view tables rebuilt per prune. Results are
-	// identical either way; the private tables redo the shared-path
-	// newview work once per worker, so this knob exists for redundancy
-	// accounting (benchmarks and the scaling-gate tests), not for users.
-	NoSharedCache bool
 
 	// NoTopoMemo disables the content-addressed topology score memo that
 	// searches run with by default: each SPR/NNI candidate's would-be
@@ -72,9 +64,9 @@ type Options struct {
 	// Metrics, when non-nil, receives the live search series: the
 	// search.candidates_scored / search.parallel_rounds counters, the
 	// search.pool_workers / search.pool_busy / search.pool_busy_peak
-	// occupancy gauges, the search.round_ms latency histogram, and — with
-	// the shared vector store on — the cache.shared_hits counter and
-	// cache.epoch gauge.
+	// occupancy gauges, the search.round_ms latency histogram, and — for a
+	// pooled search — the shared vector store's cache.shared_hits counter
+	// and cache.epoch gauge.
 	Metrics *obs.Registry
 
 	// Trace is the wall-clock span context this search records into
@@ -137,6 +129,7 @@ func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius 
 	// break out with a stage tag and format once on the cold path.
 	var stage string
 	var stageErr error
+prunes:
 	for _, p := range pruneCandidates(tr) {
 		if p.Back == nil || p.Next == nil {
 			continue // record was detached by a concurrent accepted move
@@ -150,8 +143,8 @@ func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius 
 		sc.cands = phylotree.RadiusEdgesInto(sc.cands[:0], ps.Q, radius)
 		sc.cands = phylotree.RadiusEdgesInto(sc.cands, ps.R, radius)
 
-		// Lazy SPR: score every candidate from cached directed vectors of
-		// the (fixed) pruned tree, optimizing only the subtree's branch.
+		// Lazy SPR: score every candidate from directed vectors of the
+		// (fixed) pruned tree, optimizing only the subtree's branch.
 		// current+eps is the acceptance threshold the memo probes against.
 		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub, current+eps)
 		if err != nil {
@@ -167,10 +160,12 @@ func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius 
 			}
 			ps.P.SetZ(bestZ)
 			eng.Invalidate(ps.P) // direct SetZ bypasses the tree's hooks
-			// Locally optimize the three branches around the insertion.
+			// Locally optimize the three branches around the insertion. They
+			// are attached and never tip–tip: an error here is a bug.
 			for _, b := range [...]*phylotree.Node{ps.P, ps.P.Next, ps.P.Next.Next} {
-				if _, ll, err := eng.MakeNewz(b); err == nil {
-					bestLL = ll
+				if _, bestLL, err = eng.MakeNewz(b); err != nil {
+					stage, stageErr = "optimizing the inserted branches", err
+					break prunes
 				}
 			}
 			current = bestLL
