@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: build test race bench bench-json scaling-gate backend-gate obs-gate memo-gate chaos fuzz lint raxmlvet trace fmt clean
+.PHONY: build test race bench backend-gate obs-gate chaos fuzz lint raxmlvet trace fmt clean
 
 build:
 	$(GO) build ./...
@@ -12,41 +12,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# bench runs the Go micro-benchmarks. The repository's benchmark — four
+# workloads, end-to-end and per-layer metrics, paired comparison — is
+# `go run ./benchmark` (BENCHMARK.json, benchmark/README.md).
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
-
-# bench-json measures the compute-backend x search-worker matrix of the
-# SPR search on the 42_SC stand-in workload and writes the result (timings,
-# kernel counters, host metadata, speedup, newview-ratio, memo, and
-# instrumentation-overhead cells) as schema-validated JSON. The committed
-# snapshot is BENCH_PR10.json (BENCH_PR5/6/8/9.json are the retained
-# schema/1, /2, /3 and /4 snapshots — PR6 documents the 1.7x pooled newview
-# redundancy the shared vector store eliminated); CI regenerates a quick
-# variant and validates both. Extra flags:
-# make bench-json BENCHJSON_FLAGS="-quick -out /tmp/smoke.json"
-BENCHJSON_FLAGS ?= -out BENCH_PR10.json
-bench-json:
-	$(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS)
-
-# scaling-gate is the local mirror of the CI job of the same name: rebuild
-# the full bench matrix and hold it to the PR-8 acceptance budgets — pooled
-# newview calls within 1.15x of serial (always enforced by -check) and, on
-# hosts with >= 4 CPUs, a 4-worker wall-time speedup of at least
-# MIN_SPEEDUP. On smaller hosts the speedup bar is skipped (the redundancy
-# gate still applies; work counts do not depend on the CPU count), then a
-# short fuzz session interleaves edits/invalidations/reads against the
-# shared epoch-tagged store, auditing every epoch against a cold recompute.
-MIN_SPEEDUP ?= 1.5
-scaling-gate:
-	@mkdir -p $(BIN)
-	$(GO) run ./cmd/benchjson -reps 3 -out $(BIN)/bench-scaling.json
-	@if [ "$$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)" -ge 4 ]; then \
-		$(GO) run ./cmd/benchjson -check $(BIN)/bench-scaling.json -min-speedup $(MIN_SPEEDUP); \
-	else \
-		echo "scaling-gate: < 4 CPUs, skipping the $(MIN_SPEEDUP)x speedup bar"; \
-		$(GO) run ./cmd/benchjson -check $(BIN)/bench-scaling.json; \
-	fi
-	$(GO) test -run=NONE -fuzz=FuzzEpochCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/likelihood
 
 # backend-gate is the local mirror of the CI compute-backend gate: every
 # registered likelihood backend must reproduce the scalar reference on the
@@ -55,14 +25,13 @@ scaling-gate:
 # the parent's and the solve's entry-point safeguard included — the
 # epoch-cache fuzz seeds (lazy-SPR scoring through both view tables against a
 # fresh engine) and the absolute kernel-cost bounds must pass under the race
-# detector, a short fuzz session hunts for alignment shapes where a backend
-# diverges, and two traced 5-s runs hold the exact, host-independent call
-# counts of the serial workloads (needs jq).
+# detector, and two traced 5-s runs hold the exact, host-independent call
+# counts of the serial workloads (needs jq). The fuzz session that hunts for
+# alignment shapes where a backend diverges is part of `make fuzz`.
 backend-gate:
 	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC' ./internal/search
 	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
 	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestCandidateCost42SC|TestOptimizeAlphaCost42SC|TestBrentMax' ./internal/search
-	$(GO) test -run=NONE -fuzz=FuzzBackendEquivalence -fuzztime=$(FUZZTIME) ./internal/likelihood
 	$(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 | jq -e \
 		'.failed == 0 and .metrics["likelihood.evaluate_calls"].value <= 12 and .metrics["likelihood.makenewz_calls"].value == 180 and .metrics["likelihood.newview_calls"].value == 506 and .metrics["likelihood.newton_iters"].value == 550'
 	$(GO) run ./benchmark --workload search20-serial --seed 1 --seconds 5 --trace 1 | tail -n 1 | jq -e \
@@ -70,12 +39,10 @@ backend-gate:
 
 # obs-gate is the local mirror of the CI observability gate: the span
 # tracer / flight recorder / Prometheus exposition / histogram suite under
-# the race detector, the pinned-seed chaos flight post-mortem scenario, a
-# real CLI run whose wall-trace and flight artifacts are re-validated on
-# write, and the committed bench snapshot's instrumentation-overhead
-# budget (wall-time ratio instrumented/baseline <= MAX_OBS_OVERHEAD; only
-# trustworthy on a quiet host, hence a separate knob).
-MAX_OBS_OVERHEAD ?= 1.02
+# the race detector, the pinned-seed chaos flight post-mortem scenario, and
+# a real CLI run whose wall-trace and flight artifacts are re-validated on
+# write. The instrumentation-overhead ratio is the benchmark's
+# obs.instrumented_ratio.
 obs-gate:
 	@mkdir -p $(BIN)
 	$(GO) test -race -count=1 \
@@ -86,22 +53,6 @@ obs-gate:
 	$(GO) run ./cmd/seqgen -seed 4251 -taxa 12 -sites 400 -out $(BIN)/obs.phy
 	$(GO) run ./cmd/raxml -in $(BIN)/obs.phy -inferences 1 -bootstraps 3 -workers 2 \
 		-rounds 2 -radius 3 -trace-out $(BIN)/wall-trace.json -flight-out $(BIN)/flight.json
-	$(GO) run ./cmd/benchjson -check BENCH_PR10.json -max-obs-overhead $(MAX_OBS_OVERHEAD)
-
-# memo-gate is the local mirror of the CI topology-memo gate: the memo-on
-# SPR search must replay the memo-off move sequence exactly (serial and
-# pooled, 42_SC fixture) while skipping work, the memo's lock discipline
-# must survive the race detector under concurrent probe/insert traffic and
-# a deliberately tiny eviction-churning capacity, a short fuzz session
-# round-trips random phylo2vec vectors through decode/encode, and the
-# committed bench snapshot must show the memo-on serial cell no slower
-# than its memo-off twin (only trustworthy on a quiet host, like the obs
-# overhead budget).
-memo-gate:
-	$(GO) test -count=1 -run 'TestTopoMemoEquivalenceGate42SC' ./internal/search
-	$(GO) test -race -count=1 -run 'TestTopoMemo' ./internal/search
-	$(GO) test -run=NONE -fuzz=FuzzPhylo2VecRoundTrip -fuzztime=$(FUZZTIME) ./internal/phylotree
-	$(GO) run ./cmd/benchjson -check BENCH_PR10.json -max-memo-ratio 1.0
 
 # chaos replays the fault-injection campaigns under the race detector with a
 # pinned seed, so a failure here is reproducible bit for bit. Override
@@ -111,11 +62,18 @@ chaos:
 		-run 'Chaos|Supervise|Quarantine|Retry|Hang|Backoff|Checkpoint|Resumed|Fault' \
 		./internal/mw/... ./internal/fault/... ./internal/core/...
 
-# fuzz throws random bytes at the checkpoint loaders for a short, CI-sized
-# session; longer local runs: make fuzz FUZZTIME=10m
+# fuzz runs every fuzz target for a short, CI-sized session each: random
+# bytes at the checkpoint loaders, edit/invalidate/read interleavings against
+# the shared epoch-tagged store (every epoch audited against a cold
+# recompute), alignment shapes where a backend could diverge from scalar, and
+# phylo2vec vectors through decode/encode. Longer local runs:
+# make fuzz FUZZTIME=10m
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) ./internal/mw
+	$(GO) test -run=NONE -fuzz=FuzzEpochCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/likelihood
+	$(GO) test -run=NONE -fuzz=FuzzBackendEquivalence -fuzztime=$(FUZZTIME) ./internal/likelihood
+	$(GO) test -run=NONE -fuzz=FuzzPhylo2VecRoundTrip -fuzztime=$(FUZZTIME) ./internal/phylotree
 
 # lint mirrors the CI gates that need no network: gofmt, go vet, the
 # seven-analyzer project invariant suite (cmd/raxmlvet) driven through

@@ -460,9 +460,7 @@ func BenchmarkSearchScalar42SC(b *testing.B) { benchSearch42SC(b, "scalar") }
 
 // BenchmarkParallelSPR42SC is the task-level-parallelism counterpart of
 // BenchmarkSearch42SC: the identical whole-search workload with SPR
-// candidates fanned out over a worker pool (and traversal descriptors
-// executed wavefront-parallel). The serial/workers-4 pair is the source of
-// the committed BENCH_PR5.json speedup figure; results are
+// candidates fanned out over a worker pool. Results are
 // scheduling-invariant, so logL is reported for cross-checking.
 func BenchmarkParallelSPR42SC(b *testing.B) {
 	rng := rand.New(rand.NewSource(62))

@@ -23,7 +23,6 @@ import (
 	"log/slog"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"raxmlcell/internal/alignment"
@@ -94,37 +93,35 @@ func dumpObs(tracer *obs.SpanTracer, flight *obs.FlightRecorder, tracePath, flig
 
 func main() {
 	var (
-		in          = flag.String("in", "", "input alignment (PHYLIP or FASTA; required)")
-		inferences  = flag.Int("inferences", 3, "number of independent tree searches")
-		bootstraps  = flag.Int("bootstraps", 20, "number of bootstrap replicates")
-		seed        = flag.Int64("seed", 42, "master random seed")
-		workers     = flag.Int("workers", 4, "parallel workers (the MPI process count)")
-		searchWk    = flag.Int("search-workers", 1, "concurrent SPR-candidate scoring / wavefront traversal workers inside each search (1 = serial, 0 = auto-size from GOMAXPROCS; see README for the -workers x -search-workers x -threads oversubscription guidance)")
-		backend     = flag.String("backend", likelihood.DefaultBackend, "likelihood compute backend: "+strings.Join(likelihood.Backends(), ", ")+" (batched = pattern-tiled kernels; scalar = the bit-identical reference loops, slower)")
-		threads     = flag.Int("threads", 1, "goroutines splitting the per-pattern loops inside each likelihood kernel call (the RAxML-OMP loop-level axis)")
-		radius      = flag.Int("radius", 5, "SPR rearrangement radius")
-		rounds      = flag.Int("rounds", 10, "maximum SPR rounds per search")
-		alpha       = flag.Float64("alpha", 0.8, "initial Gamma shape")
-		cats        = flag.Int("cats", 4, "Gamma rate categories")
-		sdkExp      = flag.Bool("sdk-exp", false, "use the SDK-style fast exp kernel")
-		intCond     = flag.Bool("int-cond", false, "use the integer-cast scaling conditional")
-		topoMemo    = flag.Bool("topo-memo", true, "memoize SPR/NNI candidate scores by canonical topology hash and skip re-evaluating topologies that provably lose to the acceptance threshold; identical moves and final tree, fewer likelihood evaluations (cache.topo_* metrics)")
-		topoMemoCap = flag.Int("topo-memo-cap", 0, "topology memo capacity in entries, FIFO-evicted (0 = default "+strconv.Itoa(search.DefaultTopoMemoCap)+")")
-		catCats     = flag.Int("cat", 0, "after the search, re-fit the tree under a CAT model with this many per-site rate categories (0 = off; RAxML default 25)")
-		optModel    = flag.Bool("opt-model", false, "fit the GTR exchangeabilities on each final tree")
-		startTree   = flag.String("start", "parsimony", "starting tree: parsimony, nj or random")
-		checkpoint  = flag.String("checkpoint", "", "persist completed jobs to this file and resume from it")
-		retries     = flag.Int("retries", 1, "retries per job after a failure (crash, timeout, invalid result)")
-		jobTimeout  = flag.Duration("job-timeout", 0, "per-job attempt deadline; a hung job is killed and retried (0 = none)")
-		maxQuar     = flag.Int("max-quarantine", 0, "jobs allowed to fail all attempts before the campaign aborts (-1 = unlimited, report partial results)")
-		draw        = flag.Bool("draw", false, "print an ASCII rendering of the best tree")
-		treesOut    = flag.String("trees-out", "", "write all result trees (best + bootstraps) to this NEXUS file")
-		out         = flag.String("out", "", "write the best tree (Newick) to this file")
-		verbose     = flag.Bool("v", false, "debug logging: per-job lifecycle, retries, search trajectories")
-		quiet       = flag.Bool("quiet", false, "log warnings and errors only")
-		debugAddr   = flag.String("debug-addr", "", "serve /debug/pprof/, /metrics and /debug/flight on this address (e.g. localhost:6060) for the duration of the run")
-		traceOut    = flag.String("trace-out", "", "record a wall-clock Chrome trace of the campaign (spans for jobs, attempts, search rounds) and write it to this file")
-		flightOut   = flag.String("flight-out", "", "write the flight recorder's final event window (JSON) to this file")
+		in         = flag.String("in", "", "input alignment (PHYLIP or FASTA; required)")
+		inferences = flag.Int("inferences", 3, "number of independent tree searches")
+		bootstraps = flag.Int("bootstraps", 20, "number of bootstrap replicates")
+		seed       = flag.Int64("seed", 42, "master random seed")
+		workers    = flag.Int("workers", 4, "parallel workers (the MPI process count)")
+		searchWk   = flag.Int("search-workers", 1, "workers scoring the SPR candidates of each pruned subtree concurrently inside each search (1 = serial, 0 = GOMAXPROCS; see README for the -workers x -search-workers x -threads oversubscription guidance)")
+		backend    = flag.String("backend", likelihood.DefaultBackend, "likelihood compute backend: "+strings.Join(likelihood.Backends(), ", ")+" (batched = pattern-tiled kernels; scalar = the bit-identical reference loops, slower)")
+		threads    = flag.Int("threads", 1, "goroutines splitting the per-pattern loops inside each likelihood kernel call (the RAxML-OMP loop-level axis)")
+		radius     = flag.Int("radius", 5, "SPR rearrangement radius")
+		rounds     = flag.Int("rounds", 10, "maximum SPR rounds per search")
+		alpha      = flag.Float64("alpha", 0.8, "initial Gamma shape")
+		cats       = flag.Int("cats", 4, "Gamma rate categories")
+		sdkExp     = flag.Bool("sdk-exp", false, "use the SDK-style fast exp kernel")
+		intCond    = flag.Bool("int-cond", false, "use the integer-cast scaling conditional")
+		catCats    = flag.Int("cat", 0, "after the search, re-fit the tree under a CAT model with this many per-site rate categories (0 = off; RAxML default 25)")
+		optModel   = flag.Bool("opt-model", false, "fit the GTR exchangeabilities on each final tree")
+		startTree  = flag.String("start", "parsimony", "starting tree: parsimony, nj or random")
+		checkpoint = flag.String("checkpoint", "", "persist completed jobs to this file and resume from it")
+		retries    = flag.Int("retries", 1, "retries per job after a failure (crash, timeout, invalid result)")
+		jobTimeout = flag.Duration("job-timeout", 0, "per-job attempt deadline; a hung job is killed and retried (0 = none)")
+		maxQuar    = flag.Int("max-quarantine", 0, "jobs allowed to fail all attempts before the campaign aborts (-1 = unlimited, report partial results)")
+		draw       = flag.Bool("draw", false, "print an ASCII rendering of the best tree")
+		treesOut   = flag.String("trees-out", "", "write all result trees (best + bootstraps) to this NEXUS file")
+		out        = flag.String("out", "", "write the best tree (Newick) to this file")
+		verbose    = flag.Bool("v", false, "debug logging: per-job lifecycle, retries, search trajectories")
+		quiet      = flag.Bool("quiet", false, "log warnings and errors only")
+		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof/, /metrics and /debug/flight on this address (e.g. localhost:6060) for the duration of the run")
+		traceOut   = flag.String("trace-out", "", "record a wall-clock Chrome trace of the campaign (spans for jobs, attempts, search rounds) and write it to this file")
+		flightOut  = flag.String("flight-out", "", "write the flight recorder's final event window (JSON) to this file")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -147,11 +144,7 @@ func main() {
 	}
 
 	if *searchWk == 0 {
-		// Occupancy-aware auto-sizing: GOMAXPROCS for the first search,
-		// capped at the measured search.pool_busy_peak once the registry
-		// has one (bootstrap campaigns re-resolve per process, so a pool
-		// that never filled up shrinks on the next run).
-		*searchWk = search.AutoWorkersFrom(metrics)
+		*searchWk = search.AutoWorkers()
 	}
 
 	if *debugAddr != "" {
@@ -202,9 +195,7 @@ func main() {
 		Search: search.Options{
 			Radius: *radius, MaxRounds: *rounds,
 			SmoothPasses: 4, Epsilon: 0.01, AlphaOpt: true, ModelOpt: *optModel,
-			Workers:     *searchWk,
-			NoTopoMemo:  !*topoMemo,
-			TopoMemoCap: *topoMemoCap,
+			Workers: *searchWk,
 			// Per-round logL trajectory at -v: runs on the searching
 			// goroutine, so it only formats when Debug is enabled.
 			OnProgress: func(pr search.Progress) {

@@ -13,10 +13,10 @@ import (
 // swapped in without touching search code.
 //
 // Everything outside the contract is backend-independent and stays in
-// Ctx/Engine: traversal descriptors and cache invalidation, wavefront
-// scheduling, Views memoization, transition-matrix and tip-projection table
-// construction, the Newton solver driver, numerical scaling policy, and the
-// Config.Threads pattern-range fan-out. A backend only answers "given these
+// Ctx/Engine: traversal descriptors and cache invalidation, Views
+// memoization, transition-matrix and tip-projection table construction, the
+// Newton solver driver, numerical scaling policy, and the Config.Threads
+// pattern-range fan-out. A backend only answers "given these
 // operands, compute patterns [lo, hi)" — which is exactly the seam BEAGLE
 // 4.1 draws around its CPU/SSE/GPU implementations, and the Go analogue of
 // the paper swapping restructured SPU loops under an unchanged search.

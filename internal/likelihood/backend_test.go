@@ -258,9 +258,8 @@ func TestBackendThreadsBitIdentical(t *testing.T) {
 }
 
 // TestBackendUnderPool exercises the batched backend beneath the
-// task-level pool: wavefront NewView execution and concurrent
-// InsertionScore-style Views on worker contexts. Run under -race this is
-// the PR-5-pool race gate for the new backend.
+// task-level pool: concurrent InsertionScore-style Views on worker
+// contexts. Run under -race this is the pool's race gate for the backend.
 func TestBackendUnderPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(605))
 	pat := randomPatterns(t, rng, 16, 250)
@@ -276,18 +275,6 @@ func TestBackendUnderPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := eng.NewPool(4)
-	eng.UsePool(pool)
-	defer eng.UsePool(nil)
-
-	// Wavefront traversal through the batched kernels.
-	p := tr.Tips[0].Back
-	ref.NewView(p)
-	eng.NewView(p)
-	for i := range ref.lv[p.Index] {
-		if ref.lv[p.Index][i] != eng.lv[p.Index][i] {
-			t.Fatalf("wavefront batched vector diverges at %d", i)
-		}
-	}
 
 	// Concurrent per-worker Views scoring (the SPR fan-out shape).
 	var sub *phylotree.Node

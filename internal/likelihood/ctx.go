@@ -14,13 +14,13 @@ import (
 // The engine owns a primary context whose sinks are Engine.Meter and the
 // engine's underflow counter, so the public Engine API behaves exactly as
 // before. Engine.NewCtx mints additional worker contexts for task-level
-// parallelism (concurrent SPR candidate scoring, wavefront traversal
-// execution); each accumulates into private counters that Pool merges back
-// deterministically after every fan-out. Two goroutines may run kernels
-// concurrently iff each owns its own Ctx: the engine state they share
-// (patterns, model, tip vectors, exp function) is read-only, and the
-// shared per-node lv/scale/orient tables are only touched by the wavefront
-// executor, which guarantees disjoint writes within a dependency level.
+// parallelism (concurrent SPR candidate scoring); each accumulates into
+// private counters that Pool merges back deterministically after every
+// fan-out. Two goroutines may run kernels concurrently iff each owns its own
+// Ctx: the engine state they share (patterns, model, tip vectors, exp
+// function) is read-only, and so are the per-node lv/scale/orient tables
+// during a fan-out: workers read the slots and compute what the slots do not
+// hold into their own Views.
 type Ctx struct {
 	eng *Engine
 
@@ -180,21 +180,12 @@ func (c *Ctx) tipProjection(p []float64, dst []float64) {
 }
 
 // NewView makes the partial likelihood vector behind the internal ring
-// record p current; see Engine.NewView for semantics. On the engine's
-// primary context with a pool attached (Engine.UsePool), the traversal
-// descriptor executes wavefront-parallel: the descriptor is grouped into
-// dependency levels and each level's independent computeView calls fan out
-// over the pool's worker contexts.
+// record p current; see Engine.NewView for semantics.
 func (c *Ctx) NewView(p *phylotree.Node) {
 	if p.IsTip() {
 		return
 	}
 	c.trav = c.appendTraversal(c.trav[:0], p)
-	e := c.eng
-	if c == e.ctx0 && e.pool != nil && len(c.trav) >= wavefrontMinNodes {
-		e.pool.wavefront(c.trav)
-		return
-	}
 	for _, nd := range c.trav {
 		c.computeView(nd)
 	}
@@ -217,10 +208,7 @@ func (c *Ctx) appendTraversal(steps []*phylotree.Node, p *phylotree.Node) []*phy
 }
 
 // computeView executes one descriptor entry: combine the two child vectors
-// of ring record p into p's slot and record the orientation. The wavefront
-// executor calls this concurrently from several contexts, which is safe
-// because entries of one dependency level write disjoint node slots and
-// only read slots finished in earlier levels.
+// of ring record p into p's slot and record the orientation.
 func (c *Ctx) computeView(p *phylotree.Node) {
 	e := c.eng
 	q := p.Next.Back

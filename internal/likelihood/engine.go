@@ -36,9 +36,9 @@ type Config struct {
 	// RAxML-OMP that the paper's LLP scheduler maps onto SPEs. Partial
 	// vectors are bit-identical to the serial kernels; log-likelihood
 	// reductions may differ by floating point summation order. This is the
-	// *inner* (loop-level) axis; the *outer* (task-level) axis — wavefront
-	// traversal and concurrent candidate scoring — is driven by Pool (see
-	// Engine.NewPool and search.Options.Workers).
+	// *inner* (loop-level) axis; the *outer* (task-level) axis — concurrent
+	// candidate scoring — is driven by Pool (see Engine.NewPool and
+	// search.Options.Workers).
 	Threads int
 
 	// Backend selects the compute backend the kernels' per-pattern inner
@@ -128,13 +128,6 @@ type Engine struct {
 	// the vectors the node slots cannot hold, serving every worker context;
 	// Invalidate and InvalidateAll bump its epoch.
 	shared *SharedCache
-
-	// Task-level parallelism state: pool, when non-nil (UsePool), executes
-	// NewView traversal descriptors wavefront-parallel. levelOf/levels are
-	// the wavefront scheduler's reusable scratch.
-	pool    *Pool
-	levelOf []int32
-	levels  [][]*phylotree.Node
 }
 
 // NewEngine allocates an engine for trees over pat's taxa with the given
@@ -271,8 +264,7 @@ func (e *Engine) UnderflowSites() uint64 { return e.underflowSites }
 // The work is organized as a traversal descriptor: a postorder list of the
 // ring records whose views must actually be recomputed. The descent stops
 // at nodes whose cached vector is valid in the needed orientation, so only
-// the dirty path is recomputed. With a pool attached (UsePool) the
-// descriptor executes wavefront-parallel by dependency level.
+// the dirty path is recomputed.
 func (e *Engine) NewView(p *phylotree.Node) { e.ctx0.NewView(p) }
 
 // Invalidate marks the minimal dirty set after a change to the branch

@@ -3,27 +3,14 @@ package likelihood
 import (
 	"sync"
 	"sync/atomic"
-
-	"raxmlcell/internal/phylotree"
 )
-
-// wavefrontMinNodes is the smallest traversal-descriptor length worth
-// scheduling by dependency level instead of executing serially — short
-// descriptors (the common case: the path one edit dirtied) are path-shaped
-// and have no width to exploit.
-const wavefrontMinNodes = 4
-
-// wavefrontMinWidth is the smallest dependency-level width worth fanning
-// out; narrower levels run on the primary context.
-const wavefrontMinWidth = 2
 
 // Pool is a fixed set of worker kernel contexts: the task-level parallelism
 // axis of the engine, orthogonal to Config.Threads (which splits the
 // per-pattern loops *inside* one kernel call). It corresponds to the
 // paper's EDTLP/MGPS schedulers dispatching independent likelihood tasks to
-// different SPEs — here, independent SPR insertion candidates (see
-// package search) and independent computeView calls of one traversal
-// dependency level (see Engine.UsePool).
+// different SPEs — here, the independent SPR insertion candidates of one
+// pruned subtree (see package search).
 //
 // Determinism: Run partitions tasks into contiguous per-worker blocks that
 // depend only on (task count, worker count) — there is no work stealing —
@@ -36,9 +23,8 @@ type Pool struct {
 	busy    atomic.Int64
 	running atomic.Bool
 
-	// peakBusy is the high-water busy-worker count since NewPool — the
-	// measured occupancy that AutoWorkersFrom-style fan-out sizing reads
-	// back (search.pool_busy_peak).
+	// peakBusy is the high-water busy-worker count since NewPool
+	// (search.pool_busy_peak).
 	peakBusy atomic.Int64
 
 	// workerMeters[w] accumulates worker w's kernel counters across
@@ -82,17 +68,8 @@ func (p *Pool) Ctx(i int) *Ctx { return p.ctxs[i] }
 func (p *Pool) WorkerMeter(i int) Meter { return p.workerMeters[i] }
 
 // PeakBusy returns the high-water concurrently-busy worker count observed
-// since the pool was created — the measured occupancy behind
-// occupancy-sized fan-out (search.AutoWorkersFrom).
+// since the pool was created.
 func (p *Pool) PeakBusy() int { return int(p.peakBusy.Load()) }
-
-// UsePool installs (or, with nil, removes) the pool as the engine's
-// wavefront executor: NewView on the engine groups its traversal
-// descriptor into dependency levels and runs each level's independent
-// computeView calls on the pool. The pool must belong to this engine.
-func (e *Engine) UsePool(p *Pool) {
-	e.pool = p
-}
 
 // Run executes fn(worker, task) for every task in [0, n), giving each
 // worker a contiguous block of tasks, and blocks until all tasks finish.
@@ -146,77 +123,5 @@ func (p *Pool) setBusy(d int64) {
 	}
 	if p.OnOccupancy != nil {
 		p.OnOccupancy(int(b), len(p.ctxs))
-	}
-}
-
-// wavefront executes a traversal descriptor by dependency level: level 0
-// holds the descriptor entries whose children are all tips or already-valid
-// cached views, level k+1 the entries depending on level-k results. Within
-// a level every computeView writes a distinct node slot and reads only
-// slots finished in earlier levels, so the calls are independent and fan
-// out over the pool; the WaitGroup barrier between levels provides the
-// happens-before edge for the cross-level reads.
-//
-// This is the engine's analogue of batching independent partial-likelihood
-// operations across tree nodes (the paper's EDTLP dispatch; BEAGLE's
-// operation batching): a full 42-taxon recomputation has ~20 leaf-adjacent
-// views in level 0 alone, while a dirty-path descriptor degenerates to
-// width-1 levels and runs serially.
-func (p *Pool) wavefront(trav []*phylotree.Node) {
-	e := p.eng
-	if e.levelOf == nil {
-		e.levelOf = make([]int32, len(e.lv))
-		for i := range e.levelOf {
-			e.levelOf[i] = -1
-		}
-	}
-	// Pass 1: level of each entry. The descriptor is postorder, so both
-	// children are already leveled when their parent is reached; children
-	// outside the descriptor (tips, valid cached views) read as -1 and
-	// contribute level 0.
-	maxLvl := int32(0)
-	for _, nd := range trav {
-		lvl := int32(0)
-		if q := nd.Next.Back; !q.IsTip() {
-			if l := e.levelOf[q.Index] + 1; l > lvl {
-				lvl = l
-			}
-		}
-		if r := nd.Next.Next.Back; !r.IsTip() {
-			if l := e.levelOf[r.Index] + 1; l > lvl {
-				lvl = l
-			}
-		}
-		e.levelOf[nd.Index] = lvl
-		if lvl > maxLvl {
-			maxLvl = lvl
-		}
-	}
-	// Pass 2: group entries by level, reusing the engine's level buffers.
-	for int(maxLvl) >= len(e.levels) {
-		e.levels = append(e.levels, nil)
-	}
-	levels := e.levels[:maxLvl+1]
-	for i := range levels {
-		levels[i] = levels[i][:0]
-	}
-	for _, nd := range trav {
-		l := e.levelOf[nd.Index]
-		levels[l] = append(levels[l], nd)
-	}
-	// Pass 3: execute level by level; reset the marks for the next call.
-	for _, level := range levels {
-		if len(level) < wavefrontMinWidth || len(p.ctxs) < 2 {
-			for _, nd := range level {
-				e.ctx0.computeView(nd)
-			}
-			continue
-		}
-		p.Run(len(level), func(w, i int) {
-			p.ctxs[w].computeView(level[i])
-		})
-	}
-	for _, nd := range trav {
-		e.levelOf[nd.Index] = -1
 	}
 }

@@ -7,100 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"raxmlcell/internal/likelihood/coldref"
 	"raxmlcell/internal/phylotree"
 )
-
-// TestWavefrontNewViewMatchesSerial verifies the wavefront executor is a
-// pure scheduling change: with a pool attached, Evaluate must produce the
-// same log-likelihood (the partial vectors are computed by the identical
-// combine calls, only distributed over workers) and the identical Meter
-// totals as the serial engine, both when every call recomputes the whole
-// tree (wide dependency levels) and when it reuses cached vectors (path
-// descriptors that mostly stay under the fan-out thresholds).
-func TestWavefrontNewViewMatchesSerial(t *testing.T) {
-	for _, mode := range []struct {
-		name     string
-		evaluate func(coldref.Engine, *phylotree.Node) (float64, error)
-	}{
-		{"cold", coldref.Evaluate},
-		{"cached", func(e coldref.Engine, p *phylotree.Node) (float64, error) { return e.Evaluate(p) }},
-	} {
-		name, evaluate := mode.name, mode.evaluate
-		rng := rand.New(rand.NewSource(301))
-		pat := randomPatterns(t, rng, 14, 120)
-		m := randomModel(t, rng, 4)
-		tr := randomTreeFor(t, rng, pat)
-
-		serial, err := NewEngine(pat, m, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wave, err := NewEngine(pat, m, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wave.UsePool(wave.NewPool(4))
-
-		for _, p := range []*phylotree.Node{tr.Tips[0], tr.Tips[5].Back, tr.Tips[9]} {
-			llS, err := evaluate(serial, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			llW, err := evaluate(wave, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(llS-llW) > 0 {
-				t.Fatalf("%s: wavefront logL %.15f != serial %.15f", name, llW, llS)
-			}
-		}
-		if serial.Meter != wave.Meter {
-			t.Errorf("%s: wavefront meter diverged from serial:\n serial %+v\n wave   %+v",
-				name, serial.Meter, wave.Meter)
-		}
-		// Every internal-node vector must be bit-identical, not just the
-		// final reduction.
-		for i := pat.NumTaxa; i < 2*pat.NumTaxa-2; i++ {
-			for j := range serial.lv[i] {
-				if math.Abs(serial.lv[i][j]-wave.lv[i][j]) > 0 {
-					t.Fatalf("%s: lv[%d][%d] differs", name, i, j)
-				}
-			}
-		}
-	}
-}
-
-// TestWavefrontMeterDeterminism repeats a pooled evaluation and requires
-// identical Meter totals on every run: static block partitioning plus
-// worker-order merges make the counters independent of goroutine
-// scheduling.
-func TestWavefrontMeterDeterminism(t *testing.T) {
-	run := func() Meter {
-		rng := rand.New(rand.NewSource(302))
-		pat := randomPatterns(t, rng, 16, 90)
-		m := randomModel(t, rng, 4)
-		tr := randomTreeFor(t, rng, pat)
-		eng, err := NewEngine(pat, m, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.UsePool(eng.NewPool(3))
-		if _, err := eng.Evaluate(tr.Tips[0]); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := eng.MakeNewz(tr.Tips[2].Back); err != nil {
-			t.Fatal(err)
-		}
-		return eng.Meter
-	}
-	first := run()
-	for i := 0; i < 3; i++ {
-		if again := run(); again != first {
-			t.Fatalf("run %d meter differs:\n first %+v\n again %+v", i, first, again)
-		}
-	}
-}
 
 // TestPoolRunPartition checks the static contiguous-block task assignment:
 // every task runs exactly once, worker w owns the block [w*n/W, (w+1)*n/W),

@@ -84,8 +84,8 @@ func (e *Engine) NewSharedCache() *SharedCache {
 
 // UseSharedCache installs (or, with nil, removes) the shared
 // ancestral-vector store: while installed, Engine.Invalidate and
-// Engine.InvalidateAll bump its epoch. The cache must belong to this engine.
-// Mirrors UsePool; the search installs both for Workers > 1.
+// Engine.InvalidateAll bump its epoch. The cache must belong to this engine;
+// the search installs it for Workers > 1.
 func (e *Engine) UseSharedCache(s *SharedCache) {
 	e.shared = s
 }

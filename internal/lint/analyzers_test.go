@@ -47,13 +47,6 @@ func TestHotPathAllocObsGolden(t *testing.T) {
 	linttest.Run(t, lint.HotPathAlloc, "raxmlcell/internal/obs", "testdata/hotpathalloc/obs")
 }
 
-// The topology-memo probe path (TopoHasher edge terms, PruneScope
-// candidate hashes, memo probes) runs once per SPR/NNI candidate, so the
-// allocation bans extend to internal/phylotree's memo/hash/probe helpers.
-func TestHotPathAllocPhylotreeGolden(t *testing.T) {
-	linttest.Run(t, lint.HotPathAlloc, "raxmlcell/internal/phylotree", "testdata/hotpathalloc/phylotree")
-}
-
 func TestFloatCmpGolden(t *testing.T) {
 	linttest.Run(t, lint.FloatCmp, "raxmlcell/internal/model", "testdata/floatcmp")
 }

@@ -36,20 +36,13 @@ import (
 // is that instrumentation must be free — so internal/obs is in scope and
 // the fragments include observe/record/span.
 //
-// The topology-memo probe path joined the same loops: every SPR/NNI
-// candidate is hashed (TopoHasher edge terms, PruneScope.CandidateHash)
-// and probed against the memo before — or instead of — being scored, so
-// an allocation in the hashing or probing helpers taxes every candidate
-// whether or not the memo hits. internal/phylotree is in scope and the
-// fragments include memo/hash/probe.
-//
 // The model optimisers' 1-D maximiser (search.brentMax) loops over
 // full-tree recomputations; its bookkeeping is a handful of floats and must
 // stay that way, so the fragments include brent.
 //
 // Inside functions whose name contains combine/newview/makenewz/evaluate/
-// fastexp/spr/nni/insertion/tile/sumtable/newton/observe/record/span/
-// memo/hash/probe/brent (case-insensitive), the analyzer reports:
+// fastexp/spr/nni/insertion/tile/sumtable/newton/observe/record/span/brent
+// (case-insensitive), the analyzer reports:
 //
 //   - make(), append(), new() and slice/map composite literals inside any
 //     loop — preallocate scratch buffers on the Engine (kernels) or the
@@ -63,12 +56,12 @@ var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc:  "report per-pattern-loop allocations and raw math.Exp in the likelihood kernels, search rounds and obs hot-path helpers",
 	Match: func(pkgPath string) bool {
-		return pathHasAny(pkgPath, "internal/likelihood", "internal/search", "internal/obs", "internal/phylotree")
+		return pathHasAny(pkgPath, "internal/likelihood", "internal/search", "internal/obs")
 	},
 	Run: runHotPathAlloc,
 }
 
-var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "memo", "hash", "probe", "brent"}
+var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "brent"}
 
 func isHotFuncName(name string) bool {
 	lower := strings.ToLower(name)

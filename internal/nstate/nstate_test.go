@@ -50,9 +50,13 @@ func TestAlphabets(t *testing.T) {
 	}
 }
 
+// TestDNAGenericMatchesOptimizedEngine is the independent cross-check: the
+// generic n-state evaluator, which shares no kernel, cache or traversal code
+// with the optimized 4-state engine, must agree with it on GTR+Γ DNA
+// likelihoods — on every backend, on a fresh tree and on the same tree after
+// random SPR edits made with the engine attached, where the engine answers
+// from the vectors its invalidation kept and the evaluator from scratch.
 func TestDNAGenericMatchesOptimizedEngine(t *testing.T) {
-	// The independent cross-check: the generic n-state evaluator and the
-	// optimized 4-state engine must agree on GTR+Γ DNA likelihoods.
 	rng := rand.New(rand.NewSource(701))
 	gen := seqsim.DefaultModel()
 	a, truth, err := seqsim.Generate(seqsim.Params{
@@ -62,15 +66,6 @@ func TestDNAGenericMatchesOptimizedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	pat := alignment.Compress(a)
-
-	eng, err := likelihood.NewEngine(pat, gen, likelihood.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := eng.Evaluate(truth.Tips[0])
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Same model through the generic constructor.
 	var exch [4][4]float64
@@ -100,12 +95,55 @@ func TestDNAGenericMatchesOptimizedEngine(t *testing.T) {
 	if ev.NumPatterns() != pat.NumPatterns() {
 		t.Errorf("pattern counts differ: generic %d vs engine %d", ev.NumPatterns(), pat.NumPatterns())
 	}
-	got, err := ev.LogL(truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-want) > 1e-8*math.Abs(want) {
-		t.Errorf("generic logL %.10f != engine %.10f", got, want)
+
+	for _, backend := range []string{"scalar", "batched"} {
+		tr := truth.Clone()
+		eng, err := likelihood.NewEngine(pat, gen, likelihood.Config{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.AttachTree(tr)
+		agree := func(state string) {
+			t.Helper()
+			want, err := eng.Evaluate(tr.Tips[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ev.LogL(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-want) > 1e-9*math.Abs(want) {
+				t.Errorf("%s, %s tree: generic logL %.10f != engine %.10f", backend, state, got, want)
+			}
+		}
+		agree("fresh")
+
+		// The same five edits on every backend.
+		edits := rand.New(rand.NewSource(702))
+		for done := 0; done < 5; {
+			edges := tr.Edges()
+			p := edges[edits.Intn(len(edges))]
+			if p.IsTip() {
+				p = p.Back
+			}
+			ps, err := tr.Prune(p)
+			if err != nil {
+				continue
+			}
+			cands := phylotree.RadiusEdgesInto(phylotree.RadiusEdges(ps.Q, 3), ps.R, 3)
+			if len(cands) == 0 {
+				if err := tr.Undo(ps); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if err := tr.Regraft(ps, cands[edits.Intn(len(cands))]); err != nil {
+				t.Fatal(err)
+			}
+			done++
+		}
+		agree("edited")
 	}
 }
 

@@ -8,20 +8,13 @@ import "fmt"
 // hash); representation details — traversal order, ring rotation, which tip
 // anchors the recursion, branch lengths — do not affect it.
 //
-// The hash is a wrapping sum over all edges of a per-bipartition term, so it
-// can be updated incrementally under local edits: PruneScope exploits this
-// to price every SPR/NNI candidate topology in O(1) after an O(n) per-prune
-// pass, without rebuilding or rehashing the tree.
+// The hash is a wrapping sum over all edges of a per-bipartition term.
 type TopoHash [2]uint64
-
-// IsZero reports whether h is the zero fingerprint (no valid hash).
-func (h TopoHash) IsZero() bool { return h[0] == 0 && h[1] == 0 }
 
 // String renders the fingerprint as 32 hex digits.
 func (h TopoHash) String() string { return fmt.Sprintf("%016x%016x", h[0], h[1]) }
 
 func (h TopoHash) add(o TopoHash) TopoHash { return TopoHash{h[0] + o[0], h[1] + o[1]} }
-func (h TopoHash) sub(o TopoHash) TopoHash { return TopoHash{h[0] - o[0], h[1] - o[1]} }
 
 // splitmix64 is the SplitMix64 finalizer, a cheap full-avalanche mix.
 func splitmix64(x uint64) uint64 {
@@ -43,7 +36,6 @@ const (
 type TopoHasher struct {
 	n          int
 	keyA, keyB []uint64 // independent per-tip keys for the two lanes
-	totA, totB uint64   // sums over all tips, for side complementation
 }
 
 // NewTopoHasher builds the key tables for n taxa.
@@ -56,23 +48,13 @@ func NewTopoHasher(n int) *TopoHasher {
 	for i := 0; i < n; i++ {
 		h.keyA[i] = splitmix64(uint64(i)*2 + 1)
 		h.keyB[i] = splitmix64(uint64(i)*2 + 0x4000000000000000)
-		h.totA += h.keyA[i]
-		h.totB += h.keyB[i]
 	}
 	return h
 }
 
-// NumTips returns the taxon count the hasher was built for.
-func (h *TopoHasher) NumTips() int { return h.n }
-
 // term maps one bipartition to its hash contribution. (a, b) are the
-// wrapping key sums of one side's tip set; has0 says whether that side
-// contains tip 0. The side holding tip 0 is complemented against the full
-// totals, so both orientations of an edge produce the same term.
-func (h *TopoHasher) term(a, b uint64, has0 bool) TopoHash {
-	if has0 {
-		a, b = h.totA-a, h.totB-b
-	}
+// wrapping key sums of the tip set on the side away from tip 0.
+func term(a, b uint64) TopoHash {
 	x0 := splitmix64(a ^ topoSalt0)
 	x1 := splitmix64(a ^ topoSalt1)
 	return TopoHash{splitmix64(x0 ^ b), splitmix64(x1 ^ b)}
@@ -80,8 +62,7 @@ func (h *TopoHasher) term(a, b uint64, has0 bool) TopoHash {
 
 // TreeHash computes the canonical fingerprint of a complete topology in one
 // O(n) postorder from tip 0. Every edge contributes its bipartition term;
-// the recursion always carries the side away from tip 0, so no
-// complementation is needed here.
+// the recursion always carries the side away from tip 0.
 func (h *TopoHasher) TreeHash(t *Tree) (TopoHash, error) {
 	if t.NumTips() != h.n {
 		return TopoHash{}, fmt.Errorf("phylotree: hasher built for %d taxa, tree has %d", h.n, t.NumTips())
@@ -106,7 +87,7 @@ func (h *TopoHasher) TreeHash(t *Tree) (TopoHash, error) {
 				}
 			}
 		}
-		sum = sum.add(h.term(a, b, false))
+		sum = sum.add(term(a, b))
 		edges++
 		return a, b
 	}
@@ -115,179 +96,6 @@ func (h *TopoHasher) TreeHash(t *Tree) (TopoHash, error) {
 		return TopoHash{}, fmt.Errorf("phylotree: TreeHash visited %d edges, want %d", edges, want)
 	}
 	return sum, nil
-}
-
-// psEntry is the per-record state PruneScope precomputes for one candidate
-// insertion edge: the key sums of the tips on the record's far side (away
-// from the prune junction, never containing the pruned subtree), and the
-// accumulated hash correction for all edges on the junction→record path.
-type psEntry struct {
-	dA, dB uint64
-	has0   bool
-	acc    TopoHash
-}
-
-// PruneScope prices the canonical hash of every would-be topology reachable
-// by regrafting one pruned subtree, incrementally from the prune/regraft
-// edit. Reset runs two O(n) passes over the pruned tree; CandidateHash then
-// answers in O(1) per insertion edge with zero allocations, which is what
-// lets the search memo probe every SPR/NNI candidate before scoring it.
-//
-// The identity it implements: regrafting at candidate edge f changes exactly
-// the edges on the junction→f path (the pruned tip set S flips from their
-// near side to their far side), removes one of the two junction edges, and
-// splits f in two — one half keeps f's old bipartition, the other gains S.
-// All terms are precomputed per record in Reset; CandidateHash just sums.
-type PruneScope struct {
-	h      *TopoHasher
-	ent    map[*Node]psEntry
-	base   TopoHash // hash of the tree as it stood before the prune
-	sA, sB uint64   // key sums of the pruned subtree's tips
-	has0S  bool
-	valid  bool
-}
-
-// NewPruneScope allocates a reusable scope backed by the given hasher.
-func NewPruneScope(h *TopoHasher) *PruneScope {
-	return &PruneScope{h: h, ent: make(map[*Node]psEntry, 4*h.n)}
-}
-
-// Reset recomputes the candidate tables for one prune. It must be called
-// with the tree in its pruned state (after Tree.Prune returned pr) and
-// before any CandidateHash probes for that prune. The previous prune's
-// tables are discarded.
-func (s *PruneScope) Reset(pr *PrunedSubtree) error {
-	s.valid = false
-	clear(s.ent)
-	s.base = TopoHash{}
-	if pr == nil || pr.P == nil || pr.Q == nil || pr.R == nil {
-		return fmt.Errorf("phylotree: PruneScope.Reset on nil prune state")
-	}
-	if pr.Q.Back != pr.R {
-		return fmt.Errorf("phylotree: PruneScope.Reset before prune (junction not joined)")
-	}
-
-	// Pruned subtree: key sums plus the base terms of its internal edges
-	// and its pendant edge, none of which move under any regraft.
-	s.sA, s.sB, s.has0S = s.downAdd(pr.P, false)
-
-	// Each junction side: far-side sums for every record, accumulating the
-	// pre-edit terms of all region edges into base.
-	rA, rB, has0R := s.sideDown(pr.R)
-	qA, qB, has0Q := s.sideDown(pr.Q)
-	if rA+qA+s.sA != s.h.totA || rB+qB+s.sB != s.h.totB {
-		return fmt.Errorf("phylotree: PruneScope tip-sum mismatch (tree and hasher disagree)")
-	}
-
-	// The two pre-edit junction edges: {R | Q∪S} and {Q | R∪S}.
-	termR := s.h.term(rA, rB, has0R)
-	termQ := s.h.term(qA, qB, has0Q)
-	s.base = s.base.add(termR).add(termQ)
-
-	// Path corrections: candidates on the R side lose the {R | Q∪S} edge
-	// (the junction closes to {Q | R∪S}), and vice versa.
-	s.sideAcc(pr.R, TopoHash{}.sub(termR))
-	s.sideAcc(pr.Q, TopoHash{}.sub(termQ))
-	s.valid = true
-	return nil
-}
-
-// downAdd walks the subtree behind nd.Back, returning its tip-key sums and
-// adding each visited edge's pre-edit term to base. With record set, every
-// visited record also gets a psEntry holding its far-side sums.
-func (s *PruneScope) downAdd(nd *Node, record bool) (uint64, uint64, bool) {
-	back := nd.Back
-	var a, b uint64
-	var has0 bool
-	if back.IsTip() {
-		a, b = s.h.keyA[back.Index], s.h.keyB[back.Index]
-		has0 = back.Index == 0
-	} else {
-		for _, r := range back.Ring() {
-			if r != back {
-				ra, rb, r0 := s.downAdd(r, record)
-				a += ra
-				b += rb
-				has0 = has0 || r0
-			}
-		}
-	}
-	s.base = s.base.add(s.h.term(a, b, has0))
-	if record {
-		s.ent[nd] = psEntry{dA: a, dB: b, has0: has0}
-	}
-	return a, b, has0
-}
-
-// sideDown covers one junction side: the records behind anchor, which are
-// exactly the insertion edges RadiusEdgesInto enumerates from the opposite
-// junction record. A tip anchor has no insertable region edges.
-func (s *PruneScope) sideDown(anchor *Node) (uint64, uint64, bool) {
-	if anchor.IsTip() {
-		return s.h.keyA[anchor.Index], s.h.keyB[anchor.Index], anchor.Index == 0
-	}
-	var a, b uint64
-	var has0 bool
-	for _, r := range anchor.Ring() {
-		if r != anchor {
-			ra, rb, r0 := s.downAdd(r, true)
-			a += ra
-			b += rb
-			has0 = has0 || r0
-		}
-	}
-	return a, b, has0
-}
-
-// sideAcc runs the preorder pass over one junction side, storing for each
-// record the summed correction of all strict-ancestor path edges (each
-// flips the pruned tips S from its near to its far side) plus the junction
-// correction the side started with.
-func (s *PruneScope) sideAcc(anchor *Node, acc0 TopoHash) {
-	if anchor.IsTip() {
-		return
-	}
-	for _, r := range anchor.Ring() {
-		if r != anchor {
-			s.accPass(r, acc0)
-		}
-	}
-}
-
-func (s *PruneScope) accPass(nd *Node, acc TopoHash) {
-	e := s.ent[nd]
-	e.acc = acc
-	s.ent[nd] = e
-	back := nd.Back
-	if back.IsTip() {
-		return
-	}
-	oldTerm := s.h.term(e.dA, e.dB, e.has0)
-	newTerm := s.h.term(e.dA+s.sA, e.dB+s.sB, e.has0 || s.has0S)
-	childAcc := acc.add(newTerm).sub(oldTerm)
-	for _, r := range back.Ring() {
-		if r != back {
-			s.accPass(r, childAcc)
-		}
-	}
-}
-
-// CandidateHash returns the canonical hash of the topology that would
-// result from regrafting the current prune's subtree at insertion edge at.
-// It is O(1), allocation-free, and safe for concurrent calls between a
-// Reset and the next mutation of the scope. ok is false when at is not a
-// known insertion edge for the current prune (or no prune is loaded).
-func (s *PruneScope) CandidateHash(at *Node) (TopoHash, bool) {
-	if !s.valid {
-		return TopoHash{}, false
-	}
-	e, ok := s.ent[at]
-	if !ok {
-		return TopoHash{}, false
-	}
-	hh := s.base.add(e.acc)
-	hh = hh.add(s.h.term(e.dA+s.sA, e.dB+s.sB, e.has0 || s.has0S))
-	return hh, true
 }
 
 // DedupTopologies groups trees by canonical topology hash, returning the

@@ -131,132 +131,3 @@ func TestTreeHashRepresentationInvariance(t *testing.T) {
 		}
 	}
 }
-
-// collectInsertionEdges mirrors the SPR candidate enumeration: all records
-// on both sides of the prune junction, unbounded radius.
-func collectInsertionEdges(ps *PrunedSubtree) []*Node {
-	out := RadiusEdgesInto(nil, ps.Q, 1<<30)
-	return RadiusEdgesInto(out, ps.R, 1<<30)
-}
-
-// TestPruneScopeCandidateHash is the load-bearing property test for the
-// incremental hash: for random trees, every prune, and every insertion
-// edge, CandidateHash must equal the full TreeHash of the tree actually
-// regrafted at that edge.
-func TestPruneScopeCandidateHash(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for _, n := range []int{4, 5, 6, 9, 15, 26} {
-		taxa := randomTaxa(n)
-		h := NewTopoHasher(n)
-		scope := NewPruneScope(h)
-		for rep := 0; rep < 6; rep++ {
-			tr, err := RandomTopology(taxa, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			baseHash, err := h.TreeHash(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prunes := pruneRecords(tr)
-			for _, p := range prunes {
-				ps, err := tr.Prune(p)
-				if err != nil {
-					continue // some records are not prunable (tip rings)
-				}
-				if err := scope.Reset(ps); err != nil {
-					t.Fatalf("n=%d: Reset: %v", n, err)
-				}
-				for _, at := range collectInsertionEdges(ps) {
-					got, ok := scope.CandidateHash(at)
-					if !ok {
-						t.Fatalf("n=%d: no entry for insertion edge", n)
-					}
-					if err := tr.Regraft(ps, at); err != nil {
-						t.Fatalf("n=%d: regraft: %v", n, err)
-					}
-					want, err := h.TreeHash(tr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Fatalf("n=%d: CandidateHash %v != applied-tree hash %v", n, got, want)
-					}
-					// Re-prune to restore the scored state for the next
-					// candidate, exactly as the search's Regraft+Undo cycle
-					// would.
-					if _, err := tr.Prune(ps.P); err != nil {
-						t.Fatalf("n=%d: re-prune: %v", n, err)
-					}
-				}
-				if err := tr.Undo(ps); err != nil {
-					t.Fatalf("n=%d: undo: %v", n, err)
-				}
-				after, err := h.TreeHash(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if after != baseHash {
-					t.Fatalf("n=%d: undo did not restore the topology hash", n)
-				}
-			}
-		}
-	}
-}
-
-// pruneRecords enumerates the internal ring records a full SPR sweep prunes
-// at (both directions of every edge with an internal near end).
-func pruneRecords(tr *Tree) []*Node {
-	var out []*Node
-	for _, e := range tr.Edges() {
-		if !e.IsTip() {
-			out = append(out, e)
-		}
-		if !e.Back.IsTip() {
-			out = append(out, e.Back)
-		}
-	}
-	return out
-}
-
-// TestPruneScopeDualRouteNNI checks that the same would-be topology reached
-// by two different prune/regraft routes (prune A, insert at C's edge vs
-// prune C, insert at A's edge — both realize the same NNI swap) hashes
-// identically, which is exactly the duplicate the search memo catches.
-func TestPruneScopeDualRouteNNI(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	taxa := randomTaxa(10)
-	h := NewTopoHasher(len(taxa))
-	scope := NewPruneScope(h)
-	tr, err := RandomTopology(taxa, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[TopoHash]int)
-	for _, p := range pruneRecords(tr) {
-		ps, err := tr.Prune(p)
-		if err != nil {
-			continue
-		}
-		if err := scope.Reset(ps); err != nil {
-			t.Fatal(err)
-		}
-		for _, at := range collectInsertionEdges(ps) {
-			if hh, ok := scope.CandidateHash(at); ok {
-				seen[hh]++
-			}
-		}
-		if err := tr.Undo(ps); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dup := 0
-	for _, c := range seen {
-		if c > 1 {
-			dup++
-		}
-	}
-	if dup == 0 {
-		t.Fatal("full SPR sweep produced no duplicate candidate topologies; memo would never hit")
-	}
-}

@@ -183,7 +183,7 @@ func TestCandidateCost42SC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := newSearchCtx(eng, Options{NoTopoMemo: true})
+	sc := newSearchCtx(eng, Options{})
 	defer sc.close(eng)
 	before := eng.Meter
 	if _, moves, err := sprRound(eng, tr, sc, DefaultOptions().Radius, ll, math.Inf(1)); err != nil || moves != 0 {

@@ -228,9 +228,7 @@ func TestParallelSharedCacheStressSPRCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.AttachTree(tr)
-	// Memo off: every pooled score below is compared bitwise against a
-	// fresh serial recompute, which memo replay (an estimate) would break.
-	sc := newSearchCtx(eng, Options{Workers: 4, NoTopoMemo: true})
+	sc := newSearchCtx(eng, Options{Workers: 4})
 	defer sc.close(eng)
 	if sc.shared == nil {
 		t.Fatal("pooled searchCtx did not install the shared store")
@@ -252,7 +250,7 @@ func TestParallelSharedCacheStressSPRCycles(t *testing.T) {
 		sc.cands = phylotree.RadiusEdgesInto(sc.cands[:0], ps.Q, 3)
 		sc.cands = phylotree.RadiusEdgesInto(sc.cands, ps.R, 3)
 
-		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub, math.Inf(1))
+		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,51 +303,34 @@ func TestParallelSharedCacheStressSPRCycles(t *testing.T) {
 	}
 }
 
-// TestAutoWorkersFromHonorsMeasuredOccupancy pins the occupancy-sizing
-// contract: no registry or no recorded peak falls back to AutoWorkers, a
-// positive peak below the CPU count caps the fan-out, and a peak at or
-// above it (or a nonsensical zero) changes nothing.
-func TestAutoWorkersFromHonorsMeasuredOccupancy(t *testing.T) {
-	if got := AutoWorkersFrom(nil); got != AutoWorkers() {
-		t.Errorf("nil registry: got %d, want AutoWorkers()=%d", got, AutoWorkers())
-	}
-	reg := obs.NewRegistry()
-	if got := AutoWorkersFrom(reg); got != AutoWorkers() {
-		t.Errorf("no recorded peak: got %d, want %d", got, AutoWorkers())
-	}
-	reg.Gauge("search.pool_busy_peak").Set(0)
-	if got := AutoWorkersFrom(reg); got != AutoWorkers() {
-		t.Errorf("zero peak: got %d, want %d", got, AutoWorkers())
-	}
-	reg.Gauge("search.pool_busy_peak").Set(1)
-	if got := AutoWorkersFrom(reg); got != 1 {
-		t.Errorf("peak 1: got %d, want 1", got)
-	}
-	reg.Gauge("search.pool_busy_peak").Set(float64(AutoWorkers() + 5))
-	if got := AutoWorkersFrom(reg); got != AutoWorkers() {
-		t.Errorf("peak above CPU count: got %d, want %d", got, AutoWorkers())
-	}
-}
-
 // TestSearchMetricsPublished verifies the observability wiring: a pooled
 // search publishes scored-candidate and parallel-round counters plus the
-// pool-occupancy gauges into the registry that -debug-addr serves.
+// pool-occupancy gauges into the registry that -debug-addr serves. Two
+// searches share the registry, as the jobs of a campaign do, so a counter
+// must hold the sum of what each search added.
 func TestSearchMetricsPublished(t *testing.T) {
-	pat, _, m := simulated(t, 93, 14, 240)
-	start, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(94)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
-	if _, err := Run(eng, start, Options{
-		Radius: 3, MaxRounds: 2, SmoothPasses: 2, Epsilon: 0.05,
-		Workers: 2, Metrics: reg,
-	}); err != nil {
-		t.Fatal(err)
+	var sharedHits uint64
+	for _, seed := range []int64{93, 193} {
+		pat, _, m := simulated(t, seed, 14, 240)
+		start, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(seed+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(eng, start, Options{
+			Radius: 3, MaxRounds: 2, SmoothPasses: 2, Epsilon: 0.05,
+			Workers: 2, Metrics: reg,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if eng.Meter.SharedHits == 0 {
+			t.Fatalf("seed %d: pooled search metered no shared hits", seed)
+		}
+		sharedHits += eng.Meter.SharedHits
 	}
 	snap := reg.Snapshot()
 	if n, ok := snap.CounterValue("search.candidates_scored"); !ok || n == 0 {
@@ -367,15 +348,11 @@ func TestSearchMetricsPublished(t *testing.T) {
 	if v, ok := snap.GaugeValue("search.pool_busy_peak"); !ok || v < 1 || v > 2 {
 		t.Errorf("search.pool_busy_peak = %g (present %v), want in [1, 2]", v, ok)
 	}
-	if n, ok := snap.CounterValue("cache.shared_hits"); !ok || n == 0 {
-		t.Errorf("cache.shared_hits = %d (present %v), want > 0", n, ok)
+	if n, ok := snap.CounterValue("cache.shared_hits"); !ok || n != sharedHits {
+		t.Errorf("cache.shared_hits = %d (present %v), want the two engines' %d", n, ok, sharedHits)
 	}
 	if v, ok := snap.GaugeValue("cache.epoch"); !ok || v < 1 {
 		t.Errorf("cache.epoch = %g (present %v), want >= 1", v, ok)
-	}
-	// The measured peak must round-trip into the next fan-out sizing.
-	if got := AutoWorkersFrom(reg); got < 1 || got > AutoWorkers() {
-		t.Errorf("AutoWorkersFrom after pooled run = %d, want in [1, %d]", got, AutoWorkers())
 	}
 }
 

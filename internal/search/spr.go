@@ -36,30 +36,13 @@ type Options struct {
 
 	// Workers > 1 enables task-level parallelism inside this search: the
 	// SPR/NNI insertion candidates of each pruned subtree are scored
-	// concurrently on a pool of Workers kernel contexts, and traversal
-	// descriptors execute wavefront-parallel on the same pool. The chosen
-	// moves, final topology, log-likelihood and kernel call counts are
-	// identical to the serial search (see DESIGN.md "Parallelism layers"
-	// and "Cache × pool composition"); <= 1 runs fully serial. Orthogonal to
+	// concurrently on a pool of Workers kernel contexts. The chosen moves,
+	// final topology, log-likelihood and kernel call counts are identical to
+	// the serial search (see DESIGN.md "Parallelism layers" and "Cache × pool
+	// composition"); <= 1 runs fully serial. Orthogonal to
 	// likelihood.Config.Threads, which splits the per-pattern loops
 	// *inside* one kernel call — total concurrency ≈ Workers × Threads.
 	Workers int
-
-	// NoTopoMemo disables the content-addressed topology score memo that
-	// searches run with by default: each SPR/NNI candidate's would-be
-	// topology is hashed incrementally from the prune/regraft edit, and
-	// topologies already measured this search replay their memoized score
-	// instead of re-running the likelihood evaluation. Replay is restricted
-	// to scores two measurements confirmed stable, and to candidates that
-	// lose to the acceptance threshold by a safety margin, so the accepted
-	// moves, round count and final topology are identical to the memo-off
-	// search (the memo only deletes repeated work; see DESIGN.md "Topology
-	// memoization"). Hits/misses/evictions surface as cache.topo_* metrics.
-	NoTopoMemo bool
-
-	// TopoMemoCap bounds the memo's entry count (0 = DefaultTopoMemoCap).
-	// Eviction is FIFO and deterministic.
-	TopoMemoCap int
 
 	// Metrics, when non-nil, receives the live search series: the
 	// search.candidates_scored / search.parallel_rounds counters, the
@@ -145,8 +128,7 @@ prunes:
 
 		// Lazy SPR: score every candidate from directed vectors of the
 		// (fixed) pruned tree, optimizing only the subtree's branch.
-		// current+eps is the acceptance threshold the memo probes against.
-		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub, current+eps)
+		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub)
 		if err != nil {
 			stage, stageErr = "trial insertion", err
 			break
@@ -205,8 +187,8 @@ func Run(eng *likelihood.Engine, start *phylotree.Tree, opt Options) (*Result, e
 	// the cached partial vectors they dirty.
 	eng.AttachTree(start)
 
-	// Task-level parallelism: candidate scoring and wavefront traversal
-	// execution share one worker pool for the duration of this search.
+	// Task-level parallelism: candidate scoring runs on one worker pool for
+	// the duration of this search.
 	sc := newSearchCtx(eng, opt)
 	defer sc.close(eng)
 
