@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"raxmlcell/internal/alignment"
@@ -496,8 +497,10 @@ func BenchmarkParallelSPR42SC(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelEvaluate measures the shared-memory loop-level
-// parallelism of the kernels (the RAxML-OMP analogue) on a wide alignment.
+// BenchmarkParallelEvaluate measures the loop-level parallelism of the
+// kernels (the paper's LLP) on a wide alignment: a full-tree evaluation with
+// the executor's helper off (GOMAXPROCS 1) and on (2). The sub-benchmark sets
+// GOMAXPROCS itself, so run it without -cpu.
 func BenchmarkParallelEvaluate(b *testing.B) {
 	rng := rand.New(rand.NewSource(51))
 	m := seqsim.DefaultModel()
@@ -506,9 +509,10 @@ func BenchmarkParallelEvaluate(b *testing.B) {
 		b.Fatal(err)
 	}
 	pat := alignment.Compress(a)
-	for _, threads := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("threads-%d", threads), func(b *testing.B) {
-			eng, err := likelihood.NewEngine(pat, m, likelihood.Config{Threads: threads})
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("gomaxprocs-%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -98,9 +99,8 @@ func main() {
 		bootstraps = flag.Int("bootstraps", 20, "number of bootstrap replicates")
 		seed       = flag.Int64("seed", 42, "master random seed")
 		workers    = flag.Int("workers", 4, "parallel workers (the MPI process count)")
-		searchWk   = flag.Int("search-workers", 1, "workers scoring the SPR candidates of each pruned subtree concurrently inside each search (1 = serial, 0 = GOMAXPROCS; see README for the -workers x -search-workers x -threads oversubscription guidance)")
+		searchWk   = flag.Int("search-workers", 1, "workers scoring the SPR candidates of each pruned subtree concurrently inside each search (1 = serial, 0 = GOMAXPROCS; see the README on parallelism)")
 		backend    = flag.String("backend", likelihood.DefaultBackend, "likelihood compute backend: "+strings.Join(likelihood.Backends(), ", ")+" (batched = pattern-tiled kernels; scalar = the bit-identical reference loops, slower)")
-		threads    = flag.Int("threads", 1, "goroutines splitting the per-pattern loops inside each likelihood kernel call (the RAxML-OMP loop-level axis)")
 		radius     = flag.Int("radius", 5, "SPR rearrangement radius")
 		rounds     = flag.Int("rounds", 10, "maximum SPR rounds per search")
 		alpha      = flag.Float64("alpha", 0.8, "initial Gamma shape")
@@ -204,7 +204,7 @@ func main() {
 					"logl", pr.LogL, "alpha", pr.Alpha)
 			},
 		},
-		Kernel:  likelihood.Config{SDKExp: *sdkExp, IntCond: *intCond, Threads: *threads, Backend: *backend},
+		Kernel:  likelihood.Config{SDKExp: *sdkExp, IntCond: *intCond, Backend: *backend},
 		Log:     logger,
 		Metrics: metrics,
 		Trace:   tracer.Root("campaign"),
@@ -265,6 +265,11 @@ func main() {
 		}
 	}
 	fmt.Printf("kernel profile: %s\n", analysis.Meter.String())
+	// Schedule-dependent, so it goes to the log and not to stdout, which is
+	// byte-identical at any GOMAXPROCS.
+	blocks, adopted := likelihood.RangeBlocks()
+	logger.Debug("range executor", "blocks", blocks, "adopted", adopted,
+		"adopted_share", float64(adopted)/math.Max(1, float64(blocks)))
 
 	if *catCats > 1 {
 		catCfg := cfg

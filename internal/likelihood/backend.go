@@ -3,6 +3,7 @@ package likelihood
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 )
 
@@ -15,17 +16,19 @@ import (
 // Everything outside the contract is backend-independent and stays in
 // Ctx/Engine: traversal descriptors and cache invalidation, Views
 // memoization, transition-matrix and tip-projection table construction, the
-// Newton solver driver, numerical scaling policy, and the Config.Threads
-// pattern-range fan-out. A backend only answers "given these
-// operands, compute patterns [lo, hi)" — which is exactly the seam BEAGLE
-// 4.1 draws around its CPU/SSE/GPU implementations, and the Go analogue of
-// the paper swapping restructured SPU loops under an unchanged search.
+// Newton solver driver, numerical scaling policy, and the block executor
+// that spreads a pass over idle CPUs (executor.go). A backend only answers
+// "given these operands, compute patterns [lo, hi)" — which is exactly the
+// seam BEAGLE 4.1 draws around its CPU/SSE/GPU implementations, and the Go
+// analogue of the paper swapping restructured SPU loops under an unchanged
+// search.
 //
-// Concurrency: a backend must be stateless (its per-range scratch lives on
-// the Ctx, indexed by the fan-out slot), because one backend value serves
-// every context of an engine, and Threads > 1 runs several ranges of one
-// call concurrently. Each method receives the slot its range was assigned
-// so tile scratch never aliases across the fan-out.
+// Concurrency: a backend must be stateless, because one backend value serves
+// every context of an engine and the executor runs several blocks of one
+// pass concurrently, some of them on helper goroutines that do not own the
+// Ctx. Each method receives the tile scratch of the goroutine that runs it
+// (the context's for its owner, the helper's own otherwise), so tiles never
+// alias across a pass.
 //
 // Numerics: backends must reproduce the scalar reference within 1e-9
 // relative log-likelihood on any workload (the 42sc cross-validation gate
@@ -45,31 +48,54 @@ type Backend interface {
 	// matrices prepared in c.pLeft/c.pRight (tip children via the
 	// c.tipPL/c.tipPR tables), their elementwise product into op.dst, and
 	// the 2^-256 scaling check per pattern.
-	combineRange(c *Ctx, op *combineOp, pr patRange, slot int) combineStats
+	combineRange(c *Ctx, op *combineOp, pr patRange, ts *tileScratch) combineStats
 
 	// evaluateRange executes the evaluate inner loop for patterns
 	// [pr.lo, pr.hi): the q-side projection through c.pLeft (tips via
 	// c.tipPR), the frequency-weighted dot product against op.pLv, the
 	// per-pattern log with scaling counters folded back, and the weighted
 	// log-likelihood sum of the range.
-	evaluateRange(c *Ctx, op *evalOp, pr patRange, slot int) evalPart
+	evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileScratch) evalPart
 
 	// sumTableRange builds the Newton eigenmode sum table A[pat,c,k] into
 	// c.sumTab for patterns [pr.lo, pr.hi) and returns the t-independent
 	// scaling constant contribution of the range.
-	sumTableRange(c *Ctx, op *sumOp, pr patRange, slot int) sumPart
+	sumTableRange(c *Ctx, op *sumOp, pr patRange, ts *tileScratch) sumPart
 
 	// newtonDerivRange is the pass every Newton iteration makes: it reduces
 	// (dlogL/dt, d2logL/dt2) over patterns [pr.lo, pr.hi) from c.sumTab and
 	// the three exponential blocks. The iterate depends only on d1/d2, so
 	// the pass takes no logarithm.
-	newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, slot int) derivPart
+	newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, ts *tileScratch) derivPart
 
 	// newtonValueRange is the pass a solve makes once, at the point it
 	// returns: the weighted log-likelihood sum of patterns [pr.lo, pr.hi)
 	// from c.sumTab and op.e0 alone — a third of the derivative pass's
 	// table arithmetic and exactly one log per pattern.
-	newtonValueRange(c *Ctx, op *newtonOp, pr patRange, slot int) valuePart
+	newtonValueRange(c *Ctx, op *newtonOp, pr patRange, ts *tileScratch) valuePart
+}
+
+// Reduction helpers shared by the backends.
+const minPositive = math.SmallestNonzeroFloat64
+
+var logFn = math.Log
+
+// patRange is a contiguous range of patterns [lo, hi): one block of a pass.
+type patRange struct{ lo, hi int }
+
+// combineStats are the per-range meter contributions of the newview loop.
+type combineStats struct {
+	muls, adds               uint64
+	bigIters                 uint64
+	scaleChecks, scaleEvents uint64
+}
+
+func (s *combineStats) add(o combineStats) {
+	s.muls += o.muls
+	s.adds += o.adds
+	s.bigIters += o.bigIters
+	s.scaleChecks += o.scaleChecks
+	s.scaleEvents += o.scaleEvents
 }
 
 // combineOp is the operand set of one combine (newview) call. Tip children

@@ -16,7 +16,7 @@ func (scalarBackend) Name() string { return "scalar" }
 // scratch.
 func (scalarBackend) initCtx(*Ctx) {}
 
-func (scalarBackend) combineRange(c *Ctx, op *combineOp, pr patRange, _ int) combineStats {
+func (scalarBackend) combineRange(c *Ctx, op *combineOp, pr patRange, _ *tileScratch) combineStats {
 	e := c.eng
 	ncat := e.ncat
 	qData, rData := op.qData, op.rData
@@ -82,7 +82,7 @@ func (scalarBackend) combineRange(c *Ctx, op *combineOp, pr patRange, _ int) com
 	return st
 }
 
-func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ int) evalPart {
+func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ *tileScratch) evalPart {
 	e := c.eng
 	ncat := e.ncat
 	freqs := &e.Mod.GTR.Freqs
@@ -138,7 +138,7 @@ func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ int) evalP
 	return out
 }
 
-func (scalarBackend) sumTableRange(c *Ctx, op *sumOp, pr patRange, _ int) sumPart {
+func (scalarBackend) sumTableRange(c *Ctx, op *sumOp, pr patRange, _ *tileScratch) sumPart {
 	e := c.eng
 	g := e.Mod.GTR
 	ncat := e.ncat
@@ -178,7 +178,7 @@ func (scalarBackend) sumTableRange(c *Ctx, op *sumOp, pr patRange, _ int) sumPar
 	return out
 }
 
-func (scalarBackend) newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, _ int) derivPart {
+func (scalarBackend) newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, _ *tileScratch) derivPart {
 	e := c.eng
 	ncat := e.ncat
 	sumTab := c.sumTab
@@ -212,7 +212,7 @@ func (scalarBackend) newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, _ int) 
 	return out
 }
 
-func (scalarBackend) newtonValueRange(c *Ctx, op *newtonOp, pr patRange, _ int) valuePart {
+func (scalarBackend) newtonValueRange(c *Ctx, op *newtonOp, pr patRange, _ *tileScratch) valuePart {
 	e := c.eng
 	ncat := e.ncat
 	sumTab := c.sumTab

@@ -3,8 +3,10 @@ package likelihood
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"raxmlcell/internal/alignment"
 	"raxmlcell/internal/model"
 	"raxmlcell/internal/phylotree"
 )
@@ -214,49 +216,6 @@ func TestBackendsMatchScalarCAT(t *testing.T) {
 	}
 }
 
-// TestBackendThreadsBitIdentical checks that the batched tiles compose
-// with the loop-level Threads fan-out: per-slot tile scratch must keep
-// concurrent pattern ranges independent, and partial vectors must stay
-// bit-identical to the serial scalar reference. Run under -race this also
-// proves the slot isolation.
-func TestBackendThreadsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(604))
-	pat := randomPatterns(t, rng, 12, 400)
-	m := randomModel(t, rng, 4)
-	tr := randomTreeFor(t, rng, pat)
-
-	ref, err := NewEngine(pat, m, Config{Backend: "scalar"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewEngine(pat, m, Config{Backend: "batched", Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.parallel() {
-		t.Fatal("workload does not trigger the threaded path")
-	}
-	p := tr.Tips[0].Back
-	ref.NewView(p)
-	par.NewView(p)
-	for i := range ref.lv[p.Index] {
-		if ref.lv[p.Index][i] != par.lv[p.Index][i] {
-			t.Fatalf("threaded batched vector diverges at %d", i)
-		}
-	}
-	llR, err := ref.Evaluate(tr.Tips[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	llP, err := par.Evaluate(tr.Tips[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(llR-llP) > 1e-9*math.Abs(llR) {
-		t.Errorf("threaded batched logL %.12f != scalar %.12f", llP, llR)
-	}
-}
-
 // TestBackendUnderPool exercises the batched backend beneath the
 // task-level pool: concurrent InsertionScore-style Views on worker
 // contexts. Run under -race this is the pool's race gate for the backend.
@@ -346,18 +305,35 @@ func TestBackendUnderPool(t *testing.T) {
 // registered backend and asserts agreement with the scalar reference:
 // bit-identical partial vectors, ≤1e-9 relative log-likelihoods, and
 // bit-identical Newton passes (d1, d2, value at a random branch length on a
-// random edge) and MakeNewz results from the same start.
+// random edge) and MakeNewz results from the same start. One input in four
+// has a pattern count within two of a block multiple, and GOMAXPROCS is at
+// least 2 throughout, so those engines run their passes through the
+// executor with helpers adopting blocks.
 func FuzzBackendEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint16(80), uint8(4), false)
 	f.Add(int64(2), uint8(4), uint16(33), uint8(1), false)
 	f.Add(int64(3), uint8(9), uint16(130), uint8(3), true)
 	f.Add(int64(4), uint8(12), uint16(64), uint8(2), true)
+	f.Add(int64(5), uint8(8), uint16(3), uint8(4), false)   // one pattern short of a block
+	f.Add(int64(6), uint8(10), uint16(35), uint8(3), true)  // two blocks and one pattern, CAT
+	f.Add(int64(7), uint8(7), uint16(19), uint8(4), false)  // a block and two patterns
+	f.Add(int64(8), uint8(12), uint16(27), uint8(2), false) // exactly two blocks
+	withProcs(f, max(2, runtime.GOMAXPROCS(0)))
 	f.Fuzz(func(t *testing.T, seed int64, taxa uint8, sites uint16, cats uint8, useCAT bool) {
 		nt := 4 + int(taxa)%13 // 4..16 taxa
 		nsites := 16 + int(sites)%400
 		nc := 1 + int(cats)%4 // 1..4 categories
 		rng := rand.New(rand.NewSource(seed))
-		pat := randomPatterns(t, rng, nt, nsites)
+		var pat *alignment.Patterns
+		if sites%4 == 3 {
+			// (1 or 2) blocks − 2 … + 2 patterns; columns over fewer than
+			// seven taxa repeat too often to give that many.
+			nt = max(nt, 7)
+			pat = patternsOfCount(t, rng, nt, (1+int(sites>>4)%2)*rangeBlock+int(sites>>2)%4+int(sites>>3)%2-2)
+			nsites = pat.NumPatterns()
+		} else {
+			pat = randomPatterns(t, rng, nt, nsites)
+		}
 		var m *model.Model
 		if useCAT {
 			gtr := randomModel(t, rng, 1).GTR

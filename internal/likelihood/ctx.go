@@ -54,17 +54,23 @@ type Ctx struct {
 
 	// Backend operand blocks, stored on the context so passing their
 	// address through the Backend interface never escapes into a per-call
-	// heap allocation. One of each suffices: a context runs at most one
-	// kernel call at a time, and the Threads fan-out shares the (read-only)
-	// operands across its ranges.
+	// heap allocation, and so a helper that adopts a block of the running
+	// pass finds them here. One of each suffices: a context runs at most one
+	// pass at a time, and its blocks share the (read-only) operands.
 	combOp combineOp
 	evalOp evalOp
 	sumOp  sumOp
 	newtOp newtonOp
 
-	// tiles is backend-private scratch (sized by Backend.initCtx), one
-	// entry per Threads fan-out slot so concurrent ranges never alias.
-	tiles []tileScratch
+	// parts[b] is where block b of the running pass leaves its part; the
+	// caller folds them in block order. job is the pass's claim state
+	// (executor.go).
+	parts []blockPart
+	job   rangeJob
+
+	// tile is backend-private scratch (sized by Backend.initCtx) for the
+	// blocks the context's owner runs itself.
+	tile tileScratch
 }
 
 // NewCtx returns a fresh worker context over the engine. Its kernel
@@ -100,6 +106,11 @@ func (c *Ctx) alloc() {
 	c.newzE0 = make([]float64, e.nmat*ns)
 	c.newzE1 = make([]float64, e.nmat*ns)
 	c.newzE2 = make([]float64, e.nmat*ns)
+	c.parts = make([]blockPart, e.nblk)
+	if e.nblk >= minPublishBlocks {
+		c.job.next.Store(int32(e.nblk)) // nothing to claim until a pass opens
+		c.job.idle = make(chan struct{}, 1)
+	}
 	e.backend.initCtx(c)
 }
 
@@ -275,30 +286,17 @@ func (c *Ctx) evaluateKernel(p *phylotree.Node, perSite []float64) (float64, err
 	}
 
 	c.evalOp = evalOp{pLv: pLv, pScale: pScale, qData: qData, qLv: qLv, qScale: qScale, perSite: perSite}
-	op := &c.evalOp
-	bk := e.backend
-
-	logL := 0.0
-	var total combineStats
-	var underflow uint64
-	if e.parallel() {
-		ranges := e.splitPatterns()
-		parts := make([]evalPart, len(ranges))
-		e.runParallel(ranges, func(pr patRange, slot int) {
-			parts[slot] = bk.evaluateRange(c, op, pr, slot)
-		})
-		for i := range parts {
-			logL += parts[i].sum
-			total.add(parts[i].st)
-			underflow += parts[i].underflow
-		}
-	} else {
-		part := bk.evaluateRange(c, op, patRange{0, e.npat}, 0)
-		logL, total, underflow = part.sum, part.st, part.underflow
+	c.runPass(passEvaluate)
+	total := c.parts[0].eval
+	for b := 1; b < e.nblk; b++ {
+		p := &c.parts[b].eval
+		total.sum += p.sum
+		total.st.add(p.st)
+		total.underflow += p.underflow
 	}
-	c.meter.Muls += total.muls
-	c.meter.Adds += total.adds
-	c.meter.Logs += total.bigIters
-	*c.underflow += underflow
-	return logL, nil
+	c.meter.Muls += total.st.muls
+	c.meter.Adds += total.st.adds
+	c.meter.Logs += total.st.bigIters
+	*c.underflow += total.underflow
+	return total.sum, nil
 }

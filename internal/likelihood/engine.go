@@ -25,21 +25,14 @@ var (
 // Config selects the kernel variants corresponding to the paper's
 // optimization steps. All variants compute the same numerical result; they
 // differ in instruction mix (metered) and, for SDKExp, in the exp()
-// implementation actually used.
+// implementation actually used. Loop-level parallelism is not configured:
+// the per-pattern passes of an engine with more than one block of patterns
+// are spread over the CPUs that are idle at the time (executor.go), with the
+// same bits at any GOMAXPROCS.
 type Config struct {
 	SDKExp   bool // Section 5.2.2: SDK numerical exp() instead of libm exp()
 	IntCond  bool // Section 5.2.3: integer-cast, vectorized scaling conditional
 	VectorFP bool // Section 5.2.5: SIMD packing of the two FP loops (metering)
-
-	// Threads > 1 parallelizes the per-pattern kernel loops over a
-	// goroutine pool — the shared-memory loop-level parallelism of
-	// RAxML-OMP that the paper's LLP scheduler maps onto SPEs. Partial
-	// vectors are bit-identical to the serial kernels; log-likelihood
-	// reductions may differ by floating point summation order. This is the
-	// *inner* (loop-level) axis; the *outer* (task-level) axis — concurrent
-	// candidate scoring — is driven by Pool (see Engine.NewPool and
-	// search.Options.Workers).
-	Threads int
 
 	// Backend selects the compute backend the kernels' per-pattern inner
 	// loops run on: "batched" (the default: pattern-major cache-blocked
@@ -93,6 +86,7 @@ type Engine struct {
 	Meter Meter
 
 	npat, ncat int // ncat is the per-site storage width (1 under CAT)
+	nblk       int // blocks of rangeBlock patterns a pass runs over
 	nmat       int // distinct rate categories = transition matrices
 	patCat     []int
 	invCats    float64     // per-site averaging weight (1 under CAT)
@@ -145,6 +139,10 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 		Cfg:  cfg,
 		npat: pat.NumPatterns(),
 		nmat: mod.NumCats(),
+	}
+	e.nblk = max(1, (e.npat+rangeBlock-1)/rangeBlock)
+	if e.nblk >= minPublishBlocks {
+		executor.noteProcs()
 	}
 	if mod.IsCAT() {
 		if len(mod.PatCat) != e.npat {
@@ -353,8 +351,8 @@ func (e *Engine) needsScaling(v []float64) bool {
 	return e.needsScalingPure(v)
 }
 
-// needsScalingPure is the check without meter side effects, safe for
-// concurrent use by the parallel kernels (callers count checks themselves).
+// needsScalingPure is the check without meter side effects, safe for the
+// concurrent blocks of a pass (callers count checks themselves).
 func (e *Engine) needsScalingPure(v []float64) bool {
 	if e.Cfg.IntCond {
 		limit := math.Float64bits(MinLikelihood)

@@ -88,14 +88,19 @@ func (c *Ctx) MakeNewz(p *phylotree.Node) (float64, float64, error) {
 // fills c.sumTab with the eigenmode sum table A[pat][c][k] of the branch
 // between an explicit vector (pLv/pSc) and a q side (tip codes or
 // vector/scale) and c.lamr with the λ_k·r_c products, and returns the
-// t-independent scaling constant. The build dispatches to the engine's
-// backend but stays single-range: it runs once per branch while the passes
-// run once per Newton iteration, and a serial build keeps the
-// scaling-constant summation order independent of Config.Threads.
+// t-independent scaling constant, summed over the blocks in block order like
+// every other reduction.
 func (c *Ctx) buildSumTable(pLv []float64, pSc []int32, qData []byte, qLv []float64, qSc []int32) float64 {
 	e := c.eng
 	c.sumOp = sumOp{pLv: pLv, pSc: pSc, qData: qData, qLv: qLv, qSc: qSc}
-	part := e.backend.sumTableRange(c, &c.sumOp, patRange{0, e.npat}, 0)
+	c.runPass(passSumTable)
+	part := c.parts[0].sum
+	for b := 1; b < e.nblk; b++ {
+		p := &c.parts[b].sum
+		part.scaleConst += p.scaleConst
+		part.muls += p.muls
+		part.adds += p.adds
+	}
 	c.meter.Muls += part.muls
 	c.meter.Adds += part.adds
 
@@ -173,6 +178,73 @@ func (c *Ctx) newtonSolve(z0, scaleConst float64) (float64, float64) {
 		e.kobs.ObserveKernel(OpMakenewz, e.know()-tObs)
 	}
 	return t, ll + scaleConst
+}
+
+// newtonDerivs fills the three exponential blocks for branch length t and
+// reduces (dlogL/dt, d2logL/dt2) over all patterns from the sum table in
+// c.sumTab: the derivative pass of the Newton iteration shared by MakeNewz
+// and the lazy-SPR scorer. Block sums are combined in block order.
+func (c *Ctx) newtonDerivs(t float64) (d1, d2 float64) {
+	e := c.eng
+	e0, e1, e2 := c.newzE0, c.newzE1, c.newzE2
+	for i, lr := range c.lamr {
+		ex := e.expFn(lr * t)
+		e0[i] = ex
+		e1[i] = lr * ex
+		e2[i] = lr * lr * ex
+	}
+	nexp := uint64(e.nmat * ns)
+	c.meter.Exps += nexp
+	c.meter.Muls += 4 * nexp
+
+	c.newtOp = newtonOp{e0: e0, e1: e1, e2: e2, weights: e.Pat.Weights}
+	c.runPass(passNewtonDeriv)
+	part := c.parts[0].deriv
+	for b := 1; b < e.nblk; b++ {
+		p := &c.parts[b].deriv
+		part.d1 += p.d1
+		part.d2 += p.d2
+		part.underflow += p.underflow
+	}
+	*c.underflow += part.underflow
+	// Per pattern: three table dot products, then 3 invCats scalings, 2
+	// divisions, 1 square and 2 weightings; 1 subtraction and 2 sums.
+	table := uint64(e.ncat * ns)
+	c.meter.Muls += uint64(e.npat) * (3*table + 8)
+	c.meter.Adds += uint64(e.npat) * (3*table + 3)
+	return part.d1, part.d2
+}
+
+// newtonValue reduces the weighted log-likelihood sum at branch length t
+// from the sum table: the value pass, run once per solve at the point it
+// returns (and once more at the entry point on the safeguard path). Only
+// the e0 block is built and read, and this is the only place a Newton solve
+// takes logarithms — one per pattern.
+func (c *Ctx) newtonValue(t float64) float64 {
+	e := c.eng
+	e0 := c.newzE0
+	for i, lr := range c.lamr {
+		e0[i] = e.expFn(lr * t)
+	}
+	nexp := uint64(e.nmat * ns)
+	c.meter.Exps += nexp
+	c.meter.Muls += nexp
+
+	c.newtOp = newtonOp{e0: e0, weights: e.Pat.Weights}
+	c.runPass(passNewtonValue)
+	part := c.parts[0].value
+	for b := 1; b < e.nblk; b++ {
+		part.ll += c.parts[b].value.ll
+		part.underflow += c.parts[b].value.underflow
+	}
+	*c.underflow += part.underflow
+	// Per pattern: one table dot product, the invCats scaling and the
+	// weighting of the log; one sum.
+	table := uint64(e.ncat * ns)
+	c.meter.Logs += uint64(e.npat)
+	c.meter.Muls += uint64(e.npat) * (table + 2)
+	c.meter.Adds += uint64(e.npat) * (table + 1)
+	return part.ll
 }
 
 // newtonStep is the iterate after t > 0 where the log-likelihood f is locally

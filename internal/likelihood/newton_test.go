@@ -3,6 +3,7 @@ package likelihood
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"raxmlcell/internal/alignment"
@@ -51,16 +52,20 @@ var newtonProbePoints = []float64{phylotree.MinBranchLength, 1e-4, 0.05, 0.7, 4,
 
 // TestNewtonPassesMatchScalar drives the derivative pass and the value pass
 // of every backend against the scalar reference on the same sum table, for
-// the Gamma and CAT layouts, serial and under the Threads fan-out: d1, d2,
-// the value and the underflow count must agree bit for bit, and the meters
-// must be equal — the passes are restructured loops, not approximations.
-// Three patterns are zeroed in the table so the underflow clamp is on the
-// compared path.
+// the Gamma and CAT layouts on a three-block alignment, at GOMAXPROCS 1 and
+// 4: d1, d2, the value and the underflow count must agree bit for bit, and
+// the meters must be equal — the passes are restructured loops, not
+// approximations — and what a backend returns at 4 is what it returned at 1,
+// whoever ran which block. Three patterns are zeroed in the table so the
+// underflow clamp is on the compared path.
 func TestNewtonPassesMatchScalar(t *testing.T) {
 	for _, layout := range []string{"gamma", "cat"} {
-		for _, threads := range []int{1, 4} {
+		var serial []float64 // every alt result at GOMAXPROCS 1, in order
+		for _, procs := range []int{1, 4} {
+			restore := setProcs(procs)
+			var results []float64
 			rng := rand.New(rand.NewSource(611))
-			pat := randomPatterns(t, rng, 12, 400)
+			pat := patternsOfCount(t, rng, 12, threeBlocks)
 			m := randomModel(t, rng, 4)
 			if layout == "cat" {
 				m = catModelFor(t, rng, pat)
@@ -69,12 +74,9 @@ func TestNewtonPassesMatchScalar(t *testing.T) {
 			edges := tr.Edges()
 
 			build := func(backend string) *Engine {
-				e, err := NewEngine(pat, m, Config{Backend: backend, Threads: threads})
+				e, err := NewEngine(pat, m, Config{Backend: backend})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if (threads > 1) != e.parallel() {
-					t.Fatalf("threads=%d: parallel()=%v", threads, e.parallel())
 				}
 				return e
 			}
@@ -88,8 +90,9 @@ func TestNewtonPassesMatchScalar(t *testing.T) {
 					scR := prepareBranch(ref, edges[ei])
 					scA := prepareBranch(alt, edges[ei])
 					if scR != scA {
-						t.Fatalf("%s/%s/threads=%d edge %d: scale constant %v != %v", layout, name, threads, ei, scA, scR)
+						t.Fatalf("%s/%s/procs=%d edge %d: scale constant %v != %v", layout, name, procs, ei, scA, scR)
 					}
+					results = append(results, scA)
 					stride := ref.ncat * ns
 					for _, p := range []int{0, 33, ref.npat - 1} {
 						for k := p * stride; k < (p+1)*stride; k++ {
@@ -101,21 +104,28 @@ func TestNewtonPassesMatchScalar(t *testing.T) {
 						d1A, d2A := alt.ctx0.newtonDerivs(z)
 						vR, vA := ref.ctx0.newtonValue(z), alt.ctx0.newtonValue(z)
 						if d1R != d1A || d2R != d2A || vR != vA {
-							t.Fatalf("%s/%s/threads=%d edge %d z=%g: (d1, d2, value) = (%.17g, %.17g, %.17g), scalar (%.17g, %.17g, %.17g)",
-								layout, name, threads, ei, z, d1A, d2A, vA, d1R, d2R, vR)
+							t.Fatalf("%s/%s/procs=%d edge %d z=%g: (d1, d2, value) = (%.17g, %.17g, %.17g), scalar (%.17g, %.17g, %.17g)",
+								layout, name, procs, ei, z, d1A, d2A, vA, d1R, d2R, vR)
 						}
+						results = append(results, d1A, d2A, vA)
 					}
 				}
 				if ref.UnderflowSites() == 0 || ref.UnderflowSites() != alt.UnderflowSites() {
-					t.Errorf("%s/%s/threads=%d: underflow sites %d, scalar %d (want equal and > 0)",
-						layout, name, threads, alt.UnderflowSites(), ref.UnderflowSites())
+					t.Errorf("%s/%s/procs=%d: underflow sites %d, scalar %d (want equal and > 0)",
+						layout, name, procs, alt.UnderflowSites(), ref.UnderflowSites())
 				}
 				if ref.Meter != alt.Meter {
-					t.Errorf("%s/%s/threads=%d: meters diverge:\n scalar %s\n %s %s",
-						layout, name, threads, ref.Meter.String(), name, alt.Meter.String())
+					t.Errorf("%s/%s/procs=%d: meters diverge:\n scalar %s\n %s %s",
+						layout, name, procs, ref.Meter.String(), name, alt.Meter.String())
 				}
 				ref.Meter.Reset()
 				ref.underflowSites = 0
+			}
+			restore()
+			if serial == nil {
+				serial = results
+			} else if !slices.Equal(serial, results) {
+				t.Errorf("%s: the passes return other bits at GOMAXPROCS %d than at 1", layout, procs)
 			}
 		}
 	}

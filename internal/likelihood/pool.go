@@ -6,8 +6,8 @@ import (
 )
 
 // Pool is a fixed set of worker kernel contexts: the task-level parallelism
-// axis of the engine, orthogonal to Config.Threads (which splits the
-// per-pattern loops *inside* one kernel call). It corresponds to the
+// axis of the engine, orthogonal to the block executor (which spreads the
+// per-pattern loops *inside* one kernel call over idle CPUs). It corresponds to the
 // paper's EDTLP/MGPS schedulers dispatching independent likelihood tasks to
 // different SPEs — here, the independent SPR insertion candidates of one
 // pruned subtree (see package search).

@@ -197,21 +197,10 @@ func (c *Ctx) combine(q *phylotree.Node, zq float64, qLv []float64, qSc []int32,
 
 	ncat := e.ncat
 	c.combOp = combineOp{qData: qData, rData: rData, qLv: qLv, rLv: rLv, qSc: qSc, rSc: rSc, dst: dst, dstScale: dstScale}
-	op := &c.combOp
-	bk := e.backend
-
-	var total combineStats
-	if e.parallel() {
-		ranges := e.splitPatterns()
-		stats := make([]combineStats, len(ranges))
-		e.runParallel(ranges, func(pr patRange, slot int) {
-			stats[slot] = bk.combineRange(c, op, pr, slot)
-		})
-		for _, st := range stats {
-			total.add(st)
-		}
-	} else {
-		total = bk.combineRange(c, op, patRange{0, e.npat}, 0)
+	c.runPass(passCombine)
+	total := c.parts[0].comb
+	for b := 1; b < e.nblk; b++ {
+		total.add(c.parts[b].comb)
 	}
 	c.meter.Muls += total.muls
 	c.meter.Adds += total.adds

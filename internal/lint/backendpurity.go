@@ -7,16 +7,19 @@ import (
 )
 
 // BackendPurity enforces the Backend concurrency contract (backend.go):
-// one backend value serves every kernel context of an engine, and with
-// Config.Threads > 1 several pattern ranges of a single call run
-// concurrently over the SAME Ctx. A *Range method is therefore allowed to
-// write only memory that is private to its range or its fan-out slot:
+// one backend value serves every kernel context of an engine, and the range
+// executor runs several pattern blocks of a single pass concurrently over
+// the SAME Ctx — the calling goroutine and whichever resident helpers
+// adopted a block, none of which own the Ctx. A *Range method is therefore
+// allowed to write only memory that is private to its block or to the
+// goroutine running it:
 //
 //   - elements of the operand slices (op.dst[k], op.perSite[pat], ...) —
-//     ranges partition the pattern axis, so element writes are disjoint;
-//   - elements reached through Ctx fields (c.sumTab[k],
-//     c.tiles[slot].buf[i], ...) — the same disjointness, or scratch
-//     indexed by the method's slot argument;
+//     blocks partition the pattern axis, so element writes are disjoint;
+//   - elements reached through Ctx fields (c.sumTab[k], ...) — the same
+//     disjointness;
+//   - the tile scratch it was handed (ts.a[i], ...): the context's own for
+//     the caller, the helper's own otherwise;
 //   - its own locals, including local aliases of the above.
 //
 // Everything else is shared state and a data race waiting for a second
@@ -27,9 +30,13 @@ import (
 //     worker;
 //   - reassigning or accumulating into a Ctx field directly
 //     (c.sumTab = make(...), c.underflow++, c.meter.muls += n): the Ctx
-//     is shared by all ranges of the call, which is exactly why the
+//     is shared by all blocks of the pass, which is exactly why the
 //     kernels return their statistics in combineStats/evalPart/... values
-//     for the driver to fold;
+//     for the executor to file under the block's index and the caller to
+//     fold in block order;
+//   - stores through the Ctx's own tile (c.tile.a[i] = v): a helper that
+//     adopted the block runs on a foreign Ctx and has been handed its own
+//     tile for exactly that reason;
 //   - stores to package-level variables.
 //
 // The check is interprocedural within the package: a helper that performs
@@ -39,7 +46,7 @@ import (
 // site in the *Range method with the witness chain.
 var BackendPurity = &Analyzer{
 	Name: "backendpurity",
-	Doc:  "Backend *Range methods may write only operand slices and slot scratch; stores to Engine/Ctx/shared state are races",
+	Doc:  "Backend *Range methods may write only operand slices and the tile scratch they are handed; stores to Engine/Ctx/shared state are races",
 	Match: func(pkgPath string) bool {
 		return pathHasAny(pkgPath, likelihoodPkg)
 	},
@@ -75,7 +82,7 @@ func runBackendPurity(pass *Pass) {
 		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 			if reason, ok := directImpureWriteReason(pass.Info, n); ok {
 				pass.Reportf(n.Pos(),
-					"%s in %s: ranges of one call run concurrently on a shared Ctx — write only operand slices and slot scratch, and return statistics in the part value", reason, node.Fn.Name())
+					"%s in %s: blocks of one pass run concurrently on a shared Ctx — write only operand slices and the tile scratch handed in, and return statistics in the part value", reason, node.Fn.Name())
 			}
 			return true
 		})
@@ -86,7 +93,7 @@ func runBackendPurity(pass *Pass) {
 			}
 			if reason := taint.Reason(site.Callee); reason != "" {
 				pass.Reportf(site.Call.Pos(),
-					"%s calls %s, which %s; ranges of one call run concurrently on a shared Ctx — keep helpers reachable from *Range methods write-free", node.Fn.Name(), calleeLabel(site.Callee), reason)
+					"%s calls %s, which %s; blocks of one pass run concurrently on a shared Ctx — keep helpers reachable from *Range methods write-free", node.Fn.Name(), calleeLabel(site.Callee), reason)
 			}
 		}
 	}
@@ -122,9 +129,11 @@ func directImpureWriteReason(info *types.Info, n ast.Node) (string, bool) {
 //   - if the outermost target is a selector chain rooted at a Ctx with NO
 //     index expression in between, the store replaces or accumulates into
 //     a Ctx field itself (c.sumTab = v, c.underflow++, c.meter.muls += n)
-//     — impure. With an index on the path (c.sumTab[k] = v,
-//     c.tiles[slot].buf[i] = v) the target is an element of scratch the
-//     range or slot owns — pure;
+//     — impure. With an index on the path (c.sumTab[k] = v) the target is
+//     an element of scratch the block owns — pure. The one exception is
+//     the Ctx's own tile (c.tile.a[i] = v): it belongs to the goroutine
+//     that owns the Ctx, and a helper runs the same method on a Ctx it does
+//     not own — impure, use the tile handed in;
 //   - if the spine roots at a package-level variable, the store is to
 //     process-global state — impure.
 func impureStoreTarget(info *types.Info, lhs ast.Expr) (string, bool) {
@@ -146,8 +155,13 @@ func impureStoreTarget(info *types.Info, lhs ast.Expr) (string, bool) {
 			if isEngineType(sel.Recv()) {
 				return "writes Engine state through field " + sel.Obj().Name(), true
 			}
-			if !indexed && isCtxType(sel.Recv()) {
-				return "writes Ctx field " + t.Sel.Name + " directly", true
+			if isCtxType(sel.Recv()) {
+				if t.Sel.Name == "tile" {
+					return "writes the Ctx's own tile", true
+				}
+				if !indexed {
+					return "writes Ctx field " + t.Sel.Name + " directly", true
+				}
 			}
 			e = t.X
 		case *ast.Ident:

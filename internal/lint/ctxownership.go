@@ -20,6 +20,7 @@ import (
 //     goroutine outside the pool's partition — nothing then serializes it
 //     against the context's real owner. Fan-out must go through Pool.Run,
 //     which hands each goroutine its own worker index.
+//
 //   - stores that widen reachability: a Ctx/Views written into a
 //     package-level variable, into a field of the shared Engine (only the
 //     engine's own primary-context slot ctx0, set by the likelihood
@@ -31,13 +32,23 @@ import (
 //     legal: the package that declares the struct owns its access
 //     discipline, and the go-capture rule still polices its fan-outs.
 //
+//   - publication through an atomic pointer: x.Store(ctx), x.Swap(ctx) or
+//     x.CompareAndSwap(old, ctx) on a sync/atomic.Pointer of an owned type
+//     hands the context to whoever loads it. That is how the range
+//     executor offers the blocks of a running pass to its resident helpers,
+//     and it is sanctioned there alone (likelihood's Ctx.runPass, which
+//     takes the context back before the call returns): a helper runs a
+//     *Range method on a Ctx it does not own only for a block it claimed
+//     through that slot, on its own tile scratch (backendpurity holds the
+//     methods to that).
+//
 // The analysis is syntactic and intraprocedural by design; the
 // cross-package half of the invariant rides on type identity (the owned
 // types and the Engine are recognized across package boundaries), which
 // is what makes the multi-package golden case interprocedural.
 var CtxOwnership = &Analyzer{
 	Name: "ctxownership",
-	Doc:  "forbid likelihood.Ctx/Views escaping their pool worker: goroutine capture and shared-reachable stores",
+	Doc:  "forbid likelihood.Ctx/Views escaping their pool worker: goroutine capture, shared-reachable stores and atomic-pointer publication outside the range executor",
 	Match: func(pkgPath string) bool {
 		return pathHasAny(pkgPath,
 			"internal/likelihood", "internal/search", "internal/core", "cmd")
@@ -88,6 +99,10 @@ func runCtxOwnership(pass *Pass) {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				checkGoCapture(pass, n)
+			case *ast.FuncDecl:
+				if n.Body != nil && !(n.Name.Name == "runPass" && pathHasAny(pass.Path, likelihoodPkg)) {
+					checkAtomicPublish(pass, n)
+				}
 			case *ast.AssignStmt:
 				for i, lhs := range n.Lhs {
 					rhs := lhs // x, err := f(): judge by the LHS's own type
@@ -127,6 +142,52 @@ func checkGoCapture(pass *Pass, g *ast.GoStmt) {
 		}
 		return true
 	})
+}
+
+// checkAtomicPublish flags Store/Swap/CompareAndSwap of an owned value on a
+// sync/atomic.Pointer anywhere in fn.
+func checkAtomicPublish(pass *Pass, fn *ast.FuncDecl) {
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		switch sel.Sel.Name {
+		case "Store", "Swap", "CompareAndSwap":
+		default:
+			return true
+		}
+		recv, ok := pass.Info.Types[sel.X]
+		if !ok || !isAtomicPointer(recv.Type) {
+			return true
+		}
+		arg := call.Args[len(call.Args)-1]
+		if tv, ok := pass.Info.Types[arg]; ok && tv.Type != nil {
+			if name, owned := ownedTypeName(tv.Type); owned {
+				pass.Reportf(arg.Pos(),
+					"likelihood.%s published through an atomic pointer in %s; only the range executor offers a running pass to its helpers (Ctx.runPass), and takes it back before the call returns", name, fn.Name.Name)
+			}
+		}
+		return true
+	})
+}
+
+// isAtomicPointer reports whether t is sync/atomic.Pointer[T] or a pointer
+// to one.
+func isAtomicPointer(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	return obj.Name() == "Pointer" && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
 }
 
 // checkOwnedStore flags stores of owned values that widen who can reach

@@ -40,9 +40,19 @@ import (
 // full-tree recomputations; its bookkeeping is a handful of floats and must
 // stay that way, so the fragments include brent.
 //
+// The range executor (executor.go) sits between every kernel call and its
+// per-pattern loops: the caller's claim loop (runPass), the block dispatch
+// (runBlock), the wait for adopted blocks (await) and the resident helpers
+// (help, adopt, wakeHelper) run once per pass or per block of 512 patterns.
+// The fan-out it replaced allocated two slices and a closure and spawned a
+// goroutine per range on every call, so the fragments include
+// runpass/runblock/adopt/await/help and a go statement in a hot function is
+// reported too; the one place helpers are started is named for what it does
+// (spawn) and is called once per process.
+//
 // Inside functions whose name contains combine/newview/makenewz/evaluate/
-// fastexp/spr/nni/insertion/tile/sumtable/newton/observe/record/span/brent
-// (case-insensitive), the analyzer reports:
+// fastexp/spr/nni/insertion/tile/sumtable/newton/observe/record/span/brent/
+// runpass/runblock/adopt/await/help (case-insensitive), the analyzer reports:
 //
 //   - make(), append(), new() and slice/map composite literals inside any
 //     loop — preallocate scratch buffers on the Engine (kernels) or the
@@ -51,7 +61,8 @@ import (
 //     run once per Newton iteration or per pattern range, so their
 //     allocations are per-iteration too;
 //   - fmt.* calls inside loops (interface boxing and formatting);
-//   - math.Exp calls anywhere in the kernel.
+//   - math.Exp calls anywhere in the kernel;
+//   - go statements anywhere in the kernel.
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc:  "report per-pattern-loop allocations and raw math.Exp in the likelihood kernels, search rounds and obs hot-path helpers",
@@ -61,7 +72,7 @@ var HotPathAlloc = &Analyzer{
 	Run: runHotPathAlloc,
 }
 
-var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "brent"}
+var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "brent", "runpass", "runblock", "adopt", "await", "help"}
 
 func isHotFuncName(name string) bool {
 	lower := strings.ToLower(name)
@@ -104,6 +115,9 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 			// everything inside as per-invocation.
 			walkChildren(n, func(c ast.Node) { walk(c, false, true) })
 			return
+		case *ast.GoStmt:
+			pass.Reportf(n.Pos(),
+				"go statement in kernel %s spawns a goroutine per call; the range executor's resident helpers adopt per-pattern work", fn.Name.Name)
 		case *ast.CallExpr:
 			checkHotCall(pass, fn, n, inLoop, inClosure)
 		case *ast.CompositeLit:

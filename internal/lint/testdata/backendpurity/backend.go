@@ -1,8 +1,9 @@
 // Golden case for backendpurity, analyzed as raxmlcell/internal/likelihood:
 // a miniature of the Backend seam. Range methods run concurrently over
-// one shared Ctx (one pattern range per fan-out slot), so they may write
-// only operand-slice elements, Ctx scratch elements and slot tiles —
-// never the Engine, a Ctx field itself, or package state.
+// one shared Ctx (one pattern block per goroutine the range executor has on
+// the pass), so they may write only operand-slice elements, Ctx scratch
+// elements and the tile they are handed — never the Engine, a Ctx field
+// itself, or package state.
 package likelihood
 
 type Engine struct {
@@ -15,7 +16,7 @@ type tile struct{ buf []float64 }
 type Ctx struct {
 	eng       *Engine
 	sumTab    []float64
-	tiles     []tile
+	tile      tile
 	underflow uint64
 }
 
@@ -31,32 +32,31 @@ type goodBackend struct{}
 
 // initCtx is not a *Range method: sizing Ctx scratch before any kernel
 // runs is exactly what it is for, so its field writes are legal.
-func (goodBackend) initCtx(c *Ctx, slots int) {
-	c.tiles = make([]tile, slots)
+func (goodBackend) initCtx(c *Ctx) {
+	c.tile.buf = make([]float64, 4)
 	c.sumTab = make([]float64, len(c.eng.tbl))
 }
 
-func (goodBackend) combineRange(c *Ctx, op *combineOp, pr patRange, slot int) combineStats {
+func (goodBackend) combineRange(c *Ctx, op *combineOp, pr patRange, ts *tile) combineStats {
 	var st combineStats
-	t := &c.tiles[slot]
 	for pat := pr.lo; pat < pr.hi; pat++ {
-		t.buf[0] = c.eng.tbl[pat]          // slot tile write, engine read: legal
-		op.dst[pat] = t.buf[0] * 2         // operand element: legal
-		c.sumTab[pat] = op.dst[pat]        // Ctx scratch element: legal
-		c.tiles[slot].buf[0] = op.dst[pat] // slot tile through the Ctx path: legal
-		st.muls++                          // local part value: legal
+		ts.buf[0] = c.eng.tbl[pat]  // the goroutine's own tile, engine read: legal
+		op.dst[pat] = ts.buf[0] * 2 // operand element: legal
+		c.sumTab[pat] = op.dst[pat] // Ctx scratch element: legal
+		st.muls++                   // local part value: legal
 	}
 	return st
 }
 
 type badBackend struct{}
 
-func (badBackend) combineRange(c *Ctx, op *combineOp, pr patRange, slot int) combineStats {
+func (badBackend) combineRange(c *Ctx, op *combineOp, pr patRange, ts *tile) combineStats {
 	c.eng.total++                     // want `writes Engine state through field total in combineRange`
 	c.eng.tbl[0] = 1                  // want `writes Engine state through field tbl in combineRange`
 	c.sumTab = make([]float64, pr.hi) // want `writes Ctx field sumTab directly in combineRange`
 	c.underflow++                     // want `writes Ctx field underflow directly in combineRange`
 	globalHits++                      // want `writes package-level variable globalHits in combineRange`
+	c.tile.buf[0] = ts.buf[0]         // want `writes the Ctx's own tile in combineRange`
 	for pat := pr.lo; pat < pr.hi; pat++ {
 		op.dst[pat] = 1
 	}
@@ -66,7 +66,7 @@ func (badBackend) combineRange(c *Ctx, op *combineOp, pr patRange, slot int) com
 // newtonDerivRange launders its store through a helper: only the
 // package-local fixed point connects the call site to the write, which is
 // the multi-function case the analyzer exists for.
-func (badBackend) newtonDerivRange(c *Ctx, op *combineOp, pr patRange, slot int) combineStats {
+func (badBackend) newtonDerivRange(c *Ctx, op *combineOp, pr patRange, ts *tile) combineStats {
 	bumpUnderflow(c) // want `newtonDerivRange calls likelihood\.bumpUnderflow, which writes Ctx field underflow directly`
 	return combineStats{}
 }

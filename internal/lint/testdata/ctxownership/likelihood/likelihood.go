@@ -4,6 +4,8 @@
 // declaring package itself. Everything in this file must stay silent.
 package likelihood
 
+import "sync/atomic"
+
 type Engine struct {
 	ctx0    *Ctx
 	Scratch *Ctx // exported bait: foreign stores into it are flagged
@@ -45,5 +47,16 @@ func (p *Pool) Workers() int { return len(p.ctxs) }
 func (p *Pool) Run(fn func(w int)) {
 	for w := range p.ctxs {
 		fn(w)
+	}
+}
+
+// published is the range executor's slot: the one place a context is
+// reachable from goroutines that do not own it, for the length of a pass.
+var published atomic.Pointer[Ctx]
+
+// runPass is the sanctioned publication: offered, run, taken back.
+func (c *Ctx) runPass() {
+	if published.CompareAndSwap(nil, c) {
+		defer published.Store(nil)
 	}
 }

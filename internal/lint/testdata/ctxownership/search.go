@@ -5,7 +5,11 @@
 // legal home for per-worker state.
 package search
 
-import "raxmlcell/internal/likelihood"
+import (
+	"sync/atomic"
+
+	"raxmlcell/internal/likelihood"
+)
 
 var sharedCtx *likelihood.Ctx // want `package-level variable "sharedCtx" holds a likelihood\.Ctx`
 
@@ -46,3 +50,13 @@ func leakGoroutine(eng *likelihood.Engine) {
 }
 
 func consume(c *likelihood.Ctx) { _ = c }
+
+// leakAtomic offers a context to whoever loads the slot: only the range
+// executor does that, for the length of one pass.
+func leakAtomic(eng *likelihood.Engine) {
+	var slot atomic.Pointer[likelihood.Ctx]
+	ctx := eng.NewCtx()
+	slot.Store(ctx)               // want `likelihood\.Ctx published through an atomic pointer in leakAtomic`
+	slot.CompareAndSwap(nil, ctx) // want `likelihood\.Ctx published through an atomic pointer in leakAtomic`
+	slot.Store(nil)               // taking it back: legal
+}

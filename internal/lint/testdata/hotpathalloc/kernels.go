@@ -2,8 +2,9 @@
 // raxmlcell/internal/likelihood. Functions whose names contain
 // combine/newview/makenewz/evaluate/fastexp/tile/sumtable/newton are
 // kernels (the last three cover the compute-backend range methods and
-// their tile helpers); allocations in their loops or closures and raw
-// math.Exp calls are reported.
+// their tile helpers), and so are the range executor's runpass/runblock/
+// adopt/await/help; allocations in their loops or closures, raw math.Exp
+// calls and go statements are reported.
 package likelihood
 
 import (
@@ -89,4 +90,49 @@ func notAKernel(n int) []int {
 		out = append(out, i)
 	}
 	return out
+}
+
+// runPassFanOut mimics the per-call fan-out the range executor replaced: a
+// parts slice, a closure and a goroutine per range on every kernel call.
+func runPassFanOut(ranges [][2]int, run func(lo, hi int) float64) float64 {
+	parts := make([]float64, len(ranges)) // outside the loop: the allocation rule allows it
+	done := make(chan struct{})
+	for i, r := range ranges {
+		go func() { // want `go statement in kernel runPassFanOut spawns a goroutine per call`
+			parts[i] = run(r[0], r[1])
+			done <- struct{}{}
+		}()
+	}
+	s := 0.0
+	for range ranges {
+		<-done
+	}
+	for _, p := range parts {
+		s += p
+	}
+	return s
+}
+
+// adoptClaimLoop mimics the executor's claim loop: claiming through a
+// counter and filing parts in preallocated slots is clean, growing a slice
+// per claimed block is not.
+func adoptClaimLoop(next *int, nblk int, parts []float64) []int {
+	var claimed []int
+	for {
+		b := *next
+		*next++
+		if b >= nblk {
+			return claimed
+		}
+		parts[b] = float64(b)        // preallocated slot: allowed
+		claimed = append(claimed, b) // want `append inside a per-pattern loop`
+	}
+}
+
+// spawn is where resident helpers are started, once per process: not a hot
+// name, so its go statement is allowed.
+func spawn(n int, help func()) {
+	for i := 0; i < n; i++ {
+		go help()
+	}
 }

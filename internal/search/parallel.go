@@ -78,6 +78,8 @@ type searchCtx struct {
 
 	candidatesScored *obs.Counter
 	parallelRounds   *obs.Counter
+	rangeBlocks      *obs.Counter
+	rangeAdopted     *obs.Counter
 	sharedHits       *obs.Counter
 	epochGauge       *obs.Gauge
 	busyPeak         *obs.Gauge
@@ -92,6 +94,8 @@ func newSearchCtx(eng *likelihood.Engine, opt Options) *searchCtx {
 	if opt.Metrics != nil {
 		sc.candidatesScored = opt.Metrics.Counter("search.candidates_scored")
 		sc.parallelRounds = opt.Metrics.Counter("search.parallel_rounds")
+		sc.rangeBlocks = opt.Metrics.Counter("kernel.range_blocks")
+		sc.rangeAdopted = opt.Metrics.Counter("kernel.range_blocks_adopted")
 	}
 	if opt.Workers <= 1 {
 		sc.serialViews = eng.NewViews()
@@ -135,8 +139,15 @@ func (sc *searchCtx) close(eng *likelihood.Engine) {
 // publish to cache.shared_hits — every job of a campaign shares the registry,
 // so a search adds its own share and never stores a total — and republishes
 // the store's epoch and the pool's occupancy high-water mark, which are
-// last-writer gauges. Called at every round boundary and at close.
+// last-writer gauges, and the range executor's two block counters, which are
+// the process's and so the same whichever search stores them. Called at every
+// round boundary and at close.
 func (sc *searchCtx) publishCacheMetrics() {
+	if sc.rangeBlocks != nil {
+		run, adopted := likelihood.RangeBlocks()
+		sc.rangeBlocks.Store(run)
+		sc.rangeAdopted.Store(adopted)
+	}
 	if sc.sharedHits != nil {
 		hits := sc.shared.Hits()
 		sc.sharedHits.Add(hits - sc.sharedPublished)

@@ -3,9 +3,12 @@ package search
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"raxmlcell/internal/alignment"
 	"raxmlcell/internal/likelihood"
+	"raxmlcell/internal/model"
 	"raxmlcell/internal/obs"
 	"raxmlcell/internal/parsimony"
 	"raxmlcell/internal/phylotree"
@@ -65,6 +68,88 @@ func TestBestNNICandidateChain(t *testing.T) {
 	}
 }
 
+// TestResultBitsIndependentOfGOMAXPROCS is the executor's contract seen from
+// here: on a simulated 24 x 3 000 alignment (several blocks of patterns), for
+// both backends under Gamma and CAT, what Evaluate, MakeNewz, SmoothBranches
+// and OptimizeAlpha return, the branch lengths they leave and the whole Meter
+// have the same bits at GOMAXPROCS 1 — no helper, nothing published — and at
+// 4, above this host's CPU count so that helpers and caller really interleave.
+func TestResultBitsIndependentOfGOMAXPROCS(t *testing.T) {
+	rng := rand.New(rand.NewSource(2024))
+	gamma := seqsim.DefaultModel()
+	a, truth, err := seqsim.Generate(seqsim.Params{Taxa: 24, Sites: 3000, MeanBranch: 0.1, Alpha: 0.8}, gamma, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat := alignment.Compress(a)
+	fit, err := likelihood.NewEngine(pat, gamma, likelihood.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := FitCAT(fit, truth, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := parsimony.BuildStepwise(pat, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		vals  []float64
+		meter likelihood.Meter
+	}
+	run := func(procs int, backend string, mod *model.Model) outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		eng, err := likelihood.NewEngine(pat, mod, likelihood.Config{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := start.Clone()
+		var o outcome
+		keep := func(v float64, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.vals = append(o.vals, v)
+		}
+		keep(eng.Evaluate(tr.Tips[0]))
+		z, ll, err := eng.MakeNewz(tr.Edges()[7])
+		keep(z, err)
+		keep(ll, nil)
+		keep(SmoothBranches(eng, tr, 2, 0.01))
+		if !mod.IsCAT() {
+			alpha, ll, err := OptimizeAlpha(eng, tr, 0.02, 50, 1e-2)
+			keep(alpha, err)
+			keep(ll, nil)
+		}
+		keep(eng.Evaluate(tr.Tips[3]))
+		for _, e := range tr.Edges() {
+			o.vals = append(o.vals, e.Z)
+		}
+		o.meter = eng.Meter
+		return o
+	}
+	blocks0, _ := likelihood.RangeBlocks()
+	for _, backend := range likelihood.Backends() {
+		for name, mod := range map[string]*model.Model{"gamma": gamma, "cat": cat} {
+			one, four := run(1, backend, mod), run(4, backend, mod)
+			for i := range one.vals {
+				if math.Float64bits(one.vals[i]) != math.Float64bits(four.vals[i]) {
+					t.Errorf("%s/%s: value %d of %d is %.17g at GOMAXPROCS 1, %.17g at 4", backend, name, i, len(one.vals), one.vals[i], four.vals[i])
+					break
+				}
+			}
+			if one.meter != four.meter {
+				t.Errorf("%s/%s: meters differ:\n 1: %s\n 4: %s", backend, name, one.meter.String(), four.meter.String())
+			}
+		}
+	}
+	if blocks, _ := likelihood.RangeBlocks(); blocks == blocks0 {
+		t.Errorf("%d patterns ran no block through the range executor", pat.NumPatterns())
+	}
+}
+
 // runSPR42SC runs the full SPR search on the 42_SC fixture with the given
 // worker count, starting from the same parsimony tree every time.
 func runSPR42SC(t *testing.T, workers int, reg *obs.Registry) (*Result, likelihood.Meter) {
@@ -106,8 +191,14 @@ func TestParallelSPRCrossValidation42SC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full SPR search on 42 taxa, twice")
 	}
+	blocks0, _ := likelihood.RangeBlocks()
 	serial, mtSerial := runSPR42SC(t, 1, nil)
 	pooled, mtPooled := runSPR42SC(t, 4, nil)
+	// 42_SC is one block of patterns: neither search offers the range
+	// executor anything, so none of its helpers is started on its account.
+	if blocks, _ := likelihood.RangeBlocks(); blocks != blocks0 {
+		t.Errorf("the 42_SC searches ran %d pattern blocks through the range executor, want 0", blocks-blocks0)
+	}
 
 	if math.Abs(serial.LogL-pooled.LogL) > 1e-9*math.Max(1, math.Abs(serial.LogL)) {
 		t.Errorf("pooled logL %.12f != serial %.12f", pooled.LogL, serial.LogL)
@@ -353,6 +444,15 @@ func TestSearchMetricsPublished(t *testing.T) {
 	}
 	if v, ok := snap.GaugeValue("cache.epoch"); !ok || v < 1 {
 		t.Errorf("cache.epoch = %g (present %v), want >= 1", v, ok)
+	}
+	// The range executor's counters are the process's, whatever engine ran
+	// the blocks; no later pass has run since the last search stored them.
+	run, adopted := likelihood.RangeBlocks()
+	if n, ok := snap.CounterValue("kernel.range_blocks"); !ok || n != run {
+		t.Errorf("kernel.range_blocks = %d (present %v), want %d", n, ok, run)
+	}
+	if n, ok := snap.CounterValue("kernel.range_blocks_adopted"); !ok || n != adopted {
+		t.Errorf("kernel.range_blocks_adopted = %d (present %v), want %d", n, ok, adopted)
 	}
 }
 

@@ -39,17 +39,19 @@ type Options struct {
 	// concurrently on a pool of Workers kernel contexts. The chosen moves,
 	// final topology, log-likelihood and kernel call counts are identical to
 	// the serial search (see DESIGN.md "Parallelism layers" and "Cache × pool
-	// composition"); <= 1 runs fully serial. Orthogonal to
-	// likelihood.Config.Threads, which splits the per-pattern loops
-	// *inside* one kernel call — total concurrency ≈ Workers × Threads.
+	// composition"); <= 1 runs fully serial. Orthogonal to the likelihood
+	// package's range executor, which lends the pattern blocks *inside* one
+	// kernel call to CPUs the workers leave idle and adds no concurrency of
+	// its own while they are busy.
 	Workers int
 
 	// Metrics, when non-nil, receives the live search series: the
 	// search.candidates_scored / search.parallel_rounds counters, the
 	// search.pool_workers / search.pool_busy / search.pool_busy_peak
-	// occupancy gauges, the search.round_ms latency histogram, and — for a
-	// pooled search — the shared vector store's cache.shared_hits counter
-	// and cache.epoch gauge.
+	// occupancy gauges, the kernel.range_blocks / kernel.range_blocks_adopted
+	// counters of the range executor, the search.round_ms latency histogram,
+	// and — for a pooled search — the shared vector store's
+	// cache.shared_hits counter and cache.epoch gauge.
 	Metrics *obs.Registry
 
 	// Trace is the wall-clock span context this search records into
