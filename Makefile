@@ -20,30 +20,35 @@ bench:
 
 # backend-gate is the local mirror of the CI compute-backend gate: every
 # registered likelihood backend must reproduce the scalar reference on the
-# 42_SC search (same accepted moves, logL within 1e-9), the per-kernel
-# equivalence suite — the two Newton passes, the step, the stop rule against
-# the parent's and the solve's entry-point safeguard included — the
-# epoch-cache fuzz seeds (lazy-SPR scoring through both view tables against a
-# fresh engine) and the absolute kernel-cost bounds must pass under the race
+# 42_SC search (same accepted moves, logL within 1e-9), random-start searches
+# that solve only the short list of each prune must end no lower than their
+# exhaustive twins (serial, so not under the race detector, where it takes
+# three minutes), the per-kernel equivalence suite — the two Newton passes,
+# the step, the stop rule against the parent's, the solve's entry-point
+# safeguard and the prescore against combine-then-evaluate included — the
+# epoch-cache fuzz seeds (lazy-SPR scoring, both stages, through both view
+# tables against a fresh engine), the absolute kernel-cost bounds and the
+# short list's independence of the worker count must pass under the race
 # detector, and traced 5-s runs hold the exact, host-independent call counts
 # of the serial workloads (needs jq) — wide24 twice, with the range executor's
 # helper and under GOMAXPROCS=1 without it, requiring the same counts, Newton
-# iterations and flops. Last, `raxml` on a 24 x 4 000 alignment (five blocks of
+# iterations and flops; search20-serial within 10 % of its measured 6 404
+# newviews, 970 solves and 3 084 Newton iterations. Last, `raxml` on a 24 x 4 000 alignment (five blocks of
 # patterns) must write byte-identical stdout and tree at GOMAXPROCS 1 and 2.
 # The fuzz session that hunts for alignment shapes where a backend diverges is
 # part of `make fuzz`.
 backend-gate:
 	@mkdir -p $(BIN)
-	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC' ./internal/search
-	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|TestParallel|TestExecutor|TestHelpers|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
-	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestCandidateCost42SC|TestOptimizeAlphaCost42SC|TestBrentMax|TestResultBitsIndependentOfGOMAXPROCS' ./internal/search
+	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC|TestShortListNoWorseThanExhaustive' ./internal/search
+	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|TestParallel|TestExecutor|TestHelpers|TestPrescoreMatchesCombineThenEvaluate|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
+	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestCandidateCost42SC|TestOptimizeAlphaCost42SC|TestBrentMax|TestResultBitsIndependentOfGOMAXPROCS|TestShortListTieBreak|TestShortListIndependentOfWorkers42SC' ./internal/search
 	$(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 | tee $(BIN)/wide24.json | jq -e \
 		'.failed == 0 and .metrics["likelihood.evaluate_calls"].value <= 12 and .metrics["likelihood.makenewz_calls"].value == 180 and .metrics["likelihood.newview_calls"].value == 506 and .metrics["likelihood.newton_iters"].value == 550'
 	GOMAXPROCS=1 $(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 > $(BIN)/wide24-serial.json
 	jq -e -n --slurpfile a $(BIN)/wide24.json --slurpfile b $(BIN)/wide24-serial.json \
 		'def counts: [.failed, (.metrics | [."likelihood.newview_calls", ."likelihood.makenewz_calls", ."likelihood.evaluate_calls", ."likelihood.newton_iters", ."likelihood.flops"] | map(.value))]; ($$a[0] | counts) == ($$b[0] | counts)'
 	$(GO) run ./benchmark --workload search20-serial --seed 1 --seconds 5 --trace 1 | tail -n 1 | jq -e \
-		'.failed == 0 and .metrics["likelihood.newview_calls"].value <= 5800 and .metrics["likelihood.newton_iters"].value <= 12000'
+		'.failed == 0 and .metrics["likelihood.newview_calls"].value <= 7044 and .metrics["likelihood.makenewz_calls"].value <= 1067 and .metrics["likelihood.newton_iters"].value <= 3392'
 	$(GO) build -o $(BIN)/raxml ./cmd/raxml
 	$(GO) run ./cmd/seqgen -seed 4252 -taxa 24 -sites 4000 -mean-branch 0.1 -invariant 0.1 -out $(BIN)/wide.phy
 	for p in 1 2; do GOMAXPROCS=$$p $(BIN)/raxml -in $(BIN)/wide.phy -inferences 1 -bootstraps 0 -seed 3 -rounds 2 -radius 3 \

@@ -46,13 +46,15 @@ type Backend interface {
 	// combineRange executes the newview inner loop for patterns
 	// [pr.lo, pr.hi): child-side projections through the transition
 	// matrices prepared in c.pLeft/c.pRight (tip children via the
-	// c.tipPL/c.tipPR tables), their elementwise product into op.dst, and
-	// the 2^-256 scaling check per pattern.
+	// c.tipPL/c.tipPR tables), their elementwise product into op.dst
+	// (whose first pattern is op.dstLo), and the 2^-256 scaling check per
+	// pattern.
 	combineRange(c *Ctx, op *combineOp, pr patRange, ts *tileScratch) combineStats
 
 	// evaluateRange executes the evaluate inner loop for patterns
 	// [pr.lo, pr.hi): the q-side projection through c.pLeft (tips via
-	// c.tipPR), the frequency-weighted dot product against op.pLv, the
+	// c.tipPR) unless op.qProj already holds it, the frequency-weighted dot
+	// product against op.pLv (whose first pattern is op.pLo), the
 	// per-pattern log with scaling counters folded back, and the weighted
 	// log-likelihood sum of the range.
 	evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileScratch) evalPart
@@ -102,21 +104,29 @@ func (s *combineStats) add(o combineStats) {
 // carry their pattern codes in qData/rData (and nil vectors); inner
 // children carry their vector and scale slices. The transition matrices and
 // tip-projection tables for the call are already prepared on the Ctx.
+// dst and dstScale begin at pattern dstLo: 0 for a whole vector, the block's
+// first pattern when a prescore block combines into its own scratch.
 type combineOp struct {
 	qData, rData []byte    // tip pattern codes (nil for inner children)
 	qLv, rLv     []float64 // inner-child partial vectors (nil for tips)
 	qSc, rSc     []int32   // inner-child scale counters (nil for tips)
 	dst          []float64
 	dstScale     []int32
+	dstLo        int
 }
 
 // evalOp is the operand set of one evaluate call across a branch (p, q):
 // the p-side is always an inner vector, the q-side a tip (qData) or inner
-// vector (qLv/qScale). perSite, when non-nil, receives the per-pattern
-// logs.
+// vector (qLv/qScale) for the kernel to carry across the branch — or, when
+// qProj is set, a q-side that already has been (Views.CarryAcross), laid out
+// like a vector, with qScale its scale counts. pLv and pScale begin at
+// pattern pLo, like combineOp's dst. perSite, when non-nil, receives the
+// per-pattern logs.
 type evalOp struct {
+	qProj   []float64
 	pLv     []float64
 	pScale  []int32
+	pLo     int
 	qData   []byte
 	qLv     []float64
 	qScale  []int32

@@ -15,6 +15,24 @@ const batchTile = 32
 type tileScratch struct {
 	a, b      []float64 // projection tiles, laid out like lv: [t*ncat*ns + cat*ns + i]
 	s, s1, s2 []float64 // per-pattern accumulators (site likelihood / Newton L, L', L'')
+
+	// A prescore block's virtual insertion node, laid out like lv from the
+	// block's first pattern, and the ops that point the two kernels at it
+	// (here, not on the stack: their address crosses the Backend interface).
+	x    []float64
+	xsc  []int32
+	comb combineOp
+	eval evalOp
+}
+
+// fitX sizes x for a block of n patterns of ncat stored categories.
+func (ts *tileScratch) fitX(n, ncat int) {
+	if len(ts.x) < n*ncat*ns {
+		ts.x = make([]float64, n*ncat*ns)
+	}
+	if len(ts.xsc) < n {
+		ts.xsc = make([]int32, n)
+	}
 }
 
 // fit sizes the tile for engines of ncat stored categories; it allocates
@@ -98,6 +116,7 @@ func (b batchedBackend) combineRange(c *Ctx, op *combineOp, pr patRange, ts *til
 	}
 	ncat := e.ncat
 	stride := ncat * ns
+	dst, dstScale, dstLo := op.dst, op.dstScale, op.dstLo
 
 	var st combineStats
 	for lo := pr.lo; lo < pr.hi; lo += batchTile {
@@ -124,7 +143,7 @@ func (b batchedBackend) combineRange(c *Ctx, op *combineOp, pr patRange, ts *til
 			to := (pat - lo) * stride
 			ta := ts.a[to : to+stride]
 			tb := ts.b[to : to+stride]
-			d := op.dst[pat*stride : pat*stride+stride]
+			d := dst[(pat-dstLo)*stride : (pat-dstLo)*stride+stride]
 			for k := 0; k < stride; k++ {
 				d[k] = ta[k] * tb[k]
 			}
@@ -146,7 +165,7 @@ func (b batchedBackend) combineRange(c *Ctx, op *combineOp, pr patRange, ts *til
 				sc++
 				st.scaleEvents++
 			}
-			op.dstScale[pat] = sc
+			dstScale[pat-dstLo] = sc
 		}
 		st.bigIters += n
 	}
@@ -162,6 +181,7 @@ func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileS
 	stride := ncat * ns
 	freqs := &e.Mod.GTR.Freqs
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
+	pLv, pScale, pLo := op.pLv, op.pScale, op.pLo
 
 	var out evalPart
 	for lo := pr.lo; lo < pr.hi; lo += batchTile {
@@ -170,7 +190,10 @@ func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileS
 			hi = pr.hi
 		}
 		n := hi - lo
-		if op.qData != nil {
+		a, aLo := ts.a, lo
+		if op.qProj != nil {
+			a, aLo = op.qProj, 0
+		} else if op.qData != nil {
 			projectTipTile(c.tipPR, op.qData, ts.a, lo, hi, ncat)
 		} else {
 			projectInnerTile(c.pLeft, op.qLv, ts.a, lo, hi, ncat)
@@ -188,8 +211,8 @@ func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileS
 		for cat := 0; cat < ncat; cat++ {
 			co := cat * ns
 			for pat := lo; pat < hi; pat++ {
-				x := op.pLv[pat*stride+co : pat*stride+co+ns]
-				a := ts.a[(pat-lo)*stride+co : (pat-lo)*stride+co+ns]
+				x := pLv[(pat-pLo)*stride+co : (pat-pLo)*stride+co+ns]
+				a := a[(pat-aLo)*stride+co : (pat-aLo)*stride+co+ns]
 				v := s[pat-lo]
 				v += f0 * x[0] * a[0]
 				v += f1 * x[1] * a[1]
@@ -204,7 +227,7 @@ func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileS
 		for pat := lo; pat < hi; pat++ {
 			site := s[pat-lo] * e.invCats
 			out.st.muls++
-			sc := op.pScale[pat]
+			sc := pScale[pat-pLo]
 			if op.qScale != nil {
 				sc += op.qScale[pat]
 			}

@@ -22,11 +22,12 @@ func (scalarBackend) combineRange(c *Ctx, op *combineOp, pr patRange, _ *tileScr
 	qData, rData := op.qData, op.rData
 	qLv, rLv := op.qLv, op.rLv
 	qSc, rSc := op.qSc, op.rSc
-	dst, dstScale := op.dst, op.dstScale
+	dst, dstScale, dstLo := op.dst, op.dstScale, op.dstLo
 
 	var st combineStats
 	for pat := pr.lo; pat < pr.hi; pat++ {
 		base := pat * ncat * ns
+		dbase := (pat - dstLo) * ncat * ns
 		for cat := 0; cat < ncat; cat++ {
 			mi := e.matIdx(pat, cat)
 			var left, right [ns]float64
@@ -55,7 +56,7 @@ func (scalarBackend) combineRange(c *Ctx, op *combineOp, pr patRange, _ *tileScr
 				st.adds += ns * (ns - 1)
 			}
 			for i := 0; i < ns; i++ {
-				dst[base+cat*ns+i] = left[i] * right[i]
+				dst[dbase+cat*ns+i] = left[i] * right[i]
 			}
 			st.muls += ns
 		}
@@ -69,15 +70,15 @@ func (scalarBackend) combineRange(c *Ctx, op *combineOp, pr patRange, _ *tileScr
 			sc += rSc[pat]
 		}
 		st.scaleChecks++
-		if e.needsScalingPure(dst[base : base+ncat*ns]) {
-			for k := base; k < base+ncat*ns; k++ {
+		if e.needsScalingPure(dst[dbase : dbase+ncat*ns]) {
+			for k := dbase; k < dbase+ncat*ns; k++ {
 				dst[k] *= TwoTo256
 			}
 			st.muls += uint64(ncat * ns)
 			sc++
 			st.scaleEvents++
 		}
-		dstScale[pat] = sc
+		dstScale[pat-dstLo] = sc
 	}
 	return st
 }
@@ -86,19 +87,22 @@ func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ *tileScrat
 	e := c.eng
 	ncat := e.ncat
 	freqs := &e.Mod.GTR.Freqs
-	pLv, pScale := op.pLv, op.pScale
+	pLv, pScale, pLo := op.pLv, op.pScale, op.pLo
 	qData, qLv, qScale := op.qData, op.qLv, op.qScale
-	perSite := op.perSite
+	perSite, qProj := op.perSite, op.qProj
 
 	var out evalPart
 	for pat := pr.lo; pat < pr.hi; pat++ {
 		base := pat * ncat * ns
+		pbase := (pat - pLo) * ncat * ns
 		site := 0.0
 		for cat := 0; cat < ncat; cat++ {
 			mi := e.matIdx(pat, cat)
-			x := pLv[base+cat*ns:]
+			x := pLv[pbase+cat*ns:]
 			var proj [ns]float64
-			if qData != nil {
+			if qProj != nil {
+				copy(proj[:], qProj[base+cat*ns:][:ns])
+			} else if qData != nil {
 				code := qData[pat] & 0x0f
 				copy(proj[:], c.tipPR[mi*16*ns+int(code)*ns:][:ns])
 			} else {
@@ -118,7 +122,7 @@ func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ *tileScrat
 		}
 		site *= e.invCats
 		out.st.muls++
-		sc := pScale[pat]
+		sc := pScale[pat-pLo]
 		if qScale != nil {
 			sc += qScale[pat]
 		}

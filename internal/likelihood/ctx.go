@@ -287,8 +287,14 @@ func (c *Ctx) evaluateKernel(p *phylotree.Node, perSite []float64) (float64, err
 
 	c.evalOp = evalOp{pLv: pLv, pScale: pScale, qData: qData, qLv: qLv, qScale: qScale, perSite: perSite}
 	c.runPass(passEvaluate)
+	return c.foldEval(), nil
+}
+
+// foldEval sums the evaluate parts the finished pass left, in block order,
+// books their operation counts and returns the log-likelihood.
+func (c *Ctx) foldEval() float64 {
 	total := c.parts[0].eval
-	for b := 1; b < e.nblk; b++ {
+	for b := 1; b < c.eng.nblk; b++ {
 		p := &c.parts[b].eval
 		total.sum += p.sum
 		total.st.add(p.st)
@@ -298,5 +304,5 @@ func (c *Ctx) evaluateKernel(p *phylotree.Node, perSite []float64) (float64, err
 	c.meter.Adds += total.st.adds
 	c.meter.Logs += total.st.bigIters
 	*c.underflow += total.underflow
-	return total.sum, nil
+	return total.sum
 }

@@ -81,6 +81,10 @@ const (
 	passSumTable
 	passNewtonDeriv
 	passNewtonValue
+	// passPrescore is a combine and an evaluate of its result in one pass:
+	// operands in both op blocks, the combined block in the running
+	// goroutine's scratch (Views.Prescore).
+	passPrescore
 )
 
 // blockPart is what one block of a pass leaves for the caller: the part
@@ -164,6 +168,16 @@ func (c *Ctx) runBlock(kind passKind, b int, ts *tileScratch) {
 		part.deriv = bk.newtonDerivRange(c, &c.newtOp, pr, ts)
 	case passNewtonValue:
 		part.value = bk.newtonValueRange(c, &c.newtOp, pr, ts)
+	case passPrescore:
+		// The ops are this goroutine's copies: the context's are shared by
+		// every block of the pass, and each block combines into its own x.
+		ts.fitX(pr.hi-pr.lo, e.ncat)
+		ts.comb, ts.eval = c.combOp, c.evalOp
+		ts.comb.dst, ts.comb.dstScale, ts.comb.dstLo = ts.x, ts.xsc, pr.lo
+		ts.eval.pLv, ts.eval.pScale, ts.eval.pLo = ts.x, ts.xsc, pr.lo
+		part.comb = bk.combineRange(c, &ts.comb, pr, ts)
+		part.eval = bk.evaluateRange(c, &ts.eval, pr, ts)
+		ts.comb, ts.eval = combineOp{}, evalOp{} // a helper's tile must not pin the engine's vectors
 	}
 }
 

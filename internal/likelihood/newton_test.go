@@ -179,8 +179,10 @@ var solveStarts = []float64{phylotree.MinBranchLength, 1e-6, 1e-3, 0.05, 0.4, 3,
 // trees, models, layouts and branches — starts on both clamps, near zero,
 // saturated, and outside the concave region — MakeNewz and
 // Views.InsertionScore never return a point whose log-likelihood is below
-// the entry point's by more than 1e-9·|logL|, and the log-likelihood
-// MakeNewz reports is the tree's at the length it stored.
+// the entry point's by more than 1e-9·|logL|, the log-likelihood
+// MakeNewz reports is the tree's at the length it stored, and a solved
+// candidate scores no lower than its own prescore, which is the entry point
+// valued by evaluate instead of from the sum table.
 func TestNewtonSolveNeverBelowEntry(t *testing.T) {
 	var solves, nonConcave, endMin, endMax int
 	for trial := 0; trial < 24; trial++ {
@@ -266,16 +268,27 @@ func TestNewtonSolveNeverBelowEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		views := eng.NewViews()
+		var across Across
 		for _, cand := range tr.Edges() {
 			if cand.Back == nil {
 				continue
 			}
 			z0 := solveStarts[rng.Intn(len(solveStarts))]
+			if err := views.CarryAcross(&across, ps.P, z0); err != nil {
+				t.Fatal(err)
+			}
+			pre, err := views.Prescore(cand, &across)
+			if err != nil {
+				t.Fatal(err)
+			}
 			z, ll, err := views.InsertionScore(cand, ps.P, z0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			solves++
+			if ll < pre-1e-9*math.Abs(ll) {
+				t.Errorf("trial %d: InsertionScore from z0=%g returned z=%g logL %.10f, below the candidate's prescore %.10f", trial, z0, z, ll, pre)
+			}
 			entry, got := c.newtonValue(z0), c.newtonValue(z)
 			if got < entry-1e-9*math.Abs(ll) || math.IsNaN(ll) {
 				t.Errorf("trial %d: InsertionScore from z0=%g returned z=%g logL %.10f, %.3g below the entry point", trial, z0, z, ll, entry-got)

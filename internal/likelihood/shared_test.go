@@ -317,8 +317,8 @@ func TestPoolSharedCacheAcrossInvalidations(t *testing.T) {
 // lazyScoreAudit does what the search does to one prune candidate — prune p
 // through the tree's hooks, orient the engine's slots toward the prune
 // point, score every insertion edge within radius 3 — through a private and
-// a shared-backed Views, and requires every score to be bit-identical to the
-// one a fresh engine (nothing cached, nothing to read through) computes for
+// a shared-backed Views, and requires every prescore and every solved score
+// to be bit-identical to the one a fresh engine (nothing cached, nothing to read through) computes for
 // the same candidate of the same prune on a clone of the tree. It returns the
 // pruned subtree with the candidates and the index and branch length of the
 // best one, for the caller to undo or accept.
@@ -360,13 +360,32 @@ func lazyScoreAudit(t *testing.T, stage string, eng *Engine, sv *Views, tr *phyl
 	}
 	pv, fv := eng.NewViews(), fresh.NewViews()
 	z0, bestLL := ps.P.Z, math.Inf(-1)
+	var across, freshAcross Across
+	if err := pv.CarryAcross(&across, ps.P, z0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fv.CarryAcross(&freshAcross, cps.P, z0); err != nil {
+		t.Fatal(err)
+	}
 	best = -1
 	for i, cand := range cands {
+		wantPre, err := fv.Prescore(ccands[i], &freshAcross)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wantZ, wantLL, err := fv.InsertionScore(ccands[i], cps.P, z0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for k, v := range [...]*Views{pv, sv} {
+			pre, err := v.Prescore(cand, &across)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pre != wantPre {
+				t.Fatalf("%s: candidate %d through the %s Views prescores %.17g, fresh engine %.17g",
+					stage, i, [...]string{"private", "shared-backed"}[k], pre, wantPre)
+			}
 			z, ll, err := v.InsertionScore(cand, ps.P, z0)
 			if err != nil {
 				t.Fatal(err)

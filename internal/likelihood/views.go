@@ -163,6 +163,23 @@ func (c *Ctx) combine(q *phylotree.Node, zq float64, qLv []float64, qSc []int32,
 	if timed {
 		t0 = e.know()
 	}
+	c.prepareCombine(q, zq, qLv, qSc, r, zr, rLv, rSc)
+	c.combOp.dst, c.combOp.dstScale = dst, dstScale
+	c.runPass(passCombine)
+	c.foldCombine()
+	if timed {
+		e.kobs.ObserveKernel(OpNewview, e.know()-t0)
+	}
+}
+
+// prepareCombine is what a newview does before its per-pattern pass: it
+// counts the call, builds the two children's transition matrices and tip
+// projections and files the children in c.combOp; the destination is the
+// caller's to set.
+func (c *Ctx) prepareCombine(q *phylotree.Node, zq float64, qLv []float64, qSc []int32,
+	r *phylotree.Node, zr float64, rLv []float64, rSc []int32) {
+
+	e := c.eng
 	c.meter.NewviewCalls++
 	c.transitionMatrices(zq, c.pLeft)
 	//lint:ignore floatcmp bit-exact check: the same length gives the same matrices (the two halves of a lazy-SPR insertion branch always do)
@@ -181,23 +198,23 @@ func (c *Ctx) combine(q *phylotree.Node, zq float64, qLv []float64, qSc []int32,
 	default:
 		c.meter.InnerInnerCalls++
 	}
-	if qTip {
-		c.tipProjection(c.pLeft, c.tipPL)
-	}
-	if rTip {
-		c.tipProjection(c.pRight, c.tipPR)
-	}
 	var qData, rData []byte
 	if qTip {
+		c.tipProjection(c.pLeft, c.tipPL)
 		qData = e.Pat.Data[q.Index]
 	}
 	if rTip {
+		c.tipProjection(c.pRight, c.tipPR)
 		rData = e.Pat.Data[r.Index]
 	}
+	c.combOp = combineOp{qData: qData, rData: rData, qLv: qLv, rLv: rLv, qSc: qSc, rSc: rSc}
+}
 
-	ncat := e.ncat
-	c.combOp = combineOp{qData: qData, rData: rData, qLv: qLv, rLv: rLv, qSc: qSc, rSc: rSc, dst: dst, dstScale: dstScale}
-	c.runPass(passCombine)
+// foldCombine books what the combine parts of the finished pass counted, in
+// block order, and the vectors the call streamed: the destination and every
+// inner child.
+func (c *Ctx) foldCombine() {
+	e := c.eng
 	total := c.parts[0].comb
 	for b := 1; b < e.nblk; b++ {
 		total.add(c.parts[b].comb)
@@ -207,18 +224,121 @@ func (c *Ctx) combine(q *phylotree.Node, zq float64, qLv []float64, qSc []int32,
 	c.meter.BigLoopIters += total.bigIters
 	c.meter.ScaleChecks += total.scaleChecks
 	c.meter.ScaleEvents += total.scaleEvents
-	bytesPerVec := uint64(e.npat * ncat * ns * 8)
 	n := uint64(1)
-	if !qTip {
+	if c.combOp.qLv != nil {
 		n++
 	}
-	if !rTip {
+	if c.combOp.rLv != nil {
 		n++
 	}
-	c.meter.BytesStreamed += n * bytesPerVec
+	c.meter.BytesStreamed += n * uint64(e.npat*e.ncat*ns*8)
+}
+
+// Across is the pruned subtree's side of every prescore of one prune: the
+// subtree's vector carried across its own branch at the entry length,
+// P(z0)·s, which is the same whichever edge the subtree is tried in.
+// Views.CarryAcross fills it once per prune, on one context; until the next
+// edit of the tree it is read-only, and any number of contexts may prescore
+// against it. The zero value is ready to fill and keeps its buffer.
+type Across struct {
+	proj []float64 // laid out like a vector
+	sc   []int32   // the subtree vector's scale counts; nil for a tip
+}
+
+// CarryAcross fills a with the vector of the subtree behind sub.Back carried
+// across a branch of length z0: what evaluate's q-side projection would
+// compute for every candidate of the prune, bit for bit, once — which is why
+// it is a plain loop and not a pass of the executor: one projection per prune
+// beside three per candidate. sub is the detached ring record of the pruned
+// subtree, as for InsertionScore.
+func (v *Views) CarryAcross(a *Across, sub *phylotree.Node, z0 float64) error {
+	s := sub.Back
+	if s == nil {
+		return fmt.Errorf("likelihood: pruned subtree has no root")
+	}
+	// Viewed through the subtree root record s, whose children live inside
+	// the pruned subtree.
+	sLv, sSc, err := v.Vector(s)
+	if err != nil {
+		return err
+	}
+	c := v.ctx
+	e := c.eng
+	if a.proj == nil {
+		a.proj = make([]float64, e.npat*e.ncat*ns)
+	}
+	a.sc = sSc
+	c.transitionMatrices(z0, c.pLeft)
+	var sData []byte
+	if s.IsTip() {
+		sData = e.Pat.Data[s.Index]
+		c.tipProjection(c.pLeft, c.tipPL)
+	}
+	for pat := 0; pat < e.npat; pat++ {
+		base := pat * e.ncat * ns
+		for cat := 0; cat < e.ncat; cat++ {
+			mi := e.matIdx(pat, cat)
+			o := a.proj[base+cat*ns : base+cat*ns+ns]
+			if sData != nil {
+				copy(o, c.tipPL[mi*16*ns+int(sData[pat]&0x0f)*ns:][:ns])
+				continue
+			}
+			pc := c.pLeft[mi*ns*ns:]
+			y := sLv[base+cat*ns:]
+			for i := 0; i < ns; i++ {
+				o[i] = pc[i*ns]*y[0] + pc[i*ns+1]*y[1] + pc[i*ns+2]*y[2] + pc[i*ns+3]*y[3]
+			}
+		}
+	}
+	if sData == nil {
+		c.meter.Muls += uint64(e.npat * e.ncat * ns * ns)
+		c.meter.Adds += uint64(e.npat * e.ncat * ns * (ns - 1))
+	}
+	return nil
+}
+
+// Prescore is stage one of lazy SPR, RAxML's fast insertion: the
+// log-likelihood of regrafting the pruned subtree into the branch (cand,
+// cand.Back) with nothing optimised — the virtual insertion node over the
+// two branch halves, and an evaluate across the subtree's branch at its
+// entry length, whose far side is across. It is one per-pattern pass: each
+// block combines the node into a block-sized scratch and evaluates on it, so
+// the node's vector is never stored whole, and no sum table, exponential
+// block or derivative pass is built. The bits are those of the combine
+// followed by an evaluate of the regrafted tree. It counts as the newview
+// and the evaluate it computes and is timed as one OpNewview call. The tree
+// and concurrency are as for InsertionScore, which solves the candidates
+// this ranks highest.
+func (v *Views) Prescore(cand *phylotree.Node, across *Across) (logL float64, err error) {
+	if cand.Back == nil {
+		return 0, fmt.Errorf("likelihood: candidate edge is detached")
+	}
+	aLv, aSc, err := v.Vector(cand)
+	if err != nil {
+		return 0, err
+	}
+	bLv, bSc, err := v.Vector(cand.Back)
+	if err != nil {
+		return 0, err
+	}
+	c := v.ctx
+	e := c.eng
+	var t0 time.Duration
+	timed := e.kobs != nil
+	if timed {
+		t0 = e.know()
+	}
+	half := cand.Z / 2
+	c.prepareCombine(cand, half, aLv, aSc, cand.Back, half, bLv, bSc)
+	c.meter.EvaluateCalls++
+	c.evalOp = evalOp{qProj: across.proj, qScale: across.sc}
+	c.runPass(passPrescore)
+	c.foldCombine()
+	logL = c.foldEval()
 	if timed {
 		e.kobs.ObserveKernel(OpNewview, e.know()-t0)
 	}
+	return logL, nil
 }
 
 // InsertionScore evaluates the lazy-SPR score of regrafting a pruned

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"raxmlcell/internal/likelihood"
+	"raxmlcell/internal/obs"
 	"raxmlcell/internal/parsimony"
 	"raxmlcell/internal/phylotree"
 	"raxmlcell/internal/seqsim"
@@ -165,9 +166,10 @@ func TestOptimizeAlphaCost42SC(t *testing.T) {
 // candidate, over one SPR round of the smoothed 42_SC tree with the default
 // radius and an acceptance threshold nothing can reach, so that every kernel
 // call of the round is scoring: prune, orient the slots, one vector facing
-// away from the prune point per new candidate edge, the combine of the
-// virtual insertion node, one Newton solve, undo. Both bounds are the
-// measured value plus 10 %.
+// away from the prune point per new candidate edge, the prescore of every
+// candidate, the insertion node and a Newton solve for the short list, undo.
+// Candidates are counted where they are scored; the bounds on newviews are
+// the measured value plus 10 %.
 func TestCandidateCost42SC(t *testing.T) {
 	pat := load42SC(t)
 	tr, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(7)))
@@ -183,29 +185,43 @@ func TestCandidateCost42SC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := newSearchCtx(eng, Options{})
+	reg := obs.NewRegistry()
+	sc := newSearchCtx(eng, Options{Metrics: reg})
 	defer sc.close(eng)
 	before := eng.Meter
 	if _, moves, err := sprRound(eng, tr, sc, DefaultOptions().Radius, ll, math.Inf(1)); err != nil || moves != 0 {
 		t.Fatalf("scoring-only round: %d moves, err %v", moves, err)
 	}
 	m := &eng.Meter
-	cands := m.MakenewzCalls - before.MakenewzCalls // one solve per scored candidate, and nothing else solves
-	newviews := float64(m.NewviewCalls-before.NewviewCalls) / float64(cands)
-	iters := float64(m.NewtonIters-before.NewtonIters) / float64(cands)
-	t.Logf("%d candidates: %.3f newviews and %.3f Newton iterations per candidate", cands, newviews, iters)
-
-	// Measured 2.034: the combine of the insertion node is one, the vector
-	// facing away from the prune point at the candidate's edge the other (each
-	// computed once and shared with the candidates beyond it), re-orienting
-	// the slots after each prune the rest. 3.834 when a private table per
-	// prune recomputed every vector it touched.
-	if newviews > 2.237 {
-		t.Errorf("%.3f newviews per scored candidate, want <= 2.237 (measured 2.034)", newviews)
+	cands := float64(reg.Counter("search.candidates_scored").Value())
+	if solved := reg.Counter("search.candidates_solved").Value(); solved != m.MakenewzCalls-before.MakenewzCalls {
+		t.Fatalf("search.candidates_solved = %d, the round made %d solves: something else solved", solved, m.MakenewzCalls-before.MakenewzCalls)
 	}
-	// Measured 4.295; 8.101 with plain Newton steps stopped on the branch
-	// length alone.
-	if iters > 4.724 {
-		t.Errorf("%.3f Newton iterations per candidate solve, want <= 4.724 (measured 4.295)", iters)
+	newviews := float64(m.NewviewCalls-before.NewviewCalls) / cands
+	solves := float64(m.MakenewzCalls-before.MakenewzCalls) / cands
+	iters := float64(m.NewtonIters-before.NewtonIters) / cands
+	if prescores := m.EvaluateCalls - before.EvaluateCalls; float64(prescores) > cands {
+		t.Errorf("%d evaluates for %.0f candidates: a prescore is the only evaluate of scoring", prescores, cands)
+	}
+	t.Logf("%.0f candidates: %.3f newviews, %.3f solves and %.3f Newton iterations per candidate", cands, newviews, solves, iters)
+
+	// Measured 2.167: the prescore's insertion node is one, the vector
+	// facing away from the prune point at the candidate's edge most of another
+	// (each computed once and shared with the candidates beyond it), the
+	// insertion node of a short-listed candidate, built again for its solve,
+	// 0.14, re-orienting the slots after each prune the rest. 2.034 when every
+	// candidate was solved, 3.834 when a private table per prune recomputed
+	// every vector it touched.
+	if newviews > 2.384 {
+		t.Errorf("%.3f newviews per scored candidate, want <= 2.384 (measured 2.167)", newviews)
+	}
+	// Measured 0.140: three of a prune's candidates, 21 on average here.
+	if solves > 0.25 {
+		t.Errorf("%.3f Newton solves per scored candidate, want <= 0.25 (measured 0.140)", solves)
+	}
+	// Measured 0.482; 4.295 when every candidate was solved, 8.101 with
+	// plain Newton steps stopped on the branch length alone.
+	if iters > 1.3 {
+		t.Errorf("%.3f Newton iterations per scored candidate, want <= 1.3 (measured 0.482)", iters)
 	}
 }

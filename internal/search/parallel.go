@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"runtime"
+	"slices"
 
 	"raxmlcell/internal/likelihood"
 	"raxmlcell/internal/obs"
@@ -22,22 +23,42 @@ func AutoWorkers() int { return runtime.GOMAXPROCS(0) }
 // likelihood tasks run concurrently on different SPEs. This file is the
 // search-side half of that axis — the regraft candidates of one pruned
 // subtree are independent read-only queries against the frozen tree, so
-// they fan out over a likelihood.Pool, each worker scoring through its own
-// context-bound Views.
+// both stages of scoring them fan out over a likelihood.Pool, each worker
+// scoring through its own context-bound Views.
 
 // minParallelCandidates is the smallest candidate count worth fanning out;
 // below it the per-fanout overhead (goroutine spawn, the WaitGroup barrier,
-// the meter merge) exceeds the win: a candidate is two or three kernel
-// calls on vectors that are already there.
+// the meter merge) exceeds the win. A stage-1 candidate is one kernel pass
+// on vectors that are already there, about a third of what a candidate cost
+// when each was solved, so the value was measured again: a 2-worker search
+// of 20 x 250 reads 99, 101, 108, 104 and 105 ms at thresholds 2, 3, 4, 6
+// and 8 (medians of seven alternating runs, each spread over +-10 ms) — no
+// difference the host can resolve, so 4 stays. At 4 the three solves of
+// stage 2 run where they are; 2 and 3, which fan them out, buy nothing.
 const minParallelCandidates = 4
 
-// candScore is one scored insertion candidate. ok marks candidates that
-// carry a usable score (detached edges are skipped, mirroring the serial
-// loop's continue).
+// shortListLen is how many candidates of a prune stage 2 solves: the k
+// highest prescores. A rank, not a logL margin: it has no unit to tune to an
+// alignment's size. DESIGN.md "What a Newton solve and an alpha fit cost",
+// rung 7, has the table it was sized on.
+const shortListLen = 3
+
+// solveAll makes the short list every candidate — exhaustive scoring, what
+// the short list is judged against. Only TestShortListNoWorseThanExhaustive
+// and its helpers set it.
+var solveAll bool
+
+// candScore is one insertion candidate's scores. scored marks candidates
+// that were considered at all (detached edges are skipped); pre is the
+// stage-1 log-likelihood at the entry branch length, NaN in a prune too
+// small to need ranking; ok marks the candidates stage 2 solved, whose
+// optimised branch length and log-likelihood are z and ll.
 type candScore struct {
-	z, ll float64
-	ok    bool
-	err   error
+	pre    float64
+	z, ll  float64
+	scored bool
+	ok     bool
+	err    error
 }
 
 // searchCtx carries the task-parallel state of one search: the worker pool
@@ -64,6 +85,8 @@ type searchCtx struct {
 
 	cands  []*phylotree.Node
 	scores []candScore
+	list   []int // the short list of the prune being scored, as indices into cands
+	across likelihood.Across
 
 	// roundParallel records whether the current round used the pool at
 	// least once; rounds whose prunes all fell under minParallelCandidates
@@ -77,6 +100,7 @@ type searchCtx struct {
 	traceRound obs.Ctx
 
 	candidatesScored *obs.Counter
+	candidatesSolved *obs.Counter
 	parallelRounds   *obs.Counter
 	rangeBlocks      *obs.Counter
 	rangeAdopted     *obs.Counter
@@ -93,6 +117,7 @@ func newSearchCtx(eng *likelihood.Engine, opt Options) *searchCtx {
 	sc := &searchCtx{traceRound: opt.Trace}
 	if opt.Metrics != nil {
 		sc.candidatesScored = opt.Metrics.Counter("search.candidates_scored")
+		sc.candidatesSolved = opt.Metrics.Counter("search.candidates_solved")
 		sc.parallelRounds = opt.Metrics.Counter("search.parallel_rounds")
 		sc.rangeBlocks = opt.Metrics.Counter("kernel.range_blocks")
 		sc.rangeAdopted = opt.Metrics.Counter("kernel.range_blocks_adopted")
@@ -159,28 +184,41 @@ func (sc *searchCtx) publishCacheMetrics() {
 	}
 }
 
-// scoreInsertions fills sc.scores with the lazy insertion score of every
-// candidate edge for the subtree pruned by ps (starting branch length z0).
-// It first orients the engine's slots toward the prune point, so that a
-// candidate costs the vector facing away from it at its edge (shared with
-// the candidates beyond it), the combine of the virtual insertion node and
-// one Newton solve. With a pool it then fans the candidates out, each worker
-// scoring through its own context's Views over the shared store; serially it
-// scores through one Views in candidate order. Either way the same vectors
-// are computed and the returned slice is indexed by candidate, so the
-// caller's reduction — and therefore the chosen move — is independent of
-// scheduling. The first error in candidate order wins.
+// scoreInsertions scores the regraft of the subtree pruned by ps (entry
+// branch length z0) into every candidate edge, in the two stages RAxML has,
+// and returns sc.scores, indexed by candidate. It first orients the engine's
+// slots toward the prune point, so that a candidate reads the vector facing
+// away from it at its edge (computed once, shared with the candidates beyond
+// it) and slots nobody writes. Stage 1 prescores every candidate: the
+// virtual insertion node and the log-likelihood across the subtree's branch
+// at z0, nothing optimised. Behind its barrier the short list is drawn from
+// the whole prescore slice — the shortListLen highest, ties to the lower
+// index — and stage 2 solves the subtree's branch length by Newton-Raphson
+// for those alone; a prune with no more candidates than that skips stage 1.
+// With a pool each stage fans out, every worker scoring through its own
+// context's Views over the shared store; serially one Views scores in
+// candidate order. Either way the same vectors are computed, the same list is
+// drawn and the same solves run, so the caller's reduction over the solved
+// candidates — and therefore the chosen move — is independent of scheduling.
+// The first error in candidate order wins.
 func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.Node, ps *phylotree.PrunedSubtree, z0 float64) ([]candScore, error) {
 	sub := ps.P
 	csp := sc.traceRound.Start("candidates", "search")
 	defer csp.End()
 	if cap(sc.scores) < len(cands) {
 		sc.scores = make([]candScore, len(cands))
+		sc.list = make([]int, len(cands))
 	}
-	scores := sc.scores[:len(cands)]
-	for i := range scores {
-		scores[i] = candScore{}
+	scores, list := sc.scores[:len(cands)], sc.list[:len(cands)]
+	scored := 0
+	for i, cand := range cands {
+		scores[i] = candScore{pre: math.NaN(), scored: cand.Back != nil}
+		if scores[i].scored {
+			list[scored] = i
+			scored++
+		}
 	}
+	sc.list = list[:scored]
 
 	// Orient every slot toward the prune point: Prune left valid exactly the
 	// slots that already face the joined branch, so this recomputes only the
@@ -190,48 +228,79 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 	eng.NewView(ps.R)
 	eng.NewView(sub.Back)
 
-	if sc.pool == nil || len(cands) < minParallelCandidates {
-		for i, cand := range cands {
-			if cand.Back == nil {
-				continue
-			}
-			z, ll, err := sc.serialViews.InsertionScore(cand, sub, z0)
-			scores[i] = candScore{z: z, ll: ll, ok: err == nil, err: err}
-			if err != nil {
-				break
-			}
+	if scored > shortListLen {
+		if err := sc.serialViews.CarryAcross(&sc.across, sub, z0); err != nil {
+			return nil, err
 		}
-		sc.serialViews.Release()
-	} else {
-		sc.roundParallel = true
-		sc.pool.Run(len(cands), func(w, i int) {
-			cand := cands[i]
-			if cand.Back == nil {
-				return
-			}
-			z, ll, err := sc.views[w].InsertionScore(cand, sub, z0)
-			scores[i] = candScore{z: z, ll: ll, ok: err == nil, err: err}
+		sc.fan(sc.list, func(v *likelihood.Views, i int) {
+			scores[i].pre, scores[i].err = v.Prescore(cands[i], &sc.across)
 		})
+		if !solveAll {
+			sc.list = shortList(scores, sc.list[:0])
+		}
 	}
-	scored := uint64(0)
+	sc.fan(sc.list, func(v *likelihood.Views, i int) {
+		z, ll, err := v.InsertionScore(cands[i], sub, z0)
+		scores[i].z, scores[i].ll, scores[i].ok, scores[i].err = z, ll, err == nil, err
+	})
+	sc.serialViews.Release()
 	for i := range scores {
 		if scores[i].err != nil {
 			return nil, scores[i].err
 		}
-		if scores[i].ok {
-			scored++
-		}
 	}
 	if sc.candidatesScored != nil {
-		sc.candidatesScored.Add(scored)
+		sc.candidatesScored.Add(uint64(scored))
+		sc.candidatesSolved.Add(uint64(len(sc.list)))
 	}
 	return scores, nil
 }
 
+// fan runs score for every candidate index in list: over the pool when there
+// is one and the list is long enough to pay for a fan-out, each worker
+// through its own Views, and through the primary context's Views in list
+// order otherwise.
+func (sc *searchCtx) fan(list []int, score func(v *likelihood.Views, i int)) {
+	if sc.pool == nil || len(list) < minParallelCandidates {
+		for _, i := range list {
+			score(sc.serialViews, i)
+		}
+		return
+	}
+	sc.roundParallel = true
+	sc.pool.Run(len(list), func(w, t int) { score(sc.views[w], list[t]) })
+}
+
+// shortList appends to list the indices of the shortListLen highest
+// prescores among the scored candidates, ties to the lower index, in
+// candidate order.
+func shortList(scores []candScore, list []int) []int {
+	for i := range scores {
+		if !scores[i].scored {
+			continue
+		}
+		// list is kept by descending prescore; an equal later one goes behind.
+		j := len(list)
+		for j > 0 && scores[list[j-1]].pre < scores[i].pre {
+			j--
+		}
+		if j == shortListLen {
+			continue
+		}
+		if len(list) < shortListLen {
+			list = append(list, 0)
+		}
+		copy(list[j+1:], list[j:])
+		list[j] = i
+	}
+	slices.Sort(list)
+	return list
+}
+
 // bestCandidate is the SPR winner reduction: the highest log-likelihood
-// among the scored candidates, ties broken by lowest candidate index (the
+// among the solved candidates, ties broken by lowest candidate index (the
 // strictly-greater comparison in index order — byte-identical to the
-// serial loop's choice). Returns index -1 when nothing was scored.
+// serial loop's choice). Returns index -1 when nothing was solved.
 func bestCandidate(scores []candScore, z0 float64) (bestIdx int, bestZ, bestLL float64) {
 	bestIdx, bestZ, bestLL = -1, z0, math.Inf(-1)
 	for i := range scores {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"raxmlcell/internal/alignment"
@@ -65,6 +66,116 @@ func TestBestNNICandidateChain(t *testing.T) {
 	idx, _, ll = bestNNICandidate([]candScore{{ll: -99.5, ok: true}}, 0.9, current, eps)
 	if idx != -1 || math.Abs(ll-current) > 0 {
 		t.Errorf("gated reduction: got (idx=%d ll=%g), want (-1, %g)", idx, ll, current)
+	}
+}
+
+// TestShortListTieBreak pins how stage 2's candidates are drawn: the
+// shortListLen highest prescores, an exact tie to the lower index, candidates
+// that were never scored left out, and the list in candidate order whatever
+// the order of the scores.
+func TestShortListTieBreak(t *testing.T) {
+	pre := func(v float64) candScore { return candScore{pre: v, scored: true} }
+	scores := []candScore{
+		pre(-50),
+		pre(-40), // tied for third with index 5: the lower index is listed
+		{pre: -10},
+		pre(-30),
+		pre(-20),
+		pre(-40),
+		pre(-45),
+	}
+	if got := shortList(scores, nil); !slices.Equal(got, []int{1, 3, 4}) {
+		t.Errorf("short list %v, want [1 3 4]", got)
+	}
+	if got := shortList(scores[:3], []int{}); !slices.Equal(got, []int{0, 1}) {
+		t.Errorf("short list of two scored candidates %v, want both", got)
+	}
+	if got := shortList(nil, nil); len(got) != 0 {
+		t.Errorf("short list of nothing: %v", got)
+	}
+}
+
+// TestShortListIndependentOfWorkers42SC is the determinism of the two stages:
+// over one scoring-only SPR sweep of the smoothed 42_SC tree, searches of 1,
+// 2 and 4 workers compute the same prescores bit for bit, draw the same short
+// list for every prune, solve it to the same bits, and leave the same Meter
+// but for SharedHits — the list is a function of the whole prescore slice, so
+// who scored which candidate cannot reach it.
+func TestShortListIndependentOfWorkers42SC(t *testing.T) {
+	pat := load42SC(t)
+	start, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type sweep struct {
+		vals  []float64 // per prune: every prescore, then index, z and logL of each solve
+		meter likelihood.Meter
+	}
+	run := func(workers int) sweep {
+		eng, err := likelihood.NewEngine(pat, seqsim.DefaultModel(), likelihood.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := start.Clone()
+		eng.AttachTree(tr)
+		if _, err := SmoothBranches(eng, tr, 2, 0.05); err != nil {
+			t.Fatal(err)
+		}
+		sc := newSearchCtx(eng, Options{Workers: workers})
+		defer sc.close(eng)
+		var out sweep
+		for _, p := range pruneCandidates(tr) {
+			ps, err := tr.Prune(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.cands = phylotree.RadiusEdgesInto(sc.cands[:0], ps.Q, 5)
+			sc.cands = phylotree.RadiusEdgesInto(sc.cands, ps.R, 5)
+			scores, err := sc.scoreInsertions(eng, sc.cands, ps, ps.P.Z)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solved := 0
+			for i := range scores {
+				out.vals = append(out.vals, scores[i].pre)
+				if scores[i].ok {
+					solved++
+					out.vals = append(out.vals, float64(i), scores[i].z, scores[i].ll)
+				}
+			}
+			if want := min(len(scores), shortListLen); solved != want {
+				t.Fatalf("%d workers: %d of %d candidates solved, want %d", workers, solved, len(scores), want)
+			}
+			if err := tr.Undo(ps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out.meter = eng.Meter
+		return out
+	}
+	serial := run(1)
+	if serial.meter.SharedHits != 0 {
+		t.Errorf("serial sweep metered %d shared hits", serial.meter.SharedHits)
+	}
+	for _, workers := range []int{2, 4} {
+		pooled := run(workers)
+		if pooled.meter.SharedHits == 0 {
+			t.Errorf("%d workers: no shared-store hits", workers)
+		}
+		pooled.meter.SharedHits = 0
+		if pooled.meter != serial.meter {
+			t.Errorf("%d workers: meter differs from the serial sweep's beyond SharedHits:\n serial %s\n pooled %s",
+				workers, serial.meter.String(), pooled.meter.String())
+		}
+		if len(pooled.vals) != len(serial.vals) {
+			t.Fatalf("%d workers: %d values, serial %d: the short lists differ", workers, len(pooled.vals), len(serial.vals))
+		}
+		for i := range serial.vals {
+			// NaN marks the prescore of a prune too small to rank.
+			if pooled.vals[i] != serial.vals[i] && !(math.IsNaN(pooled.vals[i]) && math.IsNaN(serial.vals[i])) {
+				t.Fatalf("%d workers: value %d is %.17g, serial %.17g", workers, i, pooled.vals[i], serial.vals[i])
+			}
+		}
 	}
 }
 
@@ -346,21 +457,40 @@ func TestParallelSharedCacheStressSPRCycles(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Serial reference through one-shot private Views: the pooled,
-		// shared-store-served scores must match it bit for bit.
+		// shared-store-served prescores and the short list's solves must
+		// match it bit for bit.
 		ref := eng.NewViews()
+		solved := 0
 		for i, cand := range sc.cands {
 			if cand.Back == nil {
 				continue
 			}
+			if len(sc.cands) > shortListLen {
+				pre, err := ref.Prescore(cand, &sc.across)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if scores[i].pre != pre {
+					t.Fatalf("cycle %d cand %d: pooled prescore %.17g != serial %.17g", cycle, i, scores[i].pre, pre)
+				}
+				compared++
+			}
+			if !scores[i].ok {
+				continue
+			}
+			solved++
 			z, ll, err := ref.InsertionScore(cand, ps.P, zSub)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !scores[i].ok || scores[i].z != z || scores[i].ll != ll {
-				t.Fatalf("cycle %d cand %d: pooled (ok=%v z=%.17g ll=%.17g) != serial (%.17g, %.17g)",
-					cycle, i, scores[i].ok, scores[i].z, scores[i].ll, z, ll)
+			if scores[i].z != z || scores[i].ll != ll {
+				t.Fatalf("cycle %d cand %d: pooled (z=%.17g ll=%.17g) != serial (%.17g, %.17g)",
+					cycle, i, scores[i].z, scores[i].ll, z, ll)
 			}
 			compared++
+		}
+		if want := min(len(sc.cands), shortListLen); solved != want {
+			t.Fatalf("cycle %d: %d of %d candidates solved, want %d", cycle, solved, len(sc.cands), want)
 		}
 		ref.Release()
 

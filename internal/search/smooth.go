@@ -1,7 +1,9 @@
 // Package search implements RAxML's rapid hill-climbing tree search on top
 // of the likelihood kernels: branch-length smoothing sweeps, Gamma shape
 // optimization by Brent's method, and radius-bounded lazy SPR
-// rearrangements with a best-insertion list.
+// rearrangements in RAxML's two stages — every insertion of a pruned subtree
+// is scored unoptimised, and only the short list of the best ones has the
+// subtree's branch length solved before the winner is picked.
 package search
 
 import (

@@ -35,10 +35,13 @@ type Options struct {
 	OnProgress func(Progress)
 
 	// Workers > 1 enables task-level parallelism inside this search: the
-	// SPR/NNI insertion candidates of each pruned subtree are scored
-	// concurrently on a pool of Workers kernel contexts. The chosen moves,
-	// final topology, log-likelihood and kernel call counts are identical to
-	// the serial search (see DESIGN.md "Parallelism layers" and "Cache × pool
+	// insertion candidates of each pruned subtree are independent reads of a
+	// frozen tree, so both scoring stages — the prescore of every candidate,
+	// then the Newton solve of the short list drawn from all the prescores —
+	// fan out over a pool of Workers kernel contexts, with a barrier between
+	// them. The short list, the chosen moves, the final topology, the
+	// log-likelihood and the kernel call counts are identical to the serial
+	// search (see DESIGN.md "Parallelism layers" and "Cache × pool
 	// composition"); <= 1 runs fully serial. Orthogonal to the likelihood
 	// package's range executor, which lends the pattern blocks *inside* one
 	// kernel call to CPUs the workers leave idle and adds no concurrency of
@@ -46,7 +49,8 @@ type Options struct {
 	Workers int
 
 	// Metrics, when non-nil, receives the live search series: the
-	// search.candidates_scored / search.parallel_rounds counters, the
+	// search.candidates_scored / search.candidates_solved /
+	// search.parallel_rounds counters, the
 	// search.pool_workers / search.pool_busy / search.pool_busy_peak
 	// occupancy gauges, the kernel.range_blocks / kernel.range_blocks_adopted
 	// counters of the range executor, the search.round_ms latency histogram,
@@ -99,9 +103,10 @@ func pruneCandidates(tr *phylotree.Tree) []*phylotree.Node {
 
 // sprRound performs one pass of lazy SPR over all prune candidates: each
 // subtree is pruned, trial-inserted into every edge within the
-// rearrangement radius of the detachment point (optimizing only the
-// subtree's own branch, RAxML's "lazy" evaluation), and kept at the best
-// position if that improves the current likelihood by more than eps.
+// rearrangement radius of the detachment point (scored as it stands, and for
+// the short list of the best insertions with the subtree's own branch
+// optimized, RAxML's "lazy" evaluation), and kept at the best position if
+// that improves the current likelihood by more than eps.
 // It returns the updated log-likelihood and the number of accepted moves.
 // Candidate scoring goes through sc — concurrently when the search has a
 // worker pool, with the winner reduced deterministically in candidate
@@ -129,7 +134,8 @@ prunes:
 		sc.cands = phylotree.RadiusEdgesInto(sc.cands, ps.R, radius)
 
 		// Lazy SPR: score every candidate from directed vectors of the
-		// (fixed) pruned tree, optimizing only the subtree's branch.
+		// (fixed) pruned tree; only the short list's subtree branch is
+		// optimized, and only the short list can win.
 		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub)
 		if err != nil {
 			stage, stageErr = "trial insertion", err
