@@ -33,7 +33,12 @@ bench:
 # of the serial workloads (needs jq) — wide24 twice, with the range executor's
 # helper and under GOMAXPROCS=1 without it, requiring the same counts, Newton
 # iterations and flops; search20-serial within 10 % of its measured 6 404
-# newviews, 970 solves and 3 084 Newton iterations. Last, `raxml` on a 24 x 4 000 alignment (five blocks of
+# newviews, 970 solves and 3 084 Newton iterations; campaign20, whose bootstrap
+# jobs run on the patterns their replicate drew while its replay runs them on
+# the whole replicate, with no failed operation (the replay's logL-bits check
+# included), exactly 39 546 newviews / 5 287 solves / 15 997 Newton
+# iterations and at most 0.8 x the 786 881 652 flops it took on every pattern.
+# Last, `raxml` on a 24 x 4 000 alignment (five blocks of
 # patterns) must write byte-identical stdout and tree at GOMAXPROCS 1 and 2.
 # The fuzz session that hunts for alignment shapes where a backend diverges is
 # part of `make fuzz`.
@@ -49,6 +54,8 @@ backend-gate:
 		'def counts: [.failed, (.metrics | [."likelihood.newview_calls", ."likelihood.makenewz_calls", ."likelihood.evaluate_calls", ."likelihood.newton_iters", ."likelihood.flops"] | map(.value))]; ($$a[0] | counts) == ($$b[0] | counts)'
 	$(GO) run ./benchmark --workload search20-serial --seed 1 --seconds 5 --trace 1 | tail -n 1 | jq -e \
 		'.failed == 0 and .metrics["likelihood.newview_calls"].value <= 7044 and .metrics["likelihood.makenewz_calls"].value <= 1067 and .metrics["likelihood.newton_iters"].value <= 3392'
+	$(GO) run ./benchmark --workload campaign20 --seed 1 --seconds 5 --trace 1 | tail -n 1 | jq -e \
+		'.failed == 0 and .metrics["likelihood.newview_calls"].value == 39546 and .metrics["likelihood.makenewz_calls"].value == 5287 and .metrics["likelihood.newton_iters"].value == 15997 and .metrics["likelihood.flops"].value <= 0.8 * 786881652'
 	$(GO) build -o $(BIN)/raxml ./cmd/raxml
 	$(GO) run ./cmd/seqgen -seed 4252 -taxa 24 -sites 4000 -mean-branch 0.1 -invariant 0.1 -out $(BIN)/wide.phy
 	for p in 1 2; do GOMAXPROCS=$$p $(BIN)/raxml -in $(BIN)/wide.phy -inferences 1 -bootstraps 0 -seed 3 -rounds 2 -radius 3 \
@@ -83,8 +90,10 @@ chaos:
 # fuzz runs every fuzz target for a short, CI-sized session each: random
 # bytes at the checkpoint loaders, edit/invalidate/read interleavings against
 # the shared epoch-tagged store (every epoch audited against a cold
-# recompute), alignment shapes where a backend could diverge from scalar, and
-# phylo2vec vectors through decode/encode. Longer local runs:
+# recompute), alignment shapes where a backend could diverge from scalar,
+# phylo2vec vectors through decode/encode, and alignments (taxa, columns,
+# ambiguity codes, bootstrap weights with zeros, seed) on which the bit-sliced
+# stepwise addition must build the naive loop's start tree. Longer local runs:
 # make fuzz FUZZTIME=10m
 FUZZTIME ?= 30s
 fuzz:
@@ -92,6 +101,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzEpochCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/likelihood
 	$(GO) test -run=NONE -fuzz=FuzzBackendEquivalence -fuzztime=$(FUZZTIME) ./internal/likelihood
 	$(GO) test -run=NONE -fuzz=FuzzPhylo2VecRoundTrip -fuzztime=$(FUZZTIME) ./internal/phylotree
+	$(GO) test -run=NONE -fuzz=FuzzStepwiseMatchesNaive -fuzztime=$(FUZZTIME) ./internal/parsimony
 
 # lint mirrors the CI gates that need no network: gofmt, go vet, the
 # seven-analyzer project invariant suite (cmd/raxmlvet) driven through

@@ -109,7 +109,7 @@ func main() {
 		intCond    = flag.Bool("int-cond", false, "use the integer-cast scaling conditional")
 		catCats    = flag.Int("cat", 0, "after the search, re-fit the tree under a CAT model with this many per-site rate categories (0 = off; RAxML default 25)")
 		optModel   = flag.Bool("opt-model", false, "fit the GTR exchangeabilities on each final tree")
-		startTree  = flag.String("start", "parsimony", "starting tree: parsimony, nj or random")
+		startTree  = flag.String("start", "parsimony", "starting tree: parsimony (randomized stepwise addition, each taxon on the branch of least Fitch score), nj or random")
 		checkpoint = flag.String("checkpoint", "", "persist completed jobs to this file and resume from it")
 		retries    = flag.Int("retries", 1, "retries per job after a failure (crash, timeout, invalid result)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job attempt deadline; a hung job is killed and retried (0 = none)")

@@ -262,3 +262,50 @@ func TestReweightedFractionMismatch(t *testing.T) {
 		t.Error("mismatched pattern counts accepted")
 	}
 }
+
+// TestDrawn: a replicate's drawn patterns carry no zero weight, sum to
+// NumSites, and are the replicate's own patterns and rows in their order;
+// on an alignment that was not resampled Drawn is the alignment itself.
+func TestDrawn(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rows := map[string]string{}
+	for _, name := range []string{"t1", "t2", "t3", "t4", "t5"} {
+		var b strings.Builder
+		for j := 0; j < 300; j++ {
+			b.WriteByte("ACGT-N"[rng.Intn(6)])
+		}
+		rows[name] = b.String()
+	}
+	p := Compress(mustAlign(t, rows))
+	if p.Drawn() != p {
+		t.Fatal("Drawn copied an alignment with no zero weight")
+	}
+	for r := 0; r < 20; r++ {
+		rep := BootstrapReplicate(p, rng)
+		d := rep.Drawn()
+		if d.WeightSum() != p.NumSites || d.NumSites != p.NumSites {
+			t.Fatalf("weights sum to %d (NumSites %d), want %d", d.WeightSum(), d.NumSites, p.NumSites)
+		}
+		j := 0
+		for k, w := range rep.Weights {
+			if w == 0 {
+				continue
+			}
+			if d.Weights[j] != w {
+				t.Fatalf("drawn pattern %d has weight %d, want %d", j, d.Weights[j], w)
+			}
+			for i := range rep.Data {
+				if d.Data[i][j] != rep.Data[i][k] {
+					t.Fatalf("drawn pattern %d, row %d differs from pattern %d", j, i, k)
+				}
+			}
+			j++
+		}
+		if j != d.NumPatterns() || d.NumTaxa != p.NumTaxa || len(d.Names) != len(p.Names) {
+			t.Fatalf("drawn has %d patterns, want %d", d.NumPatterns(), j)
+		}
+		if d.Drawn() != d {
+			t.Fatal("Drawn not idempotent")
+		}
+	}
+}

@@ -48,6 +48,38 @@ func BootstrapReplicate(p *Patterns, rng *rand.Rand) *Patterns {
 	return q
 }
 
+// Drawn returns the patterns a replicate drew at least once, with their rows
+// and weights, in their original order — p itself when no weight is zero. A
+// weight-0 pattern adds 0 to every parsimony count and a signed zero to every
+// log-likelihood, derivative and scale-constant sum, so a bootstrap job runs
+// on Drawn() with a third fewer pattern iterations. Sums over one block of
+// patterns keep their bits; with several blocks they regroup (DESIGN.md "A
+// job's start-up").
+func (p *Patterns) Drawn() *Patterns {
+	var keep []int
+	for k, w := range p.Weights {
+		if w > 0 {
+			keep = append(keep, k)
+		}
+	}
+	if len(keep) == len(p.Weights) {
+		return p
+	}
+	q := *p
+	q.Data = make([][]byte, len(p.Data))
+	for i, row := range p.Data {
+		q.Data[i] = make([]byte, len(keep))
+		for j, k := range keep {
+			q.Data[i][j] = row[k]
+		}
+	}
+	q.Weights = make([]int, len(keep))
+	for j, k := range keep {
+		q.Weights[j] = p.Weights[k]
+	}
+	return &q
+}
+
 // ReweightedFraction reports the fraction of patterns whose weight changed
 // relative to the original — the paper quotes "typically 10-20% of columns
 // re-weighted" as the character of bootstrap replicates; this diagnostic lets

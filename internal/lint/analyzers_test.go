@@ -47,6 +47,12 @@ func TestHotPathAllocObsGolden(t *testing.T) {
 	linttest.Run(t, lint.HotPathAlloc, "raxmlcell/internal/obs", "testdata/hotpathalloc/obs")
 }
 
+// The parsimony start trees are in scope: a stepwise step runs one Fitch
+// combine per branch of the growing tree, n² per start tree.
+func TestHotPathAllocParsimonyGolden(t *testing.T) {
+	linttest.Run(t, lint.HotPathAlloc, "raxmlcell/internal/parsimony", "testdata/hotpathalloc/parsimony")
+}
+
 func TestFloatCmpGolden(t *testing.T) {
 	linttest.Run(t, lint.FloatCmp, "raxmlcell/internal/model", "testdata/floatcmp")
 }
@@ -136,6 +142,7 @@ func TestAnalyzerScopes(t *testing.T) {
 		{lint.HotPathAlloc, "raxmlcell/internal/likelihood", true},
 		{lint.HotPathAlloc, "raxmlcell/internal/search", true},
 		{lint.HotPathAlloc, "raxmlcell/internal/obs", true},
+		{lint.HotPathAlloc, "raxmlcell/internal/parsimony", true},
 		{lint.HotPathAlloc, "raxmlcell/internal/core", false},
 		{lint.CtxOwnership, "raxmlcell/internal/likelihood", true},
 		{lint.CtxOwnership, "raxmlcell/internal/search", true},

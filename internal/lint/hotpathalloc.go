@@ -50,9 +50,16 @@ import (
 // reported too; the one place helpers are started is named for what it does
 // (spawn) and is called once per process.
 //
+// The parsimony start trees seed every inference and bootstrap job: a
+// stepwise step scores every branch of the growing tree against the new
+// taxon, one bit-sliced Fitch combine per branch, so an allocation in the
+// step or the combine runs n² times per start tree. internal/parsimony is in
+// scope and the fragments include fitch/stepwise.
+//
 // Inside functions whose name contains combine/newview/makenewz/evaluate/
 // fastexp/spr/nni/insertion/tile/sumtable/newton/observe/record/span/brent/
-// runpass/runblock/adopt/await/help (case-insensitive), the analyzer reports:
+// runpass/runblock/adopt/await/help/fitch/stepwise (case-insensitive), the
+// analyzer reports:
 //
 //   - make(), append(), new() and slice/map composite literals inside any
 //     loop — preallocate scratch buffers on the Engine (kernels) or the
@@ -65,14 +72,14 @@ import (
 //   - go statements anywhere in the kernel.
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
-	Doc:  "report per-pattern-loop allocations and raw math.Exp in the likelihood kernels, search rounds and obs hot-path helpers",
+	Doc:  "report per-pattern-loop allocations and raw math.Exp in the likelihood kernels, search rounds, parsimony start trees and obs hot-path helpers",
 	Match: func(pkgPath string) bool {
-		return pathHasAny(pkgPath, "internal/likelihood", "internal/search", "internal/obs")
+		return pathHasAny(pkgPath, "internal/likelihood", "internal/search", "internal/obs", "internal/parsimony")
 	},
 	Run: runHotPathAlloc,
 }
 
-var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "brent", "runpass", "runblock", "adopt", "await", "help"}
+var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "brent", "runpass", "runblock", "adopt", "await", "help", "fitch", "stepwise"}
 
 func isHotFuncName(name string) bool {
 	lower := strings.ToLower(name)

@@ -149,7 +149,9 @@ func runJob(pat *alignment.Patterns, mod *model.Model, job Job, cfg Config, tctx
 
 	work := pat
 	if job.Kind == Bootstrap {
-		work = alignment.BootstrapReplicate(pat, rng)
+		// The engine and the start tree see only the patterns the replicate
+		// drew: the undrawn third adds 0 to every sum (alignment.Drawn).
+		work = alignment.BootstrapReplicate(pat, rng).Drawn()
 	}
 	kcfg := cfg.Kernel
 	if cfg.Metrics != nil {

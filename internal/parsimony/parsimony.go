@@ -3,14 +3,20 @@
 // maximum likelihood searches ("random stepwise addition sequence Maximum
 // Parsimony trees" in the paper's terminology).
 //
-// Fitch state sets are exactly the 4-bit ambiguity masks of internal/bio, so
-// tip states need no conversion: intersection is bitwise AND, union is
+// Fitch state sets are the 4-bit ambiguity masks of internal/bio, bit-sliced
+// 64 patterns to a word (fitch.go): intersection is bitwise AND, union is
 // bitwise OR, and a union event costs one mutation weighted by the site
-// pattern's multiplicity.
+// pattern's multiplicity. A stepwise step writes the set behind every
+// directed record of the current tree in one post-order and one pre-order
+// pass, then scores each candidate branch from the two sets at its ends
+// without building the candidate tree — O(n²·m′/64) words per start tree
+// where inserting and re-scoring every candidate was O(n³·m) bytes (DESIGN.md
+// "A job's start-up").
 package parsimony
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"raxmlcell/internal/alignment"
@@ -22,68 +28,151 @@ func Score(tr *phylotree.Tree, pat *alignment.Patterns) (int, error) {
 	if tr.NumTips() != pat.NumTaxa {
 		return 0, fmt.Errorf("parsimony: tree has %d tips, alignment %d taxa", tr.NumTips(), pat.NumTaxa)
 	}
-	s := newScorer(pat)
-	return s.score(tr.Tips[0]), nil
+	return newScorer(pat).score(tr.Tips[0]), nil
 }
 
-// scorer holds the per-pattern Fitch state workspace for one tree walk.
+// scorer holds the bit-sliced tip sets of one alignment, the Fitch set behind
+// every directed record of one tree walk, and the walk itself. Nothing in it
+// is allocated after newScorer.
 type scorer struct {
-	pat   *alignment.Patterns
-	npat  int
-	state [][]byte // workspace per node index
+	*bitSets
+	n     int
+	views []uint64          // three sets per inner node: behind its record facing the root, behind .Next, behind .Next.Next
+	face  []*phylotree.Node // face[idx]: the record of inner node idx that faces the root tip
+	edges []*phylotree.Node // the near record of every branch, in tr.Edges() order
+	stack []*phylotree.Node
+	tmp   []uint64
 }
 
 func newScorer(pat *alignment.Patterns) *scorer {
+	bs := newBitSets(pat)
+	n := pat.NumTaxa
 	return &scorer{
-		pat:   pat,
-		npat:  pat.NumPatterns(),
-		state: make([][]byte, 2*pat.NumTaxa-2),
+		bitSets: bs,
+		n:       n,
+		views:   make([]uint64, 3*(n-2)*4*bs.nw),
+		face:    make([]*phylotree.Node, 2*n-2),
+		edges:   make([]*phylotree.Node, 2*n-3),
+		stack:   make([]*phylotree.Node, 2*n-3),
+		tmp:     make([]uint64, 4*bs.nw),
 	}
 }
 
-// score evaluates the Fitch score of the (sub)tree rooted "away" from the
-// given tip, i.e. the whole unrooted tree when called with an attached tip.
+// view returns slot k of inner node idx (0: behind its record facing the
+// root, 1: behind .Next, 2: behind .Next.Next).
+func (s *scorer) view(idx, k int) []uint64 {
+	w := 4 * s.nw
+	o := (3*(idx-s.n) + k) * w
+	return s.views[o : o+w : o+w]
+}
+
+// set returns the Fitch set of the subtree behind r — r's own side of its
+// branch — as the last passes wrote it.
+func (s *scorer) set(r *phylotree.Node) []uint64 {
+	if r.IsTip() {
+		return s.tip(r.Index)
+	}
+	switch f := s.face[r.Index]; r {
+	case f:
+		return s.view(r.Index, 0)
+	case f.Next:
+		return s.view(r.Index, 1)
+	}
+	return s.view(r.Index, 2)
+}
+
+// walk lists the branches of the component holding tip root in the order
+// tr.Edges() gives when root is the first attached tip — depth first, the
+// near record of each branch before the branches behind it — and marks which
+// record of every inner node faces root.
+func (s *scorer) walk(root *phylotree.Node) []*phylotree.Node {
+	sp, ne := 1, 0
+	s.stack[0] = root
+	for sp > 0 {
+		sp--
+		e := s.stack[sp]
+		s.edges[ne] = e
+		ne++
+		if f := e.Back; !f.IsTip() {
+			s.face[f.Index] = f
+			s.stack[sp], s.stack[sp+1] = f.Next.Next, f.Next
+			sp += 2
+		}
+	}
+	return s.edges[:ne]
+}
+
+// down is the post-order pass over a walk: the set behind every record facing
+// the root, children before parents. It returns the weighted union events.
+func (s *scorer) down(edges []*phylotree.Node) int {
+	cost := 0
+	for i := len(edges) - 1; i >= 0; i-- {
+		if f := edges[i].Back; !f.IsTip() {
+			cost += s.fitch(s.view(f.Index, 0), s.set(f.Next.Back), s.set(f.Next.Next.Back))
+		}
+	}
+	return cost
+}
+
+// up is the pre-order pass over a walk, after down: the set behind the two
+// records of every inner node that face away from the root, parents first.
+func (s *scorer) up(edges []*phylotree.Node) {
+	for _, e := range edges {
+		if f := e.Back; !f.IsTip() {
+			above := s.set(e)
+			s.fitch(s.view(f.Index, 1), above, s.set(f.Next.Next.Back))
+			s.fitch(s.view(f.Index, 2), above, s.set(f.Next.Back))
+		}
+	}
+}
+
+// score is the Fitch score of the component holding tip root, rooted on
+// root's branch.
 func (s *scorer) score(root *phylotree.Node) int {
-	// Root the walk at the branch (root, root.Back): the total score is the
-	// sum of union events below both ends plus unions at the virtual root.
-	score := 0
-	a := s.states(root, &score)
-	b := s.states(root.Back, &score)
-	w := s.pat.Weights
-	for p := 0; p < s.npat; p++ {
-		if a[p]&b[p] == 0 {
-			score += w[p]
-		}
-	}
-	return score
+	edges := s.walk(root)
+	return s.down(edges) + s.fitch(s.tmp, s.set(root), s.set(root.Back))
 }
 
-// states returns the Fitch state-set vector of the subtree behind nd,
-// accumulating union events into score.
-func (s *scorer) states(nd *phylotree.Node, score *int) []byte {
-	if nd.IsTip() {
-		return s.pat.Data[nd.Index]
-	}
-	q := nd.Next.Back
-	r := nd.Next.Next.Back
-	a := s.states(q, score)
-	b := s.states(r, score)
-	buf := s.state[nd.Index]
-	if buf == nil {
-		buf = make([]byte, s.npat)
-		s.state[nd.Index] = buf
-	}
-	w := s.pat.Weights
-	for p := 0; p < s.npat; p++ {
-		inter := a[p] & b[p]
-		if inter != 0 {
-			buf[p] = inter
-		} else {
-			buf[p] = a[p] | b[p]
-			*score += w[p]
+// firstAttached is the tip tr.Edges() starts from.
+func firstAttached(tr *phylotree.Tree) *phylotree.Node {
+	for _, tip := range tr.Tips {
+		if tip.Back != nil {
+			return tip
 		}
 	}
-	return buf
+	return nil
+}
+
+// stepwiseBest returns the branch of tr on which tip ti minimizes the Fitch
+// score, ties broken uniformly at random by reservoir sampling in
+// tr.Edges() order. A candidate's score is the tree's plus its insertion cost,
+// so scores compare and tie exactly as whole-tree re-scores of every
+// candidate would, and draw the same rng.Intn.
+func (s *scorer) stepwiseBest(tr *phylotree.Tree, ti int, rng *rand.Rand) *phylotree.Node {
+	edges := s.walk(firstAttached(tr))
+	s.down(edges)
+	s.up(edges)
+	t := s.tip(ti)
+	best, bestScore, nBest := -1, math.MaxInt, 0
+	for k, e := range edges {
+		switch sc := s.fitchInsertCost(s.set(e), s.set(e.Back), t, bestScore); {
+		case sc < bestScore:
+			best, bestScore, nBest = k, sc, 1
+		case sc == bestScore:
+			nBest++
+			if rng.Intn(nBest) == 0 {
+				best = k
+			}
+		}
+		// Inserting on e and removing again, as each candidate once was,
+		// halves e into two clamped halves and sums them back: a branch
+		// shorter than two minimum halves came back at exactly two. Keep
+		// doing so, so the tree stays the byte-identical one.
+		if e.Z/2 < phylotree.MinBranchLength {
+			e.SetZ(2 * phylotree.MinBranchLength)
+		}
+	}
+	return edges[best]
 }
 
 // BuildStepwise constructs a randomized stepwise-addition parsimony tree:
@@ -104,30 +193,7 @@ func BuildStepwise(pat *alignment.Patterns, rng *rand.Rand) (*phylotree.Tree, er
 	}
 	s := newScorer(pat)
 	for _, ti := range order[3:] {
-		edges := tr.Edges()
-		best := -1
-		bestScore := 0
-		nBest := 0
-		for k, e := range edges {
-			if err := tr.InsertTip(ti, e); err != nil {
-				return nil, err
-			}
-			sc := s.score(tr.Tips[ti])
-			if err := tr.RemoveTip(ti); err != nil {
-				return nil, err
-			}
-			switch {
-			case best == -1 || sc < bestScore:
-				best, bestScore, nBest = k, sc, 1
-			case sc == bestScore:
-				// Reservoir sampling over tied insertions.
-				nBest++
-				if rng.Intn(nBest) == 0 {
-					best = k
-				}
-			}
-		}
-		if err := tr.InsertTip(ti, edges[best]); err != nil {
+		if err := tr.InsertTip(ti, s.stepwiseBest(tr, ti, rng)); err != nil {
 			return nil, err
 		}
 	}

@@ -65,13 +65,23 @@ func FitCAT(eng *likelihood.Engine, tr *phylotree.Tree, k int) (*model.Model, er
 		}
 	}
 	// Refinement pass: probe between the coarse grid points actually in
-	// use, so each site's rate is located to half a grid step.
+	// use, so each site's rate is located to half a grid step. Patterns of
+	// weight 0 (undrawn by a bootstrap replicate) use nothing: counted here
+	// or in the buckets below they would steer the fit, and a replicate
+	// would fit differently from its alignment.Drawn() patterns. The probes
+	// run in grid order: the two probes between neighbouring grid points
+	// can tie, and the first to reach a pattern keeps it.
 	used := map[float64]bool{}
-	for _, r := range bestRate {
-		used[r] = true
+	for p, r := range bestRate {
+		if pat.Weights[p] > 0 {
+			used[r] = true
+		}
 	}
 	step := math.Sqrt(cands[1] / cands[0]) // half a log-step
-	for r := range used {
+	for _, r := range cands {
+		if !used[r] {
+			continue
+		}
 		for _, refined := range []float64{r / step, r * step} {
 			if refined >= minRate/2 && refined <= maxRate*2 {
 				if err := score(refined); err != nil {
@@ -89,7 +99,9 @@ func FitCAT(eng *likelihood.Engine, tr *phylotree.Tree, k int) (*model.Model, er
 	}
 	distinctW := map[float64]float64{}
 	for p, r := range bestRate {
-		distinctW[r] += float64(pat.Weights[p])
+		if pat.Weights[p] > 0 {
+			distinctW[r] += float64(pat.Weights[p])
+		}
 	}
 	var buckets []bucket
 	for r, w := range distinctW {

@@ -125,3 +125,52 @@ func TestFitCATValidation(t *testing.T) {
 		t.Error("k=1 accepted")
 	}
 }
+
+// TestFitCATIgnoresUndrawnPatterns: FitCAT counts patterns by weight only,
+// so a bootstrap replicate and its drawn patterns (alignment.Drawn) fit the
+// same categories and assign every drawn pattern alike. It is deterministic
+// too: its refinement probes once ran in map order, and two fits of one
+// replicate could differ in the fifth digit.
+func TestFitCATIgnoresUndrawnPatterns(t *testing.T) {
+	rng := rand.New(rand.NewSource(404))
+	gen := seqsim.DefaultModel()
+	a, truth, err := seqsim.Generate(seqsim.Params{Taxa: 8, Sites: 600, MeanBranch: 0.15, Alpha: 0.5}, gen, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := alignment.BootstrapReplicate(alignment.Compress(a), rng)
+	drawn := rep.Drawn()
+	fit := func(pat *alignment.Patterns) *model.Model {
+		eng, err := likelihood.NewEngine(pat, &model.Model{GTR: gen.GTR, Cats: []float64{1}}, likelihood.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := FitCAT(eng, truth, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	whole := fit(rep)
+	for _, part := range []*model.Model{fit(rep), fit(drawn)} {
+		if len(whole.Cats) != len(part.Cats) {
+			t.Fatalf("%d categories, then %d", len(whole.Cats), len(part.Cats))
+		}
+		for i := range whole.Cats {
+			if math.Float64bits(whole.Cats[i]) != math.Float64bits(part.Cats[i]) {
+				t.Fatalf("category %d: rate %.17g, then %.17g", i, whole.Cats[i], part.Cats[i])
+			}
+		}
+	}
+	part := fit(drawn)
+	j := 0
+	for p, w := range rep.Weights {
+		if w == 0 {
+			continue
+		}
+		if whole.PatCat[p] != part.PatCat[j] {
+			t.Fatalf("pattern %d: category %d, drawn %d", p, whole.PatCat[p], part.PatCat[j])
+		}
+		j++
+	}
+}
