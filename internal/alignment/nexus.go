@@ -51,10 +51,36 @@ func ReadNexus(r io.Reader) (*Alignment, error) {
 		upper := strings.ToUpper(trimmed)
 
 		switch {
+		// Inside MATRIX every line is a row, whatever its taxon is called:
+		// only the terminating ';' ends it.
+		case inMatrix:
+			if trimmed == ";" {
+				inMatrix = false
+				continue
+			}
+			row := strings.TrimSuffix(trimmed, ";")
+			name, data, err := splitNexusRow(row)
+			if err != nil {
+				return nil, err
+			}
+			// Normalize the user's missing/gap characters.
+			norm := strings.Map(func(c rune) rune {
+				switch byte(c) {
+				case missing:
+					return '?'
+				case gap:
+					return '-'
+				}
+				return c
+			}, data)
+			appendData(name, norm)
+			if strings.HasSuffix(trimmed, ";") {
+				inMatrix = false
+			}
 		case strings.HasPrefix(upper, "BEGIN DATA") || strings.HasPrefix(upper, "BEGIN CHARACTERS"):
 			inData = true
 		case strings.HasPrefix(upper, "END;") || strings.HasPrefix(upper, "ENDBLOCK;"):
-			inData, inMatrix = false, false
+			inData = false
 		case !inData:
 			continue
 		case strings.HasPrefix(upper, "DIMENSIONS"):
@@ -98,30 +124,6 @@ func ReadNexus(r io.Reader) (*Alignment, error) {
 			}
 		case strings.HasPrefix(upper, "MATRIX"):
 			inMatrix = true
-		case inMatrix:
-			if trimmed == ";" {
-				inMatrix = false
-				continue
-			}
-			row := strings.TrimSuffix(trimmed, ";")
-			name, data, err := splitNexusRow(row)
-			if err != nil {
-				return nil, err
-			}
-			// Normalize the user's missing/gap characters.
-			norm := strings.Map(func(c rune) rune {
-				switch byte(c) {
-				case missing:
-					return '?'
-				case gap:
-					return '-'
-				}
-				return c
-			}, data)
-			appendData(name, norm)
-			if strings.HasSuffix(trimmed, ";") {
-				inMatrix = false
-			}
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -31,8 +31,9 @@ func ReadPhylip(r io.Reader) (*Alignment, error) {
 		return nil, fmt.Errorf("phylip: missing or invalid header (taxa=%d sites=%d)", nTaxa, nSites)
 	}
 
-	names := make([]string, 0, nTaxa)
-	raw := make([]strings.Builder, nTaxa)
+	// Grown as rows arrive: a header's taxon count is not evidence of rows.
+	var names []string
+	var raw [][]byte
 	cur := 0 // next sequence expecting data in the current block
 
 	for sc.Scan() {
@@ -47,11 +48,11 @@ func ReadPhylip(r io.Reader) (*Alignment, error) {
 				return nil, fmt.Errorf("phylip: sequence line %q has no data", line)
 			}
 			names = append(names, fields[0])
-			raw[len(names)-1].WriteString(strings.Join(fields[1:], ""))
+			raw = append(raw, []byte(strings.Join(fields[1:], "")))
 			continue
 		}
 		// Continuation blocks (interleaved): data only, cycling through taxa.
-		raw[cur].WriteString(strings.Join(strings.Fields(line), ""))
+		raw[cur] = append(raw[cur], strings.Join(strings.Fields(line), "")...)
 		cur = (cur + 1) % nTaxa
 	}
 	if err := sc.Err(); err != nil {
@@ -63,7 +64,7 @@ func ReadPhylip(r io.Reader) (*Alignment, error) {
 
 	seqs := make([]*bio.Sequence, nTaxa)
 	for i, name := range names {
-		s, err := bio.NewSequence(name, raw[i].String())
+		s, err := bio.NewSequence(name, string(raw[i]))
 		if err != nil {
 			return nil, fmt.Errorf("phylip: %w", err)
 		}
@@ -109,6 +110,9 @@ func ReadFasta(r io.Reader) (*Alignment, error) {
 		s, err := bio.NewSequence(name, data.String())
 		if err != nil {
 			return err
+		}
+		if s.Len() == 0 {
+			return fmt.Errorf("record %q has no sequence", name)
 		}
 		seqs = append(seqs, s)
 		data.Reset()

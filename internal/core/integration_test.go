@@ -48,9 +48,10 @@ func TestFortyTwoSCAnalysis(t *testing.T) {
 	if mean := phylotree.MeanSupport(res.Support); mean < 0.4 {
 		t.Errorf("mean support %.2f suspiciously low", mean)
 	}
-	// Eight searches of 42 taxa: 51 152 since lazy-SPR scoring reads the
-	// vectors facing the prune point from the engine's slots (116 666 before).
-	if res.Meter.NewviewCalls < 30000 {
+	// Eight searches of 42 taxa: 35 276 since the likelihood cutoff stops the
+	// regraft walks (56 343 walking the whole radius, 116 666 before lazy-SPR
+	// scoring read the vectors facing the prune point from the engine's slots).
+	if res.Meter.NewviewCalls < 20000 {
 		t.Errorf("aggregate newview calls = %d; expected a substantial search", res.Meter.NewviewCalls)
 	}
 	t.Logf("42_SC analysis: best logL %.2f, mean support %.2f, %d consensus clades, %d newview calls",

@@ -112,7 +112,7 @@ func TestPrescoreMatchesCombineThenEvaluate(t *testing.T) {
 				eng.NewView(ps.Q)
 				eng.NewView(ps.R)
 				eng.NewView(ps.P.Back)
-				cands := phylotree.RadiusEdgesInto(phylotree.RadiusEdges(ps.Q, 4), ps.R, 4)
+				cands := append(phylotree.RadiusEdges(ps.Q, 4), phylotree.RadiusEdges(ps.R, 4)...)
 				views := eng.NewViews()
 				var across Across
 				if err := views.CarryAcross(&across, ps.P, z0); err != nil {

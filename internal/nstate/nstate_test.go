@@ -131,7 +131,7 @@ func TestDNAGenericMatchesOptimizedEngine(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			cands := phylotree.RadiusEdgesInto(phylotree.RadiusEdges(ps.Q, 3), ps.R, 3)
+			cands := append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...)
 			if len(cands) == 0 {
 				if err := tr.Undo(ps); err != nil {
 					t.Fatal(err)

@@ -45,8 +45,10 @@ func writeSubtree(b *strings.Builder, nd *Node, z float64) {
 	fmt.Fprintf(b, ":%.6f", z)
 }
 
+// quoteName quotes a label that holds a byte ending an unquoted one (see
+// parseLabel and skipSpace) or a quote or bracket.
 func quoteName(name string) string {
-	if strings.ContainsAny(name, " ():,;'\t\n[]") {
+	if strings.ContainsAny(name, " ():,;'\t\n\r[]") {
 		return "'" + strings.ReplaceAll(name, "'", "''") + "'"
 	}
 	return name

@@ -144,26 +144,30 @@ func SubtreeTips(nd *Node, out []int) []int {
 // within the given node radius, excluding the origin branch itself. It is
 // the move-set enumeration for RAxML's rearrangement-radius-bounded SPR.
 func RadiusEdges(origin *Node, radius int) []*Node {
-	return RadiusEdgesInto(nil, origin, radius)
+	out, _ := RadiusEdgesInto(nil, nil, origin, radius)
+	return out
 }
 
-// RadiusEdgesInto is RadiusEdges appending into a caller-supplied buffer,
-// so the per-prune enumeration of the SPR hot loop can reuse one slice
-// instead of reallocating the candidate set for every pruned subtree.
-func RadiusEdgesInto(out []*Node, origin *Node, radius int) []*Node {
-	var walk func(nd *Node, depth int)
-	walk = func(nd *Node, depth int) {
+// RadiusEdgesInto is RadiusEdges appending into caller-supplied buffers, so
+// the SPR hot loop can reuse its slices. parents gets, per edge appended to
+// out, the index in out of the edge whose far end it hangs off (-1 at the
+// origin's), so a caller can stop the walk below an edge.
+func RadiusEdgesInto(out []*Node, parents []int, origin *Node, radius int) ([]*Node, []int) {
+	var walk func(nd *Node, parent, depth int)
+	walk = func(nd *Node, parent, depth int) {
 		if depth > radius || nd == nil {
 			return
 		}
+		self := len(out)
 		out = append(out, nd)
+		parents = append(parents, parent)
 		tgt := nd.Back
 		if tgt.IsTip() {
 			return
 		}
 		for _, r := range tgt.Ring() {
 			if r != tgt {
-				walk(r, depth+1)
+				walk(r, self, depth+1)
 			}
 		}
 	}
@@ -171,11 +175,11 @@ func RadiusEdgesInto(out []*Node, origin *Node, radius int) []*Node {
 	if tgt != nil && !tgt.IsTip() {
 		for _, r := range tgt.Ring() {
 			if r != tgt {
-				walk(r, 1)
+				walk(r, -1, 1)
 			}
 		}
 	}
-	return out
+	return out, parents
 }
 
 // Bipartition is a canonical tip bitset for one internal edge.

@@ -3,6 +3,7 @@ package phylotree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -238,6 +239,31 @@ func TestRadiusEdges(t *testing.T) {
 	for _, e := range e3 {
 		if e.Back == nil {
 			t.Error("detached edge in radius set")
+		}
+	}
+	// The parents come from the same walk: an edge hangs off its parent's far
+	// end (the origin's for -1), which comes before it, and no deeper than
+	// the radius.
+	out, parents := RadiusEdgesInto(nil, nil, p, 3)
+	if !slices.Equal(out, e3) || len(parents) != len(out) {
+		t.Fatalf("%d edges and %d parents, want the %d edges of RadiusEdges", len(out), len(parents), len(e3))
+	}
+	for i, e := range out {
+		far, depth := p.Back, 1
+		if j := parents[i]; j >= 0 {
+			if j >= i {
+				t.Fatalf("edge %d has parent %d, which comes after it", i, j)
+			}
+			far = out[j].Back
+			for k := j; k >= 0; k = parents[k] {
+				depth++
+			}
+		}
+		if ring := far.Ring(); e == far || !slices.Contains(ring[:], e) {
+			t.Errorf("edge %d does not hang off its parent's far end", i)
+		}
+		if depth > 3 {
+			t.Errorf("edge %d at depth %d, beyond radius 3", i, depth)
 		}
 	}
 }

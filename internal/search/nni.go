@@ -48,7 +48,7 @@ edges:
 		// two branches hanging off v (now reachable from the junction).
 		sc.cands = appendNNITargets(sc.cands[:0], v, ps.P)
 
-		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub)
+		scores, err := sc.scoreInsertions(eng, sc.cands, nil, ps, zSub, current)
 		if err != nil {
 			stage, stageErr = "trial", err
 			break

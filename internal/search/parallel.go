@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -48,10 +49,33 @@ const shortListLen = 3
 // and its helpers set it.
 var solveAll bool
 
+// fullWalk switches the likelihood cutoff off — the full radius walk the
+// cutoff is judged against. Only tests that compare the two set it.
+var fullWalk bool
+
+// NonFiniteError is a candidate insertion whose log-likelihood came out NaN
+// or infinite; the search stops on it instead of ranking it.
+type NonFiniteError struct {
+	Stage string // "prescore" or "solve"
+	LogL  float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("non-finite %s log-likelihood %v", e.Stage, e.LogL)
+}
+
+// nonFinite returns err, or a *NonFiniteError if there is none and ll is not finite.
+func nonFinite(stage string, ll float64, err error) error {
+	if err == nil && !(math.Abs(ll) <= math.MaxFloat64) {
+		return &NonFiniteError{Stage: stage, LogL: ll}
+	}
+	return err
+}
+
 // candScore is one insertion candidate's scores. scored marks candidates
-// that were considered at all (detached edges are skipped); pre is the
-// stage-1 log-likelihood at the entry branch length, NaN in a prune too
-// small to need ranking; ok marks the candidates stage 2 solved, whose
+// the scoring reached (detached edges and those below a cut are not); pre
+// is the stage-1 log-likelihood at the entry branch length, NaN in a prune
+// too small to need ranking; ok marks the candidates stage 2 solved, whose
 // optimised branch length and log-likelihood are z and ll.
 type candScore struct {
 	pre    float64
@@ -59,6 +83,17 @@ type candScore struct {
 	scored bool
 	ok     bool
 	err    error
+}
+
+// prescored records stage 1's score; a non-finite one becomes the error.
+func (s *candScore) prescored(pre float64, err error) {
+	s.pre, s.err, s.scored = pre, nonFinite("prescore", pre, err), true
+}
+
+// solved records stage 2's score; a non-finite one becomes the error.
+func (s *candScore) solved(z, ll float64, err error) {
+	s.err = nonFinite("solve", ll, err)
+	s.z, s.ll, s.ok, s.scored = z, ll, s.err == nil, true
 }
 
 // searchCtx carries the task-parallel state of one search: the worker pool
@@ -83,10 +118,19 @@ type searchCtx struct {
 	// cache.shared_hits (see publishCacheMetrics).
 	sharedPublished uint64
 
-	cands  []*phylotree.Node
-	scores []candScore
-	list   []int // the short list of the prune being scored, as indices into cands
-	across likelihood.Across
+	cands   []*phylotree.Node
+	parents []int // per candidate, the index of the one it hangs off in the radius walk (-1 at the prune)
+	scores  []candScore
+	list    []int // the short list of the prune being scored, as indices into cands
+	wave    []int // the candidates stage 1 prescores next
+	across  likelihood.Across
+
+	// cutoff is the round's likelihood cutoff (RAxML's lhCutoff), +Inf until
+	// a round sets one; lossSum and losses are the round's losses so far,
+	// which set the next round's.
+	cutoff  float64
+	lossSum float64
+	losses  int
 
 	// roundParallel records whether the current round used the pool at
 	// least once; rounds whose prunes all fell under minParallelCandidates
@@ -114,7 +158,7 @@ type searchCtx struct {
 // per-worker view tables read through one shared store; and metric handles
 // when opt.Metrics is set.
 func newSearchCtx(eng *likelihood.Engine, opt Options) *searchCtx {
-	sc := &searchCtx{traceRound: opt.Trace}
+	sc := &searchCtx{traceRound: opt.Trace, cutoff: math.Inf(1)}
 	if opt.Metrics != nil {
 		sc.candidatesScored = opt.Metrics.Counter("search.candidates_scored")
 		sc.candidatesSolved = opt.Metrics.Counter("search.candidates_solved")
@@ -184,41 +228,59 @@ func (sc *searchCtx) publishCacheMetrics() {
 	}
 }
 
+// startRound sets the round's cutoff by RAxML's rule: the previous round's
+// mean loss, or |logL|/1000 of the round's starting tree when that round
+// recorded no loss or there was none.
+func (sc *searchCtx) startRound(logL float64) {
+	sc.cutoff = math.Abs(logL) / 1000
+	if sc.losses > 0 {
+		sc.cutoff = sc.lossSum / float64(sc.losses)
+	}
+	if fullWalk {
+		sc.cutoff = math.Inf(1)
+	}
+	sc.lossSum, sc.losses = 0, 0
+}
+
 // scoreInsertions scores the regraft of the subtree pruned by ps (entry
-// branch length z0) into every candidate edge, in the two stages RAxML has,
-// and returns sc.scores, indexed by candidate. It first orients the engine's
-// slots toward the prune point, so that a candidate reads the vector facing
-// away from it at its edge (computed once, shared with the candidates beyond
-// it) and slots nobody writes. Stage 1 prescores every candidate: the
-// virtual insertion node and the log-likelihood across the subtree's branch
-// at z0, nothing optimised. Behind its barrier the short list is drawn from
-// the whole prescore slice — the shortListLen highest, ties to the lower
-// index — and stage 2 solves the subtree's branch length by Newton-Raphson
-// for those alone; a prune with no more candidates than that skips stage 1.
-// With a pool each stage fans out, every worker scoring through its own
-// context's Views over the shared store; serially one Views scores in
-// candidate order. Either way the same vectors are computed, the same list is
-// drawn and the same solves run, so the caller's reduction over the solved
-// candidates — and therefore the chosen move — is independent of scheduling.
-// The first error in candidate order wins.
-func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.Node, ps *phylotree.PrunedSubtree, z0 float64) ([]candScore, error) {
+// branch length z0) into the candidate edges of a radius walk (parents as
+// phylotree.RadiusEdgesInto gives them; nil for at most shortListLen
+// candidates, as in NNI), in the two stages RAxML has, and returns sc.scores,
+// indexed by candidate. It first orients the engine's slots toward the prune
+// point, so that a candidate reads the vector facing away from it at its edge
+// (computed once, shared with the candidates beyond it) and slots nobody
+// writes. Stage 1 prescores, in waves down the walk, the candidates it
+// reaches: the virtual insertion node and the log-likelihood across the
+// subtree's branch at z0, nothing optimised. A prescore at least sc.cutoff
+// below baseline, the current tree's log-likelihood, keeps every candidate
+// below it out of the walk. Behind the last wave the short list is drawn —
+// the shortListLen highest prescores, ties to the lower index — and stage 2
+// solves the subtree's branch length by Newton-Raphson for those alone; a
+// prune with no more candidates than that skips stage 1. With a pool each
+// wave and stage fans out, every worker scoring through its own context's
+// Views over the shared store. Either way the same candidates are reached,
+// the same vectors computed, the same list drawn and the same solves run, so
+// the round's losses and the chosen move are independent of scheduling. The
+// first error in candidate order wins.
+func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.Node, parents []int, ps *phylotree.PrunedSubtree, z0, baseline float64) ([]candScore, error) {
 	sub := ps.P
 	csp := sc.traceRound.Start("candidates", "search")
 	defer csp.End()
 	if cap(sc.scores) < len(cands) {
 		sc.scores = make([]candScore, len(cands))
 		sc.list = make([]int, len(cands))
+		sc.wave = make([]int, len(cands))
 	}
 	scores, list := sc.scores[:len(cands)], sc.list[:len(cands)]
-	scored := 0
+	attached := 0
 	for i, cand := range cands {
-		scores[i] = candScore{pre: math.NaN(), scored: cand.Back != nil}
-		if scores[i].scored {
-			list[scored] = i
-			scored++
+		scores[i] = candScore{pre: math.NaN()}
+		if cand.Back != nil {
+			list[attached] = i
+			attached++
 		}
 	}
-	sc.list = list[:scored]
+	sc.list = list[:attached]
 
 	// Orient every slot toward the prune point: Prune left valid exactly the
 	// slots that already face the joined branch, so this recomputes only the
@@ -228,25 +290,28 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 	eng.NewView(ps.R)
 	eng.NewView(sub.Back)
 
-	if scored > shortListLen {
+	if attached > shortListLen {
 		if err := sc.serialViews.CarryAcross(&sc.across, sub, z0); err != nil {
 			return nil, err
 		}
-		sc.fan(sc.list, func(v *likelihood.Views, i int) {
-			scores[i].pre, scores[i].err = v.Prescore(cands[i], &sc.across)
+		sc.prescoreWalk(cands, parents, baseline, func(v *likelihood.Views, i int) {
+			scores[i].prescored(v.Prescore(cands[i], &sc.across))
 		})
 		if !solveAll {
 			sc.list = shortList(scores, sc.list[:0])
 		}
 	}
 	sc.fan(sc.list, func(v *likelihood.Views, i int) {
-		z, ll, err := v.InsertionScore(cands[i], sub, z0)
-		scores[i].z, scores[i].ll, scores[i].ok, scores[i].err = z, ll, err == nil, err
+		scores[i].solved(v.InsertionScore(cands[i], sub, z0))
 	})
 	sc.serialViews.Release()
+	scored := 0
 	for i := range scores {
 		if scores[i].err != nil {
 			return nil, scores[i].err
+		}
+		if scores[i].scored {
+			scored++
 		}
 	}
 	if sc.candidatesScored != nil {
@@ -254,6 +319,39 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 		sc.candidatesSolved.Add(uint64(len(sc.list)))
 	}
 	return scores, nil
+}
+
+// prescoreWalk is stage 1: it prescores the candidates of a radius walk in
+// waves through sc.fan, wave d the depth-d candidates whose parent the cutoff
+// kept, then adds, in candidate order, how far each error-free prescore fell
+// below baseline to the round's losses (RAxML's lhAVG and lhDEC).
+func (sc *searchCtx) prescoreWalk(cands []*phylotree.Node, parents []int, baseline float64, prescore func(v *likelihood.Views, i int)) {
+	for wave := sc.nextWave(cands, parents, baseline); len(wave) > 0; wave = sc.nextWave(cands, parents, baseline) {
+		sc.fan(wave, prescore)
+	}
+	for i := range cands {
+		if s := &sc.scores[i]; s.scored && s.err == nil && s.pre < baseline {
+			sc.lossSum += baseline - s.pre
+			sc.losses++
+		}
+	}
+}
+
+// nextWave returns, in candidate order, the attached candidates not yet
+// prescored whose parent in the walk was prescored without error and lost
+// less than the cutoff (first, those at the prune). It reads only scores
+// sc.fan has finished, so any worker count reaches the same candidates.
+func (sc *searchCtx) nextWave(cands []*phylotree.Node, parents []int, baseline float64) []int {
+	wave := sc.wave[:0]
+	for i, p := range parents {
+		if sc.scores[i].scored || cands[i].Back == nil {
+			continue
+		}
+		if p < 0 || (sc.scores[p].scored && sc.scores[p].err == nil && baseline-sc.scores[p].pre < sc.cutoff) {
+			wave = append(wave, i)
+		}
+	}
+	return wave
 }
 
 // fan runs score for every candidate index in list: over the pool when there
@@ -272,11 +370,11 @@ func (sc *searchCtx) fan(list []int, score func(v *likelihood.Views, i int)) {
 }
 
 // shortList appends to list the indices of the shortListLen highest
-// prescores among the scored candidates, ties to the lower index, in
-// candidate order.
+// prescores among the scored candidates without an error, ties to the lower
+// index, in candidate order.
 func shortList(scores []candScore, list []int) []int {
 	for i := range scores {
-		if !scores[i].scored {
+		if !scores[i].scored || scores[i].err != nil {
 			continue
 		}
 		// list is kept by descending prescore; an equal later one goes behind.

@@ -95,12 +95,14 @@ func TestShortListTieBreak(t *testing.T) {
 	}
 }
 
-// TestShortListIndependentOfWorkers42SC is the determinism of the two stages:
-// over one scoring-only SPR sweep of the smoothed 42_SC tree, searches of 1,
-// 2 and 4 workers compute the same prescores bit for bit, draw the same short
-// list for every prune, solve it to the same bits, and leave the same Meter
-// but for SharedHits — the list is a function of the whole prescore slice, so
-// who scored which candidate cannot reach it.
+// TestShortListIndependentOfWorkers42SC is the determinism of the two stages
+// and of the cutoff: over two scoring-only SPR sweeps of the smoothed 42_SC
+// tree, each a round with its own cutoff, searches of 1, 2 and 4 workers
+// prescore the same candidates to the same bits, draw the same short list for
+// every prune, solve it to the same bits, set every round's cutoff to the
+// same bits and leave the same Meter but for SharedHits — a wave is a
+// function of the one before it and the list of the whole prescore slice, so
+// who scored which candidate cannot reach either.
 func TestShortListIndependentOfWorkers42SC(t *testing.T) {
 	pat := load42SC(t)
 	start, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(7)))
@@ -108,8 +110,10 @@ func TestShortListIndependentOfWorkers42SC(t *testing.T) {
 		t.Fatal(err)
 	}
 	type sweep struct {
-		vals  []float64 // per prune: every prescore, then index, z and logL of each solve
-		meter likelihood.Meter
+		vals    []float64 // per prune: every prescore (NaN where the walk stopped), then index, z and logL of each solve
+		cutoffs []float64 // every round's, and the one the second sweep's losses set
+		meter   likelihood.Meter
+		cut     int // candidates the cutoff kept out of stage 1
 	}
 	run := func(workers int) sweep {
 		eng, err := likelihood.NewEngine(pat, seqsim.DefaultModel(), likelihood.Config{})
@@ -118,36 +122,48 @@ func TestShortListIndependentOfWorkers42SC(t *testing.T) {
 		}
 		tr := start.Clone()
 		eng.AttachTree(tr)
-		if _, err := SmoothBranches(eng, tr, 2, 0.05); err != nil {
+		ll, err := SmoothBranches(eng, tr, 2, 0.05)
+		if err != nil {
 			t.Fatal(err)
 		}
 		sc := newSearchCtx(eng, Options{Workers: workers})
 		defer sc.close(eng)
 		var out sweep
-		for _, p := range pruneCandidates(tr) {
-			ps, err := tr.Prune(p)
-			if err != nil {
-				t.Fatal(err)
+		for round := 0; round < 3; round++ {
+			sc.startRound(ll)
+			out.cutoffs = append(out.cutoffs, sc.cutoff)
+			if round == 2 {
+				break
 			}
-			sc.cands = phylotree.RadiusEdgesInto(sc.cands[:0], ps.Q, 5)
-			sc.cands = phylotree.RadiusEdgesInto(sc.cands, ps.R, 5)
-			scores, err := sc.scoreInsertions(eng, sc.cands, ps, ps.P.Z)
-			if err != nil {
-				t.Fatal(err)
-			}
-			solved := 0
-			for i := range scores {
-				out.vals = append(out.vals, scores[i].pre)
-				if scores[i].ok {
-					solved++
-					out.vals = append(out.vals, float64(i), scores[i].z, scores[i].ll)
+			for _, p := range pruneCandidates(tr) {
+				ps, err := tr.Prune(p)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if want := min(len(scores), shortListLen); solved != want {
-				t.Fatalf("%d workers: %d of %d candidates solved, want %d", workers, solved, len(scores), want)
-			}
-			if err := tr.Undo(ps); err != nil {
-				t.Fatal(err)
+				sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands[:0], sc.parents[:0], ps.Q, 5)
+				sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands, sc.parents, ps.R, 5)
+				scores, err := sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, ll)
+				if err != nil {
+					t.Fatal(err)
+				}
+				solved, scored := 0, 0
+				for i := range scores {
+					out.vals = append(out.vals, scores[i].pre)
+					if scores[i].scored {
+						scored++
+					}
+					if scores[i].ok {
+						solved++
+						out.vals = append(out.vals, float64(i), scores[i].z, scores[i].ll)
+					}
+				}
+				if want := min(scored, shortListLen); solved != want {
+					t.Fatalf("%d workers: %d of %d reached candidates solved, want %d", workers, solved, scored, want)
+				}
+				out.cut += len(scores) - scored
+				if err := tr.Undo(ps); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		out.meter = eng.Meter
@@ -157,6 +173,10 @@ func TestShortListIndependentOfWorkers42SC(t *testing.T) {
 	if serial.meter.SharedHits != 0 {
 		t.Errorf("serial sweep metered %d shared hits", serial.meter.SharedHits)
 	}
+	if serial.cut == 0 {
+		t.Error("the cutoff kept no candidate out of stage 1")
+	}
+	t.Logf("cutoffs %.6f, %.6f, %.6f; %d candidates kept out of stage 1", serial.cutoffs[0], serial.cutoffs[1], serial.cutoffs[2], serial.cut)
 	for _, workers := range []int{2, 4} {
 		pooled := run(workers)
 		if pooled.meter.SharedHits == 0 {
@@ -171,9 +191,15 @@ func TestShortListIndependentOfWorkers42SC(t *testing.T) {
 			t.Fatalf("%d workers: %d values, serial %d: the short lists differ", workers, len(pooled.vals), len(serial.vals))
 		}
 		for i := range serial.vals {
-			// NaN marks the prescore of a prune too small to rank.
+			// NaN marks a candidate with no prescore: below a cut, or in a
+			// prune too small to rank.
 			if pooled.vals[i] != serial.vals[i] && !(math.IsNaN(pooled.vals[i]) && math.IsNaN(serial.vals[i])) {
 				t.Fatalf("%d workers: value %d is %.17g, serial %.17g", workers, i, pooled.vals[i], serial.vals[i])
+			}
+		}
+		for r := range serial.cutoffs {
+			if math.Float64bits(pooled.cutoffs[r]) != math.Float64bits(serial.cutoffs[r]) {
+				t.Errorf("%d workers: cutoff %d is %.17g, serial %.17g", workers, r+1, pooled.cutoffs[r], serial.cutoffs[r])
 			}
 		}
 	}
@@ -449,10 +475,10 @@ func TestParallelSharedCacheStressSPRCycles(t *testing.T) {
 			continue
 		}
 		zSub := ps.P.Z
-		sc.cands = phylotree.RadiusEdgesInto(sc.cands[:0], ps.Q, 3)
-		sc.cands = phylotree.RadiusEdgesInto(sc.cands, ps.R, 3)
+		sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands[:0], sc.parents[:0], ps.Q, 3)
+		sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands, sc.parents, ps.R, 3)
 
-		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub)
+		scores, err := sc.scoreInsertions(eng, sc.cands, sc.parents, ps, zSub, math.Inf(-1))
 		if err != nil {
 			t.Fatal(err)
 		}

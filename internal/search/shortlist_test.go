@@ -66,9 +66,9 @@ func shortListOutcomes(t *testing.T, pat *alignment.Patterns, m *model.Model, se
 		if err != nil {
 			continue
 		}
-		sc.cands = phylotree.RadiusEdgesInto(sc.cands[:0], ps.Q, opt.Radius)
-		sc.cands = phylotree.RadiusEdgesInto(sc.cands, ps.R, opt.Radius)
-		scores, err := sc.scoreInsertions(eng, sc.cands, ps, ps.P.Z)
+		sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands[:0], sc.parents[:0], ps.Q, opt.Radius)
+		sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands, sc.parents, ps.R, opt.Radius)
+		scores, err := sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, current)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,9 @@ func shortListOutcomes(t *testing.T, pat *alignment.Patterns, m *model.Model, se
 // solve only the short list of every prune end, on average, no lower than
 // the same searches solving every candidate — the parent's scoring — by more
 // than 0.05 logL, none ends more than 2e-3·|logL| below its exhaustive twin,
-// and they take at most two fifths of the Newton iterations. On a simulated
+// and they take at most two fifths of the Newton iterations. Both twins walk
+// the whole radius (fullWalk), so that the short list is judged alone; the
+// cutoff has its own gate, TestCutoffNoWorseThanFullWalk. On a simulated
 // 20 x 250 alignment (the benchmark's search workloads) and on 42_SC. The
 // difference between twins is two-sided — a third of them end in a
 // neighbouring local optimum, up to 0.67 logL away in either direction — so
@@ -122,7 +124,8 @@ func TestShortListNoWorseThanExhaustive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("56 full SPR searches")
 	}
-	defer func() { solveAll = false }()
+	fullWalk = true
+	defer func() { solveAll, fullWalk = false, false }()
 	a, _, err := seqsim.Generate(seqsim.Params{Taxa: 20, Sites: 250, MeanBranch: 0.05, Alpha: 0.7, InvariantFraction: 0.4},
 		seqsim.DefaultModel(), rand.New(rand.NewSource(2301)))
 	if err != nil {

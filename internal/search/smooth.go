@@ -1,9 +1,11 @@
 // Package search implements RAxML's rapid hill-climbing tree search on top
 // of the likelihood kernels: branch-length smoothing sweeps, Gamma shape
-// optimization by Brent's method, and radius-bounded lazy SPR
-// rearrangements in RAxML's two stages — every insertion of a pruned subtree
-// is scored unoptimised, and only the short list of the best ones has the
-// subtree's branch length solved before the winner is picked.
+// optimization by Brent's method, and radius-bounded lazy SPR rearrangements
+// the way RAxML runs them. A pruned subtree's regraft walk goes out from the
+// prune point to the radius but stops below an insertion that loses the
+// round's likelihood cutoff or more; every insertion the walk reaches is
+// prescored unoptimised, and only the short list of the best prescores has
+// the subtree's branch length solved before the winner is picked.
 package search
 
 import (

@@ -36,12 +36,13 @@ type Options struct {
 
 	// Workers > 1 enables task-level parallelism inside this search: the
 	// insertion candidates of each pruned subtree are independent reads of a
-	// frozen tree, so both scoring stages — the prescore of every candidate,
-	// then the Newton solve of the short list drawn from all the prescores —
-	// fan out over a pool of Workers kernel contexts, with a barrier between
-	// them. The short list, the chosen moves, the final topology, the
-	// log-likelihood and the kernel call counts are identical to the serial
-	// search (see DESIGN.md "Parallelism layers" and "Cache × pool
+	// frozen tree, so the regraft walk's prescores — one wave per depth, each
+	// the candidates whose parent the likelihood cutoff kept — and then the
+	// Newton solve of the short list drawn from them fan out over a pool of
+	// Workers kernel contexts, with a barrier after each. The candidates
+	// reached, the cutoff, the short list, the chosen moves, the final
+	// topology, the log-likelihood and the kernel call counts are identical to
+	// the serial search (see DESIGN.md "Parallelism layers" and "Cache × pool
 	// composition"); <= 1 runs fully serial. Orthogonal to the likelihood
 	// package's range executor, which lends the pattern blocks *inside* one
 	// kernel call to CPUs the workers leave idle and adds no concurrency of
@@ -102,11 +103,12 @@ func pruneCandidates(tr *phylotree.Tree) []*phylotree.Node {
 }
 
 // sprRound performs one pass of lazy SPR over all prune candidates: each
-// subtree is pruned, trial-inserted into every edge within the
-// rearrangement radius of the detachment point (scored as it stands, and for
-// the short list of the best insertions with the subtree's own branch
-// optimized, RAxML's "lazy" evaluation), and kept at the best position if
-// that improves the current likelihood by more than eps.
+// subtree is pruned, trial-inserted into the edges within the rearrangement
+// radius of the detachment point that the round's likelihood cutoff leaves
+// in the walk (scored as it stands, and for the short list of the best
+// insertions with the subtree's own branch optimized, RAxML's "lazy"
+// evaluation), and kept at the best position if that improves the current
+// likelihood by more than eps.
 // It returns the updated log-likelihood and the number of accepted moves.
 // Candidate scoring goes through sc — concurrently when the search has a
 // worker pool, with the winner reduced deterministically in candidate
@@ -114,6 +116,7 @@ func pruneCandidates(tr *phylotree.Tree) []*phylotree.Node {
 func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius int, baseline, eps float64) (float64, int, error) {
 	current := baseline
 	accepted := 0
+	sc.startRound(baseline)
 	// Error wrapping happens after the loop: fmt.Errorf boxes its operands,
 	// and the round loop is hot (see the hotpathalloc analyzer), so failures
 	// break out with a stage tag and format once on the cold path.
@@ -130,13 +133,13 @@ prunes:
 		}
 		zSub := ps.P.Z
 
-		sc.cands = phylotree.RadiusEdgesInto(sc.cands[:0], ps.Q, radius)
-		sc.cands = phylotree.RadiusEdgesInto(sc.cands, ps.R, radius)
+		sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands[:0], sc.parents[:0], ps.Q, radius)
+		sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands, sc.parents, ps.R, radius)
 
-		// Lazy SPR: score every candidate from directed vectors of the
-		// (fixed) pruned tree; only the short list's subtree branch is
-		// optimized, and only the short list can win.
-		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub)
+		// Lazy SPR: score the candidates the cutoff reaches from directed
+		// vectors of the (fixed) pruned tree; only the short list's subtree
+		// branch is optimized, and only the short list can win.
+		scores, err := sc.scoreInsertions(eng, sc.cands, sc.parents, ps, zSub, current)
 		if err != nil {
 			stage, stageErr = "trial insertion", err
 			break
