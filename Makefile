@@ -29,13 +29,17 @@ bench:
 # entry-point safeguard and the prescore against combine-then-evaluate
 # included — the epoch-cache fuzz seeds (lazy-SPR scoring, both stages,
 # through both view tables against a fresh engine), the absolute kernel-cost
-# bounds, the cutoff's rule and the short list's and cutoff's independence of
-# the worker count must pass under the race detector, and traced 5-s runs hold
-# the exact, host-independent call counts of the serial workloads (needs jq) —
-# wide24 twice, with the range executor's helper and under GOMAXPROCS=1
-# without it, requiring the same counts, Newton iterations and flops;
-# search20-serial within 10 % of its measured 3 516 newviews, 913 solves and
-# 2 842 Newton iterations; campaign20, whose bootstrap jobs run on the
+# bounds, the cutoff's rule, the short list's and cutoff's independence of
+# the worker count and the site-repeat properties (TestRepeats*: one row per
+# repeat class has the bits of one row per pattern, classes outlive length
+# and model changes and fall exactly with the topology behind them) must pass
+# under the race detector, and traced 5-s runs hold the exact,
+# host-independent call counts of the serial workloads (needs jq) — wide24
+# twice, with the range executor's helper and under GOMAXPROCS=1 without it,
+# requiring the same counts, Newton iterations and flops, the flops exactly
+# the 735 345 392 its repeat-class rows and factored sum tables take;
+# search20-serial exactly its 3 516 newviews, 913 solves and 2 842 Newton
+# iterations; campaign20, whose bootstrap jobs run on the
 # patterns their replicate drew while its replay runs them on the whole
 # replicate, with no failed operation (the replay's logL-bits check included),
 # exactly 21 896 newviews / 5 255 solves / 15 416 Newton iterations and at
@@ -47,15 +51,15 @@ bench:
 backend-gate:
 	@mkdir -p $(BIN)
 	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC|TestShortListNoWorseThanExhaustive|TestCutoffNoWorseThanFullWalk' ./internal/search
-	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|TestParallel|TestExecutor|TestHelpers|TestPrescoreMatchesCombineThenEvaluate|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
+	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|TestParallel|TestExecutor|TestHelpers|TestPrescoreMatchesCombineThenEvaluate|TestRepeats|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
 	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestCandidateCost42SC|TestOptimizeAlphaCost42SC|TestBrentMax|TestResultBitsIndependentOfGOMAXPROCS|TestShortListTieBreak|TestShortListIndependentOfWorkers42SC|TestCutoffRule|TestNonFiniteScoreNeverSteers' ./internal/search
 	$(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 | tee $(BIN)/wide24.json | jq -e \
-		'.failed == 0 and .metrics["likelihood.evaluate_calls"].value <= 12 and .metrics["likelihood.makenewz_calls"].value == 180 and .metrics["likelihood.newview_calls"].value == 506 and .metrics["likelihood.newton_iters"].value == 550'
+		'.failed == 0 and .metrics["likelihood.evaluate_calls"].value <= 12 and .metrics["likelihood.makenewz_calls"].value == 180 and .metrics["likelihood.newview_calls"].value == 506 and .metrics["likelihood.newton_iters"].value == 550 and .metrics["likelihood.flops"].value == 735345392'
 	GOMAXPROCS=1 $(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 > $(BIN)/wide24-serial.json
 	jq -e -n --slurpfile a $(BIN)/wide24.json --slurpfile b $(BIN)/wide24-serial.json \
 		'def counts: [.failed, (.metrics | [."likelihood.newview_calls", ."likelihood.makenewz_calls", ."likelihood.evaluate_calls", ."likelihood.newton_iters", ."likelihood.flops"] | map(.value))]; ($$a[0] | counts) == ($$b[0] | counts)'
 	$(GO) run ./benchmark --workload search20-serial --seed 1 --seconds 5 --trace 1 | tail -n 1 | jq -e \
-		'.failed == 0 and .metrics["likelihood.newview_calls"].value <= 3868 and .metrics["likelihood.makenewz_calls"].value <= 1005 and .metrics["likelihood.newton_iters"].value <= 3127'
+		'.failed == 0 and .metrics["likelihood.newview_calls"].value == 3516 and .metrics["likelihood.makenewz_calls"].value == 913 and .metrics["likelihood.newton_iters"].value == 2842'
 	$(GO) run ./benchmark --workload campaign20 --seed 1 --seconds 5 --trace 1 | tail -n 1 | jq -e \
 		'.failed == 0 and .metrics["likelihood.newview_calls"].value == 21896 and .metrics["likelihood.makenewz_calls"].value == 5255 and .metrics["likelihood.newton_iters"].value == 15416 and .metrics["likelihood.flops"].value <= 0.7 * 590471019'
 	$(GO) build -o $(BIN)/raxml ./cmd/raxml

@@ -264,7 +264,7 @@ func main() {
 				len(vals), mean, vals[0], vals[len(vals)-1])
 		}
 	}
-	fmt.Printf("kernel profile: %s\n", analysis.Meter.String())
+	fmt.Printf("kernel profile: %s rowShare=%.3f\n", analysis.Meter.String(), analysis.Meter.RowShare())
 	// Schedule-dependent, so it goes to the log and not to stdout, which is
 	// byte-identical at any GOMAXPROCS.
 	blocks, adopted := likelihood.RangeBlocks()

@@ -18,7 +18,7 @@ import (
 // memoization, transition-matrix and tip-projection table construction, the
 // Newton solver driver, numerical scaling policy, and the block executor
 // that spreads a pass over idle CPUs (executor.go). A backend only answers
-// "given these operands, compute patterns [lo, hi)" — which is exactly the
+// "given these operands, compute patterns (or rows) [lo, hi)" — which is exactly the
 // seam BEAGLE 4.1 draws around its CPU/SSE/GPU implementations, and the Go
 // analogue of the paper swapping restructured SPU loops under an unchanged
 // search.
@@ -43,26 +43,29 @@ type Backend interface {
 	// (called once from Ctx.alloc, before any kernel runs).
 	initCtx(c *Ctx)
 
-	// combineRange executes the newview inner loop for patterns
-	// [pr.lo, pr.hi): child-side projections through the transition
-	// matrices prepared in c.pLeft/c.pRight (tip children via the
-	// c.tipPL/c.tipPR tables), their elementwise product into op.dst
-	// (whose first pattern is op.dstLo), and the 2^-256 scaling check per
-	// pattern.
-	combineRange(c *Ctx, op *combineOp, pr patRange, ts *tileScratch) combineStats
+	// combineRows executes the newview inner loop for rows [pr.lo, pr.hi)
+	// of the destination: each row's children gathered at the pattern it
+	// stands for (op.first) through their class maps, projected through the
+	// transition matrices prepared in c.pLeft/c.pRight (tip children via the
+	// c.tipPL/c.tipPR tables), their elementwise product into op.dst (whose
+	// first row is op.dstLo), and the 2^-256 scaling check per row.
+	combineRows(c *Ctx, op *combineOp, pr patRange, ts *tileScratch) combineStats
 
 	// evaluateRange executes the evaluate inner loop for patterns
-	// [pr.lo, pr.hi): the q-side projection through c.pLeft (tips via
-	// c.tipPR) unless op.qProj already holds it, the frequency-weighted dot
-	// product against op.pLv (whose first pattern is op.pLo), the
+	// [pr.lo, pr.hi), each side gathered through its class map: the q-side
+	// projection through c.pLeft (tips via c.tipPR) unless op.qProj already
+	// holds it, the frequency-weighted dot product against op.p (whose first
+	// row is op.pLo), the
 	// per-pattern log with scaling counters folded back, and the weighted
 	// log-likelihood sum of the range.
 	evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileScratch) evalPart
 
-	// sumTableRange builds the Newton eigenmode sum table A[pat,c,k] into
-	// c.sumTab for patterns [pr.lo, pr.hi) and returns the t-independent
-	// scaling constant contribution of the range.
-	sumTableRange(c *Ctx, op *sumOp, pr patRange, ts *tileScratch) sumPart
+	// sumTableFactors computes the two factors of the Newton eigenmode sum
+	// table A[pat,c,k] = (Σ_i π_i·x_i·V_ik)·(Σ_j W_kj·y_j), each once per row
+	// of its side: c.sumP for rows pr of op.p, c.sumQ for rows qr of op.q
+	// (of the codes 0–15 for a tip). Ctx.sumTableProducts multiplies them per
+	// pattern.
+	sumTableFactors(c *Ctx, op *sumOp, pr, qr patRange, ts *tileScratch) sumPart
 
 	// newtonDerivRange is the pass every Newton iteration makes: it reduces
 	// (dlogL/dt, d2logL/dt2) over patterns [pr.lo, pr.hi) from c.sumTab and
@@ -82,7 +85,8 @@ const minPositive = math.SmallestNonzeroFloat64
 
 var logFn = math.Log
 
-// patRange is a contiguous range of patterns [lo, hi): one block of a pass.
+// patRange is a contiguous range of patterns [lo, hi), or of rows in a
+// combine: one block of a pass.
 type patRange struct{ lo, hi int }
 
 // combineStats are the per-range meter contributions of the newview loop.
@@ -101,15 +105,17 @@ func (s *combineStats) add(o combineStats) {
 }
 
 // combineOp is the operand set of one combine (newview) call. Tip children
-// carry their pattern codes in qData/rData (and nil vectors); inner
-// children carry their vector and scale slices. The transition matrices and
-// tip-projection tables for the call are already prepared on the Ctx.
-// dst and dstScale begin at pattern dstLo: 0 for a whole vector, the block's
+// carry their pattern codes in qData/rData (and zero vecs); inner children
+// carry their vecs. The destination has rows rows, row i standing for
+// pattern first[i] (first nil: one row per pattern). The transition matrices
+// and tip-projection tables for the call are already prepared on the Ctx.
+// dst and dstScale begin at row dstLo: 0 for a whole vector, the block's
 // first pattern when a prescore block combines into its own scratch.
 type combineOp struct {
-	qData, rData []byte    // tip pattern codes (nil for inner children)
-	qLv, rLv     []float64 // inner-child partial vectors (nil for tips)
-	qSc, rSc     []int32   // inner-child scale counters (nil for tips)
+	qData, rData []byte // tip pattern codes (nil for inner children)
+	q, r         vec    // inner children (zero for tips)
+	first        []int32
+	rows         int
 	dst          []float64
 	dstScale     []int32
 	dstLo        int
@@ -117,19 +123,17 @@ type combineOp struct {
 
 // evalOp is the operand set of one evaluate call across a branch (p, q):
 // the p-side is always an inner vector, the q-side a tip (qData) or inner
-// vector (qLv/qScale) for the kernel to carry across the branch — or, when
-// qProj is set, a q-side that already has been (Views.CarryAcross), laid out
-// like a vector, with qScale its scale counts. pLv and pScale begin at
-// pattern pLo, like combineOp's dst. perSite, when non-nil, receives the
+// vector (q) for the kernel to carry across the branch — or, when qProj is
+// set, a q-side that already has been (Views.CarryAcross), laid out like a
+// vector of one row per pattern, with q.sc its scale counts. p's rows begin
+// at row pLo, like combineOp's dst. perSite, when non-nil, receives the
 // per-pattern logs.
 type evalOp struct {
 	qProj   []float64
-	pLv     []float64
-	pScale  []int32
+	p       vec
 	pLo     int
 	qData   []byte
-	qLv     []float64
-	qScale  []int32
+	q       vec
 	perSite []float64
 }
 
@@ -141,13 +145,12 @@ type evalPart struct {
 }
 
 // sumOp is the operand set of the Newton sum-table build: the two branch
-// endpoint vectors (q-side possibly a tip).
+// endpoint vectors (q-side possibly a tip) and the rows of each.
 type sumOp struct {
-	pLv   []float64
-	pSc   []int32
-	qData []byte
-	qLv   []float64
-	qSc   []int32
+	p            vec
+	qData        []byte
+	q            vec
+	pRows, qRows int
 }
 
 // sumPart is one range's contribution to the sum-table build: the

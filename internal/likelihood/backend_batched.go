@@ -16,6 +16,11 @@ type tileScratch struct {
 	a, b      []float64 // projection tiles, laid out like lv: [t*ncat*ns + cat*ns + i]
 	s, s1, s2 []float64 // per-pattern accumulators (site likelihood / Newton L, L', L'')
 
+	// The rows (or tip codes) a tile gathers from its operands, one per
+	// tile position: qi/ri the two projected sides, pi evaluate's p-side
+	// (gatherTile).
+	qi, ri, pi []int32
+
 	// A prescore block's virtual insertion node, laid out like lv from the
 	// block's first pattern, and the ops that point the two kernels at it
 	// (here, not on the stack: their address crosses the Backend interface).
@@ -43,6 +48,7 @@ func (ts *tileScratch) fit(ncat int) {
 	}
 	if ts.s == nil {
 		ts.s, ts.s1, ts.s2 = make([]float64, batchTile), make([]float64, batchTile), make([]float64, batchTile)
+		ts.qi, ts.ri, ts.pi = make([]int32, batchTile), make([]int32, batchTile), make([]int32, batchTile)
 	}
 }
 
@@ -67,11 +73,37 @@ type batchedBackend struct {
 	scalar scalarBackend
 }
 
-// projectInnerTile projects an inner child's partial vectors through the
-// per-category transition matrices for one tile of patterns [lo, hi),
-// keeping all 16 matrix entries in locals across the tile — the fused loop
-// the scalar path re-derives per pattern.
-func projectInnerTile(p, src, out []float64, lo, hi, ncat int) {
+// gatherTile returns what a tile of rows [lo, hi) reads from one operand:
+// row i stands for pattern first[i] (nil: i), where a tip operand (data)
+// has its code and an inner one (v) the row of its class map. It fills idx,
+// or, for an operand read one row per pattern, returns the engine's
+// identity rows without a loop.
+func gatherTile(e *Engine, idx, first []int32, data []byte, v *vec, lo, hi int) []int32 {
+	if first == nil && data == nil && v.cls == nil {
+		return e.ident[lo:hi]
+	}
+	for row := lo; row < hi; row++ {
+		pat := row
+		if first != nil {
+			pat = int(first[row])
+		}
+		switch {
+		case data != nil:
+			idx[row-lo] = int32(data[pat] & 0x0f)
+		case v.cls != nil:
+			idx[row-lo] = int32(v.cls[pat])
+		default:
+			idx[row-lo] = int32(pat)
+		}
+	}
+	return idx[:hi-lo]
+}
+
+// projectInnerTile projects the rows idx of an inner child's partial vectors
+// through the per-category transition matrices into a tile, keeping all 16
+// matrix entries in locals across the tile — the fused loop the scalar path
+// re-derives per pattern.
+func projectInnerTile(p, src []float64, idx []int32, out []float64, ncat int) {
 	stride := ncat * ns
 	for cat := 0; cat < ncat; cat++ {
 		pc := p[cat*ns*ns : cat*ns*ns+ns*ns]
@@ -80,9 +112,10 @@ func projectInnerTile(p, src, out []float64, lo, hi, ncat int) {
 		p20, p21, p22, p23 := pc[8], pc[9], pc[10], pc[11]
 		p30, p31, p32, p33 := pc[12], pc[13], pc[14], pc[15]
 		co := cat * ns
-		for pat := lo; pat < hi; pat++ {
-			x := src[pat*stride+co : pat*stride+co+ns]
-			o := out[(pat-lo)*stride+co : (pat-lo)*stride+co+ns]
+		for j, r := range idx {
+			sb := int(r)*stride + co
+			x := src[sb : sb+ns]
+			o := out[j*stride+co : j*stride+co+ns]
 			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 			o[0] = p00*x0 + p01*x1 + p02*x2 + p03*x3
 			o[1] = p10*x0 + p11*x1 + p12*x2 + p13*x3
@@ -92,27 +125,26 @@ func projectInnerTile(p, src, out []float64, lo, hi, ncat int) {
 	}
 }
 
-// projectTipTile gathers the precomputed tip projections for one tile of
-// patterns: a table copy per (pattern, category), the tile form of RAxML's
-// tip-case lookup.
-func projectTipTile(tab []float64, data []byte, out []float64, lo, hi, ncat int) {
+// projectTipTile gathers the precomputed tip projections of the codes idx
+// into a tile: a table copy per (pattern, category), the tile form of
+// RAxML's tip-case lookup.
+func projectTipTile(tab []float64, idx []int32, out []float64, ncat int) {
 	stride := ncat * ns
 	for cat := 0; cat < ncat; cat++ {
 		tb := tab[cat*16*ns : cat*16*ns+16*ns]
 		co := cat * ns
-		for pat := lo; pat < hi; pat++ {
-			code := int(data[pat] & 0x0f)
-			t := tb[code*ns : code*ns+ns]
-			o := out[(pat-lo)*stride+co : (pat-lo)*stride+co+ns]
+		for j, code := range idx {
+			t := tb[int(code)*ns : int(code)*ns+ns]
+			o := out[j*stride+co : j*stride+co+ns]
 			o[0], o[1], o[2], o[3] = t[0], t[1], t[2], t[3]
 		}
 	}
 }
 
-func (b batchedBackend) combineRange(c *Ctx, op *combineOp, pr patRange, ts *tileScratch) combineStats {
+func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tileScratch) combineStats {
 	e := c.eng
 	if e.patCat != nil {
-		return b.scalar.combineRange(c, op, pr, ts)
+		return b.scalar.combineRows(c, op, pr, ts)
 	}
 	ncat := e.ncat
 	stride := ncat * ns
@@ -124,37 +156,40 @@ func (b batchedBackend) combineRange(c *Ctx, op *combineOp, pr patRange, ts *til
 		if hi > pr.hi {
 			hi = pr.hi
 		}
-		n := uint64(hi - lo)
+		n := hi - lo
+		qi := gatherTile(e, ts.qi, op.first, op.qData, &op.q, lo, hi)
+		ri := gatherTile(e, ts.ri, op.first, op.rData, &op.r, lo, hi)
 		if op.qData != nil {
-			projectTipTile(c.tipPL, op.qData, ts.a, lo, hi, ncat)
+			projectTipTile(c.tipPL, qi, ts.a, ncat)
 		} else {
-			projectInnerTile(c.pLeft, op.qLv, ts.a, lo, hi, ncat)
-			st.muls += n * uint64(ncat) * ns * ns
-			st.adds += n * uint64(ncat) * ns * (ns - 1)
+			projectInnerTile(c.pLeft, op.q.lv, qi, ts.a, ncat)
+			st.muls += uint64(n) * uint64(ncat) * ns * ns
+			st.adds += uint64(n) * uint64(ncat) * ns * (ns - 1)
 		}
 		if op.rData != nil {
-			projectTipTile(c.tipPR, op.rData, ts.b, lo, hi, ncat)
+			projectTipTile(c.tipPR, ri, ts.b, ncat)
 		} else {
-			projectInnerTile(c.pRight, op.rLv, ts.b, lo, hi, ncat)
-			st.muls += n * uint64(ncat) * ns * ns
-			st.adds += n * uint64(ncat) * ns * (ns - 1)
+			projectInnerTile(c.pRight, op.r.lv, ri, ts.b, ncat)
+			st.muls += uint64(n) * uint64(ncat) * ns * ns
+			st.adds += uint64(n) * uint64(ncat) * ns * (ns - 1)
 		}
-		for pat := lo; pat < hi; pat++ {
-			to := (pat - lo) * stride
+		for j := 0; j < n; j++ {
+			to := j * stride
 			ta := ts.a[to : to+stride]
 			tb := ts.b[to : to+stride]
-			d := dst[(pat-dstLo)*stride : (pat-dstLo)*stride+stride]
+			do := (lo + j - dstLo) * stride
+			d := dst[do : do+stride]
 			for k := 0; k < stride; k++ {
 				d[k] = ta[k] * tb[k]
 			}
 			st.muls += uint64(stride)
 
 			sc := int32(0)
-			if op.qSc != nil {
-				sc += op.qSc[pat]
+			if op.q.sc != nil {
+				sc += op.q.sc[qi[j]]
 			}
-			if op.rSc != nil {
-				sc += op.rSc[pat]
+			if op.r.sc != nil {
+				sc += op.r.sc[ri[j]]
 			}
 			st.scaleChecks++
 			if e.needsScalingPure(d) {
@@ -165,9 +200,9 @@ func (b batchedBackend) combineRange(c *Ctx, op *combineOp, pr patRange, ts *til
 				sc++
 				st.scaleEvents++
 			}
-			dstScale[pat-dstLo] = sc
+			dstScale[lo+j-dstLo] = sc
 		}
-		st.bigIters += n
+		st.bigIters += uint64(n)
 	}
 	return st
 }
@@ -181,7 +216,7 @@ func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileS
 	stride := ncat * ns
 	freqs := &e.Mod.GTR.Freqs
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
-	pLv, pScale, pLo := op.pLv, op.pScale, op.pLo
+	p, pLo := &op.p, op.pLo
 
 	var out evalPart
 	for lo := pr.lo; lo < pr.hi; lo += batchTile {
@@ -190,13 +225,18 @@ func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileS
 			hi = pr.hi
 		}
 		n := hi - lo
+		pi := e.ident[lo-pLo : hi-pLo]
+		if p.cls != nil {
+			pi = gatherTile(e, ts.pi, nil, nil, p, lo, hi)
+		}
 		a, aLo := ts.a, lo
+		qi := gatherTile(e, ts.qi, nil, op.qData, &op.q, lo, hi)
 		if op.qProj != nil {
 			a, aLo = op.qProj, 0
 		} else if op.qData != nil {
-			projectTipTile(c.tipPR, op.qData, ts.a, lo, hi, ncat)
+			projectTipTile(c.tipPR, qi, ts.a, ncat)
 		} else {
-			projectInnerTile(c.pLeft, op.qLv, ts.a, lo, hi, ncat)
+			projectInnerTile(c.pLeft, op.q.lv, qi, ts.a, ncat)
 			out.st.muls += uint64(n) * uint64(ncat) * ns * ns
 			out.st.adds += uint64(n) * uint64(ncat) * ns * (ns - 1)
 		}
@@ -210,26 +250,27 @@ func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileS
 		// is bit-identical, not just close.
 		for cat := 0; cat < ncat; cat++ {
 			co := cat * ns
-			for pat := lo; pat < hi; pat++ {
-				x := pLv[(pat-pLo)*stride+co : (pat-pLo)*stride+co+ns]
-				a := a[(pat-aLo)*stride+co : (pat-aLo)*stride+co+ns]
-				v := s[pat-lo]
+			for j, r := range pi {
+				x := p.lv[int(r)*stride+co : int(r)*stride+co+ns]
+				a := a[(lo+j-aLo)*stride+co : (lo+j-aLo)*stride+co+ns]
+				v := s[j]
 				v += f0 * x[0] * a[0]
 				v += f1 * x[1] * a[1]
 				v += f2 * x[2] * a[2]
 				v += f3 * x[3] * a[3]
-				s[pat-lo] = v
+				s[j] = v
 			}
 		}
 		out.st.muls += uint64(n) * uint64(ncat) * 2 * ns
 		out.st.adds += uint64(n) * uint64(ncat) * ns
 
-		for pat := lo; pat < hi; pat++ {
-			site := s[pat-lo] * e.invCats
+		for j, r := range pi {
+			pat := lo + j
+			site := s[j] * e.invCats
 			out.st.muls++
-			sc := pScale[pat-pLo]
-			if op.qScale != nil {
-				sc += op.qScale[pat]
+			sc := p.sc[r]
+			if op.q.sc != nil {
+				sc += op.q.sc[qi[j]]
 			}
 			if site <= 0 || math.IsNaN(site) {
 				out.underflow++
@@ -248,56 +289,39 @@ func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileS
 	return out
 }
 
-func (b batchedBackend) sumTableRange(c *Ctx, op *sumOp, pr patRange, ts *tileScratch) sumPart {
+func (b batchedBackend) sumTableFactors(c *Ctx, op *sumOp, pr, qr patRange, ts *tileScratch) sumPart {
 	e := c.eng
 	if e.patCat != nil {
-		return b.scalar.sumTableRange(c, op, pr, ts)
+		return b.scalar.sumTableFactors(c, op, pr, qr, ts)
 	}
 	g := e.Mod.GTR
-	ncat := e.ncat
-	stride := ncat * ns
-	sumTab := c.sumTab
-	v := &g.V
-	w := &g.VInv
-	fr := &g.Freqs
-
-	var out sumPart
-	for pat := pr.lo; pat < pr.hi; pat++ {
-		sc := op.pSc[pat]
-		if op.qSc != nil {
-			sc += op.qSc[pat]
-		}
-		out.scaleConst += float64(e.Pat.Weights[pat]) * float64(sc) * logMinLik
+	stride := e.ncat * ns
+	v, w, fr := &g.V, &g.VInv, &g.Freqs
+	// fx[i] = π_i·x_i once per row and category; the flat 4-term forms group
+	// left-associatively exactly like the scalar += chains.
+	for o := pr.lo * stride; o < pr.hi*stride; o += ns {
+		x, f := op.p.lv[o:o+ns], c.sumP[o:o+ns]
+		fx0, fx1, fx2, fx3 := fr[0]*x[0], fr[1]*x[1], fr[2]*x[2], fr[3]*x[3]
+		f[0] = fx0*v[0][0] + fx1*v[1][0] + fx2*v[2][0] + fx3*v[3][0]
+		f[1] = fx0*v[0][1] + fx1*v[1][1] + fx2*v[2][1] + fx3*v[3][1]
+		f[2] = fx0*v[0][2] + fx1*v[1][2] + fx2*v[2][2] + fx3*v[3][2]
+		f[3] = fx0*v[0][3] + fx1*v[1][3] + fx2*v[2][3] + fx3*v[3][3]
 	}
-	for cat := 0; cat < ncat; cat++ {
-		co := cat * ns
-		for pat := pr.lo; pat < pr.hi; pat++ {
-			x := op.pLv[pat*stride+co : pat*stride+co+ns]
-			// fx[i] = π_i·x_i once per pattern; the flat 4-term forms below
-			// group left-associatively exactly like the scalar += chains.
-			fx0 := fr[0] * x[0]
-			fx1 := fr[1] * x[1]
-			fx2 := fr[2] * x[2]
-			fx3 := fr[3] * x[3]
-			var y0, y1, y2, y3 float64
-			if op.qData != nil {
-				tv := &e.tipVec[op.qData[pat]&0x0f]
-				y0, y1, y2, y3 = tv[0], tv[1], tv[2], tv[3]
-			} else {
-				y := op.qLv[pat*stride+co : pat*stride+co+ns]
-				y0, y1, y2, y3 = y[0], y[1], y[2], y[3]
-			}
-			st := sumTab[pat*stride+co : pat*stride+co+ns]
-			st[0] = (fx0*v[0][0] + fx1*v[1][0] + fx2*v[2][0] + fx3*v[3][0]) * (w[0][0]*y0 + w[0][1]*y1 + w[0][2]*y2 + w[0][3]*y3)
-			st[1] = (fx0*v[0][1] + fx1*v[1][1] + fx2*v[2][1] + fx3*v[3][1]) * (w[1][0]*y0 + w[1][1]*y1 + w[1][2]*y2 + w[1][3]*y3)
-			st[2] = (fx0*v[0][2] + fx1*v[1][2] + fx2*v[2][2] + fx3*v[3][2]) * (w[2][0]*y0 + w[2][1]*y1 + w[2][2]*y2 + w[2][3]*y3)
-			st[3] = (fx0*v[0][3] + fx1*v[1][3] + fx2*v[2][3] + fx3*v[3][3]) * (w[3][0]*y0 + w[3][1]*y1 + w[3][2]*y2 + w[3][3]*y3)
+	for o := qr.lo * stride; o < qr.hi*stride; o += ns {
+		var y []float64
+		if op.qData != nil {
+			y = e.tipVec[o/stride][:]
+		} else {
+			y = op.q.lv[o : o+ns]
 		}
+		y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
+		f := c.sumQ[o : o+ns]
+		f[0] = w[0][0]*y0 + w[0][1]*y1 + w[0][2]*y2 + w[0][3]*y3
+		f[1] = w[1][0]*y0 + w[1][1]*y1 + w[1][2]*y2 + w[1][3]*y3
+		f[2] = w[2][0]*y0 + w[2][1]*y1 + w[2][2]*y2 + w[2][3]*y3
+		f[3] = w[3][0]*y0 + w[3][1]*y1 + w[3][2]*y2 + w[3][3]*y3
 	}
-	np := uint64(pr.hi - pr.lo)
-	out.muls += np * uint64(ncat) * ns * (2*ns + ns + 1)
-	out.adds += np * uint64(ncat) * ns * 2 * (ns - 1)
-	return out
+	return sumTableStats(e, pr, qr)
 }
 
 func (b batchedBackend) newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, ts *tileScratch) derivPart {

@@ -16,18 +16,21 @@ func (scalarBackend) Name() string { return "scalar" }
 // scratch.
 func (scalarBackend) initCtx(*Ctx) {}
 
-func (scalarBackend) combineRange(c *Ctx, op *combineOp, pr patRange, _ *tileScratch) combineStats {
+func (scalarBackend) combineRows(c *Ctx, op *combineOp, pr patRange, _ *tileScratch) combineStats {
 	e := c.eng
 	ncat := e.ncat
 	qData, rData := op.qData, op.rData
-	qLv, rLv := op.qLv, op.rLv
-	qSc, rSc := op.qSc, op.rSc
+	q, r := &op.q, &op.r
 	dst, dstScale, dstLo := op.dst, op.dstScale, op.dstLo
 
 	var st combineStats
-	for pat := pr.lo; pat < pr.hi; pat++ {
-		base := pat * ncat * ns
-		dbase := (pat - dstLo) * ncat * ns
+	for row := pr.lo; row < pr.hi; row++ {
+		pat := row
+		if op.first != nil {
+			pat = int(op.first[row])
+		}
+		qr, rr := q.row(pat), r.row(pat)
+		dbase := (row - dstLo) * ncat * ns
 		for cat := 0; cat < ncat; cat++ {
 			mi := e.matIdx(pat, cat)
 			var left, right [ns]float64
@@ -36,7 +39,7 @@ func (scalarBackend) combineRange(c *Ctx, op *combineOp, pr patRange, _ *tileScr
 				copy(left[:], c.tipPL[mi*16*ns+int(code)*ns:][:ns])
 			} else {
 				pc := c.pLeft[mi*ns*ns:]
-				x := qLv[base+cat*ns:]
+				x := q.lv[qr*ncat*ns+cat*ns:]
 				for i := 0; i < ns; i++ {
 					left[i] = pc[i*ns]*x[0] + pc[i*ns+1]*x[1] + pc[i*ns+2]*x[2] + pc[i*ns+3]*x[3]
 				}
@@ -48,7 +51,7 @@ func (scalarBackend) combineRange(c *Ctx, op *combineOp, pr patRange, _ *tileScr
 				copy(right[:], c.tipPR[mi*16*ns+int(code)*ns:][:ns])
 			} else {
 				pc := c.pRight[mi*ns*ns:]
-				x := rLv[base+cat*ns:]
+				x := r.lv[rr*ncat*ns+cat*ns:]
 				for i := 0; i < ns; i++ {
 					right[i] = pc[i*ns]*x[0] + pc[i*ns+1]*x[1] + pc[i*ns+2]*x[2] + pc[i*ns+3]*x[3]
 				}
@@ -63,11 +66,11 @@ func (scalarBackend) combineRange(c *Ctx, op *combineOp, pr patRange, _ *tileScr
 		st.bigIters++
 
 		sc := int32(0)
-		if qSc != nil {
-			sc += qSc[pat]
+		if q.sc != nil {
+			sc += q.sc[qr]
 		}
-		if rSc != nil {
-			sc += rSc[pat]
+		if r.sc != nil {
+			sc += r.sc[rr]
 		}
 		st.scaleChecks++
 		if e.needsScalingPure(dst[dbase : dbase+ncat*ns]) {
@@ -78,7 +81,7 @@ func (scalarBackend) combineRange(c *Ctx, op *combineOp, pr patRange, _ *tileScr
 			sc++
 			st.scaleEvents++
 		}
-		dstScale[pat-dstLo] = sc
+		dstScale[row-dstLo] = sc
 	}
 	return st
 }
@@ -87,18 +90,23 @@ func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ *tileScrat
 	e := c.eng
 	ncat := e.ncat
 	freqs := &e.Mod.GTR.Freqs
-	pLv, pScale, pLo := op.pLv, op.pScale, op.pLo
-	qData, qLv, qScale := op.qData, op.qLv, op.qScale
+	p, pLo := &op.p, op.pLo
+	qData, q := op.qData, &op.q
 	perSite, qProj := op.perSite, op.qProj
 
 	var out evalPart
 	for pat := pr.lo; pat < pr.hi; pat++ {
 		base := pat * ncat * ns
-		pbase := (pat - pLo) * ncat * ns
+		prow := pat - pLo
+		if p.cls != nil {
+			prow = int(p.cls[pat])
+		}
+		pbase := prow * ncat * ns
+		qr := q.row(pat)
 		site := 0.0
 		for cat := 0; cat < ncat; cat++ {
 			mi := e.matIdx(pat, cat)
-			x := pLv[pbase+cat*ns:]
+			x := p.lv[pbase+cat*ns:]
 			var proj [ns]float64
 			if qProj != nil {
 				copy(proj[:], qProj[base+cat*ns:][:ns])
@@ -107,7 +115,7 @@ func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ *tileScrat
 				copy(proj[:], c.tipPR[mi*16*ns+int(code)*ns:][:ns])
 			} else {
 				pc := c.pLeft[mi*ns*ns:]
-				y := qLv[base+cat*ns:]
+				y := q.lv[qr*ncat*ns+cat*ns:]
 				for i := 0; i < ns; i++ {
 					proj[i] = pc[i*ns]*y[0] + pc[i*ns+1]*y[1] + pc[i*ns+2]*y[2] + pc[i*ns+3]*y[3]
 				}
@@ -122,9 +130,9 @@ func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ *tileScrat
 		}
 		site *= e.invCats
 		out.st.muls++
-		sc := pScale[pat-pLo]
-		if qScale != nil {
-			sc += qScale[pat]
+		sc := p.sc[prow]
+		if q.sc != nil {
+			sc += q.sc[qr]
 		}
 		if site <= 0 || math.IsNaN(site) {
 			out.underflow++
@@ -142,44 +150,44 @@ func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ *tileScrat
 	return out
 }
 
-func (scalarBackend) sumTableRange(c *Ctx, op *sumOp, pr patRange, _ *tileScratch) sumPart {
+func (scalarBackend) sumTableFactors(c *Ctx, op *sumOp, pr, qr patRange, _ *tileScratch) sumPart {
 	e := c.eng
 	g := e.Mod.GTR
-	ncat := e.ncat
-	sumTab := c.sumTab
-	pLv, pSc := op.pLv, op.pSc
-	qData, qLv, qSc := op.qData, op.qLv, op.qSc
-
-	var out sumPart
-	for pat := pr.lo; pat < pr.hi; pat++ {
-		base := pat * ncat * ns
-		sc := pSc[pat]
-		if qSc != nil {
-			sc += qSc[pat]
-		}
-		out.scaleConst += float64(e.Pat.Weights[pat]) * float64(sc) * logMinLik
-		for cat := 0; cat < ncat; cat++ {
-			x := pLv[base+cat*ns:]
-			var y [ns]float64
-			if qData != nil {
-				y = e.tipVec[qData[pat]&0x0f]
-			} else {
-				copy(y[:], qLv[base+cat*ns:][:ns])
+	stride := e.ncat * ns
+	for o := pr.lo * stride; o < pr.hi*stride; o += ns {
+		x := op.p.lv[o : o+ns]
+		for k := 0; k < ns; k++ {
+			a := 0.0
+			for i := 0; i < ns; i++ {
+				a += g.Freqs[i] * x[i] * g.V[i][k]
 			}
-			for k := 0; k < ns; k++ {
-				a := 0.0
-				b := 0.0
-				for i := 0; i < ns; i++ {
-					a += g.Freqs[i] * x[i] * g.V[i][k]
-					b += g.VInv[k][i] * y[i]
-				}
-				sumTab[base+cat*ns+k] = a * b
-			}
-			out.muls += ns * (2*ns + ns + 1)
-			out.adds += ns * 2 * (ns - 1)
+			c.sumP[o+k] = a
 		}
 	}
-	return out
+	for o := qr.lo * stride; o < qr.hi*stride; o += ns {
+		var y [ns]float64
+		if op.qData != nil {
+			y = e.tipVec[o/stride]
+		} else {
+			copy(y[:], op.q.lv[o:o+ns])
+		}
+		for k := 0; k < ns; k++ {
+			b := 0.0
+			for i := 0; i < ns; i++ {
+				b += g.VInv[k][i] * y[i]
+			}
+			c.sumQ[o+k] = b
+		}
+	}
+	return sumTableStats(e, pr, qr)
+}
+
+// sumTableStats is what a factor pass over rows pr and qr does: per row and
+// category 2·ns² multiplications on the p side, ns² on the q side, and
+// ns·(ns−1) additions on each.
+func sumTableStats(e *Engine, pr, qr patRange) sumPart {
+	np, nq := uint64(pr.hi-pr.lo)*uint64(e.ncat), uint64(qr.hi-qr.lo)*uint64(e.ncat)
+	return sumPart{muls: (2*np + nq) * ns * ns, adds: (np + nq) * ns * (ns - 1)}
 }
 
 func (scalarBackend) newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, _ *tileScratch) derivPart {

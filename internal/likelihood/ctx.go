@@ -41,12 +41,18 @@ type Ctx struct {
 	// the per-pattern eigenmode sum table, λ_k·r_c products, and the
 	// exp(λrt) / derivative blocks rebuilt every Newton iteration. Living
 	// on the context (not the engine, where PR 2 hoisted them) keeps
-	// concurrent Newton solves from aliasing each other's buffers.
-	sumTab                 []float64
+	// concurrent Newton solves from aliasing each other's buffers. sumP and
+	// sumQ hold the table's two factors per row of each side, sized by the
+	// context's first buildSumTable.
+	sumTab, sumP, sumQ     []float64
 	lamr                   []float64
 	newzE0, newzE1, newzE2 []float64
 
 	trav []*phylotree.Node // traversal-descriptor scratch
+
+	// classes is the class pass's table (repeats.go), sized on first use:
+	// only contexts that recompute node slots run class passes.
+	classes classTable
 
 	// Buffer pools for Views (lazy-SPR directed-vector caches).
 	lvPool [][]float64
@@ -219,21 +225,31 @@ func (c *Ctx) appendTraversal(steps []*phylotree.Node, p *phylotree.Node) []*phy
 }
 
 // computeView executes one descriptor entry: combine the two child vectors
-// of ring record p into p's slot and record the orientation.
+// of ring record p into p's slot, one row per repeat class of p (numbered
+// first if the topology behind p changed since they last were), and record
+// the orientation.
 func (c *Ctx) computeView(p *phylotree.Node) {
 	e := c.eng
 	q := p.Next.Back
 	r := p.Next.Next.Back
-	var qLv, rLv []float64
-	var qScale, rScale []int32
-	if !q.IsTip() {
-		qLv, qScale = e.lv[q.Index], e.scale[q.Index]
+	var first []int32
+	if e.rep != nil {
+		if rs := e.classes(p); rs != nil {
+			first = c.firstPatterns(rs)
+		} else {
+			var qData, rData []byte
+			if q.IsTip() {
+				qData = e.Pat.Data[q.Index]
+			}
+			if r.IsTip() {
+				rData = e.Pat.Data[r.Index]
+			}
+			rs = c.classPass(p, qData, e.classes(q), rData, e.classes(r))
+			first = c.classes.first[:rs.rows]
+		}
 	}
-	if !r.IsTip() {
-		rLv, rScale = e.lv[r.Index], e.scale[r.Index]
-	}
-	c.combine(q, p.Next.Z, qLv, qScale, r, p.Next.Next.Z, rLv, rScale,
-		e.lv[p.Index], e.scale[p.Index])
+	c.combine(q, p.Next.Z, e.slotVec(q), r, p.Next.Next.Z, e.slotVec(r),
+		vec{lv: e.lv[p.Index], sc: e.scale[p.Index]}, first)
 	e.orient[p.Index] = p
 }
 
@@ -272,20 +288,13 @@ func (c *Ctx) evaluateKernel(p *phylotree.Node, perSite []float64) (float64, err
 
 	c.transitionMatrices(p.Z, c.pLeft)
 
-	pLv := e.lv[p.Index]
-	pScale := e.scale[p.Index]
 	var qData []byte
-	var qLv []float64
-	var qScale []int32
 	if q.IsTip() {
 		qData = e.Pat.Data[q.Index]
 		c.tipProjection(c.pLeft, c.tipPR)
-	} else {
-		qLv = e.lv[q.Index]
-		qScale = e.scale[q.Index]
 	}
 
-	c.evalOp = evalOp{pLv: pLv, pScale: pScale, qData: qData, qLv: qLv, qScale: qScale, perSite: perSite}
+	c.evalOp = evalOp{p: e.slotVec(p), qData: qData, q: e.slotVec(q), perSite: perSite}
 	c.runPass(passEvaluate)
 	return c.foldEval(), nil
 }

@@ -103,6 +103,17 @@ type Engine struct {
 	// equal, so stale entries read as invalid.
 	orient []*phylotree.Node
 
+	// rep[idx] holds the repeat classes of up to three records of inner
+	// node idx (repeats.go); the slot holds one row per class of the record
+	// it is oriented to. nil under CAT, where the per-pattern matrix index
+	// would have to join the class key, and beyond maxRepeatPatterns: one
+	// row per pattern.
+	rep [][3]repSlot
+
+	// ident[i] = i for every pattern: the rows a tile reads from a vector
+	// of one row per pattern (gatherTile).
+	ident []int32
+
 	underflowSites uint64
 
 	// backend runs the kernels' per-pattern inner loops (Config.Backend).
@@ -165,6 +176,13 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 	for i := pat.NumTaxa; i < maxIdx; i++ {
 		e.lv[i] = make([]float64, e.npat*e.ncat*ns)
 		e.scale[i] = make([]int32, e.npat)
+	}
+	if !mod.IsCAT() && !noRepeats && e.npat <= maxRepeatPatterns {
+		e.allocRepeats(pat.NumTaxa, maxIdx)
+	}
+	e.ident = make([]int32, e.npat)
+	for i := range e.ident {
+		e.ident[i] = int32(i)
 	}
 	var occurs [16]bool
 	for _, row := range pat.Data {
@@ -230,8 +248,9 @@ func (e *Engine) SetModel(mod *model.Model) error {
 	}
 	e.Mod = mod
 	// Every partial vector depends on the transition matrices, so a model
-	// swap dirties the whole cache.
-	e.InvalidateAll()
+	// swap dirties the whole cache; the repeat classes, which depend on the
+	// topology only, stay.
+	e.dropVectors()
 	return nil
 }
 
@@ -275,7 +294,12 @@ func (e *Engine) NewView(p *phylotree.Node) { e.ctx0.NewView(p) }
 // Callers that change a branch length directly via SetZ (rather than
 // through MakeNewz, which invalidates itself) must call this; topology
 // operations on a Tree wired up with AttachTree invalidate automatically.
-func (e *Engine) Invalidate(p *phylotree.Node) {
+// It also drops the repeat classes of those views' records, so it covers a
+// topology edit around p as well; only MakeNewz, which knows it moved a
+// length, keeps them (invalidate with topo false).
+func (e *Engine) Invalidate(p *phylotree.Node) { e.invalidate(p, true) }
+
+func (e *Engine) invalidate(p *phylotree.Node, topo bool) {
 	q := p.Back
 	if q == nil {
 		// Detached record: no branch to orient against, drop everything.
@@ -287,8 +311,8 @@ func (e *Engine) Invalidate(p *phylotree.Node) {
 		// contains its prune point, which every following edit touches.
 		e.shared.InvalidateAll()
 	}
-	e.keepFacing(p)
-	e.keepFacing(q)
+	e.keepFacing(p, topo)
+	e.keepFacing(q, topo)
 }
 
 // keepFacing is the engine's one staleness rule. It walks the component
@@ -296,25 +320,40 @@ func (e *Engine) Invalidate(p *phylotree.Node) {
 // the orientation facing that branch (a itself here, the corresponding Back
 // records deeper down): its subtree excludes the branch by construction,
 // every other orientation contains it. The node's slot is cleared unless it
-// holds that orientation.
-func (e *Engine) keepFacing(a *phylotree.Node) {
+// holds that orientation, and after a topology edit (topo) the classes of
+// the ring's two other records are dropped.
+func (e *Engine) keepFacing(a *phylotree.Node, topo bool) {
 	if a.IsTip() {
 		return
 	}
 	if e.orient[a.Index] != a {
 		e.orient[a.Index] = nil
 	}
+	if topo {
+		e.dropClasses(a)
+	}
 	if b := a.Next.Back; b != nil {
-		e.keepFacing(b)
+		e.keepFacing(b, topo)
 	}
 	if b := a.Next.Next.Back; b != nil {
-		e.keepFacing(b)
+		e.keepFacing(b, topo)
 	}
 }
 
-// InvalidateAll drops every cached partial vector; the next evaluation
-// recomputes the full tree. Model swaps and cross-tree reuse call this.
+// InvalidateAll drops every cached partial vector and repeat class; the next
+// evaluation recomputes the full tree. Cross-tree reuse and callers that
+// edit an unattached tree call this.
 func (e *Engine) InvalidateAll() {
+	e.dropVectors()
+	for i := range e.rep {
+		for k := range e.rep[i] {
+			e.rep[i][k].rec = nil
+		}
+	}
+}
+
+// dropVectors drops every cached partial vector and keeps the classes.
+func (e *Engine) dropVectors() {
 	if e.shared != nil {
 		e.shared.InvalidateAll()
 	}
@@ -325,11 +364,11 @@ func (e *Engine) InvalidateAll() {
 
 // AttachTree wires the engine's caches to the tree's branch-change hooks,
 // so Prune/Regraft/Undo/InsertTip/RemoveTip invalidate the affected views
-// automatically, and clears the caches (the tree may have been mutated
-// before attachment). The hook reads the engine's cache state at call time,
-// so it also covers a shared ancestral-vector store installed *after*
-// attachment (the search attaches first, then installs the store). Direct
-// SetZ calls bypass the hooks — follow them with Invalidate.
+// and repeat classes automatically, and clears the caches (the tree may have
+// been mutated before attachment). The hook reads the engine's cache state
+// at call time, so it also covers a shared ancestral-vector store installed
+// *after* attachment (the search attaches first, then installs the store).
+// Direct SetZ calls bypass the hooks — follow them with Invalidate.
 func (e *Engine) AttachTree(tr *phylotree.Tree) {
 	tr.OnBranchChange(e.Invalidate)
 	e.InvalidateAll()

@@ -674,7 +674,7 @@ func TestTipProjectionOnlyOccurringCodes(t *testing.T) {
 				}
 				for _, r := range [...]*phylotree.Node{e, e.Back} {
 					if !r.IsTip() {
-						assertVectorsEqual(t, tc.name+"/"+backend, eng.lv[r.Index], full.lv[r.Index], eng.scale[r.Index], full.scale[r.Index])
+						assertVectorsEqual(t, tc.name+"/"+backend, eng, eng.slotVec(r), full.slotVec(r))
 					}
 				}
 			}

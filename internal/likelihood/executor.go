@@ -11,7 +11,9 @@ import (
 // idle, and only those.
 //
 // Every per-pattern pass of a kernel call (combine, evaluate, sum table, the
-// two Newton passes) runs over fixed blocks of rangeBlock patterns. The
+// two Newton passes) runs over fixed blocks of rangeBlock patterns — a
+// combine and the sum table's factor pass over the same number of blocks of
+// their rows, one per repeat class (or tip code). The
 // calling goroutine claims blocks through one atomic counter; while the pass
 // is published, so do the process-wide helper goroutines — at most
 // GOMAXPROCS−1 of them, started by the first pass that has enough blocks,
@@ -78,6 +80,7 @@ type passKind uint8
 const (
 	passCombine passKind = iota
 	passEvaluate
+	passSumFactors
 	passSumTable
 	passNewtonDeriv
 	passNewtonValue
@@ -159,11 +162,19 @@ func (c *Ctx) runBlock(kind passKind, b int, ts *tileScratch) {
 	bk, pr, part := e.backend, e.blockRange(b), &c.parts[b]
 	switch kind {
 	case passCombine:
-		part.comb = bk.combineRange(c, &c.combOp, pr, ts)
+		// A combine computes rows, not patterns, and reduces no float, so
+		// its rows are split evenly over the blocks without moving a bit.
+		n := c.combOp.rows
+		part.comb = bk.combineRows(c, &c.combOp, patRange{b * n / e.nblk, (b + 1) * n / e.nblk}, ts)
 	case passEvaluate:
 		part.eval = bk.evaluateRange(c, &c.evalOp, pr, ts)
+	case passSumFactors:
+		// Rows again: each side's split evenly over the blocks.
+		np, nq := c.sumOp.pRows, c.sumOp.qRows
+		part.sum = bk.sumTableFactors(c, &c.sumOp, patRange{b * np / e.nblk, (b + 1) * np / e.nblk},
+			patRange{b * nq / e.nblk, (b + 1) * nq / e.nblk}, ts)
 	case passSumTable:
-		part.sum = bk.sumTableRange(c, &c.sumOp, pr, ts)
+		part.sum = c.sumTableProducts(&c.sumOp, pr)
 	case passNewtonDeriv:
 		part.deriv = bk.newtonDerivRange(c, &c.newtOp, pr, ts)
 	case passNewtonValue:
@@ -174,8 +185,8 @@ func (c *Ctx) runBlock(kind passKind, b int, ts *tileScratch) {
 		ts.fitX(pr.hi-pr.lo, e.ncat)
 		ts.comb, ts.eval = c.combOp, c.evalOp
 		ts.comb.dst, ts.comb.dstScale, ts.comb.dstLo = ts.x, ts.xsc, pr.lo
-		ts.eval.pLv, ts.eval.pScale, ts.eval.pLo = ts.x, ts.xsc, pr.lo
-		part.comb = bk.combineRange(c, &ts.comb, pr, ts)
+		ts.eval.p, ts.eval.pLo = vec{lv: ts.x, sc: ts.xsc}, pr.lo
+		part.comb = bk.combineRows(c, &ts.comb, pr, ts)
 		part.eval = bk.evaluateRange(c, &ts.eval, pr, ts)
 		ts.comb, ts.eval = combineOp{}, evalOp{} // a helper's tile must not pin the engine's vectors
 	}

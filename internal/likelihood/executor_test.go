@@ -79,7 +79,8 @@ func driveKernels(e *Engine, tr *phylotree.Tree) (kernelTrace, error) {
 	var k kernelTrace
 	p := tr.Tips[0].Back
 	e.NewView(p)
-	k.vals = append(k.vals, e.lv[p.Index]...)
+	lv, _ := expandVec(e, e.slotVec(p))
+	k.vals = append(k.vals, lv...)
 	for _, at := range []*phylotree.Node{tr.Tips[0], edges[len(edges)/2]} {
 		ll, err := e.Evaluate(at)
 		if err != nil {
@@ -509,7 +510,7 @@ func TestHelpersAdoptOnlyIdleCPUs(t *testing.T) {
 
 // TestKernelPassesDoNotAllocate: a kernel call on a three-block engine
 // allocates nothing and spawns nothing, helpers included (the count is the
-// process's). AllocsPerRun measures at GOMAXPROCS 1, but the executor keeps
+// process's), class passes included. AllocsPerRun measures at GOMAXPROCS 1, but the executor keeps
 // the value it noted when the engine was built, so the passes are still
 // published and the helpers, taking turns on the one P, still adopt.
 func TestKernelPassesDoNotAllocate(t *testing.T) {
@@ -523,14 +524,18 @@ func TestKernelPassesDoNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, adopted0 := RangeBlocks()
+	passes := e.Meter.ClassPasses
 	if n := testing.AllocsPerRun(20, func() {
-		e.InvalidateAll()
+		e.InvalidateAll() // the classes too: every NewView runs class passes
 		e.NewView(tr.Tips[0].Back)
 		if _, err := e.Evaluate(tr.Tips[0]); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Errorf("NewView + Evaluate allocate %v times per run", n)
+	}
+	if e.Meter.ClassPasses == passes {
+		t.Error("no class pass ran during the measurement")
 	}
 	edge := tr.Edges()[3]
 	z0 := edge.Z

@@ -63,43 +63,52 @@ func (c *Ctx) MakeNewz(p *phylotree.Node) (float64, float64, error) {
 	c.meter.MakenewzCalls++
 	zEntry := p.Z
 
-	pLv := e.lv[p.Index]
-	pScale := e.scale[p.Index]
 	var qData []byte
-	var qLv []float64
-	var qScale []int32
 	if q.IsTip() {
 		qData = e.Pat.Data[q.Index]
-	} else {
-		qLv = e.lv[q.Index]
-		qScale = e.scale[q.Index]
 	}
-	scaleConst := c.buildSumTable(pLv, pScale, qData, qLv, qScale)
+	scaleConst := c.buildSumTable(e.slotVec(p), qData, e.slotVec(q))
 	bestT, bestLL := c.newtonSolve(p.Z, scaleConst)
 	p.SetZ(bestT)
 	//lint:ignore floatcmp deliberate bit-exact check: any change to the stored branch length, however small, must invalidate cached views
 	if p.Z != zEntry {
-		e.Invalidate(p)
+		e.invalidate(p, false) // a length moved: vectors go, repeat classes stay
 	}
 	return bestT, bestLL, nil
 }
 
 // buildSumTable prepares what the Newton passes read for one branch: it
 // fills c.sumTab with the eigenmode sum table A[pat][c][k] of the branch
-// between an explicit vector (pLv/pSc) and a q side (tip codes or
-// vector/scale) and c.lamr with the λ_k·r_c products, and returns the
-// t-independent scaling constant, summed over the blocks in block order like
-// every other reduction.
-func (c *Ctx) buildSumTable(pLv []float64, pSc []int32, qData []byte, qLv []float64, qSc []int32) float64 {
+// between an explicit vector pv and a q side (tip codes or a vector) and
+// c.lamr with the λ_k·r_c products, and returns the t-independent scaling
+// constant, summed over the blocks in block order like every other
+// reduction. Each of the table's two factors depends on one side's row
+// only, so it is computed once per row of its side (a repeat class, a tip
+// code) and the table, one row per pattern, is their product.
+func (c *Ctx) buildSumTable(pv vec, qData []byte, qv vec) float64 {
 	e := c.eng
-	c.sumOp = sumOp{pLv: pLv, pSc: pSc, qData: qData, qLv: qLv, qSc: qSc}
-	c.runPass(passSumTable)
-	part := c.parts[0].sum
-	for b := 1; b < e.nblk; b++ {
-		p := &c.parts[b].sum
-		part.scaleConst += p.scaleConst
-		part.muls += p.muls
-		part.adds += p.adds
+	c.sumOp = sumOp{p: pv, qData: qData, q: qv, pRows: e.npat, qRows: e.npat}
+	if pv.cls != nil {
+		c.sumOp.pRows = pv.rows
+	}
+	if qData != nil {
+		c.sumOp.qRows = 16
+	} else if qv.cls != nil {
+		c.sumOp.qRows = qv.rows
+	}
+	if c.sumP == nil {
+		c.sumP = make([]float64, e.npat*e.ncat*ns)
+		c.sumQ = make([]float64, max(e.npat, 16)*e.ncat*ns) // a tip side has a row per code
+	}
+	var part sumPart
+	for _, kind := range [...]passKind{passSumFactors, passSumTable} {
+		c.runPass(kind)
+		for b := 0; b < e.nblk; b++ {
+			p := &c.parts[b].sum
+			part.scaleConst += p.scaleConst
+			part.muls += p.muls
+			part.adds += p.adds
+		}
 	}
 	c.meter.Muls += part.muls
 	c.meter.Adds += part.adds
@@ -113,6 +122,33 @@ func (c *Ctx) buildSumTable(pLv []float64, pSc []int32, qData []byte, qLv []floa
 	}
 	c.meter.Muls += uint64(e.nmat * ns)
 	return part.scaleConst
+}
+
+// sumTableProducts fills the sum table of patterns pr with the product of the
+// factor rows their classes select, and returns the range's part of the
+// scaling constant. Each factor is rounded on its own, as in the expression
+// for a whole entry, so the product has that entry's bits.
+func (c *Ctx) sumTableProducts(op *sumOp, pr patRange) sumPart {
+	e := c.eng
+	stride := e.ncat * ns
+	var out sumPart
+	for pat := pr.lo; pat < pr.hi; pat++ {
+		prow, qrow := op.p.row(pat), op.q.row(pat)
+		sc := op.p.sc[prow]
+		if op.qData != nil {
+			qrow = int(op.qData[pat] & 0x0f)
+		} else {
+			sc += op.q.sc[qrow]
+		}
+		out.scaleConst += float64(e.Pat.Weights[pat]) * float64(sc) * logMinLik
+		a, b := c.sumP[prow*stride:(prow+1)*stride], c.sumQ[qrow*stride:(qrow+1)*stride]
+		st := c.sumTab[pat*stride : (pat+1)*stride]
+		for k := range st {
+			st[k] = a[k] * b[k]
+		}
+	}
+	out.muls = uint64(pr.hi-pr.lo) * uint64(stride)
+	return out
 }
 
 // newtonSolve runs the Newton-Raphson branch-length iteration on the tables

@@ -30,7 +30,14 @@ type Meter struct {
 	ScaleEvents uint64 // times the scaling branch body ran
 
 	SmallLoopIters uint64 // transition-matrix loop iterations
-	BigLoopIters   uint64 // likelihood-vector loop iterations (per pattern x invocation)
+	BigLoopIters   uint64 // patterns the newview loops covered (per pattern x invocation)
+
+	// CombineRows counts the rows the newview loops computed: one per repeat
+	// class of the vector's record (repeats.go), so CombineRows/BigLoopIters
+	// is the share of the covered patterns that cost a row. ClassPasses
+	// counts the passes that numbered a record's classes.
+	CombineRows uint64
+	ClassPasses uint64
 
 	BytesStreamed uint64 // likelihood-vector bytes read+written by the big loop
 
@@ -66,6 +73,8 @@ func (m *Meter) Add(other *Meter) {
 	m.ScaleEvents += other.ScaleEvents
 	m.SmallLoopIters += other.SmallLoopIters
 	m.BigLoopIters += other.BigLoopIters
+	m.CombineRows += other.CombineRows
+	m.ClassPasses += other.ClassPasses
 	m.BytesStreamed += other.BytesStreamed
 	m.TipTipCalls += other.TipTipCalls
 	m.TipInnerCalls += other.TipInnerCalls
@@ -80,12 +89,22 @@ func (m *Meter) Reset() { *m = Meter{} }
 // Flops returns the total floating point operation count (muls + adds).
 func (m *Meter) Flops() uint64 { return m.Muls + m.Adds }
 
+// RowShare is CombineRows/BigLoopIters: the share of the patterns the
+// newview loops covered that they computed a row for (1 without repeats, 0
+// before any newview).
+func (m *Meter) RowShare() float64 {
+	if m.BigLoopIters == 0 {
+		return 0
+	}
+	return float64(m.CombineRows) / float64(m.BigLoopIters)
+}
+
 // String gives a compact profile summary, mirroring the gprof-style numbers
 // quoted in Section 5.2 of the paper.
 func (m *Meter) String() string {
 	return fmt.Sprintf(
-		"newview=%d makenewz=%d evaluate=%d flops=%d (mul=%d add=%d) exp=%d log=%d scaleChecks=%d scaleEvents=%d bigIters=%d bytes=%d cacheHits=%d sharedHits=%d",
+		"newview=%d makenewz=%d evaluate=%d flops=%d (mul=%d add=%d) exp=%d log=%d scaleChecks=%d scaleEvents=%d bigIters=%d rows=%d classPasses=%d bytes=%d cacheHits=%d sharedHits=%d",
 		m.NewviewCalls, m.MakenewzCalls, m.EvaluateCalls,
 		m.Flops(), m.Muls, m.Adds, m.Exps, m.Logs,
-		m.ScaleChecks, m.ScaleEvents, m.BigLoopIters, m.BytesStreamed, m.CacheHits, m.SharedHits)
+		m.ScaleChecks, m.ScaleEvents, m.BigLoopIters, m.CombineRows, m.ClassPasses, m.BytesStreamed, m.CacheHits, m.SharedHits)
 }

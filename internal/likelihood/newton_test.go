@@ -23,14 +23,10 @@ func prepareBranch(e *Engine, p *phylotree.Node) (scaleConst float64) {
 	e.NewView(p)
 	e.NewView(q)
 	var qData []byte
-	var qLv []float64
-	var qSc []int32
 	if q.IsTip() {
 		qData = e.Pat.Data[q.Index]
-	} else {
-		qLv, qSc = e.lv[q.Index], e.scale[q.Index]
 	}
-	return e.ctx0.buildSumTable(e.lv[p.Index], e.scale[p.Index], qData, qLv, qSc)
+	return e.ctx0.buildSumTable(e.slotVec(p), qData, e.slotVec(q))
 }
 
 // catModelFor assigns the patterns round-robin to four CAT rates.

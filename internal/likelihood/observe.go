@@ -10,7 +10,7 @@ type KernelOp int
 
 const (
 	// OpNewview is the combine step of NewView: one ancestral-vector
-	// recomputation (transition matrices + tip projection + combineRange).
+	// recomputation (transition matrices + tip projection + combineRows).
 	OpNewview KernelOp = iota
 	// OpMakenewz is the Newton-Raphson branch-length solve over a summary
 	// table.

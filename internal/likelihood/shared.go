@@ -120,7 +120,7 @@ func (s *SharedCache) entry(r *phylotree.Node) *sharedEntry {
 // current epoch, computed and published (its children resolved through v,
 // recursively) under per-node single-flight on a miss. Kernel work and meter
 // attribution go to v's context, the calling worker's.
-func (s *SharedCache) vector(v *Views, r *phylotree.Node) ([]float64, []int32, error) {
+func (s *SharedCache) vector(v *Views, r *phylotree.Node) (vec, error) {
 	c := v.ctx
 	cur := s.epoch.Load()
 	en := s.entry(r)
@@ -129,7 +129,7 @@ func (s *SharedCache) vector(v *Views, r *phylotree.Node) ([]float64, []int32, e
 		// vector's final write, so a current tag implies a complete vector.
 		s.hits.Add(1)
 		c.meter.SharedHits++
-		return en.lv, en.sc, nil
+		return vec{lv: en.lv, sc: en.sc}, nil
 	}
 	en.mu.Lock()
 	if en.epoch.Load() == cur {
@@ -137,35 +137,35 @@ func (s *SharedCache) vector(v *Views, r *phylotree.Node) ([]float64, []int32, e
 		en.mu.Unlock()
 		s.hits.Add(1)
 		c.meter.SharedHits++
-		return en.lv, en.sc, nil
+		return vec{lv: en.lv, sc: en.sc}, nil
 	}
 	q := r.Next.Back
 	w := r.Next.Next.Back
 	if q == nil || w == nil {
 		en.mu.Unlock()
-		return nil, nil, fmt.Errorf("likelihood: shared view of detached record")
+		return vec{}, fmt.Errorf("likelihood: shared view of detached record")
 	}
 	// Children resolve through the slots and the cache first — the recursion
 	// follows the directed dependency DAG away from r, so nested latches
 	// cannot cycle.
-	qLv, qSc, err := v.Vector(q)
+	qv, err := v.Vector(q)
 	if err != nil {
 		en.mu.Unlock()
-		return nil, nil, err
+		return vec{}, err
 	}
-	wLv, wSc, err := v.Vector(w)
+	wv, err := v.Vector(w)
 	if err != nil {
 		en.mu.Unlock()
-		return nil, nil, err
+		return vec{}, err
 	}
 	if en.lv == nil {
 		en.lv = make([]float64, c.eng.npat*c.eng.ncat*ns)
 		en.sc = make([]int32, c.eng.npat)
 	}
-	c.combine(q, r.Next.Z, qLv, qSc, w, r.Next.Next.Z, wLv, wSc, en.lv, en.sc)
+	c.combine(q, r.Next.Z, qv, w, r.Next.Next.Z, wv, vec{lv: en.lv, sc: en.sc}, nil)
 	s.computes.Add(1)
 	// Publish: the tag store is the release fence for the vector writes.
 	en.epoch.Store(cur)
 	en.mu.Unlock()
-	return en.lv, en.sc, nil
+	return vec{lv: en.lv, sc: en.sc}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"raxmlcell/internal/likelihood/coldref"
@@ -52,14 +53,25 @@ func internalRecords(tr *phylotree.Tree) []*phylotree.Node {
 	return uniq
 }
 
-// assertVectorsEqual requires exact (bitwise) equality of two directed
-// vectors and their scale counts.
-func assertVectorsEqual(t *testing.T, stage string, gotLv, wantLv []float64, gotSc, wantSc []int32) {
-	t.Helper()
-	if len(gotLv) != len(wantLv) || len(gotSc) != len(wantSc) {
-		t.Fatalf("%s: length mismatch lv %d vs %d, sc %d vs %d",
-			stage, len(gotLv), len(wantLv), len(gotSc), len(wantSc))
+// expandVec writes v out with one row per pattern, through its class map.
+func expandVec(e *Engine, v vec) ([]float64, []int32) {
+	stride := e.ncat * ns
+	lv, sc := make([]float64, e.npat*stride), make([]int32, e.npat)
+	for pat := range sc {
+		r := v.row(pat)
+		copy(lv[pat*stride:], v.lv[r*stride:(r+1)*stride])
+		sc[pat] = v.sc[r]
 	}
+	return lv, sc
+}
+
+// assertVectorsEqual requires exact (bitwise) equality of two directed
+// vectors and their scale counts, pattern by pattern: one may be a slot of
+// repeat-class rows, the other a vector of one row per pattern.
+func assertVectorsEqual(t *testing.T, stage string, e *Engine, got, want vec) {
+	t.Helper()
+	gotLv, gotSc := expandVec(e, got)
+	wantLv, wantSc := expandVec(e, want)
 	for i := range gotLv {
 		if gotLv[i] != wantLv[i] {
 			t.Fatalf("%s: lv[%d] = %.17g, want %.17g (bit-identical)", stage, i, gotLv[i], wantLv[i])
@@ -86,15 +98,15 @@ func TestSharedViewsMatchPrivate(t *testing.T) {
 		t.Fatal("no internal records")
 	}
 	for i, r := range recs {
-		gotLv, gotSc, err := sv.Vector(r)
+		got, err := sv.Vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantLv, wantSc, err := pv.Vector(r)
+		want, err := pv.Vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertVectorsEqual(t, fmt.Sprintf("record %d", i), gotLv, wantLv, gotSc, wantSc)
+		assertVectorsEqual(t, fmt.Sprintf("record %d", i), eng, got, want)
 	}
 	if shared.Computes() == 0 || shared.Computes() > uint64(len(recs)) {
 		t.Errorf("shared store computed %d vectors for %d records", shared.Computes(), len(recs))
@@ -102,7 +114,7 @@ func TestSharedViewsMatchPrivate(t *testing.T) {
 	// Re-reading everything must be pure hits: no edits, no epoch change.
 	computes := shared.Computes()
 	for _, r := range recs {
-		if _, _, err := sv.Vector(r); err != nil {
+		if _, err := sv.Vector(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +153,7 @@ func TestSharedCacheEpochInvalidation(t *testing.T) {
 	eng.NewView(e.Back)
 	recs := internalRecords(tr)
 	for _, r := range recs {
-		if _, _, err := sv.Vector(r); err != nil {
+		if _, err := sv.Vector(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +172,7 @@ func TestSharedCacheEpochInvalidation(t *testing.T) {
 	// both are slot reads.
 	for _, r := range [...]*phylotree.Node{e, e.Back} {
 		computes, hits := shared.Computes(), eng.Meter.CacheHits
-		lv, _, err := sv.Vector(r)
+		got, err := sv.Vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +180,7 @@ func TestSharedCacheEpochInvalidation(t *testing.T) {
 			t.Errorf("facing record: computes %d -> %d, CacheHits %d -> %d, want a slot read",
 				computes, shared.Computes(), hits, eng.Meter.CacheHits)
 		}
-		if &lv[0] != &eng.lv[r.Index][0] {
+		if &got.lv[0] != &eng.lv[r.Index][0] {
 			t.Error("facing record served from a buffer that is not the node's slot")
 		}
 	}
@@ -178,24 +190,24 @@ func TestSharedCacheEpochInvalidation(t *testing.T) {
 	defer pv.Release()
 	for _, r := range [...]*phylotree.Node{e.Next, e.Next.Next, e.Back.Next, e.Back.Next.Next} {
 		before := shared.Computes()
-		gotLv, gotSc, err := sv.Vector(r)
+		got, err := sv.Vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if shared.Computes() == before {
 			t.Error("stale orientation served without recompute")
 		}
-		wantLv, wantSc, err := pv.Vector(r)
+		want, err := pv.Vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertVectorsEqual(t, "post-invalidate", gotLv, wantLv, gotSc, wantSc)
+		assertVectorsEqual(t, "post-invalidate", eng, got, want)
 	}
 
 	// InvalidateAll drops the slots too: the next read of anything recomputes.
 	eng.InvalidateAll()
 	before := shared.Computes()
-	if _, _, err := sv.Vector(e); err != nil {
+	if _, err := sv.Vector(e); err != nil {
 		t.Fatal(err)
 	}
 	if shared.Computes() == before {
@@ -221,7 +233,7 @@ func TestPoolSharedCacheSingleFlight(t *testing.T) {
 	n := lapsPerWorker * pool.Workers() * len(recs)
 	errs := make([]error, pool.Workers())
 	pool.Run(n, func(w, i int) {
-		if _, _, err := views[w].Vector(recs[i%len(recs)]); err != nil {
+		if _, err := views[w].Vector(recs[i%len(recs)]); err != nil {
 			errs[w] = err
 		}
 	})
@@ -281,7 +293,7 @@ func TestPoolSharedCacheAcrossInvalidations(t *testing.T) {
 		recs := internalRecords(tr)
 		errs := make([]error, pool.Workers())
 		pool.Run(2*len(recs), func(w, i int) {
-			if _, _, err := views[w].Vector(recs[i%len(recs)]); err != nil {
+			if _, err := views[w].Vector(recs[i%len(recs)]); err != nil {
 				errs[w] = err
 			}
 		})
@@ -300,15 +312,15 @@ func TestPoolSharedCacheAcrossInvalidations(t *testing.T) {
 		sv := eng.NewSharedViews(shared)
 		for k := 0; k < 5; k++ {
 			r := recs[rng.Intn(len(recs))]
-			gotLv, gotSc, err := sv.Vector(r)
+			got, err := sv.Vector(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantLv, wantSc, err := pv.Vector(r)
+			want, err := pv.Vector(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertVectorsEqual(t, "round audit", gotLv, wantLv, gotSc, wantSc)
+			assertVectorsEqual(t, "round audit", eng, got, want)
 		}
 		pv.Release()
 	}
@@ -405,16 +417,18 @@ func lazyScoreAudit(t *testing.T, stage string, eng *Engine, sv *Views, tr *phyl
 
 // FuzzEpochCacheEquivalence drives random interleavings of branch edits,
 // topology moves, lazy-SPR scoring rounds, model and weight swaps, full
-// invalidations and reads over a random small tree, asserting after every
-// operation that a sample of shared-store vectors is bit-identical to a cold
-// private recompute at the current epoch, and that the engine's own slots
-// answer Evaluate and MakeNewz bit-identically to a fresh engine on a clone
-// of the tree.
+// invalidations, edits of a tree the engine is not attached to and reads
+// over a random small tree, asserting after every operation that a sample of
+// shared-store vectors is bit-identical to a cold private recompute at the
+// current epoch, that the class map of every valid slot is the one a fresh
+// engine numbers, and that the engine's own slots answer Evaluate and
+// MakeNewz bit-identically to a fresh engine on a clone of the tree.
 func FuzzEpochCacheEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 0, 1, 2, 3})
 	f.Add(int64(7), []byte{1, 1, 1, 2, 0, 3, 2, 4, 1, 0})
 	f.Add(int64(42), []byte{2, 0, 5, 0, 2, 1, 3})
 	f.Add(int64(9), []byte{6, 1, 6, 2, 6, 0, 6, 4, 6})
+	f.Add(int64(11), []byte{7, 1, 7, 4, 2, 7, 6, 7})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -438,15 +452,15 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 			pv := eng.NewViews()
 			for k := 0; k < 4 && k < len(recs); k++ {
 				r := recs[rng.Intn(len(recs))]
-				gotLv, gotSc, err := sv.Vector(r)
+				got, err := sv.Vector(r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantLv, wantSc, err := pv.Vector(r)
+				want, err := pv.Vector(r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertVectorsEqual(t, stage, gotLv, wantLv, gotSc, wantSc)
+				assertVectorsEqual(t, stage, eng, got, want)
 			}
 			pv.Release()
 
@@ -457,6 +471,21 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 				t.Fatal(err)
 			}
 			edges, cloned := tr.Edges(), tr.Clone().Edges()
+			// The class map of every valid slot is the one a fresh engine
+			// numbers for the same record.
+			for i := range edges {
+				for _, rr := range [...][2]*phylotree.Node{{edges[i], cloned[i]}, {edges[i].Back, cloned[i].Back}} {
+					if rr[0].IsTip() || eng.orient[rr[0].Index] != rr[0] {
+						continue
+					}
+					fresh.NewView(rr[1])
+					got, want := eng.classes(rr[0]), fresh.classes(rr[1])
+					if got.rows != want.rows || !slices.Equal(got.cls, want.cls) {
+						t.Fatalf("%s: the slot of node %d holds %d classes, a fresh engine numbers %d, or another map",
+							stage, rr[0].Index, got.rows, want.rows)
+					}
+				}
+			}
 			i := rng.Intn(len(edges))
 			got, err := eng.Evaluate(edges[i])
 			if err != nil {
@@ -486,7 +515,7 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 
 		audit("initial")
 		for _, op := range ops {
-			switch op % 7 {
+			switch op % 8 {
 			case 0: // direct branch change + explicit invalidation
 				edges := tr.Edges()
 				e := edges[rng.Intn(len(edges))]
@@ -583,6 +612,49 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 				ps, _, _, _ = lazyScoreAudit(t, "prune after an accepted move", eng, sv, tr, ps.P.Next)
 				if err := tr.Undo(ps); err != nil {
 					t.Fatal(err)
+				}
+			case 7: // a tree the engine is not attached to: its topology edits
+				// reach the engine only through InvalidateAll
+				cl := tr.Clone()
+				if _, err := eng.Evaluate(cl.Tips[0]); err != nil {
+					t.Fatal(err)
+				}
+				var inner []*phylotree.Node
+				for _, e := range cl.Edges() {
+					if !e.Back.IsTip() {
+						inner = append(inner, e.Back)
+					}
+				}
+				ps, err := cl.Prune(inner[rng.Intn(len(inner))])
+				if err != nil {
+					continue
+				}
+				targets := append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...)
+				if len(targets) == 0 {
+					err = cl.Undo(ps)
+				} else {
+					err = cl.Regraft(ps, targets[rng.Intn(len(targets))])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.InvalidateAll()
+				fresh, err := NewEngine(eng.Pat, eng.Mod, eng.Cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edges, cloned := cl.Edges(), cl.Clone().Edges()
+				i := rng.Intn(len(edges))
+				got, err := eng.Evaluate(edges[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := coldref.Evaluate(fresh, cloned[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("unattached edit: Evaluate at edge %d = %.17g, fresh engine %.17g", i, got, want)
 				}
 			}
 			audit("after op")

@@ -108,54 +108,55 @@ func (c *Ctx) getScBuf() []int32 {
 	return make([]int32, c.eng.npat)
 }
 
-// Vector returns the partial likelihood vector and scale counts of the
-// subtree behind record r (computed through r's two other ring members):
-// the node's own slot when it holds that orientation (Meter.CacheHits), the
-// memoized vector otherwise, computed recursively on first use. The slices
-// are read-only and good until the next NewView or edit. For tip records it
-// returns (nil, nil): callers use the tip codes directly.
-func (v *Views) Vector(r *phylotree.Node) ([]float64, []int32, error) {
+// Vector returns the partial likelihood vector of the subtree behind record
+// r (computed through r's two other ring members): the node's own slot when
+// it holds that orientation (Meter.CacheHits), with one row per repeat class
+// of r, or the memoized vector, one row per pattern, computed recursively on
+// first use. The vector is read-only and good until the next NewView or
+// edit. For tip records it is the zero vec: callers use the tip codes
+// directly.
+func (v *Views) Vector(r *phylotree.Node) (vec, error) {
 	if r.IsTip() {
-		return nil, nil, nil
+		return vec{}, nil
 	}
 	if e := v.ctx.eng; e.orient[r.Index] == r {
 		v.ctx.meter.CacheHits++
-		return e.lv[r.Index], e.scale[r.Index], nil
+		return e.slotVec(r), nil
 	}
 	if v.shared != nil {
 		return v.shared.vector(v, r)
 	}
 	if lv, ok := v.lv[r]; ok {
-		return lv, v.scale[r], nil
+		return vec{lv: lv, sc: v.scale[r]}, nil
 	}
 	q := r.Next.Back
 	w := r.Next.Next.Back
 	if q == nil || w == nil {
-		return nil, nil, fmt.Errorf("likelihood: view of detached record")
+		return vec{}, fmt.Errorf("likelihood: view of detached record")
 	}
-	qLv, qSc, err := v.Vector(q)
+	qv, err := v.Vector(q)
 	if err != nil {
-		return nil, nil, err
+		return vec{}, err
 	}
-	wLv, wSc, err := v.Vector(w)
+	wv, err := v.Vector(w)
 	if err != nil {
-		return nil, nil, err
+		return vec{}, err
 	}
-	dst := v.ctx.getLvBuf()
-	dsc := v.ctx.getScBuf()
-	v.ctx.combine(q, r.Next.Z, qLv, qSc, w, r.Next.Next.Z, wLv, wSc, dst, dsc)
-	v.lv[r] = dst
-	v.scale[r] = dsc
+	dst := vec{lv: v.ctx.getLvBuf(), sc: v.ctx.getScBuf()}
+	v.ctx.combine(q, r.Next.Z, qv, w, r.Next.Next.Z, wv, dst, nil)
+	v.lv[r] = dst.lv
+	v.scale[r] = dst.sc
 	v.order = append(v.order, r)
-	return dst, dsc, nil
+	return dst, nil
 }
 
-// combine is the core of newview factored over explicit child buffers:
-// child vectors may come from the engine's per-node table, a Views cache,
-// or (nil for tips) the pattern data of the child's taxon.
-func (c *Ctx) combine(q *phylotree.Node, zq float64, qLv []float64, qSc []int32,
-	r *phylotree.Node, zr float64, rLv []float64, rSc []int32,
-	dst []float64, dstScale []int32) {
+// combine is the core of newview factored over explicit child vectors:
+// children may come from the engine's per-node table, a Views cache, or
+// (zero vecs for tips) the pattern data of the child's taxon. dst gets one
+// row per entry of first, the pattern it stands for, or one per pattern when
+// first is nil.
+func (c *Ctx) combine(q *phylotree.Node, zq float64, qv vec,
+	r *phylotree.Node, zr float64, rv vec, dst vec, first []int32) {
 
 	e := c.eng
 	var t0 time.Duration
@@ -163,8 +164,11 @@ func (c *Ctx) combine(q *phylotree.Node, zq float64, qLv []float64, qSc []int32,
 	if timed {
 		t0 = e.know()
 	}
-	c.prepareCombine(q, zq, qLv, qSc, r, zr, rLv, rSc)
-	c.combOp.dst, c.combOp.dstScale = dst, dstScale
+	c.prepareCombine(q, zq, qv, r, zr, rv)
+	c.combOp.dst, c.combOp.dstScale = dst.lv, dst.sc
+	if first != nil {
+		c.combOp.first, c.combOp.rows = first, len(first)
+	}
 	c.runPass(passCombine)
 	c.foldCombine()
 	if timed {
@@ -174,11 +178,9 @@ func (c *Ctx) combine(q *phylotree.Node, zq float64, qLv []float64, qSc []int32,
 
 // prepareCombine is what a newview does before its per-pattern pass: it
 // counts the call, builds the two children's transition matrices and tip
-// projections and files the children in c.combOp; the destination is the
-// caller's to set.
-func (c *Ctx) prepareCombine(q *phylotree.Node, zq float64, qLv []float64, qSc []int32,
-	r *phylotree.Node, zr float64, rLv []float64, rSc []int32) {
-
+// projections and files the children in c.combOp, for a destination of one
+// row per pattern; the destination is the caller's to set.
+func (c *Ctx) prepareCombine(q *phylotree.Node, zq float64, qv vec, r *phylotree.Node, zr float64, rv vec) {
 	e := c.eng
 	c.meter.NewviewCalls++
 	c.transitionMatrices(zq, c.pLeft)
@@ -207,12 +209,13 @@ func (c *Ctx) prepareCombine(q *phylotree.Node, zq float64, qLv []float64, qSc [
 		c.tipProjection(c.pRight, c.tipPR)
 		rData = e.Pat.Data[r.Index]
 	}
-	c.combOp = combineOp{qData: qData, rData: rData, qLv: qLv, rLv: rLv, qSc: qSc, rSc: rSc}
+	c.combOp = combineOp{qData: qData, rData: rData, q: qv, r: rv, rows: e.npat}
 }
 
 // foldCombine books what the combine parts of the finished pass counted, in
-// block order, and the vectors the call streamed: the destination and every
-// inner child.
+// block order: the rows computed, the patterns they cover, and the vectors
+// the call streamed — the destination's rows and an inner child's row for
+// each.
 func (c *Ctx) foldCombine() {
 	e := c.eng
 	total := c.parts[0].comb
@@ -221,17 +224,18 @@ func (c *Ctx) foldCombine() {
 	}
 	c.meter.Muls += total.muls
 	c.meter.Adds += total.adds
-	c.meter.BigLoopIters += total.bigIters
+	c.meter.BigLoopIters += uint64(e.npat)
+	c.meter.CombineRows += total.bigIters
 	c.meter.ScaleChecks += total.scaleChecks
 	c.meter.ScaleEvents += total.scaleEvents
 	n := uint64(1)
-	if c.combOp.qLv != nil {
+	if c.combOp.q.lv != nil {
 		n++
 	}
-	if c.combOp.rLv != nil {
+	if c.combOp.r.lv != nil {
 		n++
 	}
-	c.meter.BytesStreamed += n * uint64(e.npat*e.ncat*ns*8)
+	c.meter.BytesStreamed += n * total.bigIters * uint64(e.ncat*ns*8)
 }
 
 // Across is the pruned subtree's side of every prescore of one prune: the
@@ -241,8 +245,9 @@ func (c *Ctx) foldCombine() {
 // edit of the tree it is read-only, and any number of contexts may prescore
 // against it. The zero value is ready to fill and keeps its buffer.
 type Across struct {
-	proj []float64 // laid out like a vector
-	sc   []int32   // the subtree vector's scale counts; nil for a tip
+	proj []float64 // laid out like a vector, one row per pattern
+	sc   []int32   // the subtree vector's scale counts per pattern; nil for a tip
+	buf  []int32   // sc's storage
 }
 
 // CarryAcross fills a with the vector of the subtree behind sub.Back carried
@@ -258,7 +263,7 @@ func (v *Views) CarryAcross(a *Across, sub *phylotree.Node, z0 float64) error {
 	}
 	// Viewed through the subtree root record s, whose children live inside
 	// the pruned subtree.
-	sLv, sSc, err := v.Vector(s)
+	sv, err := v.Vector(s)
 	if err != nil {
 		return err
 	}
@@ -266,16 +271,23 @@ func (v *Views) CarryAcross(a *Across, sub *phylotree.Node, z0 float64) error {
 	e := c.eng
 	if a.proj == nil {
 		a.proj = make([]float64, e.npat*e.ncat*ns)
+		a.buf = make([]int32, e.npat)
 	}
-	a.sc = sSc
+	a.sc = nil
 	c.transitionMatrices(z0, c.pLeft)
 	var sData []byte
 	if s.IsTip() {
 		sData = e.Pat.Data[s.Index]
 		c.tipProjection(c.pLeft, c.tipPL)
+	} else {
+		a.sc = a.buf
 	}
 	for pat := 0; pat < e.npat; pat++ {
 		base := pat * e.ncat * ns
+		row := sv.row(pat) * e.ncat * ns
+		if sData == nil {
+			a.sc[pat] = sv.sc[sv.row(pat)]
+		}
 		for cat := 0; cat < e.ncat; cat++ {
 			mi := e.matIdx(pat, cat)
 			o := a.proj[base+cat*ns : base+cat*ns+ns]
@@ -284,7 +296,7 @@ func (v *Views) CarryAcross(a *Across, sub *phylotree.Node, z0 float64) error {
 				continue
 			}
 			pc := c.pLeft[mi*ns*ns:]
-			y := sLv[base+cat*ns:]
+			y := sv.lv[row+cat*ns:]
 			for i := 0; i < ns; i++ {
 				o[i] = pc[i*ns]*y[0] + pc[i*ns+1]*y[1] + pc[i*ns+2]*y[2] + pc[i*ns+3]*y[3]
 			}
@@ -313,11 +325,11 @@ func (v *Views) Prescore(cand *phylotree.Node, across *Across) (logL float64, er
 	if cand.Back == nil {
 		return 0, fmt.Errorf("likelihood: candidate edge is detached")
 	}
-	aLv, aSc, err := v.Vector(cand)
+	av, err := v.Vector(cand)
 	if err != nil {
 		return 0, err
 	}
-	bLv, bSc, err := v.Vector(cand.Back)
+	bv, err := v.Vector(cand.Back)
 	if err != nil {
 		return 0, err
 	}
@@ -329,9 +341,9 @@ func (v *Views) Prescore(cand *phylotree.Node, across *Across) (logL float64, er
 		t0 = e.know()
 	}
 	half := cand.Z / 2
-	c.prepareCombine(cand, half, aLv, aSc, cand.Back, half, bLv, bSc)
+	c.prepareCombine(cand, half, av, cand.Back, half, bv)
 	c.meter.EvaluateCalls++
-	c.evalOp = evalOp{qProj: across.proj, qScale: across.sc}
+	c.evalOp = evalOp{qProj: across.proj, q: vec{sc: across.sc}}
 	c.runPass(passPrescore)
 	c.foldCombine()
 	logL = c.foldEval()
@@ -360,42 +372,41 @@ func (v *Views) InsertionScore(cand *phylotree.Node, sub *phylotree.Node, z0 flo
 	}
 	c := v.ctx
 
-	aLv, aSc, err := v.Vector(cand)
+	av, err := v.Vector(cand)
 	if err != nil {
 		return 0, 0, err
 	}
-	bLv, bSc, err := v.Vector(cand.Back)
+	bv, err := v.Vector(cand.Back)
 	if err != nil {
 		return 0, 0, err
 	}
 	// Subtree-side vector: viewed through the subtree root record s, whose
 	// children live inside the pruned subtree.
-	sLv, sSc, err := v.Vector(s)
+	sv, err := v.Vector(s)
 	if err != nil {
 		return 0, 0, err
 	}
 	// Virtual node x over the split candidate branch.
-	xLv := c.getLvBuf()
-	xSc := c.getScBuf()
+	x := vec{lv: c.getLvBuf(), sc: c.getScBuf()}
 	half := cand.Z / 2
-	c.combine(cand, half, aLv, aSc, cand.Back, half, bLv, bSc, xLv, xSc)
-	bestZ, logL = c.newtonOnBranch(xLv, xSc, s, sLv, sSc, z0)
-	c.lvPool = append(c.lvPool, xLv)
-	c.scPool = append(c.scPool, xSc)
+	c.combine(cand, half, av, cand.Back, half, bv, x, nil)
+	bestZ, logL = c.newtonOnBranch(x, s, sv, z0)
+	c.lvPool = append(c.lvPool, x.lv)
+	c.scPool = append(c.scPool, x.sc)
 	return bestZ, logL, nil
 }
 
-// newtonOnBranch optimizes the branch length between an explicit vector
-// (pLv/pSc) and a node side given by (q, qLv, qSc) — q may be a tip (qLv
-// nil). It is the sum-table core of MakeNewz reused by the lazy SPR path,
-// running entirely on context-owned scratch.
-func (c *Ctx) newtonOnBranch(pLv []float64, pSc []int32, q *phylotree.Node, qLv []float64, qSc []int32, z0 float64) (float64, float64) {
+// newtonOnBranch optimizes the branch length between an explicit vector pv
+// and a node side given by (q, qv) — q may be a tip (qv zero). It is the
+// sum-table core of MakeNewz reused by the lazy SPR path, running entirely
+// on context-owned scratch.
+func (c *Ctx) newtonOnBranch(pv vec, q *phylotree.Node, qv vec, z0 float64) (float64, float64) {
 	e := c.eng
 	c.meter.MakenewzCalls++
 	var qData []byte
 	if q.IsTip() {
 		qData = e.Pat.Data[q.Index]
 	}
-	scaleConst := c.buildSumTable(pLv, pSc, qData, qLv, qSc)
+	scaleConst := c.buildSumTable(pv, qData, qv)
 	return c.newtonSolve(z0, scaleConst)
 }

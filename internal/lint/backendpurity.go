@@ -54,13 +54,15 @@ var BackendPurity = &Analyzer{
 }
 
 // rangeMethodNames are the Backend interface's per-range kernel entry
-// points; the purity rule applies to any receiver method with one of
-// these names (the interface itself is unexported, so name matching is
-// the stable anchor — and keeps the golden mini-package honest).
+// points — combineRows and sumTableFactors run over a block of rows (repeat
+// classes, tip codes), the others over a block of patterns; the purity rule applies to any
+// receiver method with one of these names (the interface itself is
+// unexported, so name matching is the stable anchor — and keeps the golden
+// mini-package honest).
 var rangeMethodNames = map[string]bool{
-	"combineRange":     true,
+	"combineRows":      true,
 	"evaluateRange":    true,
-	"sumTableRange":    true,
+	"sumTableFactors":  true,
 	"newtonDerivRange": true,
 	"newtonValueRange": true,
 }

@@ -23,8 +23,8 @@ import (
 // (searchCtx), reused across rounds.
 //
 // The compute backends (backend_scalar.go, backend_batched.go) are the
-// same hot 90% behind an interface: their range methods (combineRange,
-// evaluateRange, sumTableRange, newtonDerivRange, newtonValueRange) and
+// same hot 90% behind an interface: their range methods (combineRows,
+// evaluateRange, sumTableFactors, newtonDerivRange, newtonValueRange) and
 // tile helpers run per pattern block, so the fragments below include
 // tile/sumtable/newton to keep every backend implementation in scope.
 //
@@ -56,10 +56,15 @@ import (
 // step or the combine runs n² times per start tree. internal/parsimony is in
 // scope and the fragments include fitch/stepwise.
 //
+// The class pass (likelihood's repeats.go) numbers the repeat classes of a
+// node's directed record whenever the topology behind it changed: one serial
+// pass over the patterns per recomputed slot, so its table lives on the
+// kernel context and the fragments include classpass.
+//
 // Inside functions whose name contains combine/newview/makenewz/evaluate/
 // fastexp/spr/nni/insertion/tile/sumtable/newton/observe/record/span/brent/
-// runpass/runblock/adopt/await/help/fitch/stepwise (case-insensitive), the
-// analyzer reports:
+// runpass/runblock/adopt/await/help/fitch/stepwise/classpass
+// (case-insensitive), the analyzer reports:
 //
 //   - make(), append(), new() and slice/map composite literals inside any
 //     loop — preallocate scratch buffers on the Engine (kernels) or the
@@ -79,7 +84,7 @@ var HotPathAlloc = &Analyzer{
 	Run: runHotPathAlloc,
 }
 
-var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "brent", "runpass", "runblock", "adopt", "await", "help", "fitch", "stepwise"}
+var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "brent", "runpass", "runblock", "adopt", "await", "help", "fitch", "stepwise", "classpass"}
 
 func isHotFuncName(name string) bool {
 	lower := strings.ToLower(name)

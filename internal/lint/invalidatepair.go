@@ -14,7 +14,8 @@ import (
 // (the likelihood package itself, the search and campaign layers, the
 // workload profiler, the commands, the examples and the benchmark) that
 // calls SetZ must therefore follow it, in the same function, with an
-// Engine.Invalidate(node) or Engine.InvalidateAll() call, or the engine
+// Engine.Invalidate(node) or Engine.InvalidateAll() call (inside the
+// likelihood package also the length-only Engine.invalidate), or the engine
 // serves stale vectors and returns wrong likelihoods.
 //
 // The check is positional: a SetZ call is flagged unless an
@@ -59,7 +60,7 @@ func checkInvalidatePairs(pass *Pass, fn *ast.FuncDecl) {
 		switch {
 		case isMethodCall(pass.Info, call, "SetZ"):
 			setzs = append(setzs, setzCall{call})
-		case isMethodCall(pass.Info, call, "Invalidate", "InvalidateAll"):
+		case isMethodCall(pass.Info, call, "Invalidate", "InvalidateAll", "invalidate"):
 			invalidatePositions = append(invalidatePositions, int(call.Pos()))
 		}
 		return true

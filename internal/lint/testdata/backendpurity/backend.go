@@ -1,9 +1,9 @@
 // Golden case for backendpurity, analyzed as raxmlcell/internal/likelihood:
-// a miniature of the Backend seam. Range methods run concurrently over
-// one shared Ctx (one pattern block per goroutine the range executor has on
-// the pass), so they may write only operand-slice elements, Ctx scratch
-// elements and the tile they are handed — never the Engine, a Ctx field
-// itself, or package state.
+// a miniature of the Backend seam. Range and row methods run concurrently
+// over one shared Ctx (one block of patterns or rows per goroutine the range
+// executor has on the pass), so they may write only operand-slice elements,
+// Ctx scratch elements and the tile they are handed — never the Engine, a Ctx
+// field itself, or package state.
 package likelihood
 
 type Engine struct {
@@ -37,7 +37,7 @@ func (goodBackend) initCtx(c *Ctx) {
 	c.sumTab = make([]float64, len(c.eng.tbl))
 }
 
-func (goodBackend) combineRange(c *Ctx, op *combineOp, pr patRange, ts *tile) combineStats {
+func (goodBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile) combineStats {
 	var st combineStats
 	for pat := pr.lo; pat < pr.hi; pat++ {
 		ts.buf[0] = c.eng.tbl[pat]  // the goroutine's own tile, engine read: legal
@@ -50,13 +50,13 @@ func (goodBackend) combineRange(c *Ctx, op *combineOp, pr patRange, ts *tile) co
 
 type badBackend struct{}
 
-func (badBackend) combineRange(c *Ctx, op *combineOp, pr patRange, ts *tile) combineStats {
-	c.eng.total++                     // want `writes Engine state through field total in combineRange`
-	c.eng.tbl[0] = 1                  // want `writes Engine state through field tbl in combineRange`
-	c.sumTab = make([]float64, pr.hi) // want `writes Ctx field sumTab directly in combineRange`
-	c.underflow++                     // want `writes Ctx field underflow directly in combineRange`
-	globalHits++                      // want `writes package-level variable globalHits in combineRange`
-	c.tile.buf[0] = ts.buf[0]         // want `writes the Ctx's own tile in combineRange`
+func (badBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile) combineStats {
+	c.eng.total++                     // want `writes Engine state through field total in combineRows`
+	c.eng.tbl[0] = 1                  // want `writes Engine state through field tbl in combineRows`
+	c.sumTab = make([]float64, pr.hi) // want `writes Ctx field sumTab directly in combineRows`
+	c.underflow++                     // want `writes Ctx field underflow directly in combineRows`
+	globalHits++                      // want `writes package-level variable globalHits in combineRows`
+	c.tile.buf[0] = ts.buf[0]         // want `writes the Ctx's own tile in combineRows`
 	for pat := pr.lo; pat < pr.hi; pat++ {
 		op.dst[pat] = 1
 	}

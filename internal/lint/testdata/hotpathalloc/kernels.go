@@ -3,8 +3,9 @@
 // combine/newview/makenewz/evaluate/fastexp/tile/sumtable/newton are
 // kernels (the last three cover the compute-backend range methods and
 // their tile helpers), and so are the range executor's runpass/runblock/
-// adopt/await/help; allocations in their loops or closures, raw math.Exp
-// calls and go statements are reported.
+// adopt/await/help and the repeat-class pass (classpass); allocations in
+// their loops or closures, raw math.Exp calls and go statements are
+// reported.
 package likelihood
 
 import (
@@ -66,7 +67,7 @@ func projectInnerTileAlloc(lo, hi int) []float64 {
 	return out
 }
 
-// sumTableRangeScratch mimics a backend sumTableRange: scratch hoisted
+// sumTableRangeScratch mimics a backend sum-table kernel: scratch hoisted
 // outside the loop is allowed, per-pattern allocation is not.
 func sumTableRangeScratch(sumTab []float64, npat int) {
 	scratch := make([]float64, 4) // outside the loop: allowed
@@ -135,4 +136,19 @@ func spawn(n int, help func()) {
 	for i := 0; i < n; i++ {
 		go help()
 	}
+}
+
+// classPassTable mimics the repeat-class pass: a table sized once on the
+// context and indexed per pattern is clean, a map or slice grown per pattern
+// is not.
+func classPassTable(keys []uint64, table []uint64, cls []uint16) map[uint64]int {
+	seen := map[uint64]int{}
+	for pat, k := range keys {
+		table[k%uint64(len(table))] = k // preallocated table: allowed
+		cls[pat] = uint16(k)
+		seen[k] = pat
+		firsts := []int{pat} // want `slice/map literal allocates inside a per-pattern loop`
+		_ = firsts
+	}
+	return seen
 }

@@ -25,9 +25,12 @@ func PublishMeter(r *Registry, prefix string, m *likelihood.Meter) {
 	set("scale_events", m.ScaleEvents)
 	set("small_loop_iters", m.SmallLoopIters)
 	set("big_loop_iters", m.BigLoopIters)
+	set("combine_rows", m.CombineRows)
+	set("class_passes", m.ClassPasses)
 	set("bytes_streamed", m.BytesStreamed)
 	set("tip_tip_calls", m.TipTipCalls)
 	set("tip_inner_calls", m.TipInnerCalls)
 	set("inner_inner_calls", m.InnerInnerCalls)
 	set("cache_hits", m.CacheHits)
+	set("shared_hits", m.SharedHits)
 }

@@ -10,23 +10,9 @@ import (
 	"raxmlcell/internal/alignment"
 	"raxmlcell/internal/bio"
 	"raxmlcell/internal/phylotree"
+	"raxmlcell/internal/phylotree/treegen"
 	"raxmlcell/internal/seqsim"
 )
-
-// phylo2vecTree draws a uniform topology over pat's taxa through the
-// phylo2vec codec: any v with v[i] in [0, 2i-4] is a tree.
-func phylo2vecTree(t testing.TB, rng *rand.Rand, pat *alignment.Patterns) *phylotree.Tree {
-	t.Helper()
-	v := make([]int, pat.NumTaxa)
-	for i := 3; i < len(v); i++ {
-		v[i] = rng.Intn(2*i - 3)
-	}
-	tr, err := phylotree.TreeFromPhylo2Vec(pat.Names, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
 
 func mustScore(t testing.TB, tr *phylotree.Tree, pat *alignment.Patterns) int {
 	t.Helper()
@@ -44,7 +30,7 @@ func TestInsertionCostIsScoreDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for c := 0; c < 30; c++ {
 		pat := randomPatterns(rng, 4+rng.Intn(30), 1+rng.Intn(140), c%2 == 0)
-		tr := phylo2vecTree(t, rng, pat)
+		tr := treegen.Phylo2Vec(pat.Names, rng)
 		ti := rng.Intn(pat.NumTaxa)
 		if err := tr.RemoveTip(ti); err != nil {
 			t.Fatal(err)
@@ -104,7 +90,7 @@ func TestScoreMetamorphic(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for c := 0; c < 40; c++ {
 		pat := randomPatterns(rng, 3+rng.Intn(40), 1+rng.Intn(200), c%2 == 1)
-		tr := phylo2vecTree(t, rng, pat)
+		tr := treegen.Phylo2Vec(pat.Names, rng)
 		ref := mustScore(t, tr, pat)
 
 		perm := rng.Perm(pat.NumTaxa)
@@ -176,7 +162,7 @@ func TestBitSetsLayout(t *testing.T) {
 func TestStepwiseNoAllocPerCandidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pat := randomPatterns(rng, 40, 300, true)
-	tr := phylo2vecTree(t, rng, pat)
+	tr := treegen.Phylo2Vec(pat.Names, rng)
 	if err := tr.RemoveTip(17); err != nil {
 		t.Fatal(err)
 	}
