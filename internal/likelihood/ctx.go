@@ -230,6 +230,7 @@ func (c *Ctx) appendTraversal(steps []*phylotree.Node, p *phylotree.Node) []*phy
 // the orientation.
 func (c *Ctx) computeView(p *phylotree.Node) {
 	e := c.eng
+	t0 := e.tick()
 	q := p.Next.Back
 	r := p.Next.Next.Back
 	var first []int32
@@ -251,6 +252,7 @@ func (c *Ctx) computeView(p *phylotree.Node) {
 	c.combine(q, p.Next.Z, e.slotVec(q), r, p.Next.Next.Z, e.slotVec(r),
 		vec{lv: e.lv[p.Index], sc: e.scale[p.Index]}, first)
 	e.orient[p.Index] = p
+	e.tock(OpNewview, t0)
 }
 
 // evaluate computes the log-likelihood of the tree across the branch
@@ -258,13 +260,9 @@ func (c *Ctx) computeView(p *phylotree.Node) {
 // thin timing shell over evaluateKernel so the kernel body keeps its early
 // error returns without threading the observer through each of them.
 func (c *Ctx) evaluate(p *phylotree.Node, perSite []float64) (float64, error) {
-	e := c.eng
-	if e.kobs == nil {
-		return c.evaluateKernel(p, perSite)
-	}
-	t0 := e.know()
+	t0 := c.eng.tick()
 	logL, err := c.evaluateKernel(p, perSite)
-	e.kobs.ObserveKernel(OpEvaluate, e.know()-t0)
+	c.eng.tock(OpEvaluate, t0)
 	return logL, err
 }
 

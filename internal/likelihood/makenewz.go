@@ -3,7 +3,6 @@ package likelihood
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"raxmlcell/internal/phylotree"
 )
@@ -16,7 +15,8 @@ const newtonTol = 1e-9
 
 // newtonGainTol is the convergence tolerance in the unit the callers
 // compare, logL: a step whose predicted gain ½·d1²/|d2| is below it is the
-// last one. Six orders under the search's Epsilon.
+// last one. Six orders under the search's Epsilon; MakeNewzTo's callers may
+// ask for a looser one, never a tighter one.
 const newtonGainTol = 1e-8
 
 // MakeNewz optimizes the length of the branch (p, p.Back) with respect to
@@ -31,18 +31,27 @@ const newtonGainTol = 1e-8
 // length is written back to the branch and returned together with the
 // log-likelihood at the optimum.
 func (e *Engine) MakeNewz(p *phylotree.Node) (float64, float64, error) {
-	return e.ctx0.MakeNewz(p)
+	return e.ctx0.makeNewz(p, newtonGainTol, true)
 }
 
-// MakeNewz is the context-scoped form of Engine.MakeNewz. All Newton
-// scratch (sum table, λr products, exponential blocks) is per-context, so
-// the solver itself never aliases across contexts; note however that it
-// recomputes the shared per-node vectors (NewView) and writes the branch
-// length back into the shared tree, so concurrent calls on one engine are
-// only safe when the caller guarantees the touched regions are disjoint.
-// The concurrency-safe scoring path is Views.InsertionScore, which runs
-// the same Newton core against private buffers.
-func (c *Ctx) MakeNewz(p *phylotree.Node) (float64, float64, error) {
+// MakeNewzTo is MakeNewz for a caller that reads only the length: the solve
+// stops after the step whose predicted gain is below gainTol (or
+// newtonGainTol, if that is larger), and values the likelihood only where
+// the safeguard needs it. At gainTol ≤ newtonGainTol the length has the bits
+// MakeNewz gives it.
+func (e *Engine) MakeNewzTo(p *phylotree.Node, gainTol float64) (float64, error) {
+	z, _, err := e.ctx0.makeNewz(p, max(gainTol, newtonGainTol), false)
+	return z, err
+}
+
+// makeNewz is MakeNewz and MakeNewzTo: the solve stops at gainTol, and the
+// logL it returns is NaN unless value is set. All Newton scratch (sum table,
+// λr products, exponential blocks) is per-context, so the solver itself
+// never aliases across contexts; it does recompute the shared per-node
+// vectors (NewView) and write the branch length back into the shared tree.
+// The concurrency-safe scoring path is Views.InsertionScore, which runs the
+// same Newton core against private buffers.
+func (c *Ctx) makeNewz(p *phylotree.Node, gainTol float64, value bool) (float64, float64, error) {
 	e := c.eng
 	q := p.Back
 	if q == nil {
@@ -60,21 +69,33 @@ func (c *Ctx) MakeNewz(p *phylotree.Node) (float64, float64, error) {
 	// walk actually finds stale.
 	c.NewView(p)
 	c.NewView(q)
-	c.meter.MakenewzCalls++
 	zEntry := p.Z
-
-	var qData []byte
-	if q.IsTip() {
-		qData = e.Pat.Data[q.Index]
-	}
-	scaleConst := c.buildSumTable(e.slotVec(p), qData, e.slotVec(q))
-	bestT, bestLL := c.newtonSolve(p.Z, scaleConst)
+	bestT, bestLL := c.newtonOnBranch(e.slotVec(p), q, e.slotVec(q), zEntry, gainTol, value)
 	p.SetZ(bestT)
 	//lint:ignore floatcmp deliberate bit-exact check: any change to the stored branch length, however small, must invalidate cached views
 	if p.Z != zEntry {
 		e.invalidate(p, false) // a length moved: vectors go, repeat classes stay
 	}
 	return bestT, bestLL, nil
+}
+
+// newtonOnBranch optimizes the branch length between an explicit vector pv
+// and a node side given by (q, qv) — q may be a tip (qv zero) — from z0: the
+// sum table and the Newton solve, timed together as one OpMakenewz call. It
+// is the core of MakeNewz and of the lazy SPR path, running entirely on
+// context-owned scratch.
+func (c *Ctx) newtonOnBranch(pv vec, q *phylotree.Node, qv vec, z0, gainTol float64, value bool) (float64, float64) {
+	e := c.eng
+	t0 := e.tick()
+	c.meter.MakenewzCalls++
+	var qData []byte
+	if q.IsTip() {
+		qData = e.Pat.Data[q.Index]
+	}
+	scaleConst := c.buildSumTable(pv, qData, qv)
+	t, ll := c.newtonSolve(z0, gainTol, value)
+	e.tock(OpMakenewz, t0)
+	return t, ll + scaleConst
 }
 
 // buildSumTable prepares what the Newton passes read for one branch: it
@@ -153,28 +174,21 @@ func (c *Ctx) sumTableProducts(op *sumOp, pr patRange) sumPart {
 
 // newtonSolve runs the Newton-Raphson branch-length iteration on the tables
 // buildSumTable prepared, starting from z0, and returns the point it ends
-// at with its logL + scaleConst. Shared by MakeNewz and the lazy-SPR scorer
-// (newtonOnBranch).
+// at with its logL (without the scaling constant), or NaN for the logL when
+// value is unset and the solve needed no comparison.
 //
 // An iteration needs only d1/d2, so each one is a derivative pass; the
-// value is taken once, at the end. The loop stops after the step whose
-// predicted gain is below newtonGainTol or whose length is below newtonTol.
-// A loop that converged and, once inside the concave region, stayed there
-// has climbed to the maximum of the basin it walked into and needs no
-// comparison: a geometric walk from a non-concave start into the concave
-// region, and steps cut at a branch-length bound (every short branch cuts
-// one at MinBranchLength), are the ordinary course of a solve. Any other
-// exit — an iterate thrown back out of the concave region, or the iteration
-// cap — is guarded: the entry point is valued too and kept if it is the
-// better of the two.
-func (c *Ctx) newtonSolve(z0, scaleConst float64) (float64, float64) {
-	e := c.eng
-	var tObs time.Duration
-	timed := e.kobs != nil
-	if timed {
-		tObs = e.know()
-	}
-
+// value is taken once, at the end, if at all. The loop stops after the step
+// whose predicted gain ½·d1²/|d2| is below gainTol or whose length is below
+// newtonTol. A loop that converged and, once inside the concave region,
+// stayed there has climbed to the maximum of the basin it walked into and
+// needs no comparison: a geometric walk from a non-concave start into the
+// concave region, and steps cut at a branch-length bound (every short branch
+// cuts one at MinBranchLength), are the ordinary course of a solve. Any
+// other exit — an iterate thrown back out of the concave region, or the
+// iteration cap — is guarded: the entry point is valued too and kept if it
+// is the better of the two.
+func (c *Ctx) newtonSolve(z0, gainTol float64, value bool) (float64, float64) {
 	t := z0
 	concave, guarded, converged := false, false, false
 	for iter := 0; iter < newtonMaxIter && !converged; iter++ {
@@ -184,7 +198,7 @@ func (c *Ctx) newtonSolve(z0, scaleConst float64) (float64, float64) {
 		if d2 < 0 {
 			concave = true
 			next = newtonStep(t, d1, d2)
-			converged = d1*d1 < -2*d2*newtonGainTol
+			converged = d1*d1 < -2*d2*gainTol
 		} else {
 			// Not locally concave: move along the gradient geometrically.
 			guarded = guarded || concave
@@ -203,17 +217,18 @@ func (c *Ctx) newtonSolve(z0, scaleConst float64) (float64, float64) {
 		converged = converged || math.Abs(next-t) < newtonTol*(1+t)
 		t = next
 	}
-	ll := c.newtonValue(t)
 	//lint:ignore floatcmp bit-exact check: a solve that never left its entry point has nothing to compare
-	if (guarded || !converged) && t != z0 {
+	compare := (guarded || !converged) && t != z0
+	if !value && !compare {
+		return t, math.NaN()
+	}
+	ll := c.newtonValue(t)
+	if compare {
 		if ll0 := c.newtonValue(z0); ll0 > ll {
 			t, ll = z0, ll0
 		}
 	}
-	if timed {
-		e.kobs.ObserveKernel(OpMakenewz, e.know()-tObs)
-	}
-	return t, ll + scaleConst
+	return t, ll
 }
 
 // newtonDerivs fills the three exponential blocks for branch length t and
@@ -252,10 +267,10 @@ func (c *Ctx) newtonDerivs(t float64) (d1, d2 float64) {
 }
 
 // newtonValue reduces the weighted log-likelihood sum at branch length t
-// from the sum table: the value pass, run once per solve at the point it
-// returns (and once more at the entry point on the safeguard path). Only
-// the e0 block is built and read, and this is the only place a Newton solve
-// takes logarithms — one per pattern.
+// from the sum table: the value pass, run at the point a solve returns when
+// its caller reads the value, and at both that point and the entry point on
+// the safeguard path. Only the e0 block is built and read, and this is the
+// only place a Newton solve takes logarithms — one per pattern.
 func (c *Ctx) newtonValue(t float64) float64 {
 	e := c.eng
 	e0 := c.newzE0

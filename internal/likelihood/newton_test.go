@@ -175,12 +175,13 @@ var solveStarts = []float64{phylotree.MinBranchLength, 1e-6, 1e-3, 0.05, 0.4, 3,
 // trees, models, layouts and branches — starts on both clamps, near zero,
 // saturated, and outside the concave region — MakeNewz and
 // Views.InsertionScore never return a point whose log-likelihood is below
-// the entry point's by more than 1e-9·|logL|, the log-likelihood
-// MakeNewz reports is the tree's at the length it stored, and a solved
-// candidate scores no lower than its own prescore, which is the entry point
-// valued by evaluate instead of from the sum table.
+// the entry point's by more than 1e-9·|logL|, nor MakeNewzTo by more than
+// that or its tolerance, the log-likelihood MakeNewz reports is the tree's
+// at the length it stored, and a solved candidate scores no lower than its
+// own prescore, which is the entry point valued by evaluate instead of from
+// the sum table.
 func TestNewtonSolveNeverBelowEntry(t *testing.T) {
-	var solves, nonConcave, endMin, endMax int
+	var solves, nonConcave, endMin, endMax, toMin, toMax int
 	for trial := 0; trial < 24; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
 		nt := 5 + rng.Intn(10)
@@ -245,6 +246,30 @@ func TestNewtonSolveNeverBelowEntry(t *testing.T) {
 			if edge.Z != z || math.Abs(at-ll) > 1e-9*math.Abs(at) {
 				t.Errorf("trial %d: MakeNewz reported (%g, %.10f), tree holds %g at %.10f", trial, z, ll, edge.Z, at)
 			}
+
+			// Where logL is flat — saturated branches — the quadratic model
+			// says the gain left is below a loose tolerance well short of
+			// the maximum, so there a solve may end up to about the
+			// tolerance below its entry; smoothing asks for 1e-4 to 1e-3.
+			edge.SetZ(z0)
+			eng.Invalidate(edge)
+			tol := []float64{0, 1e-4, 1e-3}[rng.Intn(3)]
+			if z, err = eng.MakeNewzTo(edge, tol); err != nil {
+				t.Fatal(err)
+			}
+			solves++
+			switch z {
+			case phylotree.MinBranchLength:
+				toMin++
+			case phylotree.MaxBranchLength:
+				toMax++
+			}
+			if at, err = eng.Evaluate(edge); err != nil {
+				t.Fatal(err)
+			}
+			if edge.Z != z || at < entry-max(1e-9*math.Abs(entry), tol) {
+				t.Errorf("trial %d: MakeNewzTo(%g) from z0=%g returned z=%g, tree holds %g at logL %.10f, entry point %.10f", trial, tol, z0, z, edge.Z, at, entry)
+			}
 		}
 
 		// Lazy-SPR scoring: the context's table still holds the scored
@@ -295,9 +320,83 @@ func TestNewtonSolveNeverBelowEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	t.Logf("%d solves: %d started outside the concave region, %d ended on the lower clamp, %d on the upper", solves, nonConcave, endMin, endMax)
-	if nonConcave == 0 || endMin == 0 || endMax == 0 {
-		t.Errorf("test lost its coverage: %d non-concave starts, %d lower-clamp ends, %d upper-clamp ends (want all > 0)", nonConcave, endMin, endMax)
+	t.Logf("%d solves: %d MakeNewz started outside the concave region, %d ended on the lower clamp, %d on the upper (MakeNewzTo: %d, %d)",
+		solves, nonConcave, endMin, endMax, toMin, toMax)
+	if nonConcave == 0 || endMin == 0 || endMax == 0 || toMin == 0 || toMax == 0 {
+		t.Errorf("test lost its coverage: %d non-concave starts, %d and %d lower-clamp ends, %d and %d upper-clamp ends (want all > 0)",
+			nonConcave, endMin, toMin, endMax, toMax)
+	}
+}
+
+// TestMakeNewzToMatchesMakeNewz: at newtonGainTol a length-only solve is
+// the full solve without the value pass nobody reads. Over sweeps of random
+// trees — Gamma and CAT, every backend, one and two blocks, starts on both
+// clamps — every length has the bits MakeNewz gives it, and the two meters
+// are equal but for what the skipped value passes count: per pass one log
+// per pattern, the e0 block's exponentials and the pass's multiplications
+// and additions.
+func TestMakeNewzToMatchesMakeNewz(t *testing.T) {
+	var solves, skipped uint64
+	for trial := 0; trial < 8; trial++ {
+		rng := rand.New(rand.NewSource(int64(7200 + trial)))
+		pat := patternsOfCount(t, rng, 6+rng.Intn(8), []int{60, 700}[trial%2])
+		m := randomModel(t, rng, 1+3*(trial%2))
+		if trial%4 == 3 {
+			m = catModelFor(t, rng, pat)
+		}
+		tr := randomTreeFor(t, rng, pat)
+		edges := tr.Edges()
+		for _, e := range edges {
+			if rng.Intn(3) == 0 {
+				e.SetZ(solveStarts[rng.Intn(len(solveStarts))])
+			}
+		}
+		backend := Backends()[trial%len(Backends())]
+		var engs [2]*Engine
+		var trees [2]*phylotree.Tree
+		for i := range engs {
+			var err error
+			if engs[i], err = NewEngine(pat, m, Config{Backend: backend}); err != nil {
+				t.Fatal(err)
+			}
+			trees[i] = tr.Clone()
+			engs[i].AttachTree(trees[i])
+		}
+		full, to := engs[0], engs[1]
+		edgesF, edgesT := trees[0].Edges(), trees[1].Edges()
+		for sweep := 0; sweep < 2; sweep++ {
+			for i := range edges {
+				zF, _, err := full.MakeNewz(edgesF[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				zT, err := to.MakeNewzTo(edgesT[i], newtonGainTol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				solves++
+				if math.Float64bits(zF) != math.Float64bits(zT) {
+					t.Fatalf("trial %d (%s) sweep %d edge %d: MakeNewzTo ends at %.17g, MakeNewz at %.17g", trial, backend, sweep, i, zT, zF)
+				}
+			}
+		}
+		mF, mT := full.Meter, to.Meter
+		npat, table := uint64(full.npat), uint64(full.ncat*ns)
+		k := (mF.Logs - mT.Logs) / npat
+		skipped += k
+		nexp := uint64(full.nmat * ns)
+		want := mT
+		want.Logs += k * npat
+		want.Exps += k * nexp
+		want.Muls += k * (nexp + npat*(table+2))
+		want.Adds += k * npat * (table + 1)
+		if mF != want {
+			t.Errorf("trial %d (%s): meters differ by more than %d value passes:\n MakeNewz   %s\n MakeNewzTo %s", trial, backend, k, mF.String(), mT.String())
+		}
+	}
+	t.Logf("%d solves, %d value passes skipped", solves, skipped)
+	if skipped == 0 || skipped > solves {
+		t.Errorf("%d value passes skipped over %d solves, want between 1 and one per solve", skipped, solves)
 	}
 }
 
@@ -344,7 +443,7 @@ func TestNewtonSafeguardOnAdversarialTables(t *testing.T) {
 			z0 = 0.001 + 3*rng.Float64()
 		}
 		logs := eng.Meter.Logs
-		z, ll := c.newtonSolve(z0, 0)
+		z, ll := c.newtonSolve(z0, newtonGainTol, true)
 		took := (eng.Meter.Logs - logs) / npat
 		below := ll < c.newtonValue(z0)-1e-9*math.Abs(ll)
 		switch {
@@ -476,7 +575,7 @@ func TestNewtonSolveMatchesParentRule(t *testing.T) {
 			prepareBranch(eng, edge)
 			for _, z0 := range solveStarts {
 				before := eng.Meter.NewtonIters
-				_, got := c.newtonSolve(z0, 0)
+				_, got := c.newtonSolve(z0, newtonGainTol, true)
 				iters += eng.Meter.NewtonIters - before
 				_, want, n := parentNewtonSolve(c, z0)
 				parentIters += n

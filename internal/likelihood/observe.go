@@ -9,11 +9,12 @@ import "time"
 type KernelOp int
 
 const (
-	// OpNewview is the combine step of NewView: one ancestral-vector
-	// recomputation (transition matrices + tip projection + combineRows).
+	// OpNewview is one ancestral-vector recomputation: numbering the
+	// node's repeat classes when its topology changed, transition matrices,
+	// tip projections and combineRows. A prescore is timed as one too.
 	OpNewview KernelOp = iota
-	// OpMakenewz is the Newton-Raphson branch-length solve over a summary
-	// table.
+	// OpMakenewz is the Newton-Raphson branch-length solve: building the
+	// sum table and iterating on it; the newviews before it are their own.
 	OpMakenewz
 	// OpEvaluate is a full log-likelihood evaluation at the virtual root.
 	OpEvaluate
@@ -44,4 +45,19 @@ func (op KernelOp) String() string {
 // engine invokes the observer on the hottest paths in the system.
 type KernelObserver interface {
 	ObserveKernel(op KernelOp, elapsed time.Duration)
+}
+
+// tick reads the engine's clock when a kernel observer is attached (0
+// otherwise); tock reports the time since t0 as one call of op.
+func (e *Engine) tick() time.Duration {
+	if e.kobs == nil {
+		return 0
+	}
+	return e.know()
+}
+
+func (e *Engine) tock(op KernelOp, t0 time.Duration) {
+	if e.kobs != nil {
+		e.kobs.ObserveKernel(op, e.know()-t0)
+	}
 }

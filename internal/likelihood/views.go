@@ -2,7 +2,6 @@ package likelihood
 
 import (
 	"fmt"
-	"time"
 
 	"raxmlcell/internal/phylotree"
 )
@@ -143,7 +142,9 @@ func (v *Views) Vector(r *phylotree.Node) (vec, error) {
 		return vec{}, err
 	}
 	dst := vec{lv: v.ctx.getLvBuf(), sc: v.ctx.getScBuf()}
+	t0 := v.ctx.eng.tick()
 	v.ctx.combine(q, r.Next.Z, qv, w, r.Next.Next.Z, wv, dst, nil)
+	v.ctx.eng.tock(OpNewview, t0)
 	v.lv[r] = dst.lv
 	v.scale[r] = dst.sc
 	v.order = append(v.order, r)
@@ -154,16 +155,11 @@ func (v *Views) Vector(r *phylotree.Node) (vec, error) {
 // children may come from the engine's per-node table, a Views cache, or
 // (zero vecs for tips) the pattern data of the child's taxon. dst gets one
 // row per entry of first, the pattern it stands for, or one per pattern when
-// first is nil.
+// first is nil. The caller times it, as one OpNewview call with whatever
+// else the newview needs.
 func (c *Ctx) combine(q *phylotree.Node, zq float64, qv vec,
 	r *phylotree.Node, zr float64, rv vec, dst vec, first []int32) {
 
-	e := c.eng
-	var t0 time.Duration
-	timed := e.kobs != nil
-	if timed {
-		t0 = e.know()
-	}
 	c.prepareCombine(q, zq, qv, r, zr, rv)
 	c.combOp.dst, c.combOp.dstScale = dst.lv, dst.sc
 	if first != nil {
@@ -171,9 +167,6 @@ func (c *Ctx) combine(q *phylotree.Node, zq float64, qv vec,
 	}
 	c.runPass(passCombine)
 	c.foldCombine()
-	if timed {
-		e.kobs.ObserveKernel(OpNewview, e.know()-t0)
-	}
 }
 
 // prepareCombine is what a newview does before its per-pattern pass: it
@@ -334,12 +327,7 @@ func (v *Views) Prescore(cand *phylotree.Node, across *Across) (logL float64, er
 		return 0, err
 	}
 	c := v.ctx
-	e := c.eng
-	var t0 time.Duration
-	timed := e.kobs != nil
-	if timed {
-		t0 = e.know()
-	}
+	t0 := c.eng.tick()
 	half := cand.Z / 2
 	c.prepareCombine(cand, half, av, cand.Back, half, bv)
 	c.meter.EvaluateCalls++
@@ -347,9 +335,7 @@ func (v *Views) Prescore(cand *phylotree.Node, across *Across) (logL float64, er
 	c.runPass(passPrescore)
 	c.foldCombine()
 	logL = c.foldEval()
-	if timed {
-		e.kobs.ObserveKernel(OpNewview, e.know()-t0)
-	}
+	c.eng.tock(OpNewview, t0)
 	return logL, nil
 }
 
@@ -389,24 +375,11 @@ func (v *Views) InsertionScore(cand *phylotree.Node, sub *phylotree.Node, z0 flo
 	// Virtual node x over the split candidate branch.
 	x := vec{lv: c.getLvBuf(), sc: c.getScBuf()}
 	half := cand.Z / 2
+	t0 := c.eng.tick()
 	c.combine(cand, half, av, cand.Back, half, bv, x, nil)
-	bestZ, logL = c.newtonOnBranch(x, s, sv, z0)
+	c.eng.tock(OpNewview, t0)
+	bestZ, logL = c.newtonOnBranch(x, s, sv, z0, newtonGainTol, true)
 	c.lvPool = append(c.lvPool, x.lv)
 	c.scPool = append(c.scPool, x.sc)
 	return bestZ, logL, nil
-}
-
-// newtonOnBranch optimizes the branch length between an explicit vector pv
-// and a node side given by (q, qv) — q may be a tip (qv zero). It is the
-// sum-table core of MakeNewz reused by the lazy SPR path, running entirely
-// on context-owned scratch.
-func (c *Ctx) newtonOnBranch(pv vec, q *phylotree.Node, qv vec, z0 float64) (float64, float64) {
-	e := c.eng
-	c.meter.MakenewzCalls++
-	var qData []byte
-	if q.IsTip() {
-		qData = e.Pat.Data[q.Index]
-	}
-	scaleConst := c.buildSumTable(pv, qData, qv)
-	return c.newtonSolve(z0, scaleConst)
 }

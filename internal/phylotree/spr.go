@@ -3,6 +3,7 @@ package phylotree
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // PrunedSubtree records the state needed to undo a Prune.
@@ -242,15 +243,22 @@ func BranchScoreDistance(a, b *Tree) (float64, error) {
 		return out
 	}
 	la, lb := lengths(a), lengths(b)
-	sum := 0.0
+	var terms []float64
 	for k, va := range la {
 		d := va - lb[k]
-		sum += d * d
+		terms = append(terms, d*d)
 	}
 	for k, vb := range lb {
 		if _, ok := la[k]; !ok {
-			sum += vb * vb
+			terms = append(terms, vb*vb)
 		}
+	}
+	// Summed in sorted order, not map order: the same terms in the same order
+	// whichever tree comes first, so the distance is symmetric to the bit.
+	slices.Sort(terms)
+	sum := 0.0
+	for _, t := range terms {
+		sum += t
 	}
 	return math.Sqrt(sum), nil
 }

@@ -25,7 +25,6 @@ func nniRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, baselin
 	// hotpathalloc analyzer).
 	var stage string
 	var stageErr error
-edges:
 	for _, e := range tr.InternalEdges() {
 		u, v := e, e.Back
 		if u.IsTip() || v.IsTip() {
@@ -62,11 +61,9 @@ edges:
 			}
 			ps.P.SetZ(bestZ)
 			eng.Invalidate(ps.P) // direct SetZ bypasses the tree's hooks
-			for _, b := range [...]*phylotree.Node{ps.P, ps.P.Next, ps.P.Next.Next} {
-				if _, bestLL, err = eng.MakeNewz(b); err != nil {
-					stage, stageErr = "optimizing the swapped branches", err
-					break edges
-				}
+			if bestLL, err = solveAround(eng, ps.P); err != nil {
+				stage, stageErr = "optimizing the swapped branches", err
+				break
 			}
 			current = bestLL
 			accepted++

@@ -20,7 +20,12 @@ import (
 // the tree, stopping early when a full pass improves the log-likelihood by
 // less than eps. It returns the final log-likelihood.
 //
-// No explicit cache management is needed here: MakeNewz invalidates the
+// Each branch is solved for its length only, at tolerance eps/n for n
+// branches: what a pass leaves on all of them together is then below the
+// pass's own stopping threshold. The pass's log-likelihood is one Evaluate
+// at its last branch, whose two vectors that branch's solve left current.
+//
+// No explicit cache management is needed here: a solve invalidates the
 // engine's cached partial vectors itself whenever it changes a branch
 // length, so each Newton step recomputes only the views the previous step
 // dirtied instead of the whole tree.
@@ -28,13 +33,24 @@ func SmoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, e
 	if maxPasses <= 0 {
 		maxPasses = 1
 	}
+	edges := tr.Edges()
+	tol := eps / float64(len(edges))
 	last := math.Inf(-1)
 	for pass := 0; pass < maxPasses; pass++ {
 		var ll float64
-		for _, e := range tr.Edges() {
-			var err error
-			_, ll, err = eng.MakeNewz(e)
+		var err error
+		for _, e := range edges {
+			if exactSmoothing {
+				_, ll, err = eng.MakeNewz(e)
+			} else {
+				_, err = eng.MakeNewzTo(e, tol)
+			}
 			if err != nil {
+				return 0, fmt.Errorf("search: smoothing: %w", err)
+			}
+		}
+		if !exactSmoothing {
+			if ll, err = eng.Evaluate(edges[len(edges)-1]); err != nil {
 				return 0, fmt.Errorf("search: smoothing: %w", err)
 			}
 		}
@@ -45,6 +61,12 @@ func SmoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, e
 	}
 	return last, nil
 }
+
+// exactSmoothing makes SmoothBranches solve every branch to newtonGainTol
+// and read each pass's log-likelihood from its last solve, as it did before
+// the length-only solve: the twin the smoothing tolerance is judged against.
+// Only tests set it.
+var exactSmoothing bool
 
 // OptimizeAlpha fits the Gamma shape parameter by Brent's method on the tree
 // log-likelihood over alpha in [lo, hi], updating the engine's model in

@@ -122,7 +122,6 @@ func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius 
 	// break out with a stage tag and format once on the cold path.
 	var stage string
 	var stageErr error
-prunes:
 	for _, p := range pruneCandidates(tr) {
 		if p.Back == nil || p.Next == nil {
 			continue // record was detached by a concurrent accepted move
@@ -155,11 +154,9 @@ prunes:
 			eng.Invalidate(ps.P) // direct SetZ bypasses the tree's hooks
 			// Locally optimize the three branches around the insertion. They
 			// are attached and never tip–tip: an error here is a bug.
-			for _, b := range [...]*phylotree.Node{ps.P, ps.P.Next, ps.P.Next.Next} {
-				if _, bestLL, err = eng.MakeNewz(b); err != nil {
-					stage, stageErr = "optimizing the inserted branches", err
-					break prunes
-				}
+			if bestLL, err = solveAround(eng, ps.P); err != nil {
+				stage, stageErr = "optimizing the inserted branches", err
+				break
 			}
 			current = bestLL
 			accepted++
@@ -175,6 +172,19 @@ prunes:
 		return 0, 0, fmt.Errorf("search: %s: %w", stage, stageErr)
 	}
 	return current, accepted, nil
+}
+
+// solveAround solves the three branches at the ring of p after an accepted
+// move and returns the log-likelihood of the last solve; the first two are
+// solved for their length only, since nothing reads their value.
+func solveAround(eng *likelihood.Engine, p *phylotree.Node) (float64, error) {
+	for _, b := range [...]*phylotree.Node{p, p.Next} {
+		if _, err := eng.MakeNewzTo(b, 0); err != nil {
+			return 0, err
+		}
+	}
+	_, ll, err := eng.MakeNewz(p.Next.Next)
+	return ll, err
 }
 
 // Result is the outcome of one inference.
