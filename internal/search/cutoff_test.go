@@ -21,7 +21,12 @@ import (
 // keeps every candidate below it out of the walk, one that loses less or
 // gains does not; round 1's cutoff is |logL|/1000 of its starting tree, the
 // next round's the mean of the losses the first recorded, and a round after
-// one that recorded none falls back to |logL|/1000.
+// one that recorded none falls back to |logL|/1000. The short list takes the
+// same test: a prescore that lost exactly the cutoff is not listed, one that
+// lost a hair less is, and the whole list comes back with uncutList and under
+// fullWalk's +Inf. A 42_SC prune whose prescores all lost the cutoff solves
+// none, accepts nothing and Undo gives back the tree to the bit, while
+// solveAll and fullWalk still solve the whole list there.
 func TestCutoffRule(t *testing.T) {
 	const baseline = -5000.0
 	// Two walks from the prune; parents index the walk, -1 at the prune.
@@ -89,12 +94,145 @@ func TestCutoffRule(t *testing.T) {
 	if sc.startRound(-2000); !math.IsInf(sc.cutoff, 1) {
 		t.Errorf("full walk: cutoff %v, want +Inf", sc.cutoff)
 	}
+
+	// The short list: 0 and 3 lose exactly the cutoff, 1 more, 2 a hair less.
+	pre := func(v float64) candScore { return candScore{pre: v, scored: true} }
+	under := math.Nextafter(baseline-5, 0)
+	if loss := baseline - under; !(loss < 5) || loss < 5-1e-9 {
+		t.Fatalf("prescore %v loses %v, want a hair under 5", under, loss)
+	}
+	listed := []candScore{pre(baseline - 5), pre(baseline - 6), pre(under), pre(baseline - 5)}
+	if got := shortList(listed, nil, baseline, 5); !slices.Equal(got, []int{2}) {
+		t.Errorf("short list %v at cutoff 5, want only the prescore that lost less: [2]", got)
+	}
+	if got := shortList(listed, nil, baseline, sc.cutoff); !slices.Equal(got, []int{0, 2, 3}) {
+		t.Errorf("short list %v under the full walk's cutoff, want the three highest: [0 2 3]", got)
+	}
+	uncutList = true
+	got := shortList(listed, nil, baseline, 5)
+	uncutList = false
+	if !slices.Equal(got, []int{0, 2, 3}) {
+		t.Errorf("short list %v with uncutList, want the three highest: [0 2 3]", got)
+	}
+	fullWalk = false
+	allLostPrune42SC(t)
+}
+
+// allLostPrune42SC finds, in a sweep of the smoothed 42_SC tree at round 1's
+// cutoff, a prune of more than shortListLen candidates whose prescores all
+// lost the cutoff, and checks that it solves none, that sprRound's reduction
+// accepts nothing, that solveAll solves every candidate and a full walk's
+// cutoff shortListLen of them, and that Undo leaves the tree's
+// topology, branch-length bits and log-likelihood bits as they were.
+func allLostPrune42SC(t *testing.T) {
+	t.Helper()
+	pat := load42SC(t)
+	tr, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := likelihood.NewEngine(pat, seqsim.DefaultModel(), likelihood.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.AttachTree(tr)
+	ll, err := SmoothBranches(eng, tr, 2, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func() (string, []uint64, float64) {
+		var zs []uint64
+		for _, e := range tr.Edges() {
+			zs = append(zs, math.Float64bits(e.Z))
+		}
+		at, err := eng.Evaluate(tr.Tips[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr.Newick(), zs, at
+	}
+	newick0, zs0, ll0 := state()
+	sc := newSearchCtx(eng, Options{})
+	defer sc.close(eng)
+	sc.startRound(ll)
+	solved := func(scores []candScore) int {
+		n := 0
+		for i := range scores {
+			if scores[i].ok {
+				n++
+			}
+		}
+		return n
+	}
+	for _, p := range pruneCandidates(tr) {
+		ps, err := tr.Prune(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands[:0], sc.parents[:0], ps.Q, 5)
+		sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands, sc.parents, ps.R, 5)
+		scores, err := sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, ll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sc.cands) <= shortListLen || solved(scores) > 0 {
+			if err := tr.Undo(ps); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		for i := range scores {
+			if scores[i].scored && ll-scores[i].pre < sc.cutoff {
+				t.Fatalf("candidate %d lost %v, less than the cutoff %v, and was not solved", i, ll-scores[i].pre, sc.cutoff)
+			}
+		}
+		if idx, _, _ := bestCandidate(scores, ps.P.Z); idx != -1 {
+			t.Errorf("nothing solved, yet bestCandidate picked %d", idx)
+		}
+
+		solveAll = true
+		scores, err = sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, ll)
+		solveAll = false
+		if err != nil {
+			t.Fatal(err)
+		}
+		attached := 0
+		for _, c := range sc.cands {
+			if c.Back != nil {
+				attached++
+			}
+		}
+		if s := solved(scores); s != attached {
+			t.Errorf("solveAll: %d candidates solved, want all %d", s, attached)
+		}
+		fullWalk = true
+		sc.startRound(ll)
+		fullWalk = false
+		scores, err = sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, ll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := solved(scores); s != shortListLen {
+			t.Errorf("full walk: %d candidates solved, want %d", s, shortListLen)
+		}
+
+		if err := tr.Undo(ps); err != nil {
+			t.Fatal(err)
+		}
+		newick, zs, at := state()
+		if newick != newick0 || !slices.Equal(zs, zs0) || math.Float64bits(at) != math.Float64bits(ll0) {
+			t.Errorf("after Undo: logL %.17g, before %.17g; topology or branch lengths moved: %v", at, ll0, newick != newick0 || !slices.Equal(zs, zs0))
+		}
+		return
+	}
+	t.Fatal("no prune of the sweep lost the cutoff at every candidate")
 }
 
 // TestNonFiniteScoreNeverSteers feeds NaN and infinite scores through what
 // the search does with them: each becomes the candidate's *NonFiniteError,
 // and none lets the walk go below it, is averaged into the cutoff, is drawn
-// into the short list or is picked by bestCandidate.
+// into the short list or is picked by bestCandidate; a NaN cutoff or baseline
+// lists nothing.
 func TestNonFiniteScoreNeverSteers(t *testing.T) {
 	const baseline = -100.0
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -121,8 +259,20 @@ func TestNonFiniteScoreNeverSteers(t *testing.T) {
 	if sc.losses != 3 || sc.lossSum != 3+4+5 {
 		t.Errorf("%d losses summing to %v, want the finite 3 summing to 12", sc.losses, sc.lossSum)
 	}
-	if got := shortList(sc.scores, nil); !slices.Equal(got, []int{3, 4, 5}) {
+	if got := shortList(sc.scores, nil, baseline, sc.cutoff); !slices.Equal(got, []int{3, 4, 5}) {
 		t.Errorf("short list %v, want the three finite prescores", got)
+	}
+	// Neither a NaN cutoff nor a NaN loss, from a prescore or a baseline,
+	// keeps a candidate on the list.
+	if got := shortList(sc.scores, nil, baseline, math.NaN()); len(got) != 0 {
+		t.Errorf("short list %v at a NaN cutoff, want none", got)
+	}
+	if got := shortList(sc.scores, nil, math.NaN(), 10); len(got) != 0 {
+		t.Errorf("short list %v against a NaN baseline, want none", got)
+	}
+	unflagged := []candScore{{pre: math.NaN(), scored: true}, {pre: baseline - 1, scored: true}}
+	if got := shortList(unflagged, nil, baseline, math.Inf(1)); !slices.Equal(got, []int{1}) {
+		t.Errorf("short list %v, want the NaN prescore left out even without its error: [1]", got)
 	}
 
 	solved := make([]candScore, 4)
@@ -149,20 +299,22 @@ func raceEnabled() bool {
 	return ok && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool { return s.Key == "-race" && s.Value == "true" })
 }
 
-// walkOutcome is what a search reached: its final log-likelihood and the
-// candidates the radius walks reached (search.candidates_scored).
+// walkOutcome is what a search reached: its final log-likelihood, the
+// candidates the radius walks reached (search.candidates_scored) and those
+// stage 2 solved (search.candidates_solved).
 type walkOutcome struct {
-	logL  float64
-	cands uint64
+	logL   float64
+	cands  uint64
+	solved uint64
 }
 
-// cutoffTwins runs the default search from start twice, with the cutoff and
-// walking the whole radius.
-func cutoffTwins(t *testing.T, pat *alignment.Patterns, start *phylotree.Tree) (cut, full walkOutcome) {
+// hookTwins runs the default search from start twice, with the test hook
+// *hook off and on.
+func hookTwins(t *testing.T, pat *alignment.Patterns, start *phylotree.Tree, hook *bool) (off, on walkOutcome) {
 	t.Helper()
-	defer func() { fullWalk = false }()
-	run := func(walk bool) walkOutcome {
-		fullWalk = walk
+	defer func() { *hook = false }()
+	run := func(set bool) walkOutcome {
+		*hook = set
 		eng, err := likelihood.NewEngine(pat, seqsim.DefaultModel(), likelihood.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -174,9 +326,42 @@ func cutoffTwins(t *testing.T, pat *alignment.Patterns, start *phylotree.Tree) (
 		if err != nil {
 			t.Fatal(err)
 		}
-		return walkOutcome{res.LogL, reg.Counter("search.candidates_scored").Value()}
+		return walkOutcome{res.LogL, reg.Counter("search.candidates_scored").Value(), reg.Counter("search.candidates_solved").Value()}
 	}
 	return run(false), run(true)
+}
+
+// cutoffTwins runs the default search from start twice, with the cutoff and
+// walking the whole radius.
+func cutoffTwins(t *testing.T, pat *alignment.Patterns, start *phylotree.Tree) (cut, full walkOutcome) {
+	t.Helper()
+	return hookTwins(t, pat, start, &fullWalk)
+}
+
+// gateStarts is the simulated 20 x 250 alignment of the benchmark's search
+// workloads, 42_SC, and the two ways a gate starts a search on them.
+func gateStarts(t *testing.T) (sim, sc42 *alignment.Patterns, randomStart, parsimonyStart func(*alignment.Patterns, int64) *phylotree.Tree) {
+	t.Helper()
+	a, _, err := seqsim.Generate(seqsim.Params{Taxa: 20, Sites: 250, MeanBranch: 0.05, Alpha: 0.7, InvariantFraction: 0.4},
+		seqsim.DefaultModel(), rand.New(rand.NewSource(2301)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	randomStart = func(pat *alignment.Patterns, seed int64) *phylotree.Tree {
+		tr, err := phylotree.RandomTopology(pat.Names, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	parsimonyStart = func(pat *alignment.Patterns, seed int64) *phylotree.Tree {
+		tr, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	return alignment.Compress(a), load42SC(t), randomStart, parsimonyStart
 }
 
 // TestCutoffNoWorseThanFullWalk is the gate the likelihood cutoff passes
@@ -270,6 +455,74 @@ func TestCutoffNoWorseThanFullWalk(t *testing.T) {
 		}
 		if ratio > 0.6 {
 			t.Errorf("%s: the walks reach %d candidates with the cutoff, %d without: more than 0.6 of them", set.name, candsCut, candsFull)
+		}
+	}
+}
+
+// TestShortListCutoffNoWorse is the gate the cutoff's second use passes
+// through — no Newton solve for a prescore that lost it — each search paired
+// with its twin from the same start that still lists such prescores
+// (uncutList): 48 random-start searches of the simulated 20 x 250 alignment
+// (the benchmark's search workloads) and 16 parsimony-start searches of
+// 42_SC. On each set the mean final logL is no more than 0.05 below the
+// twins', no more searches than the twins' end more than 2e-3·|logL| below
+// the better of the pair, and the searches make at most 0.9 of the twins'
+// solves, so the gate fails with the rule switched off; on 42_SC no search
+// ends more than 1e-3·|logL| below its twin.
+func TestShortListCutoffNoWorse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("128 full SPR searches")
+	}
+	if raceEnabled() {
+		t.Skip("128 serial SPR searches under the race detector")
+	}
+	sim, sc42, randomStart, parsimonyStart := gateStarts(t)
+	for _, set := range []struct {
+		name     string
+		pat      *alignment.Patterns
+		start    func(*alignment.Patterns, int64) *phylotree.Tree
+		searches int
+	}{
+		{"20 x 250, random starts", sim, randomStart, 48},
+		{"42_SC, parsimony starts", sc42, parsimonyStart, 16},
+	} {
+		var sumCut, sumAll float64
+		var solvedCut, solvedAll uint64
+		shortCut, shortAll, differ := 0, 0, 0
+		worst := 0.0
+		for i := 0; i < set.searches; i++ {
+			seed := int64(3100 + i)
+			cut, all := hookTwins(t, set.pat, set.start(set.pat, seed), &uncutList)
+			sumCut, sumAll = sumCut+cut.logL, sumAll+all.logL
+			solvedCut, solvedAll = solvedCut+cut.solved, solvedAll+all.solved
+			if cut.logL != all.logL {
+				differ++
+			}
+			worst = math.Min(worst, cut.logL-all.logL)
+			best := math.Max(cut.logL, all.logL)
+			if cut.logL < best-2e-3*math.Abs(best) {
+				shortCut++
+			}
+			if all.logL < best-2e-3*math.Abs(best) {
+				shortAll++
+			}
+			if set.pat == sc42 && cut.logL < all.logL-1e-3*math.Abs(all.logL) {
+				t.Errorf("%s, seed %d: ends at %.4f with the cut short list, its twin at %.4f: more than 1e-3 below",
+					set.name, seed, cut.logL, all.logL)
+			}
+		}
+		n := float64(set.searches)
+		ratio := float64(solvedCut) / float64(solvedAll)
+		t.Logf("%s, %d searches: mean final logL %.4f with the cut short list, %.4f without (%d end elsewhere, worst %.4f); more than 2e-3 below the pair's better %d against %d; solves %d against %d (x %.2f)",
+			set.name, set.searches, sumCut/n, sumAll/n, differ, worst, shortCut, shortAll, solvedCut, solvedAll, ratio)
+		if sumCut/n < sumAll/n-0.05 {
+			t.Errorf("%s: mean final logL %.4f with the cut short list, %.4f without: more than 0.05 lower", set.name, sumCut/n, sumAll/n)
+		}
+		if shortCut > shortAll {
+			t.Errorf("%s: %d searches end more than 2e-3 below the better twin with the cut short list, %d without", set.name, shortCut, shortAll)
+		}
+		if ratio > 0.9 {
+			t.Errorf("%s: %d solves with the cut short list, %d without: more than 0.9 of them", set.name, solvedCut, solvedAll)
 		}
 	}
 }

@@ -53,6 +53,11 @@ var solveAll bool
 // cutoff is judged against. Only tests that compare the two set it.
 var fullWalk bool
 
+// uncutList lets a prescore that lost the cutoff into the short list — the
+// list the cutoff's second use is judged against. Only
+// TestShortListCutoffNoWorse sets it.
+var uncutList bool
+
 // NonFiniteError is a candidate insertion whose log-likelihood came out NaN
 // or infinite; the search stops on it instead of ranking it.
 type NonFiniteError struct {
@@ -75,8 +80,9 @@ func nonFinite(stage string, ll float64, err error) error {
 // candScore is one insertion candidate's scores. scored marks candidates
 // the scoring reached (detached edges and those below a cut are not); pre
 // is the stage-1 log-likelihood at the entry branch length, NaN in a prune
-// too small to need ranking; ok marks the candidates stage 2 solved, whose
-// optimised branch length and log-likelihood are z and ll.
+// too small to need ranking; ok marks the candidates stage 2 solved (the
+// short list, never a prescore that lost the cutoff), whose optimised branch
+// length and log-likelihood are z and ll.
 type candScore struct {
 	pre    float64
 	z, ll  float64
@@ -253,10 +259,12 @@ func (sc *searchCtx) startRound(logL float64) {
 // reaches: the virtual insertion node and the log-likelihood across the
 // subtree's branch at z0, nothing optimised. A prescore at least sc.cutoff
 // below baseline, the current tree's log-likelihood, keeps every candidate
-// below it out of the walk. Behind the last wave the short list is drawn —
-// the shortListLen highest prescores, ties to the lower index — and stage 2
-// solves the subtree's branch length by Newton-Raphson for those alone; a
-// prune with no more candidates than that skips stage 1. With a pool each
+// below it out of the walk and itself out of stage 2. Behind the last wave the
+// short list is drawn — the shortListLen highest prescores among those that
+// lost less than the cutoff, ties to the lower index — and stage 2 solves the
+// subtree's branch length by Newton-Raphson for those alone, none if every
+// prescore lost the cutoff; a prune with no more candidates than
+// shortListLen skips stage 1 and solves them all. With a pool each
 // wave and stage fans out, every worker scoring through its own context's
 // Views over the shared store. Either way the same candidates are reached,
 // the same vectors computed, the same list drawn and the same solves run, so
@@ -298,7 +306,7 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 			scores[i].prescored(v.Prescore(cands[i], &sc.across))
 		})
 		if !solveAll {
-			sc.list = shortList(scores, sc.list[:0])
+			sc.list = shortList(scores, sc.list[:0], baseline, sc.cutoff)
 		}
 	}
 	sc.fan(sc.list, func(v *likelihood.Views, i int) {
@@ -370,11 +378,15 @@ func (sc *searchCtx) fan(list []int, score func(v *likelihood.Views, i int)) {
 }
 
 // shortList appends to list the indices of the shortListLen highest
-// prescores among the scored candidates without an error, ties to the lower
-// index, in candidate order.
-func shortList(scores []candScore, list []int) []int {
+// prescores among the scored candidates without an error that lost less than
+// cutoff against baseline (nextWave's test: a NaN keeps nothing), ties to the
+// lower index, in candidate order.
+func shortList(scores []candScore, list []int, baseline, cutoff float64) []int {
+	if uncutList {
+		cutoff = math.Inf(1)
+	}
 	for i := range scores {
-		if !scores[i].scored || scores[i].err != nil {
+		if !scores[i].scored || scores[i].err != nil || !(baseline-scores[i].pre < cutoff) {
 			continue
 		}
 		// list is kept by descending prescore; an equal later one goes behind.

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
@@ -84,25 +85,58 @@ func TestShortListTieBreak(t *testing.T) {
 		pre(-40),
 		pre(-45),
 	}
-	if got := shortList(scores, nil); !slices.Equal(got, []int{1, 3, 4}) {
+	if got := shortList(scores, nil, 0, math.Inf(1)); !slices.Equal(got, []int{1, 3, 4}) {
 		t.Errorf("short list %v, want [1 3 4]", got)
 	}
-	if got := shortList(scores[:3], []int{}); !slices.Equal(got, []int{0, 1}) {
+	if got := shortList(scores[:3], []int{}, 0, math.Inf(1)); !slices.Equal(got, []int{0, 1}) {
 		t.Errorf("short list of two scored candidates %v, want both", got)
 	}
-	if got := shortList(nil, nil); len(got) != 0 {
+	if got := shortList(nil, nil, 0, math.Inf(1)); len(got) != 0 {
 		t.Errorf("short list of nothing: %v", got)
 	}
+}
+
+// listOf recomputes from a prune's scores alone the candidates stage 2 must
+// solve: every attached one in a prune of at most shortListLen, else the
+// shortListLen highest prescores, ties to the lower index, among those that
+// lost less than cutoff against baseline. dropped reports whether the cutoff
+// took one of the shortListLen highest prescores off the list.
+func listOf(cands []*phylotree.Node, scores []candScore, baseline, cutoff float64) (list []int, dropped bool) {
+	var reached []int
+	for i := range scores {
+		if cands[i].Back != nil {
+			list = append(list, i)
+		}
+		if scores[i].scored && !math.IsNaN(scores[i].pre) {
+			reached = append(reached, i)
+		}
+	}
+	if len(list) <= shortListLen {
+		return list, false
+	}
+	slices.SortStableFunc(reached, func(a, b int) int { return cmp.Compare(scores[b].pre, scores[a].pre) })
+	list = list[:0]
+	for rank, i := range reached {
+		if baseline-scores[i].pre >= cutoff {
+			dropped = dropped || rank < shortListLen
+		} else if len(list) < shortListLen {
+			list = append(list, i)
+		}
+	}
+	slices.Sort(list)
+	return list, dropped
 }
 
 // TestShortListIndependentOfWorkers42SC is the determinism of the two stages
 // and of the cutoff: over two scoring-only SPR sweeps of the smoothed 42_SC
 // tree, each a round with its own cutoff, searches of 1, 2 and 4 workers
 // prescore the same candidates to the same bits, draw the same short list for
-// every prune, solve it to the same bits, set every round's cutoff to the
-// same bits and leave the same Meter but for SharedHits — a wave is a
-// function of the one before it and the list of the whole prescore slice, so
-// who scored which candidate cannot reach either.
+// every prune — the highest prescores that lost less than the round's
+// cutoff, as listOf recomputes them from the scores — solve it to the same
+// bits, set every round's cutoff to the same bits and leave the same Meter
+// but for SharedHits — a wave is a function of the one before it and the list
+// of the whole prescore slice, so who scored which candidate cannot reach
+// either.
 func TestShortListIndependentOfWorkers42SC(t *testing.T) {
 	pat := load42SC(t)
 	start, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(7)))
@@ -114,6 +148,7 @@ func TestShortListIndependentOfWorkers42SC(t *testing.T) {
 		cutoffs []float64 // every round's, and the one the second sweep's losses set
 		meter   likelihood.Meter
 		cut     int // candidates the cutoff kept out of stage 1
+		dropped int // prunes whose short list the cutoff shortened
 	}
 	run := func(workers int) sweep {
 		eng, err := likelihood.NewEngine(pat, seqsim.DefaultModel(), likelihood.Config{})
@@ -146,19 +181,24 @@ func TestShortListIndependentOfWorkers42SC(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				solved, scored := 0, 0
+				var solved []int
+				scored := 0
 				for i := range scores {
 					out.vals = append(out.vals, scores[i].pre)
 					if scores[i].scored {
 						scored++
 					}
 					if scores[i].ok {
-						solved++
+						solved = append(solved, i)
 						out.vals = append(out.vals, float64(i), scores[i].z, scores[i].ll)
 					}
 				}
-				if want := min(scored, shortListLen); solved != want {
-					t.Fatalf("%d workers: %d of %d reached candidates solved, want %d", workers, solved, scored, want)
+				want, dropped := listOf(sc.cands, scores, ll, sc.cutoff)
+				if !slices.Equal(solved, want) {
+					t.Fatalf("%d workers: solved %v, want the short list %v", workers, solved, want)
+				}
+				if dropped {
+					out.dropped++
 				}
 				out.cut += len(scores) - scored
 				if err := tr.Undo(ps); err != nil {
@@ -176,7 +216,11 @@ func TestShortListIndependentOfWorkers42SC(t *testing.T) {
 	if serial.cut == 0 {
 		t.Error("the cutoff kept no candidate out of stage 1")
 	}
-	t.Logf("cutoffs %.6f, %.6f, %.6f; %d candidates kept out of stage 1", serial.cutoffs[0], serial.cutoffs[1], serial.cutoffs[2], serial.cut)
+	if serial.dropped == 0 {
+		t.Error("the cutoff took no candidate off a short list")
+	}
+	t.Logf("cutoffs %.6f, %.6f, %.6f; %d candidates kept out of stage 1, %d short lists shortened",
+		serial.cutoffs[0], serial.cutoffs[1], serial.cutoffs[2], serial.cut, serial.dropped)
 	for _, workers := range []int{2, 4} {
 		pooled := run(workers)
 		if pooled.meter.SharedHits == 0 {

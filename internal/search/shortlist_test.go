@@ -80,7 +80,7 @@ func shortListOutcomes(t *testing.T, pat *alignment.Patterns, m *model.Model, se
 			continue
 		}
 		if len(scores) > shortListLen {
-			list = shortList(scores, list[:0])
+			list = shortList(scores, list[:0], current, sc.cutoff)
 			switch {
 			case slices.Contains(list, best):
 				winner++

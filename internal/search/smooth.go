@@ -4,8 +4,9 @@
 // the way RAxML runs them. A pruned subtree's regraft walk goes out from the
 // prune point to the radius but stops below an insertion that loses the
 // round's likelihood cutoff or more; every insertion the walk reaches is
-// prescored unoptimised, and only the short list of the best prescores has
-// the subtree's branch length solved before the winner is picked.
+// prescored unoptimised, and only the short list of the best prescores that
+// lost less than the cutoff has the subtree's branch length solved before the
+// winner is picked.
 package search
 
 import (

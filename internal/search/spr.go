@@ -38,8 +38,8 @@ type Options struct {
 	// insertion candidates of each pruned subtree are independent reads of a
 	// frozen tree, so the regraft walk's prescores — one wave per depth, each
 	// the candidates whose parent the likelihood cutoff kept — and then the
-	// Newton solve of the short list drawn from them fan out over a pool of
-	// Workers kernel contexts, with a barrier after each. The candidates
+	// Newton solve of the short list the cutoff keeps of them fan out over a
+	// pool of Workers kernel contexts, with a barrier after each. The candidates
 	// reached, the cutoff, the short list, the chosen moves, the final
 	// topology, the log-likelihood and the kernel call counts are identical to
 	// the serial search (see DESIGN.md "Parallelism layers" and "Cache × pool
@@ -137,7 +137,8 @@ func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius 
 
 		// Lazy SPR: score the candidates the cutoff reaches from directed
 		// vectors of the (fixed) pruned tree; only the short list's subtree
-		// branch is optimized, and only the short list can win.
+		// branch is optimized, and only the short list can win. A prune whose
+		// prescores all lost the cutoff solves nothing and is undone.
 		scores, err := sc.scoreInsertions(eng, sc.cands, sc.parents, ps, zSub, current)
 		if err != nil {
 			stage, stageErr = "trial insertion", err
