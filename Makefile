@@ -33,9 +33,9 @@ bench:
 # solve's entry-point safeguard, the length-only solve against the full one,
 # what the kernel timers bracket and the prescore against
 # combine-then-evaluate included — the epoch-cache fuzz seeds (lazy-SPR
-# scoring, both stages, through both view tables against a fresh engine), the
+# scoring, both stages, through a view table against a fresh engine), the
 # absolute kernel-cost bounds, the cutoff's rule on the walk and the short
-# list, the short list's and cutoff's independence of the worker count and
+# list (every 42_SC prune solves exactly the short list) and
 # the site-repeat properties (TestRepeats*: one row per
 # repeat class has the bits of one row per pattern, classes outlive length
 # and model changes and fall exactly with the topology behind them) must pass
@@ -59,7 +59,7 @@ backend-gate:
 	@mkdir -p $(BIN)
 	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC|TestShortListNoWorseThanExhaustive|TestCutoffNoWorseThanFullWalk|TestShortListCutoffNoWorse|TestSmoothingToleranceNoWorse' ./internal/search
 	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|TestParallel|TestExecutor|TestHelpers|TestPrescoreMatchesCombineThenEvaluate|TestRepeats|TestMakeNewzTo|TestKernelTime|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
-	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestCandidateCost42SC|TestOptimizeAlphaCost42SC|TestBrentMax|TestResultBitsIndependentOfGOMAXPROCS|TestShortListTieBreak|TestShortListIndependentOfWorkers42SC|TestCutoffRule|TestNonFiniteScoreNeverSteers' ./internal/search
+	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestCandidateCost42SC|TestOptimizeAlphaCost42SC|TestBrentMax|TestResultBitsIndependentOfGOMAXPROCS|TestShortListTieBreak|TestCutoffRule|TestNonFiniteScoreNeverSteers' ./internal/search
 	$(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 | tee $(BIN)/wide24.json | jq -e \
 		'.failed == 0 and .metrics["likelihood.evaluate_calls"].value <= 16 and .metrics["likelihood.makenewz_calls"].value == 180 and .metrics["likelihood.newview_calls"].value == 506 and .metrics["likelihood.newton_iters"].value == 438 and .metrics["likelihood.flops"].value == 642232304'
 	GOMAXPROCS=1 $(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 > $(BIN)/wide24-serial.json

@@ -459,44 +459,6 @@ func benchSearch42SC(b *testing.B, backend string) {
 func BenchmarkSearch42SC(b *testing.B)       { benchSearch42SC(b, "") }
 func BenchmarkSearchScalar42SC(b *testing.B) { benchSearch42SC(b, "scalar") }
 
-// BenchmarkParallelSPR42SC is the task-level-parallelism counterpart of
-// BenchmarkSearch42SC: the identical whole-search workload with SPR
-// candidates fanned out over a worker pool. Results are
-// scheduling-invariant, so logL is reported for cross-checking.
-func BenchmarkParallelSPR42SC(b *testing.B) {
-	rng := rand.New(rand.NewSource(62))
-	m := seqsim.DefaultModel()
-	a, _, err := seqsim.Generate(seqsim.Params42SC(), m, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pat := alignment.Compress(a)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var ll float64
-			for i := 0; i < b.N; i++ {
-				start, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(63)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := search.Run(eng, start, search.Options{
-					Radius: 3, MaxRounds: 2, SmoothPasses: 2, Epsilon: 0.05,
-					Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ll = res.LogL
-			}
-			b.ReportMetric(ll, "logL")
-		})
-	}
-}
-
 // BenchmarkParallelEvaluate measures the loop-level parallelism of the
 // kernels (the paper's LLP) on a wide alignment: a full-tree evaluation with
 // the executor's helper off (GOMAXPROCS 1) and on (2). The sub-benchmark sets

@@ -99,7 +99,6 @@ func main() {
 		bootstraps = flag.Int("bootstraps", 20, "number of bootstrap replicates")
 		seed       = flag.Int64("seed", 42, "master random seed")
 		workers    = flag.Int("workers", 4, "parallel workers (the MPI process count)")
-		searchWk   = flag.Int("search-workers", 1, "workers scoring the SPR candidates of each pruned subtree concurrently inside each search (1 = serial, 0 = GOMAXPROCS; see the README on parallelism)")
 		backend    = flag.String("backend", likelihood.DefaultBackend, "likelihood compute backend: "+strings.Join(likelihood.Backends(), ", ")+" (batched = pattern-tiled kernels; scalar = the bit-identical reference loops, slower)")
 		radius     = flag.Int("radius", 5, "SPR rearrangement radius")
 		rounds     = flag.Int("rounds", 10, "maximum SPR rounds per search")
@@ -141,10 +140,6 @@ func main() {
 	var flight *obs.FlightRecorder
 	if *flightOut != "" || *debugAddr != "" {
 		flight = obs.NewFlightRecorder(0, now)
-	}
-
-	if *searchWk == 0 {
-		*searchWk = search.AutoWorkers()
 	}
 
 	if *debugAddr != "" {
@@ -195,7 +190,6 @@ func main() {
 		Search: search.Options{
 			Radius: *radius, MaxRounds: *rounds,
 			SmoothPasses: 4, Epsilon: 0.01, AlphaOpt: true, ModelOpt: *optModel,
-			Workers: *searchWk,
 			// Per-round logL trajectory at -v: runs on the searching
 			// goroutine, so it only formats when Debug is enabled.
 			OnProgress: func(pr search.Progress) {

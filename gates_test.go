@@ -1,7 +1,11 @@
 package raxmlcell
 
 import (
+	"bytes"
+	"go/format"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -80,4 +84,48 @@ func TestBackendGateMirrorsCI(t *testing.T) {
 			t.Errorf("go test %s: CI's backend-gate job runs %s, make backend-gate nothing", key, strings.Join(names, "|"))
 		}
 	}
+}
+
+// codeCeiling is the most non-test Go lines the repository may hold outside
+// benchmark/ and testdata/, counted after gofmt. It only moves down: a change
+// that deletes code lowers it to the new count, and one that must raise it
+// states in CHANGES.md the measured win that pays for the lines.
+const codeCeiling = 18356
+
+// TestCodeBudget counts the gofmt'd lines of every non-test Go file outside
+// benchmark/ and testdata/ and fails above codeCeiling.
+func TestCodeBudget(t *testing.T) {
+	lines := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case "benchmark", "testdata", ".git":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		formatted, err := format.Source(src)
+		if err != nil {
+			return err
+		}
+		lines += bytes.Count(formatted, []byte("\n"))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines > codeCeiling {
+		t.Errorf("%d non-test Go lines outside benchmark/ and testdata/, ceiling %d", lines, codeCeiling)
+	}
+	t.Logf("%d non-test Go lines, ceiling %d", lines, codeCeiling)
 }

@@ -189,9 +189,9 @@ func Analyze(pat *alignment.Patterns, cfg Config) (*Analysis, error) {
 		Trace:   cfg.Trace,
 		Flight:  cfg.Flight,
 	}
-	// Feed the search-level series (candidates scored, parallel rounds,
-	// pool occupancy) into the same registry the mw.* counters use, unless
-	// the caller routed them elsewhere explicitly.
+	// Feed the search-level series (candidates scored and solved, executor
+	// blocks) into the same registry the mw.* counters use, unless the
+	// caller routed them elsewhere explicitly.
 	if mwCfg.Search.Metrics == nil {
 		mwCfg.Search.Metrics = cfg.Metrics
 	}

@@ -52,7 +52,8 @@ func TestBackendRegistry(t *testing.T) {
 // newview, evaluate, per-site logs and Newton branch optimization on a
 // random Gamma-rate workload, asserting exact (bit-for-bit) agreement with
 // the scalar reference: the batched tiles are restructured loops over the
-// same summation orders, not approximations.
+// same summation orders, not approximations. Lazy-SPR insertion scores on a
+// pruned tree agree to 1e-9.
 func TestBackendsMatchScalarGamma(t *testing.T) {
 	for _, name := range Backends() {
 		if name == "scalar" {
@@ -154,6 +155,38 @@ func TestBackendsMatchScalarGamma(t *testing.T) {
 				}
 			}
 
+			// Lazy-SPR insertion scores on a pruned tree, which neither
+			// engine is attached to: both drop their slots first.
+			ps, err := tr.Prune(tr.Tips[0].Back)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.InvalidateAll()
+			alt.InvalidateAll()
+			refViews, altViews := ref.NewViews(), alt.NewViews()
+			cands := append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...)
+			if len(cands) < 4 {
+				t.Fatalf("%d insertion candidates", len(cands))
+			}
+			for i, cand := range cands {
+				zR, llR, err := refViews.InsertionScore(cand, ps.P, 0.1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				zA, llA, err := altViews.InsertionScore(cand, ps.P, 0.1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(llR-llA) > 1e-9*(1+math.Abs(llR)) || math.Abs(zR-zA) > 1e-9*(1+zR) {
+					t.Errorf("candidate %d: %s insertion score (%.12g, %.12g) != scalar (%.12g, %.12g)", i, name, zA, llA, zR, llR)
+				}
+			}
+			refViews.Release()
+			altViews.Release()
+			if err := tr.Undo(ps); err != nil {
+				t.Fatal(err)
+			}
+
 		})
 	}
 }
@@ -213,90 +246,6 @@ func TestBackendsMatchScalarCAT(t *testing.T) {
 				t.Fatalf("CAT MakeNewz diverges: (%.17g, %.17g) vs (%.17g, %.17g)", zR, mlR, zA, mlA)
 			}
 		})
-	}
-}
-
-// TestBackendUnderPool exercises the batched backend beneath the
-// task-level pool: concurrent InsertionScore-style Views on worker
-// contexts. Run under -race this is the pool's race gate for the backend.
-func TestBackendUnderPool(t *testing.T) {
-	rng := rand.New(rand.NewSource(605))
-	pat := randomPatterns(t, rng, 16, 250)
-	m := randomModel(t, rng, 4)
-	tr := randomTreeFor(t, rng, pat)
-
-	ref, err := NewEngine(pat, m, Config{Backend: "scalar"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(pat, m, Config{Backend: "batched"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := eng.NewPool(4)
-
-	// Concurrent per-worker Views scoring (the SPR fan-out shape).
-	var sub *phylotree.Node
-	for _, e := range tr.Edges() {
-		if !e.IsTip() {
-			sub = e
-			break
-		}
-	}
-	if sub == nil {
-		t.Fatal("no internal record to prune")
-	}
-	ps, err := tr.Prune(sub)
-	if err != nil {
-		t.Skipf("prune failed on random tree: %v", err)
-	}
-	cands := tr.Edges()
-	if len(cands) > 8 {
-		cands = cands[:8]
-	}
-	type res struct{ z, ll float64 }
-	refViews := ref.NewViews()
-	want := make([]res, len(cands))
-	for i, cand := range cands {
-		if cand.Back == nil {
-			continue
-		}
-		z, ll, err := refViews.InsertionScore(cand, ps.P, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res{z, ll}
-	}
-	refViews.Release()
-
-	got := make([]res, len(cands))
-	views := make([]*Views, pool.Workers())
-	for w := range views {
-		views[w] = pool.Ctx(w).NewViews()
-	}
-	pool.Run(len(cands), func(w, i int) {
-		cand := cands[i]
-		if cand.Back == nil {
-			return
-		}
-		z, ll, err := views[w].InsertionScore(cand, ps.P, 0.1)
-		if err != nil {
-			return
-		}
-		got[i] = res{z, ll}
-	})
-	for w := range views {
-		views[w].Release()
-	}
-	for i := range want {
-		if math.Abs(want[i].ll-got[i].ll) > 1e-9*(1+math.Abs(want[i].ll)) ||
-			math.Abs(want[i].z-got[i].z) > 1e-9*(1+want[i].z) {
-			t.Errorf("candidate %d: batched pool score (%.12g, %.12g) != scalar (%.12g, %.12g)",
-				i, got[i].z, got[i].ll, want[i].z, want[i].ll)
-		}
-	}
-	if err := tr.Undo(ps); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -6,32 +6,20 @@ import (
 	"raxmlcell/internal/phylotree"
 )
 
-// Ctx is one kernel execution context: all the per-call scratch the hot
-// kernels need (transition-matrix panels, tip-projection tables, Newton sum
-// tables and exponential blocks, traversal descriptors, Views buffer pools)
-// plus the meter/underflow sinks the kernels accumulate into.
-//
-// The engine owns a primary context whose sinks are Engine.Meter and the
-// engine's underflow counter, so the public Engine API behaves exactly as
-// before. Engine.NewCtx mints additional worker contexts for task-level
-// parallelism (concurrent SPR candidate scoring); each accumulates into
-// private counters that Pool merges back deterministically after every
-// fan-out. Two goroutines may run kernels concurrently iff each owns its own
-// Ctx: the engine state they share (patterns, model, tip vectors, exp
-// function) is read-only, and so are the per-node lv/scale/orient tables
-// during a fan-out: workers read the slots and compute what the slots do not
-// hold into their own Views.
+// Ctx is the engine's kernel execution context: all the per-call scratch the
+// hot kernels need (transition-matrix panels, tip-projection tables, Newton
+// sum tables and exponential blocks, traversal descriptors, Views buffer
+// pools) plus the meter/underflow sinks the kernels accumulate into, which
+// are Engine.Meter and the engine's underflow counter. An engine has exactly
+// one; the only concurrency inside it is the range executor's, whose helpers
+// run blocks of the context's running pass on their own tile scratch
+// (executor.go).
 type Ctx struct {
 	eng *Engine
 
-	// meter/underflow are the accumulation sinks: the engine's own
-	// counters for the primary context, the private fields below for pool
-	// workers (merged in worker order by Pool.Run, see mergeInto).
+	// meter/underflow are the accumulation sinks: the engine's own counters.
 	meter     *Meter
 	underflow *uint64
-
-	ownMeter     Meter
-	ownUnderflow uint64
 
 	// Per-call scratch, reused across invocations.
 	pLeft, pRight []float64 // transition matrices [cat*ns*ns + i*ns + j]
@@ -39,9 +27,7 @@ type Ctx struct {
 
 	// Newton-Raphson scratch shared by MakeNewz and the lazy-SPR scorer:
 	// the per-pattern eigenmode sum table, λ_k·r_c products, and the
-	// exp(λrt) / derivative blocks rebuilt every Newton iteration. Living
-	// on the context (not the engine, where PR 2 hoisted them) keeps
-	// concurrent Newton solves from aliasing each other's buffers. sumP and
+	// exp(λrt) / derivative blocks rebuilt every Newton iteration. sumP and
 	// sumQ hold the table's two factors per row of each side, sized by the
 	// context's first buildSumTable.
 	sumTab, sumP, sumQ     []float64
@@ -50,8 +36,7 @@ type Ctx struct {
 
 	trav []*phylotree.Node // traversal-descriptor scratch
 
-	// classes is the class pass's table (repeats.go), sized on first use:
-	// only contexts that recompute node slots run class passes.
+	// classes is the class pass's table (repeats.go), sized on first use.
 	classes classTable
 
 	// Buffer pools for Views (lazy-SPR directed-vector caches).
@@ -79,30 +64,10 @@ type Ctx struct {
 	tile tileScratch
 }
 
-// NewCtx returns a fresh worker context over the engine. Its kernel
-// counters accumulate privately until merged into the engine (Pool does
-// this after every fan-out); use the Engine methods directly when no
-// task-level concurrency is involved.
-func (e *Engine) NewCtx() *Ctx {
-	c := &Ctx{eng: e}
-	c.meter = &c.ownMeter
-	c.underflow = &c.ownUnderflow
-	c.alloc()
-	return c
-}
-
-// newPrimaryCtx builds the engine-owned context whose counters are the
-// engine's public Meter and underflow total.
-func (e *Engine) newPrimaryCtx() *Ctx {
-	c := &Ctx{eng: e}
-	c.meter = &e.Meter
-	c.underflow = &e.underflowSites
-	c.alloc()
-	return c
-}
-
-func (c *Ctx) alloc() {
-	e := c.eng
+// newCtx builds the engine's kernel context, whose counters are the engine's
+// public Meter and underflow total.
+func (e *Engine) newCtx() *Ctx {
+	c := &Ctx{eng: e, meter: &e.Meter, underflow: &e.underflowSites}
 	c.pLeft = make([]float64, e.nmat*ns*ns)
 	c.pRight = make([]float64, e.nmat*ns*ns)
 	c.tipPL = make([]float64, e.nmat*16*ns)
@@ -118,20 +83,7 @@ func (c *Ctx) alloc() {
 		c.job.idle = make(chan struct{}, 1)
 	}
 	e.backend.initCtx(c)
-}
-
-// Engine returns the engine this context runs kernels for.
-func (c *Ctx) Engine() *Engine { return c.eng }
-
-// mergeInto folds the context's private counters into the engine and
-// resets them. Pool.Run calls it in worker order after every fan-out;
-// uint64 addition commutes, so the merged totals do not depend on how the
-// scheduler interleaved the workers.
-func (c *Ctx) mergeInto(e *Engine) {
-	e.Meter.Add(&c.ownMeter)
-	e.underflowSites += c.ownUnderflow
-	c.ownMeter.Reset()
-	c.ownUnderflow = 0
+	return c
 }
 
 // transitionMatrices fills dst (layout [cat][i][j]) with P(z·rate_c) for

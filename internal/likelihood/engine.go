@@ -76,9 +76,8 @@ func (cfg Config) BackendName() string {
 // engine has seen must tell the engine; full recomputation is what a fresh
 // engine, or InvalidateAll before the call, gives.
 //
-// All per-call kernel scratch lives in a Ctx. The engine owns a primary
-// context that backs every Engine method, so single-threaded use is
-// unchanged; task-level parallelism mints extra contexts via NewCtx/NewPool.
+// All per-call kernel scratch lives in a Ctx: the engine owns one, which
+// backs every Engine method and every Views.
 type Engine struct {
 	Pat   *alignment.Patterns
 	Mod   *model.Model
@@ -125,14 +124,9 @@ type Engine struct {
 	kobs KernelObserver
 	know func() time.Duration
 
-	// ctx0 is the primary kernel context backing the Engine methods; its
+	// ctx0 is the engine's kernel context, backing the Engine methods; its
 	// meter/underflow sinks are the engine's own counters.
 	ctx0 *Ctx
-
-	// shared, when non-nil (UseSharedCache), is the epoch-tagged store of
-	// the vectors the node slots cannot hold, serving every worker context;
-	// Invalidate and InvalidateAll bump its epoch.
-	shared *SharedCache
 }
 
 // NewEngine allocates an engine for trees over pat's taxa with the given
@@ -213,7 +207,7 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 		e.kobs = cfg.Observer
 		e.know = cfg.Now
 	}
-	e.ctx0 = e.newPrimaryCtx()
+	e.ctx0 = e.newCtx()
 	return e, nil
 }
 
@@ -306,11 +300,6 @@ func (e *Engine) invalidate(p *phylotree.Node, topo bool) {
 		e.InvalidateAll()
 		return
 	}
-	if e.shared != nil {
-		// The store keeps nothing across an edit: what a search puts there
-		// contains its prune point, which every following edit touches.
-		e.shared.InvalidateAll()
-	}
 	e.keepFacing(p, topo)
 	e.keepFacing(q, topo)
 }
@@ -354,9 +343,6 @@ func (e *Engine) InvalidateAll() {
 
 // dropVectors drops every cached partial vector and keeps the classes.
 func (e *Engine) dropVectors() {
-	if e.shared != nil {
-		e.shared.InvalidateAll()
-	}
 	for i := range e.orient {
 		e.orient[i] = nil
 	}
@@ -365,10 +351,7 @@ func (e *Engine) dropVectors() {
 // AttachTree wires the engine's caches to the tree's branch-change hooks,
 // so Prune/Regraft/Undo/InsertTip/RemoveTip invalidate the affected views
 // and repeat classes automatically, and clears the caches (the tree may have
-// been mutated before attachment). The hook reads the engine's cache state
-// at call time, so it also covers a shared ancestral-vector store installed
-// *after* attachment (the search attaches first, then installs the store).
-// Direct SetZ calls bypass the hooks — follow them with Invalidate.
+// been mutated before attachment). Direct SetZ calls bypass the hooks — follow them with Invalidate.
 func (e *Engine) AttachTree(tr *phylotree.Tree) {
 	tr.OnBranchChange(e.Invalidate)
 	e.InvalidateAll()

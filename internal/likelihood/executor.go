@@ -26,11 +26,11 @@ import (
 // Adoption rule: a helper takes blocks only while fewer than GOMAXPROCS
 // goroutines are inside a pass — callers, plus helpers working on one. Two
 // engines busy on two CPUs keep their CPUs; the serial stretches of a
-// campaign, of a pooled search and a single fixed-topology optimisation get
-// the idle ones.
+// campaign, a single search and a single fixed-topology optimisation get the
+// idle ones.
 
 // The constants below were set by the sweeps recorded in DESIGN.md
-// ("Parallelism layers").
+// ("Parallelism: two axes").
 const (
 	// rangeBlock is the number of patterns in one block: a multiple of
 	// batchTile, and large enough that the paper's 42_SC (255 patterns) and

@@ -68,6 +68,12 @@ func TestIncrementalEvaluateMatchesFull(t *testing.T) {
 	}
 }
 
+// TestInvalidateAfterSetZ: after a branch length changed and Invalidate was
+// told, the engine evaluates as a full recomputation does; its slots keep the
+// one orientation per ring that faces the changed branch, which a Views
+// serves from the slot itself (a CacheHit, no newview), while every other
+// orientation at the branch's rings is recomputed, bit-identical to a fresh
+// engine's; after InvalidateAll nothing is a slot read.
 func TestInvalidateAfterSetZ(t *testing.T) {
 	cached, full, tr := enginePair(t, 222, 10, 60)
 	if _, err := cached.Evaluate(tr.Tips[0]); err != nil {
@@ -105,6 +111,67 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 	}
 	if !logLClose(got, want) {
 		t.Fatalf("after InvalidateAll fallback: %.12f != %.12f", got, want)
+	}
+
+	var e *phylotree.Node
+	for _, c := range tr.Edges() {
+		if !c.IsTip() && !c.Back.IsTip() {
+			e = c
+			break
+		}
+	}
+	if e == nil {
+		t.Fatal("no internal-internal edge")
+	}
+	cached.NewView(e)
+	cached.NewView(e.Back)
+	e.SetZ(e.Z * 1.31)
+	cached.Invalidate(e)
+	fresh, err := NewEngine(cached.Pat, cached.Mod, cached.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, fv := cached.NewViews(), fresh.NewViews()
+	defer v.Release()
+	defer fv.Release()
+	for _, r := range [...]*phylotree.Node{e, e.Back} {
+		newviews, hits := cached.Meter.NewviewCalls, cached.Meter.CacheHits
+		got, err := v.Vector(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached.Meter.NewviewCalls != newviews || cached.Meter.CacheHits != hits+1 {
+			t.Errorf("facing record: newviews %d -> %d, CacheHits %d -> %d, want a slot read",
+				newviews, cached.Meter.NewviewCalls, hits, cached.Meter.CacheHits)
+		}
+		if &got.lv[0] != &cached.lv[r.Index][0] {
+			t.Error("facing record served from a buffer that is not the node's slot")
+		}
+	}
+	for _, r := range [...]*phylotree.Node{e.Next, e.Next.Next, e.Back.Next, e.Back.Next.Next} {
+		newviews := cached.Meter.NewviewCalls
+		got, err := v.Vector(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached.Meter.NewviewCalls == newviews {
+			t.Error("stale orientation served without recompute")
+		}
+		want, err := fv.Vector(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertVectorsEqual(t, "post-invalidate", cached, got, want)
+	}
+	cached.InvalidateAll()
+	w := cached.NewViews()
+	defer w.Release()
+	hits := cached.Meter.CacheHits
+	if _, err := w.Vector(e); err != nil {
+		t.Fatal(err)
+	}
+	if cached.Meter.CacheHits != hits {
+		t.Error("read after InvalidateAll served from a slot")
 	}
 }
 

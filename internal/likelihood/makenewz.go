@@ -45,12 +45,10 @@ func (e *Engine) MakeNewzTo(p *phylotree.Node, gainTol float64) (float64, error)
 }
 
 // makeNewz is MakeNewz and MakeNewzTo: the solve stops at gainTol, and the
-// logL it returns is NaN unless value is set. All Newton scratch (sum table,
-// λr products, exponential blocks) is per-context, so the solver itself
-// never aliases across contexts; it does recompute the shared per-node
-// vectors (NewView) and write the branch length back into the shared tree.
-// The concurrency-safe scoring path is Views.InsertionScore, which runs the
-// same Newton core against private buffers.
+// logL it returns is NaN unless value is set. It recomputes the per-node
+// vectors it needs (NewView) and writes the branch length back into the
+// tree; Views.InsertionScore runs the same Newton core against a Views'
+// buffers and leaves both alone.
 func (c *Ctx) makeNewz(p *phylotree.Node, gainTol float64, value bool) (float64, float64, error) {
 	e := c.eng
 	q := p.Back

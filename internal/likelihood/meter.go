@@ -50,12 +50,8 @@ type Meter struct {
 	// reflect only the operations actually executed.
 	CacheHits uint64
 
-	// SharedHits counts vector requests served by the epoch-tagged shared
-	// ancestral-vector store (SharedCache) — like CacheHits, work avoided.
-	// The total over all workers is deterministic for a fixed search
-	// (single-flight makes the computed set a pure function of the request
-	// set); per-worker attribution depends on which worker reached a node
-	// first and is reported by Pool.WorkerMeter, not asserted on.
+	// SharedHits always reads 0. It stays only because the benchmark reads
+	// it; ROADMAP item 8 retires it.
 	SharedHits uint64
 }
 

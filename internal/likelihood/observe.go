@@ -40,9 +40,9 @@ func (op KernelOp) String() string {
 // It is the likelihood package's outward-facing observability seam: obs
 // adapts it onto latency histograms, and this package stays free of any
 // dependency on the metrics layer (the import runs obs → likelihood, never
-// back). Implementations must be safe for concurrent use — engines time
-// kernels from every search worker — and must not allocate per call; the
-// engine invokes the observer on the hottest paths in the system.
+// back). Implementations must be safe for concurrent use — the engines of
+// concurrent mw jobs time their kernels at once — and must not allocate per
+// call; the engine invokes the observer on the hottest paths in the system.
 type KernelObserver interface {
 	ObserveKernel(op KernelOp, elapsed time.Duration)
 }

@@ -17,54 +17,23 @@ import (
 //
 // A Views must be released as soon as the tree's topology or any branch
 // length changes, and the engine must have been told of every edit of the
-// tree (AttachTree, Invalidate): the slots are trusted. A Views is bound to
-// one kernel context and inherits its (lack of) concurrency: concurrent
-// scoring uses one Views per worker context (see Pool), never one Views from
-// several goroutines.
+// tree (AttachTree, Invalidate): the slots are trusted. A Views computes with
+// the engine's kernel context and pools its buffers there, so it is used from
+// the goroutine that uses its engine.
 type Views struct {
 	ctx   *Ctx
 	lv    map[*phylotree.Node][]float64
 	scale map[*phylotree.Node][]int32
 	order []*phylotree.Node // memoization order, so Release is deterministic
-
-	// shared, when non-nil, replaces the private memo tables: Vector
-	// delegates to the engine-wide epoch-tagged store, so every worker's
-	// Views of one pool reads (and fills) the same vectors instead of each
-	// recomputing them. The kernel context stays per-worker — only the
-	// result vectors are shared. Built by NewSharedViews.
-	shared *SharedCache
 }
 
-// NewViews creates an empty view table over the engine's current model,
-// bound to the engine's primary context.
-func (e *Engine) NewViews() *Views { return e.ctx0.NewViews() }
-
-// NewViews creates an empty view table bound to this context: its vectors
-// are computed with the context's scratch and pooled in the context's
-// buffer pools, so tables of different contexts never share mutable state.
-func (c *Ctx) NewViews() *Views {
+// NewViews creates an empty view table over the engine's current model.
+func (e *Engine) NewViews() *Views {
 	return &Views{
-		ctx:   c,
+		ctx:   e.ctx0,
 		lv:    make(map[*phylotree.Node][]float64),
 		scale: make(map[*phylotree.Node][]int32),
 	}
-}
-
-// NewSharedViews creates a view table backed by the engine's shared
-// epoch-tagged vector store instead of private memo tables, bound to the
-// engine's primary context: vector hits and computes are attributed to
-// Engine.Meter directly. Used by the pooled search for candidate sets too
-// small to fan out.
-func (e *Engine) NewSharedViews(s *SharedCache) *Views { return e.ctx0.NewSharedViews(s) }
-
-// NewSharedViews creates a view table backed by the shared epoch-tagged
-// vector store, bound to this context: cached vectors are engine-wide, but
-// kernel scratch, metering and the scoring path's scratch buffers stay
-// per-worker. Unlike a private Views, a shared-backed table survives tree
-// edits (the store's epoch tags track them), needs no Release, and may be
-// used from several goroutines — one per distinct bound context.
-func (c *Ctx) NewSharedViews(s *SharedCache) *Views {
-	return &Views{ctx: c, shared: s}
 }
 
 // Release returns all cached buffers to the owning context's pool.
@@ -121,9 +90,6 @@ func (v *Views) Vector(r *phylotree.Node) (vec, error) {
 	if e := v.ctx.eng; e.orient[r.Index] == r {
 		v.ctx.meter.CacheHits++
 		return e.slotVec(r), nil
-	}
-	if v.shared != nil {
-		return v.shared.vector(v, r)
 	}
 	if lv, ok := v.lv[r]; ok {
 		return vec{lv: lv, sc: v.scale[r]}, nil
@@ -234,9 +200,8 @@ func (c *Ctx) foldCombine() {
 // Across is the pruned subtree's side of every prescore of one prune: the
 // subtree's vector carried across its own branch at the entry length,
 // P(z0)·s, which is the same whichever edge the subtree is tried in.
-// Views.CarryAcross fills it once per prune, on one context; until the next
-// edit of the tree it is read-only, and any number of contexts may prescore
-// against it. The zero value is ready to fill and keeps its buffer.
+// Views.CarryAcross fills it once per prune; until the next edit of the tree
+// it is read-only. The zero value is ready to fill and keeps its buffer.
 type Across struct {
 	proj []float64 // laid out like a vector, one row per pattern
 	sc   []int32   // the subtree vector's scale counts per pattern; nil for a tip
@@ -312,8 +277,7 @@ func (v *Views) CarryAcross(a *Across, sub *phylotree.Node, z0 float64) error {
 // block or derivative pass is built. The bits are those of the combine
 // followed by an evaluate of the regrafted tree. It counts as the newview
 // and the evaluate it computes and is timed as one OpNewview call. The tree
-// and concurrency are as for InsertionScore, which solves the candidates
-// this ranks highest.
+// is as for InsertionScore, which solves the candidates this ranks highest.
 func (v *Views) Prescore(cand *phylotree.Node, across *Across) (logL float64, err error) {
 	if cand.Back == nil {
 		return 0, fmt.Errorf("likelihood: candidate edge is detached")
@@ -346,8 +310,7 @@ func (v *Views) Prescore(cand *phylotree.Node, across *Across) (logL float64, er
 // Newton-Raphson (RAxML's "lazy" evaluation). sub is the detached ring
 // record holding the subtree behind sub.Back; z0 is the starting branch
 // length. The tree itself is not modified, and neither is any engine-level
-// table — concurrent calls are safe when every goroutine scores through
-// its own context's Views.
+// table.
 func (v *Views) InsertionScore(cand *phylotree.Node, sub *phylotree.Node, z0 float64) (bestZ, logL float64, err error) {
 	if cand.Back == nil {
 		return 0, 0, fmt.Errorf("likelihood: candidate edge is detached")

@@ -154,10 +154,10 @@ func impureStoreTarget(info *types.Info, lhs ast.Expr) (string, bool) {
 			if !ok || sel.Kind() != types.FieldVal {
 				return "", false
 			}
-			if isEngineType(sel.Recv()) {
+			if isLikelihoodType(sel.Recv(), "Engine") {
 				return "writes Engine state through field " + sel.Obj().Name(), true
 			}
-			if isCtxType(sel.Recv()) {
+			if isLikelihoodType(sel.Recv(), "Ctx") {
 				if t.Sel.Name == "tile" {
 					return "writes the Ctx's own tile", true
 				}
@@ -178,8 +178,9 @@ func impureStoreTarget(info *types.Info, lhs ast.Expr) (string, bool) {
 	}
 }
 
-// isCtxType reports whether t is likelihood.Ctx or a pointer to it.
-func isCtxType(t types.Type) bool {
+// isLikelihoodType reports whether t is the likelihood package's type of the
+// given name or a pointer to it.
+func isLikelihoodType(t types.Type, name string) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -188,5 +189,5 @@ func isCtxType(t types.Type) bool {
 		return false
 	}
 	obj := n.Obj()
-	return obj.Name() == "Ctx" && obj.Pkg() != nil && pathHasAny(obj.Pkg().Path(), likelihoodPkg)
+	return obj.Name() == name && obj.Pkg() != nil && pathHasAny(obj.Pkg().Path(), likelihoodPkg)
 }

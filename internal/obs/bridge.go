@@ -32,5 +32,4 @@ func PublishMeter(r *Registry, prefix string, m *likelihood.Meter) {
 	set("tip_inner_calls", m.TipInnerCalls)
 	set("inner_inner_calls", m.InnerInnerCalls)
 	set("cache_hits", m.CacheHits)
-	set("shared_hits", m.SharedHits)
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // run42SCSearch executes the benchmark-shaped SPR search on the 42_SC
-// fixture under one (backend, workers) configuration. The starting tree is
+// fixture under one backend. The starting tree is
 // rebuilt from the same seed every call, so any divergence between
 // configurations is attributable to the kernels, not the workload.
-func run42SCSearch(t *testing.T, backend string, workers int) *Result {
+func run42SCSearch(t *testing.T, backend string) *Result {
 	t.Helper()
 	pat := load42SC(t)
 	m := seqsim.DefaultModel()
@@ -28,7 +28,6 @@ func run42SCSearch(t *testing.T, backend string, workers int) *Result {
 	}
 	res, err := Run(eng, start, Options{
 		Radius: 3, MaxRounds: 2, SmoothPasses: 2, Epsilon: 0.05,
-		Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,28 +40,23 @@ func run42SCSearch(t *testing.T, backend string, workers int) *Result {
 // same optimum as the scalar reference — identical accepted-move and round
 // counts (the hill-climb took the exact same path, so every intermediate
 // comparison agreed) and a final log-likelihood within 1e-9 relative.
-// Each backend is additionally run under a 2-worker search pool, which
-// exercises the per-slot tile scratch of concurrent kernel contexts.
 func TestBackendCrossValidation42SC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 42sc search per backend")
 	}
-	ref := run42SCSearch(t, "scalar", 1)
+	ref := run42SCSearch(t, "scalar")
 	t.Logf("scalar reference: logL=%.6f moves=%d rounds=%d", ref.LogL, ref.Moves, ref.Rounds)
 	for _, bk := range likelihood.Backends() {
 		if bk == "scalar" {
 			continue
 		}
-		for _, workers := range []int{1, 2} {
-			res := run42SCSearch(t, bk, workers)
-			if res.Moves != ref.Moves || res.Rounds != ref.Rounds {
-				t.Errorf("%s (workers=%d): search path diverged: %d moves/%d rounds, scalar %d/%d",
-					bk, workers, res.Moves, res.Rounds, ref.Moves, ref.Rounds)
-			}
-			if math.Abs(res.LogL-ref.LogL) > 1e-9*math.Max(1, math.Abs(ref.LogL)) {
-				t.Errorf("%s (workers=%d): logL %.12f != scalar %.12f",
-					bk, workers, res.LogL, ref.LogL)
-			}
+		res := run42SCSearch(t, bk)
+		if res.Moves != ref.Moves || res.Rounds != ref.Rounds {
+			t.Errorf("%s: search path diverged: %d moves/%d rounds, scalar %d/%d",
+				bk, res.Moves, res.Rounds, ref.Moves, ref.Rounds)
+		}
+		if math.Abs(res.LogL-ref.LogL) > 1e-9*math.Max(1, math.Abs(ref.LogL)) {
+			t.Errorf("%s: logL %.12f != scalar %.12f", bk, res.LogL, ref.LogL)
 		}
 	}
 }

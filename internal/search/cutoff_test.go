@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
@@ -24,9 +25,12 @@ import (
 // one that recorded none falls back to |logL|/1000. The short list takes the
 // same test: a prescore that lost exactly the cutoff is not listed, one that
 // lost a hair less is, and the whole list comes back with uncutList and under
-// fullWalk's +Inf. A 42_SC prune whose prescores all lost the cutoff solves
-// none, accepts nothing and Undo gives back the tree to the bit, while
-// solveAll and fullWalk still solve the whole list there.
+// fullWalk's +Inf. In two rounds of scoring every prune of the smoothed 42_SC
+// tree, each at its own cutoff, every prune solves exactly the short list
+// listOf recomputes from its scores, the cutoff keeps some candidate out of
+// stage 1 and shortens some list; a prune whose prescores all lost the
+// cutoff solves none, accepts nothing and Undo gives back the tree to the
+// bit, while solveAll and fullWalk still solve the whole list there.
 func TestCutoffRule(t *testing.T) {
 	const baseline = -5000.0
 	// Two walks from the prune; parents index the walk, -1 at the prune.
@@ -46,20 +50,19 @@ func TestCutoffRule(t *testing.T) {
 	for i := range cands {
 		cands[i] = &phylotree.Node{Back: &phylotree.Node{}}
 	}
-	sc := &searchCtx{scores: make([]candScore, len(cands)), wave: make([]int, len(cands))}
+	sc := &searchCtx{scores: make([]candScore, len(cands))}
 
 	sc.startRound(baseline)
 	if sc.cutoff != 5 {
 		t.Fatalf("round 1 cutoff %v, want |logL|/1000 = 5", sc.cutoff)
 	}
 	var order []int
-	sc.prescoreWalk(cands, parents, baseline, func(_ *likelihood.Views, i int) {
+	sc.prescoreWalk(cands, parents, baseline, func(i int) {
 		order = append(order, i)
 		sc.scores[i].prescored(baseline-loss[i], nil)
 	})
-	// Waves: depth 1 of both walks, then the depth-2 children of kept ones,
-	// then depth 3 below the kept 4.
-	if want := []int{0, 7, 1, 4, 8, 5}; !slices.Equal(order, want) {
+	// In candidate order: each reached candidate's parent comes before it.
+	if want := []int{0, 1, 4, 5, 7, 8}; !slices.Equal(order, want) {
 		t.Errorf("prescored %v, want %v", order, want)
 	}
 	if sc.losses != 5 || sc.lossSum != 1+10+5+4.5+7 {
@@ -77,7 +80,7 @@ func TestCutoffRule(t *testing.T) {
 	for i := range sc.scores {
 		sc.scores[i] = candScore{}
 	}
-	sc.prescoreWalk(cands, parents, baseline, func(_ *likelihood.Views, i int) {
+	sc.prescoreWalk(cands, parents, baseline, func(i int) {
 		sc.scores[i].prescored(baseline+1, nil)
 	})
 	for i := range sc.scores {
@@ -115,16 +118,50 @@ func TestCutoffRule(t *testing.T) {
 		t.Errorf("short list %v with uncutList, want the three highest: [0 2 3]", got)
 	}
 	fullWalk = false
-	allLostPrune42SC(t)
+	cutoffSweep42SC(t)
 }
 
-// allLostPrune42SC finds, in a sweep of the smoothed 42_SC tree at round 1's
-// cutoff, a prune of more than shortListLen candidates whose prescores all
-// lost the cutoff, and checks that it solves none, that sprRound's reduction
+// listOf recomputes, from a prune's scores, the candidates stage 2 must
+// solve: every attached one in a prune of at most shortListLen, else the
+// shortListLen highest prescores, ties to the lower index, among those that
+// lost less than cutoff against baseline. dropped reports whether the cutoff
+// took one of the shortListLen highest prescores off the list.
+func listOf(cands []*phylotree.Node, scores []candScore, baseline, cutoff float64) (list []int, dropped bool) {
+	var reached []int
+	for i := range scores {
+		if cands[i].Back != nil {
+			list = append(list, i)
+		}
+		if scores[i].scored && !math.IsNaN(scores[i].pre) {
+			reached = append(reached, i)
+		}
+	}
+	if len(list) <= shortListLen {
+		return list, false
+	}
+	slices.SortStableFunc(reached, func(a, b int) int { return cmp.Compare(scores[b].pre, scores[a].pre) })
+	list = list[:0]
+	for rank, i := range reached {
+		if baseline-scores[i].pre >= cutoff {
+			dropped = dropped || rank < shortListLen
+		} else if len(list) < shortListLen {
+			list = append(list, i)
+		}
+	}
+	slices.Sort(list)
+	return list, dropped
+}
+
+// cutoffSweep42SC scores every prune of the smoothed 42_SC tree in two
+// rounds, the second at the cutoff the first one's losses set, and checks
+// that each prune solves exactly listOf's short list and that the cutoff
+// kept some candidate out of stage 1 and took some off a short list. At the
+// first prune of more than shortListLen candidates whose prescores all lost
+// the cutoff it also checks that it solves none, that sprRound's reduction
 // accepts nothing, that solveAll solves every candidate and a full walk's
-// cutoff shortListLen of them, and that Undo leaves the tree's
-// topology, branch-length bits and log-likelihood bits as they were.
-func allLostPrune42SC(t *testing.T) {
+// cutoff shortListLen of them, and that Undo leaves the tree's topology,
+// branch-length bits and log-likelihood bits as they were.
+func cutoffSweep42SC(t *testing.T) {
 	t.Helper()
 	pat := load42SC(t)
 	tr, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(7)))
@@ -153,8 +190,6 @@ func allLostPrune42SC(t *testing.T) {
 	}
 	newick0, zs0, ll0 := state()
 	sc := newSearchCtx(eng, Options{})
-	defer sc.close(eng)
-	sc.startRound(ll)
 	solved := func(scores []candScore) int {
 		n := 0
 		for i := range scores {
@@ -164,68 +199,101 @@ func allLostPrune42SC(t *testing.T) {
 		}
 		return n
 	}
-	for _, p := range pruneCandidates(tr) {
-		ps, err := tr.Prune(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands[:0], sc.parents[:0], ps.Q, 5)
-		sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands, sc.parents, ps.R, 5)
-		scores, err := sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, ll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sc.cands) <= shortListLen || solved(scores) > 0 {
+	allLost, cut, dropped := false, 0, 0
+	for round := 0; round < 2; round++ {
+		sc.startRound(ll)
+		for _, p := range pruneCandidates(tr) {
+			ps, err := tr.Prune(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands[:0], sc.parents[:0], ps.Q, 5)
+			sc.cands, sc.parents = phylotree.RadiusEdgesInto(sc.cands, sc.parents, ps.R, 5)
+			scores, err := sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, ll)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []int
+			for i := range scores {
+				if scores[i].ok {
+					got = append(got, i)
+				}
+				if !scores[i].scored {
+					cut++
+				}
+			}
+			want, short := listOf(sc.cands, scores, ll, sc.cutoff)
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d: solved %v, want the short list %v", round+1, got, want)
+			}
+			if short {
+				dropped++
+			}
+			if allLost || len(sc.cands) <= shortListLen || len(got) > 0 {
+				if err := tr.Undo(ps); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			allLost = true
+			for i := range scores {
+				if scores[i].scored && ll-scores[i].pre < sc.cutoff {
+					t.Fatalf("candidate %d lost %v, less than the cutoff %v, and was not solved", i, ll-scores[i].pre, sc.cutoff)
+				}
+			}
+			if idx, _, _ := bestCandidate(scores, ps.P.Z); idx != -1 {
+				t.Errorf("nothing solved, yet bestCandidate picked %d", idx)
+			}
+
+			// The checks below rescore the prune; the round goes on with
+			// the cutoff and losses it had.
+			cutoff, lossSum, losses := sc.cutoff, sc.lossSum, sc.losses
+			solveAll = true
+			scores, err = sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, ll)
+			solveAll = false
+			if err != nil {
+				t.Fatal(err)
+			}
+			attached := 0
+			for _, c := range sc.cands {
+				if c.Back != nil {
+					attached++
+				}
+			}
+			if s := solved(scores); s != attached {
+				t.Errorf("solveAll: %d candidates solved, want all %d", s, attached)
+			}
+			fullWalk = true
+			sc.startRound(ll)
+			fullWalk = false
+			scores, err = sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, ll)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := solved(scores); s != shortListLen {
+				t.Errorf("full walk: %d candidates solved, want %d", s, shortListLen)
+			}
+			sc.cutoff, sc.lossSum, sc.losses = cutoff, lossSum, losses
+
 			if err := tr.Undo(ps); err != nil {
 				t.Fatal(err)
 			}
-			continue
-		}
-		for i := range scores {
-			if scores[i].scored && ll-scores[i].pre < sc.cutoff {
-				t.Fatalf("candidate %d lost %v, less than the cutoff %v, and was not solved", i, ll-scores[i].pre, sc.cutoff)
+			newick, zs, at := state()
+			if newick != newick0 || !slices.Equal(zs, zs0) || math.Float64bits(at) != math.Float64bits(ll0) {
+				t.Errorf("after Undo: logL %.17g, before %.17g; topology or branch lengths moved: %v", at, ll0, newick != newick0 || !slices.Equal(zs, zs0))
 			}
 		}
-		if idx, _, _ := bestCandidate(scores, ps.P.Z); idx != -1 {
-			t.Errorf("nothing solved, yet bestCandidate picked %d", idx)
-		}
-
-		solveAll = true
-		scores, err = sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, ll)
-		solveAll = false
-		if err != nil {
-			t.Fatal(err)
-		}
-		attached := 0
-		for _, c := range sc.cands {
-			if c.Back != nil {
-				attached++
-			}
-		}
-		if s := solved(scores); s != attached {
-			t.Errorf("solveAll: %d candidates solved, want all %d", s, attached)
-		}
-		fullWalk = true
-		sc.startRound(ll)
-		fullWalk = false
-		scores, err = sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, ll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := solved(scores); s != shortListLen {
-			t.Errorf("full walk: %d candidates solved, want %d", s, shortListLen)
-		}
-
-		if err := tr.Undo(ps); err != nil {
-			t.Fatal(err)
-		}
-		newick, zs, at := state()
-		if newick != newick0 || !slices.Equal(zs, zs0) || math.Float64bits(at) != math.Float64bits(ll0) {
-			t.Errorf("after Undo: logL %.17g, before %.17g; topology or branch lengths moved: %v", at, ll0, newick != newick0 || !slices.Equal(zs, zs0))
-		}
-		return
 	}
-	t.Fatal("no prune of the sweep lost the cutoff at every candidate")
+	if !allLost {
+		t.Fatal("no prune of the sweep lost the cutoff at every candidate")
+	}
+	if cut == 0 {
+		t.Error("the cutoff kept no candidate out of stage 1")
+	}
+	if dropped == 0 {
+		t.Error("the cutoff took no candidate off a short list")
+	}
+	t.Logf("%d candidates kept out of stage 1, %d short lists shortened", cut, dropped)
 }
 
 // TestNonFiniteScoreNeverSteers feeds NaN and infinite scores through what
@@ -243,8 +311,8 @@ func TestNonFiniteScoreNeverSteers(t *testing.T) {
 	for i := range cands {
 		cands[i] = &phylotree.Node{Back: &phylotree.Node{}}
 	}
-	sc := &searchCtx{scores: make([]candScore, len(cands)), wave: make([]int, len(cands)), cutoff: math.Inf(1)}
-	sc.prescoreWalk(cands, parents, baseline, func(_ *likelihood.Views, i int) {
+	sc := &searchCtx{scores: make([]candScore, len(cands)), cutoff: math.Inf(1)}
+	sc.prescoreWalk(cands, parents, baseline, func(i int) {
 		sc.scores[i].prescored(pre[i], nil)
 	})
 	for i, v := range bad {

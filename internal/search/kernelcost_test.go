@@ -71,7 +71,7 @@ func TestNewtonSafeguardShare42SC(t *testing.T) {
 		t.Skip("full SPR search on 42 taxa")
 	}
 	reg := obs.NewRegistry()
-	res, m := runSPR42SC(t, 1, reg)
+	res, m := runSPR42SC(t, reg)
 	valued := reg.Counter("search.candidates_solved").Value() + uint64(res.Moves)
 	extra := extraValuePasses(t, &m, load42SC(t).NumPatterns(), valued)
 	share := float64(extra) / float64(m.MakenewzCalls)
@@ -198,7 +198,6 @@ func TestCandidateCost42SC(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	sc := newSearchCtx(eng, Options{Metrics: reg})
-	defer sc.close(eng)
 	before := eng.Meter
 	if _, moves, err := sprRound(eng, tr, sc, DefaultOptions().Radius, ll, math.Inf(1)); err != nil || moves != 0 {
 		t.Fatalf("scoring-only round: %d moves, err %v", moves, err)

@@ -16,7 +16,8 @@ import (
 // complement to SPR: RAxML applies SPR with radius 1-2 equivalently during
 // its fast phases. Scoring goes through sc like the SPR round; the
 // acceptance chain is replayed in candidate order (bestNNICandidate), so
-// pooled and serial sweeps pick the same interchanges.
+// scoring every candidate first picks the interchanges a loop that accepts
+// as it scores would.
 func nniRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, baseline, eps float64) (float64, int, error) {
 	current := baseline
 	accepted := 0
@@ -74,7 +75,7 @@ func nniRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, baselin
 			}
 		}
 	}
-	sc.finishRound()
+	sc.publishRangeBlocks()
 	if stageErr != nil {
 		return 0, 0, fmt.Errorf("search: NNI %s: %w", stage, stageErr)
 	}
@@ -84,13 +85,13 @@ func nniRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, baselin
 // NNISearch hill-climbs with nearest-neighbor interchanges only — the
 // cheap local search usable as a fast first phase or a comparison baseline
 // against the SPR search. It runs serially; NNISearchOpts accepts the full
-// option set (worker pool, metrics).
+// option set (metrics).
 func NNISearch(eng *likelihood.Engine, tr *phylotree.Tree, maxRounds int, eps float64) (float64, int, error) {
 	return NNISearchOpts(eng, tr, Options{MaxRounds: maxRounds, Epsilon: eps})
 }
 
 // NNISearchOpts is NNISearch with explicit Options: MaxRounds, Epsilon,
-// Workers and Metrics apply; the SPR-specific fields are ignored.
+// Metrics apply; the SPR-specific fields are ignored.
 func NNISearchOpts(eng *likelihood.Engine, tr *phylotree.Tree, opt Options) (float64, int, error) {
 	if opt.MaxRounds <= 0 {
 		opt.MaxRounds = 10
@@ -103,7 +104,7 @@ func NNISearchOpts(eng *likelihood.Engine, tr *phylotree.Tree, opt Options) (flo
 	// the cached partial vectors they dirty.
 	eng.AttachTree(tr)
 	sc := newSearchCtx(eng, opt)
-	defer sc.close(eng)
+	defer sc.publishRangeBlocks()
 	ll, err := SmoothBranches(eng, tr, 4, eps)
 	if err != nil {
 		return 0, 0, err

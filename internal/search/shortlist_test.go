@@ -56,7 +56,6 @@ func shortListOutcomes(t *testing.T, pat *alignment.Patterns, m *model.Model, se
 		t.Fatal(err)
 	}
 	sc := newSearchCtx(eng, Options{})
-	defer sc.close(eng)
 	var list []int
 	for _, p := range pruneCandidates(tr) {
 		if p.Back == nil || p.Next == nil {

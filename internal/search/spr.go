@@ -34,29 +34,16 @@ type Options struct {
 	// goroutine, so it must be cheap and must not mutate the tree/engine.
 	OnProgress func(Progress)
 
-	// Workers > 1 enables task-level parallelism inside this search: the
-	// insertion candidates of each pruned subtree are independent reads of a
-	// frozen tree, so the regraft walk's prescores — one wave per depth, each
-	// the candidates whose parent the likelihood cutoff kept — and then the
-	// Newton solve of the short list the cutoff keeps of them fan out over a
-	// pool of Workers kernel contexts, with a barrier after each. The candidates
-	// reached, the cutoff, the short list, the chosen moves, the final
-	// topology, the log-likelihood and the kernel call counts are identical to
-	// the serial search (see DESIGN.md "Parallelism layers" and "Cache × pool
-	// composition"); <= 1 runs fully serial. Orthogonal to the likelihood
-	// package's range executor, which lends the pattern blocks *inside* one
-	// kernel call to CPUs the workers leave idle and adds no concurrency of
-	// its own while they are busy.
+	// Workers has no effect on how a search runs: inside one search the only
+	// parallel axis is the likelihood package's range executor, which needs
+	// no option. The field stays because the benchmark sets it; ROADMAP item
+	// 8 removes it.
 	Workers int
 
 	// Metrics, when non-nil, receives the live search series: the
-	// search.candidates_scored / search.candidates_solved /
-	// search.parallel_rounds counters, the
-	// search.pool_workers / search.pool_busy / search.pool_busy_peak
-	// occupancy gauges, the kernel.range_blocks / kernel.range_blocks_adopted
-	// counters of the range executor, the search.round_ms latency histogram,
-	// and — for a pooled search — the shared vector store's
-	// cache.shared_hits counter and cache.epoch gauge.
+	// search.candidates_scored / search.candidates_solved counters, the
+	// kernel.range_blocks / kernel.range_blocks_adopted counters of the range
+	// executor and the search.round_ms latency histogram.
 	Metrics *obs.Registry
 
 	// Trace is the wall-clock span context this search records into
@@ -110,9 +97,8 @@ func pruneCandidates(tr *phylotree.Tree) []*phylotree.Node {
 // evaluation), and kept at the best position if that improves the current
 // likelihood by more than eps.
 // It returns the updated log-likelihood and the number of accepted moves.
-// Candidate scoring goes through sc — concurrently when the search has a
-// worker pool, with the winner reduced deterministically in candidate
-// order either way.
+// Candidate scoring goes through sc, with the winner reduced
+// deterministically in candidate order.
 func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius int, baseline, eps float64) (float64, int, error) {
 	current := baseline
 	accepted := 0
@@ -168,7 +154,7 @@ func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius 
 			}
 		}
 	}
-	sc.finishRound()
+	sc.publishRangeBlocks()
 	if stageErr != nil {
 		return 0, 0, fmt.Errorf("search: %s: %w", stage, stageErr)
 	}
@@ -209,10 +195,8 @@ func Run(eng *likelihood.Engine, start *phylotree.Tree, opt Options) (*Result, e
 	// the cached partial vectors they dirty.
 	eng.AttachTree(start)
 
-	// Task-level parallelism: candidate scoring runs on one worker pool for
-	// the duration of this search.
 	sc := newSearchCtx(eng, opt)
-	defer sc.close(eng)
+	defer sc.publishRangeBlocks()
 
 	tctx := opt.Trace
 	var roundHist *obs.Histogram
