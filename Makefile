@@ -20,15 +20,18 @@ bench:
 
 # backend-gate is the local mirror of the CI compute-backend gate: every
 # registered likelihood backend must reproduce the scalar reference on the
-# 42_SC search (same accepted moves, logL within 1e-9), random-start searches
-# that solve only the short list of each prune must end no lower than their
+# 42_SC search (same accepted moves, logL within 1e-9), and TestTwinGates, the
+# four no-worse gates a search that is not bit-identical with its parent
+# passes through, as one table of parallel pairs: random-start searches that
+# solve only the short list of each prune must end no lower than their
 # exhaustive twins, searches whose regraft walks stop at the likelihood
 # cutoff no lower than their full-walk twins, searches that solve no prescore
 # which lost the cutoff no lower than their twins that list such prescores,
 # and fits and searches that smooth each branch for its length only, at
-# eps/n, no lower than their exactly smoothed twins (serial, so not under the
-# race detector, where they take minutes; TestBackendGateMirrorsCI keeps these
-# -run patterns and CI's the same), the per-kernel equivalence suite — the
+# eps/n, no lower than their exactly smoothed twins (go test -race ./... runs
+# the short-list row whole and a prefix of the others;
+# TestBackendGateMirrorsCI keeps these -run patterns and CI's the same), the
+# per-kernel equivalence suite — the
 # two Newton passes, the step, the stop rule against the parent's, the
 # solve's entry-point safeguard, the length-only solve against the full one,
 # what the kernel timers bracket and the prescore against
@@ -57,7 +60,7 @@ bench:
 # part of `make fuzz`.
 backend-gate:
 	@mkdir -p $(BIN)
-	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC|TestShortListNoWorseThanExhaustive|TestCutoffNoWorseThanFullWalk|TestShortListCutoffNoWorse|TestSmoothingToleranceNoWorse' ./internal/search
+	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC|TestTwinGates' ./internal/search
 	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|TestParallel|TestExecutor|TestHelpers|TestPrescoreMatchesCombineThenEvaluate|TestRepeats|TestMakeNewzTo|TestKernelTime|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
 	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestCandidateCost42SC|TestOptimizeAlphaCost42SC|TestBrentMax|TestResultBitsIndependentOfGOMAXPROCS|TestShortListTieBreak|TestCutoffRule|TestNonFiniteScoreNeverSteers' ./internal/search
 	$(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 | tee $(BIN)/wide24.json | jq -e \

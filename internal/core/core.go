@@ -400,58 +400,6 @@ func InferCAT(pat *alignment.Patterns, cfg Config, catCount int) (*search.Result
 	return res, ll, &total, nil
 }
 
-// AnalyzeAdaptive runs the analysis with bootstopping: bootstraps are added
-// in batches of step until the support values stabilize (the divergence of
-// the two half-samples drops below threshold) or maxBoots is reached — the
-// adaptive replicate-count criterion RAxML later shipped as bootstopping.
-// It returns the analysis over the replicates actually run, and the number
-// of bootstraps used. Set cfg.Checkpoint to avoid recomputing earlier
-// batches between rounds (jobs are seed-determined, so the checkpoint
-// satisfies each growing plan's prefix).
-func AnalyzeAdaptive(pat *alignment.Patterns, cfg Config, step, maxBoots int, threshold float64) (*Analysis, int, error) {
-	if step < 4 {
-		step = 4
-	}
-	if maxBoots < step {
-		maxBoots = step
-	}
-	if threshold <= 0 {
-		threshold = 0.03
-	}
-	for n := step; ; n += step {
-		if n > maxBoots {
-			n = maxBoots
-		}
-		run := cfg
-		run.Bootstraps = n
-		a, err := Analyze(pat, run)
-		if err != nil {
-			return nil, 0, err
-		}
-		var boots []*phylotree.Tree
-		for _, r := range a.Results {
-			if r.Job.Kind != mw.Bootstrap || r.Err != nil {
-				continue
-			}
-			bt, err := phylotree.ParseNewick(r.Newick)
-			if err != nil {
-				return nil, 0, err
-			}
-			if err := bt.AlignTaxa(pat.Names); err != nil {
-				return nil, 0, err
-			}
-			boots = append(boots, bt)
-		}
-		div, err := phylotree.BootstopDivergence(a.Best, boots)
-		if err != nil {
-			return nil, 0, err
-		}
-		if div < threshold || n == maxBoots {
-			return a, n, nil
-		}
-	}
-}
-
 // StartingTree builds a starting topology of the requested kind; see
 // search.StartingTree.
 func StartingTree(pat *alignment.Patterns, kind string, rng *rand.Rand) (*phylotree.Tree, error) {

@@ -171,30 +171,6 @@ func TestInferCAT(t *testing.T) {
 	}
 }
 
-func TestAnalyzeAdaptiveBootstop(t *testing.T) {
-	// High-signal data: supports stabilize quickly, so bootstopping should
-	// halt well before the maximum. Use a checkpoint so the growing batches
-	// reuse earlier replicates.
-	pat, _ := testPatterns(t, 8, 1500, 21)
-	cfg := fastConfig()
-	cfg.Inferences = 1
-	cfg.Checkpoint = t.TempDir() + "/ckpt.json"
-	a, used, err := AnalyzeAdaptive(pat, cfg, 6, 36, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used < 6 || used > 36 {
-		t.Fatalf("used %d bootstraps", used)
-	}
-	if used == 36 {
-		t.Log("bootstopping hit the cap; supports unusually unstable for this data")
-	}
-	if a.Best == nil || len(a.Support) == 0 {
-		t.Fatal("adaptive analysis incomplete")
-	}
-	t.Logf("bootstopping used %d replicates", used)
-}
-
 func TestStartingTreeKinds(t *testing.T) {
 	pat, _ := testPatterns(t, 8, 300, 13)
 	rng := rand.New(rand.NewSource(1))

@@ -83,8 +83,6 @@ type Backend interface {
 // Reduction helpers shared by the backends.
 const minPositive = math.SmallestNonzeroFloat64
 
-var logFn = math.Log
-
 // patRange is a contiguous range of patterns [lo, hi), or of rows in a
 // combine: one block of a pass.
 type patRange struct{ lo, hi int }

@@ -430,7 +430,7 @@ func (b batchedBackend) newtonValueRange(c *Ctx, op *newtonOp, pr patRange, ts *
 				out.underflow++
 				L = minPositive
 			}
-			out.ll += float64(op.weights[pat]) * logFn(L)
+			out.ll += float64(op.weights[pat]) * math.Log(L)
 		}
 	}
 	return out

@@ -246,7 +246,7 @@ func (scalarBackend) newtonValueRange(c *Ctx, op *newtonOp, pr patRange, _ *tile
 			out.underflow++
 			L = minPositive
 		}
-		out.ll += float64(weights[pat]) * logFn(L)
+		out.ll += float64(weights[pat]) * math.Log(L)
 	}
 	return out
 }

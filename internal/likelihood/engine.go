@@ -30,9 +30,8 @@ var (
 // are spread over the CPUs that are idle at the time (executor.go), with the
 // same bits at any GOMAXPROCS.
 type Config struct {
-	SDKExp   bool // Section 5.2.2: SDK numerical exp() instead of libm exp()
-	IntCond  bool // Section 5.2.3: integer-cast, vectorized scaling conditional
-	VectorFP bool // Section 5.2.5: SIMD packing of the two FP loops (metering)
+	SDKExp  bool // Section 5.2.2: SDK numerical exp() instead of libm exp()
+	IntCond bool // Section 5.2.3: integer-cast, vectorized scaling conditional
 
 	// Backend selects the compute backend the kernels' per-pattern inner
 	// loops run on: "batched" (the default: pattern-major cache-blocked
@@ -53,6 +52,10 @@ type Config struct {
 	// overhead.
 	Observer KernelObserver
 	Now      func() time.Duration
+
+	// noRepeats keeps one row per pattern in every slot: the engine the
+	// repeat properties compare against. Only in-package tests set it.
+	noRepeats bool
 }
 
 // BackendName resolves the configured backend name, mapping the empty
@@ -171,7 +174,7 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 		e.lv[i] = make([]float64, e.npat*e.ncat*ns)
 		e.scale[i] = make([]int32, e.npat)
 	}
-	if !mod.IsCAT() && !noRepeats && e.npat <= maxRepeatPatterns {
+	if !mod.IsCAT() && !cfg.noRepeats && e.npat <= maxRepeatPatterns {
 		e.allocRepeats(pat.NumTaxa, maxIdx)
 	}
 	e.ident = make([]int32, e.npat)

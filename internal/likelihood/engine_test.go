@@ -312,9 +312,8 @@ func TestConfigVariantsAgree(t *testing.T) {
 	for i, cfg := range []Config{
 		{},
 		{IntCond: true},
-		{VectorFP: true},
 		{SDKExp: true},
-		{SDKExp: true, IntCond: true, VectorFP: true},
+		{SDKExp: true, IntCond: true},
 	} {
 		eng, err := NewEngine(pat, m, cfg)
 		if err != nil {

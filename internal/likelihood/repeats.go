@@ -21,10 +21,6 @@ import "raxmlcell/internal/phylotree"
 // pattern.
 const maxRepeatPatterns = 1 << 16
 
-// noRepeats makes engines built while it is set keep one row per pattern in
-// every slot: the test hook the repeat properties compare against.
-var noRepeats bool
-
 // vec is a directed vector as the kernels read it: lv and sc hold one row
 // per repeat class, rows of them, and cls maps each pattern to its row (nil:
 // one row per pattern, rows unset). A tip's vec is the zero value.

@@ -148,8 +148,7 @@ func withoutRows(m Meter) Meter {
 // before repeats.
 func identityEngine(t *testing.T, c repeatCase, cfg Config) *Engine {
 	t.Helper()
-	noRepeats = true
-	defer func() { noRepeats = false }()
+	cfg.noRepeats = true
 	e, err := NewEngine(c.pat, c.m, cfg)
 	if err != nil {
 		t.Fatal(err)

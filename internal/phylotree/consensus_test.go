@@ -110,43 +110,6 @@ func TestConsensusAllTaxaPresent(t *testing.T) {
 	}
 }
 
-func TestBootstopDivergence(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	ref, err := RandomTopology(names(10), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical replicates: zero divergence.
-	same := []*Tree{ref.Clone(), ref.Clone(), ref.Clone(), ref.Clone()}
-	d, err := BootstopDivergence(ref, same)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
-		t.Errorf("identical replicates diverge by %v", d)
-	}
-	// Random replicates: clearly positive.
-	var noisy []*Tree
-	for i := 0; i < 8; i++ {
-		tr, err := RandomTopology(names(10), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		noisy = append(noisy, tr)
-	}
-	d, err = BootstopDivergence(ref, noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Errorf("random replicates diverge by %v", d)
-	}
-	// Too few replicates rejected.
-	if _, err := BootstopDivergence(ref, same[:3]); err == nil {
-		t.Error("3 replicates accepted")
-	}
-}
-
 func TestConsensusErrors(t *testing.T) {
 	if _, err := MajorityRuleConsensus(nil, 0.5); err == nil {
 		t.Error("empty tree set accepted")

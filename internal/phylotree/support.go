@@ -55,47 +55,6 @@ func SupportValuesWeighted(ref *Tree, replicates []*Tree, weights []int) (map[Bi
 	return out, nil
 }
 
-// BootstopDivergence measures how unsettled the bootstrap support values
-// still are: the replicates are split into halves (even/odd), each half's
-// support for the reference tree's bipartitions is computed, and the mean
-// absolute difference is returned. Values near zero mean more replicates
-// would barely change the reported supports — the idea behind RAxML's
-// bootstopping criteria.
-func BootstopDivergence(ref *Tree, replicates []*Tree) (float64, error) {
-	if len(replicates) < 4 {
-		return 0, fmt.Errorf("phylotree: need >= 4 replicates to assess convergence, got %d", len(replicates))
-	}
-	var a, b []*Tree
-	for i, t := range replicates {
-		if i%2 == 0 {
-			a = append(a, t)
-		} else {
-			b = append(b, t)
-		}
-	}
-	sa, err := SupportValues(ref, a)
-	if err != nil {
-		return 0, err
-	}
-	sb, err := SupportValues(ref, b)
-	if err != nil {
-		return 0, err
-	}
-	sum, n := 0.0, 0
-	for k, va := range sa {
-		d := va - sb[k]
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-		n++
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	return sum / float64(n), nil
-}
-
 // MeanSupport averages the support values of a tree's bipartitions — a
 // scalar summary used by examples and tests.
 func MeanSupport(values map[Bipartition]float64) float64 {

@@ -5,13 +5,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime/debug"
 	"slices"
 	"testing"
 
-	"raxmlcell/internal/alignment"
 	"raxmlcell/internal/likelihood"
-	"raxmlcell/internal/obs"
 	"raxmlcell/internal/parsimony"
 	"raxmlcell/internal/phylotree"
 	"raxmlcell/internal/seqsim"
@@ -19,18 +16,18 @@ import (
 
 // TestCutoffRule walks a hand-built radius walk through stage 1 with given
 // prescores: a candidate that loses the cutoff or more against the baseline
-// keeps every candidate below it out of the walk, one that loses less or
-// gains does not; round 1's cutoff is |logL|/1000 of its starting tree, the
-// next round's the mean of the losses the first recorded, and a round after
-// one that recorded none falls back to |logL|/1000. The short list takes the
-// same test: a prescore that lost exactly the cutoff is not listed, one that
-// lost a hair less is, and the whole list comes back with uncutList and under
-// fullWalk's +Inf. In two rounds of scoring every prune of the smoothed 42_SC
-// tree, each at its own cutoff, every prune solves exactly the short list
-// listOf recomputes from its scores, the cutoff keeps some candidate out of
-// stage 1 and shortens some list; a prune whose prescores all lost the
-// cutoff solves none, accepts nothing and Undo gives back the tree to the
-// bit, while solveAll and fullWalk still solve the whole list there.
+// keeps every candidate below it out of the walk, one that loses less or gains
+// does not; round 1's cutoff is |logL|/1000 of its starting tree, the next
+// round's the mean of the losses the first recorded, and a round after one
+// that recorded none falls back to |logL|/1000. The short list takes the same
+// test: a prescore that lost exactly the cutoff is not listed, one that lost a
+// hair less is, and the whole list comes back under policy.uncutList and under
+// policy.fullWalk's +Inf. In two rounds of scoring every prune of the smoothed
+// 42_SC tree, each at its own cutoff, every prune solves exactly the short
+// list listOf recomputes from its scores, the cutoff keeps some candidate out
+// of stage 1 and shortens some list; a prune whose prescores all lost the
+// cutoff solves none, accepts nothing and Undo gives back the tree to the bit,
+// while policy.solveAll and policy.fullWalk still solve the whole list there.
 func TestCutoffRule(t *testing.T) {
 	const baseline = -5000.0
 	// Two walks from the prune; parents index the walk, -1 at the prune.
@@ -92,8 +89,7 @@ func TestCutoffRule(t *testing.T) {
 	if sc.cutoff != 2 {
 		t.Errorf("cutoff after a round without a loss %v, want |logL|/1000 = 2", sc.cutoff)
 	}
-	fullWalk = true
-	defer func() { fullWalk = false }()
+	sc.pol.fullWalk = true
 	if sc.startRound(-2000); !math.IsInf(sc.cutoff, 1) {
 		t.Errorf("full walk: cutoff %v, want +Inf", sc.cutoff)
 	}
@@ -111,13 +107,10 @@ func TestCutoffRule(t *testing.T) {
 	if got := shortList(listed, nil, baseline, sc.cutoff); !slices.Equal(got, []int{0, 2, 3}) {
 		t.Errorf("short list %v under the full walk's cutoff, want the three highest: [0 2 3]", got)
 	}
-	uncutList = true
-	got := shortList(listed, nil, baseline, 5)
-	uncutList = false
-	if !slices.Equal(got, []int{0, 2, 3}) {
-		t.Errorf("short list %v with uncutList, want the three highest: [0 2 3]", got)
+	sc.pol, sc.cutoff = policy{uncutList: true}, 5
+	if got := shortList(listed, nil, baseline, sc.listCutoff()); !slices.Equal(got, []int{0, 2, 3}) {
+		t.Errorf("short list %v with policy.uncutList, want the three highest: [0 2 3]", got)
 	}
-	fullWalk = false
 	cutoffSweep42SC(t)
 }
 
@@ -152,14 +145,14 @@ func listOf(cands []*phylotree.Node, scores []candScore, baseline, cutoff float6
 	return list, dropped
 }
 
-// cutoffSweep42SC scores every prune of the smoothed 42_SC tree in two
-// rounds, the second at the cutoff the first one's losses set, and checks
-// that each prune solves exactly listOf's short list and that the cutoff
-// kept some candidate out of stage 1 and took some off a short list. At the
-// first prune of more than shortListLen candidates whose prescores all lost
-// the cutoff it also checks that it solves none, that sprRound's reduction
-// accepts nothing, that solveAll solves every candidate and a full walk's
-// cutoff shortListLen of them, and that Undo leaves the tree's topology,
+// cutoffSweep42SC scores every prune of the smoothed 42_SC tree in two rounds,
+// the second at the cutoff the first one's losses set, and checks that each
+// prune solves exactly listOf's short list and that the cutoff kept some
+// candidate out of stage 1 and took some off a short list. At the first prune
+// of more than shortListLen candidates whose prescores all lost the cutoff it
+// also checks that it solves none, that sprRound's reduction accepts nothing,
+// that policy.solveAll solves every candidate and a full walk's cutoff
+// shortListLen of them, and that Undo leaves the tree's topology,
 // branch-length bits and log-likelihood bits as they were.
 func cutoffSweep42SC(t *testing.T) {
 	t.Helper()
@@ -248,9 +241,8 @@ func cutoffSweep42SC(t *testing.T) {
 			// The checks below rescore the prune; the round goes on with
 			// the cutoff and losses it had.
 			cutoff, lossSum, losses := sc.cutoff, sc.lossSum, sc.losses
-			solveAll = true
+			sc.pol = policy{solveAll: true}
 			scores, err = sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, ll)
-			solveAll = false
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,9 +255,9 @@ func cutoffSweep42SC(t *testing.T) {
 			if s := solved(scores); s != attached {
 				t.Errorf("solveAll: %d candidates solved, want all %d", s, attached)
 			}
-			fullWalk = true
+			sc.pol = policy{fullWalk: true}
 			sc.startRound(ll)
-			fullWalk = false
+			sc.pol = policy{}
 			scores, err = sc.scoreInsertions(eng, sc.cands, sc.parents, ps, ps.P.Z, ll)
 			if err != nil {
 				t.Fatal(err)
@@ -358,239 +350,5 @@ func TestNonFiniteScoreNeverSteers(t *testing.T) {
 	kernelErr := errors.New("kernel")
 	if err := nonFinite("solve", math.NaN(), kernelErr); err != kernelErr {
 		t.Errorf("nonFinite replaced the kernel's error with %v", err)
-	}
-}
-
-// raceEnabled reports whether the test binary was built with -race.
-func raceEnabled() bool {
-	bi, ok := debug.ReadBuildInfo()
-	return ok && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool { return s.Key == "-race" && s.Value == "true" })
-}
-
-// walkOutcome is what a search reached: its final log-likelihood, the
-// candidates the radius walks reached (search.candidates_scored) and those
-// stage 2 solved (search.candidates_solved).
-type walkOutcome struct {
-	logL   float64
-	cands  uint64
-	solved uint64
-}
-
-// hookTwins runs the default search from start twice, with the test hook
-// *hook off and on.
-func hookTwins(t *testing.T, pat *alignment.Patterns, start *phylotree.Tree, hook *bool) (off, on walkOutcome) {
-	t.Helper()
-	defer func() { *hook = false }()
-	run := func(set bool) walkOutcome {
-		*hook = set
-		eng, err := likelihood.NewEngine(pat, seqsim.DefaultModel(), likelihood.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		opt := DefaultOptions()
-		opt.Metrics = reg
-		res, err := Run(eng, start.Clone(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return walkOutcome{res.LogL, reg.Counter("search.candidates_scored").Value(), reg.Counter("search.candidates_solved").Value()}
-	}
-	return run(false), run(true)
-}
-
-// cutoffTwins runs the default search from start twice, with the cutoff and
-// walking the whole radius.
-func cutoffTwins(t *testing.T, pat *alignment.Patterns, start *phylotree.Tree) (cut, full walkOutcome) {
-	t.Helper()
-	return hookTwins(t, pat, start, &fullWalk)
-}
-
-// gateStarts is the simulated 20 x 250 alignment of the benchmark's search
-// workloads, 42_SC, and the two ways a gate starts a search on them.
-func gateStarts(t *testing.T) (sim, sc42 *alignment.Patterns, randomStart, parsimonyStart func(*alignment.Patterns, int64) *phylotree.Tree) {
-	t.Helper()
-	a, _, err := seqsim.Generate(seqsim.Params{Taxa: 20, Sites: 250, MeanBranch: 0.05, Alpha: 0.7, InvariantFraction: 0.4},
-		seqsim.DefaultModel(), rand.New(rand.NewSource(2301)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	randomStart = func(pat *alignment.Patterns, seed int64) *phylotree.Tree {
-		tr, err := phylotree.RandomTopology(pat.Names, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	parsimonyStart = func(pat *alignment.Patterns, seed int64) *phylotree.Tree {
-		tr, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	return alignment.Compress(a), load42SC(t), randomStart, parsimonyStart
-}
-
-// TestCutoffNoWorseThanFullWalk is the gate the likelihood cutoff passes
-// through, each search paired with its full-walk twin from the same start:
-// 48 random-start searches of a simulated 20 x 250 alignment (the benchmark's
-// search workloads) and 16 parsimony-start searches of 42_SC. On each set the
-// mean final logL is no more than 0.05 below the twins', the walks reach at
-// most 0.6 of the twins' candidates, and no more searches than with the full
-// walk end more than 2e-3·|logL| below the better of the pair (a random start
-// can stop in a poor local optimum either way); on 42_SC no search ends more
-// than 1e-3·|logL| below its twin. Sixteen random-start 42_SC pairs are
-// logged, not gated: there one search in 64 was measured to end 124.6 logL
-// (2.4 %) below its twin.
-func TestCutoffNoWorseThanFullWalk(t *testing.T) {
-	if testing.Short() {
-		t.Skip("160 full SPR searches")
-	}
-	if raceEnabled() {
-		// Serial: nothing for the race detector to see, and it would take the
-		// package past go test's ten minutes. go test ./... runs it.
-		t.Skip("160 serial SPR searches under the race detector")
-	}
-	a, _, err := seqsim.Generate(seqsim.Params{Taxa: 20, Sites: 250, MeanBranch: 0.05, Alpha: 0.7, InvariantFraction: 0.4},
-		seqsim.DefaultModel(), rand.New(rand.NewSource(2301)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, sc42 := alignment.Compress(a), load42SC(t)
-	randomStart := func(pat *alignment.Patterns, seed int64) *phylotree.Tree {
-		tr, err := phylotree.RandomTopology(pat.Names, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	parsimonyStart := func(pat *alignment.Patterns, seed int64) *phylotree.Tree {
-		tr, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	for _, set := range []struct {
-		name     string
-		pat      *alignment.Patterns
-		start    func(*alignment.Patterns, int64) *phylotree.Tree
-		searches int
-		gated    bool
-	}{
-		{"20 x 250, random starts", sim, randomStart, 48, true},
-		{"42_SC, parsimony starts", sc42, parsimonyStart, 16, true},
-		{"42_SC, random starts", sc42, randomStart, 16, false},
-	} {
-		var sumCut, sumFull float64
-		var candsCut, candsFull uint64
-		shortCut, shortFull, differ := 0, 0, 0
-		worst := 0.0
-		for i := 0; i < set.searches; i++ {
-			seed := int64(2700 + i)
-			cut, full := cutoffTwins(t, set.pat, set.start(set.pat, seed))
-			sumCut, sumFull = sumCut+cut.logL, sumFull+full.logL
-			candsCut, candsFull = candsCut+cut.cands, candsFull+full.cands
-			if cut.logL != full.logL {
-				differ++
-			}
-			worst = math.Min(worst, cut.logL-full.logL)
-			best := math.Max(cut.logL, full.logL)
-			if cut.logL < best-2e-3*math.Abs(best) {
-				shortCut++
-			}
-			if full.logL < best-2e-3*math.Abs(best) {
-				shortFull++
-			}
-			if set.pat == sc42 && set.gated && cut.logL < full.logL-1e-3*math.Abs(full.logL) {
-				t.Errorf("%s, seed %d: ends at %.4f with the cutoff, its full-walk twin at %.4f: more than 1e-3 below",
-					set.name, seed, cut.logL, full.logL)
-			}
-		}
-		n := float64(set.searches)
-		ratio := float64(candsCut) / float64(candsFull)
-		t.Logf("%s, %d searches: mean final logL %.4f with the cutoff, %.4f full walk (%d end elsewhere, worst %.4f); more than 2e-3 below the pair's better %d against %d; candidates %d against %d (x %.2f)",
-			set.name, set.searches, sumCut/n, sumFull/n, differ, worst, shortCut, shortFull, candsCut, candsFull, ratio)
-		if !set.gated {
-			continue
-		}
-		if sumCut/n < sumFull/n-0.05 {
-			t.Errorf("%s: mean final logL %.4f with the cutoff, %.4f full walk: more than 0.05 lower", set.name, sumCut/n, sumFull/n)
-		}
-		if shortCut > shortFull {
-			t.Errorf("%s: %d searches end more than 2e-3 below the better twin with the cutoff, %d with the full walk", set.name, shortCut, shortFull)
-		}
-		if ratio > 0.6 {
-			t.Errorf("%s: the walks reach %d candidates with the cutoff, %d without: more than 0.6 of them", set.name, candsCut, candsFull)
-		}
-	}
-}
-
-// TestShortListCutoffNoWorse is the gate the cutoff's second use passes
-// through — no Newton solve for a prescore that lost it — each search paired
-// with its twin from the same start that still lists such prescores
-// (uncutList): 48 random-start searches of the simulated 20 x 250 alignment
-// (the benchmark's search workloads) and 16 parsimony-start searches of
-// 42_SC. On each set the mean final logL is no more than 0.05 below the
-// twins', no more searches than the twins' end more than 2e-3·|logL| below
-// the better of the pair, and the searches make at most 0.9 of the twins'
-// solves, so the gate fails with the rule switched off; on 42_SC no search
-// ends more than 1e-3·|logL| below its twin.
-func TestShortListCutoffNoWorse(t *testing.T) {
-	if testing.Short() {
-		t.Skip("128 full SPR searches")
-	}
-	if raceEnabled() {
-		t.Skip("128 serial SPR searches under the race detector")
-	}
-	sim, sc42, randomStart, parsimonyStart := gateStarts(t)
-	for _, set := range []struct {
-		name     string
-		pat      *alignment.Patterns
-		start    func(*alignment.Patterns, int64) *phylotree.Tree
-		searches int
-	}{
-		{"20 x 250, random starts", sim, randomStart, 48},
-		{"42_SC, parsimony starts", sc42, parsimonyStart, 16},
-	} {
-		var sumCut, sumAll float64
-		var solvedCut, solvedAll uint64
-		shortCut, shortAll, differ := 0, 0, 0
-		worst := 0.0
-		for i := 0; i < set.searches; i++ {
-			seed := int64(3100 + i)
-			cut, all := hookTwins(t, set.pat, set.start(set.pat, seed), &uncutList)
-			sumCut, sumAll = sumCut+cut.logL, sumAll+all.logL
-			solvedCut, solvedAll = solvedCut+cut.solved, solvedAll+all.solved
-			if cut.logL != all.logL {
-				differ++
-			}
-			worst = math.Min(worst, cut.logL-all.logL)
-			best := math.Max(cut.logL, all.logL)
-			if cut.logL < best-2e-3*math.Abs(best) {
-				shortCut++
-			}
-			if all.logL < best-2e-3*math.Abs(best) {
-				shortAll++
-			}
-			if set.pat == sc42 && cut.logL < all.logL-1e-3*math.Abs(all.logL) {
-				t.Errorf("%s, seed %d: ends at %.4f with the cut short list, its twin at %.4f: more than 1e-3 below",
-					set.name, seed, cut.logL, all.logL)
-			}
-		}
-		n := float64(set.searches)
-		ratio := float64(solvedCut) / float64(solvedAll)
-		t.Logf("%s, %d searches: mean final logL %.4f with the cut short list, %.4f without (%d end elsewhere, worst %.4f); more than 2e-3 below the pair's better %d against %d; solves %d against %d (x %.2f)",
-			set.name, set.searches, sumCut/n, sumAll/n, differ, worst, shortCut, shortAll, solvedCut, solvedAll, ratio)
-		if sumCut/n < sumAll/n-0.05 {
-			t.Errorf("%s: mean final logL %.4f with the cut short list, %.4f without: more than 0.05 lower", set.name, sumCut/n, sumAll/n)
-		}
-		if shortCut > shortAll {
-			t.Errorf("%s: %d searches end more than 2e-3 below the better twin with the cut short list, %d without", set.name, shortCut, shortAll)
-		}
-		if ratio > 0.9 {
-			t.Errorf("%s: %d solves with the cut short list, %d without: more than 0.9 of them", set.name, solvedCut, solvedAll)
-		}
 	}
 }

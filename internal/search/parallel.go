@@ -16,19 +16,16 @@ import (
 // rung 7, has the table it was sized on.
 const shortListLen = 3
 
-// solveAll makes the short list every candidate — exhaustive scoring, what
-// the short list is judged against. Only TestShortListNoWorseThanExhaustive
-// and its helpers set it.
-var solveAll bool
-
-// fullWalk switches the likelihood cutoff off — the full radius walk the
-// cutoff is judged against. Only tests that compare the two set it.
-var fullWalk bool
-
-// uncutList lets a prescore that lost the cutoff into the short list — the
-// list the cutoff's second use is judged against. Only
-// TestShortListCutoffNoWorse sets it.
-var uncutList bool
+// policy picks the rules a search runs by. Its zero value is the search as
+// it runs; each field switches one rule back to the behaviour it is judged
+// against, the twin of a no-worse gate (TestTwinGates). Only in-package tests
+// set it, through Options.policy.
+type policy struct {
+	solveAll       bool // the short list is every candidate: exhaustive scoring
+	fullWalk       bool // no likelihood cutoff: the walk covers the whole radius
+	uncutList      bool // a prescore that lost the cutoff may still enter the short list
+	exactSmoothing bool // Run's smoothing solves every branch to newtonGainTol (OptimizeAll's does not)
+}
 
 // NonFiniteError is a candidate insertion whose log-likelihood came out NaN
 // or infinite; the search stops on it instead of ranking it.
@@ -97,10 +94,11 @@ type searchCtx struct {
 	lossSum float64
 	losses  int
 
+	pol policy
+
 	// traceRound is the current round's trace context (set by Run before
 	// each round, round-labeled); candidate-batch spans record through it.
-	// The zero Ctx before the first round — e.g. when scoreInsertions runs
-	// under OptimizeAlpha's NNI pass — is a valid no-op.
+	// The zero Ctx before the first round is a valid no-op.
 	traceRound obs.Ctx
 
 	candidatesScored *obs.Counter
@@ -112,7 +110,7 @@ type searchCtx struct {
 // newSearchCtx builds the per-search state: the view table, and metric
 // handles when opt.Metrics is set.
 func newSearchCtx(eng *likelihood.Engine, opt Options) *searchCtx {
-	sc := &searchCtx{views: eng.NewViews(), traceRound: opt.Trace, cutoff: math.Inf(1)}
+	sc := &searchCtx{views: eng.NewViews(), traceRound: opt.Trace, cutoff: math.Inf(1), pol: opt.policy}
 	if opt.Metrics != nil {
 		sc.candidatesScored = opt.Metrics.Counter("search.candidates_scored")
 		sc.candidatesSolved = opt.Metrics.Counter("search.candidates_solved")
@@ -141,29 +139,29 @@ func (sc *searchCtx) startRound(logL float64) {
 	if sc.losses > 0 {
 		sc.cutoff = sc.lossSum / float64(sc.losses)
 	}
-	if fullWalk {
+	if sc.pol.fullWalk {
 		sc.cutoff = math.Inf(1)
 	}
 	sc.lossSum, sc.losses = 0, 0
 }
 
-// scoreInsertions scores the regraft of the subtree pruned by ps (entry
-// branch length z0) into the candidate edges of a radius walk (parents as
-// phylotree.RadiusEdgesInto gives them; nil for at most shortListLen
-// candidates, as in NNI), in the two stages RAxML has, and returns sc.scores,
-// indexed by candidate. It first orients the engine's slots toward the prune
-// point, so that a candidate reads the vector facing away from it at its edge
-// (computed once, shared with the candidates beyond it) and slots nobody
-// writes. Stage 1 prescores, in candidate order, the candidates the walk
-// reaches: the virtual insertion node and the log-likelihood across the
-// subtree's branch at z0, nothing optimised. A prescore at least sc.cutoff
-// below baseline, the current tree's log-likelihood, keeps every candidate
-// below it out of the walk and itself out of stage 2. Then the short list is
-// drawn — the shortListLen highest prescores among those that lost less than
-// the cutoff, ties to the lower index — and stage 2 solves the subtree's
-// branch length by Newton-Raphson for those alone, none if every prescore
-// lost the cutoff; a prune with no more candidates than shortListLen skips
-// stage 1 and solves them all. The first error in candidate order wins.
+// scoreInsertions scores the regraft of the subtree pruned by ps (entry branch
+// length z0) into the candidate edges of a radius walk (parents as
+// phylotree.RadiusEdgesInto gives them), in the two stages RAxML has, and
+// returns sc.scores, indexed by candidate. It first orients the engine's slots
+// toward the prune point, so that a candidate reads the vector facing away
+// from it at its edge (computed once, shared with the candidates beyond it)
+// and slots nobody writes. Stage 1 prescores, in candidate order, the
+// candidates the walk reaches: the virtual insertion node and the
+// log-likelihood across the subtree's branch at z0, nothing optimised. A
+// prescore at least sc.cutoff below baseline, the current tree's
+// log-likelihood, keeps every candidate below it out of the walk and itself
+// out of stage 2. Then the short list is drawn — the shortListLen highest
+// prescores among those that lost less than the cutoff, ties to the lower
+// index — and stage 2 solves the subtree's branch length by Newton-Raphson for
+// those alone, none if every prescore lost the cutoff; a prune with no more
+// candidates than shortListLen skips stage 1 and solves them all. The first
+// error in candidate order wins.
 func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.Node, parents []int, ps *phylotree.PrunedSubtree, z0, baseline float64) ([]candScore, error) {
 	sub := ps.P
 	csp := sc.traceRound.Start("candidates", "search")
@@ -198,8 +196,8 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 		sc.prescoreWalk(cands, parents, baseline, func(i int) {
 			scores[i].prescored(sc.views.Prescore(cands[i], &sc.across))
 		})
-		if !solveAll {
-			sc.list = shortList(scores, sc.list[:0], baseline, sc.cutoff)
+		if !sc.pol.solveAll {
+			sc.list = shortList(scores, sc.list[:0], baseline, sc.listCutoff())
 		}
 	}
 	for _, i := range sc.list {
@@ -245,14 +243,20 @@ func (sc *searchCtx) prescoreWalk(cands []*phylotree.Node, parents []int, baseli
 	}
 }
 
+// listCutoff is the loss that keeps a prescore off the short list: the
+// round's cutoff, +Inf under policy.uncutList.
+func (sc *searchCtx) listCutoff() float64 {
+	if sc.pol.uncutList {
+		return math.Inf(1)
+	}
+	return sc.cutoff
+}
+
 // shortList appends to list the indices of the shortListLen highest
 // prescores among the scored candidates without an error that lost less than
 // cutoff against baseline (prescoreWalk's test: a NaN keeps nothing), ties to the
 // lower index, in candidate order.
 func shortList(scores []candScore, list []int, baseline, cutoff float64) []int {
-	if uncutList {
-		cutoff = math.Inf(1)
-	}
 	for i := range scores {
 		if !scores[i].scored || scores[i].err != nil || !(baseline-scores[i].pre < cutoff) {
 			continue
@@ -287,34 +291,4 @@ func bestCandidate(scores []candScore, z0 float64) (bestIdx int, bestZ, bestLL f
 		}
 	}
 	return bestIdx, bestZ, bestLL
-}
-
-// bestNNICandidate is the NNI reduction: replay the serial acceptance
-// chain — a candidate displaces the incumbent only when it gains more than
-// eps over it, starting from the current likelihood — in candidate order,
-// so scoring every candidate first picks exactly the move the serial loop
-// would.
-func bestNNICandidate(scores []candScore, z0, current, eps float64) (bestIdx int, bestZ, bestLL float64) {
-	bestIdx, bestZ, bestLL = -1, z0, current
-	for i := range scores {
-		if scores[i].ok && scores[i].ll > bestLL+eps {
-			bestIdx, bestZ, bestLL = i, scores[i].z, scores[i].ll
-		}
-	}
-	return bestIdx, bestZ, bestLL
-}
-
-// appendNNITargets collects the NNI candidate branches around v: the two
-// branches hanging off v's ring besides v itself (after pruning, these are
-// the re-insertion points of the swapped subtree). Records touching the
-// pruned ring sub are excluded, mirroring the old scoring-loop guard.
-func appendNNITargets(out []*phylotree.Node, v, sub *phylotree.Node) []*phylotree.Node {
-	ring := v.Ring()
-	if r := ring[1]; r != sub && r.Back != nil && r.Back != sub {
-		out = append(out, r)
-	}
-	if r := ring[2]; r != sub && r.Back != nil && r.Back != sub {
-		out = append(out, r)
-	}
-	return out
 }

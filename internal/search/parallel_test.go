@@ -43,31 +43,6 @@ func TestBestCandidateTieBreak(t *testing.T) {
 	}
 }
 
-// TestBestNNICandidateChain pins the NNI acceptance replay: the serial loop
-// is an order-dependent chain (a candidate must beat the *incumbent* by
-// more than eps, and the incumbent updates as the scan walks), not an
-// argmax. A later candidate that beats the start but not the updated
-// incumbent must lose.
-func TestBestNNICandidateChain(t *testing.T) {
-	const current, eps = -100.0, 1.0
-	scores := []candScore{
-		{z: 0.1, ll: -98, ok: true},   // beats -100+1: incumbent -> -98
-		{z: 0.2, ll: -97.5, ok: true}, // beats -100+1 but NOT -98+1: rejected
-		{z: 0.3, ll: -96, ok: true},   // beats -98+1: incumbent -> -96
-		{z: 0.4, ll: -95.5, ok: true}, // beats -96 but not -96+1: rejected
-	}
-	idx, z, ll := bestNNICandidate(scores, 0.9, current, eps)
-	if idx != 2 || math.Abs(z-0.3) > 0 || math.Abs(ll-(-96)) > 0 {
-		t.Errorf("got (idx=%d z=%g ll=%g), want (2, 0.3, -96)", idx, z, ll)
-	}
-
-	// No candidate clears the gate: keep the current likelihood.
-	idx, _, ll = bestNNICandidate([]candScore{{ll: -99.5, ok: true}}, 0.9, current, eps)
-	if idx != -1 || math.Abs(ll-current) > 0 {
-		t.Errorf("gated reduction: got (idx=%d ll=%g), want (-1, %g)", idx, ll, current)
-	}
-}
-
 // TestShortListTieBreak pins how stage 2's candidates are drawn: the
 // shortListLen highest prescores, an exact tie to the lower index, candidates
 // that were never scored left out, and the list in candidate order whatever

@@ -268,7 +268,7 @@ func TestKernelVariantsSameSearchResult(t *testing.T) {
 	var ref string
 	for i, cfg := range []likelihood.Config{
 		{},
-		{IntCond: true, VectorFP: true},
+		{IntCond: true},
 		{SDKExp: true},
 	} {
 		rng := rand.New(rand.NewSource(32))

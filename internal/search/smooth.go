@@ -31,6 +31,13 @@ import (
 // length, so each Newton step recomputes only the views the previous step
 // dirtied instead of the whole tree.
 func SmoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, eps float64) (float64, error) {
+	return smoothBranches(eng, tr, maxPasses, eps, policy{})
+}
+
+// smoothBranches is SmoothBranches under pol: with pol.exactSmoothing every
+// branch is solved to newtonGainTol and each pass's log-likelihood read from
+// its last solve, as before the length-only solve.
+func smoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, eps float64, pol policy) (float64, error) {
 	if maxPasses <= 0 {
 		maxPasses = 1
 	}
@@ -41,7 +48,7 @@ func SmoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, e
 		var ll float64
 		var err error
 		for _, e := range edges {
-			if exactSmoothing {
+			if pol.exactSmoothing {
 				_, ll, err = eng.MakeNewz(e)
 			} else {
 				_, err = eng.MakeNewzTo(e, tol)
@@ -50,7 +57,7 @@ func SmoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, e
 				return 0, fmt.Errorf("search: smoothing: %w", err)
 			}
 		}
-		if !exactSmoothing {
+		if !pol.exactSmoothing {
 			if ll, err = eng.Evaluate(edges[len(edges)-1]); err != nil {
 				return 0, fmt.Errorf("search: smoothing: %w", err)
 			}
@@ -62,12 +69,6 @@ func SmoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, e
 	}
 	return last, nil
 }
-
-// exactSmoothing makes SmoothBranches solve every branch to newtonGainTol
-// and read each pass's log-likelihood from its last solve, as it did before
-// the length-only solve: the twin the smoothing tolerance is judged against.
-// Only tests set it.
-var exactSmoothing bool
 
 // OptimizeAlpha fits the Gamma shape parameter by Brent's method on the tree
 // log-likelihood over alpha in [lo, hi], updating the engine's model in

@@ -51,6 +51,9 @@ type Options struct {
 	// usually pre-labeled with the job by the mw layer. The zero Ctx
 	// disables tracing.
 	Trace obs.Ctx
+
+	// policy is the zero value but in the twins of TestTwinGates.
+	policy policy
 }
 
 // DefaultOptions mirrors the paper's search regime at small scale.
@@ -205,7 +208,7 @@ func Run(eng *likelihood.Engine, start *phylotree.Tree, opt Options) (*Result, e
 	}
 
 	ssp := tctx.Start("smooth", "search")
-	ll, err := SmoothBranches(eng, start, opt.SmoothPasses, opt.Epsilon)
+	ll, err := smoothBranches(eng, start, opt.SmoothPasses, opt.Epsilon, opt.policy)
 	ssp.End()
 	if err != nil {
 		return nil, err
@@ -240,7 +243,7 @@ func Run(eng *likelihood.Engine, start *phylotree.Tree, opt Options) (*Result, e
 			return nil, err
 		}
 		res.Moves += moves
-		newLL, err = SmoothBranches(eng, start, opt.SmoothPasses, opt.Epsilon)
+		newLL, err = smoothBranches(eng, start, opt.SmoothPasses, opt.Epsilon, opt.policy)
 		if err != nil {
 			rsp.End()
 			return nil, err
