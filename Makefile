@@ -35,7 +35,10 @@ bench:
 # two Newton passes, the step, the stop rule against the parent's, the
 # solve's entry-point safeguard, the length-only solve against the full one,
 # what the kernel timers bracket and the prescore against
-# combine-then-evaluate included — the epoch-cache fuzz seeds (lazy-SPR
+# combine-then-evaluate included, and the newview set-up's bits (the
+# unrolled transition matrices against model.GTR.TransitionMatrix, the tip
+# tables' one-hot columns, a combine with a tip on either side against the
+# scalar loops) — the epoch-cache fuzz seeds (lazy-SPR
 # scoring, both stages, through a view table against a fresh engine), the
 # absolute kernel-cost bounds, the cutoff's rule on the walk and the short
 # list (every 42_SC prune solves exactly the short list) and
@@ -61,7 +64,7 @@ bench:
 backend-gate:
 	@mkdir -p $(BIN)
 	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC|TestTwinGates' ./internal/search
-	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|TestParallel|TestExecutor|TestHelpers|TestPrescoreMatchesCombineThenEvaluate|TestRepeats|TestMakeNewzTo|TestKernelTime|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
+	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|TestParallel|TestExecutor|TestHelpers|TestPrescoreMatchesCombineThenEvaluate|TestRepeats|TestMakeNewzTo|TestKernelTime|TestTransitionMatricesBits|TestTipTableColumns|TestCombineLoneTipEitherSide|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
 	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestCandidateCost42SC|TestOptimizeAlphaCost42SC|TestBrentMax|TestResultBitsIndependentOfGOMAXPROCS|TestShortListTieBreak|TestCutoffRule|TestNonFiniteScoreNeverSteers' ./internal/search
 	$(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 | tee $(BIN)/wide24.json | jq -e \
 		'.failed == 0 and .metrics["likelihood.evaluate_calls"].value <= 16 and .metrics["likelihood.makenewz_calls"].value == 180 and .metrics["likelihood.newview_calls"].value == 506 and .metrics["likelihood.newton_iters"].value == 438 and .metrics["likelihood.flops"].value == 642232304'

@@ -2,7 +2,6 @@ package raxmlcell
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -239,8 +238,9 @@ func BenchmarkAblationSPEScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBranch varies how often the scaling branch is taken and
-// compares the scalar and integer-cast conditionals on the real kernels.
+// BenchmarkAblationBranch times the real kernels' evaluate with the
+// per-pattern scaling conditional on every newview row, and reports how many
+// checks one evaluate makes.
 func BenchmarkAblationBranch(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	m := seqsim.DefaultModel()
@@ -249,28 +249,23 @@ func BenchmarkAblationBranch(b *testing.B) {
 		b.Fatal(err)
 	}
 	pat := alignment.Compress(a)
-	for _, cfgName := range []string{"scalar-cond", "int-cond"} {
-		b.Run(cfgName, func(b *testing.B) {
-			kc := likelihood.Config{IntCond: cfgName == "int-cond"}
-			eng, err := likelihood.NewEngine(pat, m, kc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(10))
-			tr, err := parsimony.BuildStepwise(pat, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Evaluate(tr.Tips[0]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(eng.Meter.ScaleChecks)/float64(b.N), "checks/op")
-		})
+	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
+	if err != nil {
+		b.Fatal(err)
 	}
+	tr, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(10)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.InvalidateAll()
+		if _, err := eng.Evaluate(tr.Tips[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(eng.Meter.ScaleChecks)/float64(b.N), "checks/op")
 }
 
 // BenchmarkAblationTipCases measures the real-kernel benefit of the
@@ -487,33 +482,6 @@ func BenchmarkParallelEvaluate(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkFastExpVsLibm compares the SDK-style exp against math.Exp.
-func BenchmarkFastExpVsLibm(b *testing.B) {
-	xs := make([]float64, 1024)
-	rng := rand.New(rand.NewSource(31))
-	for i := range xs {
-		xs[i] = -10 * rng.Float64()
-	}
-	b.Run("fastexp", func(b *testing.B) {
-		s := 0.0
-		for i := 0; i < b.N; i++ {
-			s += likelihood.FastExp(xs[i%len(xs)])
-		}
-		if math.IsNaN(s) {
-			b.Fatal("NaN")
-		}
-	})
-	b.Run("libm", func(b *testing.B) {
-		s := 0.0
-		for i := 0; i < b.N; i++ {
-			s += math.Exp(xs[i%len(xs)])
-		}
-		if math.IsNaN(s) {
-			b.Fatal("NaN")
-		}
-	})
 }
 
 // BenchmarkMasterWorkerThroughput runs a real parallel mini-analysis.

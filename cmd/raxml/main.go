@@ -104,8 +104,6 @@ func main() {
 		rounds     = flag.Int("rounds", 10, "maximum SPR rounds per search")
 		alpha      = flag.Float64("alpha", 0.8, "initial Gamma shape")
 		cats       = flag.Int("cats", 4, "Gamma rate categories")
-		sdkExp     = flag.Bool("sdk-exp", false, "use the SDK-style fast exp kernel")
-		intCond    = flag.Bool("int-cond", false, "use the integer-cast scaling conditional")
 		catCats    = flag.Int("cat", 0, "after the search, re-fit the tree under a CAT model with this many per-site rate categories (0 = off; RAxML default 25)")
 		optModel   = flag.Bool("opt-model", false, "fit the GTR exchangeabilities on each final tree")
 		startTree  = flag.String("start", "parsimony", "starting tree: parsimony (randomized stepwise addition, each taxon on the branch of least Fitch score), nj or random")
@@ -198,7 +196,7 @@ func main() {
 					"logl", pr.LogL, "alpha", pr.Alpha)
 			},
 		},
-		Kernel:  likelihood.Config{SDKExp: *sdkExp, IntCond: *intCond, Backend: *backend},
+		Kernel:  likelihood.Config{Backend: *backend},
 		Log:     logger,
 		Metrics: metrics,
 		Trace:   tracer.Root("campaign"),

@@ -3,17 +3,17 @@ package likelihood
 import "math"
 
 // batchTile is the pattern-tile width of the batched backend: 32 patterns
-// × 4 Gamma categories × 4 states × 8 bytes = 4 KiB per projection tile,
-// two tiles live at once — comfortably inside L1 alongside the source
-// vectors, the same "operate on a resident block" discipline the paper
-// used to fit kernel working sets into the 256 KiB SPE local store.
+// × 4 Gamma categories × 4 states × 8 bytes = 4 KiB per projection tile —
+// comfortably inside L1 alongside the source vectors, the same "operate on
+// a resident block" discipline the paper used to fit kernel working sets
+// into the 256 KiB SPE local store.
 const batchTile = 32
 
 // tileScratch is one goroutine's private tile storage: every kernel context
 // owns one for the blocks its owner runs, every executor helper one for the
 // blocks it adopts, so concurrent blocks of one pass never share a tile.
 type tileScratch struct {
-	a, b      []float64 // projection tiles, laid out like lv: [t*ncat*ns + cat*ns + i]
+	a         []float64 // projection tile, laid out like lv: [t*ncat*ns + cat*ns + i]
 	s, s1, s2 []float64 // per-pattern accumulators (site likelihood / Newton L, L', L'')
 
 	// The rows (or tip codes) a tile gathers from its operands, one per
@@ -44,7 +44,7 @@ func (ts *tileScratch) fitX(n, ncat int) {
 // only when it meets a wider engine than any before.
 func (ts *tileScratch) fit(ncat int) {
 	if n := batchTile * ncat * ns; len(ts.a) < n {
-		ts.a, ts.b = make([]float64, n), make([]float64, n)
+		ts.a = make([]float64, n)
 	}
 	if ts.s == nil {
 		ts.s, ts.s1, ts.s2 = make([]float64, batchTile), make([]float64, batchTile), make([]float64, batchTile)
@@ -125,22 +125,41 @@ func projectInnerTile(p, src []float64, idx []int32, out []float64, ncat int) {
 	}
 }
 
-// projectTipTile gathers the precomputed tip projections of the codes idx
-// into a tile: a table copy per (pattern, category), the tile form of
-// RAxML's tip-case lookup.
-func projectTipTile(tab []float64, idx []int32, out []float64, ncat int) {
+// projectTimes writes into out, for every tile position j, the row aIdx[j]
+// of a times the projection of src's row idx[j] through the per-category
+// transition matrices p, with p's 16 entries in locals across the tile: a
+// combine's second child projected straight into the product, which a
+// second tile and a second pass over the rows would cost otherwise. a is
+// the first child's tile, or its tip table read in place.
+func projectTimes(p, src []float64, idx []int32, a []float64, aIdx []int32, out []float64, ncat int) {
 	stride := ncat * ns
 	for cat := 0; cat < ncat; cat++ {
-		tb := tab[cat*16*ns : cat*16*ns+16*ns]
+		pc := p[cat*ns*ns : cat*ns*ns+ns*ns]
+		p00, p01, p02, p03 := pc[0], pc[1], pc[2], pc[3]
+		p10, p11, p12, p13 := pc[4], pc[5], pc[6], pc[7]
+		p20, p21, p22, p23 := pc[8], pc[9], pc[10], pc[11]
+		p30, p31, p32, p33 := pc[12], pc[13], pc[14], pc[15]
 		co := cat * ns
-		for j, code := range idx {
-			t := tb[int(code)*ns : int(code)*ns+ns]
+		for j, r := range idx {
+			sb := int(r)*stride + co
+			x := src[sb : sb+ns]
+			ab := int(aIdx[j])*stride + co
+			t := a[ab : ab+ns]
 			o := out[j*stride+co : j*stride+co+ns]
-			o[0], o[1], o[2], o[3] = t[0], t[1], t[2], t[3]
+			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+			o[0] = t[0] * (p00*x0 + p01*x1 + p02*x2 + p03*x3)
+			o[1] = t[1] * (p10*x0 + p11*x1 + p12*x2 + p13*x3)
+			o[2] = t[2] * (p20*x0 + p21*x1 + p22*x2 + p23*x3)
+			o[3] = t[3] * (p30*x0 + p31*x1 + p32*x2 + p33*x3)
 		}
 	}
 }
 
+// combineRows keeps the scalar loop's bits with the children in either
+// order: an IEEE product commutes, and scale counts add as integers. So a
+// tip child's table row is read in place as the product's first factor and
+// its inner sibling projected straight into the product; two inner children
+// project the first into a tile; two tips multiply their table rows.
 func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tileScratch) combineStats {
 	e := c.eng
 	if e.patCat != nil {
@@ -149,41 +168,44 @@ func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile
 	ncat := e.ncat
 	stride := ncat * ns
 	dst, dstScale, dstLo := op.dst, op.dstScale, op.dstLo
+	inner := uint64(0) // the children projected through their matrix
+	if op.qData == nil {
+		inner++
+	}
+	if op.rData == nil {
+		inner++
+	}
 
 	var st combineStats
 	for lo := pr.lo; lo < pr.hi; lo += batchTile {
-		hi := lo + batchTile
-		if hi > pr.hi {
-			hi = pr.hi
-		}
+		hi := min(lo+batchTile, pr.hi)
 		n := hi - lo
 		qi := gatherTile(e, ts.qi, op.first, op.qData, &op.q, lo, hi)
 		ri := gatherTile(e, ts.ri, op.first, op.rData, &op.r, lo, hi)
-		if op.qData != nil {
-			projectTipTile(c.tipPL, qi, ts.a, ncat)
-		} else {
-			projectInnerTile(c.pLeft, op.q.lv, qi, ts.a, ncat)
-			st.muls += uint64(n) * uint64(ncat) * ns * ns
-			st.adds += uint64(n) * uint64(ncat) * ns * (ns - 1)
-		}
-		if op.rData != nil {
-			projectTipTile(c.tipPR, ri, ts.b, ncat)
-		} else {
-			projectInnerTile(c.pRight, op.r.lv, ri, ts.b, ncat)
-			st.muls += uint64(n) * uint64(ncat) * ns * ns
-			st.adds += uint64(n) * uint64(ncat) * ns * (ns - 1)
-		}
-		for j := 0; j < n; j++ {
-			to := j * stride
-			ta := ts.a[to : to+stride]
-			tb := ts.b[to : to+stride]
-			do := (lo + j - dstLo) * stride
-			d := dst[do : do+stride]
-			for k := 0; k < stride; k++ {
-				d[k] = ta[k] * tb[k]
+		out := dst[(lo-dstLo)*stride : (hi-dstLo)*stride]
+		switch {
+		case op.qData != nil && op.rData != nil:
+			for j := range n {
+				tq := c.tipPL[int(qi[j])*stride : int(qi[j])*stride+stride]
+				tr := c.tipPR[int(ri[j])*stride : int(ri[j])*stride+stride]
+				d := out[j*stride : j*stride+stride]
+				for k := range d {
+					d[k] = tq[k] * tr[k]
+				}
 			}
-			st.muls += uint64(stride)
+		case op.qData != nil:
+			projectTimes(c.pRight, op.r.lv, ri, c.tipPL, qi, out, ncat)
+		case op.rData != nil:
+			projectTimes(c.pLeft, op.q.lv, qi, c.tipPR, ri, out, ncat)
+		default:
+			projectInnerTile(c.pLeft, op.q.lv, qi, ts.a, ncat)
+			projectTimes(c.pRight, op.r.lv, ri, ts.a, e.ident[:n], out, ncat)
+		}
+		st.muls += uint64(n) * (inner*uint64(ncat)*ns*ns + uint64(stride))
+		st.adds += uint64(n) * inner * uint64(ncat) * ns * (ns - 1)
 
+		for j := 0; j < n; j++ {
+			d := out[j*stride : j*stride+stride]
 			sc := int32(0)
 			if op.q.sc != nil {
 				sc += op.q.sc[qi[j]]
@@ -193,7 +215,7 @@ func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile
 			}
 			st.scaleChecks++
 			if e.needsScalingPure(d) {
-				for k := 0; k < stride; k++ {
+				for k := range d {
 					d[k] *= TwoTo256
 				}
 				st.muls += uint64(stride)
@@ -234,7 +256,9 @@ func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileS
 		if op.qProj != nil {
 			a, aLo = op.qProj, 0
 		} else if op.qData != nil {
-			projectTipTile(c.tipPR, qi, ts.a, ncat)
+			for j, code := range qi {
+				copy(ts.a[j*stride:(j+1)*stride], c.tipPR[int(code)*stride:])
+			}
 		} else {
 			projectInnerTile(c.pLeft, op.q.lv, qi, ts.a, ncat)
 			out.st.muls += uint64(n) * uint64(ncat) * ns * ns

@@ -36,7 +36,7 @@ func (scalarBackend) combineRows(c *Ctx, op *combineOp, pr patRange, _ *tileScra
 			var left, right [ns]float64
 			if qData != nil {
 				code := qData[pat] & 0x0f
-				copy(left[:], c.tipPL[mi*16*ns+int(code)*ns:][:ns])
+				copy(left[:], c.tipPL[int(code)*e.nmat*ns+mi*ns:][:ns])
 			} else {
 				pc := c.pLeft[mi*ns*ns:]
 				x := q.lv[qr*ncat*ns+cat*ns:]
@@ -48,7 +48,7 @@ func (scalarBackend) combineRows(c *Ctx, op *combineOp, pr patRange, _ *tileScra
 			}
 			if rData != nil {
 				code := rData[pat] & 0x0f
-				copy(right[:], c.tipPR[mi*16*ns+int(code)*ns:][:ns])
+				copy(right[:], c.tipPR[int(code)*e.nmat*ns+mi*ns:][:ns])
 			} else {
 				pc := c.pRight[mi*ns*ns:]
 				x := r.lv[rr*ncat*ns+cat*ns:]
@@ -112,7 +112,7 @@ func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ *tileScrat
 				copy(proj[:], qProj[base+cat*ns:][:ns])
 			} else if qData != nil {
 				code := qData[pat] & 0x0f
-				copy(proj[:], c.tipPR[mi*16*ns+int(code)*ns:][:ns])
+				copy(proj[:], c.tipPR[int(code)*e.nmat*ns+mi*ns:][:ns])
 			} else {
 				pc := c.pLeft[mi*ns*ns:]
 				y := q.lv[qr*ncat*ns+cat*ns:]

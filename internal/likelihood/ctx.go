@@ -2,6 +2,8 @@ package likelihood
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"raxmlcell/internal/phylotree"
 )
@@ -23,7 +25,7 @@ type Ctx struct {
 
 	// Per-call scratch, reused across invocations.
 	pLeft, pRight []float64 // transition matrices [cat*ns*ns + i*ns + j]
-	tipPL, tipPR  []float64 // tip projections [cat*16*ns + code*ns + i]
+	tipPL, tipPR  []float64 // tip projections [code*nmat*ns + cat*ns + i]
 
 	// Newton-Raphson scratch shared by MakeNewz and the lazy-SPR scorer:
 	// the per-pattern eigenmode sum table, λ_k·r_c products, and the
@@ -89,58 +91,74 @@ func (e *Engine) newCtx() *Ctx {
 // transitionMatrices fills dst (layout [cat][i][j]) with P(z·rate_c) for
 // every rate category. This is the paper's "first loop" (4-25 iterations,
 // 36 FP ops each) and the home of the exp() calls that dominated the naive
-// SPE port.
+// SPE port. The eigensystem is read into locals once per call and the
+// 4×4×4 product is unrolled in model.GTR.TransitionMatrix's operation order:
+// (V·e)·V⁻¹ grouped as the flat three-factor product, each entry summed up
+// from zero, so the matrices are that function's, bit for bit.
 func (c *Ctx) transitionMatrices(z float64, dst []float64) {
 	e := c.eng
 	g := e.Mod.GTR
-	for cat := 0; cat < e.nmat; cat++ {
-		tr := z * e.Mod.Cats[cat]
-		var expl [ns]float64
-		for k := 0; k < ns; k++ {
-			expl[k] = e.expFn(g.Lambda[k] * tr)
-		}
-		c.meter.Exps += ns
-		c.meter.Muls += ns // lambda*tr
-		base := cat * ns * ns
+	v, w := g.V, g.VInv
+	l0, l1, l2, l3 := g.Lambda[0], g.Lambda[1], g.Lambda[2], g.Lambda[3]
+	for cat, rate := range e.Mod.Cats {
+		tr := z * rate
+		e0, e1, e2, e3 := math.Exp(l0*tr), math.Exp(l1*tr), math.Exp(l2*tr), math.Exp(l3*tr)
+		m := (*[ns * ns]float64)(dst[cat*ns*ns:])
 		for i := 0; i < ns; i++ {
-			// (V·e)·V⁻¹ groups as the flat three-factor product does.
-			var ve [ns]float64
-			for k := 0; k < ns; k++ {
-				ve[k] = g.V[i][k] * expl[k]
-			}
-			for j := 0; j < ns; j++ {
-				s := 0.0
-				for k := 0; k < ns; k++ {
-					s += ve[k] * g.VInv[k][j]
-				}
-				if s < 0 {
-					s = 0
-				}
-				dst[base+i*ns+j] = s
-			}
+			a0, a1, a2, a3 := v[i][0]*e0, v[i][1]*e1, v[i][2]*e2, v[i][3]*e3
+			r := (*[ns]float64)(m[i*ns:])
+			r[0] = nonNegative(0 + a0*w[0][0] + a1*w[1][0] + a2*w[2][0] + a3*w[3][0])
+			r[1] = nonNegative(0 + a0*w[0][1] + a1*w[1][1] + a2*w[2][1] + a3*w[3][1])
+			r[2] = nonNegative(0 + a0*w[0][2] + a1*w[1][2] + a2*w[2][2] + a3*w[3][2])
+			r[3] = nonNegative(0 + a0*w[0][3] + a1*w[1][3] + a2*w[2][3] + a3*w[3][3])
 		}
-		c.meter.Muls += ns*ns + ns*ns*ns
-		c.meter.Adds += ns * ns * (ns - 1)
-		c.meter.SmallLoopIters++
 	}
+	n := uint64(e.nmat)
+	c.meter.Exps += n * ns
+	c.meter.Muls += n * (ns + ns*ns + ns*ns*ns) // lambda*tr, V·e, (V·e)·V⁻¹
+	c.meter.Adds += n * ns * ns * (ns - 1)
+	c.meter.SmallLoopIters += n
 }
 
-// tipProjection fills dst (layout [cat][code][i]) with P·tipvec for the
-// ambiguity codes the alignment contains: the RAxML tip-case specialization
-// that replaces a full per-pattern matrix-vector product by a table lookup.
-// Entries of codes that never occur are never read and stay unset.
+// nonNegative clamps the tiny negative round-off of a transition
+// probability to zero, as model.GTR.TransitionMatrix does.
+func nonNegative(s float64) float64 {
+	if s < 0 {
+		return 0
+	}
+	return s
+}
+
+// tipProjection fills dst with P·tipvec for the ambiguity codes the
+// alignment contains: the RAxML tip-case specialization that replaces a full
+// per-pattern matrix-vector product by a table lookup. The layout is
+// code-major, [code][cat][i], so one code's entries are laid out like a
+// partial-vector row. A one-hot code's entries are the column of P for its
+// state: the product's own bits, since x·1 and +x·0 are exact and P holds no
+// negative entry and no −0. Only ambiguous codes are multiplied, yet the
+// meter counts every code as the product it equals. Entries of codes that
+// never occur are never read and stay unset.
 func (c *Ctx) tipProjection(p []float64, dst []float64) {
 	e := c.eng
-	for cat := 0; cat < e.nmat; cat++ {
-		pc := p[cat*ns*ns:]
-		for _, code := range e.tipCodes {
-			tv := &e.tipVec[code]
+	width := e.nmat * ns
+	for _, code := range e.tipCodes {
+		row := dst[code*width : code*width+width]
+		tv := &e.tipVec[code]
+		oneHot := code != 0 && code&(code-1) == 0
+		j := bits.TrailingZeros(uint(code))
+		for cat := 0; cat < e.nmat; cat++ {
+			pc := (*[ns * ns]float64)(p[cat*ns*ns:])
+			o := (*[ns]float64)(row[cat*ns:])
+			if oneHot {
+				o[0], o[1], o[2], o[3] = pc[j], pc[ns+j], pc[2*ns+j], pc[3*ns+j]
+				continue
+			}
 			for i := 0; i < ns; i++ {
 				s := 0.0
-				for j := 0; j < ns; j++ {
-					s += pc[i*ns+j] * tv[j]
+				for k := 0; k < ns; k++ {
+					s += pc[i*ns+k] * tv[k]
 				}
-				dst[cat*16*ns+code*ns+i] = s
+				o[i] = s
 			}
 		}
 	}

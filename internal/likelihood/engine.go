@@ -22,17 +22,14 @@ var (
 	logMinLik     = math.Log(MinLikelihood)
 )
 
-// Config selects the kernel variants corresponding to the paper's
-// optimization steps. All variants compute the same numerical result; they
-// differ in instruction mix (metered) and, for SDKExp, in the exp()
-// implementation actually used. Loop-level parallelism is not configured:
-// the per-pattern passes of an engine with more than one block of patterns
-// are spread over the CPUs that are idle at the time (executor.go), with the
-// same bits at any GOMAXPROCS.
+// Config selects the compute backend and the kernel observer. Every
+// registered backend computes the same bits on Gamma and CAT models alike
+// (the cross-backend tests assert it); they differ in loop structure and
+// speed. Loop-level parallelism is not configured: the per-pattern passes of
+// an engine with more than one block of patterns are spread over the CPUs
+// that are idle at the time (executor.go), with the same bits at any
+// GOMAXPROCS.
 type Config struct {
-	SDKExp  bool // Section 5.2.2: SDK numerical exp() instead of libm exp()
-	IntCond bool // Section 5.2.3: integer-cast, vectorized scaling conditional
-
 	// Backend selects the compute backend the kernels' per-pattern inner
 	// loops run on: "batched" (the default: pattern-major cache-blocked
 	// tiles with fused transition×partial loops — the Go analogue of the
@@ -96,7 +93,6 @@ type Engine struct {
 	scale      [][]int32   // [nodeIndex][pat] cumulative scaling counts
 	tipVec     [16][ns]float64
 	tipCodes   []int // the ambiguity codes that occur in Pat.Data, ascending
-	expFn      func(float64) float64
 
 	// orient[idx] is the ring record whose directed view the lv/scale
 	// slot of internal node idx currently holds, or nil when the slot is
@@ -196,10 +192,6 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 		if occurs[code] {
 			e.tipCodes = append(e.tipCodes, code)
 		}
-	}
-	e.expFn = math.Exp
-	if cfg.SDKExp {
-		e.expFn = FastExp
 	}
 	bk, err := newBackend(cfg.Backend)
 	if err != nil {
@@ -362,15 +354,8 @@ func (e *Engine) AttachTree(tr *phylotree.Tree) {
 
 // needsScaling implements the 8-condition check
 // if (ABS(x3->a) < ml && ABS(x3->c) < ml && ABS(x3->g) < ml && ABS(x3->t) < ml)
-// generalized over rate categories, in one of two variants:
-//
-// Scalar (paper's original): float ABS + float compare with early exit —
-// branchy and mispredict-prone on the SPE.
-//
-// IntCond (Section 5.2.3): sign-bit masking via the raw IEEE-754 bits and
-// unsigned integer comparison (valid because lexicographic ordering of IEEE
-// floats matches integer ordering for non-negative values), combined
-// branchlessly and tested once.
+// generalized over rate categories: float ABS and compare with early exit,
+// the paper's original form.
 func (e *Engine) needsScaling(v []float64) bool {
 	e.Meter.ScaleChecks++
 	return e.needsScalingPure(v)
@@ -379,20 +364,6 @@ func (e *Engine) needsScaling(v []float64) bool {
 // needsScalingPure is the check without meter side effects, safe for the
 // concurrent blocks of a pass (callers count checks themselves).
 func (e *Engine) needsScalingPure(v []float64) bool {
-	if e.Cfg.IntCond {
-		limit := math.Float64bits(MinLikelihood)
-		const signMask = 1<<63 - 1
-		all := uint64(1)
-		for _, x := range v {
-			bits := math.Float64bits(x) & signMask // ABS via bitwise AND
-			var below uint64
-			if bits < limit {
-				below = 1
-			}
-			all &= below
-		}
-		return all == 1
-	}
 	for _, x := range v {
 		if !(math.Abs(x) < MinLikelihood) {
 			return false

@@ -227,31 +227,6 @@ func bruteForceLogL(t *testing.T, tr *phylotree.Tree, pat *alignment.Patterns, m
 
 // --- tests ---
 
-func TestFastExpAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 20000; i++ {
-		x := -40 + 80*rng.Float64()
-		got := FastExp(x)
-		want := math.Exp(x)
-		if math.Abs(got-want) > 1e-13*want {
-			t.Fatalf("FastExp(%g) = %g, want %g (rel err %g)", x, got, want, math.Abs(got-want)/want)
-		}
-	}
-	// Edge behaviour.
-	if FastExp(0) != 1 {
-		t.Error("FastExp(0) != 1")
-	}
-	if FastExp(-1000) != 0 {
-		t.Error("FastExp(-1000) != 0")
-	}
-	if !math.IsInf(FastExp(1000), 1) {
-		t.Error("FastExp(1000) not +Inf")
-	}
-	if !math.IsNaN(FastExp(math.NaN())) {
-		t.Error("FastExp(NaN) not NaN")
-	}
-}
-
 func TestEvaluateAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 6; trial++ {
@@ -303,19 +278,16 @@ func TestEvaluateBranchInvariance(t *testing.T) {
 }
 
 func TestConfigVariantsAgree(t *testing.T) {
+	// Every backend computes the same bits: the configuration chooses how
+	// the kernels run, never what they compute.
 	rng := rand.New(rand.NewSource(31))
 	pat := randomPatterns(t, rng, 10, 80)
 	m := randomModel(t, rng, 4)
 	tr := randomTreeFor(t, rng, pat)
 
 	var ref float64
-	for i, cfg := range []Config{
-		{},
-		{IntCond: true},
-		{SDKExp: true},
-		{SDKExp: true, IntCond: true},
-	} {
-		eng, err := NewEngine(pat, m, cfg)
+	for i, backend := range Backends() {
+		eng, err := NewEngine(pat, m, Config{Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,14 +297,8 @@ func TestConfigVariantsAgree(t *testing.T) {
 		}
 		if i == 0 {
 			ref = ll
-			continue
-		}
-		tol := 1e-12 * math.Abs(ref)
-		if cfg.SDKExp {
-			tol = 1e-8 * math.Abs(ref)
-		}
-		if math.Abs(ll-ref) > tol {
-			t.Errorf("config %+v: logL = %.12f, want %.12f", cfg, ll, ref)
+		} else if ll != ref {
+			t.Errorf("backend %s: logL = %.17g, want %.17g", backend, ll, ref)
 		}
 	}
 }
@@ -395,66 +361,29 @@ func TestScalingOnDeepTree(t *testing.T) {
 	}
 }
 
-func TestIntCondMatchesScalarCond(t *testing.T) {
-	// The integer-cast conditional must make the exact same decisions as the
-	// scalar float conditional on real partial-vector data, bit for bit.
-	rng := rand.New(rand.NewSource(51))
-	pat := randomPatterns(t, rng, 150, 40)
-	m := randomModel(t, rng, 4)
-	tr := caterpillarTree(t, pat, 2.0)
-
-	scalar, err := NewEngine(pat, m, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	intc, err := NewEngine(pat, m, Config{IntCond: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	llS, err := scalar.Evaluate(tr.Tips[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	llI, err := intc.Evaluate(tr.Tips[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if llS != llI {
-		t.Errorf("scalar %.15f != intcond %.15f", llS, llI)
-	}
-	if scalar.Meter.ScaleEvents != intc.Meter.ScaleEvents {
-		t.Errorf("scale events differ: %d vs %d", scalar.Meter.ScaleEvents, intc.Meter.ScaleEvents)
-	}
-	if scalar.Meter.ScaleEvents == 0 {
-		t.Error("test tree produced no scaling; not exercising the conditional")
-	}
-}
-
 func TestNeedsScalingDirect(t *testing.T) {
 	pat := patternsFrom(t,
 		[]string{"ACGT", "ACGA", "ACGG"},
 		[]string{"a", "b", "c"})
 	m := randomModel(t, rand.New(rand.NewSource(3)), 2)
-	for _, cfg := range []Config{{}, {IntCond: true}} {
-		eng, err := NewEngine(pat, m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		small := make([]float64, 8)
-		for i := range small {
-			small[i] = MinLikelihood / 2
-		}
-		if !eng.needsScaling(small) {
-			t.Errorf("cfg %+v: all-small vector not flagged", cfg)
-		}
-		small[3] = 0.5
-		if eng.needsScaling(small) {
-			t.Errorf("cfg %+v: vector with large entry flagged", cfg)
-		}
-		zero := make([]float64, 8)
-		if !eng.needsScaling(zero) {
-			t.Errorf("cfg %+v: zero vector not flagged", cfg)
-		}
+	eng, err := NewEngine(pat, m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := make([]float64, 8)
+	for i := range small {
+		small[i] = MinLikelihood / 2
+	}
+	if !eng.needsScaling(small) {
+		t.Error("all-small vector not flagged")
+	}
+	small[3] = 0.5
+	if eng.needsScaling(small) {
+		t.Error("vector with large entry flagged")
+	}
+	zero := make([]float64, 8)
+	if !eng.needsScaling(zero) {
+		t.Error("zero vector not flagged")
 	}
 }
 

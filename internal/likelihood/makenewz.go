@@ -237,7 +237,7 @@ func (c *Ctx) newtonDerivs(t float64) (d1, d2 float64) {
 	e := c.eng
 	e0, e1, e2 := c.newzE0, c.newzE1, c.newzE2
 	for i, lr := range c.lamr {
-		ex := e.expFn(lr * t)
+		ex := math.Exp(lr * t)
 		e0[i] = ex
 		e1[i] = lr * ex
 		e2[i] = lr * lr * ex
@@ -273,7 +273,7 @@ func (c *Ctx) newtonValue(t float64) float64 {
 	e := c.eng
 	e0 := c.newzE0
 	for i, lr := range c.lamr {
-		e0[i] = e.expFn(lr * t)
+		e0[i] = math.Exp(lr * t)
 	}
 	nexp := uint64(e.nmat * ns)
 	c.meter.Exps += nexp

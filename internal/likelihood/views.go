@@ -250,7 +250,7 @@ func (v *Views) CarryAcross(a *Across, sub *phylotree.Node, z0 float64) error {
 			mi := e.matIdx(pat, cat)
 			o := a.proj[base+cat*ns : base+cat*ns+ns]
 			if sData != nil {
-				copy(o, c.tipPL[mi*16*ns+int(sData[pat]&0x0f)*ns:][:ns])
+				copy(o, c.tipPL[int(sData[pat]&0x0f)*e.nmat*ns+mi*ns:][:ns])
 				continue
 			}
 			pc := c.pLeft[mi*ns*ns:]

@@ -11,10 +11,7 @@ import (
 // The per-pattern loops of newview/combine, makenewz and evaluate are the
 // paper's hot 90%: they run once per alignment pattern per node visit, so a
 // single heap allocation or fmt boxing inside them multiplies into millions
-// of allocations per search. Likewise, the kernels must call the engine's
-// configured exponential (Engine.expFn, which Config.SDKExp points at
-// FastExp) rather than math.Exp directly, or the SDK-exp instruction-mix
-// experiments measure the wrong code.
+// of allocations per search.
 //
 // The search hot loop is in scope too: an SPR round prunes every subtree
 // and scores every regraft candidate, so a slice reallocated per round (the
@@ -62,7 +59,7 @@ import (
 // kernel context and the fragments include classpass.
 //
 // Inside functions whose name contains combine/newview/makenewz/evaluate/
-// fastexp/spr/nni/insertion/tile/sumtable/newton/observe/record/span/brent/
+// spr/insertion/tile/sumtable/newton/observe/record/span/brent/
 // runpass/runblock/adopt/await/help/fitch/stepwise/classpass
 // (case-insensitive), the analyzer reports:
 //
@@ -73,18 +70,17 @@ import (
 //     run once per Newton iteration or per pattern range, so their
 //     allocations are per-iteration too;
 //   - fmt.* calls inside loops (interface boxing and formatting);
-//   - math.Exp calls anywhere in the kernel;
 //   - go statements anywhere in the kernel.
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
-	Doc:  "report per-pattern-loop allocations and raw math.Exp in the likelihood kernels, search rounds, parsimony start trees and obs hot-path helpers",
+	Doc:  "report per-pattern-loop allocations in the likelihood kernels, search rounds, parsimony start trees and obs hot-path helpers",
 	Match: func(pkgPath string) bool {
 		return pathHasAny(pkgPath, "internal/likelihood", "internal/search", "internal/obs", "internal/parsimony")
 	},
 	Run: runHotPathAlloc,
 }
 
-var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "brent", "runpass", "runblock", "adopt", "await", "help", "fitch", "stepwise", "classpass"}
+var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "spr", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "brent", "runpass", "runblock", "adopt", "await", "help", "fitch", "stepwise", "classpass"}
 
 func isHotFuncName(name string) bool {
 	lower := strings.ToLower(name)
@@ -157,21 +153,10 @@ func hotContext(inLoop bool) string {
 }
 
 func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, inLoop, inClosure bool) {
-	// Raw math.Exp anywhere in a kernel bypasses Engine.expFn/FastExp.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if obj := pkgFuncObject(pass.Info, sel); obj != nil && obj.Pkg() != nil {
-			switch obj.Pkg().Path() {
-			case "math":
-				if obj.Name() == "Exp" {
-					pass.Reportf(call.Pos(),
-						"raw math.Exp in kernel %s bypasses the configured expFn/FastExp (Config.SDKExp); call the engine's exp instead", fn.Name.Name)
-				}
-			case "fmt":
-				if inLoop {
-					pass.Reportf(call.Pos(),
-						"fmt.%s inside a per-pattern loop in kernel %s boxes its operands; format outside the hot path", obj.Name(), fn.Name.Name)
-				}
-			}
+		if obj := pkgFuncObject(pass.Info, sel); obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "fmt" && inLoop {
+			pass.Reportf(call.Pos(),
+				"fmt.%s inside a per-pattern loop in kernel %s boxes its operands; format outside the hot path", obj.Name(), fn.Name.Name)
 		}
 		return
 	}

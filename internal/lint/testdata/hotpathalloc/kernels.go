@@ -1,17 +1,13 @@
 // Golden input for the hotpathalloc analyzer: this file pretends to live in
 // raxmlcell/internal/likelihood. Functions whose names contain
-// combine/newview/makenewz/evaluate/fastexp/tile/sumtable/newton are
-// kernels (the last three cover the compute-backend range methods and
-// their tile helpers), and so are the range executor's runpass/runblock/
-// adopt/await/help and the repeat-class pass (classpass); allocations in
-// their loops or closures, raw math.Exp calls and go statements are
-// reported.
+// combine/newview/makenewz/evaluate/tile/sumtable/newton are kernels (the
+// last three cover the compute-backend range methods and their tile
+// helpers), and so are the range executor's runpass/runblock/adopt/await/
+// help and the repeat-class pass (classpass); allocations in their loops or
+// closures and go statements are reported.
 package likelihood
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 func combineLoopAllocs(pats int) []float64 {
 	var out []float64
@@ -23,10 +19,6 @@ func combineLoopAllocs(pats int) []float64 {
 		out[pat] += buf[0] + tmp[0]
 	}
 	return out
-}
-
-func evaluateRawExp(x float64) float64 {
-	return math.Exp(x) // want `raw math.Exp in kernel evaluateRawExp`
 }
 
 func makenewzClosureAlloc(n int) float64 {
@@ -51,11 +43,6 @@ func newviewPreallocated(pats int) []float64 {
 	return out
 }
 
-func fastexpSuppressed(x float64) float64 {
-	//lint:ignore hotpathalloc reference implementation compared against in calibration
-	return math.Exp(x)
-}
-
 // projectInnerTileAlloc mimics a batched-backend tile helper: the "tile"
 // fragment places it in the hot set.
 func projectInnerTileAlloc(lo, hi int) []float64 {
@@ -75,13 +62,6 @@ func sumTableRangeScratch(sumTab []float64, npat int) {
 		tmp := map[int]float64{pat: 1} // want `slice/map literal allocates inside a per-pattern loop`
 		sumTab[pat] = scratch[0] + tmp[pat]
 	}
-}
-
-// newtonDerivRangeExp mimics a backend Newton pass (newtonDerivRange,
-// newtonValueRange): the exp blocks must come through the engine's
-// configured expFn, never raw math.Exp.
-func newtonDerivRangeExp(x float64) float64 {
-	return math.Exp(x) // want `raw math.Exp in kernel newtonDerivRangeExp`
 }
 
 // notAKernel is outside the hot set: the same patterns are allowed.

@@ -1,6 +1,6 @@
 // Golden input for the widened hotpathalloc scope: this file pretends to
 // live in raxmlcell/internal/search. Functions whose names contain
-// spr/nni/insertion are the search hot loop; per-round buffers (candidate
+// spr/insertion are the search hot loop; per-round buffers (candidate
 // lists, score tables) must be hoisted onto the search context, not
 // reallocated inside the round loop. brent is the model optimisers'
 // maximiser: its loop body is one full-tree recomputation and a few floats.
@@ -34,7 +34,7 @@ func scoreInsertionsClosure(n int) float64 {
 	return s
 }
 
-func nniTargetsPrealloc(out []*node, rounds int) []*node {
+func sprTargetsPrealloc(out []*node, rounds int) []*node {
 	// Reusing a caller-owned buffer and unrolled appends outside loops are
 	// the sanctioned idiom: nothing to report.
 	out = out[:0]

@@ -261,22 +261,17 @@ func TestRunRejectsBadStart(t *testing.T) {
 }
 
 func TestKernelVariantsSameSearchResult(t *testing.T) {
-	// The optimization-variant kernels must not change which tree the
-	// search finds (they are performance variants, not approximations —
-	// except SDKExp whose 1e-15 error must still be far below Epsilon).
+	// The compute backends must not change which tree the search finds:
+	// they are loop structures, not approximations.
 	pat, _, m := simulated(t, 31, 9, 400)
 	var ref string
-	for i, cfg := range []likelihood.Config{
-		{},
-		{IntCond: true},
-		{SDKExp: true},
-	} {
+	for i, backend := range likelihood.Backends() {
 		rng := rand.New(rand.NewSource(32))
 		start, err := parsimony.BuildStepwise(pat, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := likelihood.NewEngine(pat, m, cfg)
+		eng, err := likelihood.NewEngine(pat, m, likelihood.Config{Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +282,7 @@ func TestKernelVariantsSameSearchResult(t *testing.T) {
 		if i == 0 {
 			ref = res.Tree.Newick()
 		} else if res.Tree.Newick() != ref {
-			t.Errorf("config %+v found a different tree", cfg)
+			t.Errorf("backend %s found a different tree", backend)
 		}
 	}
 }
