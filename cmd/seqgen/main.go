@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -41,39 +42,57 @@ func main() {
 		Taxa: *taxa, Sites: *sites, MeanBranch: *mb, Alpha: *alpha,
 		GapFraction: *gaps, InvariantFraction: *invariant,
 	}
-	rng := rand.New(rand.NewSource(*seed))
-	a, tree, err := seqsim.Generate(params, seqsim.DefaultModel(), rng)
-	if err != nil {
+	if err := generate(params, *seed, *format, *out, *treeOut); err != nil {
 		log.Fatal(err)
 	}
+}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *format {
+// generate simulates one alignment and writes it, and its true tree when
+// treeOut is set; out "" is standard output. Each file's Close is checked as
+// well as its writes, so a full disk is an error, not a truncated file.
+func generate(params seqsim.Params, seed int64, format, out, treeOut string) error {
+	var write func(io.Writer, *alignment.Alignment) error
+	switch format {
 	case "phylip":
-		err = alignment.WritePhylip(w, a)
+		write = alignment.WritePhylip
 	case "fasta":
-		err = alignment.WriteFasta(w, a)
+		write = alignment.WriteFasta
 	default:
-		log.Fatalf("unknown format %q", *format)
+		return fmt.Errorf("unknown format %q", format)
+	}
+	a, tree, err := seqsim.Generate(params, seqsim.DefaultModel(), rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return err
+	}
+	if out == "" {
+		err = write(os.Stdout, a)
+	} else {
+		err = writeFile(out, func(w io.Writer) error { return write(w, a) })
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
-	if *treeOut != "" {
-		if err := os.WriteFile(*treeOut, []byte(tree.Newick()+"\n"), 0o644); err != nil {
-			log.Fatal(err)
+	if treeOut != "" { // os.WriteFile reports the Close's error too
+		if err := os.WriteFile(treeOut, []byte(tree.Newick()+"\n"), 0o644); err != nil {
+			return err
 		}
 	}
 	pat := alignment.Compress(a)
 	fmt.Fprintf(os.Stderr, "seqgen: %d taxa x %d sites, %d distinct patterns\n",
 		a.NumTaxa(), a.NumSites(), pat.NumPatterns())
+	return nil
+}
+
+// writeFile creates path and writes it, returning the first error of the
+// write and the Close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close() // the write's error is the one to report
+		return err
+	}
+	return f.Close()
 }

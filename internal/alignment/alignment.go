@@ -11,7 +11,7 @@ package alignment
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"raxmlcell/internal/bio"
 )
@@ -83,23 +83,49 @@ func (a *Alignment) BaseFrequencies() [bio.NumStates]float64 {
 	var counts [bio.NumStates]float64
 	for _, s := range a.Seqs {
 		for _, m := range s.Codes {
-			bits := 0
-			for b := 0; b < bio.NumStates; b++ {
-				if m&(1<<b) != 0 {
-					bits++
-				}
-			}
-			if bits == 0 || bits == bio.NumStates {
-				continue // gaps carry no information
-			}
-			w := 1.0 / float64(bits)
-			for b := 0; b < bio.NumStates; b++ {
-				if m&(1<<b) != 0 {
-					counts[b] += w
-				}
+			tally(&counts, m, 1)
+		}
+	}
+	return frequencies(counts)
+}
+
+// shares holds, per 4-bit code, how many bases the code allows and a 1 for
+// each of them. Codes that carry no information (none, or all four: a gap)
+// have no 1s, so tally adds zeros for them; counts never hold -0, so adding
+// +0 leaves them bit for bit as skipping the code would.
+var shares = func() (t [16]struct {
+	n  float64
+	on [bio.NumStates]float64
+}) {
+	for m := range t {
+		t[m].n = 1
+		if m == 0 || m == 15 {
+			continue
+		}
+		t[m].n = float64(bits.OnesCount8(uint8(m)))
+		for b := range t[m].on {
+			if m&(1<<b) != 0 {
+				t[m].on[b] = 1
 			}
 		}
 	}
+	return t
+}()
+
+// tally adds weight to counts, shared evenly over the bases code m allows.
+func tally(counts *[bio.NumStates]float64, m byte, weight int) {
+	s := &shares[m&15]
+	w := float64(weight) / s.n
+	counts[0] += w * s.on[0]
+	counts[1] += w * s.on[1]
+	counts[2] += w * s.on[2]
+	counts[3] += w * s.on[3]
+}
+
+// frequencies normalises base counts into frequencies. Every frequency is at
+// least 1e-6 before the final renormalisation: the GTR model requires
+// strictly positive frequencies, which a degenerate alignment lacks.
+func frequencies(counts [bio.NumStates]float64) [bio.NumStates]float64 {
 	total := 0.0
 	for _, c := range counts {
 		total += c
@@ -113,13 +139,10 @@ func (a *Alignment) BaseFrequencies() [bio.NumStates]float64 {
 	}
 	for i := range freq {
 		freq[i] = counts[i] / total
-		// Guard against degenerate alignments with absent states: the GTR
-		// model requires strictly positive frequencies.
 		if freq[i] < 1e-6 {
 			freq[i] = 1e-6
 		}
 	}
-	// Renormalize after flooring.
 	total = 0
 	for _, f := range freq {
 		total += f
@@ -152,19 +175,26 @@ func Compress(a *Alignment) *Patterns {
 		Data:     make([][]byte, nt),
 	}
 	index := make(map[string]int, ns)
+	var first []int // first[k] is the column where pattern k first appears
 	col := make([]byte, nt)
 	for j := 0; j < ns; j++ {
 		col = a.Column(j, col)
-		key := string(col)
-		if k, ok := index[key]; ok {
+		if k, ok := index[string(col)]; ok {
 			p.Weights[k]++
 			continue
 		}
-		index[key] = len(p.Weights)
+		index[string(col)] = len(first)
+		first = append(first, j)
 		p.Weights = append(p.Weights, 1)
-		for i := 0; i < nt; i++ {
-			p.Data[i] = append(p.Data[i], col[i])
+	}
+	np := len(first)
+	slab := make([]byte, nt*np)
+	for i, s := range a.Seqs {
+		row := slab[i*np : (i+1)*np : (i+1)*np]
+		for k, j := range first {
+			row[k] = s.Codes[j]
 		}
+		p.Data[i] = row
 	}
 	return p
 }
@@ -183,16 +213,6 @@ func (p *Patterns) WeightSum() int {
 	return s
 }
 
-// TaxonIndex returns the row of the named taxon, or -1.
-func (p *Patterns) TaxonIndex(name string) int {
-	for i, n := range p.Names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // WithWeights returns a shallow copy of p sharing Data/Names but carrying the
 // given per-pattern weights. It is the primitive under bootstrap replicates:
 // resampling columns of the original alignment only changes pattern weights.
@@ -209,57 +229,10 @@ func (p *Patterns) WithWeights(weights []int) (*Patterns, error) {
 // patterns (equivalent to Alignment.BaseFrequencies on the expanded data).
 func (p *Patterns) BaseFrequencies() [bio.NumStates]float64 {
 	var counts [bio.NumStates]float64
-	for i := 0; i < p.NumTaxa; i++ {
-		row := p.Data[i]
+	for _, row := range p.Data[:p.NumTaxa] {
 		for k, m := range row {
-			bits := 0
-			for b := 0; b < bio.NumStates; b++ {
-				if m&(1<<b) != 0 {
-					bits++
-				}
-			}
-			if bits == 0 || bits == bio.NumStates {
-				continue
-			}
-			w := float64(p.Weights[k]) / float64(bits)
-			for b := 0; b < bio.NumStates; b++ {
-				if m&(1<<b) != 0 {
-					counts[b] += w
-				}
-			}
+			tally(&counts, m, p.Weights[k])
 		}
 	}
-	total := 0.0
-	for _, c := range counts {
-		total += c
-	}
-	var freq [bio.NumStates]float64
-	if total == 0 {
-		for i := range freq {
-			freq[i] = 1.0 / bio.NumStates
-		}
-		return freq
-	}
-	for i := range freq {
-		freq[i] = counts[i] / total
-		if freq[i] < 1e-6 {
-			freq[i] = 1e-6
-		}
-	}
-	total = 0
-	for _, f := range freq {
-		total += f
-	}
-	for i := range freq {
-		freq[i] /= total
-	}
-	return freq
-}
-
-// SortedNames returns the taxon names in lexicographic order (used by tests
-// and deterministic output paths).
-func (p *Patterns) SortedNames() []string {
-	names := append([]string(nil), p.Names...)
-	sort.Strings(names)
-	return names
+	return frequencies(counts)
 }

@@ -79,9 +79,6 @@ func TestCompressBasic(t *testing.T) {
 	if p.WeightSum() != 4 || p.NumSites != 4 {
 		t.Errorf("WeightSum=%d NumSites=%d", p.WeightSum(), p.NumSites)
 	}
-	if p.TaxonIndex("t2") != 1 || p.TaxonIndex("zz") != -1 {
-		t.Errorf("TaxonIndex wrong: %d", p.TaxonIndex("t2"))
-	}
 }
 
 func TestCompressPreservesData(t *testing.T) {

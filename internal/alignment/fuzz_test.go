@@ -1,10 +1,14 @@
 package alignment
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+
+	"raxmlcell/internal/bio"
 )
 
 // fuzzRoundTrip is the property the parser fuzz targets share: any input
@@ -40,7 +44,8 @@ func fuzzRoundTrip(t *testing.T, raw []byte, read func(io.Reader) (*Alignment, e
 }
 
 // FuzzReadPhylip: arbitrary input must produce a clean error or an
-// alignment that WritePhylip and ReadPhylip carry through unchanged.
+// alignment that WritePhylip and ReadPhylip carry through unchanged, and
+// the same error text or alignment as the reference reader.
 func FuzzReadPhylip(f *testing.F) {
 	for _, s := range []string{
 		"  3   4  \na ACGT\nb ACGT\nc ACGT\n",
@@ -52,10 +57,92 @@ func FuzzReadPhylip(f *testing.F) {
 		"0 4\n",
 		"2 4\na ACGT\n",
 		"100000000 1\n", // once sized its buffers from the header: 2.4 GB
+		phylipInterleaved,
+		"3 8\r\na ACGT\r\nb ACGA\r\nc AC-N\r\n\r\nACGT\r\nRYKM\r\n?NNN\r\n",
+		"3 8\na AC GT\tac\vgt\nb\tACGA  AC\u00a0GA\nc  AC-N \fAC-N\u0085\n",
+		"3 8\na ACGT\nb ACGA\nc AC-N\n AC GT\nRY\tKM \n?N\u2003NN\n",
+		"2 4\na AC\u00e9T\nb ACGT\n", // a non-space multi-byte character
+		"2 4\na AC\xffT\nb ACGT\n",   // invalid UTF-8
 	} {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, raw []byte) { fuzzRoundTrip(t, raw, ReadPhylip, WritePhylip) })
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		fuzzRoundTrip(t, raw, ReadPhylip, WritePhylip)
+		got, gotErr := ReadPhylip(bytes.NewReader(raw))
+		want, wantErr := readPhylipReference(bytes.NewReader(raw))
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("error %v, the reference reader's %v", gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		for i, s := range want.Seqs {
+			if g := got.Seqs[i]; g.Name != s.Name || !bytes.Equal(g.Codes, s.Codes) {
+				t.Fatalf("taxon %d is %q %s, the reference reader's %q %s", i, g.Name, g.String(), s.Name, s.String())
+			}
+		}
+	})
+}
+
+// readPhylipReference is ReadPhylip before it encoded lines in place: it
+// splits each line with strings.Fields, joins the data and encodes every
+// row with bio.NewSequence at the end. FuzzReadPhylip holds ReadPhylip to
+// its alignments and to its error texts.
+func readPhylipReference(r io.Reader) (*Alignment, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	var nTaxa, nSites int
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		if n, err := fmt.Sscanf(line, "%d %d", &nTaxa, &nSites); n != 2 || err != nil {
+			return nil, fmt.Errorf("phylip: bad header %q", line)
+		}
+		break
+	}
+	if nTaxa <= 0 || nSites <= 0 {
+		return nil, fmt.Errorf("phylip: missing or invalid header (taxa=%d sites=%d)", nTaxa, nSites)
+	}
+	var names []string
+	var raw [][]byte
+	cur := 0
+	for sc.Scan() {
+		line := strings.TrimRight(sc.Text(), "\r\n")
+		if strings.TrimSpace(line) == "" {
+			continue
+		}
+		if len(names) < nTaxa {
+			fields := strings.Fields(line)
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("phylip: sequence line %q has no data", line)
+			}
+			names = append(names, fields[0])
+			raw = append(raw, []byte(strings.Join(fields[1:], "")))
+			continue
+		}
+		raw[cur] = append(raw[cur], strings.Join(strings.Fields(line), "")...)
+		cur = (cur + 1) % nTaxa
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("phylip: %w", err)
+	}
+	if len(names) != nTaxa {
+		return nil, fmt.Errorf("phylip: found %d taxa, header says %d", len(names), nTaxa)
+	}
+	seqs := make([]*bio.Sequence, nTaxa)
+	for i, name := range names {
+		s, err := bio.NewSequence(name, string(raw[i]))
+		if err != nil {
+			return nil, fmt.Errorf("phylip: %w", err)
+		}
+		if s.Len() != nSites {
+			return nil, fmt.Errorf("phylip: taxon %q has %d sites, header says %d", name, s.Len(), nSites)
+		}
+		seqs[i] = s
+	}
+	return New(seqs)
 }
 
 // FuzzReadFasta mirrors FuzzReadPhylip for FASTA.

@@ -2,6 +2,7 @@ package alignment
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -14,7 +15,7 @@ import (
 // counts; names are whitespace-delimited (relaxed PHYLIP, as RAxML accepts).
 func ReadPhylip(r io.Reader) (*Alignment, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 
 	var nTaxa, nSites int
 	for sc.Scan() {
@@ -32,28 +33,42 @@ func ReadPhylip(r io.Reader) (*Alignment, error) {
 	}
 
 	// Grown as rows arrive: a header's taxon count is not evidence of rows.
+	// Each line's characters are encoded as they are read; a taxon's first
+	// invalid character is its error, reported after the whole file is read
+	// so that errors keep the precedence they have at the end.
 	var names []string
-	var raw [][]byte
+	var codes [][]byte
+	var bad []error
 	cur := 0 // next sequence expecting data in the current block
 
 	for sc.Scan() {
-		line := strings.TrimRight(sc.Text(), "\r\n")
-		if strings.TrimSpace(line) == "" {
+		fields := bytes.Fields(sc.Bytes())
+		if len(fields) == 0 {
 			continue
 		}
+		i := cur
 		if len(names) < nTaxa {
 			// First block: leading token is the taxon name.
-			fields := strings.Fields(line)
 			if len(fields) < 2 {
-				return nil, fmt.Errorf("phylip: sequence line %q has no data", line)
+				return nil, fmt.Errorf("phylip: sequence line %q has no data", strings.TrimRight(sc.Text(), "\r\n"))
 			}
-			names = append(names, fields[0])
-			raw = append(raw, []byte(strings.Join(fields[1:], "")))
-			continue
+			names = append(names, string(fields[0]))
+			codes, bad = append(codes, nil), append(bad, nil)
+			i, fields = len(names)-1, fields[1:]
+		} else {
+			// Continuation blocks (interleaved): data only, cycling through taxa.
+			cur = (cur + 1) % nTaxa
 		}
-		// Continuation blocks (interleaved): data only, cycling through taxa.
-		raw[cur] = append(raw[cur], strings.Join(strings.Fields(line), "")...)
-		cur = (cur + 1) % nTaxa
+		for _, f := range fields {
+			if bad[i] != nil {
+				break
+			}
+			var n int
+			if codes[i], n = bio.AppendCodes(codes[i], f); n < len(f) {
+				_, err := bio.Encode(f[n])
+				bad[i] = fmt.Errorf("phylip: sequence %q site %d: %w", names[i], len(codes[i])+1, err)
+			}
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("phylip: %w", err)
@@ -64,14 +79,13 @@ func ReadPhylip(r io.Reader) (*Alignment, error) {
 
 	seqs := make([]*bio.Sequence, nTaxa)
 	for i, name := range names {
-		s, err := bio.NewSequence(name, string(raw[i]))
-		if err != nil {
-			return nil, fmt.Errorf("phylip: %w", err)
+		if bad[i] != nil {
+			return nil, bad[i]
 		}
-		if s.Len() != nSites {
-			return nil, fmt.Errorf("phylip: taxon %q has %d sites, header says %d", name, s.Len(), nSites)
+		if len(codes[i]) != nSites {
+			return nil, fmt.Errorf("phylip: taxon %q has %d sites, header says %d", name, len(codes[i]), nSites)
 		}
-		seqs[i] = s
+		seqs[i] = &bio.Sequence{Name: name, Codes: codes[i]}
 	}
 	return New(seqs)
 }

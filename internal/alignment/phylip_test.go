@@ -144,3 +144,20 @@ func TestReadFastaErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestReadPhylipInvalidCharacterText pins the error of an invalid character:
+// the taxon, its site within the taxon's row (white space and earlier
+// interleaved blocks counted as the row, not the line, has them) and the
+// character.
+func TestReadPhylipInvalidCharacterText(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"2 8\nt1 ACGTACGT\nt2 ACG TAZGT\n", `phylip: sequence "t2" site 6: bio: invalid nucleotide character 'Z'`},
+		{"2 8\nt1 ACGT\nt2 ACGT\nACGT\nAC-\t.T\n", `phylip: sequence "t2" site 8: bio: invalid nucleotide character '.'`},
+		{"2 4\nt1 ACéT\nt2 ACGT\n", `phylip: sequence "t1" site 3: bio: invalid nucleotide character 'Ã'`},
+	} {
+		_, err := ReadPhylip(strings.NewReader(c.in))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%q: error %v, want %s", c.in, err, c.want)
+		}
+	}
+}

@@ -11,7 +11,10 @@
 // set.
 package bio
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // NumStates is the number of character states for DNA data.
 const NumStates = 4
@@ -27,29 +30,36 @@ const (
 // Gap is the 4-bit code of a gap/unknown character: all states possible.
 const Gap byte = BitA | BitC | BitG | BitT
 
-// code4 maps an upper-case byte to its 4-bit state mask, or 0 if invalid.
-var code4 = [256]byte{
-	'A': BitA,
-	'C': BitC,
-	'G': BitG,
-	'T': BitT,
-	'U': BitT, // RNA uracil treated as T
-	'M': BitA | BitC,
-	'R': BitA | BitG,
-	'W': BitA | BitT,
-	'S': BitC | BitG,
-	'Y': BitC | BitT,
-	'K': BitG | BitT,
-	'V': BitA | BitC | BitG,
-	'H': BitA | BitC | BitT,
-	'D': BitA | BitG | BitT,
-	'B': BitC | BitG | BitT,
-	'N': Gap,
-	'X': Gap,
-	'?': Gap,
-	'-': Gap,
-	'O': Gap,
-}
+// code4 maps a byte to its 4-bit state mask, or 0 if invalid. Lower-case
+// letters encode like their upper-case forms.
+var code4 = func() [256]byte {
+	t := [256]byte{
+		'A': BitA,
+		'C': BitC,
+		'G': BitG,
+		'T': BitT,
+		'U': BitT, // RNA uracil treated as T
+		'M': BitA | BitC,
+		'R': BitA | BitG,
+		'W': BitA | BitT,
+		'S': BitC | BitG,
+		'Y': BitC | BitT,
+		'K': BitG | BitT,
+		'V': BitA | BitC | BitG,
+		'H': BitA | BitC | BitT,
+		'D': BitA | BitG | BitT,
+		'B': BitC | BitG | BitT,
+		'N': Gap,
+		'X': Gap,
+		'?': Gap,
+		'-': Gap,
+		'O': Gap,
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] = t[c-'a'+'A']
+	}
+	return t
+}()
 
 // char4 maps a 4-bit state mask back to its canonical IUPAC character.
 var char4 = [16]byte{
@@ -75,24 +85,26 @@ var char4 = [16]byte{
 // (case-insensitive). It reports an error for characters outside the IUPAC
 // DNA alphabet.
 func Encode(c byte) (byte, error) {
-	u := c
-	if u >= 'a' && u <= 'z' {
-		u -= 'a' - 'A'
-	}
-	m := code4[u]
+	m := code4[c]
 	if m == 0 {
 		return 0, fmt.Errorf("bio: invalid nucleotide character %q", c)
 	}
 	return m, nil
 }
 
-// MustEncode is Encode for known-valid input; it panics on invalid bytes.
-func MustEncode(c byte) byte {
-	m, err := Encode(c)
-	if err != nil {
-		panic(err)
+// AppendCodes appends the 4-bit codes of src's leading nucleotide characters
+// (case-insensitive) to dst. It stops at the first byte outside the IUPAC DNA
+// alphabet, white space included, and returns the extended dst and the
+// number of bytes of src it encoded.
+func AppendCodes(dst, src []byte) ([]byte, int) {
+	dst = slices.Grow(dst, len(src))
+	for i, c := range src {
+		if code4[c] == 0 {
+			return dst, i
+		}
+		dst = append(dst, code4[c])
 	}
-	return m
+	return dst, len(src)
 }
 
 // Decode returns the canonical IUPAC character for a 4-bit state mask.
@@ -104,25 +116,4 @@ func Decode(mask byte) byte {
 func IsAmbiguous(mask byte) bool {
 	m := mask & 0x0f
 	return m&(m-1) != 0
-}
-
-// StateIndex returns the 0..3 index (A,C,G,T) of an unambiguous mask and ok
-// false for ambiguous or empty masks.
-func StateIndex(mask byte) (int, bool) {
-	switch mask & 0x0f {
-	case BitA:
-		return 0, true
-	case BitC:
-		return 1, true
-	case BitG:
-		return 2, true
-	case BitT:
-		return 3, true
-	}
-	return 0, false
-}
-
-// BaseChar returns the character for state index 0..3.
-func BaseChar(i int) byte {
-	return [NumStates]byte{'A', 'C', 'G', 'T'}[i]
 }

@@ -54,21 +54,6 @@ func TestDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStateIndex(t *testing.T) {
-	for i := 0; i < NumStates; i++ {
-		mask := byte(1 << i)
-		j, ok := StateIndex(mask)
-		if !ok || j != i {
-			t.Errorf("StateIndex(%04b) = %d,%v want %d,true", mask, j, ok, i)
-		}
-	}
-	for _, m := range []byte{0, 3, 5, 15, 7} {
-		if _, ok := StateIndex(m); ok {
-			t.Errorf("StateIndex(%04b) ok, want ambiguous", m)
-		}
-	}
-}
-
 func TestIsAmbiguous(t *testing.T) {
 	if IsAmbiguous(BitA) || IsAmbiguous(BitT) {
 		t.Error("single base flagged ambiguous")
@@ -76,24 +61,6 @@ func TestIsAmbiguous(t *testing.T) {
 	if !IsAmbiguous(Gap) || !IsAmbiguous(BitA|BitC) {
 		t.Error("multi-base mask not flagged ambiguous")
 	}
-}
-
-func TestBaseChar(t *testing.T) {
-	want := "ACGT"
-	for i := 0; i < NumStates; i++ {
-		if BaseChar(i) != want[i] {
-			t.Errorf("BaseChar(%d) = %q want %q", i, BaseChar(i), want[i])
-		}
-	}
-}
-
-func TestMustEncodePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustEncode('Z') did not panic")
-		}
-	}()
-	MustEncode('Z')
 }
 
 func TestNewSequence(t *testing.T) {
@@ -113,28 +80,6 @@ func TestNewSequence(t *testing.T) {
 func TestNewSequenceInvalid(t *testing.T) {
 	if _, err := NewSequence("bad", "ACGZ"); err == nil {
 		t.Error("invalid character accepted")
-	}
-}
-
-func TestGCAndCounts(t *testing.T) {
-	s, err := NewSequence("x", "GGCCAATT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gc := s.GC(); gc != 0.5 {
-		t.Errorf("GC = %v, want 0.5", gc)
-	}
-	n := s.BaseCounts()
-	if n != [NumStates]int{2, 2, 2, 2} {
-		t.Errorf("BaseCounts = %v", n)
-	}
-	empty := &Sequence{Name: "e"}
-	if empty.GC() != 0 {
-		t.Error("empty GC should be 0")
-	}
-	allGap, _ := NewSequence("g", "----")
-	if allGap.GC() != 0 {
-		t.Error("all-gap GC should be 0")
 	}
 }
 

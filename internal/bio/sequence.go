@@ -41,36 +41,3 @@ func (s *Sequence) String() string {
 	}
 	return b.String()
 }
-
-// GC returns the fraction of unambiguous G/C sites, a common summary
-// statistic used to sanity-check synthetic alignments.
-func (s *Sequence) GC() float64 {
-	if len(s.Codes) == 0 {
-		return 0
-	}
-	gc, total := 0, 0
-	for _, m := range s.Codes {
-		if IsAmbiguous(m) {
-			continue
-		}
-		total++
-		if m == BitG || m == BitC {
-			gc++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(gc) / float64(total)
-}
-
-// BaseCounts tallies unambiguous base occurrences (A, C, G, T order).
-func (s *Sequence) BaseCounts() [NumStates]int {
-	var n [NumStates]int
-	for _, m := range s.Codes {
-		if i, ok := StateIndex(m); ok {
-			n[i]++
-		}
-	}
-	return n
-}

@@ -73,82 +73,77 @@ func Evolve(tr *phylotree.Tree, m *model.Model, p Params, rng *rand.Rand) (*alig
 	if m == nil {
 		return nil, fmt.Errorf("seqsim: nil model")
 	}
-	nt := tr.NumTips()
-	data := make([][]byte, nt) // per tip, raw characters
-	for i := range data {
-		data[i] = make([]byte, p.Sites)
+	if tr.NumTips() < 3 {
+		return nil, fmt.Errorf("seqsim: need >= 3 taxa, got %d", tr.NumTips())
+	}
+	if p.Sites <= 0 {
+		return nil, fmt.Errorf("seqsim: need > 0 sites, got %d", p.Sites)
+	}
+	nt, nc := tr.NumTips(), m.NumCats()
+	codes := make([][]byte, nt)
+	for i := range codes {
+		codes[i] = make([]byte, p.Sites)
 	}
 
-	g := m.GTR
-	// Transition matrices are branch- and category-specific; cache them per
-	// (edge, category) for the whole simulation.
-	type key struct {
-		e *phylotree.Node
-		c int
-	}
-	cache := map[key]*[4][4]float64{}
-	pm := func(e *phylotree.Node, c int) *[4][4]float64 {
-		k := key{e, c}
-		if m0, ok := cache[k]; ok {
-			return m0
+	// The branches in the order a recursive walk draws them: the root ring's
+	// three subtrees in Ring() order, each in preorder. states[0] is the root
+	// state, states[i+1] the state at the far end of branch i, from[i] the
+	// index in states of its near end, and tip t's state is
+	// states[tipState[t]]. cdf[c*nEdges+i] holds branch i's transition
+	// matrix in rate category c, as sample's thresholds.
+	nEdges := 2*nt - 3
+	cdf := make([][4][4]float64, nc*nEdges)
+	from := make([]int, 0, nEdges)
+	tipState := make([]int, nt)
+	var flatten func(e *phylotree.Node, near int)
+	flatten = func(e *phylotree.Node, near int) {
+		i := len(from)
+		from = append(from, near)
+		for c := range nc {
+			var pm [4][4]float64
+			m.GTR.TransitionMatrix(e.Z, m.Cats[c], &pm)
+			cdf[c*nEdges+i] = cumulative(pm)
 		}
-		var mm [4][4]float64
-		g.TransitionMatrix(e.Z, m.Cats[c], &mm)
-		cache[k] = &mm
-		return &mm
-	}
-
-	sample := func(dist []float64) int {
-		x := rng.Float64()
-		cum := 0.0
-		for i, v := range dist {
-			cum += v
-			if x < cum {
-				return i
-			}
-		}
-		return len(dist) - 1
-	}
-
-	root := tr.Tips[0].Back // internal ring adjacent to tip 0
-	for site := 0; site < p.Sites; site++ {
-		cat := rng.Intn(m.NumCats())
-		rootState := sample(g.Freqs[:])
-		if p.InvariantFraction > 0 && rng.Float64() < p.InvariantFraction {
-			// Conserved column: every taxon inherits the root state.
-			ch := bio.BaseChar(rootState)
-			for i := range data {
-				data[i][site] = ch
-			}
-			continue
-		}
-		// Walk the three subtrees around the root ring.
-		var walk func(e *phylotree.Node, fromState int)
-		walk = func(e *phylotree.Node, fromState int) {
-			mm := pm(e, cat)
-			child := e.Back
-			st := sample(mm[fromState][:])
-			if child.IsTip() {
-				data[child.Index][site] = bio.BaseChar(st)
-				return
-			}
+		if child := e.Back; child.IsTip() {
+			tipState[child.Index] = i + 1
+		} else {
 			for _, r := range child.Ring() {
 				if r != child {
-					walk(r, st)
+					flatten(r, i+1)
 				}
 			}
 		}
-		for _, r := range root.Ring() {
-			walk(r, rootState)
+	}
+	for _, r := range tr.Tips[0].Back.Ring() { // the internal ring adjacent to tip 0
+		flatten(r, 0)
+	}
+	freqs := cumulative([4][4]float64{m.GTR.Freqs})[0]
+	states := make([]int, nEdges+1)
+
+	for site := 0; site < p.Sites; site++ {
+		cat := rng.Intn(nc)
+		states[0] = sample(rng.Float64(), &freqs)
+		if p.InvariantFraction > 0 && rng.Float64() < p.InvariantFraction {
+			// Conserved column: every taxon inherits the root state.
+			for i := range codes {
+				codes[i][site] = bio.BitA << states[0]
+			}
+			continue
+		}
+		pc := cdf[cat*nEdges : (cat+1)*nEdges]
+		for i, f := range from {
+			states[i+1] = sample(rng.Float64(), &pc[i][states[f]])
+		}
+		for t, i := range tipState {
+			codes[t][site] = bio.BitA << states[i]
 		}
 	}
 
-	// Inject gaps.
 	if p.GapFraction > 0 {
-		for i := range data {
-			for j := range data[i] {
+		for i := range codes {
+			for j := range codes[i] {
 				if rng.Float64() < p.GapFraction {
-					data[i][j] = '-'
+					codes[i][j] = bio.Gap
 				}
 			}
 		}
@@ -156,13 +151,42 @@ func Evolve(tr *phylotree.Tree, m *model.Model, p Params, rng *rand.Rand) (*alig
 
 	seqs := make([]*bio.Sequence, nt)
 	for i := range seqs {
-		s, err := bio.NewSequence(tr.Taxa[i], string(data[i]))
-		if err != nil {
-			return nil, err
-		}
-		seqs[i] = s
+		seqs[i] = &bio.Sequence{Name: tr.Taxa[i], Codes: codes[i]}
 	}
 	return alignment.New(seqs)
+}
+
+// cumulative turns each row of pm into sample's thresholds: the entries
+// summed from the left, each sum raised to the largest before it. A sum
+// below an earlier one (a probability that rounded below zero) can never be
+// the first that a draw falls below, so raising it changes no draw's state,
+// and rising thresholds let sample count instead of search.
+func cumulative(pm [4][4]float64) [4][4]float64 {
+	for r := range pm {
+		cum, top := 0.0, 0.0
+		for c := range pm[r] {
+			cum += pm[r][c]
+			top = max(top, cum)
+			pm[r][c] = top
+		}
+	}
+	return pm
+}
+
+// sample returns the first state whose threshold exceeds x, and the last
+// state when rounding leaves the row's sum at or below x.
+func sample(x float64, cdf *[4]float64) int {
+	s := 0 // three comparisons the compiler turns into conditional moves
+	if x >= cdf[0] {
+		s++
+	}
+	if x >= cdf[1] {
+		s++
+	}
+	if x >= cdf[2] {
+		s++
+	}
+	return s
 }
 
 // DefaultModel builds a moderately asymmetric GTR+Γ4 model suitable for

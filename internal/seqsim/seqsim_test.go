@@ -1,11 +1,13 @@
 package seqsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"raxmlcell/internal/alignment"
+	"raxmlcell/internal/phylotree"
 )
 
 func TestGenerateDimensions(t *testing.T) {
@@ -55,6 +57,24 @@ func TestGenerateErrors(t *testing.T) {
 	}
 	if _, _, err := Generate(Params{Taxa: 5, Sites: 0}, m, rng); err == nil {
 		t.Error("0 sites accepted")
+	}
+	// Evolve, which callers may reach without Generate, returns the same
+	// errors.
+	_, tr, err := Generate(Params{Taxa: 5, Sites: 1}, m, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sites := range []int{0, -3} {
+		if _, err := Evolve(tr, m, Params{Sites: sites}, rng); err == nil || err.Error() != fmt.Sprintf("seqsim: need > 0 sites, got %d", sites) {
+			t.Errorf("Evolve on %d sites: %v", sites, err)
+		}
+	}
+	two := &phylotree.Tree{Taxa: []string{"a", "b"}, Tips: make([]*phylotree.Node, 2)}
+	if _, err := Evolve(two, m, Params{Sites: 10}, rng); err == nil || err.Error() != "seqsim: need >= 3 taxa, got 2" {
+		t.Errorf("Evolve on 2 tips: %v", err)
+	}
+	if _, err := Evolve(tr, nil, Params{Sites: 10}, rng); err == nil {
+		t.Error("nil model accepted")
 	}
 }
 
