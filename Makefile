@@ -38,7 +38,9 @@ bench:
 # combine-then-evaluate included, and the newview set-up's bits (the
 # unrolled transition matrices against model.GTR.TransitionMatrix, the tip
 # tables' one-hot columns, a combine with a tip on either side against the
-# scalar loops) — the epoch-cache fuzz seeds (lazy-SPR
+# scalar loops), the class tables' bits (a newview, an evaluate, a prescore
+# and CarryAcross that read an inner child's class table against the scalar
+# loops) — the epoch-cache fuzz seeds (lazy-SPR
 # scoring, both stages, through a view table against a fresh engine), the
 # absolute kernel-cost bounds, the cutoff's rule on the walk and the short
 # list (every 42_SC prune solves exactly the short list) and
@@ -64,7 +66,7 @@ bench:
 backend-gate:
 	@mkdir -p $(BIN)
 	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC|TestTwinGates' ./internal/search
-	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|TestParallel|TestExecutor|TestHelpers|TestPrescoreMatchesCombineThenEvaluate|TestRepeats|TestMakeNewzTo|TestKernelTime|TestTransitionMatricesBits|TestTipTableColumns|TestCombineLoneTipEitherSide|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
+	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|TestParallel|TestExecutor|TestHelpers|TestPrescoreMatchesCombineThenEvaluate|TestRepeats|TestMakeNewzTo|TestKernelTime|TestTransitionMatricesBits|TestTipTableColumns|TestCombineLoneTipEitherSide|TestClassTables|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
 	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestCandidateCost42SC|TestOptimizeAlphaCost42SC|TestBrentMax|TestResultBitsIndependentOfGOMAXPROCS|TestShortListTieBreak|TestCutoffRule|TestNonFiniteScoreNeverSteers' ./internal/search
 	$(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 | tee $(BIN)/wide24.json | jq -e \
 		'.failed == 0 and .metrics["likelihood.evaluate_calls"].value <= 16 and .metrics["likelihood.makenewz_calls"].value == 180 and .metrics["likelihood.newview_calls"].value == 506 and .metrics["likelihood.newton_iters"].value == 438 and .metrics["likelihood.flops"].value == 642232304'

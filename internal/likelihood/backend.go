@@ -43,21 +43,28 @@ type Backend interface {
 	// (called once from Ctx.alloc, before any kernel runs).
 	initCtx(c *Ctx)
 
+	// readsClassTables reports whether combineRows and evaluateRange read
+	// an inner child through its class table (combineOp.qTab/rTab,
+	// evalOp.qTab) when the engine builds one (Ctx.classTable), instead of
+	// projecting it per row.
+	readsClassTables() bool
+
 	// combineRows executes the newview inner loop for rows [pr.lo, pr.hi)
 	// of the destination: each row's children gathered at the pattern it
 	// stands for (op.first) through their class maps, projected through the
 	// transition matrices prepared in c.pLeft/c.pRight (tip children via the
-	// c.tipPL/c.tipPR tables), their elementwise product into op.dst (whose
-	// first row is op.dstLo), and the 2^-256 scaling check per row.
+	// c.tipPL/c.tipPR tables, inner ones via their class tables if they have
+	// one), their elementwise product into op.dst (whose first row is
+	// op.dstLo), and the 2^-256 scaling check per row.
 	combineRows(c *Ctx, op *combineOp, pr patRange, ts *tileScratch) combineStats
 
 	// evaluateRange executes the evaluate inner loop for patterns
 	// [pr.lo, pr.hi), each side gathered through its class map: the q-side
-	// projection through c.pLeft (tips via c.tipPR) unless op.qProj already
-	// holds it, the frequency-weighted dot product against op.p (whose first
-	// row is op.pLo), the
-	// per-pattern log with scaling counters folded back, and the weighted
-	// log-likelihood sum of the range.
+	// projection through c.pLeft (tips via c.tipPR, an inner side via its
+	// class table if it has one) unless op.qProj already holds it, the
+	// frequency-weighted dot product against op.p (whose first row is
+	// op.pLo), the per-pattern log with scaling counters folded back, and
+	// the weighted log-likelihood sum of the range.
 	evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileScratch) evalPart
 
 	// sumTableFactors computes the two factors of the Newton eigenmode sum
@@ -104,14 +111,16 @@ func (s *combineStats) add(o combineStats) {
 
 // combineOp is the operand set of one combine (newview) call. Tip children
 // carry their pattern codes in qData/rData (and zero vecs); inner children
-// carry their vecs. The destination has rows rows, row i standing for
-// pattern first[i] (first nil: one row per pattern). The transition matrices
-// and tip-projection tables for the call are already prepared on the Ctx.
+// carry their vecs, and qTab/rTab their class tables if they have one. The
+// destination has rows rows, row i standing for pattern first[i] (first nil:
+// one row per pattern). The transition matrices and tip-projection tables
+// for the call are already prepared on the Ctx.
 // dst and dstScale begin at row dstLo: 0 for a whole vector, the block's
 // first pattern when a prescore block combines into its own scratch.
 type combineOp struct {
-	qData, rData []byte // tip pattern codes (nil for inner children)
-	q, r         vec    // inner children (zero for tips)
+	qData, rData []byte    // tip pattern codes (nil for inner children)
+	q, r         vec       // inner children (zero for tips)
+	qTab, rTab   []float64 // class tables, [class][cat][state] (nil: none)
 	first        []int32
 	rows         int
 	dst          []float64
@@ -123,11 +132,12 @@ type combineOp struct {
 // the p-side is always an inner vector, the q-side a tip (qData) or inner
 // vector (q) for the kernel to carry across the branch — or, when qProj is
 // set, a q-side that already has been (Views.CarryAcross), laid out like a
-// vector of one row per pattern, with q.sc its scale counts. p's rows begin
-// at row pLo, like combineOp's dst. perSite, when non-nil, receives the
-// per-pattern logs.
+// vector of one row per pattern, with q.sc its scale counts. qTab is an
+// inner q's class table, if it has one. p's rows begin at row pLo, like
+// combineOp's dst. perSite, when non-nil, receives the per-pattern logs.
 type evalOp struct {
 	qProj   []float64
+	qTab    []float64
 	p       vec
 	pLo     int
 	qData   []byte

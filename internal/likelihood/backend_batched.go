@@ -13,8 +13,7 @@ const batchTile = 32
 // owns one for the blocks its owner runs, every executor helper one for the
 // blocks it adopts, so concurrent blocks of one pass never share a tile.
 type tileScratch struct {
-	a         []float64 // projection tile, laid out like lv: [t*ncat*ns + cat*ns + i]
-	s, s1, s2 []float64 // per-pattern accumulators (site likelihood / Newton L, L', L'')
+	a []float64 // projection tile, laid out like lv: [t*ncat*ns + cat*ns + i]
 
 	// The rows (or tip codes) a tile gathers from its operands, one per
 	// tile position: qi/ri the two projected sides, pi evaluate's p-side
@@ -46,8 +45,7 @@ func (ts *tileScratch) fit(ncat int) {
 	if n := batchTile * ncat * ns; len(ts.a) < n {
 		ts.a = make([]float64, n)
 	}
-	if ts.s == nil {
-		ts.s, ts.s1, ts.s2 = make([]float64, batchTile), make([]float64, batchTile), make([]float64, batchTile)
+	if ts.qi == nil {
 		ts.qi, ts.ri, ts.pi = make([]int32, batchTile), make([]int32, batchTile), make([]int32, batchTile)
 	}
 }
@@ -155,11 +153,21 @@ func projectTimes(p, src []float64, idx []int32, a []float64, aIdx []int32, out 
 	}
 }
 
+// projectRows projects rows [lo, hi) of an inner child's partial vectors
+// into the same rows of dst a tile at a time: a class table's rows
+// (Ctx.classTable), each projectInnerTile's expression on its row.
+func projectRows(e *Engine, p, src, dst []float64, lo, hi int) {
+	for l := lo; l < hi; l += batchTile {
+		projectInnerTile(p, src, e.ident[l:min(l+batchTile, hi)], dst[l*e.ncat*ns:], e.ncat)
+	}
+}
+
 // combineRows keeps the scalar loop's bits with the children in either
 // order: an IEEE product commutes, and scale counts add as integers. So a
-// tip child's table row is read in place as the product's first factor and
-// its inner sibling projected straight into the product; two inner children
-// project the first into a tile; two tips multiply their table rows.
+// child read from a table — a tip's, or an inner child's class table — has
+// its row read in place as the product's first factor and its inner sibling
+// projected straight into the product; two inner children project the
+// first into a tile; two tables multiply their rows.
 func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tileScratch) combineStats {
 	e := c.eng
 	if e.patCat != nil {
@@ -168,12 +176,17 @@ func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile
 	ncat := e.ncat
 	stride := ncat * ns
 	dst, dstScale, dstLo := op.dst, op.dstScale, op.dstLo
-	inner := uint64(0) // the children projected through their matrix
+	qt, rt := op.qTab, op.rTab
+	inner := uint64(0) // the children projected through their matrix, as the meter counts them
 	if op.qData == nil {
 		inner++
+	} else {
+		qt = c.tipPL
 	}
 	if op.rData == nil {
 		inner++
+	} else {
+		rt = c.tipPR
 	}
 
 	var st combineStats
@@ -184,19 +197,19 @@ func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile
 		ri := gatherTile(e, ts.ri, op.first, op.rData, &op.r, lo, hi)
 		out := dst[(lo-dstLo)*stride : (hi-dstLo)*stride]
 		switch {
-		case op.qData != nil && op.rData != nil:
+		case qt != nil && rt != nil:
 			for j := range n {
-				tq := c.tipPL[int(qi[j])*stride : int(qi[j])*stride+stride]
-				tr := c.tipPR[int(ri[j])*stride : int(ri[j])*stride+stride]
+				tq := qt[int(qi[j])*stride : int(qi[j])*stride+stride]
+				tr := rt[int(ri[j])*stride : int(ri[j])*stride+stride]
 				d := out[j*stride : j*stride+stride]
 				for k := range d {
 					d[k] = tq[k] * tr[k]
 				}
 			}
-		case op.qData != nil:
-			projectTimes(c.pRight, op.r.lv, ri, c.tipPL, qi, out, ncat)
-		case op.rData != nil:
-			projectTimes(c.pLeft, op.q.lv, qi, c.tipPR, ri, out, ncat)
+		case qt != nil:
+			projectTimes(c.pRight, op.r.lv, ri, qt, qi, out, ncat)
+		case rt != nil:
+			projectTimes(c.pLeft, op.q.lv, qi, rt, ri, out, ncat)
 		default:
 			projectInnerTile(c.pLeft, op.q.lv, qi, ts.a, ncat)
 			projectTimes(c.pRight, op.r.lv, ri, ts.a, e.ident[:n], out, ncat)
@@ -229,6 +242,12 @@ func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile
 	return st
 }
 
+// evaluateRange runs a tile's patterns one at a time, its site sum in a
+// local, adding in the scalar site loop's order (category-major,
+// state-ascending, sequential adds), so the pass is bit-identical, not just
+// close. The q-side of tile position j is row ai[j] of a: the carried
+// vector, a tip's or a class table, or the tile the inner q-side was
+// projected into.
 func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileScratch) evalPart {
 	e := c.eng
 	if e.patCat != nil {
@@ -242,55 +261,43 @@ func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileS
 
 	var out evalPart
 	for lo := pr.lo; lo < pr.hi; lo += batchTile {
-		hi := lo + batchTile
-		if hi > pr.hi {
-			hi = pr.hi
-		}
+		hi := min(lo+batchTile, pr.hi)
 		n := hi - lo
 		pi := e.ident[lo-pLo : hi-pLo]
 		if p.cls != nil {
 			pi = gatherTile(e, ts.pi, nil, nil, p, lo, hi)
 		}
-		a, aLo := ts.a, lo
 		qi := gatherTile(e, ts.qi, nil, op.qData, &op.q, lo, hi)
-		if op.qProj != nil {
-			a, aLo = op.qProj, 0
-		} else if op.qData != nil {
-			for j, code := range qi {
-				copy(ts.a[j*stride:(j+1)*stride], c.tipPR[int(code)*stride:])
-			}
-		} else {
+		a, ai := op.qTab, qi
+		switch {
+		case op.qProj != nil:
+			a, ai = op.qProj, e.ident[lo:hi]
+		case op.qData != nil:
+			a = c.tipPR
+		case a == nil:
 			projectInnerTile(c.pLeft, op.q.lv, qi, ts.a, ncat)
+			a, ai = ts.a, e.ident[:n]
+		}
+		if op.qProj == nil && op.qData == nil {
 			out.st.muls += uint64(n) * uint64(ncat) * ns * ns
 			out.st.adds += uint64(n) * uint64(ncat) * ns * (ns - 1)
-		}
-
-		s := ts.s[:n]
-		for j := range s {
-			s[j] = 0
-		}
-		// Sequential adds in category-major, state-ascending order — the
-		// exact summation order of the scalar site loop, so the tile pass
-		// is bit-identical, not just close.
-		for cat := 0; cat < ncat; cat++ {
-			co := cat * ns
-			for j, r := range pi {
-				x := p.lv[int(r)*stride+co : int(r)*stride+co+ns]
-				a := a[(lo+j-aLo)*stride+co : (lo+j-aLo)*stride+co+ns]
-				v := s[j]
-				v += f0 * x[0] * a[0]
-				v += f1 * x[1] * a[1]
-				v += f2 * x[2] * a[2]
-				v += f3 * x[3] * a[3]
-				s[j] = v
-			}
 		}
 		out.st.muls += uint64(n) * uint64(ncat) * 2 * ns
 		out.st.adds += uint64(n) * uint64(ncat) * ns
 
 		for j, r := range pi {
+			x := p.lv[int(r)*stride : int(r)*stride+stride]
+			y := a[int(ai[j])*stride : int(ai[j])*stride+stride]
+			site := 0.0
+			for co := 0; co+ns <= stride; co += ns {
+				xc, yc := x[co:co+ns:co+ns], y[co:co+ns:co+ns]
+				site += f0 * xc[0] * yc[0]
+				site += f1 * xc[1] * yc[1]
+				site += f2 * xc[2] * yc[2]
+				site += f3 * xc[3] * yc[3]
+			}
 			pat := lo + j
-			site := s[j] * e.invCats
+			site *= e.invCats
 			out.st.muls++
 			sc := p.sc[r]
 			if op.q.sc != nil {
@@ -348,114 +355,80 @@ func (b batchedBackend) sumTableFactors(c *Ctx, op *sumOp, pr, qr patRange, ts *
 	return sumTableStats(e, pr, qr)
 }
 
+// newtonDerivRange runs pattern at a time with L, L′ and L″ in locals: each
+// is added up in the scalar loop's order (category-major, state-ascending),
+// so the pass keeps its bits, and no per-pattern sum goes through memory.
 func (b batchedBackend) newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, ts *tileScratch) derivPart {
 	e := c.eng
 	if e.patCat != nil {
 		return b.scalar.newtonDerivRange(c, op, pr, ts)
 	}
-	ncat := e.ncat
-	stride := ncat * ns
-	sumTab := c.sumTab
+	stride := e.ncat * ns
+	e0, e1, e2 := op.e0[:stride], op.e1[:stride], op.e2[:stride]
 
 	var out derivPart
-	for lo := pr.lo; lo < pr.hi; lo += batchTile {
-		hi := lo + batchTile
-		if hi > pr.hi {
-			hi = pr.hi
+	for pat := pr.lo; pat < pr.hi; pat++ {
+		a := c.sumTab[pat*stride : pat*stride+stride]
+		var l0, l1, l2 float64
+		for co := 0; co+ns <= stride; co += ns {
+			ac := a[co : co+ns : co+ns]
+			a0, a1, a2, a3 := ac[0], ac[1], ac[2], ac[3]
+			x := e0[co : co+ns : co+ns]
+			l0 += a0 * x[0]
+			l0 += a1 * x[1]
+			l0 += a2 * x[2]
+			l0 += a3 * x[3]
+			x = e1[co : co+ns : co+ns]
+			l1 += a0 * x[0]
+			l1 += a1 * x[1]
+			l1 += a2 * x[2]
+			l1 += a3 * x[3]
+			x = e2[co : co+ns : co+ns]
+			l2 += a0 * x[0]
+			l2 += a1 * x[1]
+			l2 += a2 * x[2]
+			l2 += a3 * x[3]
 		}
-		n := hi - lo
-		l0, l1, l2 := ts.s[:n], ts.s1[:n], ts.s2[:n]
-		for j := 0; j < n; j++ {
-			l0[j], l1[j], l2[j] = 0, 0, 0
+		L := l0 * e.invCats
+		L1 := l1 * e.invCats
+		L2 := l2 * e.invCats
+		if L < minPositive {
+			out.underflow++
+			L = minPositive
 		}
-		for cat := 0; cat < ncat; cat++ {
-			mb := cat * ns
-			e00, e01, e02, e03 := op.e0[mb], op.e0[mb+1], op.e0[mb+2], op.e0[mb+3]
-			e10, e11, e12, e13 := op.e1[mb], op.e1[mb+1], op.e1[mb+2], op.e1[mb+3]
-			e20, e21, e22, e23 := op.e2[mb], op.e2[mb+1], op.e2[mb+2], op.e2[mb+3]
-			co := cat * ns
-			for pat := lo; pat < hi; pat++ {
-				a := sumTab[pat*stride+co : pat*stride+co+ns]
-				a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-				j := pat - lo
-				u := l0[j]
-				u += a0 * e00
-				u += a1 * e01
-				u += a2 * e02
-				u += a3 * e03
-				l0[j] = u
-				u = l1[j]
-				u += a0 * e10
-				u += a1 * e11
-				u += a2 * e12
-				u += a3 * e13
-				l1[j] = u
-				u = l2[j]
-				u += a0 * e20
-				u += a1 * e21
-				u += a2 * e22
-				u += a3 * e23
-				l2[j] = u
-			}
-		}
-		for pat := lo; pat < hi; pat++ {
-			j := pat - lo
-			L := l0[j] * e.invCats
-			L1 := l1[j] * e.invCats
-			L2 := l2[j] * e.invCats
-			if L < minPositive {
-				out.underflow++
-				L = minPositive
-			}
-			w := float64(op.weights[pat])
-			out.d1 += w * (L1 / L)
-			out.d2 += w * (L2/L - (L1/L)*(L1/L))
-		}
+		w := float64(op.weights[pat])
+		out.d1 += w * (L1 / L)
+		out.d2 += w * (L2/L - (L1/L)*(L1/L))
 	}
 	return out
 }
 
+// newtonValueRange is newtonDerivRange's loop on e0 alone.
 func (b batchedBackend) newtonValueRange(c *Ctx, op *newtonOp, pr patRange, ts *tileScratch) valuePart {
 	e := c.eng
 	if e.patCat != nil {
 		return b.scalar.newtonValueRange(c, op, pr, ts)
 	}
-	ncat := e.ncat
-	stride := ncat * ns
-	sumTab := c.sumTab
+	stride := e.ncat * ns
+	e0 := op.e0[:stride]
 
 	var out valuePart
-	for lo := pr.lo; lo < pr.hi; lo += batchTile {
-		hi := lo + batchTile
-		if hi > pr.hi {
-			hi = pr.hi
+	for pat := pr.lo; pat < pr.hi; pat++ {
+		a := c.sumTab[pat*stride : pat*stride+stride]
+		var l0 float64
+		for co := 0; co+ns <= stride; co += ns {
+			ac, x := a[co:co+ns:co+ns], e0[co:co+ns:co+ns]
+			l0 += ac[0] * x[0]
+			l0 += ac[1] * x[1]
+			l0 += ac[2] * x[2]
+			l0 += ac[3] * x[3]
 		}
-		l0 := ts.s[:hi-lo]
-		for j := range l0 {
-			l0[j] = 0
+		L := l0 * e.invCats
+		if L < minPositive {
+			out.underflow++
+			L = minPositive
 		}
-		for cat := 0; cat < ncat; cat++ {
-			mb := cat * ns
-			e00, e01, e02, e03 := op.e0[mb], op.e0[mb+1], op.e0[mb+2], op.e0[mb+3]
-			co := cat * ns
-			for pat := lo; pat < hi; pat++ {
-				a := sumTab[pat*stride+co : pat*stride+co+ns]
-				u := l0[pat-lo]
-				u += a[0] * e00
-				u += a[1] * e01
-				u += a[2] * e02
-				u += a[3] * e03
-				l0[pat-lo] = u
-			}
-		}
-		for pat := lo; pat < hi; pat++ {
-			L := l0[pat-lo] * e.invCats
-			if L < minPositive {
-				out.underflow++
-				L = minPositive
-			}
-			out.ll += float64(op.weights[pat]) * math.Log(L)
-		}
+		out.ll += float64(op.weights[pat]) * math.Log(L)
 	}
 	return out
 }
@@ -469,3 +442,5 @@ func (batchedBackend) Name() string { return "batched" }
 
 // initCtx sizes the context's tile.
 func (batchedBackend) initCtx(c *Ctx) { c.tile.fit(c.eng.ncat) }
+
+func (batchedBackend) readsClassTables() bool { return true }

@@ -16,6 +16,9 @@ func (scalarBackend) Name() string { return "scalar" }
 // scratch.
 func (scalarBackend) initCtx(*Ctx) {}
 
+// readsClassTables is false: the oracle projects every row.
+func (scalarBackend) readsClassTables() bool { return false }
+
 func (scalarBackend) combineRows(c *Ctx, op *combineOp, pr patRange, _ *tileScratch) combineStats {
 	e := c.eng
 	ncat := e.ncat

@@ -267,6 +267,11 @@ func FuzzBackendEquivalence(f *testing.F) {
 	f.Add(int64(6), uint8(10), uint16(35), uint8(3), true)  // two blocks and one pattern, CAT
 	f.Add(int64(7), uint8(7), uint16(19), uint8(4), false)  // a block and two patterns
 	f.Add(int64(8), uint8(12), uint16(27), uint8(2), false) // exactly two blocks
+	// Wide and cherry-heavy: a cherry's few classes beside hundreds of rows,
+	// the combines and evaluates that read class tables.
+	f.Add(int64(9), uint8(12), uint16(397), uint8(4), false)   // 16 taxa, 413 sites
+	f.Add(int64(10), uint8(1), uint16(398), uint8(4), false)   // 5 taxa, every combine beside a cherry
+	f.Add(int64(11), uint8(12), uint16(1023), uint8(4), false) // 16 taxa, two blocks and two patterns
 	withProcs(f, max(2, runtime.GOMAXPROCS(0)))
 	f.Fuzz(func(t *testing.T, seed int64, taxa uint8, sites uint16, cats uint8, useCAT bool) {
 		nt := 4 + int(taxa)%13 // 4..16 taxa

@@ -31,7 +31,8 @@ type Ctx struct {
 	// the per-pattern eigenmode sum table, λ_k·r_c products, and the
 	// exp(λrt) / derivative blocks rebuilt every Newton iteration. sumP and
 	// sumQ hold the table's two factors per row of each side, sized by the
-	// context's first buildSumTable.
+	// context's first buildSumTable. Outside a Newton solve sumTab holds
+	// the class tables of the running combine or evaluate (Ctx.classTable).
 	sumTab, sumP, sumQ     []float64
 	lamr                   []float64
 	newzE0, newzE1, newzE2 []float64
@@ -40,6 +41,11 @@ type Ctx struct {
 
 	// classes is the class pass's table (repeats.go), sized on first use.
 	classes classTable
+
+	// tabs are the class tables filed for the next passClassTables, and
+	// tabled counts the tables built, for the tests.
+	tabs   []classTab
+	tabled uint64
 
 	// Buffer pools for Views (lazy-SPR directed-vector caches).
 	lvPool [][]float64
@@ -80,6 +86,7 @@ func (e *Engine) newCtx() *Ctx {
 	c.newzE1 = make([]float64, e.nmat*ns)
 	c.newzE2 = make([]float64, e.nmat*ns)
 	c.parts = make([]blockPart, e.nblk)
+	c.tabs = make([]classTab, 0, 2)
 	if e.nblk >= minPublishBlocks {
 		c.job.next.Store(int32(e.nblk)) // nothing to claim until a pass opens
 		c.job.idle = make(chan struct{}, 1)
@@ -263,6 +270,8 @@ func (c *Ctx) evaluateKernel(p *phylotree.Node, perSite []float64) (float64, err
 	}
 
 	c.evalOp = evalOp{p: e.slotVec(p), qData: qData, q: e.slotVec(q), perSite: perSite}
+	c.evalOp.qTab = c.classTable(&c.evalOp.q, c.pLeft, e.npat)
+	c.projectTables()
 	c.runPass(passEvaluate)
 	return c.foldEval(), nil
 }

@@ -88,6 +88,9 @@ const (
 	// operands in both op blocks, the combined block in the running
 	// goroutine's scratch (Views.Prescore).
 	passPrescore
+	// passClassTables builds the class tables in c.tabs, each table's rows
+	// split evenly over the blocks (Ctx.projectTables).
+	passClassTables
 )
 
 // blockPart is what one block of a pass leaves for the caller: the part
@@ -189,6 +192,10 @@ func (c *Ctx) runBlock(kind passKind, b int, ts *tileScratch) {
 		part.comb = bk.combineRows(c, &ts.comb, pr, ts)
 		part.eval = bk.evaluateRange(c, &ts.eval, pr, ts)
 		ts.comb, ts.eval = combineOp{}, evalOp{} // a helper's tile must not pin the engine's vectors
+	case passClassTables:
+		for _, t := range c.tabs {
+			projectRows(e, t.p, t.src, t.dst, b*t.rows/e.nblk, (b+1)*t.rows/e.nblk)
+		}
 	}
 }
 

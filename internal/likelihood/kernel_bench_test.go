@@ -1,6 +1,7 @@
 package likelihood
 
 import (
+	"cmp"
 	"math/rand"
 	"testing"
 
@@ -80,37 +81,41 @@ func BenchmarkTransitionMatrices(b *testing.B) {
 	}
 }
 
-// BenchmarkNewview times one newview of a tip–inner and of an inner–inner
-// record, its children's vectors current: the matrices, the tip tables and
-// the rows of the combine.
+// BenchmarkNewview times one newview of a tip–inner, an inner–inner (no
+// child a cherry) and an inner–cherry record (both children inner, one of
+// them over two tips: the combine that reads the cherry's class table),
+// their children's vectors
+// current: the matrices, the tip tables, the class tables and the rows of
+// the combine.
 func BenchmarkNewview(b *testing.B) {
+	cherry := func(n *phylotree.Node) bool { return !n.IsTip() && n.Next.Back.IsTip() && n.Next.Next.Back.IsTip() }
 	for _, shape := range benchShapes {
 		eng, tr := benchEngine(b, shape.params)
-		var tipInner, innerInner *phylotree.Node
+		var tipInner, innerInner, innerCherry *phylotree.Node
 		for _, e := range tr.Edges() {
 			for _, r := range [...]*phylotree.Node{e, e.Back} {
 				if r.IsTip() {
 					continue
 				}
-				tips := 0
-				if r.Next.Back.IsTip() {
-					tips++
-				}
-				if r.Next.Next.Back.IsTip() {
-					tips++
-				}
+				q, w := r.Next.Back, r.Next.Next.Back
 				switch {
-				case tips == 1 && tipInner == nil:
-					tipInner = r
-				case tips == 0 && innerInner == nil:
-					innerInner = r
+				case q.IsTip() != w.IsTip():
+					tipInner = cmp.Or(tipInner, r)
+				case q.IsTip():
+				case !cherry(q) && !cherry(w):
+					innerInner = cmp.Or(innerInner, r)
+				case cherry(q) != cherry(w):
+					innerCherry = cmp.Or(innerCherry, r)
 				}
 			}
 		}
 		for _, tc := range []struct {
 			name string
 			p    *phylotree.Node
-		}{{"tip-inner", tipInner}, {"inner-inner", innerInner}} {
+		}{{"tip-inner", tipInner}, {"inner-inner", innerInner}, {"inner-cherry", innerCherry}} {
+			if tc.p == nil {
+				continue
+			}
 			b.Run(shape.name+"/"+tc.name, func(b *testing.B) {
 				eng.NewView(tc.p)
 				rows := eng.Meter.CombineRows
@@ -122,5 +127,29 @@ func BenchmarkNewview(b *testing.B) {
 				b.ReportMetric(float64(eng.Meter.CombineRows-rows)/float64(b.N), "rows/op")
 			})
 		}
+	}
+}
+
+// BenchmarkNewtonDerivs times the derivative pass a Newton iteration makes,
+// on the sum table of an inner branch: the three exponential blocks and
+// one pass over the table's patterns.
+func BenchmarkNewtonDerivs(b *testing.B) {
+	for _, shape := range benchShapes {
+		eng, tr := benchEngine(b, shape.params)
+		var edge *phylotree.Node
+		for _, e := range tr.Edges() {
+			if !e.IsTip() && !e.Back.IsTip() {
+				edge = e
+				break
+			}
+		}
+		prepareBranch(eng, edge)
+		b.Run(shape.name, func(b *testing.B) {
+			c := eng.ctx0
+			for i := 0; b.Loop(); i++ {
+				c.newtonDerivs(0.01 + float64(i&63)*0.003)
+			}
+			b.ReportMetric(float64(eng.npat), "patterns")
+		})
 	}
 }

@@ -230,3 +230,50 @@ func (c *Ctx) firstPatterns(s *repSlot) []int32 {
 	}
 	return first
 }
+
+// classTableRatio is the rule for a class table: an inner child with at most
+// 1/classTableRatio as many repeat classes as the rows an operation runs
+// over is projected once per class, into a table laid out like a tip's
+// ([class][cat][state]), which the operation reads as it reads a tip's. An
+// entry is the row projection's own expression on the same inputs, so the
+// bits hold; the meter still counts a projection per row, the product it
+// equals. The sweep that set the ratio is in DESIGN.md (rung 12).
+const classTableRatio = 2
+
+// classTab is a class table to build: the rows of inner vector src
+// projected through the per-category matrices p into dst.
+type classTab struct {
+	p, src, dst []float64
+	rows        int
+}
+
+// classTable files a class table of inner vector v through matrices p for
+// an operation over rows rows, if the rule gives v one and the backend reads
+// them, and returns its storage (nil otherwise); projectTables builds what
+// was filed. The tables live in the sum table's storage, which holds nothing
+// outside a Newton solve: by the rule an operation's tables have at most as
+// many rows as the operation, so they fit.
+func (c *Ctx) classTable(v *vec, p []float64, rows int) []float64 {
+	e := c.eng
+	if v.cls == nil || classTableRatio*v.rows > rows || !e.backend.readsClassTables() {
+		return nil
+	}
+	off := 0
+	for _, t := range c.tabs {
+		off += t.rows
+	}
+	stride := e.ncat * ns
+	t := classTab{p: p, src: v.lv, dst: c.sumTab[off*stride : (off+v.rows)*stride], rows: v.rows}
+	c.tabs = append(c.tabs, t)
+	c.tabled++
+	return t.dst
+}
+
+// projectTables builds the class tables filed since it last ran, in one
+// pass of the executor.
+func (c *Ctx) projectTables() {
+	if len(c.tabs) > 0 {
+		c.runPass(passClassTables)
+		c.tabs = c.tabs[:0]
+	}
+}

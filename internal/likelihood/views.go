@@ -131,8 +131,18 @@ func (c *Ctx) combine(q *phylotree.Node, zq float64, qv vec,
 	if first != nil {
 		c.combOp.first, c.combOp.rows = first, len(first)
 	}
+	c.tableChildren()
 	c.runPass(passCombine)
 	c.foldCombine()
+}
+
+// tableChildren gives each inner child of the combine in c.combOp the class
+// table the rule admits it, and builds them.
+func (c *Ctx) tableChildren() {
+	op := &c.combOp
+	op.qTab = c.classTable(&op.q, c.pLeft, op.rows)
+	op.rTab = c.classTable(&op.r, c.pRight, op.rows)
+	c.projectTables()
 }
 
 // prepareCombine is what a newview does before its per-pattern pass: it
@@ -211,9 +221,11 @@ type Across struct {
 // CarryAcross fills a with the vector of the subtree behind sub.Back carried
 // across a branch of length z0: what evaluate's q-side projection would
 // compute for every candidate of the prune, bit for bit, once — which is why
-// it is a plain loop and not a pass of the executor: one projection per prune
-// beside three per candidate. sub is the detached ring record of the pruned
-// subtree, as for InsertionScore.
+// its loop over the patterns is a plain one and not a pass of the executor:
+// one projection per prune beside three per candidate. A subtree vector the
+// rule gives a class table (Ctx.classTable) is projected per class and
+// gathered. sub is the detached ring record of the pruned subtree, as for
+// InsertionScore.
 func (v *Views) CarryAcross(a *Across, sub *phylotree.Node, z0 float64) error {
 	s := sub.Back
 	if s == nil {
@@ -234,17 +246,25 @@ func (v *Views) CarryAcross(a *Across, sub *phylotree.Node, z0 float64) error {
 	a.sc = nil
 	c.transitionMatrices(z0, c.pLeft)
 	var sData []byte
+	var tab []float64
 	if s.IsTip() {
 		sData = e.Pat.Data[s.Index]
 		c.tipProjection(c.pLeft, c.tipPL)
 	} else {
 		a.sc = a.buf
+		tab = c.classTable(&sv, c.pLeft, e.npat)
+		c.projectTables()
 	}
+	stride := e.ncat * ns
 	for pat := 0; pat < e.npat; pat++ {
-		base := pat * e.ncat * ns
-		row := sv.row(pat) * e.ncat * ns
+		base := pat * stride
+		row := sv.row(pat) * stride
 		if sData == nil {
 			a.sc[pat] = sv.sc[sv.row(pat)]
+		}
+		if tab != nil {
+			copy(a.proj[base:base+stride], tab[row:row+stride])
+			continue
 		}
 		for cat := 0; cat < e.ncat; cat++ {
 			mi := e.matIdx(pat, cat)
@@ -294,6 +314,7 @@ func (v *Views) Prescore(cand *phylotree.Node, across *Across) (logL float64, er
 	t0 := c.eng.tick()
 	half := cand.Z / 2
 	c.prepareCombine(cand, half, av, cand.Back, half, bv)
+	c.tableChildren()
 	c.meter.EvaluateCalls++
 	c.evalOp = evalOp{qProj: across.proj, q: vec{sc: across.sc}}
 	c.runPass(passPrescore)
