@@ -3,7 +3,7 @@
 // (simdeterminism, plus its interprocedural extension nondettaint),
 // engine vector-cache coherence (invalidatepair), kernel allocation
 // discipline (hotpathalloc), tolerance-based float comparison (floatcmp),
-// kernel-context publication only through the range executor (ctxownership) and
+// engine publication only through the range executor (ctxownership) and
 // backend kernel purity (backendpurity). Every run also audits
 // //lint:ignore directives and reports the ones that no longer suppress
 // anything (unusedsuppression).

@@ -1,7 +1,7 @@
 // Command seqgen generates synthetic DNA alignments by simulating sequence
-// evolution along a random tree under a GTR+Γ model — the stand-in for the
-// paper's 42_SC benchmark input (42 taxa x 1167 nucleotides, ~250 distinct
-// site patterns).
+// evolution along a random tree under the default GTR+Γ model (α 0.8) — the
+// stand-in for the paper's 42_SC benchmark input (42 taxa x 1167
+// nucleotides, ~250 distinct site patterns).
 //
 // Usage:
 //
@@ -29,7 +29,6 @@ func main() {
 		sites     = flag.Int("sites", 1167, "alignment length")
 		seed      = flag.Int64("seed", 1, "random seed")
 		mb        = flag.Float64("mean-branch", 0.02, "mean branch length (substitutions/site)")
-		alpha     = flag.Float64("alpha", 0.8, "Gamma shape for rate heterogeneity")
 		invariant = flag.Float64("invariant", 0.60, "fraction of invariant sites")
 		gaps      = flag.Float64("gaps", 0, "fraction of characters replaced by gaps")
 		format    = flag.String("format", "phylip", "output format: phylip or fasta")
@@ -39,7 +38,7 @@ func main() {
 	flag.Parse()
 
 	params := seqsim.Params{
-		Taxa: *taxa, Sites: *sites, MeanBranch: *mb, Alpha: *alpha,
+		Taxa: *taxa, Sites: *sites, MeanBranch: *mb,
 		GapFraction: *gaps, InvariantFraction: *invariant,
 	}
 	if err := generate(params, *seed, *format, *out, *treeOut); err != nil {

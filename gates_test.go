@@ -93,7 +93,7 @@ func TestBackendGateMirrorsCI(t *testing.T) {
 // benchmark/ and testdata/, counted after gofmt. It only moves down: a change
 // that deletes code lowers it to the new count, and one that must raise it
 // states in CHANGES.md the measured win that pays for the lines.
-const codeCeiling = 18114
+const codeCeiling = 18012
 
 // TestCodeBudget counts the gofmt'd lines of every non-test Go file outside
 // benchmark/ and testdata/ and fails above codeCeiling.
@@ -139,11 +139,10 @@ func TestCodeBudget(t *testing.T) {
 // a behaviour a test needs is a field (search's policy, likelihood's
 // Config.noRepeats), never a global.
 var packageVarAllowed = map[string]string{
-	"executor":        "the range executor: one per process, shared by every engine",
-	"backendRegistry": "the backends registered at init, read-only after it",
-	"TwoTo256":        "scaling constant; math.Ldexp is not a constant expression",
-	"MinLikelihood":   "scaling constant; math.Ldexp is not a constant expression",
-	"logMinLik":       "scaling constant; math.Log is not a constant expression",
+	"executor":      "the range executor: one per process, shared by every engine",
+	"TwoTo256":      "scaling constant; math.Ldexp is not a constant expression",
+	"MinLikelihood": "scaling constant; math.Ldexp is not a constant expression",
+	"logMinLik":     "scaling constant; math.Log is not a constant expression",
 }
 
 // TestNoPackageVarsInSearchAndLikelihood parses the non-test Go files of

@@ -59,7 +59,7 @@ func TestInferOnceIncrementalMatches(t *testing.T) {
 		t.Error("inference recorded no cache hits")
 	}
 	// Measured 5.1 newview calls per Newton solve (most of them the lazy-SPR
-	// view tables, rebuilt per prune); with the engine recomputing the tree
+	// memo's vectors, recomputed per prune); with the engine recomputing the tree
 	// for every call the same inference measured 11.7.
 	if meter.NewviewCalls > 7*meter.MakenewzCalls {
 		t.Errorf("%d newview calls for %d Newton solves, want <= 7 per solve",

@@ -2,9 +2,7 @@ package likelihood
 
 import (
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 )
 
 // Backend is the compute contract behind the engine: the per-pattern inner
@@ -13,9 +11,9 @@ import (
 // caching and scheduling machinery so alternative loop structures can be
 // swapped in without touching search code.
 //
-// Everything outside the contract is backend-independent and stays in
-// Ctx/Engine: traversal descriptors and cache invalidation, Views
-// memoization, transition-matrix and tip-projection table construction, the
+// Everything outside the contract is backend-independent and stays in the
+// Engine: traversal descriptors and cache invalidation, the lazy-SPR vector
+// memo, transition-matrix and tip-projection table construction, the
 // Newton solver driver, numerical scaling policy, and the block executor
 // that spreads a pass over idle CPUs (executor.go). A backend only answers
 // "given these operands, compute patterns (or rows) [lo, hi)" — which is exactly the
@@ -23,68 +21,65 @@ import (
 // analogue of the paper swapping restructured SPU loops under an unchanged
 // search.
 //
-// Concurrency: a backend must be stateless, because one backend value serves
-// every context of an engine and the executor runs several blocks of one
-// pass concurrently, some of them on helper goroutines that do not own the
-// Ctx. Each method receives the tile scratch of the goroutine that runs it
-// (the context's for its owner, the helper's own otherwise), so tiles never
-// alias across a pass.
+// Concurrency: a backend must be stateless, because the executor runs
+// several blocks of one pass concurrently, some of them on helper goroutines
+// that do not own the engine. Each method reads the engine and its scratch
+// and receives the tile scratch of the goroutine that runs it (the engine's
+// own for its owner, the helper's own otherwise), so tiles never alias
+// across a pass; it writes only its block's elements of the operands and of
+// the scratch, and returns its statistics in a part value (backendpurity).
 //
 // Numerics: backends must reproduce the scalar reference within 1e-9
 // relative log-likelihood on any workload (the 42sc cross-validation gate
-// enforces this for every registered backend); the shipped backends keep
-// the per-element accumulation order of the reference loops, so they agree
-// bit for bit where the compiler does not re-fuse floating point ops.
+// enforces this for both backends); they keep the per-element accumulation
+// order of the reference loops, so they agree bit for bit where the compiler
+// does not re-fuse floating point ops.
 type Backend interface {
-	// Name reports the registry name ("scalar", "batched", ...).
+	// Name reports the backend's name ("scalar" or "batched").
 	Name() string
-
-	// initCtx sizes any backend-private scratch on a fresh kernel context
-	// (called once from Ctx.alloc, before any kernel runs).
-	initCtx(c *Ctx)
 
 	// readsClassTables reports whether combineRows and evaluateRange read
 	// an inner child through its class table (combineOp.qTab/rTab,
-	// evalOp.qTab) when the engine builds one (Ctx.classTable), instead of
-	// projecting it per row.
+	// evalOp.qTab) when the engine builds one (Engine.classTable), instead
+	// of projecting it per row.
 	readsClassTables() bool
 
 	// combineRows executes the newview inner loop for rows [pr.lo, pr.hi)
 	// of the destination: each row's children gathered at the pattern it
 	// stands for (op.first) through their class maps, projected through the
-	// transition matrices prepared in c.pLeft/c.pRight (tip children via the
-	// c.tipPL/c.tipPR tables, inner ones via their class tables if they have
-	// one), their elementwise product into op.dst (whose first row is
-	// op.dstLo), and the 2^-256 scaling check per row.
-	combineRows(c *Ctx, op *combineOp, pr patRange, ts *tileScratch) combineStats
+	// transition matrices prepared in e.scr.pLeft/pRight (tip children via
+	// the e.scr.tipPL/tipPR tables, inner ones via their class tables if
+	// they have one), their elementwise product into op.dst (whose first row
+	// is op.dstLo), and the 2^-256 scaling check per row.
+	combineRows(e *Engine, op *combineOp, pr patRange, ts *tileScratch) combineStats
 
 	// evaluateRange executes the evaluate inner loop for patterns
 	// [pr.lo, pr.hi), each side gathered through its class map: the q-side
-	// projection through c.pLeft (tips via c.tipPR, an inner side via its
-	// class table if it has one) unless op.qProj already holds it, the
+	// projection through e.scr.pLeft (tips via e.scr.tipPR, an inner side via
+	// its class table if it has one) unless op.qProj already holds it, the
 	// frequency-weighted dot product against op.p (whose first row is
 	// op.pLo), the per-pattern log with scaling counters folded back, and
 	// the weighted log-likelihood sum of the range.
-	evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileScratch) evalPart
+	evaluateRange(e *Engine, op *evalOp, pr patRange, ts *tileScratch) evalPart
 
 	// sumTableFactors computes the two factors of the Newton eigenmode sum
 	// table A[pat,c,k] = (Σ_i π_i·x_i·V_ik)·(Σ_j W_kj·y_j), each once per row
-	// of its side: c.sumP for rows pr of op.p, c.sumQ for rows qr of op.q
-	// (of the codes 0–15 for a tip). Ctx.sumTableProducts multiplies them per
-	// pattern.
-	sumTableFactors(c *Ctx, op *sumOp, pr, qr patRange, ts *tileScratch) sumPart
+	// of its side: e.scr.sumP for rows pr of op.p, e.scr.sumQ for rows qr of
+	// op.q (of the codes 0–15 for a tip). Engine.sumTableProducts multiplies
+	// them per pattern.
+	sumTableFactors(e *Engine, op *sumOp, pr, qr patRange, ts *tileScratch) sumPart
 
 	// newtonDerivRange is the pass every Newton iteration makes: it reduces
-	// (dlogL/dt, d2logL/dt2) over patterns [pr.lo, pr.hi) from c.sumTab and
-	// the three exponential blocks. The iterate depends only on d1/d2, so
-	// the pass takes no logarithm.
-	newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, ts *tileScratch) derivPart
+	// (dlogL/dt, d2logL/dt2) over patterns [pr.lo, pr.hi) from e.scr.sumTab
+	// and the three exponential blocks. The iterate depends only on d1/d2,
+	// so the pass takes no logarithm.
+	newtonDerivRange(e *Engine, op *newtonOp, pr patRange, ts *tileScratch) derivPart
 
 	// newtonValueRange is the pass a solve makes once, at the point it
 	// returns: the weighted log-likelihood sum of patterns [pr.lo, pr.hi)
-	// from c.sumTab and op.e0 alone — a third of the derivative pass's
+	// from e.scr.sumTab and op.e0 alone — a third of the derivative pass's
 	// table arithmetic and exactly one log per pattern.
-	newtonValueRange(c *Ctx, op *newtonOp, pr patRange, ts *tileScratch) valuePart
+	newtonValueRange(e *Engine, op *newtonOp, pr patRange, ts *tileScratch) valuePart
 }
 
 // Reduction helpers shared by the backends.
@@ -114,7 +109,7 @@ func (s *combineStats) add(o combineStats) {
 // carry their vecs, and qTab/rTab their class tables if they have one. The
 // destination has rows rows, row i standing for pattern first[i] (first nil:
 // one row per pattern). The transition matrices and tip-projection tables
-// for the call are already prepared on the Ctx.
+// for the call are already prepared in the engine's scratch.
 // dst and dstScale begin at row dstLo: 0 for a whole vector, the block's
 // first pattern when a prescore block combines into its own scratch.
 type combineOp struct {
@@ -131,7 +126,7 @@ type combineOp struct {
 // evalOp is the operand set of one evaluate call across a branch (p, q):
 // the p-side is always an inner vector, the q-side a tip (qData) or inner
 // vector (q) for the kernel to carry across the branch — or, when qProj is
-// set, a q-side that already has been (Views.CarryAcross), laid out like a
+// set, a q-side that already has been (Engine.CarryAcross), laid out like a
 // vector of one row per pattern, with q.sc its scale counts. qTab is an
 // inner q's class table, if it has one. p's rows begin at row pLo, like
 // combineOp's dst. perSite, when non-nil, receives the per-pattern logs.
@@ -190,47 +185,21 @@ type valuePart struct {
 
 // DefaultBackend is the backend used when Config.Backend is empty: the
 // pattern-tiled kernels, bit-identical to the scalar reference and faster
-// per pattern in every measured cell. "scalar" stays registered as the
-// oracle the tests and the benchmark compare against.
+// per pattern in every measured cell. "scalar" stays as the oracle the tests
+// and the benchmark compare against.
 const DefaultBackend = "batched"
 
-// backendRegistry maps names to constructors. Backends register at init
-// time; the map is read-only afterwards, so engines may resolve
-// concurrently.
-var backendRegistry = map[string]func() Backend{}
-
-// RegisterBackend adds a backend constructor under name. It panics on a
-// duplicate or empty name — registration is an init-time programming
-// action, not a runtime input.
-func RegisterBackend(name string, factory func() Backend) {
-	if name == "" || factory == nil {
-		panic("likelihood: RegisterBackend with empty name or nil factory")
-	}
-	if _, dup := backendRegistry[name]; dup {
-		panic("likelihood: duplicate backend " + name)
-	}
-	backendRegistry[name] = factory
-}
-
-// Backends lists the registered backend names, sorted, for flag help and
-// for harnesses that cross-validate every backend.
-func Backends() []string {
-	return slices.Sorted(maps.Keys(backendRegistry))
-}
+// Backends lists the backend names, sorted, for flag help and for harnesses
+// that cross-validate every backend.
+func Backends() []string { return []string{"batched", "scalar"} }
 
 // newBackend resolves a Config.Backend value ("" selects DefaultBackend).
 func newBackend(name string) (Backend, error) {
-	if name == "" {
-		name = DefaultBackend
+	switch name {
+	case "", "batched":
+		return batchedBackend{}, nil
+	case "scalar":
+		return scalarBackend{}, nil
 	}
-	factory, ok := backendRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("likelihood: unknown backend %q (registered: %v)", name, Backends())
-	}
-	return factory(), nil
-}
-
-func init() {
-	RegisterBackend("scalar", func() Backend { return scalarBackend{} })
-	RegisterBackend("batched", func() Backend { return batchedBackend{} })
+	return nil, fmt.Errorf("likelihood: unknown backend %q (registered: %v)", name, Backends())
 }

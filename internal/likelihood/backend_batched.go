@@ -9,7 +9,7 @@ import "math"
 // into the 256 KiB SPE local store.
 const batchTile = 32
 
-// tileScratch is one goroutine's private tile storage: every kernel context
+// tileScratch is one goroutine's private tile storage: every engine
 // owns one for the blocks its owner runs, every executor helper one for the
 // blocks it adopts, so concurrent blocks of one pass never share a tile.
 type tileScratch struct {
@@ -155,7 +155,7 @@ func projectTimes(p, src []float64, idx []int32, a []float64, aIdx []int32, out 
 
 // projectRows projects rows [lo, hi) of an inner child's partial vectors
 // into the same rows of dst a tile at a time: a class table's rows
-// (Ctx.classTable), each projectInnerTile's expression on its row.
+// (Engine.classTable), each projectInnerTile's expression on its row.
 func projectRows(e *Engine, p, src, dst []float64, lo, hi int) {
 	for l := lo; l < hi; l += batchTile {
 		projectInnerTile(p, src, e.ident[l:min(l+batchTile, hi)], dst[l*e.ncat*ns:], e.ncat)
@@ -168,10 +168,9 @@ func projectRows(e *Engine, p, src, dst []float64, lo, hi int) {
 // its row read in place as the product's first factor and its inner sibling
 // projected straight into the product; two inner children project the
 // first into a tile; two tables multiply their rows.
-func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tileScratch) combineStats {
-	e := c.eng
+func (b batchedBackend) combineRows(e *Engine, op *combineOp, pr patRange, ts *tileScratch) combineStats {
 	if e.patCat != nil {
-		return b.scalar.combineRows(c, op, pr, ts)
+		return b.scalar.combineRows(e, op, pr, ts)
 	}
 	ncat := e.ncat
 	stride := ncat * ns
@@ -181,12 +180,12 @@ func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile
 	if op.qData == nil {
 		inner++
 	} else {
-		qt = c.tipPL
+		qt = e.scr.tipPL
 	}
 	if op.rData == nil {
 		inner++
 	} else {
-		rt = c.tipPR
+		rt = e.scr.tipPR
 	}
 
 	var st combineStats
@@ -207,12 +206,12 @@ func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile
 				}
 			}
 		case qt != nil:
-			projectTimes(c.pRight, op.r.lv, ri, qt, qi, out, ncat)
+			projectTimes(e.scr.pRight, op.r.lv, ri, qt, qi, out, ncat)
 		case rt != nil:
-			projectTimes(c.pLeft, op.q.lv, qi, rt, ri, out, ncat)
+			projectTimes(e.scr.pLeft, op.q.lv, qi, rt, ri, out, ncat)
 		default:
-			projectInnerTile(c.pLeft, op.q.lv, qi, ts.a, ncat)
-			projectTimes(c.pRight, op.r.lv, ri, ts.a, e.ident[:n], out, ncat)
+			projectInnerTile(e.scr.pLeft, op.q.lv, qi, ts.a, ncat)
+			projectTimes(e.scr.pRight, op.r.lv, ri, ts.a, e.ident[:n], out, ncat)
 		}
 		st.muls += uint64(n) * (inner*uint64(ncat)*ns*ns + uint64(stride))
 		st.adds += uint64(n) * inner * uint64(ncat) * ns * (ns - 1)
@@ -227,7 +226,7 @@ func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile
 				sc += op.r.sc[ri[j]]
 			}
 			st.scaleChecks++
-			if e.needsScalingPure(d) {
+			if e.needsScaling(d) {
 				for k := range d {
 					d[k] *= TwoTo256
 				}
@@ -248,10 +247,9 @@ func (b batchedBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile
 // close. The q-side of tile position j is row ai[j] of a: the carried
 // vector, a tip's or a class table, or the tile the inner q-side was
 // projected into.
-func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileScratch) evalPart {
-	e := c.eng
+func (b batchedBackend) evaluateRange(e *Engine, op *evalOp, pr patRange, ts *tileScratch) evalPart {
 	if e.patCat != nil {
-		return b.scalar.evaluateRange(c, op, pr, ts)
+		return b.scalar.evaluateRange(e, op, pr, ts)
 	}
 	ncat := e.ncat
 	stride := ncat * ns
@@ -273,9 +271,9 @@ func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileS
 		case op.qProj != nil:
 			a, ai = op.qProj, e.ident[lo:hi]
 		case op.qData != nil:
-			a = c.tipPR
+			a = e.scr.tipPR
 		case a == nil:
-			projectInnerTile(c.pLeft, op.q.lv, qi, ts.a, ncat)
+			projectInnerTile(e.scr.pLeft, op.q.lv, qi, ts.a, ncat)
 			a, ai = ts.a, e.ident[:n]
 		}
 		if op.qProj == nil && op.qData == nil {
@@ -320,10 +318,9 @@ func (b batchedBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, ts *tileS
 	return out
 }
 
-func (b batchedBackend) sumTableFactors(c *Ctx, op *sumOp, pr, qr patRange, ts *tileScratch) sumPart {
-	e := c.eng
+func (b batchedBackend) sumTableFactors(e *Engine, op *sumOp, pr, qr patRange, ts *tileScratch) sumPart {
 	if e.patCat != nil {
-		return b.scalar.sumTableFactors(c, op, pr, qr, ts)
+		return b.scalar.sumTableFactors(e, op, pr, qr, ts)
 	}
 	g := e.Mod.GTR
 	stride := e.ncat * ns
@@ -331,7 +328,7 @@ func (b batchedBackend) sumTableFactors(c *Ctx, op *sumOp, pr, qr patRange, ts *
 	// fx[i] = π_i·x_i once per row and category; the flat 4-term forms group
 	// left-associatively exactly like the scalar += chains.
 	for o := pr.lo * stride; o < pr.hi*stride; o += ns {
-		x, f := op.p.lv[o:o+ns], c.sumP[o:o+ns]
+		x, f := op.p.lv[o:o+ns], e.scr.sumP[o:o+ns]
 		fx0, fx1, fx2, fx3 := fr[0]*x[0], fr[1]*x[1], fr[2]*x[2], fr[3]*x[3]
 		f[0] = fx0*v[0][0] + fx1*v[1][0] + fx2*v[2][0] + fx3*v[3][0]
 		f[1] = fx0*v[0][1] + fx1*v[1][1] + fx2*v[2][1] + fx3*v[3][1]
@@ -346,7 +343,7 @@ func (b batchedBackend) sumTableFactors(c *Ctx, op *sumOp, pr, qr patRange, ts *
 			y = op.q.lv[o : o+ns]
 		}
 		y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
-		f := c.sumQ[o : o+ns]
+		f := e.scr.sumQ[o : o+ns]
 		f[0] = w[0][0]*y0 + w[0][1]*y1 + w[0][2]*y2 + w[0][3]*y3
 		f[1] = w[1][0]*y0 + w[1][1]*y1 + w[1][2]*y2 + w[1][3]*y3
 		f[2] = w[2][0]*y0 + w[2][1]*y1 + w[2][2]*y2 + w[2][3]*y3
@@ -358,17 +355,16 @@ func (b batchedBackend) sumTableFactors(c *Ctx, op *sumOp, pr, qr patRange, ts *
 // newtonDerivRange runs pattern at a time with L, L′ and L″ in locals: each
 // is added up in the scalar loop's order (category-major, state-ascending),
 // so the pass keeps its bits, and no per-pattern sum goes through memory.
-func (b batchedBackend) newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, ts *tileScratch) derivPart {
-	e := c.eng
+func (b batchedBackend) newtonDerivRange(e *Engine, op *newtonOp, pr patRange, ts *tileScratch) derivPart {
 	if e.patCat != nil {
-		return b.scalar.newtonDerivRange(c, op, pr, ts)
+		return b.scalar.newtonDerivRange(e, op, pr, ts)
 	}
 	stride := e.ncat * ns
 	e0, e1, e2 := op.e0[:stride], op.e1[:stride], op.e2[:stride]
 
 	var out derivPart
 	for pat := pr.lo; pat < pr.hi; pat++ {
-		a := c.sumTab[pat*stride : pat*stride+stride]
+		a := e.scr.sumTab[pat*stride : pat*stride+stride]
 		var l0, l1, l2 float64
 		for co := 0; co+ns <= stride; co += ns {
 			ac := a[co : co+ns : co+ns]
@@ -404,17 +400,16 @@ func (b batchedBackend) newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, ts *
 }
 
 // newtonValueRange is newtonDerivRange's loop on e0 alone.
-func (b batchedBackend) newtonValueRange(c *Ctx, op *newtonOp, pr patRange, ts *tileScratch) valuePart {
-	e := c.eng
+func (b batchedBackend) newtonValueRange(e *Engine, op *newtonOp, pr patRange, ts *tileScratch) valuePart {
 	if e.patCat != nil {
-		return b.scalar.newtonValueRange(c, op, pr, ts)
+		return b.scalar.newtonValueRange(e, op, pr, ts)
 	}
 	stride := e.ncat * ns
 	e0 := op.e0[:stride]
 
 	var out valuePart
 	for pat := pr.lo; pat < pr.hi; pat++ {
-		a := c.sumTab[pat*stride : pat*stride+stride]
+		a := e.scr.sumTab[pat*stride : pat*stride+stride]
 		var l0 float64
 		for co := 0; co+ns <= stride; co += ns {
 			ac, x := a[co:co+ns:co+ns], e0[co:co+ns:co+ns]
@@ -439,8 +434,5 @@ func (b batchedBackend) newtonValueRange(c *Ctx, op *newtonOp, pr patRange, ts *
 // newview 5 % on the benchmark host (measured pinned to one CPU, both ways).
 
 func (batchedBackend) Name() string { return "batched" }
-
-// initCtx sizes the context's tile.
-func (batchedBackend) initCtx(c *Ctx) { c.tile.fit(c.eng.ncat) }
 
 func (batchedBackend) readsClassTables() bool { return true }

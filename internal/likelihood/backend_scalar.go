@@ -12,15 +12,10 @@ type scalarBackend struct{}
 
 func (scalarBackend) Name() string { return "scalar" }
 
-// initCtx is a no-op: the scalar loops run entirely on the shared Ctx
-// scratch.
-func (scalarBackend) initCtx(*Ctx) {}
-
 // readsClassTables is false: the oracle projects every row.
 func (scalarBackend) readsClassTables() bool { return false }
 
-func (scalarBackend) combineRows(c *Ctx, op *combineOp, pr patRange, _ *tileScratch) combineStats {
-	e := c.eng
+func (scalarBackend) combineRows(e *Engine, op *combineOp, pr patRange, _ *tileScratch) combineStats {
 	ncat := e.ncat
 	qData, rData := op.qData, op.rData
 	q, r := &op.q, &op.r
@@ -39,9 +34,9 @@ func (scalarBackend) combineRows(c *Ctx, op *combineOp, pr patRange, _ *tileScra
 			var left, right [ns]float64
 			if qData != nil {
 				code := qData[pat] & 0x0f
-				copy(left[:], c.tipPL[int(code)*e.nmat*ns+mi*ns:][:ns])
+				copy(left[:], e.scr.tipPL[int(code)*e.nmat*ns+mi*ns:][:ns])
 			} else {
-				pc := c.pLeft[mi*ns*ns:]
+				pc := e.scr.pLeft[mi*ns*ns:]
 				x := q.lv[qr*ncat*ns+cat*ns:]
 				for i := 0; i < ns; i++ {
 					left[i] = pc[i*ns]*x[0] + pc[i*ns+1]*x[1] + pc[i*ns+2]*x[2] + pc[i*ns+3]*x[3]
@@ -51,9 +46,9 @@ func (scalarBackend) combineRows(c *Ctx, op *combineOp, pr patRange, _ *tileScra
 			}
 			if rData != nil {
 				code := rData[pat] & 0x0f
-				copy(right[:], c.tipPR[int(code)*e.nmat*ns+mi*ns:][:ns])
+				copy(right[:], e.scr.tipPR[int(code)*e.nmat*ns+mi*ns:][:ns])
 			} else {
-				pc := c.pRight[mi*ns*ns:]
+				pc := e.scr.pRight[mi*ns*ns:]
 				x := r.lv[rr*ncat*ns+cat*ns:]
 				for i := 0; i < ns; i++ {
 					right[i] = pc[i*ns]*x[0] + pc[i*ns+1]*x[1] + pc[i*ns+2]*x[2] + pc[i*ns+3]*x[3]
@@ -76,7 +71,7 @@ func (scalarBackend) combineRows(c *Ctx, op *combineOp, pr patRange, _ *tileScra
 			sc += r.sc[rr]
 		}
 		st.scaleChecks++
-		if e.needsScalingPure(dst[dbase : dbase+ncat*ns]) {
+		if e.needsScaling(dst[dbase : dbase+ncat*ns]) {
 			for k := dbase; k < dbase+ncat*ns; k++ {
 				dst[k] *= TwoTo256
 			}
@@ -89,8 +84,7 @@ func (scalarBackend) combineRows(c *Ctx, op *combineOp, pr patRange, _ *tileScra
 	return st
 }
 
-func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ *tileScratch) evalPart {
-	e := c.eng
+func (scalarBackend) evaluateRange(e *Engine, op *evalOp, pr patRange, _ *tileScratch) evalPart {
 	ncat := e.ncat
 	freqs := &e.Mod.GTR.Freqs
 	p, pLo := &op.p, op.pLo
@@ -115,9 +109,9 @@ func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ *tileScrat
 				copy(proj[:], qProj[base+cat*ns:][:ns])
 			} else if qData != nil {
 				code := qData[pat] & 0x0f
-				copy(proj[:], c.tipPR[int(code)*e.nmat*ns+mi*ns:][:ns])
+				copy(proj[:], e.scr.tipPR[int(code)*e.nmat*ns+mi*ns:][:ns])
 			} else {
-				pc := c.pLeft[mi*ns*ns:]
+				pc := e.scr.pLeft[mi*ns*ns:]
 				y := q.lv[qr*ncat*ns+cat*ns:]
 				for i := 0; i < ns; i++ {
 					proj[i] = pc[i*ns]*y[0] + pc[i*ns+1]*y[1] + pc[i*ns+2]*y[2] + pc[i*ns+3]*y[3]
@@ -153,8 +147,7 @@ func (scalarBackend) evaluateRange(c *Ctx, op *evalOp, pr patRange, _ *tileScrat
 	return out
 }
 
-func (scalarBackend) sumTableFactors(c *Ctx, op *sumOp, pr, qr patRange, _ *tileScratch) sumPart {
-	e := c.eng
+func (scalarBackend) sumTableFactors(e *Engine, op *sumOp, pr, qr patRange, _ *tileScratch) sumPart {
 	g := e.Mod.GTR
 	stride := e.ncat * ns
 	for o := pr.lo * stride; o < pr.hi*stride; o += ns {
@@ -164,7 +157,7 @@ func (scalarBackend) sumTableFactors(c *Ctx, op *sumOp, pr, qr patRange, _ *tile
 			for i := 0; i < ns; i++ {
 				a += g.Freqs[i] * x[i] * g.V[i][k]
 			}
-			c.sumP[o+k] = a
+			e.scr.sumP[o+k] = a
 		}
 	}
 	for o := qr.lo * stride; o < qr.hi*stride; o += ns {
@@ -179,7 +172,7 @@ func (scalarBackend) sumTableFactors(c *Ctx, op *sumOp, pr, qr patRange, _ *tile
 			for i := 0; i < ns; i++ {
 				b += g.VInv[k][i] * y[i]
 			}
-			c.sumQ[o+k] = b
+			e.scr.sumQ[o+k] = b
 		}
 	}
 	return sumTableStats(e, pr, qr)
@@ -193,10 +186,9 @@ func sumTableStats(e *Engine, pr, qr patRange) sumPart {
 	return sumPart{muls: (2*np + nq) * ns * ns, adds: (np + nq) * ns * (ns - 1)}
 }
 
-func (scalarBackend) newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, _ *tileScratch) derivPart {
-	e := c.eng
+func (scalarBackend) newtonDerivRange(e *Engine, op *newtonOp, pr patRange, _ *tileScratch) derivPart {
 	ncat := e.ncat
-	sumTab := c.sumTab
+	sumTab := e.scr.sumTab
 	e0, e1, e2 := op.e0, op.e1, op.e2
 	weights := op.weights
 
@@ -227,10 +219,9 @@ func (scalarBackend) newtonDerivRange(c *Ctx, op *newtonOp, pr patRange, _ *tile
 	return out
 }
 
-func (scalarBackend) newtonValueRange(c *Ctx, op *newtonOp, pr patRange, _ *tileScratch) valuePart {
-	e := c.eng
+func (scalarBackend) newtonValueRange(e *Engine, op *newtonOp, pr patRange, _ *tileScratch) valuePart {
 	ncat := e.ncat
-	sumTab := c.sumTab
+	sumTab := e.scr.sumTab
 	e0 := op.e0
 	weights := op.weights
 

@@ -163,17 +163,16 @@ func TestBackendsMatchScalarGamma(t *testing.T) {
 			}
 			ref.InvalidateAll()
 			alt.InvalidateAll()
-			refViews, altViews := ref.NewViews(), alt.NewViews()
 			cands := append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...)
 			if len(cands) < 4 {
 				t.Fatalf("%d insertion candidates", len(cands))
 			}
 			for i, cand := range cands {
-				zR, llR, err := refViews.InsertionScore(cand, ps.P, 0.1)
+				zR, llR, err := ref.InsertionScore(cand, ps.P, 0.1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				zA, llA, err := altViews.InsertionScore(cand, ps.P, 0.1)
+				zA, llA, err := alt.InsertionScore(cand, ps.P, 0.1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,8 +180,6 @@ func TestBackendsMatchScalarGamma(t *testing.T) {
 					t.Errorf("candidate %d: %s insertion score (%.12g, %.12g) != scalar (%.12g, %.12g)", i, name, zA, llA, zR, llR)
 				}
 			}
-			refViews.Release()
-			altViews.Release()
 			if err := tr.Undo(ps); err != nil {
 				t.Fatal(err)
 			}
@@ -354,8 +351,8 @@ func FuzzBackendEquivalence(f *testing.F) {
 			edge.SetZ(z0)
 			prepareBranch(e, edge)
 			var r newtonResult
-			r.d1, r.d2 = e.ctx0.newtonDerivs(zProbe)
-			r.value = e.ctx0.newtonValue(zProbe)
+			r.d1, r.d2 = e.newtonDerivs(zProbe)
+			r.value = e.newtonValue(zProbe)
 			var err error
 			if r.z, r.logL, err = e.MakeNewz(edge); err != nil {
 				t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 )
 
 // internalRecords collects every directed internal ring record of the tree:
-// the full domain of Views.Vector.
+// the full domain of Engine.Vector.
 func internalRecords(tr *phylotree.Tree) []*phylotree.Node {
 	var out []*phylotree.Node
 	for _, e := range tr.Edges() {
@@ -67,7 +67,7 @@ func assertVectorsEqual(t *testing.T, stage string, e *Engine, got, want vec) {
 
 // lazyScoreAudit does what the search does to one prune candidate — prune p
 // through the tree's hooks, orient the engine's slots toward the prune
-// point, score every insertion edge within radius 3 — through a Views, and
+// point, score every insertion edge within radius 3 — through its memo, and
 // requires every prescore and every solved score to be bit-identical to the one a fresh engine (nothing cached, nothing to read through) computes for
 // the same candidate of the same prune on a clone of the tree. It returns the
 // pruned subtree with the candidates and the index and branch length of the
@@ -108,33 +108,32 @@ func lazyScoreAudit(t *testing.T, stage string, eng *Engine, tr *phylotree.Tree,
 	if err != nil {
 		t.Fatal(err)
 	}
-	pv, fv := eng.NewViews(), fresh.NewViews()
 	z0, bestLL := ps.P.Z, math.Inf(-1)
 	var across, freshAcross Across
-	if err := pv.CarryAcross(&across, ps.P, z0); err != nil {
+	if err := eng.CarryAcross(&across, ps.P, z0); err != nil {
 		t.Fatal(err)
 	}
-	if err := fv.CarryAcross(&freshAcross, cps.P, z0); err != nil {
+	if err := fresh.CarryAcross(&freshAcross, cps.P, z0); err != nil {
 		t.Fatal(err)
 	}
 	best = -1
 	for i, cand := range cands {
-		wantPre, err := fv.Prescore(ccands[i], &freshAcross)
+		wantPre, err := fresh.Prescore(ccands[i], &freshAcross)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantZ, wantLL, err := fv.InsertionScore(ccands[i], cps.P, z0)
+		wantZ, wantLL, err := fresh.InsertionScore(ccands[i], cps.P, z0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre, err := pv.Prescore(cand, &across)
+		pre, err := eng.Prescore(cand, &across)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pre != wantPre {
 			t.Fatalf("%s: candidate %d prescores %.17g, fresh engine %.17g", stage, i, pre, wantPre)
 		}
-		z, ll, err := pv.InsertionScore(cand, ps.P, z0)
+		z, ll, err := eng.InsertionScore(cand, ps.P, z0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +145,6 @@ func lazyScoreAudit(t *testing.T, stage string, eng *Engine, tr *phylotree.Tree,
 			best, bestZ, bestLL = i, wantZ, wantLL
 		}
 	}
-	pv.Release()
 	return ps, cands, best, bestZ
 }
 
@@ -154,8 +152,8 @@ func lazyScoreAudit(t *testing.T, stage string, eng *Engine, tr *phylotree.Tree,
 // topology moves, lazy-SPR scoring rounds, model and weight swaps, full
 // invalidations, edits of a tree the engine is not attached to and reads
 // over a random small tree, asserting after every operation that a sample of
-// the vectors a Views serves (from the engine's slots where they hold the
-// orientation, computed otherwise) is bit-identical to what a fresh engine
+// the vectors Vector serves (from the engine's slots where they hold the
+// orientation, from its memo otherwise) is bit-identical to what a fresh engine
 // computes on a clone of the tree, that the class map of every valid slot is the one a fresh
 // engine numbers, and that the engine's own slots answer Evaluate and
 // MakeNewz bit-identically to a fresh engine on a clone of the tree.
@@ -189,7 +187,6 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 				t.Fatal(err)
 			}
 			edges, cloned := tr.Edges(), tr.Clone().Edges()
-			pv, fv := eng.NewViews(), fresh.NewViews()
 			for k := 0; k < 4; k++ {
 				i := rng.Intn(len(edges))
 				r, cr := edges[i], cloned[i]
@@ -199,18 +196,16 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 				if r.IsTip() {
 					continue
 				}
-				got, err := pv.Vector(r)
+				got, err := eng.Vector(r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := fv.Vector(cr)
+				want, err := fresh.Vector(cr)
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertVectorsEqual(t, stage, eng, got, want)
 			}
-			pv.Release()
-			fv.Release()
 
 			// The engine's own slots.
 			// The class map of every valid slot is the one a fresh engine

@@ -57,9 +57,9 @@ func TestClassTablesMatchScalar(t *testing.T) {
 	alt.AttachTree(tr)
 	tabled := func(want uint64, stage string, run func()) {
 		t.Helper()
-		before := alt.ctx0.tabled
+		before := alt.scr.tabled
 		run()
-		if got := alt.ctx0.tabled - before; got != want {
+		if got := alt.scr.tabled - before; got != want {
 			t.Fatalf("%s built %d class tables, the rule gives %d", stage, got, want)
 		}
 	}
@@ -72,10 +72,10 @@ func TestClassTablesMatchScalar(t *testing.T) {
 			e.NewView(q)
 			e.NewView(r)
 		}
-		ref.ctx0.computeView(p)
+		ref.computeView(p)
 		rows := ref.classes(p).rows
 		qs, rs := tablesFor(rows, alt.slotVec(q)), tablesFor(rows, alt.slotVec(r))
-		tabled(qs+rs, "a newview", func() { alt.ctx0.computeView(p) })
+		tabled(qs+rs, "a newview", func() { alt.computeView(p) })
 		sides[0] += qs
 		sides[1] += rs
 		assertVectorsEqual(t, "newview", alt, alt.slotVec(p), ref.slotVec(p))
@@ -126,18 +126,16 @@ func TestClassTablesMatchScalar(t *testing.T) {
 				continue
 			}
 			var across [2]Across
-			var views [2]*Views
-			for i, e := range [...]*Engine{ref, alt} {
+			for _, e := range [...]*Engine{ref, alt} {
 				e.NewView(ps.Q)
 				e.NewView(ps.R)
 				e.NewView(ps.P.Back)
-				views[i] = e.NewViews()
 			}
-			if err := views[0].CarryAcross(&across[0], ps.P, 0.05); err != nil {
+			if err := ref.CarryAcross(&across[0], ps.P, 0.05); err != nil {
 				t.Fatal(err)
 			}
 			n := tablesFor(npat, alt.slotVec(ps.P.Back))
-			tabled(n, "CarryAcross", func() { err = views[1].CarryAcross(&across[1], ps.P, 0.05) })
+			tabled(n, "CarryAcross", func() { err = alt.CarryAcross(&across[1], ps.P, 0.05) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,17 +145,17 @@ func TestClassTablesMatchScalar(t *testing.T) {
 			}
 			for _, cand := range append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...) {
 				var vs [2][2]vec // each engine's two sides, computed before the prescore
-				for i, v := range views {
+				for i, v := range [...]*Engine{ref, alt} {
 					vs[i][0], _ = v.Vector(cand)
 					vs[i][1], _ = v.Vector(cand.Back)
 				}
-				want, err := views[0].Prescore(cand, &across[0])
+				want, err := ref.Prescore(cand, &across[0])
 				if err != nil {
 					t.Fatal(err)
 				}
 				n := tablesFor(npat, vs[1][:]...)
 				var got float64
-				tabled(n, "a prescore", func() { got, err = views[1].Prescore(cand, &across[1]) })
+				tabled(n, "a prescore", func() { got, err = alt.Prescore(cand, &across[1]) })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,9 +163,6 @@ func TestClassTablesMatchScalar(t *testing.T) {
 				if got != want {
 					t.Fatalf("prescore of %d into %d: %.17g, scalar %.17g", ps.P.Back.Index, cand.Index, got, want)
 				}
-			}
-			for _, v := range views {
-				v.Release()
 			}
 			if err := tr.Undo(ps); err != nil {
 				t.Fatal(err)

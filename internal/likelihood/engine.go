@@ -22,8 +22,8 @@ var (
 	logMinLik     = math.Log(MinLikelihood)
 )
 
-// Config selects the compute backend and the kernel observer. Every
-// registered backend computes the same bits on Gamma and CAT models alike
+// Config selects the compute backend and the kernel observer. Both
+// backends compute the same bits on Gamma and CAT models alike
 // (the cross-backend tests assert it); they differ in loop structure and
 // speed. Loop-level parallelism is not configured: the per-pattern passes of
 // an engine with more than one block of patterns are spread over the CPUs
@@ -35,9 +35,9 @@ type Config struct {
 	// tiles with fused transition×partial loops — the Go analogue of the
 	// paper's SPU vectorization; CAT models run the scalar loops through
 	// it) or "scalar" (the reference loops, kept as the oracle the tests
-	// and the benchmark compare against). See RegisterBackend/Backends;
-	// every registered backend must agree with scalar to ≤1e-9 logL. Empty
-	// means DefaultBackend.
+	// and the benchmark compare against). See Backends; the batched
+	// backend must agree with scalar to ≤1e-9 logL. Empty means
+	// DefaultBackend.
 	Backend string
 
 	// Observer, when set together with Now, receives the elapsed wall time
@@ -76,8 +76,11 @@ func (cfg Config) BackendName() string {
 // engine has seen must tell the engine; full recomputation is what a fresh
 // engine, or InvalidateAll before the call, gives.
 //
-// All per-call kernel scratch lives in a Ctx: the engine owns one, which
-// backs every Engine method and every Views.
+// The vectors the slots cannot hold — those of records facing away from the
+// slots' orientation, which lazy SPR reads — are memoized per directed ring
+// record (Vector), valid until the next edit. All per-call kernel scratch
+// lives in scr. An engine is used from one goroutine at a time; the range
+// executor's helpers touch it only for the blocks of its running pass.
 type Engine struct {
 	Pat   *alignment.Patterns
 	Mod   *model.Model
@@ -115,7 +118,6 @@ type Engine struct {
 	underflowSites uint64
 
 	// backend runs the kernels' per-pattern inner loops (Config.Backend).
-	// One stateless value serves every context of the engine.
 	backend Backend
 
 	// kobs/know are Config.Observer/Config.Now, cached here so the kernel
@@ -123,9 +125,18 @@ type Engine struct {
 	kobs KernelObserver
 	know func() time.Duration
 
-	// ctx0 is the engine's kernel context, backing the Engine methods; its
-	// meter/underflow sinks are the engine's own counters.
-	ctx0 *Ctx
+	// memo[idx] holds Vector's vectors of up to three records of inner node
+	// idx, like rep; an entry is valid while its epoch is the engine's
+	// epoch, which every edit advances (newEpoch). Their buffers come from
+	// arena, the first arenaNext of which the current epoch has taken.
+	// virtual is InsertionScore's virtual insertion node.
+	memo      [][3]memoEntry
+	epoch     uint64
+	arena     []vec
+	arenaNext int
+	virtual   vec
+
+	scr scratch
 }
 
 // NewEngine allocates an engine for trees over pat's taxa with the given
@@ -138,11 +149,12 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 		return nil, fmt.Errorf("likelihood: need >= 3 taxa, got %d", pat.NumTaxa)
 	}
 	e := &Engine{
-		Pat:  pat,
-		Mod:  mod,
-		Cfg:  cfg,
-		npat: pat.NumPatterns(),
-		nmat: mod.NumCats(),
+		Pat:   pat,
+		Mod:   mod,
+		Cfg:   cfg,
+		npat:  pat.NumPatterns(),
+		nmat:  mod.NumCats(),
+		epoch: 1, // a memo entry of epoch 0 was never filled
 	}
 	e.nblk = max(1, (e.npat+rangeBlock-1)/rangeBlock)
 	if e.nblk >= minPublishBlocks {
@@ -164,6 +176,7 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 	}
 	maxIdx := 2*pat.NumTaxa - 2
 	e.orient = make([]*phylotree.Node, maxIdx)
+	e.memo = make([][3]memoEntry, maxIdx)
 	e.lv = make([][]float64, maxIdx)
 	e.scale = make([][]int32, maxIdx)
 	for i := pat.NumTaxa; i < maxIdx; i++ {
@@ -202,7 +215,7 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 		e.kobs = cfg.Observer
 		e.know = cfg.Now
 	}
-	e.ctx0 = e.newCtx()
+	e.allocScratch()
 	return e, nil
 }
 
@@ -261,18 +274,6 @@ func (e *Engine) SetWeights(weights []int) error {
 // scaling works).
 func (e *Engine) UnderflowSites() uint64 { return e.underflowSites }
 
-// NewView makes the partial likelihood vector behind the internal ring
-// record p current — the conditional likelihood of the subtree containing
-// p's two other ring members, exactly like the paper's newview() (which
-// "calls itself recursively when the two children are not tips"). Tips need
-// no computation.
-//
-// The work is organized as a traversal descriptor: a postorder list of the
-// ring records whose views must actually be recomputed. The descent stops
-// at nodes whose cached vector is valid in the needed orientation, so only
-// the dirty path is recomputed.
-func (e *Engine) NewView(p *phylotree.Node) { e.ctx0.NewView(p) }
-
 // Invalidate marks the minimal dirty set after a change to the branch
 // (p, p.Back): every cached view whose subtree contains that branch — i.e.
 // every view not oriented toward it — is dropped. Views oriented toward the
@@ -285,7 +286,8 @@ func (e *Engine) NewView(p *phylotree.Node) { e.ctx0.NewView(p) }
 // operations on a Tree wired up with AttachTree invalidate automatically.
 // It also drops the repeat classes of those views' records, so it covers a
 // topology edit around p as well; only MakeNewz, which knows it moved a
-// length, keeps them (invalidate with topo false).
+// length, keeps them (invalidate with topo false). Either way the memo's
+// epoch ends: Vector recomputes whatever it is asked for next.
 func (e *Engine) Invalidate(p *phylotree.Node) { e.invalidate(p, true) }
 
 func (e *Engine) invalidate(p *phylotree.Node, topo bool) {
@@ -295,6 +297,7 @@ func (e *Engine) invalidate(p *phylotree.Node, topo bool) {
 		e.InvalidateAll()
 		return
 	}
+	e.newEpoch()
 	e.keepFacing(p, topo)
 	e.keepFacing(q, topo)
 }
@@ -336,8 +339,10 @@ func (e *Engine) InvalidateAll() {
 	}
 }
 
-// dropVectors drops every cached partial vector and keeps the classes.
+// dropVectors drops every cached partial vector, slots and memo, and keeps
+// the classes.
 func (e *Engine) dropVectors() {
+	e.newEpoch()
 	for i := range e.orient {
 		e.orient[i] = nil
 	}
@@ -355,15 +360,9 @@ func (e *Engine) AttachTree(tr *phylotree.Tree) {
 // needsScaling implements the 8-condition check
 // if (ABS(x3->a) < ml && ABS(x3->c) < ml && ABS(x3->g) < ml && ABS(x3->t) < ml)
 // generalized over rate categories: float ABS and compare with early exit,
-// the paper's original form.
+// the paper's original form. It counts nothing, so the concurrent blocks of
+// a pass may call it (they count their checks in their parts).
 func (e *Engine) needsScaling(v []float64) bool {
-	e.Meter.ScaleChecks++
-	return e.needsScalingPure(v)
-}
-
-// needsScalingPure is the check without meter side effects, safe for the
-// concurrent blocks of a pass (callers count checks themselves).
-func (e *Engine) needsScalingPure(v []float64) bool {
 	for _, x := range v {
 		if !(math.Abs(x) < MinLikelihood) {
 			return false
@@ -377,7 +376,7 @@ func (e *Engine) needsScalingPure(v []float64) bool {
 // paper's evaluate(): a weighted sum over the partial likelihood vector
 // entries with the scaling counters folded back in log space.
 func (e *Engine) Evaluate(p *phylotree.Node) (float64, error) {
-	return e.ctx0.evaluate(p, nil)
+	return e.evaluate(p, nil)
 }
 
 // PerSiteLogL computes the per-pattern log likelihoods (unweighted) across
@@ -388,7 +387,7 @@ func (e *Engine) PerSiteLogL(p *phylotree.Node, dst []float64) ([]float64, error
 		dst = make([]float64, e.npat)
 	}
 	dst = dst[:e.npat]
-	if _, err := e.ctx0.evaluate(p, dst); err != nil {
+	if _, err := e.evaluate(p, dst); err != nil {
 		return nil, err
 	}
 	return dst, nil

@@ -18,10 +18,10 @@ import (
 // is published, so do the process-wide helper goroutines — at most
 // GOMAXPROCS−1 of them, started by the first pass that has enough blocks,
 // never per engine, search or job. A block leaves its share of the pass's
-// reductions in the Ctx slot of its index and the caller folds the slots in
-// block order on every path, so the result has the same bits at any
+// reductions in the engine's part slot of its index and the caller folds the
+// slots in block order on every path, so the result has the same bits at any
 // GOMAXPROCS, whoever ran which block. An engine whose alignment is one
-// block runs it where it stands and touches none of this (Ctx.runPass).
+// block runs it where it stands and touches none of this (Engine.runPass).
 //
 // Adoption rule: a helper takes blocks only while fewer than GOMAXPROCS
 // goroutines are inside a pass — callers, plus helpers working on one. Two
@@ -73,8 +73,8 @@ const (
 	snoozePublishes = 1 << 17
 )
 
-// passKind names the per-pattern pass a published context is running; its
-// operands are in the context's op block of the same name.
+// passKind names the per-pattern pass a published engine is running; its
+// operands are in the engine's op block of the same name.
 type passKind uint8
 
 const (
@@ -86,10 +86,10 @@ const (
 	passNewtonValue
 	// passPrescore is a combine and an evaluate of its result in one pass:
 	// operands in both op blocks, the combined block in the running
-	// goroutine's scratch (Views.Prescore).
+	// goroutine's scratch (Engine.Prescore).
 	passPrescore
-	// passClassTables builds the class tables in c.tabs, each table's rows
-	// split evenly over the blocks (Ctx.projectTables).
+	// passClassTables builds the class tables in e.scr.tabs, each table's rows
+	// split evenly over the blocks (Engine.projectTables).
 	passClassTables
 )
 
@@ -103,9 +103,9 @@ type blockPart struct {
 	value valuePart
 }
 
-// rangeJob is the claim state of a context's running pass. It is reused by
-// every pass of the context: next stays at or above the block count between
-// passes, so a helper that looked at the context a moment too late claims
+// rangeJob is the claim state of an engine's running pass. It is reused by
+// every pass of the engine: next stays at or above the block count between
+// passes, so a helper that looked at the engine a moment too late claims
 // nothing, and one that claims after the next pass opened runs a block of
 // that pass — the operands are written before next is reset.
 type rangeJob struct {
@@ -119,11 +119,11 @@ type rangeJob struct {
 // rangeExecutor is the process-wide state: the one published pass, the
 // helpers and the occupancy the adoption rule reads.
 type rangeExecutor struct {
-	procs   atomic.Int32        // GOMAXPROCS as of the last multi-block NewEngine
-	helpers atomic.Int32        // helper goroutines started
-	current atomic.Pointer[Ctx] // the published pass; nil between passes
-	inPass  atomic.Int32        // goroutines inside a pass: callers + helpers on a block
-	parked  atomic.Int32        // helpers blocked on wake
+	procs   atomic.Int32           // GOMAXPROCS as of the last multi-block NewEngine
+	helpers atomic.Int32           // helper goroutines started
+	current atomic.Pointer[Engine] // the published pass; nil between passes
+	inPass  atomic.Int32           // goroutines inside a pass: callers + helpers on a block
+	parked  atomic.Int32           // helpers blocked on wake
 	wake    chan struct{}
 
 	published   atomic.Uint64 // passes published so far: the executor's clock
@@ -158,55 +158,54 @@ func (e *Engine) blockRange(b int) patRange {
 	return patRange{b * rangeBlock, min((b+1)*rangeBlock, e.npat)}
 }
 
-// runBlock executes block b of a pass on the context's operands, with the
+// runBlock executes block b of a pass on the engine's operands, with the
 // running goroutine's tile scratch, and files its part under b.
-func (c *Ctx) runBlock(kind passKind, b int, ts *tileScratch) {
-	e := c.eng
-	bk, pr, part := e.backend, e.blockRange(b), &c.parts[b]
+func (e *Engine) runBlock(kind passKind, b int, ts *tileScratch) {
+	bk, pr, part := e.backend, e.blockRange(b), &e.scr.parts[b]
 	switch kind {
 	case passCombine:
 		// A combine computes rows, not patterns, and reduces no float, so
 		// its rows are split evenly over the blocks without moving a bit.
-		n := c.combOp.rows
-		part.comb = bk.combineRows(c, &c.combOp, patRange{b * n / e.nblk, (b + 1) * n / e.nblk}, ts)
+		n := e.scr.combOp.rows
+		part.comb = bk.combineRows(e, &e.scr.combOp, patRange{b * n / e.nblk, (b + 1) * n / e.nblk}, ts)
 	case passEvaluate:
-		part.eval = bk.evaluateRange(c, &c.evalOp, pr, ts)
+		part.eval = bk.evaluateRange(e, &e.scr.evalOp, pr, ts)
 	case passSumFactors:
 		// Rows again: each side's split evenly over the blocks.
-		np, nq := c.sumOp.pRows, c.sumOp.qRows
-		part.sum = bk.sumTableFactors(c, &c.sumOp, patRange{b * np / e.nblk, (b + 1) * np / e.nblk},
+		np, nq := e.scr.sumOp.pRows, e.scr.sumOp.qRows
+		part.sum = bk.sumTableFactors(e, &e.scr.sumOp, patRange{b * np / e.nblk, (b + 1) * np / e.nblk},
 			patRange{b * nq / e.nblk, (b + 1) * nq / e.nblk}, ts)
 	case passSumTable:
-		part.sum = c.sumTableProducts(&c.sumOp, pr)
+		part.sum = e.sumTableProducts(&e.scr.sumOp, pr)
 	case passNewtonDeriv:
-		part.deriv = bk.newtonDerivRange(c, &c.newtOp, pr, ts)
+		part.deriv = bk.newtonDerivRange(e, &e.scr.newtOp, pr, ts)
 	case passNewtonValue:
-		part.value = bk.newtonValueRange(c, &c.newtOp, pr, ts)
+		part.value = bk.newtonValueRange(e, &e.scr.newtOp, pr, ts)
 	case passPrescore:
-		// The ops are this goroutine's copies: the context's are shared by
+		// The ops are this goroutine's copies: the engine's are shared by
 		// every block of the pass, and each block combines into its own x.
 		ts.fitX(pr.hi-pr.lo, e.ncat)
-		ts.comb, ts.eval = c.combOp, c.evalOp
+		ts.comb, ts.eval = e.scr.combOp, e.scr.evalOp
 		ts.comb.dst, ts.comb.dstScale, ts.comb.dstLo = ts.x, ts.xsc, pr.lo
 		ts.eval.p, ts.eval.pLo = vec{lv: ts.x, sc: ts.xsc}, pr.lo
-		part.comb = bk.combineRows(c, &ts.comb, pr, ts)
-		part.eval = bk.evaluateRange(c, &ts.eval, pr, ts)
+		part.comb = bk.combineRows(e, &ts.comb, pr, ts)
+		part.eval = bk.evaluateRange(e, &ts.eval, pr, ts)
 		ts.comb, ts.eval = combineOp{}, evalOp{} // a helper's tile must not pin the engine's vectors
 	case passClassTables:
-		for _, t := range c.tabs {
+		for _, t := range e.scr.tabs {
 			projectRows(e, t.p, t.src, t.dst, b*t.rows/e.nblk, (b+1)*t.rows/e.nblk)
 		}
 	}
 }
 
 // runPass runs one per-pattern pass over every block of the engine's
-// patterns; the operands are in the context's op block for kind. On return
-// c.parts[b] holds block b's part, for the caller to fold in block order.
-func (c *Ctx) runPass(kind passKind) {
-	e, x := c.eng, &executor
+// patterns; the operands are in the engine's op block for kind. On return
+// e.scr.parts[b] holds block b's part, for the caller to fold in block order.
+func (e *Engine) runPass(kind passKind) {
+	x := &executor
 	if e.nblk < minPublishBlocks || x.procs.Load() < 2 {
 		for b := 0; b < e.nblk; b++ {
-			c.runBlock(kind, b, &c.tile)
+			e.runBlock(kind, b, &e.scr.tile)
 		}
 		if e.nblk > 1 { // an engine of one block leaves no trace in the executor
 			x.blocks.Add(uint64(e.nblk))
@@ -215,11 +214,11 @@ func (c *Ctx) runPass(kind passKind) {
 	}
 
 	x.inPass.Add(1)
-	j := &c.job
+	j := &e.scr.job
 	j.kind = kind
 	j.adopted.Store(0)
 	j.next.Store(0) // the pass is claimable from here on
-	published := x.current.CompareAndSwap(nil, c)
+	published := x.current.CompareAndSwap(nil, e)
 	if published {
 		x.published.Add(1)
 		x.wakeHelper()
@@ -230,7 +229,7 @@ func (c *Ctx) runPass(kind passKind) {
 		if b >= e.nblk {
 			break
 		}
-		c.runBlock(kind, b, &c.tile)
+		e.runBlock(kind, b, &e.scr.tile)
 		mine++
 	}
 	if published {
@@ -324,10 +323,10 @@ func (x *rangeExecutor) spawn(n int32) {
 // runnable, park when the budget runs out or the helpers have been sent to
 // sleep.
 func (x *rangeExecutor) help() {
-	var ts tileScratch // this helper's own tile: it never touches a context's
+	var ts tileScratch // this helper's own tile: it never touches an engine's
 	for polls := 0; ; {
 		if !x.snoozing() {
-			if c := x.current.Load(); c != nil && x.adopt(c, &ts) {
+			if e := x.current.Load(); e != nil && x.adopt(e, &ts) {
 				polls = 0
 				continue
 			}
@@ -344,11 +343,11 @@ func (x *rangeExecutor) help() {
 	}
 }
 
-// adopt runs blocks of c's pass until none is left to claim and reports
+// adopt runs blocks of e's pass until none is left to claim and reports
 // whether it ran any. It takes none while every CPU already has a goroutine
 // inside a pass.
-func (x *rangeExecutor) adopt(c *Ctx, ts *tileScratch) (ran bool) {
-	j, nblk := &c.job, int32(c.eng.nblk)
+func (x *rangeExecutor) adopt(e *Engine, ts *tileScratch) (ran bool) {
+	j, nblk := &e.scr.job, int32(e.nblk)
 	if j.next.Load() >= nblk {
 		return false
 	}
@@ -363,10 +362,10 @@ func (x *rangeExecutor) adopt(c *Ctx, ts *tileScratch) (ran bool) {
 		}
 		if !ran {
 			ran = true
-			ts.fit(c.eng.ncat)
+			ts.fit(e.ncat)
 			x.wakeHelper() // pass the wake on while CPUs are still idle
 		}
-		c.runBlock(j.kind, int(b), ts)
+		e.runBlock(j.kind, int(b), ts)
 		x.adopted.Add(1)
 		j.adopted.Add(1) // the caller may return from here on
 		if j.waiting.Load() {

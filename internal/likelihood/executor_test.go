@@ -223,8 +223,8 @@ func TestParallelSmallInputStaysSerial(t *testing.T) {
 			t.Errorf("%d patterns: blocks %d -> %d, adopted %d -> %d, helpers %d -> %d; want no change",
 				npat, run0, run, adopted0, adopted, helpers0, executor.helpers.Load())
 		}
-		if eng.nblk != 1 || eng.ctx0.job.idle != nil {
-			t.Errorf("%d patterns: %d blocks, claim state allocated: %v", npat, eng.nblk, eng.ctx0.job.idle != nil)
+		if eng.nblk != 1 || eng.scr.job.idle != nil {
+			t.Errorf("%d patterns: %d blocks, claim state allocated: %v", npat, eng.nblk, eng.scr.job.idle != nil)
 		}
 	}
 }
@@ -244,8 +244,8 @@ func TestSplitPatternsCoversAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := (npat + B - 1) / B; eng.nblk != want || len(eng.ctx0.parts) != want {
-			t.Fatalf("npat=%d: %d blocks, %d part slots, want %d", npat, eng.nblk, len(eng.ctx0.parts), want)
+		if want := (npat + B - 1) / B; eng.nblk != want || len(eng.scr.parts) != want {
+			t.Fatalf("npat=%d: %d blocks, %d part slots, want %d", npat, eng.nblk, len(eng.scr.parts), want)
 		}
 		last := 0
 		for b := 0; b < eng.nblk; b++ {

@@ -3,6 +3,7 @@ package likelihood
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"raxmlcell/internal/likelihood/coldref"
@@ -70,10 +71,13 @@ func TestIncrementalEvaluateMatchesFull(t *testing.T) {
 
 // TestInvalidateAfterSetZ: after a branch length changed and Invalidate was
 // told, the engine evaluates as a full recomputation does; its slots keep the
-// one orientation per ring that faces the changed branch, which a Views
+// one orientation per ring that faces the changed branch, which Vector
 // serves from the slot itself (a CacheHit, no newview), while every other
 // orientation at the branch's rings is recomputed, bit-identical to a fresh
-// engine's; after InvalidateAll nothing is a slot read.
+// engine's; after InvalidateAll nothing is a slot read. Then the memo's edit
+// paths, one row each: after every kind of edit the engine hears of, every
+// vector memoized before it is served with a fresh engine's bits, and after
+// SetWeights every one is still a memo hit.
 func TestInvalidateAfterSetZ(t *testing.T) {
 	cached, full, tr := enginePair(t, 222, 10, 60)
 	if _, err := cached.Evaluate(tr.Tips[0]); err != nil {
@@ -131,12 +135,9 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, fv := cached.NewViews(), fresh.NewViews()
-	defer v.Release()
-	defer fv.Release()
 	for _, r := range [...]*phylotree.Node{e, e.Back} {
 		newviews, hits := cached.Meter.NewviewCalls, cached.Meter.CacheHits
-		got, err := v.Vector(r)
+		got, err := cached.Vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,28 +151,190 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 	}
 	for _, r := range [...]*phylotree.Node{e.Next, e.Next.Next, e.Back.Next, e.Back.Next.Next} {
 		newviews := cached.Meter.NewviewCalls
-		got, err := v.Vector(r)
+		got, err := cached.Vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cached.Meter.NewviewCalls == newviews {
 			t.Error("stale orientation served without recompute")
 		}
-		want, err := fv.Vector(r)
+		want, err := fresh.Vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertVectorsEqual(t, "post-invalidate", cached, got, want)
 	}
 	cached.InvalidateAll()
-	w := cached.NewViews()
-	defer w.Release()
 	hits := cached.Meter.CacheHits
-	if _, err := w.Vector(e); err != nil {
+	if _, err := cached.Vector(e); err != nil {
 		t.Fatal(err)
 	}
 	if cached.Meter.CacheHits != hits {
 		t.Error("read after InvalidateAll served from a slot")
+	}
+
+	// The memo's edit paths. Each row may edit the tree first (before the
+	// memo is filled) and returns the edit under test; SetWeights' is nil.
+	for _, row := range []struct {
+		name string
+		arm  func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error
+	}{
+		{"Prune", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			return func() error { _, err := tr.Prune(memoInner(t, tr)); return err }
+		}},
+		{"Regraft", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			ps := mustPrune(t, tr)
+			return func() error { return tr.Regraft(ps, ps.Q.Next.Back) }
+		}},
+		{"Undo", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			ps := mustPrune(t, tr)
+			return func() error { return tr.Undo(ps) }
+		}},
+		{"RemoveTip", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			return func() error { return tr.RemoveTip(0) }
+		}},
+		{"InsertTip", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			if err := tr.RemoveTip(0); err != nil {
+				t.Fatal(err)
+			}
+			return func() error { return tr.InsertTip(0, memoInner(t, tr)) }
+		}},
+		{"SetZ+Invalidate", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			return func() error {
+				c := memoInner(t, tr)
+				c.SetZ(c.Z * 1.7)
+				e.Invalidate(c)
+				return nil
+			}
+		}},
+		{"MakeNewz", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			c := memoInner(t, tr)
+			c.SetZ(c.Z * 5) // far from its optimum, so the solve moves it
+			e.Invalidate(c)
+			return func() error { _, _, err := e.MakeNewz(c); return err }
+		}},
+		{"SetModel", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			return func() error {
+				m, err := e.Mod.WithAlpha(e.Mod.Alpha * 2)
+				if err != nil {
+					return err
+				}
+				return e.SetModel(m)
+			}
+		}},
+		// InvalidateAll and AttachTree are how an edit the hooks did not
+		// see reaches the engine: here a SetZ.
+		{"InvalidateAll", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			return func() error {
+				c := memoInner(t, tr)
+				c.SetZ(c.Z * 1.7)
+				e.InvalidateAll()
+				return nil
+			}
+		}},
+		{"AttachTree", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			return func() error {
+				c := memoInner(t, tr)
+				c.SetZ(c.Z * 1.7)
+				e.AttachTree(tr)
+				return nil
+			}
+		}},
+		{"SetWeights", func(*testing.T, *Engine, *phylotree.Tree) func() error { return nil }},
+	} {
+		t.Run("memo/"+row.name, func(t *testing.T) { checkMemoEditPath(t, row.arm) })
+	}
+}
+
+// memoInner is an inner–inner edge of tr whose near end has an inner
+// child: the target of the memo rows' edits.
+func memoInner(t *testing.T, tr *phylotree.Tree) *phylotree.Node {
+	t.Helper()
+	for _, c := range tr.Edges() {
+		if !c.IsTip() && !c.Back.IsTip() && !c.Next.Back.IsTip() {
+			return c
+		}
+	}
+	t.Fatal("no inner-inner edge")
+	return nil
+}
+
+// mustPrune prunes the subtree behind memoInner's far end.
+func mustPrune(t *testing.T, tr *phylotree.Tree) *phylotree.PrunedSubtree {
+	t.Helper()
+	ps, err := tr.Prune(memoInner(t, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
+// checkMemoEditPath arms a row on an attached engine, fills its memo with
+// every directed vector of the tree (its slots are empty, so Vector
+// memoizes each), makes the edit, and reads every vector again: each must
+// have a fresh engine's bits, and at least one must differ from what it was
+// before the edit, or the row could not tell a stale memo from a valid one.
+// A nil edit is SetWeights, after which every read must be a memo hit.
+func checkMemoEditPath(t *testing.T, arm func(*testing.T, *Engine, *phylotree.Tree) func() error) {
+	rng := rand.New(rand.NewSource(444))
+	pat := randomPatterns(t, rng, 10, 60)
+	tr := randomTreeFor(t, rng, pat)
+	eng, err := NewEngine(pat, randomModel(t, rng, 4), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.AttachTree(tr)
+	edit := arm(t, eng, tr)
+	before := make(map[*phylotree.Node][]float64)
+	for _, r := range internalRecords(tr) {
+		if v, err := eng.Vector(r); err == nil {
+			before[r], _ = expandVec(eng, v)
+		}
+	}
+	if edit == nil {
+		newviews, hits := eng.Meter.NewviewCalls, eng.Meter.CacheHits
+		w := slices.Clone(pat.Weights)
+		w[0]++
+		if err := eng.SetWeights(w); err != nil {
+			t.Fatal(err)
+		}
+		for r := range before {
+			if _, err := eng.Vector(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if eng.Meter.NewviewCalls != newviews || eng.Meter.CacheHits != hits {
+			t.Errorf("after SetWeights: newviews %d -> %d, slot reads %d -> %d, want every read a memo hit",
+				newviews, eng.Meter.NewviewCalls, hits, eng.Meter.CacheHits)
+		}
+		return
+	}
+	if err := edit(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewEngine(eng.Pat, eng.Mod, eng.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := 0
+	for _, r := range internalRecords(tr) {
+		want, err := fresh.Vector(r)
+		if err != nil {
+			continue // a record of the pruned subtree's ring
+		}
+		got, err := eng.Vector(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertVectorsEqual(t, "after the edit", eng, got, want)
+		if old, ok := before[r]; ok {
+			if lv, _ := expandVec(eng, want); !slices.Equal(lv, old) {
+				changed++
+			}
+		}
+	}
+	if changed == 0 {
+		t.Error("no memoized vector changed: the row cannot tell a stale memo")
 	}
 }
 

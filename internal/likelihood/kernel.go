@@ -8,22 +8,14 @@ import (
 	"raxmlcell/internal/phylotree"
 )
 
-// Ctx is the engine's kernel execution context: all the per-call scratch the
-// hot kernels need (transition-matrix panels, tip-projection tables, Newton
-// sum tables and exponential blocks, traversal descriptors, Views buffer
-// pools) plus the meter/underflow sinks the kernels accumulate into, which
-// are Engine.Meter and the engine's underflow counter. An engine has exactly
-// one; the only concurrency inside it is the range executor's, whose helpers
-// run blocks of the context's running pass on their own tile scratch
-// (executor.go).
-type Ctx struct {
-	eng *Engine
-
-	// meter/underflow are the accumulation sinks: the engine's own counters.
-	meter     *Meter
-	underflow *uint64
-
-	// Per-call scratch, reused across invocations.
+// scratch is the per-call scratch of the engine's kernels (transition-matrix
+// panels, tip-projection tables, Newton sum tables and exponential blocks,
+// traversal descriptors, the backend's operand blocks), reused across calls.
+// It is one field of the Engine and has no methods, so that backendpurity
+// can tell a write to scratch from a write to engine state by type. The
+// only concurrency inside it is the range executor's, whose helpers run
+// blocks of the engine's running pass on their own tile (executor.go).
+type scratch struct {
 	pLeft, pRight []float64 // transition matrices [cat*ns*ns + i*ns + j]
 	tipPL, tipPR  []float64 // tip projections [code*nmat*ns + cat*ns + i]
 
@@ -31,8 +23,8 @@ type Ctx struct {
 	// the per-pattern eigenmode sum table, λ_k·r_c products, and the
 	// exp(λrt) / derivative blocks rebuilt every Newton iteration. sumP and
 	// sumQ hold the table's two factors per row of each side, sized by the
-	// context's first buildSumTable. Outside a Newton solve sumTab holds
-	// the class tables of the running combine or evaluate (Ctx.classTable).
+	// engine's first buildSumTable. Outside a Newton solve sumTab holds
+	// the class tables of the running combine or evaluate (Engine.classTable).
 	sumTab, sumP, sumQ     []float64
 	lamr                   []float64
 	newzE0, newzE1, newzE2 []float64
@@ -47,15 +39,11 @@ type Ctx struct {
 	tabs   []classTab
 	tabled uint64
 
-	// Buffer pools for Views (lazy-SPR directed-vector caches).
-	lvPool [][]float64
-	scPool [][]int32
-
-	// Backend operand blocks, stored on the context so passing their
-	// address through the Backend interface never escapes into a per-call
-	// heap allocation, and so a helper that adopts a block of the running
-	// pass finds them here. One of each suffices: a context runs at most one
-	// pass at a time, and its blocks share the (read-only) operands.
+	// Backend operand blocks, stored here so passing their address through
+	// the Backend interface never escapes into a per-call heap allocation,
+	// and so a helper that adopts a block of the running pass finds them.
+	// One of each suffices: an engine runs at most one pass at a time, and
+	// its blocks share the (read-only) operands.
 	combOp combineOp
 	evalOp evalOp
 	sumOp  sumOp
@@ -67,32 +55,30 @@ type Ctx struct {
 	parts []blockPart
 	job   rangeJob
 
-	// tile is backend-private scratch (sized by Backend.initCtx) for the
-	// blocks the context's owner runs itself.
+	// tile is the tile scratch of the blocks the engine's owner runs itself,
+	// sized as every helper sizes its own.
 	tile tileScratch
 }
 
-// newCtx builds the engine's kernel context, whose counters are the engine's
-// public Meter and underflow total.
-func (e *Engine) newCtx() *Ctx {
-	c := &Ctx{eng: e, meter: &e.Meter, underflow: &e.underflowSites}
-	c.pLeft = make([]float64, e.nmat*ns*ns)
-	c.pRight = make([]float64, e.nmat*ns*ns)
-	c.tipPL = make([]float64, e.nmat*16*ns)
-	c.tipPR = make([]float64, e.nmat*16*ns)
-	c.sumTab = make([]float64, e.npat*e.ncat*ns)
-	c.lamr = make([]float64, e.nmat*ns)
-	c.newzE0 = make([]float64, e.nmat*ns)
-	c.newzE1 = make([]float64, e.nmat*ns)
-	c.newzE2 = make([]float64, e.nmat*ns)
-	c.parts = make([]blockPart, e.nblk)
-	c.tabs = make([]classTab, 0, 2)
+// allocScratch sizes the kernels' scratch for the engine's shape.
+func (e *Engine) allocScratch() {
+	s := &e.scr
+	s.pLeft = make([]float64, e.nmat*ns*ns)
+	s.pRight = make([]float64, e.nmat*ns*ns)
+	s.tipPL = make([]float64, e.nmat*16*ns)
+	s.tipPR = make([]float64, e.nmat*16*ns)
+	s.sumTab = make([]float64, e.npat*e.ncat*ns)
+	s.lamr = make([]float64, e.nmat*ns)
+	s.newzE0 = make([]float64, e.nmat*ns)
+	s.newzE1 = make([]float64, e.nmat*ns)
+	s.newzE2 = make([]float64, e.nmat*ns)
+	s.parts = make([]blockPart, e.nblk)
+	s.tabs = make([]classTab, 0, 2)
 	if e.nblk >= minPublishBlocks {
-		c.job.next.Store(int32(e.nblk)) // nothing to claim until a pass opens
-		c.job.idle = make(chan struct{}, 1)
+		s.job.next.Store(int32(e.nblk)) // nothing to claim until a pass opens
+		s.job.idle = make(chan struct{}, 1)
 	}
-	e.backend.initCtx(c)
-	return c
+	s.tile.fit(e.ncat)
 }
 
 // transitionMatrices fills dst (layout [cat][i][j]) with P(z·rate_c) for
@@ -102,8 +88,7 @@ func (e *Engine) newCtx() *Ctx {
 // 4×4×4 product is unrolled in model.GTR.TransitionMatrix's operation order:
 // (V·e)·V⁻¹ grouped as the flat three-factor product, each entry summed up
 // from zero, so the matrices are that function's, bit for bit.
-func (c *Ctx) transitionMatrices(z float64, dst []float64) {
-	e := c.eng
+func (e *Engine) transitionMatrices(z float64, dst []float64) {
 	g := e.Mod.GTR
 	v, w := g.V, g.VInv
 	l0, l1, l2, l3 := g.Lambda[0], g.Lambda[1], g.Lambda[2], g.Lambda[3]
@@ -121,10 +106,10 @@ func (c *Ctx) transitionMatrices(z float64, dst []float64) {
 		}
 	}
 	n := uint64(e.nmat)
-	c.meter.Exps += n * ns
-	c.meter.Muls += n * (ns + ns*ns + ns*ns*ns) // lambda*tr, V·e, (V·e)·V⁻¹
-	c.meter.Adds += n * ns * ns * (ns - 1)
-	c.meter.SmallLoopIters += n
+	e.Meter.Exps += n * ns
+	e.Meter.Muls += n * (ns + ns*ns + ns*ns*ns) // lambda*tr, V·e, (V·e)·V⁻¹
+	e.Meter.Adds += n * ns * ns * (ns - 1)
+	e.Meter.SmallLoopIters += n
 }
 
 // nonNegative clamps the tiny negative round-off of a transition
@@ -145,8 +130,7 @@ func nonNegative(s float64) float64 {
 // negative entry and no −0. Only ambiguous codes are multiplied, yet the
 // meter counts every code as the product it equals. Entries of codes that
 // never occur are never read and stay unset.
-func (c *Ctx) tipProjection(p []float64, dst []float64) {
-	e := c.eng
+func (e *Engine) tipProjection(p []float64, dst []float64) {
 	width := e.nmat * ns
 	for _, code := range e.tipCodes {
 		row := dst[code*width : code*width+width]
@@ -169,35 +153,43 @@ func (c *Ctx) tipProjection(p []float64, dst []float64) {
 			}
 		}
 	}
-	c.meter.Muls += uint64(e.nmat * len(e.tipCodes) * ns * ns)
-	c.meter.Adds += uint64(e.nmat * len(e.tipCodes) * ns * (ns - 1))
+	e.Meter.Muls += uint64(e.nmat * len(e.tipCodes) * ns * ns)
+	e.Meter.Adds += uint64(e.nmat * len(e.tipCodes) * ns * (ns - 1))
 }
 
 // NewView makes the partial likelihood vector behind the internal ring
-// record p current; see Engine.NewView for semantics.
-func (c *Ctx) NewView(p *phylotree.Node) {
+// record p current — the conditional likelihood of the subtree containing
+// p's two other ring members, exactly like the paper's newview() (which
+// "calls itself recursively when the two children are not tips"). Tips need
+// no computation.
+//
+// The work is organized as a traversal descriptor: a postorder list of the
+// ring records whose views must actually be recomputed. The descent stops
+// at nodes whose cached vector is valid in the needed orientation, so only
+// the dirty path is recomputed.
+func (e *Engine) NewView(p *phylotree.Node) {
 	if p.IsTip() {
 		return
 	}
-	c.trav = c.appendTraversal(c.trav[:0], p)
-	for _, nd := range c.trav {
-		c.computeView(nd)
+	e.scr.trav = e.appendTraversal(e.scr.trav[:0], p)
+	for _, nd := range e.scr.trav {
+		e.computeView(nd)
 	}
 }
 
 // appendTraversal builds the traversal descriptor rooted at p: the
 // postorder (children before parents) list of ring records whose views are
 // missing or cached under a different orientation.
-func (c *Ctx) appendTraversal(steps []*phylotree.Node, p *phylotree.Node) []*phylotree.Node {
+func (e *Engine) appendTraversal(steps []*phylotree.Node, p *phylotree.Node) []*phylotree.Node {
 	if p.IsTip() {
 		return steps
 	}
-	if c.eng.orient[p.Index] == p {
-		c.meter.CacheHits++
+	if e.orient[p.Index] == p {
+		e.Meter.CacheHits++
 		return steps
 	}
-	steps = c.appendTraversal(steps, p.Next.Back)
-	steps = c.appendTraversal(steps, p.Next.Next.Back)
+	steps = e.appendTraversal(steps, p.Next.Back)
+	steps = e.appendTraversal(steps, p.Next.Next.Back)
 	return append(steps, p)
 }
 
@@ -205,15 +197,14 @@ func (c *Ctx) appendTraversal(steps []*phylotree.Node, p *phylotree.Node) []*phy
 // of ring record p into p's slot, one row per repeat class of p (numbered
 // first if the topology behind p changed since they last were), and record
 // the orientation.
-func (c *Ctx) computeView(p *phylotree.Node) {
-	e := c.eng
+func (e *Engine) computeView(p *phylotree.Node) {
 	t0 := e.tick()
 	q := p.Next.Back
 	r := p.Next.Next.Back
 	var first []int32
 	if e.rep != nil {
 		if rs := e.classes(p); rs != nil {
-			first = c.firstPatterns(rs)
+			first = e.firstPatterns(rs)
 		} else {
 			var qData, rData []byte
 			if q.IsTip() {
@@ -222,11 +213,11 @@ func (c *Ctx) computeView(p *phylotree.Node) {
 			if r.IsTip() {
 				rData = e.Pat.Data[r.Index]
 			}
-			rs = c.classPass(p, qData, e.classes(q), rData, e.classes(r))
-			first = c.classes.first[:rs.rows]
+			rs = e.classPass(p, qData, e.classes(q), rData, e.classes(r))
+			first = e.scr.classes.first[:rs.rows]
 		}
 	}
-	c.combine(q, p.Next.Z, e.slotVec(q), r, p.Next.Next.Z, e.slotVec(r),
+	e.combine(q, p.Next.Z, e.slotVec(q), r, p.Next.Next.Z, e.slotVec(r),
 		vec{lv: e.lv[p.Index], sc: e.scale[p.Index]}, first)
 	e.orient[p.Index] = p
 	e.tock(OpNewview, t0)
@@ -236,16 +227,15 @@ func (c *Ctx) computeView(p *phylotree.Node) {
 // (p, p.Back), optionally filling perSite with per-pattern logs. It is a
 // thin timing shell over evaluateKernel so the kernel body keeps its early
 // error returns without threading the observer through each of them.
-func (c *Ctx) evaluate(p *phylotree.Node, perSite []float64) (float64, error) {
-	t0 := c.eng.tick()
-	logL, err := c.evaluateKernel(p, perSite)
-	c.eng.tock(OpEvaluate, t0)
+func (e *Engine) evaluate(p *phylotree.Node, perSite []float64) (float64, error) {
+	t0 := e.tick()
+	logL, err := e.evaluateKernel(p, perSite)
+	e.tock(OpEvaluate, t0)
 	return logL, err
 }
 
 // evaluateKernel is the evaluate body (see evaluate).
-func (c *Ctx) evaluateKernel(p *phylotree.Node, perSite []float64) (float64, error) {
-	e := c.eng
+func (e *Engine) evaluateKernel(p *phylotree.Node, perSite []float64) (float64, error) {
 	q := p.Back
 	if q == nil {
 		return 0, fmt.Errorf("likelihood: Evaluate on detached branch")
@@ -257,38 +247,38 @@ func (c *Ctx) evaluateKernel(p *phylotree.Node, perSite []float64) (float64, err
 	if p.IsTip() {
 		p, q = q, p
 	}
-	c.NewView(p)
-	c.NewView(q)
-	c.meter.EvaluateCalls++
+	e.NewView(p)
+	e.NewView(q)
+	e.Meter.EvaluateCalls++
 
-	c.transitionMatrices(p.Z, c.pLeft)
+	e.transitionMatrices(p.Z, e.scr.pLeft)
 
 	var qData []byte
 	if q.IsTip() {
 		qData = e.Pat.Data[q.Index]
-		c.tipProjection(c.pLeft, c.tipPR)
+		e.tipProjection(e.scr.pLeft, e.scr.tipPR)
 	}
 
-	c.evalOp = evalOp{p: e.slotVec(p), qData: qData, q: e.slotVec(q), perSite: perSite}
-	c.evalOp.qTab = c.classTable(&c.evalOp.q, c.pLeft, e.npat)
-	c.projectTables()
-	c.runPass(passEvaluate)
-	return c.foldEval(), nil
+	e.scr.evalOp = evalOp{p: e.slotVec(p), qData: qData, q: e.slotVec(q), perSite: perSite}
+	e.scr.evalOp.qTab = e.classTable(&e.scr.evalOp.q, e.scr.pLeft, e.npat)
+	e.projectTables()
+	e.runPass(passEvaluate)
+	return e.foldEval(), nil
 }
 
 // foldEval sums the evaluate parts the finished pass left, in block order,
 // books their operation counts and returns the log-likelihood.
-func (c *Ctx) foldEval() float64 {
-	total := c.parts[0].eval
-	for b := 1; b < c.eng.nblk; b++ {
-		p := &c.parts[b].eval
+func (e *Engine) foldEval() float64 {
+	total := e.scr.parts[0].eval
+	for b := 1; b < e.nblk; b++ {
+		p := &e.scr.parts[b].eval
 		total.sum += p.sum
 		total.st.add(p.st)
 		total.underflow += p.underflow
 	}
-	c.meter.Muls += total.st.muls
-	c.meter.Adds += total.st.adds
-	c.meter.Logs += total.st.bigIters
-	*c.underflow += total.underflow
+	e.Meter.Muls += total.st.muls
+	e.Meter.Adds += total.st.adds
+	e.Meter.Logs += total.st.bigIters
+	e.underflowSites += total.underflow
 	return total.sum
 }

@@ -73,9 +73,8 @@ func BenchmarkTransitionMatrices(b *testing.B) {
 		eng  *Engine
 	}{{"gamma4", gamma}, {"cat25", cat}} {
 		b.Run(tc.name, func(b *testing.B) {
-			c := tc.eng.ctx0
 			for i := 0; b.Loop(); i++ {
-				c.transitionMatrices(0.01+float64(i&63)*0.003, c.pLeft)
+				tc.eng.transitionMatrices(0.01+float64(i&63)*0.003, tc.eng.scr.pLeft)
 			}
 		})
 	}
@@ -145,9 +144,8 @@ func BenchmarkNewtonDerivs(b *testing.B) {
 		}
 		prepareBranch(eng, edge)
 		b.Run(shape.name, func(b *testing.B) {
-			c := eng.ctx0
 			for i := 0; b.Loop(); i++ {
-				c.newtonDerivs(0.01 + float64(i&63)*0.003)
+				eng.newtonDerivs(0.01 + float64(i&63)*0.003)
 			}
 			b.ReportMetric(float64(eng.npat), "patterns")
 		})

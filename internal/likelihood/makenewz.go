@@ -31,7 +31,7 @@ const newtonGainTol = 1e-8
 // length is written back to the branch and returned together with the
 // log-likelihood at the optimum.
 func (e *Engine) MakeNewz(p *phylotree.Node) (float64, float64, error) {
-	return e.ctx0.makeNewz(p, newtonGainTol, true)
+	return e.makeNewz(p, newtonGainTol, true)
 }
 
 // MakeNewzTo is MakeNewz for a caller that reads only the length: the solve
@@ -40,17 +40,16 @@ func (e *Engine) MakeNewz(p *phylotree.Node) (float64, float64, error) {
 // the safeguard needs it. At gainTol ≤ newtonGainTol the length has the bits
 // MakeNewz gives it.
 func (e *Engine) MakeNewzTo(p *phylotree.Node, gainTol float64) (float64, error) {
-	z, _, err := e.ctx0.makeNewz(p, max(gainTol, newtonGainTol), false)
+	z, _, err := e.makeNewz(p, max(gainTol, newtonGainTol), false)
 	return z, err
 }
 
 // makeNewz is MakeNewz and MakeNewzTo: the solve stops at gainTol, and the
 // logL it returns is NaN unless value is set. It recomputes the per-node
 // vectors it needs (NewView) and writes the branch length back into the
-// tree; Views.InsertionScore runs the same Newton core against a Views'
-// buffers and leaves both alone.
-func (c *Ctx) makeNewz(p *phylotree.Node, gainTol float64, value bool) (float64, float64, error) {
-	e := c.eng
+// tree; Engine.InsertionScore runs the same Newton core against its
+// virtual node and the memo and leaves both alone.
+func (e *Engine) makeNewz(p *phylotree.Node, gainTol float64, value bool) (float64, float64, error) {
 	q := p.Back
 	if q == nil {
 		return 0, 0, fmt.Errorf("likelihood: MakeNewz on detached branch")
@@ -65,10 +64,10 @@ func (c *Ctx) makeNewz(p *phylotree.Node, gainTol float64, value bool) (float64,
 	// branch (p, q): the traversal recomputes exactly the mis-oriented
 	// nodes, so the final SetZ below only dirties views the Invalidate
 	// walk actually finds stale.
-	c.NewView(p)
-	c.NewView(q)
+	e.NewView(p)
+	e.NewView(q)
 	zEntry := p.Z
-	bestT, bestLL := c.newtonOnBranch(e.slotVec(p), q, e.slotVec(q), zEntry, gainTol, value)
+	bestT, bestLL := e.newtonOnBranch(e.slotVec(p), q, e.slotVec(q), zEntry, gainTol, value)
 	p.SetZ(bestT)
 	//lint:ignore floatcmp deliberate bit-exact check: any change to the stored branch length, however small, must invalidate cached views
 	if p.Z != zEntry {
@@ -81,65 +80,63 @@ func (c *Ctx) makeNewz(p *phylotree.Node, gainTol float64, value bool) (float64,
 // and a node side given by (q, qv) — q may be a tip (qv zero) — from z0: the
 // sum table and the Newton solve, timed together as one OpMakenewz call. It
 // is the core of MakeNewz and of the lazy SPR path, running entirely on
-// context-owned scratch.
-func (c *Ctx) newtonOnBranch(pv vec, q *phylotree.Node, qv vec, z0, gainTol float64, value bool) (float64, float64) {
-	e := c.eng
+// engine-owned scratch.
+func (e *Engine) newtonOnBranch(pv vec, q *phylotree.Node, qv vec, z0, gainTol float64, value bool) (float64, float64) {
 	t0 := e.tick()
-	c.meter.MakenewzCalls++
+	e.Meter.MakenewzCalls++
 	var qData []byte
 	if q.IsTip() {
 		qData = e.Pat.Data[q.Index]
 	}
-	scaleConst := c.buildSumTable(pv, qData, qv)
-	t, ll := c.newtonSolve(z0, gainTol, value)
+	scaleConst := e.buildSumTable(pv, qData, qv)
+	t, ll := e.newtonSolve(z0, gainTol, value)
 	e.tock(OpMakenewz, t0)
 	return t, ll + scaleConst
 }
 
 // buildSumTable prepares what the Newton passes read for one branch: it
-// fills c.sumTab with the eigenmode sum table A[pat][c][k] of the branch
+// fills e.scr.sumTab with the eigenmode sum table A[pat][c][k] of the branch
 // between an explicit vector pv and a q side (tip codes or a vector) and
-// c.lamr with the λ_k·r_c products, and returns the t-independent scaling
+// e.scr.lamr with the λ_k·r_c products, and returns the t-independent scaling
 // constant, summed over the blocks in block order like every other
 // reduction. Each of the table's two factors depends on one side's row
 // only, so it is computed once per row of its side (a repeat class, a tip
 // code) and the table, one row per pattern, is their product.
-func (c *Ctx) buildSumTable(pv vec, qData []byte, qv vec) float64 {
-	e := c.eng
-	c.sumOp = sumOp{p: pv, qData: qData, q: qv, pRows: e.npat, qRows: e.npat}
+func (e *Engine) buildSumTable(pv vec, qData []byte, qv vec) float64 {
+	e.scr.sumOp = sumOp{p: pv, qData: qData, q: qv, pRows: e.npat, qRows: e.npat}
 	if pv.cls != nil {
-		c.sumOp.pRows = pv.rows
+		e.scr.sumOp.pRows = pv.rows
 	}
 	if qData != nil {
-		c.sumOp.qRows = 16
+		e.scr.sumOp.qRows = 16
 	} else if qv.cls != nil {
-		c.sumOp.qRows = qv.rows
+		e.scr.sumOp.qRows = qv.rows
 	}
-	if c.sumP == nil {
-		c.sumP = make([]float64, e.npat*e.ncat*ns)
-		c.sumQ = make([]float64, max(e.npat, 16)*e.ncat*ns) // a tip side has a row per code
+	if e.scr.sumP == nil {
+		e.scr.sumP = make([]float64, e.npat*e.ncat*ns)
+		e.scr.sumQ = make([]float64, max(e.npat, 16)*e.ncat*ns) // a tip side has a row per code
 	}
 	var part sumPart
 	for _, kind := range [...]passKind{passSumFactors, passSumTable} {
-		c.runPass(kind)
+		e.runPass(kind)
 		for b := 0; b < e.nblk; b++ {
-			p := &c.parts[b].sum
+			p := &e.scr.parts[b].sum
 			part.scaleConst += p.scaleConst
 			part.muls += p.muls
 			part.adds += p.adds
 		}
 	}
-	c.meter.Muls += part.muls
-	c.meter.Adds += part.adds
+	e.Meter.Muls += part.muls
+	e.Meter.Adds += part.adds
 
 	// lamr[matrix][k] = λ_k · r_c, one block per distinct rate category.
 	g := e.Mod.GTR
 	for cat := 0; cat < e.nmat; cat++ {
 		for k := 0; k < ns; k++ {
-			c.lamr[cat*ns+k] = g.Lambda[k] * e.Mod.Cats[cat]
+			e.scr.lamr[cat*ns+k] = g.Lambda[k] * e.Mod.Cats[cat]
 		}
 	}
-	c.meter.Muls += uint64(e.nmat * ns)
+	e.Meter.Muls += uint64(e.nmat * ns)
 	return part.scaleConst
 }
 
@@ -147,8 +144,7 @@ func (c *Ctx) buildSumTable(pv vec, qData []byte, qv vec) float64 {
 // factor rows their classes select, and returns the range's part of the
 // scaling constant. Each factor is rounded on its own, as in the expression
 // for a whole entry, so the product has that entry's bits.
-func (c *Ctx) sumTableProducts(op *sumOp, pr patRange) sumPart {
-	e := c.eng
+func (e *Engine) sumTableProducts(op *sumOp, pr patRange) sumPart {
 	stride := e.ncat * ns
 	var out sumPart
 	for pat := pr.lo; pat < pr.hi; pat++ {
@@ -160,8 +156,8 @@ func (c *Ctx) sumTableProducts(op *sumOp, pr patRange) sumPart {
 			sc += op.q.sc[qrow]
 		}
 		out.scaleConst += float64(e.Pat.Weights[pat]) * float64(sc) * logMinLik
-		a, b := c.sumP[prow*stride:(prow+1)*stride], c.sumQ[qrow*stride:(qrow+1)*stride]
-		st := c.sumTab[pat*stride : (pat+1)*stride]
+		a, b := e.scr.sumP[prow*stride:(prow+1)*stride], e.scr.sumQ[qrow*stride:(qrow+1)*stride]
+		st := e.scr.sumTab[pat*stride : (pat+1)*stride]
 		for k := range st {
 			st[k] = a[k] * b[k]
 		}
@@ -186,12 +182,12 @@ func (c *Ctx) sumTableProducts(op *sumOp, pr patRange) sumPart {
 // other exit — an iterate thrown back out of the concave region, or the
 // iteration cap — is guarded: the entry point is valued too and kept if it
 // is the better of the two.
-func (c *Ctx) newtonSolve(z0, gainTol float64, value bool) (float64, float64) {
+func (e *Engine) newtonSolve(z0, gainTol float64, value bool) (float64, float64) {
 	t := z0
 	concave, guarded, converged := false, false, false
 	for iter := 0; iter < newtonMaxIter && !converged; iter++ {
-		c.meter.NewtonIters++
-		d1, d2 := c.newtonDerivs(t)
+		e.Meter.NewtonIters++
+		d1, d2 := e.newtonDerivs(t)
 		var next float64
 		if d2 < 0 {
 			concave = true
@@ -220,9 +216,9 @@ func (c *Ctx) newtonSolve(z0, gainTol float64, value bool) (float64, float64) {
 	if !value && !compare {
 		return t, math.NaN()
 	}
-	ll := c.newtonValue(t)
+	ll := e.newtonValue(t)
 	if compare {
-		if ll0 := c.newtonValue(z0); ll0 > ll {
+		if ll0 := e.newtonValue(z0); ll0 > ll {
 			t, ll = z0, ll0
 		}
 	}
@@ -231,36 +227,35 @@ func (c *Ctx) newtonSolve(z0, gainTol float64, value bool) (float64, float64) {
 
 // newtonDerivs fills the three exponential blocks for branch length t and
 // reduces (dlogL/dt, d2logL/dt2) over all patterns from the sum table in
-// c.sumTab: the derivative pass of the Newton iteration shared by MakeNewz
+// e.scr.sumTab: the derivative pass of the Newton iteration shared by MakeNewz
 // and the lazy-SPR scorer. Block sums are combined in block order.
-func (c *Ctx) newtonDerivs(t float64) (d1, d2 float64) {
-	e := c.eng
-	e0, e1, e2 := c.newzE0, c.newzE1, c.newzE2
-	for i, lr := range c.lamr {
+func (e *Engine) newtonDerivs(t float64) (d1, d2 float64) {
+	e0, e1, e2 := e.scr.newzE0, e.scr.newzE1, e.scr.newzE2
+	for i, lr := range e.scr.lamr {
 		ex := math.Exp(lr * t)
 		e0[i] = ex
 		e1[i] = lr * ex
 		e2[i] = lr * lr * ex
 	}
 	nexp := uint64(e.nmat * ns)
-	c.meter.Exps += nexp
-	c.meter.Muls += 4 * nexp
+	e.Meter.Exps += nexp
+	e.Meter.Muls += 4 * nexp
 
-	c.newtOp = newtonOp{e0: e0, e1: e1, e2: e2, weights: e.Pat.Weights}
-	c.runPass(passNewtonDeriv)
-	part := c.parts[0].deriv
+	e.scr.newtOp = newtonOp{e0: e0, e1: e1, e2: e2, weights: e.Pat.Weights}
+	e.runPass(passNewtonDeriv)
+	part := e.scr.parts[0].deriv
 	for b := 1; b < e.nblk; b++ {
-		p := &c.parts[b].deriv
+		p := &e.scr.parts[b].deriv
 		part.d1 += p.d1
 		part.d2 += p.d2
 		part.underflow += p.underflow
 	}
-	*c.underflow += part.underflow
+	e.underflowSites += part.underflow
 	// Per pattern: three table dot products, then 3 invCats scalings, 2
 	// divisions, 1 square and 2 weightings; 1 subtraction and 2 sums.
 	table := uint64(e.ncat * ns)
-	c.meter.Muls += uint64(e.npat) * (3*table + 8)
-	c.meter.Adds += uint64(e.npat) * (3*table + 3)
+	e.Meter.Muls += uint64(e.npat) * (3*table + 8)
+	e.Meter.Adds += uint64(e.npat) * (3*table + 3)
 	return part.d1, part.d2
 }
 
@@ -269,30 +264,29 @@ func (c *Ctx) newtonDerivs(t float64) (d1, d2 float64) {
 // its caller reads the value, and at both that point and the entry point on
 // the safeguard path. Only the e0 block is built and read, and this is the
 // only place a Newton solve takes logarithms — one per pattern.
-func (c *Ctx) newtonValue(t float64) float64 {
-	e := c.eng
-	e0 := c.newzE0
-	for i, lr := range c.lamr {
+func (e *Engine) newtonValue(t float64) float64 {
+	e0 := e.scr.newzE0
+	for i, lr := range e.scr.lamr {
 		e0[i] = math.Exp(lr * t)
 	}
 	nexp := uint64(e.nmat * ns)
-	c.meter.Exps += nexp
-	c.meter.Muls += nexp
+	e.Meter.Exps += nexp
+	e.Meter.Muls += nexp
 
-	c.newtOp = newtonOp{e0: e0, weights: e.Pat.Weights}
-	c.runPass(passNewtonValue)
-	part := c.parts[0].value
+	e.scr.newtOp = newtonOp{e0: e0, weights: e.Pat.Weights}
+	e.runPass(passNewtonValue)
+	part := e.scr.parts[0].value
 	for b := 1; b < e.nblk; b++ {
-		part.ll += c.parts[b].value.ll
-		part.underflow += c.parts[b].value.underflow
+		part.ll += e.scr.parts[b].value.ll
+		part.underflow += e.scr.parts[b].value.underflow
 	}
-	*c.underflow += part.underflow
+	e.underflowSites += part.underflow
 	// Per pattern: one table dot product, the invCats scaling and the
 	// weighting of the log; one sum.
 	table := uint64(e.ncat * ns)
-	c.meter.Logs += uint64(e.npat)
-	c.meter.Muls += uint64(e.npat) * (table + 2)
-	c.meter.Adds += uint64(e.npat) * (table + 1)
+	e.Meter.Logs += uint64(e.npat)
+	e.Meter.Muls += uint64(e.npat) * (table + 2)
+	e.Meter.Adds += uint64(e.npat) * (table + 1)
 	return part.ll
 }
 

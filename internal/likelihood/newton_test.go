@@ -26,7 +26,7 @@ func prepareBranch(e *Engine, p *phylotree.Node) (scaleConst float64) {
 	if q.IsTip() {
 		qData = e.Pat.Data[q.Index]
 	}
-	return e.ctx0.buildSumTable(e.slotVec(p), qData, e.slotVec(q))
+	return e.buildSumTable(e.slotVec(p), qData, e.slotVec(q))
 }
 
 // catModelFor assigns the patterns round-robin to four CAT rates.
@@ -92,13 +92,13 @@ func TestNewtonPassesMatchScalar(t *testing.T) {
 					stride := ref.ncat * ns
 					for _, p := range []int{0, 33, ref.npat - 1} {
 						for k := p * stride; k < (p+1)*stride; k++ {
-							ref.ctx0.sumTab[k], alt.ctx0.sumTab[k] = 0, 0
+							ref.scr.sumTab[k], alt.scr.sumTab[k] = 0, 0
 						}
 					}
 					for _, z := range newtonProbePoints {
-						d1R, d2R := ref.ctx0.newtonDerivs(z)
-						d1A, d2A := alt.ctx0.newtonDerivs(z)
-						vR, vA := ref.ctx0.newtonValue(z), alt.ctx0.newtonValue(z)
+						d1R, d2R := ref.newtonDerivs(z)
+						d1A, d2A := alt.newtonDerivs(z)
+						vR, vA := ref.newtonValue(z), alt.newtonValue(z)
 						if d1R != d1A || d2R != d2A || vR != vA {
 							t.Fatalf("%s/%s/procs=%d edge %d z=%g: (d1, d2, value) = (%.17g, %.17g, %.17g), scalar (%.17g, %.17g, %.17g)",
 								layout, name, procs, ei, z, d1A, d2A, vA, d1R, d2R, vR)
@@ -141,22 +141,21 @@ func TestNewtonPassesAreDerivativesOfValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := eng.ctx0
 		for _, edge := range []*phylotree.Node{tr.Edges()[1], tr.Edges()[6]} {
 			want, err := eng.Evaluate(edge)
 			if err != nil {
 				t.Fatal(err)
 			}
 			scaleConst := prepareBranch(eng, edge)
-			if got := c.newtonValue(edge.Z) + scaleConst; math.Abs(got-want) > 1e-9*math.Abs(want) {
+			if got := eng.newtonValue(edge.Z) + scaleConst; math.Abs(got-want) > 1e-9*math.Abs(want) {
 				t.Errorf("%s: value pass %.12f != Evaluate %.12f", backend, got, want)
 			}
 			const h = 1e-5
 			for _, z := range []float64{0.01, 0.2, 1.5} {
-				d1, d2 := c.newtonDerivs(z)
-				fd1 := (c.newtonValue(z+h) - c.newtonValue(z-h)) / (2 * h)
-				d1p, _ := c.newtonDerivs(z + h)
-				d1m, _ := c.newtonDerivs(z - h)
+				d1, d2 := eng.newtonDerivs(z)
+				fd1 := (eng.newtonValue(z+h) - eng.newtonValue(z-h)) / (2 * h)
+				d1p, _ := eng.newtonDerivs(z + h)
+				d1m, _ := eng.newtonDerivs(z - h)
 				fd2 := (d1p - d1m) / (2 * h)
 				if math.Abs(d1-fd1) > 1e-5*(1+math.Abs(d1)) || math.Abs(d2-fd2) > 1e-5*(1+math.Abs(d2)) {
 					t.Errorf("%s z=%g: (d1, d2) = (%g, %g), finite differences (%g, %g)", backend, z, d1, d2, fd1, fd2)
@@ -174,7 +173,7 @@ var solveStarts = []float64{phylotree.MinBranchLength, 1e-6, 1e-3, 0.05, 0.4, 3,
 // value once per solve instead of tracking the best iterate: over random
 // trees, models, layouts and branches — starts on both clamps, near zero,
 // saturated, and outside the concave region — MakeNewz and
-// Views.InsertionScore never return a point whose log-likelihood is below
+// Engine.InsertionScore never return a point whose log-likelihood is below
 // the entry point's by more than 1e-9·|logL|, nor MakeNewzTo by more than
 // that or its tolerance, the log-likelihood MakeNewz reports is the tree's
 // at the length it stored, and a solved candidate scores no lower than its
@@ -211,8 +210,7 @@ func TestNewtonSolveNeverBelowEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.AttachTree(tr) // the Views below trusts the slots across the Prune
-		c := eng.ctx0
+		eng.AttachTree(tr) // the scoring below trusts the slots across the Prune
 
 		for _, edge := range tr.Edges() {
 			z0 := solveStarts[rng.Intn(len(solveStarts))]
@@ -227,7 +225,7 @@ func TestNewtonSolveNeverBelowEntry(t *testing.T) {
 				t.Fatal(err)
 			}
 			solves++
-			if _, d2 := c.newtonDerivs(z0); d2 >= 0 {
+			if _, d2 := eng.newtonDerivs(z0); d2 >= 0 {
 				nonConcave++
 			}
 			switch z {
@@ -288,21 +286,20 @@ func TestNewtonSolveNeverBelowEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		views := eng.NewViews()
 		var across Across
 		for _, cand := range tr.Edges() {
 			if cand.Back == nil {
 				continue
 			}
 			z0 := solveStarts[rng.Intn(len(solveStarts))]
-			if err := views.CarryAcross(&across, ps.P, z0); err != nil {
+			if err := eng.CarryAcross(&across, ps.P, z0); err != nil {
 				t.Fatal(err)
 			}
-			pre, err := views.Prescore(cand, &across)
+			pre, err := eng.Prescore(cand, &across)
 			if err != nil {
 				t.Fatal(err)
 			}
-			z, ll, err := views.InsertionScore(cand, ps.P, z0)
+			z, ll, err := eng.InsertionScore(cand, ps.P, z0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,12 +307,11 @@ func TestNewtonSolveNeverBelowEntry(t *testing.T) {
 			if ll < pre-1e-9*math.Abs(ll) {
 				t.Errorf("trial %d: InsertionScore from z0=%g returned z=%g logL %.10f, below the candidate's prescore %.10f", trial, z0, z, ll, pre)
 			}
-			entry, got := c.newtonValue(z0), c.newtonValue(z)
+			entry, got := eng.newtonValue(z0), eng.newtonValue(z)
 			if got < entry-1e-9*math.Abs(ll) || math.IsNaN(ll) {
 				t.Errorf("trial %d: InsertionScore from z0=%g returned z=%g logL %.10f, %.3g below the entry point", trial, z0, z, ll, entry-got)
 			}
 		}
-		views.Release()
 		if err := tr.Undo(ps); err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +415,6 @@ func TestNewtonSafeguardOnAdversarialTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	prepareBranch(eng, randomTreeFor(t, rng, pat).Edges()[0])
-	c := eng.ctx0
 	npat := uint64(eng.npat)
 	flat := 0 // the eigenmode with λ = 0
 	for k, l := range eng.Mod.GTR.Lambda {
@@ -430,22 +425,22 @@ func TestNewtonSafeguardOnAdversarialTables(t *testing.T) {
 	const solves = 20000
 	var guarded, keptEntry, escaped int
 	for trial := 0; trial < solves; trial++ {
-		for b := 0; b < len(c.sumTab); b += ns {
+		for b := 0; b < len(eng.scr.sumTab); b += ns {
 			sum := 0.0
 			for k := 0; k < ns; k++ {
-				c.sumTab[b+k] = rng.NormFloat64()
-				sum += math.Abs(c.sumTab[b+k])
+				eng.scr.sumTab[b+k] = rng.NormFloat64()
+				sum += math.Abs(eng.scr.sumTab[b+k])
 			}
-			c.sumTab[b+flat] = sum * (1 + 0.2*rng.Float64())
+			eng.scr.sumTab[b+flat] = sum * (1 + 0.2*rng.Float64())
 		}
 		z0 := solveStarts[rng.Intn(len(solveStarts))]
 		if trial%2 == 0 {
 			z0 = 0.001 + 3*rng.Float64()
 		}
 		logs := eng.Meter.Logs
-		z, ll := c.newtonSolve(z0, newtonGainTol, true)
+		z, ll := eng.newtonSolve(z0, newtonGainTol, true)
 		took := (eng.Meter.Logs - logs) / npat
-		below := ll < c.newtonValue(z0)-1e-9*math.Abs(ll)
+		below := ll < eng.newtonValue(z0)-1e-9*math.Abs(ll)
 		switch {
 		case took == 2 && below:
 			t.Fatalf("trial %d: guarded solve from z0=%g ended at z=%g below its entry point", trial, z0, z)
@@ -510,11 +505,11 @@ func TestNewtonStepExactOnLogShape(t *testing.T) {
 // stop rule — plain Newton steps, newtonTol on the branch length only, the
 // same clamps and the same entry-point safeguard — kept as the oracle for
 // where a solve should end, nothing else.
-func parentNewtonSolve(c *Ctx, z0 float64) (t, ll float64, iters uint64) {
+func parentNewtonSolve(e *Engine, z0 float64) (t, ll float64, iters uint64) {
 	t = z0
 	concave, guarded, converged := false, false, false
 	for ; iters < newtonMaxIter && !converged; iters++ {
-		d1, d2 := c.newtonDerivs(t)
+		d1, d2 := e.newtonDerivs(t)
 		var next float64
 		if d2 < 0 {
 			concave = true
@@ -530,9 +525,9 @@ func parentNewtonSolve(c *Ctx, z0 float64) (t, ll float64, iters uint64) {
 		converged = math.Abs(next-t) < newtonTol*(1+t)
 		t = next
 	}
-	ll = c.newtonValue(t)
+	ll = e.newtonValue(t)
 	if (guarded || !converged) && t != z0 {
-		if ll0 := c.newtonValue(z0); ll0 > ll {
+		if ll0 := e.newtonValue(z0); ll0 > ll {
 			t, ll = z0, ll0
 		}
 	}
@@ -570,14 +565,13 @@ func TestNewtonSolveMatchesParentRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := eng.ctx0
 		for _, edge := range tr.Edges() {
 			prepareBranch(eng, edge)
 			for _, z0 := range solveStarts {
 				before := eng.Meter.NewtonIters
-				_, got := c.newtonSolve(z0, newtonGainTol, true)
+				_, got := eng.newtonSolve(z0, newtonGainTol, true)
 				iters += eng.Meter.NewtonIters - before
-				_, want, n := parentNewtonSolve(c, z0)
+				_, want, n := parentNewtonSolve(eng, z0)
 				parentIters += n
 				solves++
 				if want-got > worst {

@@ -90,9 +90,8 @@ func TestKernelTimeCoversWholeKernel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		views := eng.NewViews()
 		var across Across
-		if err := views.CarryAcross(&across, ps.P, ps.P.Z); err != nil {
+		if err := eng.CarryAcross(&across, ps.P, ps.P.Z); err != nil {
 			t.Fatal(err)
 		}
 		check("lazy-SPR scoring", true, true, func() error {
@@ -100,16 +99,15 @@ func TestKernelTimeCoversWholeKernel(t *testing.T) {
 				if cand.Back == nil {
 					continue
 				}
-				if _, err := views.Prescore(cand, &across); err != nil {
+				if _, err := eng.Prescore(cand, &across); err != nil {
 					return err
 				}
-				if _, _, err := views.InsertionScore(cand, ps.P, ps.P.Z); err != nil {
+				if _, _, err := eng.InsertionScore(cand, ps.P, ps.P.Z); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
-		views.Release()
 		if err := tr.Undo(ps); err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func nstateOracle(t *testing.T, a *alignment.Alignment) *nstate.Evaluator {
 
 // TestPrescoreMatchesCombineThenEvaluate pins what a prescore is: for every
 // candidate edge of a sample of prunes — subtrees that are one tip, candidate
-// edges that end in one, entry lengths on both clamps — Views.Prescore against
+// edges that end in one, entry lengths on both clamps — Engine.Prescore against
 // one Across per prune returns the bits Engine.Evaluate returns across the
 // subtree's branch once the subtree really is regrafted there at the entry
 // length (a combine of the insertion node, then an evaluate), counts as one
@@ -113,15 +113,14 @@ func TestPrescoreMatchesCombineThenEvaluate(t *testing.T) {
 				eng.NewView(ps.R)
 				eng.NewView(ps.P.Back)
 				cands := append(phylotree.RadiusEdges(ps.Q, 4), phylotree.RadiusEdges(ps.R, 4)...)
-				views := eng.NewViews()
 				var across Across
-				if err := views.CarryAcross(&across, ps.P, z0); err != nil {
+				if err := eng.CarryAcross(&across, ps.P, z0); err != nil {
 					t.Fatal(err)
 				}
 				pre := make([]float64, len(cands))
 				for i, cand := range cands {
 					before := eng.Meter
-					if pre[i], err = views.Prescore(cand, &across); err != nil {
+					if pre[i], err = eng.Prescore(cand, &across); err != nil {
 						t.Fatal(err)
 					}
 					d := eng.Meter
@@ -133,7 +132,6 @@ func TestPrescoreMatchesCombineThenEvaluate(t *testing.T) {
 						tipCands++
 					}
 				}
-				views.Release()
 				got = append(got, pre...)
 
 				// The same insertions for real, one at a time.

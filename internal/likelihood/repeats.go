@@ -41,7 +41,7 @@ func (v *vec) row(pat int) int {
 
 // repSlot holds the repeat classes of one directed ring record. Which
 // pattern each row stands for is not kept: the first of its class, found by
-// one scan of cls (Ctx.firstPatterns) when a combine needs it.
+// one scan of cls (Engine.firstPatterns) when a combine needs it.
 type repSlot struct {
 	rec  *phylotree.Node // whose classes these are; nil: none
 	rows int
@@ -116,7 +116,7 @@ type classTable struct {
 	first []int32 // row → the first pattern of its class, for the combine
 }
 
-// fit sizes the table for npat patterns; it allocates once per context.
+// fit sizes the table for npat patterns; it allocates once per engine.
 func (t *classTable) fit(npat int) {
 	if t.dense != nil {
 		return
@@ -159,10 +159,9 @@ func (t *classTable) probe(key, gen uint64) *uint64 {
 // — class maps for inner children (qc, rc), codes for tips (qData, rData) —
 // in one serial pass over the patterns, and files them in a slot of p's node
 // that holds neither of the ring's other records. It leaves each class's
-// first pattern in c.classes.first.
-func (c *Ctx) classPass(p *phylotree.Node, qData []byte, qc *repSlot, rData []byte, rc *repSlot) *repSlot {
-	e := c.eng
-	c.meter.ClassPasses++
+// first pattern in e.scr.classes.first.
+func (e *Engine) classPass(p *phylotree.Node, qData []byte, qc *repSlot, rData []byte, rc *repSlot) *repSlot {
+	e.Meter.ClassPasses++
 	ring := &e.rep[p.Index]
 	d := &ring[0]
 	for k := 1; d.rec == p.Next || d.rec == p.Next.Next; k++ {
@@ -176,7 +175,7 @@ func (c *Ctx) classPass(p *phylotree.Node, qData []byte, qc *repSlot, rData []by
 	if qc != nil {
 		nq = qc.rows
 	}
-	t := &c.classes
+	t := &e.scr.classes
 	t.fit(e.npat)
 	gen := t.next()
 	dense := nq*nr <= len(t.dense)
@@ -215,9 +214,9 @@ func (c *Ctx) classPass(p *phylotree.Node, qData []byte, qc *repSlot, rData []by
 // firstPatterns returns the first pattern of each of s's classes, in row
 // order: classes are numbered in first-occurrence order, so one scan of the
 // map finds them.
-func (c *Ctx) firstPatterns(s *repSlot) []int32 {
-	t := &c.classes
-	t.fit(c.eng.npat)
+func (e *Engine) firstPatterns(s *repSlot) []int32 {
+	t := &e.scr.classes
+	t.fit(e.npat)
 	first := t.first[:s.rows]
 	next := 0
 	for pat, r := range s.cls {
@@ -253,27 +252,26 @@ type classTab struct {
 // was filed. The tables live in the sum table's storage, which holds nothing
 // outside a Newton solve: by the rule an operation's tables have at most as
 // many rows as the operation, so they fit.
-func (c *Ctx) classTable(v *vec, p []float64, rows int) []float64 {
-	e := c.eng
+func (e *Engine) classTable(v *vec, p []float64, rows int) []float64 {
 	if v.cls == nil || classTableRatio*v.rows > rows || !e.backend.readsClassTables() {
 		return nil
 	}
 	off := 0
-	for _, t := range c.tabs {
+	for _, t := range e.scr.tabs {
 		off += t.rows
 	}
 	stride := e.ncat * ns
-	t := classTab{p: p, src: v.lv, dst: c.sumTab[off*stride : (off+v.rows)*stride], rows: v.rows}
-	c.tabs = append(c.tabs, t)
-	c.tabled++
+	t := classTab{p: p, src: v.lv, dst: e.scr.sumTab[off*stride : (off+v.rows)*stride], rows: v.rows}
+	e.scr.tabs = append(e.scr.tabs, t)
+	e.scr.tabled++
 	return t.dst
 }
 
 // projectTables builds the class tables filed since it last ran, in one
 // pass of the executor.
-func (c *Ctx) projectTables() {
-	if len(c.tabs) > 0 {
-		c.runPass(passClassTables)
-		c.tabs = c.tabs[:0]
+func (e *Engine) projectTables() {
+	if len(e.scr.tabs) > 0 {
+		e.runPass(passClassTables)
+		e.scr.tabs = e.scr.tabs[:0]
 	}
 }

@@ -71,15 +71,14 @@ func setupLengths(n int) []float64 {
 func TestTransitionMatricesBits(t *testing.T) {
 	gamma, cat := setupEngines(t)
 	for _, e := range []*Engine{gamma, cat} {
-		c := e.ctx0
 		for _, z := range setupLengths(500) {
-			c.transitionMatrices(z, c.pLeft)
+			e.transitionMatrices(z, e.scr.pLeft)
 			for k, rate := range e.Mod.Cats {
 				var want [ns][ns]float64
 				e.Mod.GTR.TransitionMatrix(z, rate, &want)
 				for i := 0; i < ns; i++ {
 					for j := 0; j < ns; j++ {
-						if got := c.pLeft[k*ns*ns+i*ns+j]; math.Float64bits(got) != math.Float64bits(want[i][j]) {
+						if got := e.scr.pLeft[k*ns*ns+i*ns+j]; math.Float64bits(got) != math.Float64bits(want[i][j]) {
 							t.Fatalf("%d categories, z=%g, category %d: P[%d][%d] = %.17g, want %.17g",
 								e.nmat, z, k, i, j, got, want[i][j])
 						}
@@ -96,14 +95,13 @@ func TestTransitionMatricesBits(t *testing.T) {
 func TestTipTableColumns(t *testing.T) {
 	gamma, cat := setupEngines(t)
 	for _, e := range []*Engine{gamma, cat} {
-		c := e.ctx0
 		for _, z := range setupLengths(40) {
-			c.transitionMatrices(z, c.pLeft)
-			c.tipProjection(c.pLeft, c.tipPL)
+			e.transitionMatrices(z, e.scr.pLeft)
+			e.tipProjection(e.scr.pLeft, e.scr.tipPL)
 			for code := 0; code < 16; code++ {
-				row := c.tipPL[code*e.nmat*ns : (code+1)*e.nmat*ns]
+				row := e.scr.tipPL[code*e.nmat*ns : (code+1)*e.nmat*ns]
 				for k := 0; k < e.nmat; k++ {
-					p := c.pLeft[k*ns*ns : (k+1)*ns*ns]
+					p := e.scr.pLeft[k*ns*ns : (k+1)*ns*ns]
 					for i := 0; i < ns; i++ {
 						want := 0.0
 						for j := 0; j < ns; j++ {

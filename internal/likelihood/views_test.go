@@ -25,8 +25,7 @@ func TestViewsVectorMatchesNewView(t *testing.T) {
 	eng.NewView(p)
 	direct, _ := expandVec(eng, eng.slotVec(p))
 
-	views := eng.NewViews()
-	v, err := views.Vector(p)
+	v, err := eng.Vector(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +39,10 @@ func TestViewsVectorMatchesNewView(t *testing.T) {
 		}
 	}
 	// Tip records yield the zero vec.
-	tv, err := views.Vector(tr.Tips[3])
+	tv, err := eng.Vector(tr.Tips[3])
 	if err != nil || tv.lv != nil {
 		t.Errorf("tip record: %v, %v", tv.lv, err)
 	}
-	views.Release()
 }
 
 func TestViewsMemoization(t *testing.T) {
@@ -56,42 +54,46 @@ func TestViewsMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	views := eng.NewViews()
-	if _, err := views.Vector(tr.Tips[0].Back); err != nil {
+	if _, err := eng.Vector(tr.Tips[0].Back); err != nil {
 		t.Fatal(err)
 	}
 	calls := eng.Meter.NewviewCalls
 	// Re-requesting the same and overlapping vectors must not recompute.
-	if _, err := views.Vector(tr.Tips[0].Back); err != nil {
+	if _, err := eng.Vector(tr.Tips[0].Back); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Meter.NewviewCalls != calls {
 		t.Error("memoized vector recomputed")
 	}
 	// Computing every directed vector costs at most 3*(n-2) newviews total.
-	for _, e := range tr.Edges() {
-		if !e.IsTip() {
-			if _, err := views.Vector(e); err != nil {
-				t.Fatal(err)
+	readAll := func() {
+		for _, e := range tr.Edges() {
+			if !e.IsTip() {
+				if _, err := eng.Vector(e); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if !e.Back.IsTip() {
-			if _, err := views.Vector(e.Back); err != nil {
-				t.Fatal(err)
+			if !e.Back.IsTip() {
+				if _, err := eng.Vector(e.Back); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
+	readAll()
 	if max := uint64(3 * (12 - 2)); eng.Meter.NewviewCalls > max {
 		t.Errorf("views computation used %d newviews, bound %d", eng.Meter.NewviewCalls, max)
 	}
-	views.Release()
-	// Pool reuse: a second Views should allocate nothing new (hard to
-	// observe directly; just exercise the path).
-	v2 := eng.NewViews()
-	if _, err := v2.Vector(tr.Tips[1].Back); err != nil {
-		t.Fatal(err)
+	// A new epoch takes the arena's buffers again: recomputing every vector
+	// allocates none.
+	n := len(eng.arena)
+	eng.InvalidateAll()
+	calls = eng.Meter.NewviewCalls
+	readAll()
+	if eng.Meter.NewviewCalls == calls || len(eng.arena) != n {
+		t.Errorf("after InvalidateAll: %d newviews, arena %d -> %d buffers; want a recompute into the same buffers",
+			eng.Meter.NewviewCalls-calls, n, len(eng.arena))
 	}
-	v2.Release()
 }
 
 // insertionScoreExhaustive reproduces the pre-lazy trial: physically
@@ -124,7 +126,7 @@ func TestInsertionScoreMatchesExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A Views trusts the engine's slots, so the engine sees every edit.
+	// The slots and the memo are trusted, so the engine sees every edit.
 	eng.AttachTree(tr)
 
 	p := tr.Tips[4].Back
@@ -139,9 +141,8 @@ func TestInsertionScoreMatchesExhaustive(t *testing.T) {
 	if len(cands) < 3 {
 		t.Fatalf("only %d candidates", len(cands))
 	}
-	views := eng.NewViews()
 	for i, cand := range cands {
-		zLazy, llLazy, err := views.InsertionScore(cand, ps.P, z0)
+		zLazy, llLazy, err := eng.InsertionScore(cand, ps.P, z0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,6 @@ func TestInsertionScoreMatchesExhaustive(t *testing.T) {
 			t.Errorf("candidate %d: lazy z %.8f != exhaustive %.8f", i, zLazy, zEx)
 		}
 	}
-	views.Release()
 	if err := tr.Undo(ps); err != nil {
 		t.Fatal(err)
 	}
@@ -171,13 +171,11 @@ func TestInsertionScoreErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	views := eng.NewViews()
 	detached := &phylotree.Node{Index: 99}
-	if _, _, err := views.InsertionScore(detached, tr.Tips[0].Back, 0.1); err == nil {
+	if _, _, err := eng.InsertionScore(detached, tr.Tips[0].Back, 0.1); err == nil {
 		t.Error("detached candidate accepted")
 	}
-	if _, _, err := views.InsertionScore(tr.Tips[1], detached, 0.1); err == nil {
+	if _, _, err := eng.InsertionScore(tr.Tips[1], detached, 0.1); err == nil {
 		t.Error("detached subtree accepted")
 	}
-	views.Release()
 }

@@ -6,47 +6,45 @@ import (
 	"go/types"
 )
 
-// BackendPurity enforces the Backend concurrency contract (backend.go):
-// one backend value serves every kernel context of an engine, and the range
-// executor runs several pattern blocks of a single pass concurrently over
-// the SAME Ctx — the calling goroutine and whichever resident helpers
-// adopted a block, none of which own the Ctx. A *Range method is therefore
-// allowed to write only memory that is private to its block or to the
-// goroutine running it:
+// BackendPurity enforces the Backend concurrency contract (backend.go): the
+// range executor runs several pattern blocks of a single pass concurrently
+// over the SAME Engine — the calling goroutine and whichever resident
+// helpers adopted a block, none of which own the engine. A *Range method is
+// therefore allowed to write only memory that is private to its block or to
+// the goroutine running it:
 //
 //   - elements of the operand slices (op.dst[k], op.perSite[pat], ...) —
 //     blocks partition the pattern axis, so element writes are disjoint;
-//   - elements reached through Ctx fields (c.sumTab[k], ...) — the same
-//     disjointness;
-//   - the tile scratch it was handed (ts.a[i], ...): the context's own for
+//   - elements reached through the engine's scratch (e.scr.sumTab[k], ...),
+//     the fields of its method-less scratch type — the same disjointness;
+//   - the tile scratch it was handed (ts.a[i], ...): the engine's own for
 //     the caller, the helper's own otherwise;
 //   - its own locals, including local aliases of the above.
 //
 // Everything else is shared state and a data race waiting for a second
 // thread:
 //
-//   - any store whose path passes through the Engine (c.eng.f = v,
-//     e.tbl[i] = v): the engine is shared by every context and every
-//     worker;
-//   - reassigning or accumulating into a Ctx field directly
-//     (c.sumTab = make(...), c.underflow++, c.meter.muls += n): the Ctx
-//     is shared by all blocks of the pass, which is exactly why the
-//     kernels return their statistics in combineStats/evalPart/... values
-//     for the executor to file under the block's index and the caller to
-//     fold in block order;
-//   - stores through the Ctx's own tile (c.tile.a[i] = v): a helper that
-//     adopted the block runs on a foreign Ctx and has been handed its own
+//   - any other store whose path passes through the Engine (e.total++,
+//     e.lv[i][k] = v, e.Meter.Muls += n): engine state is shared by every
+//     block of the pass, which is exactly why the kernels return their
+//     statistics in combineStats/evalPart/... values for the executor to
+//     file under the block's index and the caller to fold in block order;
+//   - reassigning or accumulating into a scratch field itself
+//     (e.scr.sumTab = make(...), e.scr.tabled++): the header is shared by
+//     all blocks of the pass;
+//   - stores through the owner's tile (e.scr.tile.a[i] = v): a helper that
+//     adopted the block runs on a foreign engine and has been handed its own
 //     tile for exactly that reason;
 //   - stores to package-level variables.
 //
 // The check is interprocedural within the package: a helper that performs
 // such a write taints every caller (via the same fixed point nondettaint
 // uses), so hiding the store one call deep — backend method calls
-// c.ensureScratch(), which reassigns c.sumTab — is flagged at the call
+// e.ensureScratch(), which reassigns e.scr.sumTab — is flagged at the call
 // site in the *Range method with the witness chain.
 var BackendPurity = &Analyzer{
 	Name: "backendpurity",
-	Doc:  "Backend *Range methods may write only operand slices and the tile scratch they are handed; stores to Engine/Ctx/shared state are races",
+	Doc:  "Backend *Range methods may write only operand slices, scratch elements and the tile scratch they are handed; stores to Engine/scratch headers/shared state are races",
 	Match: func(pkgPath string) bool {
 		return pathHasAny(pkgPath, likelihoodPkg)
 	},
@@ -84,7 +82,7 @@ func runBackendPurity(pass *Pass) {
 		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 			if reason, ok := directImpureWriteReason(pass.Info, n); ok {
 				pass.Reportf(n.Pos(),
-					"%s in %s: blocks of one pass run concurrently on a shared Ctx — write only operand slices and the tile scratch handed in, and return statistics in the part value", reason, node.Fn.Name())
+					"%s in %s: blocks of one pass run concurrently on a shared Engine — write only operand slices, scratch elements and the tile scratch handed in, and return statistics in the part value", reason, node.Fn.Name())
 			}
 			return true
 		})
@@ -95,7 +93,7 @@ func runBackendPurity(pass *Pass) {
 			}
 			if reason := taint.Reason(site.Callee); reason != "" {
 				pass.Reportf(site.Call.Pos(),
-					"%s calls %s, which %s; blocks of one pass run concurrently on a shared Ctx — keep helpers reachable from *Range methods write-free", node.Fn.Name(), calleeLabel(site.Callee), reason)
+					"%s calls %s, which %s; blocks of one pass run concurrently on a shared Engine — keep helpers reachable from *Range methods write-free", node.Fn.Name(), calleeLabel(site.Callee), reason)
 			}
 		}
 	}
@@ -103,7 +101,7 @@ func runBackendPurity(pass *Pass) {
 
 // directImpureWriteReason reports whether n is a store to shared state
 // under the Backend purity rule. It is the DirectReason of the purity
-// taint, so it must describe the write tersely ("reassigns Ctx field
+// taint, so it must describe the write tersely ("reassigns scratch field
 // sumTab") for witness chains.
 func directImpureWriteReason(info *types.Info, n ast.Node) (string, bool) {
 	switch n := n.(type) {
@@ -125,17 +123,17 @@ func directImpureWriteReason(info *types.Info, n ast.Node) (string, bool) {
 // impureStoreTarget classifies an assignment target. The spine of the
 // LHS expression is walked outside-in:
 //
-//   - if any receiver along the spine is Engine-typed, the store mutates
-//     engine memory (shared by every context) — impure, even through an
-//     index (e.eng.tbl[i] = v writes shared memory);
-//   - if the outermost target is a selector chain rooted at a Ctx with NO
-//     index expression in between, the store replaces or accumulates into
-//     a Ctx field itself (c.sumTab = v, c.underflow++, c.meter.muls += n)
-//     — impure. With an index on the path (c.sumTab[k] = v) the target is
-//     an element of scratch the block owns — pure. The one exception is
-//     the Ctx's own tile (c.tile.a[i] = v): it belongs to the goroutine
-//     that owns the Ctx, and a helper runs the same method on a Ctx it does
-//     not own — impure, use the tile handed in;
+//   - a selector on the engine's scratch type ends the walk: with an index
+//     on the path (e.scr.sumTab[k] = v) the target is an element of scratch
+//     the block owns — pure; without one (e.scr.sumTab = v,
+//     e.scr.tabled++) the store replaces or accumulates into the field's
+//     header — impure; and the scratch's own tile (e.scr.tile.a[i] = v)
+//     belongs to the goroutine that owns the engine, while a helper runs
+//     the same method on an engine it does not own — impure, use the tile
+//     handed in;
+//   - any other selector on the Engine is a store to engine state, shared by
+//     every block — impure, even through an index (e.tbl[i] = v writes
+//     shared memory);
 //   - if the spine roots at a package-level variable, the store is to
 //     process-global state — impure.
 func impureStoreTarget(info *types.Info, lhs ast.Expr) (string, bool) {
@@ -154,16 +152,17 @@ func impureStoreTarget(info *types.Info, lhs ast.Expr) (string, bool) {
 			if !ok || sel.Kind() != types.FieldVal {
 				return "", false
 			}
-			if isLikelihoodType(sel.Recv(), "Engine") {
-				return "writes Engine state through field " + sel.Obj().Name(), true
-			}
-			if isLikelihoodType(sel.Recv(), "Ctx") {
+			switch {
+			case isLikelihoodType(sel.Recv(), "scratch"): // the engine's per-call kernel scratch
 				if t.Sel.Name == "tile" {
-					return "writes the Ctx's own tile", true
+					return "writes the owner's tile", true
 				}
 				if !indexed {
-					return "writes Ctx field " + t.Sel.Name + " directly", true
+					return "reassigns scratch field " + t.Sel.Name, true
 				}
+				return "", false
+			case isLikelihoodType(sel.Recv(), "Engine"):
+				return "writes Engine state through field " + sel.Obj().Name(), true
 			}
 			e = t.X
 		case *ast.Ident:

@@ -5,25 +5,25 @@ import (
 	"go/types"
 )
 
-// CtxOwnership keeps the engine's kernel context single-owner. A
-// likelihood.Ctx is an engine's private kernel scratch, and a
-// likelihood.Views a lazy-SPR vector table bound to it; neither is locked.
-// The one sanctioned way to hand either to goroutines that do not own it is
-// publication through an atomic pointer — x.Store(ctx), x.Swap(ctx) or
-// x.CompareAndSwap(old, ctx) on a sync/atomic.Pointer of an owned type —
-// which is how the range executor offers the blocks of a running pass to its
-// resident helpers. It is sanctioned there alone (likelihood's Ctx.runPass,
-// which takes the context back before the call returns): a helper runs a
-// *Range method on a Ctx it does not own only for a block it claimed through
-// that slot, on its own tile scratch (backendpurity holds the methods to
-// that). Any other such publication is flagged.
+// CtxOwnership keeps the likelihood engine single-owner. A
+// likelihood.Engine holds its kernels' scratch, its vector slots and its
+// lazy-SPR memo, none of them locked. The one sanctioned way to hand an
+// engine to goroutines that do not own it is publication through an atomic
+// pointer — x.Store(e), x.Swap(e) or x.CompareAndSwap(old, e) on a
+// sync/atomic.Pointer of the engine — which is how the range executor offers
+// the blocks of a running pass to its resident helpers. It is sanctioned
+// there alone (likelihood's Engine.runPass, which takes the engine back
+// before the call returns): a helper runs a *Range method on an engine it
+// does not own only for a block it claimed through that slot, on its own
+// tile scratch (backendpurity holds the methods to that). Any other such
+// publication is flagged.
 //
-// The owned types are recognized by type identity across package
+// The engine type is recognized by type identity across package
 // boundaries, which is what makes the multi-package golden case
 // interprocedural.
 var CtxOwnership = &Analyzer{
 	Name: "ctxownership",
-	Doc:  "forbid publishing a likelihood.Ctx/Views through an atomic pointer outside the range executor's Ctx.runPass",
+	Doc:  "forbid publishing a likelihood.Engine through an atomic pointer outside the range executor's Engine.runPass",
 	Match: func(pkgPath string) bool {
 		return pathHasAny(pkgPath,
 			"internal/likelihood", "internal/search", "internal/core", "cmd")
@@ -32,27 +32,19 @@ var CtxOwnership = &Analyzer{
 }
 
 // likelihoodPkg is the path fragment identifying the kernel package that
-// declares the owned types.
+// declares the owned type.
 const likelihoodPkg = "internal/likelihood"
 
-// ownedTypeName reports whether t is (or points to, or slices) one of the
-// owned types, returning its short name.
-func ownedTypeName(t types.Type) (string, bool) {
+// isOwnedType reports whether t is (or points to, or slices) the likelihood
+// Engine.
+func isOwnedType(t types.Type) bool {
 	switch u := t.(type) {
 	case *types.Pointer:
-		return ownedTypeName(u.Elem())
+		return isOwnedType(u.Elem())
 	case *types.Slice:
-		return ownedTypeName(u.Elem())
-	case *types.Named:
-		obj := u.Obj()
-		if obj.Pkg() == nil || !pathHasAny(obj.Pkg().Path(), likelihoodPkg) {
-			return "", false
-		}
-		if n := obj.Name(); n == "Ctx" || n == "Views" {
-			return n, true
-		}
+		return isOwnedType(u.Elem())
 	}
-	return "", false
+	return isLikelihoodType(t, "Engine")
 }
 
 func runCtxOwnership(pass *Pass) {
@@ -66,7 +58,7 @@ func runCtxOwnership(pass *Pass) {
 	}
 }
 
-// checkAtomicPublish flags Store/Swap/CompareAndSwap of an owned value on a
+// checkAtomicPublish flags Store/Swap/CompareAndSwap of an engine on a
 // sync/atomic.Pointer anywhere in fn.
 func checkAtomicPublish(pass *Pass, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -88,11 +80,9 @@ func checkAtomicPublish(pass *Pass, fn *ast.FuncDecl) {
 			return true
 		}
 		arg := call.Args[len(call.Args)-1]
-		if tv, ok := pass.Info.Types[arg]; ok && tv.Type != nil {
-			if name, owned := ownedTypeName(tv.Type); owned {
-				pass.Reportf(arg.Pos(),
-					"likelihood.%s published through an atomic pointer in %s; only the range executor offers a running pass to its helpers (Ctx.runPass), and takes it back before the call returns", name, fn.Name.Name)
-			}
+		if tv, ok := pass.Info.Types[arg]; ok && tv.Type != nil && isOwnedType(tv.Type) {
+			pass.Reportf(arg.Pos(),
+				"likelihood.Engine published through an atomic pointer in %s; only the range executor offers a running pass to its helpers (Engine.runPass), and takes it back before the call returns", fn.Name.Name)
 		}
 		return true
 	})

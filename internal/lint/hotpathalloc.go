@@ -56,7 +56,7 @@ import (
 // The class pass (likelihood's repeats.go) numbers the repeat classes of a
 // node's directed record whenever the topology behind it changed: one serial
 // pass over the patterns per recomputed slot, so its table lives on the
-// kernel context and the fragments include classpass.
+// engine's scratch and the fragments include classpass.
 //
 // Inside functions whose name contains combine/newview/makenewz/evaluate/
 // spr/insertion/tile/sumtable/newton/observe/record/span/brent/

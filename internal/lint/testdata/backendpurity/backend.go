@@ -1,23 +1,29 @@
 // Golden case for backendpurity, analyzed as raxmlcell/internal/likelihood:
 // a miniature of the Backend seam. Range and row methods run concurrently
-// over one shared Ctx (one block of patterns or rows per goroutine the range
-// executor has on the pass), so they may write only operand-slice elements,
-// Ctx scratch elements and the tile they are handed — never the Engine, a Ctx
-// field itself, or package state.
+// over one shared Engine (one block of patterns or rows per goroutine the
+// range executor has on the pass), so they may write only operand-slice
+// elements, scratch elements and the tile they are handed — never engine
+// state, a scratch field's header, the owner's tile, or package state.
 package likelihood
-
-type Engine struct {
-	total uint64
-	tbl   []float64
-}
 
 type tile struct{ buf []float64 }
 
-type Ctx struct {
-	eng       *Engine
-	sumTab    []float64
-	tile      tile
-	underflow uint64
+// scratch is the engine's per-call kernel scratch, told from engine state by
+// its type.
+type scratch struct {
+	sumTab []float64
+	tile   tile
+	tabled uint64
+}
+
+type Meter struct{ Muls uint64 }
+
+type Engine struct {
+	total          uint64
+	tbl            []float64
+	Meter          Meter
+	underflowSites uint64
+	scr            scratch
 }
 
 type combineOp struct{ dst []float64 }
@@ -30,33 +36,34 @@ var globalHits int
 
 type goodBackend struct{}
 
-// initCtx is not a *Range method: sizing Ctx scratch before any kernel
-// runs is exactly what it is for, so its field writes are legal.
-func (goodBackend) initCtx(c *Ctx) {
-	c.tile.buf = make([]float64, 4)
-	c.sumTab = make([]float64, len(c.eng.tbl))
+// allocScratch is not a *Range method: sizing the scratch before any kernel
+// runs is exactly what it is for, so its writes are legal.
+func (goodBackend) allocScratch(e *Engine) {
+	e.scr.tile.buf = make([]float64, 4)
+	e.scr.sumTab = make([]float64, len(e.tbl))
 }
 
-func (goodBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile) combineStats {
+func (goodBackend) combineRows(e *Engine, op *combineOp, pr patRange, ts *tile) combineStats {
 	var st combineStats
 	for pat := pr.lo; pat < pr.hi; pat++ {
-		ts.buf[0] = c.eng.tbl[pat]  // the goroutine's own tile, engine read: legal
-		op.dst[pat] = ts.buf[0] * 2 // operand element: legal
-		c.sumTab[pat] = op.dst[pat] // Ctx scratch element: legal
-		st.muls++                   // local part value: legal
+		ts.buf[0] = e.tbl[pat]          // the goroutine's own tile, engine read: legal
+		op.dst[pat] = ts.buf[0] * 2     // operand element: legal
+		e.scr.sumTab[pat] = op.dst[pat] // scratch element: legal
+		st.muls++                       // local part value: legal
 	}
 	return st
 }
 
 type badBackend struct{}
 
-func (badBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile) combineStats {
-	c.eng.total++                     // want `writes Engine state through field total in combineRows`
-	c.eng.tbl[0] = 1                  // want `writes Engine state through field tbl in combineRows`
-	c.sumTab = make([]float64, pr.hi) // want `writes Ctx field sumTab directly in combineRows`
-	c.underflow++                     // want `writes Ctx field underflow directly in combineRows`
-	globalHits++                      // want `writes package-level variable globalHits in combineRows`
-	c.tile.buf[0] = ts.buf[0]         // want `writes the Ctx's own tile in combineRows`
+func (badBackend) combineRows(e *Engine, op *combineOp, pr patRange, ts *tile) combineStats {
+	e.total++                             // want `writes Engine state through field total in combineRows`
+	e.tbl[0] = 1                          // want `writes Engine state through field tbl in combineRows`
+	e.Meter.Muls += 4                     // want `writes Engine state through field Meter in combineRows`
+	e.scr.sumTab = make([]float64, pr.hi) // want `reassigns scratch field sumTab in combineRows`
+	e.scr.tabled++                        // want `reassigns scratch field tabled in combineRows`
+	globalHits++                          // want `writes package-level variable globalHits in combineRows`
+	e.scr.tile.buf[0] = ts.buf[0]         // want `writes the owner's tile in combineRows`
 	for pat := pr.lo; pat < pr.hi; pat++ {
 		op.dst[pat] = 1
 	}
@@ -66,11 +73,11 @@ func (badBackend) combineRows(c *Ctx, op *combineOp, pr patRange, ts *tile) comb
 // newtonDerivRange launders its store through a helper: only the
 // package-local fixed point connects the call site to the write, which is
 // the multi-function case the analyzer exists for.
-func (badBackend) newtonDerivRange(c *Ctx, op *combineOp, pr patRange, ts *tile) combineStats {
-	bumpUnderflow(c) // want `newtonDerivRange calls likelihood\.bumpUnderflow, which writes Ctx field underflow directly`
+func (badBackend) newtonDerivRange(e *Engine, op *combineOp, pr patRange, ts *tile) combineStats {
+	bumpUnderflow(e) // want `newtonDerivRange calls likelihood\.bumpUnderflow, which writes Engine state through field underflowSites`
 	return combineStats{}
 }
 
-// bumpUnderflow is fine on its own (drivers call it between fan-outs);
+// bumpUnderflow is fine on its own (drivers call it between passes);
 // it is the call from a *Range method that is flagged.
-func bumpUnderflow(c *Ctx) { c.underflow++ }
+func bumpUnderflow(e *Engine) { e.underflowSites++ }

@@ -1,5 +1,5 @@
 // Golden case for ctxownership, analyzed as raxmlcell/internal/search
-// against the miniature likelihood package: the owned types are recognized
+// against the miniature likelihood package: the owned type is recognized
 // across the package boundary (the interprocedural half of the invariant).
 package search
 
@@ -9,14 +9,14 @@ import (
 	"raxmlcell/internal/likelihood"
 )
 
-// leakAtomic offers a context to whoever loads the slot: only the range
+// leakAtomic offers an engine to whoever loads the slot: only the range
 // executor does that, for the length of one pass.
-func leakAtomic(ctx *likelihood.Ctx, v *likelihood.Views) {
-	var slot atomic.Pointer[likelihood.Ctx]
-	slot.Store(ctx)               // want `likelihood\.Ctx published through an atomic pointer in leakAtomic`
-	slot.CompareAndSwap(nil, ctx) // want `likelihood\.Ctx published through an atomic pointer in leakAtomic`
+func leakAtomic(eng *likelihood.Engine, engs []*likelihood.Engine) {
+	var slot atomic.Pointer[likelihood.Engine]
+	slot.Store(eng)               // want `likelihood\.Engine published through an atomic pointer in leakAtomic`
+	slot.CompareAndSwap(nil, eng) // want `likelihood\.Engine published through an atomic pointer in leakAtomic`
 	slot.Store(nil)               // taking it back: legal
 
-	var views atomic.Pointer[likelihood.Views]
-	views.Swap(v) // want `likelihood\.Views published through an atomic pointer in leakAtomic`
+	var all atomic.Pointer[[]*likelihood.Engine]
+	all.Swap(&engs) // want `likelihood\.Engine published through an atomic pointer in leakAtomic`
 }

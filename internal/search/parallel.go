@@ -71,16 +71,14 @@ func (s *candScore) solved(z, ll float64, err error) {
 	s.z, s.ll, s.ok, s.scored = z, ll, s.err == nil, true
 }
 
-// searchCtx carries the state of one search's candidate scoring: the view
-// table, reusable candidate/score buffers (hoisted out of the SPR hot loop —
-// see the hotpathalloc analyzer), the round's likelihood cutoff and live
-// metric handles.
+// searchCtx carries the state of one search's candidate scoring: reusable
+// candidate/score buffers (hoisted out of the SPR hot loop — see the
+// hotpathalloc analyzer), the round's likelihood cutoff and live metric
+// handles. The vectors a candidate reads are the engine's: every one that
+// faces the prune point comes from its node slots, and the ones facing away
+// from it, one per candidate edge, from its memo, which the next edit of the
+// tree (the Undo or Regraft that ends the prune) drops.
 type searchCtx struct {
-	// Every vector that faces the prune point is read from the engine's own
-	// node slots; views holds only the ones facing away from it, one per
-	// candidate edge, and is released at the end of every prune.
-	views *likelihood.Views
-
 	cands   []*phylotree.Node
 	parents []int // per candidate, the index of the one it hangs off in the radius walk (-1 at the prune)
 	scores  []candScore
@@ -107,10 +105,10 @@ type searchCtx struct {
 	rangeAdopted     *obs.Counter
 }
 
-// newSearchCtx builds the per-search state: the view table, and metric
-// handles when opt.Metrics is set.
+// newSearchCtx builds the per-search state, with metric handles when
+// opt.Metrics is set.
 func newSearchCtx(eng *likelihood.Engine, opt Options) *searchCtx {
-	sc := &searchCtx{views: eng.NewViews(), traceRound: opt.Trace, cutoff: math.Inf(1), pol: opt.policy}
+	sc := &searchCtx{traceRound: opt.Trace, cutoff: math.Inf(1), pol: opt.policy}
 	if opt.Metrics != nil {
 		sc.candidatesScored = opt.Metrics.Counter("search.candidates_scored")
 		sc.candidatesSolved = opt.Metrics.Counter("search.candidates_solved")
@@ -190,20 +188,19 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 	eng.NewView(sub.Back)
 
 	if attached > shortListLen {
-		if err := sc.views.CarryAcross(&sc.across, sub, z0); err != nil {
+		if err := eng.CarryAcross(&sc.across, sub, z0); err != nil {
 			return nil, err
 		}
 		sc.prescoreWalk(cands, parents, baseline, func(i int) {
-			scores[i].prescored(sc.views.Prescore(cands[i], &sc.across))
+			scores[i].prescored(eng.Prescore(cands[i], &sc.across))
 		})
 		if !sc.pol.solveAll {
 			sc.list = shortList(scores, sc.list[:0], baseline, sc.listCutoff())
 		}
 	}
 	for _, i := range sc.list {
-		scores[i].solved(sc.views.InsertionScore(cands[i], sub, z0))
+		scores[i].solved(eng.InsertionScore(cands[i], sub, z0))
 	}
-	sc.views.Release()
 	scored := 0
 	for i := range scores {
 		if scores[i].err != nil {

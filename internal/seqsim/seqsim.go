@@ -18,10 +18,13 @@ import (
 
 // Params configures a simulation.
 type Params struct {
-	Taxa        int     // number of tips
-	Sites       int     // alignment length
-	MeanBranch  float64 // mean branch length (expected substitutions/site)
-	Alpha       float64 // Gamma shape for site-rate variation (<=0: none)
+	Taxa       int     // number of tips
+	Sites      int     // alignment length
+	MeanBranch float64 // mean branch length (expected substitutions/site)
+	// Alpha is not read: the site rates come from the categories of the
+	// model passed to Generate or Evolve. The field stays because callers
+	// name it.
+	Alpha       float64
 	GapFraction float64 // fraction of characters replaced by gaps
 	// InvariantFraction is the proportion of sites that never mutate —
 	// real conserved alignments (like the paper's rRNA-style 42_SC data)
