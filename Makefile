@@ -130,10 +130,10 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadNexus -fuzztime=$(FUZZTIME) ./internal/alignment
 	$(GO) test -run=NONE -fuzz=FuzzParseNewick -fuzztime=$(FUZZTIME) ./internal/phylotree
 
-# lint mirrors the CI gates that need no network: gofmt, go vet, the
-# seven-analyzer project invariant suite (cmd/raxmlvet) driven through
-# the vet tool protocol, and the standalone self-lint of the commands and
-# the lint engine itself (which also audits //lint:ignore directives).
+# lint mirrors the CI gates that need no network: gofmt, go vet, and the
+# seven-analyzer project invariant suite (cmd/raxmlvet) driven through the
+# vet tool protocol over every package, the commands and the lint engine
+# itself included (each run also audits //lint:ignore directives).
 # staticcheck/govulncheck run in CI where their pinned versions are
 # installed.
 lint: raxmlvet
@@ -141,7 +141,6 @@ lint: raxmlvet
 		echo "gofmt needed for:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -vettool=$(CURDIR)/$(BIN)/raxmlvet ./...
-	$(BIN)/raxmlvet ./cmd/... ./internal/lint/...
 
 raxmlvet:
 	@mkdir -p $(BIN)

@@ -77,7 +77,7 @@ func dumpObs(tracer *obs.SpanTracer, flight *obs.FlightRecorder, tracePath, flig
 		}
 		fmt.Printf("trace: %d events written to %s\n", n, tracePath)
 		if d := tracer.Dropped(); d > 0 {
-			fmt.Printf("trace: %d events dropped at the event cap (raise with SetMaxEvents)\n", d)
+			fmt.Printf("trace: %d events dropped at the %d-event cap\n", d, obs.DefaultMaxSpanEvents)
 		}
 	}
 	if flightPath != "" && flight != nil {

@@ -8,20 +8,17 @@
 // //lint:ignore directives and reports the ones that no longer suppress
 // anything (unusedsuppression).
 //
-// It runs in two modes:
+// It has one driver, the go command:
 //
-//	raxmlvet [-json] [packages]     standalone; defaults to ./...
 //	go vet -vettool=$(which raxmlvet) ./...
 //
-// In the second form the go command drives raxmlvet through the vet tool
-// protocol: a -V=full version query for build caching, then one invocation
-// per package with a JSON config file argument; cross-package analysis
-// facts travel through the .vetx files of the same protocol. Exit status
-// is non-zero when any finding is reported.
-//
-// -json prints the findings as one stable, sorted JSON array
-// ({analyzer, file, line, col, message}) instead of text — the feed CI
-// turns into GitHub annotations.
+// The go command drives raxmlvet through the vet tool protocol: a -V=full
+// version query for build caching, then one invocation per package with a
+// JSON config file argument; cross-package analysis facts travel through
+// the .vetx files of the same protocol. Findings are printed to stderr as
+// "file:line:col: message (analyzer)", and the exit status is non-zero
+// when any finding is reported. Run without a config file, raxmlvet prints
+// this usage and exits with status 2.
 package main
 
 import (
@@ -30,8 +27,6 @@ import (
 	"io"
 	"os"
 	"strings"
-
-	"raxmlcell/internal/lint"
 )
 
 func main() {
@@ -66,25 +61,8 @@ func main() {
 		os.Exit(unitcheck(args[0]))
 	}
 
-	// Standalone mode. The go command never forwards flags (we advertise
-	// none in the -flags reply), so -json is purely a standalone switch.
-	jsonOut := false
-	patterns := args[:0:0]
-	for _, a := range args {
-		if a == "-json" || a == "--json" {
-			jsonOut = true
-			continue
-		}
-		patterns = append(patterns, a)
-	}
-	clean, err := lint.Main(os.Stdout, "", jsonOut, patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "raxmlvet:", err)
-		os.Exit(1)
-	}
-	if !clean {
-		os.Exit(2)
-	}
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which raxmlvet) [packages]")
+	os.Exit(2)
 }
 
 // selfHash returns a short content hash of the running binary.

@@ -1,10 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -112,34 +112,11 @@ func TestVettoolProtocol(t *testing.T) {
 	})
 }
 
-// TestStandaloneMode exercises the go-list-backed loader the same way.
-func TestStandaloneMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries and invokes the go toolchain")
-	}
-	bin := buildRaxmlvet(t)
-
-	dir := t.TempDir()
-	writeProbeModule(t, dir, true)
-	cmd := exec.Command(bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("standalone raxmlvet passed on a violation\n%s", out)
-	}
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Fatalf("want exit code 2 for findings, got %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "wall-clock time.Now") {
-		t.Fatalf("missing finding in output:\n%s", out)
-	}
-}
-
 // writeLaunderModule lays out a module where the nondeterminism is
 // laundered across a package boundary: internal/util wraps time.Now()
 // behind two helpers, internal/sim calls the outer one. Only the
-// cross-package facts pass can connect the call to the clock, so these
-// tests prove the facts round-trip end-to-end in both driver modes.
+// cross-package facts pass can connect the call to the clock, so the
+// test below proves the facts round-trip end-to-end through .vetx files.
 func writeLaunderModule(t *testing.T, dir string) {
 	t.Helper()
 	files := map[string]string{
@@ -195,45 +172,8 @@ func TestVettoolFactsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStandaloneFactsRoundTrip proves the go-list loader threads the
-// same facts in memory, and that -json emits the stable CI feed.
-func TestStandaloneFactsRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries and invokes the go toolchain")
-	}
-	bin := buildRaxmlvet(t)
-	dir := t.TempDir()
-	writeLaunderModule(t, dir)
-
-	cmd := exec.Command(bin, "-json", "./...")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Fatalf("want exit code 2 for findings, got %v\n%s", err, out)
-	}
-	var findings []struct {
-		Analyzer string `json:"analyzer"`
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal(out, &findings); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out)
-	}
-	if len(findings) != 1 {
-		t.Fatalf("got %d findings, want 1:\n%s", len(findings), out)
-	}
-	f := findings[0]
-	if f.Analyzer != "nondettaint" || f.File != filepath.Join("internal", "sim", "sim.go") ||
-		f.Line == 0 || f.Col == 0 ||
-		!strings.Contains(f.Message, "calls util.stamp, which reads the wall clock") {
-		t.Fatalf("unexpected finding: %+v", f)
-	}
-}
-
-// TestUnusedSuppressionAudit checks the end-to-end audit: a directive
-// that suppresses nothing is itself a finding, in both output modes.
+// TestUnusedSuppressionAudit checks the end-to-end audit: under
+// go vet -vettool, a directive that suppresses nothing is itself a finding.
 func TestUnusedSuppressionAudit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and invokes the go toolchain")
@@ -250,16 +190,118 @@ func Quiet() int64 { return 1 }
 	if err := os.WriteFile(filepath.Join(dir, "internal", "sim", "stale.go"), []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "./...")
+	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Fatalf("want exit code 2 for a stale directive, got %v\n%s", err, out)
+	if err == nil {
+		t.Fatalf("go vet passed on a stale directive\n%s", out)
 	}
 	s := string(out)
-	if !strings.Contains(s, "unusedsuppression") ||
-		!strings.Contains(s, "//lint:ignore simdeterminism directive suppresses nothing") {
+	if !strings.Contains(s, "stale.go:4:1: //lint:ignore simdeterminism directive suppresses nothing") ||
+		!strings.Contains(s, "(unusedsuppression)") {
 		t.Fatalf("stale directive not reported:\n%s", s)
+	}
+}
+
+// TestUsageWithoutConfig checks that raxmlvet has no driver of its own: run
+// without the go command's vet.cfg, it prints usage and exits with status 2.
+func TestUsageWithoutConfig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildRaxmlvet(t)
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"no-arguments", nil},
+		{"package-pattern", []string{"./..."}},
+		{"json-flag", []string{"-json", "./..."}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := exec.Command(bin, c.args...).CombinedOutput()
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+				t.Fatalf("raxmlvet %q: want exit status 2, got %v\n%s", c.args, err, out)
+			}
+			if !strings.Contains(string(out), "usage: go vet -vettool=") {
+				t.Fatalf("raxmlvet %q: no usage line:\n%s", c.args, out)
+			}
+		})
+	}
+}
+
+// findingLine is the line format CI turns into annotations:
+// "file:line:col: message (analyzer)", the file relative to the module
+// root and prefixed "./" by the go command.
+var findingLine = regexp.MustCompile(`^(\./)?([^:]+\.go):([0-9]+):([0-9]+): (.*) \(([a-z]+)\)$`)
+
+// TestVettoolFindingLines checks the findings feed CI annotates: under
+// go vet -vettool, every finding of a package is one line in the format
+// above, with the module-relative file, line, column and analyzer, and the
+// findings come out in file, then line order.
+// The probe is a command package, so floatcmp is also shown to reach
+// ./cmd/... through vet.
+func TestVettoolFindingLines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries and invokes the go toolchain")
+	}
+	bin := buildRaxmlvet(t)
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module lintprobe\n\ngo 1.24\n",
+		"cmd/tool/b.go": `package main
+
+func same(a, b float64) bool { return a == b }
+`,
+		"cmd/tool/a.go": `package main
+
+func main() { _ = differ(1, 2) }
+
+func differ(x, y float64) bool {
+	return x != y || same(x, y)
+}
+`,
+	}
+	for name, content := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("go vet passed on two float comparisons\n%s", out)
+	}
+	type finding struct {
+		file      string
+		line, col string
+		analyzer  string
+	}
+	var got []finding
+	for _, l := range strings.Split(string(out), "\n") {
+		if m := findingLine.FindStringSubmatch(l); m != nil {
+			if !strings.HasPrefix(m[5], "floating-point ") {
+				t.Errorf("unexpected message %q", m[5])
+			}
+			got = append(got, finding{m[2], m[3], m[4], m[6]})
+		}
+	}
+	want := []finding{
+		{filepath.Join("cmd", "tool", "a.go"), "6", "9", "floatcmp"},
+		{filepath.Join("cmd", "tool", "b.go"), "3", "39", "floatcmp"},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d finding lines, want %d:\n%s", len(got), len(want), out)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("finding %d = %+v, want %+v\n%s", i, got[i], want[i], out)
+		}
 	}
 }
 

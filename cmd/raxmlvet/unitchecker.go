@@ -151,8 +151,7 @@ func unitcheck(cfgFile string) int {
 		return 1
 	}
 	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n",
-			d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
+		fmt.Fprintln(os.Stderr, d)
 	}
 	if len(diags) > 0 {
 		return 2

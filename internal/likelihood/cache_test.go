@@ -11,7 +11,7 @@ import (
 )
 
 // internalRecords collects every directed internal ring record of the tree:
-// the full domain of Engine.Vector.
+// the full domain of Engine.vector.
 func internalRecords(tr *phylotree.Tree) []*phylotree.Node {
 	var out []*phylotree.Node
 	for _, e := range tr.Edges() {
@@ -152,7 +152,7 @@ func lazyScoreAudit(t *testing.T, stage string, eng *Engine, tr *phylotree.Tree,
 // topology moves, lazy-SPR scoring rounds, model and weight swaps, full
 // invalidations, edits of a tree the engine is not attached to and reads
 // over a random small tree, asserting after every operation that a sample of
-// the vectors Vector serves (from the engine's slots where they hold the
+// the vectors vector serves (from the engine's slots where they hold the
 // orientation, from its memo otherwise) is bit-identical to what a fresh engine
 // computes on a clone of the tree, that the class map of every valid slot is the one a fresh
 // engine numbers, and that the engine's own slots answer Evaluate and
@@ -196,11 +196,11 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 				if r.IsTip() {
 					continue
 				}
-				got, err := eng.Vector(r)
+				got, err := eng.vector(r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := fresh.Vector(cr)
+				want, err := fresh.vector(cr)
 				if err != nil {
 					t.Fatal(err)
 				}

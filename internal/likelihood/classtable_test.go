@@ -146,8 +146,8 @@ func TestClassTablesMatchScalar(t *testing.T) {
 			for _, cand := range append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...) {
 				var vs [2][2]vec // each engine's two sides, computed before the prescore
 				for i, v := range [...]*Engine{ref, alt} {
-					vs[i][0], _ = v.Vector(cand)
-					vs[i][1], _ = v.Vector(cand.Back)
+					vs[i][0], _ = v.vector(cand)
+					vs[i][1], _ = v.vector(cand.Back)
 				}
 				want, err := ref.Prescore(cand, &across[0])
 				if err != nil {

@@ -78,7 +78,7 @@ func (cfg Config) BackendName() string {
 //
 // The vectors the slots cannot hold — those of records facing away from the
 // slots' orientation, which lazy SPR reads — are memoized per directed ring
-// record (Vector), valid until the next edit. All per-call kernel scratch
+// record (vector), valid until the next edit. All per-call kernel scratch
 // lives in scr. An engine is used from one goroutine at a time; the range
 // executor's helpers touch it only for the blocks of its running pass.
 type Engine struct {
@@ -125,7 +125,7 @@ type Engine struct {
 	kobs KernelObserver
 	know func() time.Duration
 
-	// memo[idx] holds Vector's vectors of up to three records of inner node
+	// memo[idx] holds vector's vectors of up to three records of inner node
 	// idx, like rep; an entry is valid while its epoch is the engine's
 	// epoch, which every edit advances (newEpoch). Their buffers come from
 	// arena, the first arenaNext of which the current epoch has taken.
@@ -287,7 +287,7 @@ func (e *Engine) UnderflowSites() uint64 { return e.underflowSites }
 // It also drops the repeat classes of those views' records, so it covers a
 // topology edit around p as well; only MakeNewz, which knows it moved a
 // length, keeps them (invalidate with topo false). Either way the memo's
-// epoch ends: Vector recomputes whatever it is asked for next.
+// epoch ends: vector recomputes whatever it is asked for next.
 func (e *Engine) Invalidate(p *phylotree.Node) { e.invalidate(p, true) }
 
 func (e *Engine) invalidate(p *phylotree.Node, topo bool) {

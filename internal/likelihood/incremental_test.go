@@ -71,7 +71,7 @@ func TestIncrementalEvaluateMatchesFull(t *testing.T) {
 
 // TestInvalidateAfterSetZ: after a branch length changed and Invalidate was
 // told, the engine evaluates as a full recomputation does; its slots keep the
-// one orientation per ring that faces the changed branch, which Vector
+// one orientation per ring that faces the changed branch, which vector
 // serves from the slot itself (a CacheHit, no newview), while every other
 // orientation at the branch's rings is recomputed, bit-identical to a fresh
 // engine's; after InvalidateAll nothing is a slot read. Then the memo's edit
@@ -137,7 +137,7 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 	}
 	for _, r := range [...]*phylotree.Node{e, e.Back} {
 		newviews, hits := cached.Meter.NewviewCalls, cached.Meter.CacheHits
-		got, err := cached.Vector(r)
+		got, err := cached.vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,14 +151,14 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 	}
 	for _, r := range [...]*phylotree.Node{e.Next, e.Next.Next, e.Back.Next, e.Back.Next.Next} {
 		newviews := cached.Meter.NewviewCalls
-		got, err := cached.Vector(r)
+		got, err := cached.vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cached.Meter.NewviewCalls == newviews {
 			t.Error("stale orientation served without recompute")
 		}
-		want, err := fresh.Vector(r)
+		want, err := fresh.vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 	}
 	cached.InvalidateAll()
 	hits := cached.Meter.CacheHits
-	if _, err := cached.Vector(e); err != nil {
+	if _, err := cached.vector(e); err != nil {
 		t.Fatal(err)
 	}
 	if cached.Meter.CacheHits != hits {
@@ -270,7 +270,7 @@ func mustPrune(t *testing.T, tr *phylotree.Tree) *phylotree.PrunedSubtree {
 }
 
 // checkMemoEditPath arms a row on an attached engine, fills its memo with
-// every directed vector of the tree (its slots are empty, so Vector
+// every directed vector of the tree (its slots are empty, so vector
 // memoizes each), makes the edit, and reads every vector again: each must
 // have a fresh engine's bits, and at least one must differ from what it was
 // before the edit, or the row could not tell a stale memo from a valid one.
@@ -287,7 +287,7 @@ func checkMemoEditPath(t *testing.T, arm func(*testing.T, *Engine, *phylotree.Tr
 	edit := arm(t, eng, tr)
 	before := make(map[*phylotree.Node][]float64)
 	for _, r := range internalRecords(tr) {
-		if v, err := eng.Vector(r); err == nil {
+		if v, err := eng.vector(r); err == nil {
 			before[r], _ = expandVec(eng, v)
 		}
 	}
@@ -299,7 +299,7 @@ func checkMemoEditPath(t *testing.T, arm func(*testing.T, *Engine, *phylotree.Tr
 			t.Fatal(err)
 		}
 		for r := range before {
-			if _, err := eng.Vector(r); err != nil {
+			if _, err := eng.vector(r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -318,11 +318,11 @@ func checkMemoEditPath(t *testing.T, arm func(*testing.T, *Engine, *phylotree.Tr
 	}
 	changed := 0
 	for _, r := range internalRecords(tr) {
-		want, err := fresh.Vector(r)
+		want, err := fresh.vector(r)
 		if err != nil {
 			continue // a record of the pruned subtree's ring
 		}
-		got, err := eng.Vector(r)
+		got, err := eng.vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // memoEntry is the vector of one directed ring record that the slot of its
-// node does not hold, computed by Vector: one row per pattern, valid while
+// node does not hold, computed by vector: one row per pattern, valid while
 // epoch is the engine's epoch.
 type memoEntry struct {
 	rec   *phylotree.Node
@@ -55,7 +55,7 @@ func (e *Engine) newVec() vec {
 	return vec{lv: make([]float64, e.npat*e.ncat*ns), sc: make([]int32, e.npat)}
 }
 
-// Vector returns the partial likelihood vector of the subtree behind record
+// vector returns the partial likelihood vector of the subtree behind record
 // r (computed through r's two other ring members): the node's own slot when
 // it holds that orientation (Meter.CacheHits), with one row per repeat class
 // of r, or else the vector the engine memoized for r, one row per pattern,
@@ -66,7 +66,7 @@ func (e *Engine) newVec() vec {
 // is scored in O(patterns) time from the two. The vector is read-only and
 // good until the next NewView or edit. For tip records it is the zero vec:
 // callers use the tip codes directly.
-func (e *Engine) Vector(r *phylotree.Node) (vec, error) {
+func (e *Engine) vector(r *phylotree.Node) (vec, error) {
 	if r.IsTip() {
 		return vec{}, nil
 	}
@@ -82,11 +82,11 @@ func (e *Engine) Vector(r *phylotree.Node) (vec, error) {
 	if q == nil || w == nil {
 		return vec{}, fmt.Errorf("likelihood: view of detached record")
 	}
-	qv, err := e.Vector(q)
+	qv, err := e.vector(q)
 	if err != nil {
 		return vec{}, err
 	}
-	wv, err := e.Vector(w)
+	wv, err := e.vector(w)
 	if err != nil {
 		return vec{}, err
 	}
@@ -212,7 +212,7 @@ func (e *Engine) CarryAcross(a *Across, sub *phylotree.Node, z0 float64) error {
 	}
 	// Viewed through the subtree root record s, whose children live inside
 	// the pruned subtree.
-	sv, err := e.Vector(s)
+	sv, err := e.vector(s)
 	if err != nil {
 		return err
 	}
@@ -279,11 +279,11 @@ func (e *Engine) Prescore(cand *phylotree.Node, across *Across) (logL float64, e
 	if cand.Back == nil {
 		return 0, fmt.Errorf("likelihood: candidate edge is detached")
 	}
-	av, err := e.Vector(cand)
+	av, err := e.vector(cand)
 	if err != nil {
 		return 0, err
 	}
-	bv, err := e.Vector(cand.Back)
+	bv, err := e.vector(cand.Back)
 	if err != nil {
 		return 0, err
 	}
@@ -307,7 +307,7 @@ func (e *Engine) Prescore(cand *phylotree.Node, across *Across) (logL float64, e
 // Newton-Raphson (RAxML's "lazy" evaluation). sub is the detached ring
 // record holding the subtree behind sub.Back; z0 is the starting branch
 // length. The tree itself is not modified, nor is any slot: the engine
-// memoizes the vectors it computes (Vector).
+// memoizes the vectors it computes (vector).
 func (e *Engine) InsertionScore(cand *phylotree.Node, sub *phylotree.Node, z0 float64) (bestZ, logL float64, err error) {
 	if cand.Back == nil {
 		return 0, 0, fmt.Errorf("likelihood: candidate edge is detached")
@@ -317,17 +317,17 @@ func (e *Engine) InsertionScore(cand *phylotree.Node, sub *phylotree.Node, z0 fl
 		return 0, 0, fmt.Errorf("likelihood: pruned subtree has no root")
 	}
 
-	av, err := e.Vector(cand)
+	av, err := e.vector(cand)
 	if err != nil {
 		return 0, 0, err
 	}
-	bv, err := e.Vector(cand.Back)
+	bv, err := e.vector(cand.Back)
 	if err != nil {
 		return 0, 0, err
 	}
 	// Subtree-side vector: viewed through the subtree root record s, whose
 	// children live inside the pruned subtree.
-	sv, err := e.Vector(s)
+	sv, err := e.vector(s)
 	if err != nil {
 		return 0, 0, err
 	}

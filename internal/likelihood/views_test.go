@@ -25,7 +25,7 @@ func TestViewsVectorMatchesNewView(t *testing.T) {
 	eng.NewView(p)
 	direct, _ := expandVec(eng, eng.slotVec(p))
 
-	v, err := eng.Vector(p)
+	v, err := eng.vector(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestViewsVectorMatchesNewView(t *testing.T) {
 		}
 	}
 	// Tip records yield the zero vec.
-	tv, err := eng.Vector(tr.Tips[3])
+	tv, err := eng.vector(tr.Tips[3])
 	if err != nil || tv.lv != nil {
 		t.Errorf("tip record: %v, %v", tv.lv, err)
 	}
@@ -54,12 +54,12 @@ func TestViewsMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Vector(tr.Tips[0].Back); err != nil {
+	if _, err := eng.vector(tr.Tips[0].Back); err != nil {
 		t.Fatal(err)
 	}
 	calls := eng.Meter.NewviewCalls
 	// Re-requesting the same and overlapping vectors must not recompute.
-	if _, err := eng.Vector(tr.Tips[0].Back); err != nil {
+	if _, err := eng.vector(tr.Tips[0].Back); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Meter.NewviewCalls != calls {
@@ -69,12 +69,12 @@ func TestViewsMemoization(t *testing.T) {
 	readAll := func() {
 		for _, e := range tr.Edges() {
 			if !e.IsTip() {
-				if _, err := eng.Vector(e); err != nil {
+				if _, err := eng.vector(e); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if !e.Back.IsTip() {
-				if _, err := eng.Vector(e.Back); err != nil {
+				if _, err := eng.vector(e.Back); err != nil {
 					t.Fatal(err)
 				}
 			}

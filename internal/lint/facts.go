@@ -18,9 +18,9 @@ import (
 // Facts produced while analyzing a dependency are serialized into the
 // package's .vetx file when raxmlvet runs under `go vet -vettool` (the go
 // command threads the files through vetConfig.PackageVetx), and are kept
-// in memory when the standalone go-list loader walks the module in
+// in memory when linttest.RunPkgs analyzes a multi-package golden case in
 // dependency order. Both paths funnel into Package.Imported, so analyzers
-// never care which loader ran them.
+// never care which one ran them.
 type FactSet struct {
 	m map[factKey]string
 }

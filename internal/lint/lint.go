@@ -6,19 +6,29 @@
 //     bit-deterministic (no wall clock, no global RNG, no map-order
 //     dependent event scheduling), or the cycle-accurate tables in
 //     EXPERIMENTS.md stop being reproducible.
+//   - nondettaint: its interprocedural extension — no call from the
+//     simulator scope may reach such nondeterminism through helpers, in
+//     this package or another (cross-package facts, see FactSet).
 //   - invalidatepair: every direct SetZ branch-length write in a package
 //     that can hold a likelihood.Engine must be followed by an
 //     Engine.Invalidate/InvalidateAll, or the engine — which never
 //     recomputes a vector it holds as valid — silently serves stale ones.
-//   - hotpathalloc: the likelihood inner kernels must not allocate per
-//     pattern-loop iteration or bypass the configured exp() implementation.
+//   - hotpathalloc: the likelihood kernels, search rounds, parsimony start
+//     trees and obs hot-path helpers must not allocate per loop iteration.
 //   - floatcmp: floating-point == / != is forbidden outside a small
 //     allowlist; call sites should use tolerance helpers instead.
+//   - ctxownership: a likelihood.Engine is published through an atomic
+//     pointer only by the range executor's Engine.runPass.
+//   - backendpurity: a Backend's *Range methods write only their operand
+//     slices, scratch elements and tile, never engine or shared state.
+//
+// Every full run also audits //lint:ignore directives and reports those
+// that suppress nothing (unusedsuppression).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but is self-contained on the standard
-// library, so the repo stays dependency-free. cmd/raxmlvet drives the
-// analyzers either standalone or as a `go vet -vettool` backend.
+// library, so the repo stays dependency-free. cmd/raxmlvet runs the
+// analyzers as a `go vet -vettool` backend, its one driver.
 package lint
 
 import (
@@ -60,8 +70,8 @@ type Package struct {
 	Info *types.Info
 
 	// Files holds every parsed file of the package, including *_test.go
-	// files when the loader saw them. Analyzers use Pass.NonTestFiles to
-	// skip test sources.
+	// files when the driver handed them over. Analyzers use
+	// Pass.NonTestFiles to skip test sources.
 	Files []*ast.File
 
 	// Imported carries the facts of this package's dependencies (merged);
@@ -71,9 +81,8 @@ type Package struct {
 	Exported *FactSet
 
 	// FactsOnly marks a dependency pass: only fact-producing analyzers
-	// run and every diagnostic is discarded. The standalone loader sets
-	// it for module-local dependencies outside the requested patterns;
-	// the vet driver sets it for VetxOnly invocations.
+	// run and every diagnostic is discarded. The vet driver sets it for
+	// VetxOnly invocations (dependencies of the vetted packages).
 	FactsOnly bool
 
 	cg *CallGraph // lazily built package-local call graph, see Pass.CallGraph
@@ -88,8 +97,8 @@ type Pass struct {
 }
 
 // ImportedFact looks up a fact recorded on fn by the analysis of another
-// package (threaded through .vetx files under go vet, or in memory in the
-// standalone loader).
+// package (threaded through .vetx files under go vet, or in memory by
+// linttest.RunPkgs).
 func (p *Pass) ImportedFact(fn *types.Func, name string) (string, bool) {
 	if p.Imported == nil {
 		return "", false
@@ -110,6 +119,8 @@ type Diagnostic struct {
 	Message  string
 }
 
+// String renders d as the vet finding line, "file:line:col: message
+// (analyzer)" — the format CI turns into annotations.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
 }
@@ -153,7 +164,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 // RunWithAudit is Run plus the suppression audit: any //lint:ignore
 // directive that suppressed nothing — and whose named analyzers were all
 // part of this run, so absence of a finding is meaningful — produces an
-// "unusedsuppression" diagnostic. The drivers run the full suite through
+// "unusedsuppression" diagnostic. The vet driver runs the full suite through
 // it so suppression debt cannot accumulate silently.
 func RunWithAudit(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	diags, sups := run(pkg, analyzers)

@@ -59,7 +59,7 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 // files of Dir are analyzed under the pretend import path Path (so
 // Analyzer.Match and import statements see realistic paths). Order
 // matters: dependencies must precede their importers, exactly like the
-// go list -deps order the standalone loader consumes.
+// order in which the go command hands packages to a vet tool.
 type PkgSpec struct {
 	Path string
 	Dir  string

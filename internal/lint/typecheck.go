@@ -3,9 +3,12 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
 )
 
 // ParseFiles parses the given Go source files with comments (required for
@@ -52,4 +55,22 @@ func TypeCheck(fset *token.FileSet, importPath, goVersion string, files []*ast.F
 		return nil, fmt.Errorf("typecheck %s: %w", importPath, err)
 	}
 	return &Package{Fset: fset, Path: importPath, Pkg: pkg, Info: info, Files: files}, nil
+}
+
+// ExportDataImporter builds a types.Importer that resolves source-level
+// import paths through importMap and reads the gc export data that
+// exportFile locates — for the vet driver, the PackageFile map of the
+// go command's vet.cfg.
+func ExportDataImporter(fset *token.FileSet, importMap map[string]string, exportFile func(path string) (string, error)) types.Importer {
+	lookup := func(path string) (io.ReadCloser, error) {
+		if mapped, ok := importMap[path]; ok {
+			path = mapped
+		}
+		file, err := exportFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return os.Open(file)
+	}
+	return importer.ForCompiler(fset, "gc", lookup)
 }

@@ -7,65 +7,7 @@ import (
 	"testing"
 )
 
-func TestParseGoListOrderAndFields(t *testing.T) {
-	// Two concatenated JSON objects, exactly as `go list -json` streams
-	// them: dependency first, dependent second. Order must be preserved —
-	// the fact passes rely on it.
-	const stream = `
-{
-	"Dir": "/src/dep",
-	"ImportPath": "example.com/dep",
-	"Export": "/cache/dep.a",
-	"DepOnly": true,
-	"GoFiles": ["dep.go"]
-}
-{
-	"Dir": "/src/top",
-	"ImportPath": "example.com/top",
-	"GoFiles": ["top.go", "extra.go"],
-	"ImportMap": {"dep": "example.com/dep"}
-}
-`
-	pkgs, err := parseGoList(strings.NewReader(stream))
-	if err != nil {
-		t.Fatalf("parseGoList: %v", err)
-	}
-	if len(pkgs) != 2 {
-		t.Fatalf("got %d packages, want 2", len(pkgs))
-	}
-	if pkgs[0].ImportPath != "example.com/dep" || !pkgs[0].DepOnly || pkgs[0].Export != "/cache/dep.a" {
-		t.Errorf("dep package decoded wrong: %+v", pkgs[0])
-	}
-	if pkgs[1].ImportPath != "example.com/top" || len(pkgs[1].GoFiles) != 2 ||
-		pkgs[1].ImportMap["dep"] != "example.com/dep" {
-		t.Errorf("top package decoded wrong: %+v", pkgs[1])
-	}
-}
-
-func TestParseGoListMalformed(t *testing.T) {
-	cases := []string{
-		`{"ImportPath": "a"} garbage-after-object`,
-		`{"ImportPath": `,
-		`[1, 2, 3]`,
-	}
-	for _, c := range cases {
-		if _, err := parseGoList(strings.NewReader(c)); err == nil {
-			t.Errorf("parseGoList(%q): expected error, got nil", c)
-		}
-	}
-}
-
-func TestParseGoListEmpty(t *testing.T) {
-	pkgs, err := parseGoList(strings.NewReader(""))
-	if err != nil {
-		t.Fatalf("empty stream: %v", err)
-	}
-	if len(pkgs) != 0 {
-		t.Fatalf("empty stream yielded %d packages", len(pkgs))
-	}
-}
-
-// TestExportDataImporterMissing covers the loader's missing-export-data
+// TestExportDataImporterMissing covers the importer's missing-export-data
 // path: the importer must surface the lookup error, not panic or return
 // an empty package.
 func TestExportDataImporterMissing(t *testing.T) {
@@ -178,53 +120,5 @@ func TestObjectKeyStripsTestVariant(t *testing.T) {
 	}
 	if ObjectKey(mVariant) != ObjectKey(mPlain) {
 		t.Errorf("test-variant method key %q != plain %q", ObjectKey(mVariant), ObjectKey(mPlain))
-	}
-}
-
-func TestWriteJSONStable(t *testing.T) {
-	var b strings.Builder
-	if err := WriteJSON(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(b.String()) != "[]" {
-		t.Errorf("empty diagnostics serialize as %q, want []", b.String())
-	}
-
-	b.Reset()
-	diags := []Diagnostic{
-		{Analyzer: "nondettaint", Pos: token.Position{Filename: "a.go", Line: 3, Column: 7}, Message: "m1"},
-		{Analyzer: "floatcmp", Pos: token.Position{Filename: "b.go", Line: 1, Column: 1}, Message: "m2"},
-	}
-	if err := WriteJSON(&b, diags); err != nil {
-		t.Fatal(err)
-	}
-	const want = `[
-  {
-    "analyzer": "nondettaint",
-    "file": "a.go",
-    "line": 3,
-    "col": 7,
-    "message": "m1"
-  },
-  {
-    "analyzer": "floatcmp",
-    "file": "b.go",
-    "line": 1,
-    "col": 1,
-    "message": "m2"
-  }
-]
-`
-	if b.String() != want {
-		t.Errorf("WriteJSON output:\n%s\nwant:\n%s", b.String(), want)
-	}
-}
-
-func TestShortenPath(t *testing.T) {
-	if got := shortenPath("/work/repo/internal/x.go", "/work/repo"); got != "internal/x.go" {
-		t.Errorf("shortenPath = %q", got)
-	}
-	if got := shortenPath("/elsewhere/y.go", "/work/repo"); got != "/elsewhere/y.go" {
-		t.Errorf("outside-dir path mangled: %q", got)
 	}
 }

@@ -15,12 +15,15 @@
 //   - SpanTracer is its wall-clock sibling for the *real* pipeline: spans
 //     over an injected monotonic time source (wallclock.Monotonic in
 //     production, fake counters in tests), threaded through core → mw →
-//     search as an explicit Ctx carrying job/worker/round/tenant
-//     attribution, and exported through the same deterministic encoder. It
+//     search as an explicit Ctx carrying job/worker/round attribution. It
 //     covers the campaign, job attempts, retries and backoff, checkpoint
 //     save/recover, search rounds, candidate batches and smoothing; kernel
 //     calls are timed into per-backend histograms instead of spans (they
-//     are too hot for a timeline).
+//     are too hot for a timeline). The two tracers differ in their clock
+//     and their cap: both keep events in one recorder with one
+//     deterministic encoder, a timeline holds one clock by type, and only
+//     a SpanTracer caps its buffer (DefaultMaxSpanEvents, past which
+//     events are counted as dropped).
 //
 //   - FlightRecorder is a fixed-capacity lock-free ring of structured
 //     events — the last few thousand things the supervision layer did —

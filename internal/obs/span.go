@@ -1,41 +1,27 @@
 package obs
 
 import (
-	"io"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// DefaultMaxSpanEvents bounds a SpanTracer's buffer: a multi-day campaign
-// must not grow an unbounded timeline, so past the cap new events are
-// counted as dropped instead of recorded.
-const DefaultMaxSpanEvents = 1 << 17
-
 // SpanTracer is the wall-clock sibling of Tracer: it records spans,
 // instants and counters for the *real* inference pipeline (campaign, job
 // attempts, retries, checkpoints, search rounds, candidate batches) against
-// an injected monotonic time source, and exports the same byte-deterministic
-// Chrome trace-event JSON.
+// an injected monotonic time source, into the same recorder and
+// byte-deterministic Chrome trace-event encoder, with the retention cap
+// DefaultMaxSpanEvents.
 //
 // The clock is injected (wallclock.Monotonic in production, a fake counter
 // in tests) because this package sits under the simdeterminism analyzer:
 // nothing here may read time.Now, so chaos and golden tests stay
-// deterministic. Unlike Tracer, a SpanTracer is safe for concurrent use —
-// events arrive from every supervision worker — and timestamps are
-// microseconds since the tracer's epoch.
+// deterministic. Events arrive from every supervision worker, and
+// timestamps are microseconds since the tracer's epoch.
 type SpanTracer struct {
+	recorder
 	now       func() time.Duration
 	recording atomic.Bool
-	dropped   atomic.Uint64
-
-	mu     sync.Mutex
-	events []traceEvent
-	tids   map[string]int
-	tracks []string
-	seq    uint64
-	max    int
 }
 
 // NewSpanTracer returns a recording tracer over the given monotonic time
@@ -44,7 +30,7 @@ func NewSpanTracer(now func() time.Duration) *SpanTracer {
 	if now == nil {
 		panic("obs: NewSpanTracer needs a time source (wallclock.Monotonic or a test clock)")
 	}
-	t := &SpanTracer{now: now, tids: make(map[string]int), max: DefaultMaxSpanEvents}
+	t := &SpanTracer{recorder: recorder{max: DefaultMaxSpanEvents}, now: now}
 	t.recording.Store(true)
 	return t
 }
@@ -54,67 +40,11 @@ func NewSpanTracer(now func() time.Duration) *SpanTracer {
 // histograms through EndObserve — it just stops retaining timeline events.
 func (t *SpanTracer) SetRecording(on bool) { t.recording.Store(on) }
 
-// Recording reports whether events are being retained.
-func (t *SpanTracer) Recording() bool { return t.recording.Load() }
-
-// SetMaxEvents replaces the retention cap (values < 1 restore the default).
-func (t *SpanTracer) SetMaxEvents(n int) {
-	if n < 1 {
-		n = DefaultMaxSpanEvents
-	}
-	t.mu.Lock()
-	t.max = n
-	t.mu.Unlock()
-}
-
 // Now reads the tracer's monotonic clock.
 func (t *SpanTracer) Now() time.Duration { return t.now() }
 
-// Len reports the number of retained events.
-func (t *SpanTracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// Dropped reports how many events were discarded at the retention cap.
-func (t *SpanTracer) Dropped() uint64 { return t.dropped.Load() }
-
 // usec converts a monotonic offset to the trace "ts" unit (microseconds).
 func usec(d time.Duration) int64 { return int64(d / time.Microsecond) }
-
-// record appends one event, resolving the track's stable tid; past the cap
-// the event is counted as dropped.
-func (t *SpanTracer) record(track string, ev traceEvent) {
-	t.mu.Lock()
-	if len(t.events) >= t.max {
-		t.mu.Unlock()
-		t.dropped.Add(1)
-		return
-	}
-	tid, ok := t.tids[track]
-	if !ok {
-		tid = len(t.tracks)
-		t.tids[track] = tid
-		t.tracks = append(t.tracks, track)
-	}
-	t.seq++
-	ev.seq = t.seq
-	ev.tid = tid
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
-}
-
-// WriteJSON emits the retained timeline as Chrome trace-event JSON through
-// the shared deterministic encoder. Concurrent recording during the write is
-// safe; the file reflects the events retained at the time of the call.
-func (t *SpanTracer) WriteJSON(w io.Writer) error {
-	t.mu.Lock()
-	tracks := append([]string(nil), t.tracks...)
-	events := append([]traceEvent(nil), t.events...)
-	t.mu.Unlock()
-	return writeTraceJSON(w, tracks, events)
-}
 
 // Root returns the tracer's root context on the named track. The zero Ctx
 // (from an unconfigured pipeline) is valid and disables all tracing, so
@@ -125,7 +55,7 @@ func (t *SpanTracer) Root(track string) Ctx {
 
 // Ctx is the explicit trace-propagation context threaded through the real
 // pipeline (core → mw → search): a tracer handle, the track events land on,
-// and the attribution labels (job, worker, round, tenant) rendered into
+// and the attribution labels (job, worker, round) rendered into
 // every span's args. It is a small value, copied freely; the zero Ctx is a
 // no-op sink. Label derivation happens on cold paths (per job, per round),
 // so hot loops only ever copy the pre-rendered string.
@@ -176,10 +106,6 @@ func (c Ctx) WithWorker(w int) Ctx { return c.withArg("worker", strconv.Itoa(w))
 
 // WithRound attaches the search round to all events.
 func (c Ctx) WithRound(round int) Ctx { return c.withArg("round", strconv.Itoa(round)) }
-
-// WithTenant attaches a tenant label — the raxmld multi-tenant attribution
-// seam — to all events.
-func (c Ctx) WithTenant(tenant string) Ctx { return c.withArg("tenant", quoteJSON(tenant)) }
 
 // Instant records a zero-duration marker carrying the context's labels.
 func (c Ctx) Instant(name, cat string) {

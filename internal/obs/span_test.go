@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +22,7 @@ func stepClock(step time.Duration) func() time.Duration {
 // buildTimeline drives one fixed sequence of spans, instants and counters
 // through a tracer — the shared script of the golden-determinism test.
 func buildTimeline(tr *obs.SpanTracer) {
-	root := tr.Root("campaign").WithTenant("t0")
+	root := tr.Root("campaign")
 	csp := root.Start("campaign", "mw")
 	for w := 0; w < 2; w++ {
 		wctx := root.WithTrack("worker-" + string(rune('0'+w))).WithWorker(w)
@@ -61,7 +62,7 @@ func TestSpanTracerGoldenDeterminism(t *testing.T) {
 		t.Fatalf("trace has %d events, want %d\n%s", n, want, a)
 	}
 	for _, frag := range []string{
-		`"job":"inference#0"`, `"worker":1`, `"round":1`, `"tenant":"t0"`,
+		`"job":"inference#0"`, `"worker":1`, `"round":1`,
 		`"name":"quarantine"`, `"thread_name"`,
 	} {
 		if !strings.Contains(string(a), frag) {
@@ -100,25 +101,106 @@ func TestSpanTracerConcurrent(t *testing.T) {
 }
 
 func TestSpanTracerCapAndDrops(t *testing.T) {
-	tr := obs.NewSpanTracer(stepClock(time.Microsecond))
-	tr.SetMaxEvents(4)
-	ctx := tr.Root("main")
-	for i := 0; i < 10; i++ {
-		ctx.Instant("tick", "t")
+	// Both clocks record DefaultMaxSpanEvents + 3 events, the last on a
+	// track no earlier event named. A SpanTracer keeps the cap and counts
+	// the rest; a Tracer, which has no cap, keeps them all.
+	const extra = 3
+	sim := obs.NewTracer()
+	for i := 0; i < obs.DefaultMaxSpanEvents+extra-1; i++ {
+		sim.Instant("main", "tick", "t", 0)
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tr.Len())
+	sim.Counter("late", "n", 1, 1)
+
+	// The wall-clock cap is filled from several goroutines at once: every
+	// event is either kept or counted, none is lost or kept twice.
+	const workers = 4
+	wall := obs.NewSpanTracer(stepClock(time.Microsecond))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ctx := wall.Root("worker-" + string(rune('0'+w)))
+			for i := 0; i < obs.DefaultMaxSpanEvents/workers; i++ {
+				ctx.Instant("tick", "t")
+			}
+		}(w)
 	}
-	if tr.Dropped() != 6 {
-		t.Fatalf("Dropped = %d, want 6", tr.Dropped())
+	wg.Wait()
+	for i := 0; i < extra-1; i++ {
+		wall.Root("worker-0").Instant("tick", "t")
 	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	wall.Root("late").Counter("n", 1)
+
+	for _, c := range []struct {
+		name string
+		tr   interface {
+			Len() int
+			Dropped() uint64
+			WriteJSON(io.Writer) error
+		}
+		kept, dropped, tracks int
+	}{
+		{"sim-time", sim, obs.DefaultMaxSpanEvents + extra, 0, 2},
+		{"wall-clock", wall, obs.DefaultMaxSpanEvents, extra, workers},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.tr.Len() != c.kept {
+				t.Fatalf("Len = %d, want %d", c.tr.Len(), c.kept)
+			}
+			if c.tr.Dropped() != uint64(c.dropped) {
+				t.Fatalf("Dropped = %d, want %d", c.tr.Dropped(), c.dropped)
+			}
+			var buf bytes.Buffer
+			if err := c.tr.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			// A dropped event registers no track: "late" has a tid and
+			// thread-name metadata only where its event was kept.
+			if got := strings.Contains(buf.String(), `"late"`); got != (c.dropped == 0) {
+				t.Fatalf(`track "late" in the file: %v`, got)
+			}
+			// The retained events + 2 metadata events per track.
+			if n, err := obs.ValidateTrace(&buf); err != nil || n != c.kept+2*c.tracks {
+				t.Fatalf("trace: %d events, err %v", n, err)
+			}
+		})
+	}
+}
+
+// TestSpanTracerSharesTracerEncoding records one timeline through each
+// clock — the same tracks, names, timestamps and recording order — and
+// checks both tracers write the same bytes: one recorder, one encoder.
+func TestSpanTracerSharesTracerEncoding(t *testing.T) {
+	sim := obs.NewTracer()
+	sim.Instant("sched", "claim", "sched", 5)
+	sim.Counter("scheduler", "jobs-pending", 5, 4)
+	sim.Span("ppe", "phase", "ppe", 0, 90)
+	sim.Instant("sched", "adopt", "sched", 90)
+
+	var now time.Duration
+	wall := obs.NewSpanTracer(func() time.Duration { return now })
+	root := wall.Root("ppe")
+	sp := root.Start("phase", "ppe")
+	now = 5 * time.Microsecond
+	root.WithTrack("sched").Instant("claim", "sched")
+	root.WithTrack("scheduler").Counter("jobs-pending", 4)
+	now = 90 * time.Microsecond
+	sp.End()
+	root.WithTrack("sched").Instant("adopt", "sched")
+
+	var a, b bytes.Buffer
+	if err := sim.WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
-	// 4 retained instants + 2 metadata events for the single track.
-	if n, err := obs.ValidateTrace(&buf); err != nil || n != 6 {
-		t.Fatalf("capped trace: %d events, err %v", n, err)
+	if err := wall.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("the two clocks encode one timeline differently:\nsim-time:\n%s\nwall-clock:\n%s", a.Bytes(), b.Bytes())
+	}
+	if n, err := obs.ValidateTrace(&a); err != nil || n != 4+2*3 {
+		t.Fatalf("shared timeline: %d events, err %v", n, err)
 	}
 }
 
@@ -160,7 +242,7 @@ func TestZeroCtxIsNoop(t *testing.T) {
 		t.Fatal("zero Ctx has a time source")
 	}
 	// None of these may panic.
-	ctx = ctx.WithTrack("x").WithJob("j").WithWorker(1).WithRound(2).WithTenant("t")
+	ctx = ctx.WithTrack("x").WithJob("j").WithWorker(1).WithRound(2)
 	ctx.Instant("i", "c")
 	ctx.Counter("n", 1)
 	sp := ctx.Start("s", "c")

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"raxmlcell/internal/sim"
 )
@@ -18,18 +20,35 @@ import (
 //
 // Timestamps are simulated cycles, emitted verbatim into the trace-event
 // "ts" field (which viewers display as microseconds — the scale is wrong
-// but the shape, ordering and proportions are exact). A Tracer is not safe
-// for concurrent use; the simulation engine resumes one process at a time,
-// so all simulator events arrive from a single goroutine.
+// but the shape, ordering and proportions are exact).
 //
-// Its wall-clock sibling is SpanTracer (span.go), which records the same
-// event shapes against an injected monotonic clock and shares this file's
-// byte-deterministic encoder.
+// Its wall-clock sibling is SpanTracer (span.go). Both keep their events in
+// the one recorder below, so both share its byte-deterministic encoder; only
+// the clock differs, and a timeline is one clock by type. A Tracer keeps
+// every event: a simulated timeline is bounded by its configuration (the
+// 128-search MGPS run of Figure 3 writes 202 051 events), and cutting it
+// short would change the file.
 type Tracer struct {
-	events []traceEvent
-	tids   map[string]int
-	tracks []string // track name by tid, in first-use order
-	seq    uint64
+	recorder
+}
+
+// DefaultMaxSpanEvents bounds a SpanTracer's buffer: a multi-day campaign
+// must not grow an unbounded timeline, so past the cap new events are
+// counted as dropped instead of recorded.
+const DefaultMaxSpanEvents = 1 << 17
+
+// recorder is the event store both tracers embed: the event buffer, the
+// stable track ids, the insertion sequence, and the retention cap with its
+// drop count. It is safe for concurrent use — SpanTracer events arrive from
+// every supervision worker; the simulator's arrive from one goroutine.
+type recorder struct {
+	mu      sync.Mutex
+	max     int // retention cap; 0 keeps every event
+	events  []traceEvent
+	tids    map[string]int
+	tracks  []string // track name by tid, in first-use order
+	seq     uint64
+	dropped uint64
 }
 
 // Event phases, a subset of the Chrome trace-event format.
@@ -55,29 +74,53 @@ type traceEvent struct {
 	args string
 }
 
-// NewTracer returns an empty tracer.
-func NewTracer() *Tracer {
-	return &Tracer{tids: make(map[string]int)}
+// record appends one event, assigning its track a stable tid in first-use
+// order (so the mapping is deterministic for a deterministic run); past the
+// cap the event is counted as dropped.
+func (r *recorder) record(track string, ev traceEvent) {
+	r.mu.Lock()
+	if r.max > 0 && len(r.events) >= r.max {
+		r.dropped++
+		r.mu.Unlock()
+		return
+	}
+	tid, ok := r.tids[track]
+	if !ok {
+		if r.tids == nil {
+			r.tids = make(map[string]int)
+		}
+		tid = len(r.tracks)
+		r.tids[track] = tid
+		r.tracks = append(r.tracks, track)
+	}
+	r.seq++
+	ev.seq = r.seq
+	ev.tid = tid
+	r.events = append(r.events, ev)
+	r.mu.Unlock()
 }
 
-// tid returns the stable thread id of a named track, assigning ids in
-// first-use order so the mapping is deterministic for a deterministic run.
-func (t *Tracer) tid(track string) int {
-	if id, ok := t.tids[track]; ok {
-		return id
-	}
-	id := len(t.tracks)
-	t.tids[track] = id
-	t.tracks = append(t.tracks, track)
-	return id
+// Len reports the number of retained events.
+func (r *recorder) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.events)
 }
+
+// Dropped reports how many events were discarded at the retention cap
+// (always 0 for a Tracer, which has none).
+func (r *recorder) Dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
+// NewTracer returns an empty tracer.
+func NewTracer() *Tracer { return &Tracer{} }
 
 // Instant records a zero-duration marker on the named track.
 func (t *Tracer) Instant(track, name, cat string, at sim.Time) {
-	t.seq++
-	t.events = append(t.events, traceEvent{
-		ts: int64(at), seq: t.seq, tid: t.tid(track), ph: phaseInstant, name: name, cat: cat,
-	})
+	t.record(track, traceEvent{ts: int64(at), ph: phaseInstant, name: name, cat: cat})
 }
 
 // Span records a slice covering [from, to] on the named track. Spans whose
@@ -86,44 +129,25 @@ func (t *Tracer) Span(track, name, cat string, from, to sim.Time) {
 	if to < from {
 		return
 	}
-	t.seq++
-	t.events = append(t.events, traceEvent{
-		ts: int64(from), dur: int64(to - from), seq: t.seq, tid: t.tid(track), ph: phaseComplete, name: name, cat: cat,
-	})
+	t.record(track, traceEvent{ts: int64(from), dur: int64(to - from), ph: phaseComplete, name: name, cat: cat})
 }
 
 // Counter records a sample of a numeric series on the named track.
 func (t *Tracer) Counter(track, name string, at sim.Time, value float64) {
-	t.seq++
-	t.events = append(t.events, traceEvent{
-		ts: int64(at), seq: t.seq, tid: t.tid(track), ph: phaseCounter, name: name, val: value,
-	})
+	t.record(track, traceEvent{ts: int64(at), ph: phaseCounter, name: name, val: value})
 }
 
-// Len reports the number of recorded events.
-func (t *Tracer) Len() int { return len(t.events) }
-
-// Reset drops all recorded events and track assignments.
-func (t *Tracer) Reset() {
-	t.events = t.events[:0]
-	t.tracks = t.tracks[:0]
-	t.tids = make(map[string]int)
-	t.seq = 0
-}
-
-// WriteJSON emits the recorded timeline as a Chrome trace-event file; see
-// writeTraceJSON for the encoding contract.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	return writeTraceJSON(w, t.tracks, t.events)
-}
-
-// writeTraceJSON emits a timeline as a Chrome trace-event file:
+// WriteJSON emits the retained timeline as a Chrome trace-event file:
 // thread-name metadata first, then every event sorted by (ts, insertion
 // order). The encoding is hand-rolled with a fixed field order, so the
 // output is byte-deterministic — the property the golden determinism tests
-// pin down. Both Tracer (sim time) and SpanTracer (wall time) funnel
-// through here.
-func writeTraceJSON(w io.Writer, tracks []string, events []traceEvent) error {
+// pin down. Recording during the write is safe; the file reflects the
+// events retained at the time of the call.
+func (r *recorder) WriteJSON(w io.Writer) error {
+	r.mu.Lock()
+	tracks := slices.Clone(r.tracks)
+	sorted := slices.Clone(r.events)
+	r.mu.Unlock()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`); err != nil {
 		return err
@@ -144,7 +168,6 @@ func writeTraceJSON(w io.Writer, tracks []string, events []traceEvent) error {
 		fmt.Fprintf(bw, `{"name":"thread_sort_index","ph":"M","pid":0,"tid":%d,"args":{"sort_index":%d}}`,
 			tid, tid)
 	}
-	sorted := append([]traceEvent(nil), events...)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		if sorted[i].ts != sorted[j].ts {
 			return sorted[i].ts < sorted[j].ts
