@@ -1,12 +1,12 @@
 // Command raxmlvet is the project's static-analysis suite (see
-// internal/lint): seven analyzers that enforce simulator determinism
-// (simdeterminism, plus its interprocedural extension nondettaint),
-// engine vector-cache coherence (invalidatepair), kernel allocation
-// discipline (hotpathalloc), tolerance-based float comparison (floatcmp),
-// engine publication only through the range executor (ctxownership) and
-// backend kernel purity (backendpurity). Every run also audits
-// //lint:ignore directives and reports the ones that no longer suppress
-// anything (unusedsuppression).
+// internal/lint): five analyzers, each checking an invariant no test sees —
+// simulator determinism, at use sites and through calls into other
+// packages (simdeterminism), engine vector-cache coherence
+// (invalidatepair), tolerance-based float comparison (floatcmp), engine
+// publication only through the range executor (ctxownership) and backend
+// kernel purity (backendpurity). Every run also audits //lint:ignore
+// directives and reports the ones that no longer suppress anything or that
+// name no analyzer of the suite (unusedsuppression).
 //
 // It has one driver, the go command:
 //

@@ -145,7 +145,7 @@ func unitcheck(cfgFile string) int {
 	pkg.Imported = readDepFacts(&cfg)
 	pkg.FactsOnly = cfg.VetxOnly
 
-	diags := lint.RunWithAudit(pkg, lint.All())
+	diags := lint.RunWithAudit(pkg)
 	if err := writeVetx(&cfg, pkg.Exported); err != nil {
 		fmt.Fprintln(os.Stderr, "raxmlvet:", err)
 		return 1

@@ -10,13 +10,22 @@ import (
 // The pretend import paths place each golden package inside the scope its
 // analyzer guards, exactly as Analyzer.Match will see real packages.
 
+// TestSimDeterminismGolden is the golden case of the determinism analyzer
+// in two packages analyzed in order with shared facts: util, outside the
+// deterministic scope, is mined for facts and reports nothing; sim's direct
+// sources are flagged at their use sites (sim.go) and its calls into util's
+// tainted helpers at the frontier, with cross-package witness chains
+// (frontier.go).
 func TestSimDeterminismGolden(t *testing.T) {
-	linttest.Run(t, lint.SimDeterminism, "raxmlcell/internal/sim", "testdata/simdeterminism")
+	linttest.RunPkgs(t, lint.SimDeterminism, []linttest.PkgSpec{
+		{Path: "raxmlcell/internal/util", Dir: "testdata/simdeterminism/util"},
+		{Path: "raxmlcell/internal/sim", Dir: "testdata/simdeterminism"},
+	})
 }
 
 // The observability package is inside the widened simdeterminism scope: its
 // trace files and metrics snapshots are golden-tested byte for byte, so the
-// same bans apply.
+// same use-site bans apply.
 func TestSimDeterminismObsGolden(t *testing.T) {
 	linttest.Run(t, lint.SimDeterminism, "raxmlcell/internal/obs", "testdata/simdeterminism/obs")
 }
@@ -32,40 +41,8 @@ func TestInvalidatePairMWGolden(t *testing.T) {
 	linttest.Run(t, lint.InvalidatePair, "raxmlcell/internal/mw", "testdata/invalidatepair/mw")
 }
 
-func TestHotPathAllocGolden(t *testing.T) {
-	linttest.Run(t, lint.HotPathAlloc, "raxmlcell/internal/likelihood", "testdata/hotpathalloc")
-}
-
-func TestHotPathAllocSearchGolden(t *testing.T) {
-	linttest.Run(t, lint.HotPathAlloc, "raxmlcell/internal/search", "testdata/hotpathalloc/search")
-}
-
-// The obs hot-path helpers (Histogram.Observe, FlightRecorder.Record, the
-// span emitters) run once per kernel call or supervision event, so the
-// allocation bans extend to them.
-func TestHotPathAllocObsGolden(t *testing.T) {
-	linttest.Run(t, lint.HotPathAlloc, "raxmlcell/internal/obs", "testdata/hotpathalloc/obs")
-}
-
-// The parsimony start trees are in scope: a stepwise step runs one Fitch
-// combine per branch of the growing tree, n² per start tree.
-func TestHotPathAllocParsimonyGolden(t *testing.T) {
-	linttest.Run(t, lint.HotPathAlloc, "raxmlcell/internal/parsimony", "testdata/hotpathalloc/parsimony")
-}
-
 func TestFloatCmpGolden(t *testing.T) {
 	linttest.Run(t, lint.FloatCmp, "raxmlcell/internal/model", "testdata/floatcmp")
-}
-
-// TestNondetTaintGolden is the two-package interprocedural case: the
-// util package (outside the deterministic scope) is analyzed first for
-// facts, then the sim package's calls into its tainted helpers are
-// flagged at the frontier with cross-package witness chains.
-func TestNondetTaintGolden(t *testing.T) {
-	linttest.RunPkgs(t, lint.NondetTaint, []linttest.PkgSpec{
-		{Path: "raxmlcell/internal/util", Dir: "testdata/nondettaint/util"},
-		{Path: "raxmlcell/internal/sim", Dir: "testdata/nondettaint"},
-	})
 }
 
 // TestCtxOwnershipGolden types the owned values in a miniature
@@ -82,34 +59,37 @@ func TestBackendPurityGolden(t *testing.T) {
 	linttest.Run(t, lint.BackendPurity, "raxmlcell/internal/likelihood", "testdata/backendpurity")
 }
 
-// TestScopedAnalyzersSilentOutOfScope runs each scoped analyzer against a
-// golden package that would be riddled with findings in scope, under an
-// import path outside its jurisdiction: nothing may be reported.
+// TestScopedAnalyzersSilentOutOfScope checks that no scoped analyzer
+// reports outside its jurisdiction. simdeterminism runs everywhere, for its
+// facts, so its golden packages — riddled with findings in scope — are
+// analyzed under import paths outside the scope and nothing may be reported;
+// the others must not match such a path at all. floatcmp is unscoped.
 func TestScopedAnalyzersSilentOutOfScope(t *testing.T) {
-	cases := []struct {
-		a   *lint.Analyzer
-		dir string
-	}{
-		{lint.SimDeterminism, "testdata/simdeterminism"},
-		{lint.InvalidatePair, "testdata/invalidatepair"},
-		{lint.HotPathAlloc, "testdata/hotpathalloc"},
-	}
-	for _, c := range cases {
-		t.Run(c.a.Name, func(t *testing.T) {
-			if c.a.Match("raxmlcell/internal/alignment") {
-				t.Fatalf("%s unexpectedly matches internal/alignment", c.a.Name)
-			}
-			// FloatCmp has no Match and must cover everything; NondetTaint
-			// has no Match because its fact pass must run everywhere
-			// (reporting is gated on the sim scope inside Run).
-			if lint.FloatCmp.Match != nil {
-				t.Fatal("floatcmp should be unscoped")
-			}
-			if lint.NondetTaint.Match != nil {
-				t.Fatal("nondettaint must run (for facts) on every package")
+	t.Run(lint.SimDeterminism.Name, func(t *testing.T) {
+		if lint.SimDeterminism.Match != nil {
+			t.Fatal("simdeterminism must run (for facts) on every package")
+		}
+		_, diags := linttest.Analyze(t, lint.SimDeterminism, []linttest.PkgSpec{
+			{Path: "raxmlcell/internal/util", Dir: "testdata/simdeterminism/util"},
+			{Path: "raxmlcell/internal/alignment", Dir: "testdata/simdeterminism"},
+			{Path: "raxmlcell/internal/wallclock", Dir: "testdata/simdeterminism/obs"},
+		})
+		for _, d := range diags {
+			t.Errorf("simdeterminism reported out of scope: %s", d)
+		}
+	})
+	for _, a := range []*lint.Analyzer{lint.InvalidatePair, lint.CtxOwnership, lint.BackendPurity} {
+		t.Run(a.Name, func(t *testing.T) {
+			if a.Match("raxmlcell/internal/sim") {
+				t.Errorf("%s unexpectedly matches internal/sim", a.Name)
 			}
 		})
 	}
+	t.Run(lint.FloatCmp.Name, func(t *testing.T) {
+		if lint.FloatCmp.Match != nil {
+			t.Fatal("floatcmp should be unscoped")
+		}
+	})
 }
 
 func TestAnalyzerScopes(t *testing.T) {
@@ -118,16 +98,6 @@ func TestAnalyzerScopes(t *testing.T) {
 		path string
 		want bool
 	}{
-		{lint.SimDeterminism, "raxmlcell/internal/sim", true},
-		{lint.SimDeterminism, "raxmlcell/internal/cell", true},
-		{lint.SimDeterminism, "raxmlcell/internal/cellrt", true},
-		{lint.SimDeterminism, "raxmlcell/internal/mw", true},
-		{lint.SimDeterminism, "raxmlcell/internal/fault", true},
-		{lint.SimDeterminism, "raxmlcell/internal/obs", true},
-		{lint.SimDeterminism, "raxmlcell/internal/cellrt [raxmlcell/internal/cellrt.test]", true},
-		{lint.SimDeterminism, "raxmlcell/internal/likelihood", false},
-		{lint.SimDeterminism, "raxmlcell/internal/wallclock", false}, // the one sanctioned wall-clock impl
-		{lint.SimDeterminism, "raxmlcell/internal/cellar", false},    // segment-aligned, no substring tricks
 		{lint.InvalidatePair, "raxmlcell/internal/search", true},
 		{lint.InvalidatePair, "raxmlcell/internal/core", true},
 		{lint.InvalidatePair, "raxmlcell/internal/likelihood", true},
@@ -139,11 +109,6 @@ func TestAnalyzerScopes(t *testing.T) {
 		{lint.InvalidatePair, "raxmlcell/internal/phylotree", false}, // defines SetZ; cannot import an engine
 		{lint.InvalidatePair, "raxmlcell/internal/seqsim", false},    // builds trees, never scores them
 		{lint.InvalidatePair, "raxmlcell/internal/sim", false},
-		{lint.HotPathAlloc, "raxmlcell/internal/likelihood", true},
-		{lint.HotPathAlloc, "raxmlcell/internal/search", true},
-		{lint.HotPathAlloc, "raxmlcell/internal/obs", true},
-		{lint.HotPathAlloc, "raxmlcell/internal/parsimony", true},
-		{lint.HotPathAlloc, "raxmlcell/internal/core", false},
 		{lint.CtxOwnership, "raxmlcell/internal/likelihood", true},
 		{lint.CtxOwnership, "raxmlcell/internal/search", true},
 		{lint.CtxOwnership, "raxmlcell/internal/core", true},

@@ -38,7 +38,7 @@ import (
 //   - stores to package-level variables.
 //
 // The check is interprocedural within the package: a helper that performs
-// such a write taints every caller (via the same fixed point nondettaint
+// such a write taints every caller (via the same fixed point simdeterminism
 // uses), so hiding the store one call deep — backend method calls
 // e.ensureScratch(), which reassigns e.scr.sumTab — is flagged at the call
 // site in the *Range method with the witness chain.

@@ -1,20 +1,17 @@
 // Package lint is a project-specific static-analysis suite for the
-// RAxML-Cell reproduction. It mechanically enforces the invariants the
-// codebase otherwise trusts to reviewer memory:
+// RAxML-Cell reproduction. It mechanically enforces the invariants that no
+// test can see, which the codebase would otherwise trust to reviewer memory:
 //
 //   - simdeterminism: the discrete-event Cell simulator must be
 //     bit-deterministic (no wall clock, no global RNG, no map-order
 //     dependent event scheduling), or the cycle-accurate tables in
-//     EXPERIMENTS.md stop being reproducible.
-//   - nondettaint: its interprocedural extension — no call from the
-//     simulator scope may reach such nondeterminism through helpers, in
-//     this package or another (cross-package facts, see FactSet).
+//     EXPERIMENTS.md stop being reproducible — neither at a use site in
+//     the simulator scope nor through a call that reaches such a source
+//     in another package (cross-package facts, see FactSet).
 //   - invalidatepair: every direct SetZ branch-length write in a package
 //     that can hold a likelihood.Engine must be followed by an
 //     Engine.Invalidate/InvalidateAll, or the engine — which never
 //     recomputes a vector it holds as valid — silently serves stale ones.
-//   - hotpathalloc: the likelihood kernels, search rounds, parsimony start
-//     trees and obs hot-path helpers must not allocate per loop iteration.
 //   - floatcmp: floating-point == / != is forbidden outside a small
 //     allowlist; call sites should use tolerance helpers instead.
 //   - ctxownership: a likelihood.Engine is published through an atomic
@@ -22,8 +19,13 @@
 //   - backendpurity: a Backend's *Range methods write only their operand
 //     slices, scratch elements and tile, never engine or shared state.
 //
+// That the hot paths do not allocate is measured, not linted:
+// testing.AllocsPerRun tests in likelihood, search, parsimony and obs
+// count every allocation of the functions those paths call.
+//
 // Every full run also audits //lint:ignore directives and reports those
-// that suppress nothing (unusedsuppression).
+// that suppress nothing or name no analyzer of the suite
+// (unusedsuppression).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but is self-contained on the standard
@@ -161,30 +163,45 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// RunWithAudit is Run plus the suppression audit: any //lint:ignore
-// directive that suppressed nothing — and whose named analyzers were all
-// part of this run, so absence of a finding is meaningful — produces an
-// "unusedsuppression" diagnostic. The vet driver runs the full suite through
-// it so suppression debt cannot accumulate silently.
-func RunWithAudit(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	diags, sups := run(pkg, analyzers)
+// RunWithAudit runs the full suite, All(), plus the suppression audit: a
+// //lint:ignore directive that names an analyzer the suite does not have,
+// or that suppressed nothing, is an "unusedsuppression" finding. Only a
+// full-suite run can judge a directive (linttest runs one analyzer at a
+// time through Run, and its testdata directives for other analyzers must
+// not trip the audit); the vet driver runs every package through it so
+// suppression debt cannot accumulate silently. Directives in _test.go
+// files are audited too — the suite skips test sources entirely, so a
+// directive there is stale by definition.
+func RunWithAudit(pkg *Package) []Diagnostic {
+	suite := All()
+	diags, sups := run(pkg, suite)
 	if pkg.FactsOnly {
 		return diags
 	}
-	ran := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		ran[a.Name] = true
+	known := make(map[string]bool, len(suite))
+	for _, a := range suite {
+		known[a.Name] = true
 	}
 	for _, byLine := range sups {
 		for _, s := range byLine {
-			if s.used || !s.auditable(ran) {
+			var unknown []string
+			for name := range s.analyzers {
+				if !known[name] {
+					unknown = append(unknown, name)
+				}
+			}
+			var msg string
+			switch {
+			case len(unknown) > 0:
+				sort.Strings(unknown)
+				msg = fmt.Sprintf("//lint:ignore %s directive names %s, which is no analyzer of the suite; remove it (or fix the analyzer name)",
+					s.names, strings.Join(unknown, ", "))
+			case !s.used:
+				msg = fmt.Sprintf("//lint:ignore %s directive suppresses nothing; remove it (or fix the analyzer name)", s.names)
+			default:
 				continue
 			}
-			diags = append(diags, Diagnostic{
-				Analyzer: "unusedsuppression",
-				Pos:      s.pos,
-				Message:  fmt.Sprintf("//lint:ignore %s directive suppresses nothing; remove it (or fix the analyzer name)", s.names),
-			})
+			diags = append(diags, Diagnostic{Analyzer: "unusedsuppression", Pos: s.pos, Message: msg})
 		}
 	}
 	sortDiagnostics(diags)
@@ -279,24 +296,6 @@ func suppressions(pkg *Package) map[string]map[int]*suppression {
 
 func (s *suppression) covers(analyzer string) bool {
 	return s.analyzers == nil || s.analyzers[analyzer]
-}
-
-// auditable reports whether an unmatched directive is a finding: every
-// analyzer it names must have run in this pass, otherwise the absence of
-// a match says nothing (linttest runs one analyzer at a time, and its
-// testdata directives for other analyzers must not trip the audit).
-// Directives in _test.go files are auditable too — the suite skips test
-// sources entirely, so a directive there is stale by definition.
-func (s *suppression) auditable(ran map[string]bool) bool {
-	if s.analyzers == nil {
-		return true // "all": any full-suite run can judge it
-	}
-	for name := range s.analyzers {
-		if !ran[name] {
-			return false
-		}
-	}
-	return true
 }
 
 func filterSuppressed(sups map[string]map[int]*suppression, diags []Diagnostic) []Diagnostic {

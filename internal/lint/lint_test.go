@@ -24,7 +24,7 @@ func TestSuppressionDirectives(t *testing.T) {
 var a = 1
 
 func f() {
-	//lint:ignore simdeterminism,hotpathalloc documented twice over
+	//lint:ignore simdeterminism,invalidatepair documented twice over
 	_ = a
 }
 
@@ -54,7 +54,7 @@ var missingReason = 3
 		{3, "floatcmp", true},
 		{3, "simdeterminism", false},
 		{7, "simdeterminism", true},
-		{7, "hotpathalloc", true},
+		{7, "invalidatepair", true},
 		{7, "floatcmp", false},
 		{11, "floatcmp", true}, // "all" covers every analyzer
 		{11, "anything", true},
@@ -112,6 +112,31 @@ func TestPathHasAny(t *testing.T) {
 	for _, c := range cases {
 		if got := pathHasAny(c.path, c.frag); got != c.want {
 			t.Errorf("pathHasAny(%q, %q) = %v, want %v", c.path, c.frag, got, c.want)
+		}
+	}
+}
+
+// TestSimScopes pins the deterministic-replay jurisdiction simdeterminism
+// reports in.
+func TestSimScopes(t *testing.T) {
+	cases := []struct {
+		path string
+		want bool
+	}{
+		{"raxmlcell/internal/sim", true},
+		{"raxmlcell/internal/cell", true},
+		{"raxmlcell/internal/cellrt", true},
+		{"raxmlcell/internal/mw", true},
+		{"raxmlcell/internal/fault", true},
+		{"raxmlcell/internal/obs", true},
+		{"raxmlcell/internal/cellrt [raxmlcell/internal/cellrt.test]", true},
+		{"raxmlcell/internal/likelihood", false},
+		{"raxmlcell/internal/wallclock", false}, // the one sanctioned wall-clock impl
+		{"raxmlcell/internal/cellar", false},    // segment-aligned, no substring tricks
+	}
+	for _, c := range cases {
+		if got := pathHasAny(c.path, simScopes...); got != c.want {
+			t.Errorf("%q in simScopes = %v, want %v", c.path, got, c.want)
 		}
 	}
 }

@@ -11,8 +11,8 @@
 //
 // RunPkgs is the multi-package variant for the interprocedural
 // analyzers: it type-checks several testdata packages in dependency
-// order with a shared fact set — the same threading both raxmlvet
-// drivers perform — so golden cases can launder a property through a
+// order with a shared fact set — the threading the vet driver performs
+// through .vetx files — so golden cases can launder a property through a
 // helper package and expect the finding in the dependent one.
 package linttest
 
@@ -79,6 +79,15 @@ func Run(t *testing.T, a *lint.Analyzer, pkgPath, dir string) {
 // expect findings inside the helper package.
 func RunPkgs(t *testing.T, a *lint.Analyzer, specs []PkgSpec) {
 	t.Helper()
+	pkgs, diags := Analyze(t, a, specs)
+	matchWants(t, pkgs, diags)
+}
+
+// Analyze runs a over the given packages in order with one shared fact
+// set, as RunPkgs does, and returns the packages and their diagnostics
+// without matching them against the want comments.
+func Analyze(t *testing.T, a *lint.Analyzer, specs []PkgSpec) ([]*lint.Package, []lint.Diagnostic) {
+	t.Helper()
 
 	imp := &chainImporter{local: make(map[string]*types.Package)}
 	facts := lint.NewFactSet()
@@ -99,8 +108,7 @@ func RunPkgs(t *testing.T, a *lint.Analyzer, specs []PkgSpec) {
 		facts.Merge(pkg.Exported)
 		pkgs = append(pkgs, pkg)
 	}
-
-	matchWants(t, pkgs, diags)
+	return pkgs, diags
 }
 
 // goFilesIn lists the non-directory .go files of dir, sorted.

@@ -6,9 +6,7 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminism,
-		NondetTaint,
 		InvalidatePair,
-		HotPathAlloc,
 		FloatCmp,
 		CtxOwnership,
 		BackendPurity,

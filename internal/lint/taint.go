@@ -24,63 +24,6 @@ func truncateReason(s string) string {
 	return s[:maxReasonLen] + "..."
 }
 
-// directNondetReason inspects a single AST node for a direct source of
-// nondeterminism — the same three sources simdeterminism bans at use
-// sites — and returns a compact description for witness chains.
-//
-//   - a reference to a wall-clock time function (time.Now, time.Sleep,
-//     timers): even passing time.Now as a value is a source, matching
-//     simdeterminism's selector-level ban;
-//   - a reference to a global math/rand or math/rand/v2 function (the
-//     explicitly seeded constructors are fine);
-//   - a range over a map or over a raw maps.Keys/Values/All iterator
-//     (randomized order). The slices.Sorted(maps.Keys(m)) idiom never
-//     ranges directly and stays clean.
-func directNondetReason(info *types.Info, n ast.Node) (string, bool) {
-	switch n := n.(type) {
-	case *ast.SelectorExpr:
-		obj := pkgFuncObject(info, n)
-		if obj == nil || obj.Pkg() == nil {
-			return "", false
-		}
-		switch obj.Pkg().Path() {
-		case "time":
-			if forbiddenTimeFuncs[obj.Name()] {
-				return "reads the wall clock via time." + obj.Name(), true
-			}
-		case "math/rand", "math/rand/v2":
-			if _, isFunc := obj.(*types.Func); isFunc && !allowedRandFuncs[obj.Name()] {
-				return "draws from the global math/rand source via rand." + obj.Name(), true
-			}
-		}
-	case *ast.RangeStmt:
-		return mapRangeReason(info, n)
-	}
-	return "", false
-}
-
-// mapRangeReason reports whether rng iterates in randomized map order.
-func mapRangeReason(info *types.Info, rng *ast.RangeStmt) (string, bool) {
-	if rng.X == nil {
-		return "", false
-	}
-	if tv, ok := info.Types[rng.X]; ok {
-		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-			return "ranges over a map in randomized order", true
-		}
-	}
-	if call, ok := rng.X.(*ast.CallExpr); ok {
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if obj := pkgFuncObject(info, sel); obj != nil && obj.Pkg() != nil &&
-				obj.Pkg().Path() == "maps" &&
-				(obj.Name() == "Keys" || obj.Name() == "Values" || obj.Name() == "All") {
-				return "ranges over the unsorted maps." + obj.Name() + " iterator", true
-			}
-		}
-	}
-	return "", false
-}
-
 // TaintConfig parameterizes one fixed-point propagation over a package's
 // call graph.
 type TaintConfig struct {

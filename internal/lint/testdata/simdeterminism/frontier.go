@@ -1,6 +1,6 @@
-// Golden case for nondettaint: this file is analyzed under the pretend
-// path raxmlcell/internal/sim (inside the deterministic scope) after the
-// util package has been analyzed for facts, so calls that launder
+// Golden case for simdeterminism's frontier: this file is analyzed under
+// the pretend path raxmlcell/internal/sim (inside the deterministic scope)
+// after the util package has been analyzed for facts, so calls that launder
 // nondeterminism through util helpers are flagged at the frontier — the
 // call site where the value enters the simulator.
 package sim
@@ -34,6 +34,6 @@ func localWrap() int64 {
 // and carries a reason, so no finding survives (and the suppression
 // audit sees a used directive).
 func suppressed() int64 {
-	//lint:ignore nondettaint boot banner timestamp, never replayed
+	//lint:ignore simdeterminism boot banner timestamp, never replayed
 	return util.Stamp()
 }

@@ -1,8 +1,8 @@
 // Package util sits OUTSIDE the deterministic scope: simdeterminism
-// never looks at it, so nothing here is reported — but nondettaint's
-// fact pass marks every function that reaches a nondeterministic source,
-// directly or through same-package helpers, and the sim package's pass
-// flags the calls (see ../sim.go).
+// reports nothing here, but its fact pass marks every function that
+// reaches a nondeterministic source, directly or through same-package
+// helpers, and the sim package's pass flags the calls (see
+// ../frontier.go).
 package util
 
 import "time"

@@ -35,10 +35,11 @@ func TestChaosMatrix(t *testing.T) {
 	seed := chaosSeed(t)
 	jobs := Plan(2, 4, seed)
 
-	base, err := Run(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
+	baseRep, err := Supervise(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := baseRep.Results
 	byJob := make(map[Job]JobResult, len(base))
 	for _, r := range base {
 		byJob[r.Job] = r
@@ -138,10 +139,11 @@ func TestChaosAcceptance(t *testing.T) {
 	seed := chaosSeed(t)
 	jobs := Plan(1, 3, seed+1)
 
-	base, err := Run(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
+	baseRep, err := Supervise(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := baseRep.Results
 	byJob := make(map[Job]JobResult, len(base))
 	for _, r := range base {
 		byJob[r.Job] = r

@@ -18,7 +18,7 @@ const checkpointVersion = 1
 
 // ErrResumed is wrapped around job errors restored from a checkpoint, so
 // callers can tell a replayed failure from a live one. Restored failures
-// are never treated as completed work: RunWithCheckpoint re-runs them.
+// are never treated as completed work: SuperviseWithCheckpoint re-runs them.
 var ErrResumed = errors.New("mw: failure restored from checkpoint")
 
 // savedResult is the serializable form of a JobResult.
@@ -309,14 +309,4 @@ func SuperviseWithCheckpoint(pat *alignment.Patterns, mod *model.Model, jobs []J
 		return rep, err
 	}
 	return rep, nil
-}
-
-// RunWithCheckpoint is the results-only view over SuperviseWithCheckpoint,
-// mirroring Run over Supervise.
-func RunWithCheckpoint(pat *alignment.Patterns, mod *model.Model, jobs []Job, cfg Config, path string) ([]JobResult, error) {
-	rep, err := SuperviseWithCheckpoint(pat, mod, jobs, cfg, path)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Results, nil
 }

@@ -16,29 +16,32 @@ func TestCheckpointResume(t *testing.T) {
 	jobs := Plan(2, 3, 31)
 
 	// Phase 1: run only the first two jobs "before the crash".
-	partial, err := RunWithCheckpoint(pat, m, jobs[:2], Config{Workers: 2, Search: fastSearch()}, path)
+	partialRep, err := SuperviseWithCheckpoint(pat, m, jobs[:2], Config{Workers: 2, Search: fastSearch()}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	partial := partialRep.Results
 	if len(partial) != 2 {
 		t.Fatalf("partial results = %d", len(partial))
 	}
 
 	// Phase 2: restart with the full job list; only the remaining three run.
-	full, err := RunWithCheckpoint(pat, m, jobs, Config{Workers: 2, Search: fastSearch()}, path)
+	fullRep, err := SuperviseWithCheckpoint(pat, m, jobs, Config{Workers: 2, Search: fastSearch()}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := fullRep.Results
 	if len(full) != len(jobs) {
 		t.Fatalf("full results = %d, want %d", len(full), len(jobs))
 	}
 
 	// Results must equal a fresh uncheckpointed run bit for bit (jobs are
 	// seed-determined).
-	fresh, err := Run(pat, m, jobs, Config{Workers: 2, Search: fastSearch()})
+	freshRep, err := Supervise(pat, m, jobs, Config{Workers: 2, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := freshRep.Results
 	for i := range fresh {
 		if fresh[i].Job != full[i].Job || fresh[i].Newick != full[i].Newick || fresh[i].LogL != full[i].LogL {
 			t.Errorf("job %d differs between fresh and resumed runs", i)
@@ -46,10 +49,11 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// Phase 3: everything checkpointed -> nothing re-runs, instant return.
-	again, err := RunWithCheckpoint(pat, m, jobs, Config{Workers: 2, Search: fastSearch()}, path)
+	againRep, err := SuperviseWithCheckpoint(pat, m, jobs, Config{Workers: 2, Search: fastSearch()}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	again := againRep.Results
 	if len(again) != len(jobs) {
 		t.Fatalf("no-op resume results = %d", len(again))
 	}
@@ -59,7 +63,7 @@ func TestCheckpointFileFormat(t *testing.T) {
 	pat, m := testData(t, 6, 100)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.json")
-	if _, err := RunWithCheckpoint(pat, m, Plan(1, 1, 5), Config{Workers: 1, Search: fastSearch()}, path); err != nil {
+	if _, err := SuperviseWithCheckpoint(pat, m, Plan(1, 1, 5), Config{Workers: 1, Search: fastSearch()}, path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadCheckpoint(path)
@@ -93,8 +97,8 @@ func TestCheckpointFileFormat(t *testing.T) {
 	if err != nil || got != nil {
 		t.Errorf("missing checkpoint: %v, %v", got, err)
 	}
-	// Empty path rejected by RunWithCheckpoint.
-	if _, err := RunWithCheckpoint(pat, m, Plan(1, 0, 5), Config{}, ""); err == nil {
+	// Empty path rejected by SuperviseWithCheckpoint.
+	if _, err := SuperviseWithCheckpoint(pat, m, Plan(1, 0, 5), Config{}, ""); err == nil {
 		t.Error("empty path accepted")
 	}
 }
@@ -109,7 +113,7 @@ func TestCheckpointRecoversTruncatedFile(t *testing.T) {
 	path := filepath.Join(dir, "ckpt.json")
 	jobs := Plan(2, 2, 47)
 
-	if _, err := RunWithCheckpoint(pat, m, jobs[:2], Config{Workers: 2, Search: fastSearch()}, path); err != nil {
+	if _, err := SuperviseWithCheckpoint(pat, m, jobs[:2], Config{Workers: 2, Search: fastSearch()}, path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -130,10 +134,11 @@ func TestCheckpointRecoversTruncatedFile(t *testing.T) {
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Errorf("damaged checkpoint not set aside: %v", err)
 	}
-	fresh, err := Run(pat, m, jobs, Config{Workers: 2, Search: fastSearch()})
+	freshRep, err := Supervise(pat, m, jobs, Config{Workers: 2, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := freshRep.Results
 	if len(rep.Results) != len(fresh) {
 		t.Fatalf("recovered run has %d results, want %d", len(rep.Results), len(fresh))
 	}
@@ -198,10 +203,11 @@ func TestResumedFailureIsRetried(t *testing.T) {
 
 	// Forge a checkpoint in which the inference failed and the bootstrap
 	// succeeded with a stale (but valid) payload.
-	good, err := Run(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
+	goodRep, err := Supervise(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	good := goodRep.Results
 	forged := []JobResult{
 		{Job: jobs[0], Err: errors.New("worker lost during previous campaign")},
 		good[1],

@@ -56,10 +56,11 @@ func TestDrawnCampaignMatchesUncompacted42SC(t *testing.T) {
 	pat, mod := alignment.Compress(a), seqsim.DefaultModel()
 	jobs := Plan(2, 4, 31)
 	cfg := Config{Workers: 2, Search: fastSearch()}
-	results, err := Run(pat, mod, jobs, cfg)
+	rep, err := Supervise(pat, mod, jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rep.Results
 	for i, got := range results {
 		if got.Err != nil {
 			t.Fatal(got.Err)

@@ -126,19 +126,6 @@ func Plan(nInf, nBoot int, baseSeed int64) []Job {
 	return jobs
 }
 
-// Run executes the jobs over the worker pool and returns results ordered by
-// (kind, index). A job error is recorded in its result; Run only fails on
-// configuration errors or a quarantine-limit breach (see RetryPolicy). It
-// is the thin results-only view over Supervise; callers that need the
-// attempt/retry/quarantine accounting should call Supervise directly.
-func Run(pat *alignment.Patterns, mod *model.Model, jobs []Job, cfg Config) ([]JobResult, error) {
-	rep, err := Supervise(pat, mod, jobs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Results, nil
-}
-
 // runJob executes one search end to end; it owns a private engine, RNG and
 // meter so workers share nothing mutable. tctx is the job-labeled span
 // context the search records into; its time source also drives the

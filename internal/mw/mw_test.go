@@ -60,10 +60,11 @@ func TestPlan(t *testing.T) {
 func TestRunCollectsAllJobs(t *testing.T) {
 	pat, m := testData(t, 8, 300)
 	jobs := Plan(2, 3, 7)
-	results, err := Run(pat, m, jobs, Config{Workers: 3, Search: fastSearch()})
+	rep, err := Supervise(pat, m, jobs, Config{Workers: 3, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rep.Results
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
 	}
@@ -90,14 +91,16 @@ func TestRunCollectsAllJobs(t *testing.T) {
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	pat, m := testData(t, 7, 200)
 	jobs := Plan(1, 2, 99)
-	r1, err := Run(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
+	r1Rep, err := Supervise(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := Run(pat, m, jobs, Config{Workers: 4, Search: fastSearch()})
+	r1 := r1Rep.Results
+	r4Rep, err := Supervise(pat, m, jobs, Config{Workers: 4, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r4 := r4Rep.Results
 	for i := range r1 {
 		if r1[i].Newick != r4[i].Newick || math.Abs(r1[i].LogL-r4[i].LogL) > 1e-9 {
 			t.Errorf("job %d differs across worker counts", i)
@@ -108,10 +111,11 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestBootstrapResultsDiffer(t *testing.T) {
 	pat, m := testData(t, 8, 300)
 	jobs := Plan(0, 4, 13)
-	results, err := Run(pat, m, jobs, Config{Workers: 2, Search: fastSearch()})
+	rep, err := Supervise(pat, m, jobs, Config{Workers: 2, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rep.Results
 	lls := map[float64]bool{}
 	for _, r := range results {
 		if r.Err != nil {
@@ -126,10 +130,11 @@ func TestBootstrapResultsDiffer(t *testing.T) {
 
 func TestBest(t *testing.T) {
 	pat, m := testData(t, 7, 200)
-	results, err := Run(pat, m, Plan(3, 0, 5), Config{Workers: 2, Search: fastSearch()})
+	rep, err := Supervise(pat, m, Plan(3, 0, 5), Config{Workers: 2, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rep.Results
 	best, err := Best(results, Inference)
 	if err != nil {
 		t.Fatal(err)
@@ -146,10 +151,10 @@ func TestBest(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	pat, m := testData(t, 6, 100)
-	if _, err := Run(nil, m, Plan(1, 0, 1), Config{}); err == nil {
+	if _, err := Supervise(nil, m, Plan(1, 0, 1), Config{}); err == nil {
 		t.Error("nil patterns accepted")
 	}
-	if _, err := Run(pat, nil, Plan(1, 0, 1), Config{}); err == nil {
+	if _, err := Supervise(pat, nil, Plan(1, 0, 1), Config{}); err == nil {
 		t.Error("nil model accepted")
 	}
 }
@@ -171,10 +176,11 @@ func TestJobFailureIsReportedNotFatal(t *testing.T) {
 	}
 	pat := alignment.Compress(a)
 	_, m := testData(t, 6, 100)
-	results, err := Run(pat, m, Plan(2, 1, 3), Config{Workers: 2, Search: fastSearch()})
+	rep, err := Supervise(pat, m, Plan(2, 1, 3), Config{Workers: 2, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rep.Results
 	for _, r := range results {
 		if r.Err == nil {
 			t.Errorf("%v job %d unexpectedly succeeded on 2 taxa", r.Job.Kind, r.Job.Index)
@@ -188,10 +194,11 @@ func TestJobFailureIsReportedNotFatal(t *testing.T) {
 func TestEndToEndSupportValues(t *testing.T) {
 	// Full mini-analysis: inferences + bootstraps + support on best tree.
 	pat, m := testData(t, 8, 400)
-	results, err := Run(pat, m, Plan(1, 6, 77), Config{Workers: 4, Search: fastSearch()})
+	rep, err := Supervise(pat, m, Plan(1, 6, 77), Config{Workers: 4, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rep.Results
 	best, err := Best(results, Inference)
 	if err != nil {
 		t.Fatal(err)

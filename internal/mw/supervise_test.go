@@ -56,10 +56,11 @@ func requireIdentical(t *testing.T, baseline map[Job]JobResult, rep *Report) {
 func TestSuperviseRetriesCrashes(t *testing.T) {
 	pat, m := testData(t, 7, 150)
 	jobs := Plan(2, 3, 61)
-	base, err := Run(pat, m, jobs, Config{Workers: 2, Search: fastSearch()})
+	baseRep, err := Supervise(pat, m, jobs, Config{Workers: 2, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := baseRep.Results
 	byJob := map[Job]JobResult{}
 	for _, r := range base {
 		byJob[r.Job] = r
@@ -157,10 +158,11 @@ func TestSuperviseQuarantineLimitAborts(t *testing.T) {
 func TestSuperviseCorruptResultsRetried(t *testing.T) {
 	pat, m := testData(t, 7, 150)
 	jobs := Plan(1, 2, 41)
-	base, err := Run(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
+	baseRep, err := Supervise(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := baseRep.Results
 	byJob := map[Job]JobResult{}
 	for _, r := range base {
 		byJob[r.Job] = r
@@ -186,10 +188,11 @@ func TestSuperviseCorruptResultsRetried(t *testing.T) {
 func TestSuperviseHangTimesOutAndRetries(t *testing.T) {
 	pat, m := testData(t, 6, 100)
 	jobs := Plan(1, 1, 53)
-	base, err := Run(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
+	baseRep, err := Supervise(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := baseRep.Results
 	byJob := map[Job]JobResult{}
 	for _, r := range base {
 		byJob[r.Job] = r
@@ -247,10 +250,11 @@ func TestSuperviseHangWithoutClockDegradesToCrash(t *testing.T) {
 func TestSuperviseSlowDownHarmless(t *testing.T) {
 	pat, m := testData(t, 7, 150)
 	jobs := Plan(1, 2, 71)
-	base, err := Run(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
+	baseRep, err := Supervise(pat, m, jobs, Config{Workers: 1, Search: fastSearch()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := baseRep.Results
 	byJob := map[Job]JobResult{}
 	for _, r := range base {
 		byJob[r.Job] = r

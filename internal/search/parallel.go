@@ -72,9 +72,9 @@ func (s *candScore) solved(z, ll float64, err error) {
 }
 
 // searchCtx carries the state of one search's candidate scoring: reusable
-// candidate/score buffers (hoisted out of the SPR hot loop — see the
-// hotpathalloc analyzer), the round's likelihood cutoff and live metric
-// handles. The vectors a candidate reads are the engine's: every one that
+// candidate/score buffers (hoisted out of the SPR hot loop, so that a prune
+// allocates only its PrunedSubtree — TestPruneScoringAllocs), the round's
+// likelihood cutoff and live metric handles. The vectors a candidate reads are the engine's: every one that
 // faces the prune point comes from its node slots, and the ones facing away
 // from it, one per candidate edge, from its memo, which the next edit of the
 // tree (the Undo or Regraft that ends the prune) drops.

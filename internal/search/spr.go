@@ -107,8 +107,8 @@ func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius 
 	accepted := 0
 	sc.startRound(baseline)
 	// Error wrapping happens after the loop: fmt.Errorf boxes its operands,
-	// and the round loop is hot (see the hotpathalloc analyzer), so failures
-	// break out with a stage tag and format once on the cold path.
+	// and the round loop is hot (TestPruneScoringAllocs), so failures break
+	// out with a stage tag and format once on the cold path.
 	var stage string
 	var stageErr error
 	for _, p := range pruneCandidates(tr) {
