@@ -131,7 +131,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseNewick -fuzztime=$(FUZZTIME) ./internal/phylotree
 
 # lint mirrors the CI gates that need no network: gofmt, go vet, and the
-# five-analyzer project invariant suite (cmd/raxmlvet) driven through the
+# four-analyzer project invariant suite (cmd/raxmlvet) driven through the
 # vet tool protocol over every package, the commands and the lint engine
 # itself included (each run also audits //lint:ignore directives).
 # staticcheck/govulncheck run in CI where their pinned versions are

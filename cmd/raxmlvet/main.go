@@ -1,10 +1,9 @@
 // Command raxmlvet is the project's static-analysis suite (see
-// internal/lint): five analyzers, each checking an invariant no test sees —
+// internal/lint): four analyzers, each checking an invariant no test sees —
 // simulator determinism, at use sites and through calls into other
-// packages (simdeterminism), engine vector-cache coherence
-// (invalidatepair), tolerance-based float comparison (floatcmp), engine
-// publication only through the range executor (ctxownership) and backend
-// kernel purity (backendpurity). Every run also audits //lint:ignore
+// packages (simdeterminism), tolerance-based float comparison (floatcmp),
+// engine publication only through the range executor (ctxownership) and
+// backend kernel purity (backendpurity). Every run also audits //lint:ignore
 // directives and reports the ones that no longer suppress anything or that
 // name no analyzer of the suite (unusedsuppression).
 //

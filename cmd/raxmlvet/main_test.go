@@ -15,7 +15,7 @@ import (
 // registry would silently weaken CI, so the exact names are asserted.
 func TestRegistersAllAnalyzers(t *testing.T) {
 	want := []string{
-		"simdeterminism", "invalidatepair", "floatcmp", "ctxownership", "backendpurity",
+		"simdeterminism", "floatcmp", "ctxownership", "backendpurity",
 	}
 	all := lint.All()
 	if len(all) != len(want) {

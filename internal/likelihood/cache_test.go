@@ -253,11 +253,10 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 		audit("initial")
 		for _, op := range ops {
 			switch op % 8 {
-			case 0: // direct branch change + explicit invalidation
+			case 0: // a branch length set by hand, heard through the hook
 				edges := tr.Edges()
 				e := edges[rng.Intn(len(edges))]
 				e.SetZ(0.01 + rng.Float64()*0.5)
-				eng.Invalidate(e)
 			case 1: // SPR move (or undo) through the tree's own hooks
 				var cands []*phylotree.Node
 				for _, e := range tr.Edges() {
@@ -284,7 +283,7 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 				} else if err := tr.Regraft(ps, targets[rng.Intn(len(targets))]); err != nil {
 					t.Fatal(err)
 				}
-			case 2: // Newton branch optimization (self-invalidating)
+			case 2: // Newton branch optimization: its length edit goes through the hook
 				edges := tr.Edges()
 				if _, _, err := eng.MakeNewz(edges[rng.Intn(len(edges))]); err != nil {
 					t.Fatal(err)
@@ -336,11 +335,10 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 					}
 					continue
 				}
+				ps.P.SetZ(bestZ) // the accepted move's length, as the search sets it
 				if err := tr.Regraft(ps, cands[best]); err != nil {
 					t.Fatal(err)
 				}
-				ps.P.SetZ(bestZ)
-				eng.Invalidate(ps.P)
 				for _, b := range [...]*phylotree.Node{ps.P, ps.P.Next, ps.P.Next.Next} {
 					if _, _, err := eng.MakeNewz(b); err != nil {
 						t.Fatal(err)

@@ -72,9 +72,9 @@ func (cfg Config) BackendName() string {
 // slot remembers which of its three ring orientations it holds (RAxML's
 // "x-vector"), NewView recomputes only the slots a traversal descriptor
 // finds missing or mis-oriented, and every edit drops exactly the slots it
-// dirtied (Invalidate, AttachTree, SetModel). Whoever changes a tree an
-// engine has seen must tell the engine; full recomputation is what a fresh
-// engine, or InvalidateAll before the call, gives.
+// dirtied: the tree reports its edits, lengths included, to an attached
+// engine (AttachTree), and SetModel is the engine's own. Full recomputation
+// is what a fresh engine, or InvalidateAll before the call, gives.
 //
 // The vectors the slots cannot hold — those of records facing away from the
 // slots' orientation, which lazy SPR reads — are memoized per directed ring
@@ -135,6 +135,8 @@ type Engine struct {
 	arena     []vec
 	arenaNext int
 	virtual   vec
+
+	trees []*phylotree.Tree // AttachTree's: their edits reach the engine
 
 	scr scratch
 }
@@ -274,22 +276,15 @@ func (e *Engine) SetWeights(weights []int) error {
 // scaling works).
 func (e *Engine) UnderflowSites() uint64 { return e.underflowSites }
 
-// Invalidate marks the minimal dirty set after a change to the branch
+// invalidate marks the minimal dirty set after an edit of the branch
 // (p, p.Back): every cached view whose subtree contains that branch — i.e.
 // every view not oriented toward it — is dropped. Views oriented toward the
 // branch exclude it by construction and stay valid, which is what makes
 // branch smoothing O(changed path) instead of O(taxa). The walk is pure
-// pointer chasing (no kernel work).
-//
-// Callers that change a branch length directly via SetZ (rather than
-// through MakeNewz, which invalidates itself) must call this; topology
-// operations on a Tree wired up with AttachTree invalidate automatically.
-// It also drops the repeat classes of those views' records, so it covers a
-// topology edit around p as well; only MakeNewz, which knows it moved a
-// length, keeps them (invalidate with topo false). Either way the memo's
-// epoch ends: vector recomputes whatever it is asked for next.
-func (e *Engine) Invalidate(p *phylotree.Node) { e.invalidate(p, true) }
-
+// pointer chasing (no kernel work). After a topology edit (topo) it also
+// drops the repeat classes of those views' records; a length edit keeps
+// them. Either way the memo's epoch ends: vector recomputes whatever it is
+// asked for next.
 func (e *Engine) invalidate(p *phylotree.Node, topo bool) {
 	q := p.Back
 	if q == nil {
@@ -349,11 +344,14 @@ func (e *Engine) dropVectors() {
 }
 
 // AttachTree wires the engine's caches to the tree's branch-change hooks,
-// so Prune/Regraft/Undo/InsertTip/RemoveTip invalidate the affected views
-// and repeat classes automatically, and clears the caches (the tree may have
-// been mutated before attachment). Direct SetZ calls bypass the hooks — follow them with Invalidate.
+// so every edit of the tree — a topology edit or a SetZ that changes a
+// length — invalidates the views it dirtied, and clears the caches (the tree
+// may have been edited before attachment). The tree then holds the engine,
+// so an engine that only scores a tree (a probe, a fixed-topology fit)
+// stays unattached.
 func (e *Engine) AttachTree(tr *phylotree.Tree) {
-	tr.OnBranchChange(e.Invalidate)
+	tr.OnBranchChange(e.invalidate)
+	e.trees = append(e.trees, tr)
 	e.InvalidateAll()
 }
 

@@ -541,7 +541,7 @@ func TestKernelPassesDoNotAllocate(t *testing.T) {
 	z0 := edge.Z
 	if n := testing.AllocsPerRun(20, func() {
 		edge.SetZ(z0)
-		e.Invalidate(edge)
+		e.invalidate(edge, true) // e is not attached
 		if _, _, err := e.MakeNewz(edge); err != nil {
 			t.Fatal(err)
 		}

@@ -69,27 +69,26 @@ func TestIncrementalEvaluateMatchesFull(t *testing.T) {
 	}
 }
 
-// TestInvalidateAfterSetZ: after a branch length changed and Invalidate was
-// told, the engine evaluates as a full recomputation does; its slots keep the
-// one orientation per ring that faces the changed branch, which vector
-// serves from the slot itself (a CacheHit, no newview), while every other
-// orientation at the branch's rings is recomputed, bit-identical to a fresh
-// engine's; after InvalidateAll nothing is a slot read. Then the memo's edit
-// paths, one row each: after every kind of edit the engine hears of, every
-// vector memoized before it is served with a fresh engine's bits, and after
-// SetWeights every one is still a memo hit.
+// TestInvalidateAfterSetZ: after a branch length set by hand on an attached
+// tree — no call after the SetZ — the engine evaluates as a full
+// recomputation does; its slots keep the one orientation per ring that faces
+// the changed branch, which vector serves from the slot itself (a CacheHit,
+// no newview), while every other orientation at the branch's rings is
+// recomputed, bit-identical to a fresh engine's; after InvalidateAll nothing
+// is a slot read. Then the memo's edit paths, one row each: after every kind
+// of edit the engine hears of, every vector memoized before it is served with
+// a fresh engine's bits, and after an edit that concerns no vector of the
+// engine every one is still a memo hit.
 func TestInvalidateAfterSetZ(t *testing.T) {
 	cached, full, tr := enginePair(t, 222, 10, 60)
+	cached.AttachTree(tr)
 	if _, err := cached.Evaluate(tr.Tips[0]); err != nil {
 		t.Fatal(err)
 	}
-	// Change branch lengths directly (bypassing MakeNewz) and invalidate by
-	// hand, as the documented contract requires.
 	edges := tr.Edges()
 	for _, i := range []int{2, 7, len(edges) - 1} {
 		e := edges[i]
 		e.SetZ(e.Z * 1.7)
-		cached.Invalidate(e)
 		want, err := coldref.Evaluate(full, tr.Tips[0])
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +103,7 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 	}
 	// A detached record falls back to dropping everything rather than
 	// guessing an orientation.
-	cached.Invalidate(&phylotree.Node{Index: 0})
+	cached.invalidate(&phylotree.Node{Index: 0}, true)
 	got, err := cached.Evaluate(tr.Tips[0])
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +129,6 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 	cached.NewView(e)
 	cached.NewView(e.Back)
 	e.SetZ(e.Z * 1.31)
-	cached.Invalidate(e)
 	fresh, err := NewEngine(cached.Pat, cached.Mod, cached.Cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -174,46 +172,47 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 	}
 
 	// The memo's edit paths. Each row may edit the tree first (before the
-	// memo is filled) and returns the edit under test; SetWeights' is nil.
-	for _, row := range []struct {
-		name string
-		arm  func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error
-	}{
-		{"Prune", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+	// memo is filled) and returns the edit under test.
+	for _, row := range []memoRow{
+		{name: "Prune", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			return func() error { _, err := tr.Prune(memoInner(t, tr)); return err }
 		}},
-		{"Regraft", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+		{name: "Regraft", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			ps := mustPrune(t, tr)
 			return func() error { return tr.Regraft(ps, ps.Q.Next.Back) }
 		}},
-		{"Undo", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+		{name: "Undo", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			ps := mustPrune(t, tr)
 			return func() error { return tr.Undo(ps) }
 		}},
-		{"RemoveTip", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+		{name: "RemoveTip", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			return func() error { return tr.RemoveTip(0) }
 		}},
-		{"InsertTip", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+		{name: "InsertTip", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			if err := tr.RemoveTip(0); err != nil {
 				t.Fatal(err)
 			}
 			return func() error { return tr.InsertTip(0, memoInner(t, tr)) }
 		}},
-		{"SetZ+Invalidate", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+		{name: "SetZ", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			return func() error {
 				c := memoInner(t, tr)
 				c.SetZ(c.Z * 1.7)
-				e.Invalidate(c)
 				return nil
 			}
 		}},
-		{"MakeNewz", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
-			c := memoInner(t, tr)
-			c.SetZ(c.Z * 5) // far from its optimum, so the solve moves it
-			e.Invalidate(c)
-			return func() error { _, _, err := e.MakeNewz(c); return err }
+		// The search's accepted move: the subtree's branch takes its new
+		// length while detached, then the subtree is regrafted.
+		{name: "AcceptedMove", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			ps := mustPrune(t, tr)
+			return func() error {
+				ps.P.SetZ(ps.P.Z * 1.7)
+				return tr.Regraft(ps, ps.Q.Next.Back)
+			}
 		}},
-		{"SetModel", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+		{name: "MakeNewz", arm: armMakeNewz},
+		{name: "MakeNewz/unattached", arm: armMakeNewz, unattached: true},
+		{name: "SetModel", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			return func() error {
 				m, err := e.Mod.WithAlpha(e.Mod.Alpha * 2)
 				if err != nil {
@@ -223,27 +222,69 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 			}
 		}},
 		// InvalidateAll and AttachTree are how an edit the hooks did not
-		// see reaches the engine: here a SetZ.
-		{"InvalidateAll", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+		// see reaches the engine: here a Connect, which tells no one.
+		{name: "InvalidateAll", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			return func() error {
 				c := memoInner(t, tr)
-				c.SetZ(c.Z * 1.7)
+				phylotree.Connect(c, c.Back, c.Z*1.7)
 				e.InvalidateAll()
 				return nil
 			}
 		}},
-		{"AttachTree", func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+		{name: "AttachTree", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			return func() error {
 				c := memoInner(t, tr)
-				c.SetZ(c.Z * 1.7)
+				phylotree.Connect(c, c.Back, c.Z*1.7)
 				e.AttachTree(tr)
 				return nil
 			}
 		}},
-		{"SetWeights", func(*testing.T, *Engine, *phylotree.Tree) func() error { return nil }},
+		{name: "SetWeights", keeps: true, arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			return func() error {
+				w := slices.Clone(e.Pat.Weights)
+				w[0]++
+				return e.SetWeights(w)
+			}
+		}},
+		{name: "SetZ/same-bits", keeps: true, arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			return func() error {
+				c := memoInner(t, tr)
+				if c.SetZ(c.Z) {
+					t.Error("SetZ of the stored length reported a change")
+				}
+				return nil
+			}
+		}},
+		{name: "Clone", keeps: true, arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+			return func() error {
+				for _, c := range tr.Clone().Edges() {
+					c.SetZ(c.Z * 1.7)
+				}
+				return nil
+			}
+		}},
 	} {
-		t.Run("memo/"+row.name, func(t *testing.T) { checkMemoEditPath(t, row.arm) })
+		t.Run("memo/"+row.name, func(t *testing.T) { checkMemoEditPath(t, row) })
 	}
+}
+
+// memoRow is one edit path of the memo: arm may edit the tree before the
+// memo is filled and returns the edit under test. keeps marks an edit that
+// concerns no vector of the engine; unattached runs the row on an engine
+// that does not observe the tree.
+type memoRow struct {
+	name       string
+	arm        func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error
+	keeps      bool
+	unattached bool
+}
+
+// armMakeNewz moves an inner–inner branch far from its optimum before the
+// memo is filled, so the solve under test moves it back.
+func armMakeNewz(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
+	c := memoInner(t, tr)
+	c.SetZ(c.Z * 5)
+	return func() error { _, _, err := e.MakeNewz(c); return err }
 }
 
 // memoInner is an inner–inner edge of tr whose near end has an inner
@@ -269,13 +310,14 @@ func mustPrune(t *testing.T, tr *phylotree.Tree) *phylotree.PrunedSubtree {
 	return ps
 }
 
-// checkMemoEditPath arms a row on an attached engine, fills its memo with
-// every directed vector of the tree (its slots are empty, so vector
-// memoizes each), makes the edit, and reads every vector again: each must
-// have a fresh engine's bits, and at least one must differ from what it was
-// before the edit, or the row could not tell a stale memo from a valid one.
-// A nil edit is SetWeights, after which every read must be a memo hit.
-func checkMemoEditPath(t *testing.T, arm func(*testing.T, *Engine, *phylotree.Tree) func() error) {
+// checkMemoEditPath arms a row on an engine (attached to the tree unless the
+// row says otherwise), fills its memo with every directed vector of the tree
+// (its slots are empty, so vector memoizes each), makes the edit, and reads
+// every vector again: each must have a fresh engine's bits. After a keeps
+// edit every read must be a memo hit; after any other, at least one vector
+// must differ from what it was before the edit, or the row could not tell a
+// stale memo from a valid one.
+func checkMemoEditPath(t *testing.T, row memoRow) {
 	rng := rand.New(rand.NewSource(444))
 	pat := randomPatterns(t, rng, 10, 60)
 	tr := randomTreeFor(t, rng, pat)
@@ -283,31 +325,15 @@ func checkMemoEditPath(t *testing.T, arm func(*testing.T, *Engine, *phylotree.Tr
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.AttachTree(tr)
-	edit := arm(t, eng, tr)
+	if !row.unattached {
+		eng.AttachTree(tr)
+	}
+	edit := row.arm(t, eng, tr)
 	before := make(map[*phylotree.Node][]float64)
 	for _, r := range internalRecords(tr) {
 		if v, err := eng.vector(r); err == nil {
 			before[r], _ = expandVec(eng, v)
 		}
-	}
-	if edit == nil {
-		newviews, hits := eng.Meter.NewviewCalls, eng.Meter.CacheHits
-		w := slices.Clone(pat.Weights)
-		w[0]++
-		if err := eng.SetWeights(w); err != nil {
-			t.Fatal(err)
-		}
-		for r := range before {
-			if _, err := eng.vector(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if eng.Meter.NewviewCalls != newviews || eng.Meter.CacheHits != hits {
-			t.Errorf("after SetWeights: newviews %d -> %d, slot reads %d -> %d, want every read a memo hit",
-				newviews, eng.Meter.NewviewCalls, hits, eng.Meter.CacheHits)
-		}
-		return
 	}
 	if err := edit(); err != nil {
 		t.Fatal(err)
@@ -316,6 +342,7 @@ func checkMemoEditPath(t *testing.T, arm func(*testing.T, *Engine, *phylotree.Tr
 	if err != nil {
 		t.Fatal(err)
 	}
+	newviews, hits := eng.Meter.NewviewCalls, eng.Meter.CacheHits
 	changed := 0
 	for _, r := range internalRecords(tr) {
 		want, err := fresh.vector(r)
@@ -333,7 +360,12 @@ func checkMemoEditPath(t *testing.T, arm func(*testing.T, *Engine, *phylotree.Tr
 			}
 		}
 	}
-	if changed == 0 {
+	if row.keeps {
+		if eng.Meter.NewviewCalls != newviews || eng.Meter.CacheHits != hits {
+			t.Errorf("newviews %d -> %d, slot reads %d -> %d, want every read a memo hit",
+				newviews, eng.Meter.NewviewCalls, hits, eng.Meter.CacheHits)
+		}
+	} else if changed == 0 {
 		t.Error("no memoized vector changed: the row cannot tell a stale memo")
 	}
 }

@@ -3,6 +3,7 @@ package likelihood
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"raxmlcell/internal/phylotree"
 )
@@ -62,16 +63,15 @@ func (e *Engine) makeNewz(p *phylotree.Node, gainTol float64, value bool) (float
 	}
 	// After these two calls every valid cached view is oriented toward the
 	// branch (p, q): the traversal recomputes exactly the mis-oriented
-	// nodes, so the final SetZ below only dirties views the Invalidate
+	// nodes, so the final SetZ below only dirties views the invalidate
 	// walk actually finds stale.
 	e.NewView(p)
 	e.NewView(q)
-	zEntry := p.Z
-	bestT, bestLL := e.newtonOnBranch(e.slotVec(p), q, e.slotVec(q), zEntry, gainTol, value)
-	p.SetZ(bestT)
-	//lint:ignore floatcmp deliberate bit-exact check: any change to the stored branch length, however small, must invalidate cached views
-	if p.Z != zEntry {
-		e.invalidate(p, false) // a length moved: vectors go, repeat classes stay
+	bestT, bestLL := e.newtonOnBranch(e.slotVec(p), q, e.slotVec(q), p.Z, gainTol, value)
+	// A length that moved is an edit of p's tree, which an attached engine
+	// hears of; any other engine drops its own views, keeping the classes.
+	if p.SetZ(bestT) && !slices.Contains(e.trees, p.Tree()) {
+		e.invalidate(p, false)
 	}
 	return bestT, bestLL, nil
 }

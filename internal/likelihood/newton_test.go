@@ -215,7 +215,6 @@ func TestNewtonSolveNeverBelowEntry(t *testing.T) {
 		for _, edge := range tr.Edges() {
 			z0 := solveStarts[rng.Intn(len(solveStarts))]
 			edge.SetZ(z0)
-			eng.Invalidate(edge)
 			entry, err := eng.Evaluate(edge)
 			if err != nil {
 				t.Fatal(err)
@@ -250,7 +249,6 @@ func TestNewtonSolveNeverBelowEntry(t *testing.T) {
 			// the maximum, so there a solve may end up to about the
 			// tolerance below its entry; smoothing asks for 1e-4 to 1e-3.
 			edge.SetZ(z0)
-			eng.Invalidate(edge)
 			tol := []float64{0, 1e-4, 1e-3}[rng.Intn(3)]
 			if z, err = eng.MakeNewzTo(edge, tol); err != nil {
 				t.Fatal(err)

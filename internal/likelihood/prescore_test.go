@@ -140,7 +140,6 @@ func TestPrescoreMatchesCombineThenEvaluate(t *testing.T) {
 						t.Fatal(err)
 					}
 					ps.P.SetZ(z0)
-					eng.Invalidate(ps.P)
 					want, err := eng.Evaluate(ps.P)
 					if err != nil {
 						t.Fatal(err)
@@ -166,7 +165,6 @@ func TestPrescoreMatchesCombineThenEvaluate(t *testing.T) {
 				// be a candidate edge whose halves Regraft clamps and the
 				// lazy scores do not.
 				ps.P.SetZ(zSub)
-				eng.Invalidate(ps.P)
 				if err := tr.Undo(ps); err != nil {
 					t.Fatal(err)
 				}

@@ -318,10 +318,8 @@ func behindBranch(a *phylotree.Node) map[*phylotree.Node]bool {
 	return all
 }
 
-// TestRepeatsDroppedByInvalidate: the public Invalidate drops the classes of
-// exactly the records behind the branch, as the topology hook does, so a
-// caller that edited a tree the engine is not attached to around that
-// branch leaves no stale class; only MakeNewz's own invalidation keeps them.
+// TestRepeatsDroppedByInvalidate: the topology hook's invalidation drops the
+// classes of exactly the records behind the branch; a length edit keeps them.
 func TestRepeatsDroppedByInvalidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(2805))
 	pat := repeatPatterns(t, rng, 14, 200)
@@ -335,7 +333,7 @@ func TestRepeatsDroppedByInvalidate(t *testing.T) {
 			e.NewView(r)
 		}
 		behind := behindBranch(edge)
-		e.Invalidate(edge)
+		e.invalidate(edge, true)
 		for _, r := range internalRecords(tr) {
 			if (e.classes(r) == nil) != behind[r] {
 				t.Fatalf("edge at node %d: record of node %d has classes %v, behind the branch %v",
@@ -354,8 +352,8 @@ func TestRepeatsDroppedOnlyBehindTopologyEdits(t *testing.T) {
 	m := randomModel(t, rng, 4)
 	tr := treegen.Phylo2Vec(pat.Names, rng)
 	var notified map[*phylotree.Node]bool
-	tr.OnBranchChange(func(a *phylotree.Node) { // runs before the engine's hook
-		if a.Back == nil {
+	tr.OnBranchChange(func(a *phylotree.Node, topo bool) { // runs before the engine's hook
+		if !topo || a.Back == nil {
 			return
 		}
 		for r := range behindBranch(a) {

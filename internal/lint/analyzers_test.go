@@ -30,17 +30,6 @@ func TestSimDeterminismObsGolden(t *testing.T) {
 	linttest.Run(t, lint.SimDeterminism, "raxmlcell/internal/obs", "testdata/simdeterminism/obs")
 }
 
-func TestInvalidatePairGolden(t *testing.T) {
-	linttest.Run(t, lint.InvalidatePair, "raxmlcell/internal/search", "testdata/invalidatepair")
-}
-
-// Every engine caches, so the pairing rule binds wherever an engine can be
-// held: the campaign layer's job runner is the golden case outside the
-// search layer.
-func TestInvalidatePairMWGolden(t *testing.T) {
-	linttest.Run(t, lint.InvalidatePair, "raxmlcell/internal/mw", "testdata/invalidatepair/mw")
-}
-
 func TestFloatCmpGolden(t *testing.T) {
 	linttest.Run(t, lint.FloatCmp, "raxmlcell/internal/model", "testdata/floatcmp")
 }
@@ -78,7 +67,7 @@ func TestScopedAnalyzersSilentOutOfScope(t *testing.T) {
 			t.Errorf("simdeterminism reported out of scope: %s", d)
 		}
 	})
-	for _, a := range []*lint.Analyzer{lint.InvalidatePair, lint.CtxOwnership, lint.BackendPurity} {
+	for _, a := range []*lint.Analyzer{lint.CtxOwnership, lint.BackendPurity} {
 		t.Run(a.Name, func(t *testing.T) {
 			if a.Match("raxmlcell/internal/sim") {
 				t.Errorf("%s unexpectedly matches internal/sim", a.Name)
@@ -98,17 +87,6 @@ func TestAnalyzerScopes(t *testing.T) {
 		path string
 		want bool
 	}{
-		{lint.InvalidatePair, "raxmlcell/internal/search", true},
-		{lint.InvalidatePair, "raxmlcell/internal/core", true},
-		{lint.InvalidatePair, "raxmlcell/internal/likelihood", true},
-		{lint.InvalidatePair, "raxmlcell/internal/mw", true},
-		{lint.InvalidatePair, "raxmlcell/internal/workload", true},
-		{lint.InvalidatePair, "raxmlcell/cmd/raxml", true},
-		{lint.InvalidatePair, "raxmlcell/examples/quickstart", true},
-		{lint.InvalidatePair, "raxmlcell/benchmark", true},
-		{lint.InvalidatePair, "raxmlcell/internal/phylotree", false}, // defines SetZ; cannot import an engine
-		{lint.InvalidatePair, "raxmlcell/internal/seqsim", false},    // builds trees, never scores them
-		{lint.InvalidatePair, "raxmlcell/internal/sim", false},
 		{lint.CtxOwnership, "raxmlcell/internal/likelihood", true},
 		{lint.CtxOwnership, "raxmlcell/internal/search", true},
 		{lint.CtxOwnership, "raxmlcell/internal/core", true},

@@ -8,10 +8,6 @@
 //     EXPERIMENTS.md stop being reproducible — neither at a use site in
 //     the simulator scope nor through a call that reaches such a source
 //     in another package (cross-package facts, see FactSet).
-//   - invalidatepair: every direct SetZ branch-length write in a package
-//     that can hold a likelihood.Engine must be followed by an
-//     Engine.Invalidate/InvalidateAll, or the engine — which never
-//     recomputes a vector it holds as valid — silently serves stale ones.
 //   - floatcmp: floating-point == / != is forbidden outside a small
 //     allowlist; call sites should use tolerance helpers instead.
 //   - ctxownership: a likelihood.Engine is published through an atomic
@@ -345,26 +341,4 @@ func pkgFuncObject(info *types.Info, sel *ast.SelectorExpr) types.Object {
 		return nil
 	}
 	return info.Uses[sel.Sel]
-}
-
-// isMethodCall reports whether call invokes a method named name (on any
-// receiver type — the suite matches the kernel contracts by name so that
-// analyzer tests and future refactors do not depend on type identity).
-func isMethodCall(info *types.Info, call *ast.CallExpr, names ...string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	found := false
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return false
-	}
-	s, ok := info.Selections[sel]
-	return ok && s.Kind() == types.MethodVal
 }

@@ -24,7 +24,7 @@ func TestSuppressionDirectives(t *testing.T) {
 var a = 1
 
 func f() {
-	//lint:ignore simdeterminism,invalidatepair documented twice over
+	//lint:ignore simdeterminism,ctxownership documented twice over
 	_ = a
 }
 
@@ -54,7 +54,7 @@ var missingReason = 3
 		{3, "floatcmp", true},
 		{3, "simdeterminism", false},
 		{7, "simdeterminism", true},
-		{7, "invalidatepair", true},
+		{7, "ctxownership", true},
 		{7, "floatcmp", false},
 		{11, "floatcmp", true}, // "all" covers every analyzer
 		{11, "anything", true},

@@ -6,7 +6,6 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminism,
-		InvalidatePair,
 		FloatCmp,
 		CtxOwnership,
 		BackendPurity,

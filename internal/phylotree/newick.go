@@ -127,7 +127,7 @@ func ParseNewick(s string) (*Tree, error) {
 		if len(n.children) != 2 {
 			return nil, fmt.Errorf("newick: internal node with %d children (only binary supported)", len(n.children))
 		}
-		ring := t.newInner().Ring()
+		ring := t.NewInternalRing().Ring()
 		for i, c := range n.children {
 			sub, err := build(c)
 			if err != nil {
@@ -140,7 +140,7 @@ func ParseNewick(s string) (*Tree, error) {
 
 	switch len(ast.children) {
 	case 3:
-		ring := t.newInner().Ring()
+		ring := t.NewInternalRing().Ring()
 		for i, c := range ast.children {
 			sub, err := build(c)
 			if err != nil {

@@ -30,13 +30,13 @@ func (t *Tree) Prune(p *Node) (*PrunedSubtree, error) {
 	// Notify the two branches about to be destroyed while the topology is
 	// still connected (observers walk outward from both ends), then the
 	// re-joined branch once it exists.
-	t.notifyBranch(p.Next)
-	t.notifyBranch(p.Next.Next)
+	t.notifyBranch(p.Next, true)
+	t.notifyBranch(p.Next.Next, true)
 	Connect(q, r, ps.QZ+ps.RZ)
 	p.Next.Back = nil
 	p.Next.Next.Back = nil
 	t.removeInner(p.Index)
-	t.notifyBranch(q)
+	t.notifyBranch(q, true)
 	return ps, nil
 }
 
@@ -59,13 +59,13 @@ func (t *Tree) RegraftZ(ps *PrunedSubtree, at *Node, zAt, zOther float64) error 
 	if at == p || at.Back == p {
 		return fmt.Errorf("phylotree: cannot regraft into the pruned branch")
 	}
-	t.notifyBranch(at) // the branch about to be split
+	t.notifyBranch(at, true) // the branch about to be split
 	other := at.Back
 	Connect(p.Next, at, zAt)
 	Connect(p.Next.Next, other, zOther)
-	t.reuseInner(p)
-	t.notifyBranch(p.Next)
-	t.notifyBranch(p.Next.Next)
+	t.inner = append(t.inner, p)
+	t.notifyBranch(p.Next, true)
+	t.notifyBranch(p.Next.Next, true)
 	return nil
 }
 
@@ -75,13 +75,13 @@ func (t *Tree) Undo(ps *PrunedSubtree) error {
 	if ps.Q.Back != ps.R {
 		return fmt.Errorf("phylotree: cannot undo, joined branch was modified")
 	}
-	t.notifyBranch(ps.Q) // the joined branch about to be destroyed
+	t.notifyBranch(ps.Q, true) // the joined branch about to be destroyed
 	p := ps.P
 	Connect(p.Next, ps.Q, ps.QZ)
 	Connect(p.Next.Next, ps.R, ps.RZ)
-	t.reuseInner(p)
-	t.notifyBranch(p.Next)
-	t.notifyBranch(p.Next.Next)
+	t.inner = append(t.inner, p)
+	t.notifyBranch(p.Next, true)
+	t.notifyBranch(p.Next.Next, true)
 	return nil
 }
 
@@ -101,9 +101,9 @@ func (t *Tree) RemoveTip(ti int) error {
 	if a.Back == nil || b.Back == nil {
 		return fmt.Errorf("phylotree: host ring of tip %d is partially detached", ti)
 	}
-	t.notifyBranch(tip)
-	t.notifyBranch(a)
-	t.notifyBranch(b)
+	t.notifyBranch(tip, true)
+	t.notifyBranch(a, true)
+	t.notifyBranch(b, true)
 	join := a.Back
 	Connect(a.Back, b.Back, a.Z+b.Z)
 	tip.Back = nil
@@ -112,7 +112,7 @@ func (t *Tree) RemoveTip(ti int) error {
 	b.Back = nil
 	t.removeInner(host.Index)
 	t.freeIdx = append(t.freeIdx, host.Index)
-	t.notifyBranch(join)
+	t.notifyBranch(join, true)
 	return nil
 }
 

@@ -34,7 +34,12 @@ type Node struct {
 	Next  *Node   // ring pointer (nil for tips)
 	Back  *Node   // node at the other end of this branch (nil if detached)
 	Z     float64 // branch length to Back; kept equal on both directions
+
+	tree *Tree // whose observers hear SetZ; nil for a record built by hand
 }
+
+// Tree returns the tree whose NewTree, NewInternalRing or Clone made nd.
+func (nd *Node) Tree() *Tree { return nd.tree }
 
 // IsTip reports whether nd is a tip record.
 func (nd *Node) IsTip() bool { return nd.Next == nil }
@@ -65,13 +70,21 @@ func clampZ(z float64) float64 {
 	return z
 }
 
-// SetZ sets the branch length on both directions of nd's branch.
-func (nd *Node) SetZ(z float64) {
+// SetZ sets the branch length on both directions of nd's branch and reports
+// whether the stored bits changed. A change is an edit of nd's tree: its
+// OnBranchChange observers hear of it as a length-only one.
+func (nd *Node) SetZ(z float64) bool {
 	z = clampZ(z)
+	//lint:ignore floatcmp deliberate bit-exact check: any change to the stored branch length, however small, is an edit the observers must hear of
+	if z == nd.Z {
+		return false
+	}
 	nd.Z = z
 	if nd.Back != nil {
 		nd.Back.Z = z
 	}
+	nd.tree.notifyBranch(nd, false)
+	return true
 }
 
 // Tree is an unrooted binary tree over a fixed taxon set.
@@ -83,7 +96,7 @@ type Tree struct {
 	nextInner int     // next internal Index to hand out
 	freeIdx   []int   // released internal indices available for reuse
 
-	branchHooks []func(*Node) // observers of topology/branch mutations
+	branchHooks []func(nd *Node, topo bool) // observers of topology and length edits
 }
 
 // NewTree allocates a tree skeleton (no topology yet) for the given taxa.
@@ -105,31 +118,32 @@ func NewTree(taxa []string) (*Tree, error) {
 			return nil, fmt.Errorf("phylotree: duplicate taxon %q", name)
 		}
 		seen[name] = true
-		t.Tips[i] = &Node{Index: i, Name: name}
+		t.Tips[i] = &Node{Index: i, Name: name, tree: t}
 	}
 	return t, nil
 }
 
-// OnBranchChange registers fn as an observer of the tree's own mutating
-// operations (InsertTip, RemoveTip, Prune, Regraft, Undo). fn receives one
-// directed record per affected branch, called *before* a branch is destroyed
-// — while the topology is still fully connected, so the observer can walk
-// outward from both ends — and *after* a branch is created or re-joined.
-// Likelihood engines use this to invalidate cached partial vectors (see
-// likelihood.Engine.AttachTree). Direct SetZ/Connect calls bypass the tree
-// and are not observed; callers optimizing branch lengths by hand must
-// invalidate explicitly. Hooks are not copied by Clone.
-func (t *Tree) OnBranchChange(fn func(*Node)) {
+// OnBranchChange registers fn as an observer of the tree's edits. The
+// topology edits (InitTriplet, InsertTip, RemoveTip, Prune, Regraft, Undo)
+// call fn with topo set, once per affected branch: *before* a branch is
+// destroyed — while the topology is still fully connected, so the observer
+// can walk outward from both ends — and *after* a branch is created or
+// re-joined. A SetZ that changes a length calls fn with its record and topo
+// false. Likelihood engines use this to invalidate cached partial vectors
+// (likelihood.Engine.AttachTree). Connect tells no one: it builds topologies
+// nothing observes yet. Hooks are not copied by Clone.
+func (t *Tree) OnBranchChange(fn func(nd *Node, topo bool)) {
 	t.branchHooks = append(t.branchHooks, fn)
 }
 
-// notifyBranch reports a branch mutation at nd to all registered observers.
-func (t *Tree) notifyBranch(nd *Node) {
-	if nd == nil {
+// notifyBranch reports an edit of the branch at nd to all registered
+// observers; a record of no tree has none.
+func (t *Tree) notifyBranch(nd *Node, topo bool) {
+	if t == nil || nd == nil {
 		return
 	}
 	for _, fn := range t.branchHooks {
-		fn(nd)
+		fn(nd, topo)
 	}
 }
 
@@ -143,11 +157,13 @@ func (t *Tree) NumInner() int { return len(t.inner) }
 // size likelihood-vector tables (2n-2 covers tips plus all internals).
 func (t *Tree) MaxNodeIndex() int { return 2*len(t.Tips) - 2 }
 
-// newInner allocates a fresh internal ring and returns its representative,
-// preferring released indices so that repeated insert/remove cycles (trial
-// insertions during stepwise addition) do not grow the index space past
-// MaxNodeIndex.
-func (t *Tree) newInner() *Node {
+// NewInternalRing allocates a fresh, detached internal node ring and
+// returns its representative; the tree's own edits and algorithms that
+// assemble topologies bottom-up (e.g. neighbor joining) wire its three
+// records with Connect. It prefers released indices, so that repeated
+// insert/remove cycles (trial insertions during stepwise addition) do not
+// grow the index space past MaxNodeIndex.
+func (t *Tree) NewInternalRing() *Node {
 	var idx int
 	if n := len(t.freeIdx); n > 0 {
 		idx = t.freeIdx[n-1]
@@ -156,22 +172,12 @@ func (t *Tree) newInner() *Node {
 		idx = t.nextInner
 		t.nextInner++
 	}
-	a := &Node{Index: idx}
-	b := &Node{Index: idx}
-	c := &Node{Index: idx}
+	a := &Node{Index: idx, tree: t}
+	b := &Node{Index: idx, tree: t}
+	c := &Node{Index: idx, tree: t}
 	a.Next, b.Next, c.Next = b, c, a
 	t.inner = append(t.inner, a)
 	return a
-}
-
-// NewInternalRing allocates a fresh, detached internal node ring for
-// algorithms that assemble topologies bottom-up (e.g. neighbor joining);
-// the caller wires its three records with Connect.
-func (t *Tree) NewInternalRing() *Node { return t.newInner() }
-
-// reuseInner re-registers a previously detached ring (after SPR prune).
-func (t *Tree) reuseInner(ring *Node) {
-	t.inner = append(t.inner, ring)
 }
 
 // InitTriplet wires the first three tips around one internal node, the seed
@@ -183,12 +189,12 @@ func (t *Tree) InitTriplet(i, j, k int) error {
 	if i == j || j == k || i == k {
 		return fmt.Errorf("phylotree: triplet indices must be distinct")
 	}
-	center := t.newInner()
+	center := t.NewInternalRing()
 	r := center.Ring()
 	Connect(r[0], t.Tips[i], DefaultBranchLength)
 	Connect(r[1], t.Tips[j], DefaultBranchLength)
 	Connect(r[2], t.Tips[k], DefaultBranchLength)
-	t.notifyBranch(r[0])
+	t.notifyBranch(r[0], true)
 	return nil
 }
 
@@ -202,17 +208,17 @@ func (t *Tree) InsertTip(ti int, at *Node) error {
 	if at == nil || at.Back == nil {
 		return fmt.Errorf("phylotree: insertion edge is detached")
 	}
-	t.notifyBranch(at) // the branch about to be split
+	t.notifyBranch(at, true) // the branch about to be split
 	other := at.Back
 	half := at.Z / 2
-	n := t.newInner()
+	n := t.NewInternalRing()
 	r := n.Ring()
 	Connect(r[0], tip, DefaultBranchLength)
 	Connect(r[1], at, half)
 	Connect(r[2], other, half)
-	t.notifyBranch(r[0])
-	t.notifyBranch(r[1])
-	t.notifyBranch(r[2])
+	t.notifyBranch(r[0], true)
+	t.notifyBranch(r[1], true)
+	t.notifyBranch(r[2], true)
 	return nil
 }
 
@@ -398,9 +404,10 @@ func (t *Tree) TotalBranchLength() float64 {
 	return sum
 }
 
-// Clone deep-copies the topology and branch lengths. Branch-change hooks
-// registered with OnBranchChange are not copied: they observe this tree's
-// node identities, which the clone does not share.
+// Clone deep-copies the topology and branch lengths. The clone's records
+// belong to the clone, and branch-change hooks registered with
+// OnBranchChange are not copied: they observe this tree's node identities,
+// which the clone does not share, so no edit of the clone reaches them.
 func (t *Tree) Clone() *Tree {
 	nt := &Tree{
 		Taxa:      append([]string(nil), t.Taxa...),
@@ -417,7 +424,7 @@ func (t *Tree) Clone() *Tree {
 		if c, ok := clone[nd]; ok {
 			return c
 		}
-		c := &Node{Index: nd.Index, Name: nd.Name, Z: nd.Z}
+		c := &Node{Index: nd.Index, Name: nd.Name, Z: nd.Z, tree: nt}
 		clone[nd] = c
 		c.Next = get(nd.Next)
 		c.Back = get(nd.Back)

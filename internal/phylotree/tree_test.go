@@ -139,6 +139,42 @@ func TestSetZSymmetry(t *testing.T) {
 	}
 }
 
+// TestSetZNotifies: a SetZ that changes the stored bits is a length-only
+// edit its tree's observers hear once, with the record it was called on; one
+// that stores the same bits, or edits a clone, reaches no observer.
+func TestSetZNotifies(t *testing.T) {
+	tr := buildLadder(t, 6)
+	type edit struct {
+		nd   *Node
+		topo bool
+	}
+	var heard []edit
+	tr.OnBranchChange(func(nd *Node, topo bool) { heard = append(heard, edit{nd, topo}) })
+	e := tr.Edges()[3]
+	if !e.SetZ(e.Z*1.5) || len(heard) != 1 || heard[0] != (edit{e, false}) {
+		t.Fatalf("changing SetZ: heard %v, want one length edit at the record", heard)
+	}
+	heard = nil
+	if e.SetZ(e.Z) || e.Back.SetZ(e.Z) || len(heard) != 0 {
+		t.Errorf("same-bits SetZ reported a change or was heard: %v", heard)
+	}
+	e.SetZ(1e6) // stores MaxBranchLength: heard
+	if e.SetZ(MaxBranchLength*2) || len(heard) != 1 {
+		t.Errorf("a SetZ clamped to the stored bound reported a change, or the first was not heard: %v", heard)
+	}
+	heard = nil
+	cl := tr.Clone()
+	for _, c := range cl.Edges() {
+		if c.Tree() != cl {
+			t.Fatal("a clone's record does not belong to the clone")
+		}
+		c.SetZ(c.Z * 1.5)
+	}
+	if len(heard) != 0 {
+		t.Errorf("an edit of the clone reached the original's observer %d times", len(heard))
+	}
+}
+
 func TestPruneRegraftRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr, err := RandomTopology(names(12), rng)

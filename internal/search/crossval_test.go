@@ -92,13 +92,12 @@ func TestIncrementalCrossValidation42SC(t *testing.T) {
 		switch step % 5 {
 		case 4:
 			// Hand-edit a branch length on both trees; the cached engine
-			// needs an explicit Invalidate for direct SetZ.
+			// hears of it through trA's hooks.
 			edgesA, edgesB := trA.Edges(), trB.Edges()
 			i := rng.Intn(len(edgesA))
 			z := 0.01 + 0.3*rng.Float64()
 			edgesA[i].SetZ(z)
 			edgesB[i].SetZ(z)
-			engA.Invalidate(edgesA[i])
 			check(step, "setz")
 		default:
 			candsA, candsB := pruneCandidates(trA), pruneCandidates(trB)

@@ -26,10 +26,10 @@ import (
 // pass's own stopping threshold. The pass's log-likelihood is one Evaluate
 // at its last branch, whose two vectors that branch's solve left current.
 //
-// No explicit cache management is needed here: a solve invalidates the
-// engine's cached partial vectors itself whenever it changes a branch
-// length, so each Newton step recomputes only the views the previous step
-// dirtied instead of the whole tree.
+// No explicit cache management is needed here: a length a solve moves
+// reaches the engine — through the tree's hooks, or the solve's own
+// invalidation on a tree the engine does not observe — so each Newton step
+// recomputes only the views the previous step dirtied, not the whole tree.
 func SmoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, eps float64) (float64, error) {
 	return smoothBranches(eng, tr, maxPasses, eps, policy{})
 }

@@ -136,12 +136,14 @@ func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius 
 		bestIdx, bestZ, bestLL := bestCandidate(scores, zSub)
 
 		if bestIdx >= 0 && bestLL > current+eps {
+			// The subtree takes its branch's winning length along: set
+			// before Regraft, the length edit walks only the detached
+			// subtree, and Regraft's own edits invalidate the rest.
+			ps.P.SetZ(bestZ)
 			if err := tr.Regraft(ps, sc.cands[bestIdx]); err != nil {
 				stage, stageErr = "accepting move", err
 				break
 			}
-			ps.P.SetZ(bestZ)
-			eng.Invalidate(ps.P) // direct SetZ bypasses the tree's hooks
 			// Locally optimize the three branches around the insertion. They
 			// are attached and never tip–tip: an error here is a bug.
 			if bestLL, err = solveAround(eng, ps.P); err != nil {

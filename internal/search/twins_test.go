@@ -220,11 +220,10 @@ func shortListOutcomes(t *testing.T, pat *alignment.Patterns, seed int64) (winne
 		} else {
 			winner++
 		}
+		ps.P.SetZ(bestZ)
 		if err := tr.Regraft(ps, sc.cands[best]); err != nil {
 			t.Fatal(err)
 		}
-		ps.P.SetZ(bestZ)
-		eng.Invalidate(ps.P)
 		for _, b := range [...]*phylotree.Node{ps.P, ps.P.Next, ps.P.Next.Next} {
 			if _, current, err = eng.MakeNewz(b); err != nil {
 				t.Fatal(err)
