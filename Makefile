@@ -30,7 +30,7 @@ bench:
 # and fits and searches that smooth each branch for its length only, at
 # eps/n, no lower than their exactly smoothed twins (go test -race ./... runs
 # the short-list row whole and a prefix of the others;
-# TestBackendGateMirrorsCI keeps these -run patterns and CI's the same), the
+# TestGatesMirrorCI keeps these -run patterns and CI's the same), the
 # per-kernel equivalence suite — the
 # two Newton passes, the step, the stop rule against the parent's, the
 # solve's entry-point safeguard, the length-only solve against the full one,
@@ -84,15 +84,16 @@ backend-gate:
 	cmp $(BIN)/wide-1.txt $(BIN)/wide-2.txt && cmp $(BIN)/wide-1.nwk $(BIN)/wide-2.nwk
 
 # obs-gate is the local mirror of the CI observability gate: the span
-# tracer / flight recorder / Prometheus exposition / histogram suite under
-# the race detector, the pinned-seed chaos flight post-mortem scenario, and
-# a real CLI run whose wall-trace and flight artifacts are re-validated on
-# write. The instrumentation-overhead ratio is the benchmark's
-# obs.instrumented_ratio.
+# tracer / flight recorder / histogram / debug-server suite under the race
+# detector, the pinned-seed chaos flight post-mortem scenario, and a real CLI
+# run whose wall-trace and flight artifacts are re-validated on write.
+# TestGatesMirrorCI keeps its -run patterns and CI's the same, as it does
+# backend-gate's and chaos's. The instrumentation-overhead ratio is the
+# benchmark's obs.instrumented_ratio.
 obs-gate:
 	@mkdir -p $(BIN)
 	$(GO) test -race -count=1 \
-		-run 'Span|Flight|Prom|Histogram|DebugServer|WallTrace|Instrumentation|KernelHists|MetricsContent' \
+		-run 'Span|Flight|Histogram|DebugServer|WallTrace|Instrumentation|KernelHists|MetricsContent' \
 		./internal/obs/... ./internal/mw/... ./internal/search/... ./internal/core/...
 	RAXML_CHAOS_SEED=$${RAXML_CHAOS_SEED:-42} $(GO) test -race -count=1 \
 		-run 'TestFlightChaosDumpQuarantine|TestSupervisePanicRecovery' ./internal/mw

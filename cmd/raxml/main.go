@@ -11,10 +11,10 @@
 // Observability: -v raises logging to Debug (per-job lifecycle and search
 // trajectories), -quiet lowers it to warnings only, and -debug-addr starts
 // an HTTP server exposing net/http/pprof under /debug/pprof/, a /metrics
-// snapshot of the live supervision counters and kernel meter (JSON, or
-// Prometheus text with ?format=prom), and /debug/flight. -trace-out records
-// a wall-clock Chrome trace of the campaign (open in Perfetto); -flight-out
-// dumps the flight recorder's final window for post-mortems.
+// JSON snapshot of the live supervision counters and kernel meter, and
+// /debug/flight. -trace-out records a wall-clock Chrome trace of the
+// campaign (open in Perfetto); -flight-out dumps the flight recorder's final
+// window for post-mortems.
 package main
 
 import (
@@ -108,7 +108,7 @@ func main() {
 		optModel   = flag.Bool("opt-model", false, "fit the GTR exchangeabilities on each final tree")
 		startTree  = flag.String("start", "parsimony", "starting tree: parsimony (randomized stepwise addition, each taxon on the branch of least Fitch score), nj or random")
 		checkpoint = flag.String("checkpoint", "", "persist completed jobs to this file and resume from it")
-		retries    = flag.Int("retries", 1, "retries per job after a failure (crash, timeout, invalid result)")
+		retries    = flag.Int("retries", 1, "attempts per job, the first included: a job that fails (crash, timeout, invalid result) is retried until it has had this many (1 = no retry)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job attempt deadline; a hung job is killed and retried (0 = none)")
 		maxQuar    = flag.Int("max-quarantine", 0, "jobs allowed to fail all attempts before the campaign aborts (-1 = unlimited, report partial results)")
 		draw       = flag.Bool("draw", false, "print an ASCII rendering of the best tree")
@@ -141,7 +141,7 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		srv, addr, err := obs.StartDebugServer(*debugAddr, metrics, obs.WithFlight(flight))
+		srv, addr, err := obs.StartDebugServer(*debugAddr, metrics, flight)
 		if err != nil {
 			fatal(logger, err)
 		}
@@ -188,13 +188,6 @@ func main() {
 		Search: search.Options{
 			Radius: *radius, MaxRounds: *rounds,
 			SmoothPasses: 4, Epsilon: 0.01, AlphaOpt: true, ModelOpt: *optModel,
-			// Per-round logL trajectory at -v: runs on the searching
-			// goroutine, so it only formats when Debug is enabled.
-			OnProgress: func(pr search.Progress) {
-				logger.Debug("search round",
-					"phase", pr.Phase, "round", pr.Round, "moves", pr.Moves,
-					"logl", pr.LogL, "alpha", pr.Alpha)
-			},
 		},
 		Kernel:  likelihood.Config{Backend: *backend},
 		Log:     logger,

@@ -19,20 +19,27 @@ import (
 // before the pattern, the pattern, and the rest of the line.
 var goTestRun = regexp.MustCompile(`(?m)(?:\bgo|\$\(GO\)) test([^'\n]*)-run '([^']+)'([^\n]*)$`)
 
-// runPatterns maps each go test -run line of text, keyed by whether it runs
-// under the race detector and by its package pattern, to the sorted names in
-// its pattern.
+// continued matches a backslash line continuation and the next line's indent.
+var continued = regexp.MustCompile(`\\\n[ \t]*`)
+
+// runPatterns maps each go test -run command of text, its continued lines
+// joined, keyed by whether it runs under the race detector and by its
+// packages, to the sorted names in its pattern.
 func runPatterns(t *testing.T, text string) map[string][]string {
 	t.Helper()
 	out := map[string][]string{}
-	for _, m := range goTestRun.FindAllStringSubmatch(text, -1) {
-		flags := m[1] + m[3]
-		fields := strings.Fields(m[3])
-		if len(fields) == 0 {
+	for _, m := range goTestRun.FindAllStringSubmatch(continued.ReplaceAllString(text, " "), -1) {
+		var pkgs []string
+		for _, f := range strings.Fields(m[3]) {
+			if !strings.HasPrefix(f, "-") {
+				pkgs = append(pkgs, f)
+			}
+		}
+		if len(pkgs) == 0 {
 			t.Fatalf("go test line without a package: %q", m[0])
 		}
-		key := fields[len(fields)-1]
-		if strings.Contains(flags, "-race") {
+		key := strings.Join(pkgs, " ")
+		if strings.Contains(m[1]+m[3], "-race") {
 			key = "-race " + key
 		}
 		names := strings.Split(m[2], "|")
@@ -60,10 +67,11 @@ func section(t *testing.T, text, start string, end *regexp.Regexp) string {
 	return rest
 }
 
-// TestBackendGateMirrorsCI: `make backend-gate` is the local mirror of CI's
-// backend-gate job, so for every package and race mode the go test -run
+// TestGatesMirrorCI: each gate that runs both as a make target and as a CI
+// job of the same name (backend-gate, obs-gate, chaos) is the local mirror
+// of that job, so for every package list and race mode the go test -run
 // patterns of the two name the same tests.
-func TestBackendGateMirrorsCI(t *testing.T) {
+func TestGatesMirrorCI(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
@@ -72,20 +80,24 @@ func TestBackendGateMirrorsCI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := runPatterns(t, section(t, string(mk), "backend-gate:", regexp.MustCompile(`(?m)^\S`)))
-	job := runPatterns(t, section(t, string(ci), "  backend-gate:", regexp.MustCompile(`(?m)^  \S`)))
-	if len(local) == 0 {
-		t.Fatal("make backend-gate runs no go test -run line")
-	}
-	for key, names := range local {
-		if !slices.Equal(names, job[key]) {
-			t.Errorf("go test %s: make backend-gate runs\n  %s\nCI's backend-gate job\n  %s", key, strings.Join(names, "|"), strings.Join(job[key], "|"))
-		}
-	}
-	for key, names := range job {
-		if _, ok := local[key]; !ok {
-			t.Errorf("go test %s: CI's backend-gate job runs %s, make backend-gate nothing", key, strings.Join(names, "|"))
-		}
+	for _, gate := range []string{"backend-gate", "obs-gate", "chaos"} {
+		t.Run(gate, func(t *testing.T) {
+			local := runPatterns(t, section(t, string(mk), gate+":", regexp.MustCompile(`(?m)^\S`)))
+			job := runPatterns(t, section(t, string(ci), "  "+gate+":", regexp.MustCompile(`(?m)^  \S`)))
+			if len(local) == 0 {
+				t.Fatalf("make %s runs no go test -run line", gate)
+			}
+			for key, names := range local {
+				if !slices.Equal(names, job[key]) {
+					t.Errorf("go test %s: make %s runs\n  %s\nCI's %s job\n  %s", key, gate, strings.Join(names, "|"), gate, strings.Join(job[key], "|"))
+				}
+			}
+			for key, names := range job {
+				if _, ok := local[key]; !ok {
+					t.Errorf("go test %s: CI's %s job runs %s, make %s nothing", key, gate, strings.Join(names, "|"), gate)
+				}
+			}
+		})
 	}
 }
 
@@ -93,7 +105,7 @@ func TestBackendGateMirrorsCI(t *testing.T) {
 // benchmark/ and testdata/, counted after gofmt. It only moves down: a change
 // that deletes code lowers it to the new count, and one that must raise it
 // states in CHANGES.md the measured win that pays for the lines.
-const codeCeiling = 17356
+const codeCeiling = 16833
 
 // TestCodeBudget counts the gofmt'd lines of every non-test Go file outside
 // benchmark/ and testdata/ and fails above codeCeiling.

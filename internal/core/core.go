@@ -198,10 +198,6 @@ func Analyze(pat *alignment.Patterns, cfg Config) (*Analysis, error) {
 	if cfg.Log == nil {
 		cfg.Log = obs.Discard()
 	}
-	// When the caller already installed a per-round progress hook on the
-	// search options (e.g. the CLI's trajectory logging), skip the Debug
-	// line here so each round is reported once; the metrics feed stays on.
-	logProgress := cfg.Search.OnProgress == nil
 	if cfg.Metrics != nil || cfg.Log.Enabled(nil, slog.LevelDebug) {
 		log, reg := cfg.Log, cfg.Metrics
 		mwCfg.OnProgress = func(job mw.Job, pr search.Progress) {
@@ -210,11 +206,9 @@ func Analyze(pat *alignment.Patterns, cfg Config) (*Analysis, error) {
 				reg.Gauge(obs.Key("search.logl", "kind", job.Kind.String(),
 					"index", fmt.Sprint(job.Index))).Set(pr.LogL)
 			}
-			if logProgress {
-				log.Debug("search progress", "kind", job.Kind.String(), "index", job.Index,
-					"phase", pr.Phase, "round", pr.Round, "moves", pr.Moves,
-					"logl", pr.LogL, "alpha", pr.Alpha)
-			}
+			log.Debug("search progress", "kind", job.Kind.String(), "index", job.Index,
+				"phase", pr.Phase, "round", pr.Round, "moves", pr.Moves,
+				"logl", pr.LogL, "alpha", pr.Alpha)
 		}
 	}
 	if cfg.MaxQuarantine >= 0 {

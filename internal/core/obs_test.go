@@ -16,11 +16,11 @@ import (
 // runs with a registry attached, the debug server's /metrics and
 // /debug/pprof/ endpoints must answer, and after the run the snapshot must
 // agree with the Analysis — supervision counters and the merged kernel
-// meter.
+// meter, published once under kernel.
 func TestAnalyzeLiveMetrics(t *testing.T) {
 	pat, _ := testPatterns(t, 8, 300, 7)
 	reg := obs.NewRegistry()
-	srv, addr, err := obs.StartDebugServer("127.0.0.1:0", reg)
+	srv, addr, err := obs.StartDebugServer("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +81,14 @@ func TestAnalyzeLiveMetrics(t *testing.T) {
 	}
 	if v, _ := snap.CounterValue("kernel.newview_calls"); v != a.Meter.NewviewCalls {
 		t.Errorf("kernel.newview_calls = %d, Analysis.Meter says %d", v, a.Meter.NewviewCalls)
+	}
+	// The meter has one name: no per-backend copy of its counters (the
+	// backend's latency histograms are the only kernel.<backend>.* series).
+	perBackend := "kernel." + cfg.Kernel.BackendName() + "."
+	for _, c := range snap.Counters {
+		if strings.HasPrefix(c.Name, perBackend) {
+			t.Errorf("counter %s repeats the kernel meter under the backend's name", c.Name)
+		}
 	}
 	// The gauge tracks the best over all jobs (bootstraps included), so it
 	// is at least the best inference the analysis reports.

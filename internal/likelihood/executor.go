@@ -33,7 +33,7 @@ import (
 // ("Parallelism: two axes").
 const (
 	// rangeBlock is the number of patterns in one block: a multiple of
-	// batchTile, and large enough that the paper's 42_SC (255 patterns) and
+	// batchTile, and large enough that the paper's 42_SC (249 patterns) and
 	// the benchmark's searches (67–110) are one block and never reach the
 	// executor.
 	rangeBlock = 512

@@ -298,8 +298,7 @@ func SuperviseWithCheckpoint(pat *alignment.Patterns, mod *model.Model, jobs []J
 		// The merged meter must cover restored jobs too, not just the
 		// remainder this run executed.
 		rep.Meter = aggregateMeter(all)
-		obs.PublishMeter(cfg.Metrics, "kernel.", &rep.Meter)
-		obs.PublishMeter(cfg.Metrics, "kernel."+cfg.Kernel.BackendName()+".", &rep.Meter)
+		obs.PublishMeter(cfg.Metrics, &rep.Meter)
 	}
 	if serr != nil {
 		_ = ckpt.flush() // best-effort persistence of the partial state

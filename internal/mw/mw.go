@@ -162,7 +162,7 @@ func runJob(pat *alignment.Patterns, mod *model.Model, job Job, cfg Config, tctx
 	if cfg.OnProgress != nil {
 		// Bind the job identity into the per-step trajectory hook, chaining
 		// rather than replacing a hook the caller set on the search options
-		// themselves (e.g. the CLI's per-round trajectory logging).
+		// themselves.
 		prev := opts.OnProgress
 		opts.OnProgress = func(pr search.Progress) {
 			if prev != nil {

@@ -310,12 +310,7 @@ func supervise(pat *alignment.Patterns, mod *model.Model, jobs []Job, cfg Config
 			}
 			cfg.Metrics.Histogram("mw.attempts_per_job", []float64{1, 2, 3, 5, 10, 20}).
 				Observe(float64(o.attempts))
-			obs.PublishMeter(cfg.Metrics, "kernel.", &rep.Meter)
-			// Also publish under the backend's own prefix so dashboards can
-			// tell kernel traffic apart per compute backend (the totals are
-			// the same series while a run uses a single backend, but the
-			// name pins which one produced them).
-			obs.PublishMeter(cfg.Metrics, "kernel."+cfg.Kernel.BackendName()+".", &rep.Meter)
+			obs.PublishMeter(cfg.Metrics, &rep.Meter)
 		}
 		s.log.Info("progress",
 			"done", len(rep.Results), "total", len(jobs), "failed", failed,

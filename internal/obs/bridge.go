@@ -3,15 +3,14 @@ package obs
 import "raxmlcell/internal/likelihood"
 
 // PublishMeter copies every field of an aggregated kernel meter into the
-// registry as counters under the given prefix (e.g. "kernel."). Meter
-// fields are cumulative totals, so republishing after each completed job
-// keeps the /metrics view current without sharing the meter itself across
-// workers.
-func PublishMeter(r *Registry, prefix string, m *likelihood.Meter) {
+// registry as counters named "kernel.<field>". Meter fields are cumulative
+// totals, so republishing after each completed job keeps the /metrics view
+// current without sharing the meter itself across workers.
+func PublishMeter(r *Registry, m *likelihood.Meter) {
 	if r == nil || m == nil {
 		return
 	}
-	set := func(name string, v uint64) { r.Counter(prefix + name).Store(v) }
+	set := func(name string, v uint64) { r.Counter("kernel." + name).Store(v) }
 	set("newview_calls", m.NewviewCalls)
 	set("makenewz_calls", m.MakenewzCalls)
 	set("evaluate_calls", m.EvaluateCalls)

@@ -20,9 +20,8 @@ import (
 // register, from the source under internal/ and cmd/: the literal names of
 // Registry.Counter/Gauge/Histogram calls (obs.Key's base name for labelled
 // series), the mw supervisor's count calls, the meter fields PublishMeter
-// republishes under "kernel." and again under "kernel.<backend>." (one
-// name, "kernel.[<backend>.]field", for the pair), and the kernel latency
-// histograms NewKernelHists registers per backend.
+// republishes as "kernel.<field>", and the kernel latency histograms
+// NewKernelHists registers per backend.
 func registeredSeries(t *testing.T, root string) map[string]bool {
 	t.Helper()
 	out := map[string]bool{}
@@ -80,7 +79,7 @@ func registeredSeries(t *testing.T, root string) map[string]bool {
 					fn == "count" && strings.Contains(name, "."):
 					out[name] = true
 				case fn == "set" && bridge:
-					out["kernel.[<backend>.]"+name] = true
+					out["kernel."+name] = true
 				}
 				return true
 			})

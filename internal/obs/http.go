@@ -6,33 +6,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 )
-
-// DebugOption configures optional endpoints on the debug mux.
-type DebugOption func(*debugConfig)
-
-type debugConfig struct {
-	flight *FlightRecorder
-}
-
-// WithFlight exposes the flight recorder's current window under
-// /debug/flight (the live counterpart of `raxml -flight-out`).
-func WithFlight(f *FlightRecorder) DebugOption {
-	return func(c *debugConfig) { c.flight = f }
-}
 
 // NewDebugMux builds the live-introspection handler served under
 // -debug-addr: the standard net/http/pprof endpoints (CPU/heap profiles,
-// goroutine dumps, execution traces), expvar under /debug/vars, a /metrics
-// registry snapshot (JSON by default; Prometheus text exposition with
-// ?format=prom or an Accept header preferring text/plain), and — with
-// WithFlight — the flight recorder's window under /debug/flight.
-func NewDebugMux(reg *Registry, opts ...DebugOption) *http.ServeMux {
-	var cfg debugConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// goroutine dumps, execution traces), expvar under /debug/vars, the
+// registry's JSON snapshot under /metrics, and — when flight is non-nil —
+// the flight recorder's window under /debug/flight (the live counterpart of
+// `raxml -flight-out`).
+func NewDebugMux(reg *Registry, flight *FlightRecorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -41,28 +23,20 @@ func NewDebugMux(reg *Registry, opts ...DebugOption) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if wantsProm(r) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WriteProm(w) //nolint:errcheck // headers sent; nothing left to report
-			return
-		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := reg.WriteJSON(w); err != nil {
-			// Headers are gone; all we can do is drop the connection.
-			return
-		}
+		reg.WriteJSON(w) //nolint:errcheck // headers sent; nothing left to report
 	})
-	if cfg.flight != nil {
+	if flight != nil {
 		mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			cfg.flight.WriteJSON(w) //nolint:errcheck // headers sent
+			flight.WriteJSON(w) //nolint:errcheck // headers sent
 		})
 	}
 	mux.HandleFunc("/{$}", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "raxml debug server")
-		fmt.Fprintln(w, "  /metrics             metrics registry snapshot (JSON; ?format=prom for Prometheus text)")
-		if cfg.flight != nil {
+		fmt.Fprintln(w, "  /metrics             metrics registry snapshot (JSON)")
+		if flight != nil {
 			fmt.Fprintln(w, "  /debug/flight        flight recorder window (JSON)")
 		}
 		fmt.Fprintln(w, "  /debug/pprof/    pprof profile index")
@@ -71,30 +45,15 @@ func NewDebugMux(reg *Registry, opts ...DebugOption) *http.ServeMux {
 	return mux
 }
 
-// wantsProm decides the /metrics representation: an explicit ?format=prom
-// (or ?format=prometheus) always wins; otherwise an Accept header that
-// mentions text/plain without mentioning application/json — the shape a
-// Prometheus scraper sends — selects the exposition format.
-func wantsProm(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prom", "prometheus":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") && !strings.Contains(accept, "application/json")
-}
-
 // StartDebugServer listens on addr (e.g. "localhost:6060"; a ":0" port
-// picks a free one) and serves the debug mux in the background. It returns
-// the server — Close it to stop — and the bound address.
-func StartDebugServer(addr string, reg *Registry, opts ...DebugOption) (*http.Server, net.Addr, error) {
+// picks a free one) and serves NewDebugMux(reg, flight) in the background.
+// It returns the server — Close it to stop — and the bound address.
+func StartDebugServer(addr string, reg *Registry, flight *FlightRecorder) (*http.Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("obs: debug server: %w", err)
 	}
-	srv := &http.Server{Handler: NewDebugMux(reg, opts...)}
+	srv := &http.Server{Handler: NewDebugMux(reg, flight)}
 	go srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
 	return srv, ln.Addr(), nil
 }

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -37,42 +38,36 @@ func getWith(t *testing.T, url, accept string) (int, string, []byte) {
 	return resp.StatusCode, resp.Header.Get("Content-Type"), body
 }
 
-func TestMetricsContentNegotiation(t *testing.T) {
+// TestMetricsContentIsJSON: /metrics has one encoding. A Prometheus-style
+// query or Accept header gets the registry's JSON snapshot like a bare GET.
+func TestMetricsContentIsJSON(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("mw.jobs_done").Add(2)
 	reg.Histogram("search.round_ms", obs.MsBuckets).Observe(1.5)
-	srv := httptest.NewServer(obs.NewDebugMux(reg))
+	srv := httptest.NewServer(obs.NewDebugMux(reg, nil))
 	defer srv.Close()
 
-	// Default: JSON.
-	_, ct, body := getWith(t, srv.URL+"/metrics", "")
-	if ct != "application/json; charset=utf-8" || body[0] != '{' {
-		t.Fatalf("default /metrics: Content-Type %q, body %q...", ct, body[:1])
-	}
-
-	// ?format=prom: exposition text, and it must self-validate.
-	_, ct, body = getWith(t, srv.URL+"/metrics?format=prom", "")
-	if ct != "text/plain; version=0.0.4; charset=utf-8" {
-		t.Fatalf("?format=prom Content-Type %q", ct)
-	}
-	if n, err := obs.ValidatePromFormat(bytes.NewReader(body)); err != nil || n == 0 {
-		t.Fatalf("?format=prom output invalid (%d samples): %v\n%s", n, err, body)
-	}
-
-	// A scraper-shaped Accept header selects prom; a JSON-preferring one
-	// keeps JSON; ?format=json overrides everything.
-	if _, ct, _ = getWith(t, srv.URL+"/metrics", "text/plain;version=0.0.4"); !contains(ct, "text/plain") {
-		t.Fatalf("Accept text/plain got %q", ct)
-	}
-	if _, ct, _ = getWith(t, srv.URL+"/metrics", "application/json, text/plain"); !contains(ct, "application/json") {
-		t.Fatalf("Accept json+text got %q", ct)
-	}
-	if _, ct, _ = getWith(t, srv.URL+"/metrics?format=json", "text/plain"); !contains(ct, "application/json") {
-		t.Fatalf("?format=json with text Accept got %q", ct)
+	for _, c := range []struct{ query, accept string }{
+		{"", ""},
+		{"?format=prom", ""},
+		{"", "text/plain;version=0.0.4"},
+	} {
+		code, ct, body := getWith(t, srv.URL+"/metrics"+c.query, c.accept)
+		if code != http.StatusOK || ct != "application/json; charset=utf-8" {
+			t.Fatalf("/metrics%s (Accept %q): status %d, Content-Type %q", c.query, c.accept, code, ct)
+		}
+		var snap obs.Snapshot
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatalf("/metrics%s (Accept %q) is not a Snapshot: %v\n%s", c.query, c.accept, err, body)
+		}
+		if v, ok := snap.CounterValue("mw.jobs_done"); !ok || v != 2 {
+			t.Fatalf("/metrics%s (Accept %q): mw.jobs_done = %d, %v", c.query, c.accept, v, ok)
+		}
+		if len(snap.Histograms) != 1 || snap.Histograms[0].Count != 1 {
+			t.Fatalf("/metrics%s (Accept %q): histograms %+v", c.query, c.accept, snap.Histograms)
+		}
 	}
 }
-
-func contains(s, sub string) bool { return bytes.Contains([]byte(s), []byte(sub)) }
 
 func TestDebugFlightEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -80,7 +75,7 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	f.Record("attempt", "inference#0", 1, 0, "")
 	f.Record("quarantine", "inference#0", 2, 0, "crash")
 
-	srv := httptest.NewServer(obs.NewDebugMux(reg, obs.WithFlight(f)))
+	srv := httptest.NewServer(obs.NewDebugMux(reg, f))
 	defer srv.Close()
 
 	code, ct, body := getWith(t, srv.URL+"/debug/flight", "")
@@ -91,8 +86,8 @@ func TestDebugFlightEndpoint(t *testing.T) {
 		t.Fatalf("/debug/flight payload invalid (%d events): %v\n%s", n, err, body)
 	}
 
-	// Without WithFlight the endpoint must not exist.
-	bare := httptest.NewServer(obs.NewDebugMux(reg))
+	// Without a recorder the endpoint must not exist.
+	bare := httptest.NewServer(obs.NewDebugMux(reg, nil))
 	defer bare.Close()
 	if code, _, _ := getWith(t, bare.URL+"/debug/flight", ""); code != http.StatusNotFound {
 		t.Fatalf("/debug/flight without a recorder: status %d, want 404", code)
@@ -101,7 +96,7 @@ func TestDebugFlightEndpoint(t *testing.T) {
 
 func TestStartDebugServerShutdown(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv, addr, err := obs.StartDebugServer("127.0.0.1:0", reg)
+	srv, addr, err := obs.StartDebugServer("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +122,7 @@ func TestStartDebugServerPortInUse(t *testing.T) {
 	}
 	defer ln.Close()
 
-	if srv, _, err := obs.StartDebugServer(ln.Addr().String(), obs.NewRegistry()); err == nil {
+	if srv, _, err := obs.StartDebugServer(ln.Addr().String(), obs.NewRegistry(), nil); err == nil {
 		srv.Close()
 		t.Fatal("StartDebugServer on an occupied port did not fail")
 	}

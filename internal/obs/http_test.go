@@ -17,7 +17,7 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	reg.Counter("mw.jobs_done").Add(7)
 	reg.Gauge("mw.best_logl").Set(-1234.5)
 
-	srv := httptest.NewServer(obs.NewDebugMux(reg))
+	srv := httptest.NewServer(obs.NewDebugMux(reg, nil))
 	defer srv.Close()
 
 	get := func(path string) (int, []byte) {
@@ -61,7 +61,7 @@ func TestDebugMuxEndpoints(t *testing.T) {
 func TestStartDebugServer(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("x").Inc()
-	srv, addr, err := obs.StartDebugServer("127.0.0.1:0", reg)
+	srv, addr, err := obs.StartDebugServer("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestStartDebugServer(t *testing.T) {
 func TestPublishMeter(t *testing.T) {
 	m := likelihood.Meter{NewviewCalls: 10, Muls: 200, Adds: 100, CacheHits: 3}
 	reg := obs.NewRegistry()
-	obs.PublishMeter(reg, "kernel.", &m)
+	obs.PublishMeter(reg, &m)
 	snap := reg.Snapshot()
 	for name, want := range map[string]uint64{
 		"kernel.newview_calls": 10,
@@ -102,10 +102,10 @@ func TestPublishMeter(t *testing.T) {
 	}
 	// Republishing updated totals overwrites, not accumulates.
 	m.NewviewCalls = 25
-	obs.PublishMeter(reg, "kernel.", &m)
+	obs.PublishMeter(reg, &m)
 	snap = reg.Snapshot()
 	if v, _ := snap.CounterValue("kernel.newview_calls"); v != 25 {
 		t.Fatalf("republished newview_calls = %d, want 25", v)
 	}
-	obs.PublishMeter(nil, "kernel.", &m) // nil registry must be a no-op
+	obs.PublishMeter(nil, &m) // nil registry must be a no-op
 }

@@ -1,6 +1,6 @@
 // Package obs is the observability layer of the reproduction: timeline
 // tracing for both the simulated Cell and the real inference pipeline, a
-// unified metrics registry with JSON and Prometheus surfaces, a crash-scoped
+// unified metrics registry served as one JSON snapshot, a crash-scoped
 // flight recorder, and live introspection endpoints.
 //
 // The package has five coordinated parts:
@@ -32,21 +32,21 @@
 //
 //   - Registry is a process-wide metrics surface — counters, gauges and
 //     lock-free histograms — that unifies the accounting previously
-//     scattered across one-off structs: the likelihood kernel Meter,
+//     scattered across one-off structs: the likelihood kernel Meter (as
+//     kernel.<field>),
 //     master-worker supervision Stats, checkpoint events, search progress,
 //     and the new latency histograms (search.round_ms, mw.attempt_ms,
 //     checkpoint.save_ms, kernel.<backend>.<op>_ms). Snapshots are sorted
-//     by name, so both the JSON form and the Prometheus text exposition
-//     (WriteProm) are deterministic.
+//     by name, so their JSON form is deterministic.
 //
 //   - The debug HTTP mux (NewDebugMux/StartDebugServer) serves
-//     net/http/pprof profiles, expvar, /metrics (JSON, or Prometheus text
-//     with ?format=prom), and optionally /debug/flight during a live run,
-//     and the slog helpers give every CLI the same structured logging
+//     net/http/pprof profiles, expvar, /metrics (the registry's JSON
+//     snapshot) and, given a flight recorder, /debug/flight during a live
+//     run, and the slog helpers give every CLI the same structured logging
 //     levels (-v/-quiet).
 //
 // obs sits under the simdeterminism analyzer: nothing in this package may
 // read the wall clock (all timing flows through injected time sources),
 // draw from the global math/rand source, or iterate a map in randomized
-// order on a path that feeds trace, snapshot or exposition output.
+// order on a path that feeds trace or snapshot output.
 package obs
