@@ -102,12 +102,13 @@ obs-gate:
 		-rounds 2 -radius 3 -trace-out $(BIN)/wall-trace.json -flight-out $(BIN)/flight.json
 
 # chaos replays the fault-injection campaigns under the race detector with a
-# pinned seed, so a failure here is reproducible bit for bit. Override
-# RAXML_CHAOS_SEED to explore other fault schedules.
+# pinned seed, so a failure here is reproducible bit for bit, together with
+# the stop tests: a deadline or an abort stops a search within one prune.
+# Override RAXML_CHAOS_SEED to explore other fault schedules.
 chaos:
 	RAXML_CHAOS_SEED=$${RAXML_CHAOS_SEED:-42} $(GO) test -race -count=1 \
-		-run 'Chaos|Supervise|Quarantine|Retry|Hang|Backoff|Checkpoint|Resumed|Fault' \
-		./internal/mw/... ./internal/fault/... ./internal/core/...
+		-run 'Chaos|Supervise|Quarantine|Retry|Hang|Backoff|Checkpoint|Resumed|Fault|Stop' \
+		./internal/mw/... ./internal/fault/... ./internal/core/... ./internal/search/...
 
 # fuzz runs every fuzz target for a short, CI-sized session each: random
 # bytes at the checkpoint loaders, edit/invalidate/read interleavings against

@@ -109,7 +109,7 @@ func main() {
 		startTree  = flag.String("start", "parsimony", "starting tree: parsimony (randomized stepwise addition, each taxon on the branch of least Fitch score), nj or random")
 		checkpoint = flag.String("checkpoint", "", "persist completed jobs to this file and resume from it")
 		retries    = flag.Int("retries", 1, "attempts per job, the first included: a job that fails (crash, timeout, invalid result) is retried until it has had this many (1 = no retry)")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-job attempt deadline; a hung job is killed and retried (0 = none)")
+		jobTimeout = flag.Duration("job-timeout", 0, "per-job attempt deadline; an attempt still running then is stopped, within one SPR prune for a search, and retried (0 = none)")
 		maxQuar    = flag.Int("max-quarantine", 0, "jobs allowed to fail all attempts before the campaign aborts (-1 = unlimited, report partial results)")
 		draw       = flag.Bool("draw", false, "print an ASCII rendering of the best tree")
 		treesOut   = flag.String("trees-out", "", "write all result trees (best + bootstraps) to this NEXUS file")

@@ -53,8 +53,8 @@ type Config struct {
 	// function of its seed.
 	Retries int
 
-	// JobTimeout is the per-attempt deadline for hung-worker detection;
-	// zero disables deadlines.
+	// JobTimeout is the per-attempt deadline: a running attempt is stopped
+	// there (a search within one prune) and retried; zero disables it.
 	JobTimeout time.Duration
 
 	// MaxQuarantine is the number of quarantined (permanently failed)

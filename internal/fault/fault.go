@@ -29,13 +29,13 @@ const (
 	// Crash: the attempt dies immediately, as if its worker process was
 	// lost; the supervisor sees an error and may retry.
 	Crash
-	// Hang: the attempt blocks until the supervisor's per-job deadline
-	// kills it — the "silent node" failure mode deadline detection exists
-	// for. Without an armed deadline a hang degrades to a crash so the
-	// worker pool can never wedge.
+	// Hang: the attempt blocks until its stop signal fires (per-job
+	// deadline or campaign abort) — the "silent node" failure mode deadline
+	// detection exists for. The supervisor rejects a plan that hangs without
+	// a deadline, so the worker pool can never wedge.
 	Hang
-	// SlowDown: the attempt sleeps for Decision.Delay before doing real
-	// work, exercising deadline headroom without changing the result.
+	// SlowDown: the attempt waits Decision.Delay before doing real work,
+	// exercising deadline headroom without changing the result.
 	SlowDown
 	// Corrupt: the attempt completes but its result payload is mangled
 	// (truncated Newick or non-finite log-likelihood); result validation
@@ -69,16 +69,14 @@ func (k Kind) String() string {
 // with errors.Is.
 var ErrInjected = errors.New("fault: injected")
 
-// Clock abstracts the time source of the supervision layer: per-attempt
-// deadlines, backoff sleeps, and slow-down faults all go through it. The
-// simdeterminism invariant bars internal/mw and this package from the wall
-// clock, so the real implementation lives in internal/wallclock and tests
-// inject their own.
+// Clock abstracts the time source of the supervision layer: deadlines,
+// backoff waits and slow-down faults select on After beside a stop signal,
+// so an abort ends them all. The simdeterminism invariant bars internal/mw
+// and this package from the wall clock, so the real implementation lives in
+// internal/wallclock and tests inject their own.
 type Clock interface {
 	// After returns a channel that receives after d elapses.
 	After(d time.Duration) <-chan time.Time
-	// Sleep blocks for d.
-	Sleep(d time.Duration)
 }
 
 // Config sets the per-attempt firing probability of each fault kind. The
@@ -94,7 +92,7 @@ type Config struct {
 
 	PCheckpoint float64 // P(one checkpoint write fails)
 
-	SlowDelay time.Duration // duration a SlowDown fault sleeps (default 1ms)
+	SlowDelay time.Duration // duration a SlowDown fault waits (default 1ms)
 }
 
 // Injector hands out deterministic fault decisions. It is stateless after
@@ -131,7 +129,7 @@ func New(cfg Config) (*Injector, error) {
 // Decision is the fault selected for one job attempt.
 type Decision struct {
 	Kind  Kind
-	Delay time.Duration // sleep length for SlowDown
+	Delay time.Duration // wait length for SlowDown
 	Coin  uint64        // deterministic variant selector for the fault's flavour
 }
 
@@ -175,6 +173,9 @@ func (in *Injector) JobAttempt(jobSeed int64, attempt int) Decision {
 	}
 	return d
 }
+
+// Hangs reports whether the plan can inject a Hang.
+func (in *Injector) Hangs() bool { return in.cfg.PHang > 0 }
 
 // CheckpointWrite reports whether the ordinal-th checkpoint save (1-based)
 // should fail.

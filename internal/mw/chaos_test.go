@@ -29,7 +29,8 @@ func chaosSeed(t *testing.T) int64 {
 // asserts the core fault-tolerance guarantee: every job that survives
 // supervision is bit-identical (Newick, LogL, Alpha, and even the kernel
 // meter) to the fault-free baseline, because jobs are pure functions of
-// their seed and retries simply re-evaluate that function.
+// their seed and retries simply re-evaluate that function. No goroutine a
+// row's campaigns start outlives them.
 func TestChaosMatrix(t *testing.T) {
 	pat, m := testData(t, 7, 150)
 	seed := chaosSeed(t)
@@ -78,6 +79,8 @@ func TestChaosMatrix(t *testing.T) {
 			if needsClock {
 				cfg.Clock = testClock{}
 			}
+			before := goroutines()
+			defer requireNoLeak(t, before)
 			rep, err := Supervise(pat, m, jobs, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -156,10 +159,12 @@ func TestChaosAcceptance(t *testing.T) {
 		Fault:   mustInjector(t, fault.Config{Seed: seed, PCrash: 0.3, PHang: 0.3, PCorrupt: 0.3}),
 		Clock:   testClock{},
 	}
+	before := goroutines()
 	rep, err := Supervise(pat, m, jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireNoLeak(t, before)
 	// P(60 straight faulty attempts) = 0.9^60 ~ 0.002 per job; with this
 	// seed every job must come back.
 	for _, r := range rep.Results {

@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -96,7 +97,7 @@ func TestDrawnMultiBlockReplicate(t *testing.T) {
 	cfg := Config{Search: search.Options{Radius: 3, MaxRounds: 2, SmoothPasses: 2, Epsilon: 0.05}}
 	run := func(procs int) JobResult {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		r := runJob(pat, mod, job, cfg, cfg.Trace)
+		r := runJob(context.Background(), pat, mod, job, cfg, cfg.Trace)
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}

@@ -9,6 +9,7 @@
 package mw
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -74,10 +75,10 @@ type Config struct {
 	// nil.
 	Fault *fault.Injector
 
-	// Clock supplies the time source for deadlines, backoff sleeps and
+	// Clock supplies the time source for deadlines, backoff waits and
 	// slow-down faults. The simdeterminism invariant bars this package
 	// from the wall clock, so production entry points inject
-	// wallclock.Clock; a nil Clock disables deadlines and backoff.
+	// wallclock.Clock; nil disables backoff and refuses deadlines.
 	Clock fault.Clock
 
 	// Log receives structured supervision events — job lifecycle at Debug,
@@ -126,11 +127,11 @@ func Plan(nInf, nBoot int, baseSeed int64) []Job {
 	return jobs
 }
 
-// runJob executes one search end to end; it owns a private engine, RNG and
-// meter so workers share nothing mutable. tctx is the job-labeled span
-// context the search records into; its time source also drives the
-// per-backend kernel latency histograms.
-func runJob(pat *alignment.Patterns, mod *model.Model, job Job, cfg Config, tctx obs.Ctx) JobResult {
+// runJob executes one search end to end until ctx is done; it owns a private
+// engine, RNG and meter so workers share nothing mutable. tctx is the
+// job-labeled span context the search records into; its time source also
+// drives the per-backend kernel latency histograms.
+func runJob(ctx context.Context, pat *alignment.Patterns, mod *model.Model, job Job, cfg Config, tctx obs.Ctx) JobResult {
 	res := JobResult{Job: job}
 	rng := rand.New(rand.NewSource(job.Seed))
 
@@ -171,7 +172,7 @@ func runJob(pat *alignment.Patterns, mod *model.Model, job Job, cfg Config, tctx
 			cfg.OnProgress(job, pr)
 		}
 	}
-	out, err := search.Run(eng, start, opts)
+	out, err := search.RunContext(ctx, eng, start, opts)
 	if err != nil {
 		res.Err = err
 		return res

@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -28,9 +29,9 @@ type RetryPolicy struct {
 	// seed, so a retry reproduces exactly the result the failed attempt
 	// would have produced.
 	MaxAttempts int
-	// JobTimeout is the per-attempt deadline; an attempt that exceeds it
-	// is abandoned and counted as a failure (hung-worker detection). Zero
-	// disables deadlines. Requires Config.Clock.
+	// JobTimeout is the per-attempt deadline (hung-worker detection): the
+	// attempt is stopped there, within one prune, and counted as a timeout
+	// before any retry starts. Zero disables deadlines. Requires Config.Clock.
 	JobTimeout time.Duration
 	// Backoff is the base delay before the second attempt of a job; it
 	// doubles per subsequent attempt with deterministic jitter in
@@ -73,7 +74,7 @@ type Quarantine struct {
 type Stats struct {
 	Attempts       int // job attempts started
 	Retries        int // attempts beyond each job's first
-	Timeouts       int // attempts abandoned at their deadline
+	Timeouts       int // attempts stopped at their deadline
 	FaultsInjected int // injected job faults encountered (chaos runs)
 
 	CheckpointFailures  int  // checkpoint writes that failed and were deferred
@@ -106,7 +107,7 @@ func aggregateMeter(results []JobResult) likelihood.Meter {
 }
 
 var (
-	// ErrTimeout marks an attempt abandoned at its per-job deadline.
+	// ErrTimeout marks an attempt stopped at its per-job deadline.
 	ErrTimeout = errors.New("mw: attempt deadline exceeded")
 	// ErrCampaignAborted marks a campaign cancelled because the
 	// quarantine limit was breached.
@@ -176,25 +177,14 @@ type supervisor struct {
 	stats       Stats
 	quarantined []Quarantine
 
-	stop     chan struct{} // closed when the quarantine limit is breached
-	stopOnce sync.Once
+	ctx    context.Context         // the campaign's stop signal; every attempt's derives from it
+	cancel context.CancelCauseFunc // with ErrCampaignAborted when the quarantine limit is breached
 }
 
 // count bumps a live supervision counter; a nil registry costs one branch.
 func (s *supervisor) count(name string) {
 	if s.cfg.Metrics != nil {
 		s.cfg.Metrics.Counter(name).Inc()
-	}
-}
-
-func (s *supervisor) abort() { s.stopOnce.Do(func() { close(s.stop) }) }
-
-func (s *supervisor) stopped() bool {
-	select {
-	case <-s.stop:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -216,7 +206,7 @@ func (s *supervisor) noteQuarantine(q Quarantine) {
 	n := len(s.quarantined)
 	s.mu.Unlock()
 	if s.cfg.Retry.LimitQuarantine && n > s.cfg.Retry.MaxQuarantine {
-		s.abort()
+		s.cancel(ErrCampaignAborted)
 	}
 }
 
@@ -224,8 +214,8 @@ func (s *supervisor) noteQuarantine(q Quarantine) {
 // plan, if any) and returns the full campaign report. Unless the quarantine
 // limit is breached, Supervise succeeds even when jobs fail permanently:
 // the report then carries partial results plus the quarantine list. On a
-// limit breach it cancels outstanding work and returns the partial report
-// together with an error wrapping ErrCampaignAborted.
+// limit breach it stops outstanding work, searches in flight included, and
+// returns the partial report with an error wrapping ErrCampaignAborted.
 func Supervise(pat *alignment.Patterns, mod *model.Model, jobs []Job, cfg Config) (*Report, error) {
 	return supervise(pat, mod, jobs, cfg, nil)
 }
@@ -243,7 +233,13 @@ func supervise(pat *alignment.Patterns, mod *model.Model, jobs []Job, cfg Config
 	if cfg.Log == nil {
 		cfg.Log = obs.Discard()
 	}
-	s := &supervisor{pat: pat, mod: mod, cfg: cfg, log: cfg.Log, stop: make(chan struct{})}
+	armed := cfg.Retry.JobTimeout > 0
+	if armed && cfg.Clock == nil || !armed && cfg.Fault != nil && cfg.Fault.Hangs() {
+		return nil, fmt.Errorf("mw: a job timeout needs a clock, and an injected hang a job timeout (timeout %v, clock %v)", cfg.Retry.JobTimeout, cfg.Clock != nil)
+	}
+	s := &supervisor{pat: pat, mod: mod, cfg: cfg, log: cfg.Log}
+	s.ctx, s.cancel = context.WithCancelCause(context.Background())
+	defer s.cancel(nil)
 	if cfg.Metrics != nil {
 		cfg.Metrics.Gauge("mw.jobs_total").Set(float64(len(jobs)))
 		cfg.Metrics.Gauge("mw.workers").Set(float64(cfg.Workers))
@@ -276,7 +272,7 @@ func supervise(pat *alignment.Patterns, mod *model.Model, jobs []Job, cfg Config
 		for _, j := range jobs {
 			select {
 			case jobCh <- j:
-			case <-s.stop:
+			case <-s.ctx.Done():
 				return
 			}
 		}
@@ -357,15 +353,9 @@ func (s *supervisor) superviseJob(job Job, worker int, wctx obs.Ctx) outcome {
 	jctx := wctx.WithJob(label)
 	flight := s.cfg.Flight
 	budget := s.cfg.Retry.maxAttempts()
-	var last JobResult
+	last := JobResult{Job: job, Err: ErrCampaignAborted} // if stopped before a first attempt
 	for attempt := 1; attempt <= budget; attempt++ {
-		if s.stopped() {
-			if last.Err == nil {
-				last = JobResult{Job: job, Err: ErrCampaignAborted}
-			}
-			return outcome{result: last, attempts: attempt - 1}
-		}
-		if attempt > 1 {
+		if attempt > 1 && s.ctx.Err() == nil {
 			s.note(func(st *Stats) { st.Retries++ })
 			s.count("mw.retries")
 			d := backoffDelay(s.cfg.Retry, job.Seed, attempt)
@@ -374,9 +364,15 @@ func (s *supervisor) superviseJob(job Job, worker int, wctx obs.Ctx) outcome {
 			flight.Record("backoff", label, attempt, worker, d.String())
 			if d > 0 && s.cfg.Clock != nil {
 				bsp := jctx.Start("backoff", "mw")
-				s.cfg.Clock.Sleep(d)
+				select {
+				case <-s.cfg.Clock.After(d):
+				case <-s.ctx.Done():
+				}
 				bsp.End()
 			}
+		}
+		if s.ctx.Err() != nil {
+			return outcome{result: last, attempts: attempt - 1}
 		}
 		s.note(func(st *Stats) { st.Attempts++ })
 		s.count("mw.attempts")
@@ -404,6 +400,9 @@ func (s *supervisor) superviseJob(job Job, worker int, wctx obs.Ctx) outcome {
 		} else if !timedOut {
 			flight.Record("attempt.err", label, attempt, worker, r.Err.Error())
 		}
+		if errors.Is(r.Err, ErrCampaignAborted) {
+			return outcome{result: r, attempts: attempt}
+		}
 		last = r
 	}
 	var errDetail string
@@ -421,8 +420,10 @@ func (s *supervisor) superviseJob(job Job, worker int, wctx obs.Ctx) outcome {
 	return outcome{result: last, attempts: budget, quarantined: true}
 }
 
-// attemptOnce runs a single attempt, arming the per-job deadline when one
-// is configured. The second return value reports a deadline expiry.
+// attemptOnce runs a single attempt under its own stop signal, the
+// campaign's cancelled with ErrTimeout when the per-job deadline passes, and
+// returns once the attempt has: none outlives its deadline or its campaign.
+// The second return value reports a deadline expiry.
 func (s *supervisor) attemptOnce(job Job, attempt, worker int, jctx obs.Ctx) (JobResult, bool) {
 	var dec fault.Decision
 	if s.cfg.Fault != nil {
@@ -433,50 +434,51 @@ func (s *supervisor) attemptOnce(job Job, attempt, worker int, jctx obs.Ctx) (Jo
 			s.cfg.Flight.Record("fault", jobLabel(job), attempt, worker, dec.Kind.String())
 		}
 	}
-	timeout := s.cfg.Retry.JobTimeout
-	if timeout <= 0 || s.cfg.Clock == nil {
-		return s.execute(job, attempt, worker, jctx, dec, nil), false
+	ctx, cancel := context.WithCancelCause(s.ctx)
+	var watch sync.WaitGroup
+	if timeout := s.cfg.Retry.JobTimeout; timeout > 0 {
+		expired := s.cfg.Clock.After(timeout)
+		watch.Add(1)
+		go func() {
+			defer watch.Done()
+			select {
+			case <-expired:
+				cancel(ErrTimeout)
+			case <-ctx.Done():
+			}
+		}()
 	}
-	done := make(chan JobResult, 1) // buffered: an abandoned attempt still exits
-	kill := make(chan struct{})
-	go func() { done <- s.execute(job, attempt, worker, jctx, dec, kill) }()
-	select {
-	case r := <-done:
+	r := s.execute(ctx, job, attempt, worker, jctx, dec)
+	cancel(nil)
+	watch.Wait()
+	if !errors.Is(r.Err, ErrTimeout) {
 		return r, false
-	case <-s.cfg.Clock.After(timeout):
-		close(kill)
-		return JobResult{Job: job, Err: fmt.Errorf("%w: %v job %d attempt %d exceeded %v",
-			ErrTimeout, job.Kind, job.Index, attempt, timeout)}, true
-	case <-s.stop:
-		close(kill)
-		return JobResult{Job: job, Err: ErrCampaignAborted}, false
 	}
+	r.Err = fmt.Errorf("%w: %v job %d attempt %d exceeded %v", ErrTimeout, job.Kind, job.Index, attempt, s.cfg.Retry.JobTimeout)
+	return r, true
 }
 
-// execute runs one attempt end to end, applying the injected fault. kill is
-// non-nil only when a deadline is armed; a Hang fault blocks on it so the
-// goroutine exits once the supervisor abandons the attempt.
-func (s *supervisor) execute(job Job, attempt, worker int, jctx obs.Ctx, dec fault.Decision, kill <-chan struct{}) JobResult {
+// execute runs one attempt end to end under its stop signal ctx, applying
+// the injected fault. A hang, and a slow-down or search that ctx stops,
+// return ctx's cause.
+func (s *supervisor) execute(ctx context.Context, job Job, attempt, worker int, jctx obs.Ctx, dec fault.Decision) JobResult {
 	switch dec.Kind {
 	case fault.Crash:
 		return JobResult{Job: job, Err: fmt.Errorf("worker crash on %v job %d attempt %d: %w",
 			job.Kind, job.Index, attempt, fault.ErrInjected)}
 	case fault.Hang:
-		if kill == nil {
-			// No deadline armed: an indefinite block would wedge the
-			// worker forever, so the hang degrades to an immediate crash.
-			return JobResult{Job: job, Err: fmt.Errorf("worker hang (no deadline armed) on %v job %d attempt %d: %w",
-				job.Kind, job.Index, attempt, fault.ErrInjected)}
-		}
-		<-kill
-		return JobResult{Job: job, Err: fmt.Errorf("worker hung on %v job %d attempt %d: %w",
-			job.Kind, job.Index, attempt, fault.ErrInjected)}
+		<-ctx.Done()
+		return JobResult{Job: job, Err: context.Cause(ctx)}
 	case fault.SlowDown:
 		if s.cfg.Clock != nil && dec.Delay > 0 {
-			s.cfg.Clock.Sleep(dec.Delay)
+			select {
+			case <-s.cfg.Clock.After(dec.Delay):
+			case <-ctx.Done():
+				return JobResult{Job: job, Err: context.Cause(ctx)}
+			}
 		}
 	}
-	r := s.runJobSafe(job, attempt, worker, jctx)
+	r := s.runJobSafe(ctx, job, attempt, worker, jctx)
 	if dec.Kind == fault.Corrupt && r.Err == nil {
 		corruptResult(&r, dec.Coin)
 	}
@@ -487,7 +489,7 @@ func (s *supervisor) execute(job Job, attempt, worker int, jctx obs.Ctx, dec fau
 // supervision loop then retries or quarantines it like any other failure
 // instead of tearing the whole campaign down, and the flight recorder keeps
 // the panic value for the post-mortem.
-func (s *supervisor) runJobSafe(job Job, attempt, worker int, tctx obs.Ctx) (res JobResult) {
+func (s *supervisor) runJobSafe(ctx context.Context, job Job, attempt, worker int, tctx obs.Ctx) (res JobResult) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.cfg.Flight.Record("panic", jobLabel(job), attempt, worker, fmt.Sprint(p))
@@ -495,7 +497,7 @@ func (s *supervisor) runJobSafe(job Job, attempt, worker int, tctx obs.Ctx) (res
 				job.Kind, job.Index, attempt, p)}
 		}
 	}()
-	return runJob(s.pat, s.mod, job, s.cfg, tctx)
+	return runJob(ctx, s.pat, s.mod, job, s.cfg, tctx)
 }
 
 // corruptResult deterministically mangles a completed result the way a

@@ -15,7 +15,6 @@ import (
 type testClock struct{}
 
 func (testClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (testClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 
 func mustInjector(t *testing.T, cfg fault.Config) *fault.Injector {
 	t.Helper()
@@ -221,28 +220,22 @@ func TestSuperviseHangTimesOutAndRetries(t *testing.T) {
 	}
 }
 
-func TestSuperviseHangWithoutClockDegradesToCrash(t *testing.T) {
-	// Without a deadline armed, an injected hang must not wedge the worker
-	// pool: it fails fast like a crash. This test hangs forever if the
-	// degradation is broken.
+func TestSuperviseRejectsUnarmedDeadline(t *testing.T) {
+	// A deadline needs a clock to fire it, and an injected hang needs a
+	// deadline to end it: without one the worker pool would wedge, so
+	// Supervise refuses the configuration before running any job. This test
+	// hangs forever if the refusal is broken.
 	pat, m := testData(t, 6, 100)
 	jobs := Plan(1, 1, 29)
-	cfg := Config{
-		Workers: 1,
-		Search:  fastSearch(),
-		Retry:   RetryPolicy{MaxAttempts: 2},
-		Fault:   mustInjector(t, fault.Config{Seed: 1, PHang: 1}),
-	}
-	rep, err := Supervise(pat, m, jobs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Quarantined) != len(jobs) {
-		t.Errorf("quarantined = %d, want %d", len(rep.Quarantined), len(jobs))
-	}
-	for _, q := range rep.Quarantined {
-		if !errors.Is(q.Err, fault.ErrInjected) {
-			t.Errorf("unexpected quarantine error: %v", q.Err)
+	hangs := mustInjector(t, fault.Config{Seed: 1, PHang: 1})
+	for name, cfg := range map[string]Config{
+		"hang without deadline":        {Fault: hangs, Clock: testClock{}},
+		"hang with deadline, no clock": {Fault: hangs, Retry: RetryPolicy{JobTimeout: time.Second}},
+		"deadline without clock":       {Retry: RetryPolicy{JobTimeout: time.Second}},
+	} {
+		cfg.Search = fastSearch()
+		if rep, err := Supervise(pat, m, jobs, cfg); err == nil || rep != nil {
+			t.Errorf("%s: Supervise ran (report %v, error %v)", name, rep != nil, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,7 +200,7 @@ func TestCandidateCost42SC(t *testing.T) {
 	reg := obs.NewRegistry()
 	sc := newSearchCtx(eng, Options{Metrics: reg})
 	before := eng.Meter
-	if _, moves, err := sprRound(eng, tr, sc, DefaultOptions().Radius, ll, math.Inf(1)); err != nil || moves != 0 {
+	if _, moves, err := sprRound(context.Background(), eng, tr, sc, DefaultOptions().Radius, ll, math.Inf(1)); err != nil || moves != 0 {
 		t.Fatalf("scoring-only round: %d moves, err %v", moves, err)
 	}
 	m := &eng.Meter

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 
 	"raxmlcell/internal/likelihood"
@@ -13,7 +14,8 @@ import (
 // space (Brent's method per rate), updating the engine's model in place. It
 // returns the fitted rates and the final log-likelihood. RAxML performs the
 // same style of coordinate-wise model optimization between search phases.
-func OptimizeGTRRates(eng *likelihood.Engine, tr *phylotree.Tree, sweeps int, tol float64) ([6]float64, float64, error) {
+// It stops, returning ctx's cause, once ctx is done.
+func OptimizeGTRRates(ctx context.Context, eng *likelihood.Engine, tr *phylotree.Tree, sweeps int, tol float64) ([6]float64, float64, error) {
 	if sweeps <= 0 {
 		sweeps = 2
 	}
@@ -26,6 +28,9 @@ func OptimizeGTRRates(eng *likelihood.Engine, tr *phylotree.Tree, sweeps int, to
 	cats := eng.Mod.NumCats()
 
 	apply := func(r [6]float64) (float64, error) {
+		if err := halted(ctx); err != nil {
+			return 0, err
+		}
 		g, err := model.NewGTR(r, freqs)
 		if err != nil {
 			return 0, err
@@ -81,20 +86,21 @@ func OptimizeGTRRates(eng *likelihood.Engine, tr *phylotree.Tree, sweeps int, to
 
 // OptimizeAll runs the full model-plus-branch optimization cycle RAxML
 // applies to a fixed topology: branch smoothing, Gamma shape, GTR rates,
-// iterated until the likelihood gain per cycle drops below eps.
-func OptimizeAll(eng *likelihood.Engine, tr *phylotree.Tree, eps float64) (float64, error) {
+// iterated until the likelihood gain per cycle drops below eps, or until
+// ctx is done.
+func OptimizeAll(ctx context.Context, eng *likelihood.Engine, tr *phylotree.Tree, eps float64) (float64, error) {
 	if eps <= 0 {
 		eps = 0.05
 	}
 	last := math.Inf(-1)
 	for cycle := 0; cycle < 10; cycle++ {
-		if _, err := SmoothBranches(eng, tr, 4, eps/4); err != nil {
+		if _, err := smoothBranches(ctx, eng, tr, 4, eps/4, policy{}); err != nil {
 			return 0, err
 		}
-		if _, _, err := OptimizeAlpha(eng, tr, 0.02, 50, 1e-2); err != nil {
+		if _, _, err := optimizeAlpha(ctx, eng, tr, 0.02, 50, 1e-2); err != nil {
 			return 0, err
 		}
-		_, ll, err := OptimizeGTRRates(eng, tr, 1, 2e-2)
+		_, ll, err := OptimizeGTRRates(ctx, eng, tr, 1, 2e-2)
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,7 +56,7 @@ func TestOptimizeGTRRatesImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates, after, err := OptimizeGTRRates(eng, tr, 3, 1e-2)
+	rates, after, err := OptimizeGTRRates(context.Background(), eng, tr, 3, 1e-2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +130,12 @@ func TestOptimizeAllConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := truth.Clone()
-	ll1, err := OptimizeAll(eng, tr, 0.05)
+	ll1, err := OptimizeAll(context.Background(), eng, tr, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A second cycle must be (nearly) a no-op.
-	ll2, err := OptimizeAll(eng, tr, 0.05)
+	ll2, err := OptimizeAll(context.Background(), eng, tr, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -31,13 +32,13 @@ import (
 // invalidation on a tree the engine does not observe — so each Newton step
 // recomputes only the views the previous step dirtied, not the whole tree.
 func SmoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, eps float64) (float64, error) {
-	return smoothBranches(eng, tr, maxPasses, eps, policy{})
+	return smoothBranches(context.Background(), eng, tr, maxPasses, eps, policy{})
 }
 
-// smoothBranches is SmoothBranches under pol: with pol.exactSmoothing every
-// branch is solved to newtonGainTol and each pass's log-likelihood read from
-// its last solve, as before the length-only solve.
-func smoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, eps float64, pol policy) (float64, error) {
+// smoothBranches is SmoothBranches under pol until ctx is done: with
+// pol.exactSmoothing every branch is solved to newtonGainTol and each pass's
+// log-likelihood read from its last solve, as before the length-only solve.
+func smoothBranches(ctx context.Context, eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, eps float64, pol policy) (float64, error) {
 	if maxPasses <= 0 {
 		maxPasses = 1
 	}
@@ -48,6 +49,9 @@ func smoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, e
 		var ll float64
 		var err error
 		for _, e := range edges {
+			if err := halted(ctx); err != nil {
+				return 0, err
+			}
 			if pol.exactSmoothing {
 				_, ll, err = eng.MakeNewz(e)
 			} else {
@@ -78,6 +82,11 @@ func smoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, e
 // engine's vectors are current. It returns the best alpha and its
 // log-likelihood.
 func OptimizeAlpha(eng *likelihood.Engine, tr *phylotree.Tree, lo, hi, tol float64) (float64, float64, error) {
+	return optimizeAlpha(context.Background(), eng, tr, lo, hi, tol)
+}
+
+// optimizeAlpha is OptimizeAlpha until ctx is done.
+func optimizeAlpha(ctx context.Context, eng *likelihood.Engine, tr *phylotree.Tree, lo, hi, tol float64) (float64, float64, error) {
 	if eng.Mod.NumCats() <= 1 {
 		// No rate heterogeneity to fit.
 		ll, err := eng.Evaluate(tr.Tips[0])
@@ -90,6 +99,9 @@ func OptimizeAlpha(eng *likelihood.Engine, tr *phylotree.Tree, lo, hi, tol float
 		tol = 1e-3
 	}
 	eval := func(x float64) (float64, error) {
+		if err := halted(ctx); err != nil {
+			return 0, err
+		}
 		m, err := eng.Mod.WithAlpha(math.Exp(x))
 		if err != nil {
 			return 0, err

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -92,6 +93,16 @@ func pruneCandidates(tr *phylotree.Tree) []*phylotree.Node {
 	return out
 }
 
+// halted is the search's stop check: one non-blocking read of ctx's signal.
+func halted(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return context.Cause(ctx)
+	default:
+		return nil
+	}
+}
+
 // sprRound performs one pass of lazy SPR over all prune candidates: each
 // subtree is pruned, trial-inserted into the edges within the rearrangement
 // radius of the detachment point that the round's likelihood cutoff leaves
@@ -99,10 +110,10 @@ func pruneCandidates(tr *phylotree.Tree) []*phylotree.Node {
 // insertions with the subtree's own branch optimized, RAxML's "lazy"
 // evaluation), and kept at the best position if that improves the current
 // likelihood by more than eps.
-// It returns the updated log-likelihood and the number of accepted moves.
-// Candidate scoring goes through sc, with the winner reduced
-// deterministically in candidate order.
-func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius int, baseline, eps float64) (float64, int, error) {
+// It returns the updated log-likelihood and the number of accepted moves,
+// or ctx's cause once ctx is done. Candidate scoring goes through sc, with
+// the winner reduced deterministically in candidate order.
+func sprRound(ctx context.Context, eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius int, baseline, eps float64) (float64, int, error) {
 	current := baseline
 	accepted := 0
 	sc.startRound(baseline)
@@ -112,6 +123,9 @@ func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius 
 	var stage string
 	var stageErr error
 	for _, p := range pruneCandidates(tr) {
+		if err := halted(ctx); err != nil {
+			return 0, 0, err
+		}
 		if p.Back == nil || p.Next == nil {
 			continue // record was detached by a concurrent accepted move
 		}
@@ -192,6 +206,13 @@ type Result struct {
 // (mutated in place): smooth branches, fit alpha, then SPR rounds until no
 // round gains more than Epsilon, with a final smoothing.
 func Run(eng *likelihood.Engine, start *phylotree.Tree, opt Options) (*Result, error) {
+	return RunContext(context.Background(), eng, start, opt)
+}
+
+// RunContext is Run until ctx is done: it reads ctx's signal before every
+// prune, smoothing solve and Brent evaluation, never inside a kernel, and then
+// returns context.Cause(ctx), leaving the tree where the search stopped.
+func RunContext(ctx context.Context, eng *likelihood.Engine, start *phylotree.Tree, opt Options) (*Result, error) {
 	opt.fillDefaults()
 	if err := start.Validate(); err != nil {
 		return nil, fmt.Errorf("search: starting tree: %w", err)
@@ -210,7 +231,7 @@ func Run(eng *likelihood.Engine, start *phylotree.Tree, opt Options) (*Result, e
 	}
 
 	ssp := tctx.Start("smooth", "search")
-	ll, err := smoothBranches(eng, start, opt.SmoothPasses, opt.Epsilon, opt.policy)
+	ll, err := smoothBranches(ctx, eng, start, opt.SmoothPasses, opt.Epsilon, opt.policy)
 	ssp.End()
 	if err != nil {
 		return nil, err
@@ -218,7 +239,7 @@ func Run(eng *likelihood.Engine, start *phylotree.Tree, opt Options) (*Result, e
 	alpha := eng.Mod.Alpha
 	if opt.AlphaOpt {
 		asp := tctx.Start("alpha-opt", "search")
-		alpha, ll, err = OptimizeAlpha(eng, start, 0.02, 50, 1e-2)
+		alpha, ll, err = optimizeAlpha(ctx, eng, start, 0.02, 50, 1e-2)
 		asp.End()
 		if err != nil {
 			return nil, err
@@ -239,19 +260,19 @@ func Run(eng *likelihood.Engine, start *phylotree.Tree, opt Options) (*Result, e
 		rctx := tctx.WithRound(round + 1)
 		sc.traceRound = rctx
 		rsp := rctx.Start("round", "search")
-		newLL, moves, err := sprRound(eng, start, sc, opt.Radius, ll, opt.Epsilon)
+		newLL, moves, err := sprRound(ctx, eng, start, sc, opt.Radius, ll, opt.Epsilon)
 		if err != nil {
 			rsp.End()
 			return nil, err
 		}
 		res.Moves += moves
-		newLL, err = smoothBranches(eng, start, opt.SmoothPasses, opt.Epsilon, opt.policy)
+		newLL, err = smoothBranches(ctx, eng, start, opt.SmoothPasses, opt.Epsilon, opt.policy)
 		if err != nil {
 			rsp.End()
 			return nil, err
 		}
 		if opt.AlphaOpt && moves > 0 {
-			alpha, newLL, err = OptimizeAlpha(eng, start, 0.02, 50, 1e-2)
+			alpha, newLL, err = optimizeAlpha(ctx, eng, start, 0.02, 50, 1e-2)
 			if err != nil {
 				rsp.End()
 				return nil, err
@@ -269,7 +290,7 @@ func Run(eng *likelihood.Engine, start *phylotree.Tree, opt Options) (*Result, e
 		ll = newLL
 	}
 	if opt.ModelOpt {
-		fitted, err := OptimizeAll(eng, start, opt.Epsilon)
+		fitted, err := OptimizeAll(ctx, eng, start, opt.Epsilon)
 		if err != nil {
 			return nil, err
 		}

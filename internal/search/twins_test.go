@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -477,7 +478,7 @@ func wideFit(eps float64) func(*testing.T, int64) func(policy) twinOutcome {
 				t.Fatal(err)
 			}
 			tr := start.Clone()
-			if _, err := smoothBranches(eng, tr, 4, eps, pol); err != nil {
+			if _, err := smoothBranches(context.Background(), eng, tr, 4, eps, pol); err != nil {
 				t.Fatal(err)
 			}
 			_, ll, err := OptimizeAlpha(eng, tr, 0.02, 50, 1e-2)

@@ -21,9 +21,6 @@ var _ fault.Clock = Clock{}
 // After returns a channel that receives after d of real time.
 func (Clock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// Sleep blocks for d of real time.
-func (Clock) Sleep(d time.Duration) { time.Sleep(d) }
-
 // Monotonic returns a monotonic elapsed-time source anchored at the moment
 // of the call: each invocation of the returned function reports the real
 // time elapsed since Monotonic() itself ran. This is the injection seam for

@@ -8,13 +8,12 @@ import (
 func TestClock(t *testing.T) {
 	c := Clock{}
 	start := time.Now()
-	c.Sleep(2 * time.Millisecond)
-	if time.Since(start) < 2*time.Millisecond {
-		t.Error("Sleep returned early")
-	}
 	select {
-	case <-c.After(time.Millisecond):
+	case <-c.After(2 * time.Millisecond):
 	case <-time.After(5 * time.Second):
 		t.Fatal("After never fired")
+	}
+	if time.Since(start) < 2*time.Millisecond {
+		t.Error("After fired early")
 	}
 }
