@@ -31,7 +31,6 @@ import (
 	"raxmlcell/internal/likelihood"
 	"raxmlcell/internal/obs"
 	"raxmlcell/internal/phylotree"
-	"raxmlcell/internal/search"
 	"raxmlcell/internal/wallclock"
 )
 
@@ -93,22 +92,20 @@ func dumpObs(tracer *obs.SpanTracer, flight *obs.FlightRecorder, tracePath, flig
 }
 
 func main() {
+	d := core.DefaultConfig()
 	var (
-		in         = flag.String("in", "", "input alignment (PHYLIP or FASTA; required)")
-		inferences = flag.Int("inferences", 3, "number of independent tree searches")
-		bootstraps = flag.Int("bootstraps", 20, "number of bootstrap replicates")
-		seed       = flag.Int64("seed", 42, "master random seed")
-		workers    = flag.Int("workers", 4, "parallel workers (the MPI process count)")
-		backend    = flag.String("backend", likelihood.DefaultBackend, "likelihood compute backend: "+strings.Join(likelihood.Backends(), ", ")+" (batched = pattern-tiled kernels; scalar = the bit-identical reference loops, slower)")
-		radius     = flag.Int("radius", 5, "SPR rearrangement radius")
-		rounds     = flag.Int("rounds", 10, "maximum SPR rounds per search")
-		alpha      = flag.Float64("alpha", 0.8, "initial Gamma shape")
-		cats       = flag.Int("cats", 4, "Gamma rate categories")
-		catCats    = flag.Int("cat", 0, "after the search, re-fit the tree under a CAT model with this many per-site rate categories (0 = off; RAxML default 25)")
+		in         = flag.String("in", "", "input alignment (PHYLIP, FASTA or NEXUS; required)")
+		inferences = flag.Int("inferences", d.Inferences, "number of independent tree searches")
+		bootstraps = flag.Int("bootstraps", d.Bootstraps, "number of bootstrap replicates")
+		seed       = flag.Int64("seed", d.Seed, "master random seed")
+		workers    = flag.Int("workers", d.Workers, "parallel workers (the MPI process count)")
+		radius     = flag.Int("radius", d.Search.Radius, "SPR rearrangement radius")
+		rounds     = flag.Int("rounds", d.Search.MaxRounds, "maximum SPR rounds per search")
+		catCats    = flag.Int("cat", 0, "after the campaign, re-fit the best tree under a CAT model with this many per-site rate categories (0 = off; RAxML default 25)")
 		optModel   = flag.Bool("opt-model", false, "fit the GTR exchangeabilities on each final tree")
 		startTree  = flag.String("start", "parsimony", "starting tree: parsimony (randomized stepwise addition, each taxon on the branch of least Fitch score), nj or random")
 		checkpoint = flag.String("checkpoint", "", "persist completed jobs to this file and resume from it")
-		retries    = flag.Int("retries", 1, "attempts per job, the first included: a job that fails (crash, timeout, invalid result) is retried until it has had this many (1 = no retry)")
+		retries    = flag.Int("retries", d.Retries, "attempts per job, the first included: a job that fails (crash, timeout, invalid result) is retried until it has had this many (1 = no retry)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job attempt deadline; an attempt still running then is stopped, within one SPR prune for a search, and retried (0 = none)")
 		maxQuar    = flag.Int("max-quarantine", 0, "jobs allowed to fail all attempts before the campaign aborts (-1 = unlimited, report partial results)")
 		draw       = flag.Bool("draw", false, "print an ASCII rendering of the best tree")
@@ -173,28 +170,15 @@ func main() {
 	fmt.Printf("alignment: %d taxa x %d sites (%d distinct patterns)\n",
 		pat.NumTaxa, pat.NumSites, pat.NumPatterns())
 
-	cfg := core.Config{
-		Inferences:    *inferences,
-		Bootstraps:    *bootstraps,
-		Seed:          *seed,
-		Workers:       *workers,
-		Alpha:         *alpha,
-		Cats:          *cats,
-		StartTree:     *startTree,
-		Checkpoint:    *checkpoint,
-		Retries:       *retries,
-		JobTimeout:    *jobTimeout,
-		MaxQuarantine: *maxQuar,
-		Search: search.Options{
-			Radius: *radius, MaxRounds: *rounds,
-			SmoothPasses: 4, Epsilon: 0.01, AlphaOpt: true, ModelOpt: *optModel,
-		},
-		Kernel:  likelihood.Config{Backend: *backend},
-		Log:     logger,
-		Metrics: metrics,
-		Trace:   tracer.Root("campaign"),
-		Flight:  flight,
-	}
+	// The Gamma shape starts at d's 0.8 over 4 categories and the kernels
+	// are the default backend; DESIGN.md's flag audit says why no flag
+	// changes them.
+	cfg := d
+	cfg.Inferences, cfg.Bootstraps, cfg.Seed, cfg.Workers = *inferences, *bootstraps, *seed, *workers
+	cfg.StartTree, cfg.Checkpoint = *startTree, *checkpoint
+	cfg.Retries, cfg.JobTimeout, cfg.MaxQuarantine = *retries, *jobTimeout, *maxQuar
+	cfg.Search.Radius, cfg.Search.MaxRounds, cfg.Search.ModelOpt = *radius, *rounds, *optModel
+	cfg.Log, cfg.Metrics, cfg.Trace, cfg.Flight = logger, metrics, tracer.Root("campaign"), flight
 	analysis, err := core.Analyze(pat, cfg)
 	// Dump the trace and flight window before acting on the campaign error:
 	// a failed run is exactly when the post-mortem artifacts matter.
@@ -257,13 +241,11 @@ func main() {
 		"adopted_share", float64(adopted)/math.Max(1, float64(blocks)))
 
 	if *catCats > 1 {
-		catCfg := cfg
-		catCfg.Seed = *seed
-		res, catLL, _, err := core.InferCAT(pat, catCfg, *catCats)
+		_, catLL, err := core.InferCAT(pat, cfg, analysis.Best, *catCats)
 		if err != nil {
 			fatal(logger, err)
 		}
-		fmt.Printf("CAT-%d re-fit: logL=%.4f (Gamma search logL was %.4f)\n", *catCats, catLL, res.LogL)
+		fmt.Printf("CAT-%d re-fit: logL=%.4f (Gamma search logL was %.4f)\n", *catCats, catLL, analysis.BestLogL)
 	}
 
 	if *draw {

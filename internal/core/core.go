@@ -1,10 +1,9 @@
 // Package core is the top-level engine of the RAxML-Cell reproduction: it
-// ties the alignment, model, search, and master-worker layers into the two
-// workflows the paper describes — a full phylogenetic analysis (multiple
-// inferences plus non-parametric bootstrapping, yielding the best-known ML
-// tree with support values) and the Cell port pipeline (re-running a
-// measured workload on the simulated Cell Broadband Engine under any
-// optimization stage and scheduler).
+// ties the alignment, model, search, and master-worker layers into the full
+// phylogenetic analysis the paper runs — multiple inferences plus
+// non-parametric bootstrapping, yielding the best-known ML tree with support
+// values. The simulated Cell is not its business: cellsim feeds an
+// InferOnce meter to cellrt through workload.FromMeter itself.
 package core
 
 import (
@@ -14,8 +13,6 @@ import (
 	"time"
 
 	"raxmlcell/internal/alignment"
-	"raxmlcell/internal/cell"
-	"raxmlcell/internal/cellrt"
 	"raxmlcell/internal/fault"
 	"raxmlcell/internal/likelihood"
 	"raxmlcell/internal/model"
@@ -24,7 +21,6 @@ import (
 	"raxmlcell/internal/phylotree"
 	"raxmlcell/internal/search"
 	"raxmlcell/internal/wallclock"
-	"raxmlcell/internal/workload"
 )
 
 // Config parameterizes an analysis.
@@ -325,7 +321,7 @@ func InferOnce(pat *alignment.Patterns, cfg Config) (*search.Result, *likelihood
 		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	start, err := StartingTree(pat, cfg.StartTree, rng)
+	start, err := search.StartingTree(pat, cfg.StartTree, rng)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -356,58 +352,35 @@ func InferOnce(pat *alignment.Patterns, cfg Config) (*search.Result, *likelihood
 	return res, &eng.Meter, nil
 }
 
-// InferCAT runs a Gamma-model inference and then re-fits the final tree
-// under a per-site rate-category (CAT) model with catCount categories —
-// RAxML's fast approximation of rate heterogeneity, and the mode whose
-// 25-category transition-matrix loop the paper's SPE measurements reflect.
-// It returns the search result (tree mutated in place, branch lengths
-// re-optimized under CAT), the CAT log-likelihood, and the combined meter.
-func InferCAT(pat *alignment.Patterns, cfg Config, catCount int) (*search.Result, float64, *likelihood.Meter, error) {
-	res, meter, err := InferOnce(pat, cfg)
-	if err != nil {
-		return nil, 0, nil, err
-	}
+// InferCAT re-fits tree under a per-site rate-category (CAT) model with
+// catCount categories — RAxML's fast approximation of rate heterogeneity,
+// and the mode whose 25-category transition-matrix loop the paper's SPE
+// measurements reflect. It fits the categories on a copy of tree under the
+// alignment's GTR with unit exchangeabilities (FitCAT reads no Gamma
+// shape), smooths the copy's branch lengths under the CAT model, and
+// returns the copy with its CAT log-likelihood; tree itself is not touched.
+// It runs no search: the topology is tree's.
+func InferCAT(pat *alignment.Patterns, cfg Config, tree *phylotree.Tree, catCount int) (*phylotree.Tree, float64, error) {
 	mod, err := ModelFor(pat, cfg.Alpha, cfg.Cats)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, err
 	}
 	eng, err := likelihood.NewEngine(pat, mod, cfg.Kernel)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, err
 	}
-	catModel, err := search.FitCAT(eng, res.Tree, catCount)
+	refit := tree.Clone()
+	catModel, err := search.FitCAT(eng, refit, catCount)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, err
 	}
 	catEng, err := likelihood.NewEngine(pat, catModel, cfg.Kernel)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, err
 	}
-	ll, err := search.SmoothBranches(catEng, res.Tree, 4, 0.01)
+	ll, err := search.SmoothBranches(catEng, refit, 4, 0.01)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, err
 	}
-	var total likelihood.Meter
-	total.Add(meter)
-	total.Add(&eng.Meter)
-	total.Add(&catEng.Meter)
-	return res, ll, &total, nil
-}
-
-// StartingTree builds a starting topology of the requested kind; see
-// search.StartingTree.
-func StartingTree(pat *alignment.Patterns, kind string, rng *rand.Rand) (*phylotree.Tree, error) {
-	return search.StartingTree(pat, kind, rng)
-}
-
-// CellRun executes a workload profile on the simulated Cell — the bridge
-// from a real measured search (via workload.FromMeter) or the paper's 42_SC
-// profile to the Tables 1-8 machinery.
-func CellRun(prof workload.Profile, stage cellrt.Stage, sched cellrt.Scheduler, workers, searches int) (*cellrt.Report, error) {
-	return cellrt.Run(prof, cell.DefaultCostModel(), cell.DefaultParams(), cellrt.Config{
-		Stage:     stage,
-		Scheduler: sched,
-		Workers:   workers,
-		Searches:  searches,
-	})
+	return refit, ll, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"raxmlcell/internal/alignment"
+	"raxmlcell/internal/cell"
 	"raxmlcell/internal/cellrt"
 	"raxmlcell/internal/obs"
 	"raxmlcell/internal/phylotree"
@@ -133,11 +134,13 @@ func TestInferOnceAndCellBridge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ppe, err := CellRun(prof, cellrt.StagePPEOnly, cellrt.SchedNaive, 1, 1)
+	ppe, err := cellrt.Run(prof, cell.DefaultCostModel(), cell.DefaultParams(),
+		cellrt.Config{Stage: cellrt.StagePPEOnly, Scheduler: cellrt.SchedNaive, Workers: 1, Searches: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := CellRun(prof, cellrt.StageAllOffloaded, cellrt.SchedMGPS, 1, 8)
+	full, err := cellrt.Run(prof, cell.DefaultCostModel(), cell.DefaultParams(),
+		cellrt.Config{Stage: cellrt.StageAllOffloaded, Scheduler: cellrt.SchedMGPS, Workers: 1, Searches: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,23 +153,36 @@ func TestInferOnceAndCellBridge(t *testing.T) {
 	}
 }
 
+// TestInferCAT: the CAT re-fit keeps the topology it is given, fits branch
+// lengths on a copy, and leaves the given tree's bytes alone.
 func TestInferCAT(t *testing.T) {
 	pat, _ := testPatterns(t, 9, 500, 12)
 	cfg := fastConfig()
-	res, catLL, meter, err := InferCAT(pat, cfg, 10)
+	res, _, err := InferOnce(pat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Tree.Validate(); err != nil {
+	before := res.Tree.Newick()
+	refit, catLL, err := InferCAT(pat, cfg, res.Tree, 10)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := refit.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := phylotree.RobinsonFoulds(res.Tree, refit); err != nil || d != 0 {
+		t.Errorf("re-fit tree at RF %d from the given tree (%v)", d, err)
+	}
+	if got := res.Tree.Newick(); got != before {
+		t.Errorf("given tree changed:\n got %s\nwant %s", got, before)
+	}
+	if refit.Newick() == before {
+		t.Error("re-fit tree has the Gamma branch lengths")
 	}
 	if catLL >= 0 || math.IsNaN(catLL) {
 		t.Errorf("CAT logL = %v", catLL)
 	}
-	if meter.NewviewCalls == 0 || meter.MakenewzCalls == 0 {
-		t.Error("combined meter empty")
-	}
-	if _, _, _, err := InferCAT(pat, cfg, 1); err == nil {
+	if _, _, err := InferCAT(pat, cfg, res.Tree, 1); err == nil {
 		t.Error("CAT with 1 category accepted")
 	}
 }
@@ -175,7 +191,7 @@ func TestStartingTreeKinds(t *testing.T) {
 	pat, _ := testPatterns(t, 8, 300, 13)
 	rng := rand.New(rand.NewSource(1))
 	for _, kind := range []string{"", "parsimony", "nj", "random"} {
-		tr, err := StartingTree(pat, kind, rng)
+		tr, err := search.StartingTree(pat, kind, rng)
 		if err != nil {
 			t.Fatalf("%q: %v", kind, err)
 		}
@@ -186,7 +202,7 @@ func TestStartingTreeKinds(t *testing.T) {
 			t.Errorf("%q: taxa not aligned to alignment order", kind)
 		}
 	}
-	if _, err := StartingTree(pat, "bogus", rng); err == nil {
+	if _, err := search.StartingTree(pat, "bogus", rng); err == nil {
 		t.Error("unknown kind accepted")
 	}
 	// NJ starting trees feed the full search path.

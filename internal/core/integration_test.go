@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"raxmlcell/internal/alignment"
+	"raxmlcell/internal/cell"
 	"raxmlcell/internal/cellrt"
 	"raxmlcell/internal/phylotree"
 	"raxmlcell/internal/search"
@@ -123,15 +124,18 @@ func TestFortyTwoSCIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ppe, err := CellRun(prof, cellrt.StagePPEOnly, cellrt.SchedNaive, 1, 1)
+	ppe, err := cellrt.Run(prof, cell.DefaultCostModel(), cell.DefaultParams(),
+		cellrt.Config{Stage: cellrt.StagePPEOnly, Scheduler: cellrt.SchedNaive, Workers: 1, Searches: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := CellRun(prof, cellrt.StageNaiveOffload, cellrt.SchedNaive, 1, 1)
+	naive, err := cellrt.Run(prof, cell.DefaultCostModel(), cell.DefaultParams(),
+		cellrt.Config{Stage: cellrt.StageNaiveOffload, Scheduler: cellrt.SchedNaive, Workers: 1, Searches: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := CellRun(prof, cellrt.StageAllOffloaded, cellrt.SchedNaive, 1, 1)
+	full, err := cellrt.Run(prof, cell.DefaultCostModel(), cell.DefaultParams(),
+		cellrt.Config{Stage: cellrt.StageAllOffloaded, Scheduler: cellrt.SchedNaive, Workers: 1, Searches: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

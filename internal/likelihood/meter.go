@@ -51,7 +51,7 @@ type Meter struct {
 	CacheHits uint64
 
 	// SharedHits always reads 0. It stays only because the benchmark reads
-	// it; ROADMAP item 8 retires it.
+	// it; ROADMAP item 10(a) retires it.
 	SharedHits uint64
 }
 

@@ -38,7 +38,7 @@ type Options struct {
 	// Workers has no effect on how a search runs: inside one search the only
 	// parallel axis is the likelihood package's range executor, which needs
 	// no option. The field stays because the benchmark sets it; ROADMAP item
-	// 8 removes it.
+	// 10(a) removes it.
 	Workers int
 
 	// Metrics, when non-nil, receives the live search series: the
