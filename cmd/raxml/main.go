@@ -241,7 +241,7 @@ func main() {
 		"adopted_share", float64(adopted)/math.Max(1, float64(blocks)))
 
 	if *catCats > 1 {
-		_, catLL, err := core.InferCAT(pat, cfg, analysis.Best, *catCats)
+		_, catLL, err := core.InferCAT(pat, cfg, analysis.Best, analysis.Rates, *catCats)
 		if err != nil {
 			fatal(logger, err)
 		}

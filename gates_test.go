@@ -105,7 +105,7 @@ func TestGatesMirrorCI(t *testing.T) {
 // benchmark/ and testdata/, counted after gofmt. It only moves down: a change
 // that deletes code lowers it to the new count, and one that must raise it
 // states in CHANGES.md the measured win that pays for the lines.
-const codeCeiling = 16421
+const codeCeiling = 16005
 
 // TestCodeBudget counts the gofmt'd lines of every non-test Go file outside
 // benchmark/ and testdata/ and fails above codeCeiling.

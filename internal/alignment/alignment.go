@@ -202,17 +202,6 @@ func Compress(a *Alignment) *Patterns {
 // NumPatterns returns the number of distinct site patterns.
 func (p *Patterns) NumPatterns() int { return len(p.Weights) }
 
-// WeightSum returns the total pattern weight. For an unresampled alignment
-// it equals NumSites; for a bootstrap replicate it equals the resampled
-// column count (also NumSites).
-func (p *Patterns) WeightSum() int {
-	s := 0
-	for _, w := range p.Weights {
-		s += w
-	}
-	return s
-}
-
 // WithWeights returns a shallow copy of p sharing Data/Names but carrying the
 // given per-pattern weights. It is the primitive under bootstrap replicates:
 // resampling columns of the original alignment only changes pattern weights.

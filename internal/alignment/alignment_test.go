@@ -76,8 +76,8 @@ func TestCompressBasic(t *testing.T) {
 	if p.Weights[0] != 3 || p.Weights[1] != 1 {
 		t.Errorf("Weights = %v, want [3 1]", p.Weights)
 	}
-	if p.WeightSum() != 4 || p.NumSites != 4 {
-		t.Errorf("WeightSum=%d NumSites=%d", p.WeightSum(), p.NumSites)
+	if weightSum(p) != 4 || p.NumSites != 4 {
+		t.Errorf("WeightSum=%d NumSites=%d", weightSum(p), p.NumSites)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestCompressPreservesData(t *testing.T) {
 		}
 		a, _ := New(seqs)
 		p := Compress(a)
-		if p.WeightSum() != ns {
+		if weightSum(p) != ns {
 			return false
 		}
 		for i, s := range a.Seqs {
@@ -178,11 +178,11 @@ func TestWithWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.WeightSum() != 2*p.NumPatterns() {
-		t.Errorf("WeightSum = %d", q.WeightSum())
+	if weightSum(q) != 2*p.NumPatterns() {
+		t.Errorf("WeightSum = %d", weightSum(q))
 	}
 	// Original untouched.
-	if p.WeightSum() != 4 {
+	if weightSum(p) != 4 {
 		t.Errorf("original mutated: %v", p.Weights)
 	}
 	if _, err := p.WithWeights([]int{1}); err == nil && p.NumPatterns() != 1 {
@@ -217,15 +217,8 @@ func TestBootstrapWeights(t *testing.T) {
 		}
 	}
 	rep := BootstrapReplicate(p, rng)
-	if rep.WeightSum() != p.NumSites {
+	if weightSum(rep) != p.NumSites {
 		t.Error("replicate weight sum wrong")
-	}
-	frac, err := ReweightedFraction(p, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frac <= 0 || frac > 1 {
-		t.Errorf("reweighted fraction = %v", frac)
 	}
 }
 
@@ -252,14 +245,6 @@ func TestBootstrapDistribution(t *testing.T) {
 	}
 }
 
-func TestReweightedFractionMismatch(t *testing.T) {
-	a := mustAlign(t, map[string]string{"t1": "ACGT", "t2": "AGGT"})
-	b := mustAlign(t, map[string]string{"t1": "AAAA", "t2": "AAAA"})
-	if _, err := ReweightedFraction(Compress(a), Compress(b)); err == nil {
-		t.Error("mismatched pattern counts accepted")
-	}
-}
-
 // TestDrawn: a replicate's drawn patterns carry no zero weight, sum to
 // NumSites, and are the replicate's own patterns and rows in their order;
 // on an alignment that was not resampled Drawn is the alignment itself.
@@ -280,8 +265,8 @@ func TestDrawn(t *testing.T) {
 	for r := 0; r < 20; r++ {
 		rep := BootstrapReplicate(p, rng)
 		d := rep.Drawn()
-		if d.WeightSum() != p.NumSites || d.NumSites != p.NumSites {
-			t.Fatalf("weights sum to %d (NumSites %d), want %d", d.WeightSum(), d.NumSites, p.NumSites)
+		if weightSum(d) != p.NumSites || d.NumSites != p.NumSites {
+			t.Fatalf("weights sum to %d (NumSites %d), want %d", weightSum(d), d.NumSites, p.NumSites)
 		}
 		j := 0
 		for k, w := range rep.Weights {
@@ -305,4 +290,13 @@ func TestDrawn(t *testing.T) {
 			t.Fatal("Drawn not idempotent")
 		}
 	}
+}
+
+// weightSum is the number of alignment columns the patterns stand for.
+func weightSum(p *Patterns) int {
+	s := 0
+	for _, w := range p.Weights {
+		s += w
+	}
+	return s
 }

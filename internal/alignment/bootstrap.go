@@ -79,20 +79,3 @@ func (p *Patterns) Drawn() *Patterns {
 	}
 	return &q
 }
-
-// ReweightedFraction reports the fraction of patterns whose weight changed
-// relative to the original — the paper quotes "typically 10-20% of columns
-// re-weighted" as the character of bootstrap replicates; this diagnostic lets
-// tests and examples verify the synthetic workload matches that regime.
-func ReweightedFraction(orig, replicate *Patterns) (float64, error) {
-	if orig.NumPatterns() != replicate.NumPatterns() {
-		return 0, fmt.Errorf("alignment: pattern count mismatch %d vs %d", orig.NumPatterns(), replicate.NumPatterns())
-	}
-	changed := 0
-	for i := range orig.Weights {
-		if orig.Weights[i] != replicate.Weights[i] {
-			changed++
-		}
-	}
-	return float64(changed) / float64(orig.NumPatterns()), nil
-}

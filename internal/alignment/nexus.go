@@ -190,29 +190,3 @@ func stripNexusComments(line string) string {
 		line = line[:open] + line[open+close+1:]
 	}
 }
-
-// WriteNexus emits the alignment as a NEXUS DATA block.
-func WriteNexus(w io.Writer, a *Alignment) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "#NEXUS")
-	fmt.Fprintln(bw, "BEGIN DATA;")
-	fmt.Fprintf(bw, "  DIMENSIONS NTAX=%d NCHAR=%d;\n", a.NumTaxa(), a.NumSites())
-	fmt.Fprintln(bw, "  FORMAT DATATYPE=DNA MISSING=? GAP=-;")
-	fmt.Fprintln(bw, "  MATRIX")
-	width := 0
-	for _, s := range a.Seqs {
-		if len(s.Name) > width {
-			width = len(s.Name)
-		}
-	}
-	for _, s := range a.Seqs {
-		name := s.Name
-		if strings.ContainsAny(name, " \t") {
-			name = "'" + name + "'"
-		}
-		fmt.Fprintf(bw, "    %-*s  %s\n", width+2, name, s.String())
-	}
-	fmt.Fprintln(bw, "  ;")
-	fmt.Fprintln(bw, "END;")
-	return bw.Flush()
-}

@@ -109,7 +109,7 @@ func TestNexusRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteNexus(&buf, a); err != nil {
+	if err := writeNexus(&buf, a); err != nil {
 		t.Fatal(err)
 	}
 	b, err := ReadNexus(&buf)

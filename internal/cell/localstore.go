@@ -1,10 +1,6 @@
 package cell
 
-import (
-	"fmt"
-	"maps"
-	"slices"
-)
+import "fmt"
 
 // LocalStore is the 256 KB software-managed memory of an SPE, used as a
 // unified instruction and data store. The paper's port loads a single
@@ -39,35 +35,4 @@ func (ls *LocalStore) Alloc(name string, bytes int) error {
 	ls.segments[name] = bytes
 	ls.used += bytes
 	return nil
-}
-
-// Free releases a named segment.
-func (ls *LocalStore) Free(name string) error {
-	bytes, ok := ls.segments[name]
-	if !ok {
-		return fmt.Errorf("cell: segment %q not allocated", name)
-	}
-	delete(ls.segments, name)
-	ls.used -= bytes
-	return nil
-}
-
-// Used reports the allocated byte count.
-func (ls *LocalStore) Used() int { return ls.used }
-
-// Free bytes remaining.
-func (ls *LocalStore) Available() int { return ls.size - ls.used }
-
-// Size is the total capacity.
-func (ls *LocalStore) Size() int { return ls.size }
-
-// Segments lists allocations in name order (for diagnostics). Iteration
-// goes over sorted keys, never the raw map, so output order is independent
-// of Go's randomized map iteration (the simdeterminism invariant).
-func (ls *LocalStore) Segments() []string {
-	out := make([]string, 0, len(ls.segments))
-	for _, name := range slices.Sorted(maps.Keys(ls.segments)) {
-		out = append(out, fmt.Sprintf("%s:%d", name, ls.segments[name]))
-	}
-	return out
 }

@@ -24,7 +24,6 @@ type Params struct {
 	PPEThreads      int     // PPE is 2-way SMT
 	LocalStoreBytes int     // 256 KB per SPE
 	DMAMaxBytes     int     // one DMA request moves at most 16 KB
-	DMAListMax      int     // a DMA list holds up to 2,048 requests
 	MailboxEntries  int     // 4-entry inbound mailbox
 	EIBRings        int     // 4 data rings
 	EIBBytesPerRing float64 // 96 bytes/cycle total across 4 rings = 24 each
@@ -39,7 +38,6 @@ func DefaultParams() Params {
 		PPEThreads:      2,
 		LocalStoreBytes: 256 * 1024,
 		DMAMaxBytes:     16 * 1024,
-		DMAListMax:      2048,
 		MailboxEntries:  4,
 		EIBRings:        4,
 		EIBBytesPerRing: 24,
@@ -91,9 +89,6 @@ func New(p Params) (*Machine, error) {
 // Seconds converts simulated cycles to wall-clock seconds.
 func (m *Machine) Seconds(t sim.Time) float64 { return float64(t) / m.ClockHz }
 
-// Cycles converts seconds to cycles (rounded down).
-func (m *Machine) Cycles(sec float64) sim.Time { return sim.Time(sec * m.ClockHz) }
-
 // PPE is the Power Processing Element: a 2-way SMT front-end whose hardware
 // threads are a counted resource that MPI processes acquire to run.
 type PPE struct {
@@ -119,18 +114,10 @@ func (s *SPE) Compute(p *sim.Proc, cycles sim.Time) {
 	p.Advance(cycles)
 }
 
-// Decrementer reads the SPE's decrementer register — the cycle counter the
-// paper used to measure time spent inside offloaded functions. In the model
-// it is simply the machine's global cycle clock.
-func (s *SPE) Decrementer() sim.Time { return s.mach.Eng.Now() }
-
 // AddBusy accounts busy cycles without advancing the caller — used when a
 // single process charges work to several SPEs at once (loop-level
 // distribution) and advances by the maximum share itself.
 func (s *SPE) AddBusy(cycles sim.Time) { s.busyCycles += cycles }
-
-// BusyCycles reports the SPE's accumulated compute time.
-func (s *SPE) BusyCycles() sim.Time { return s.busyCycles }
 
 // Utilization is busy time divided by total simulated time.
 func (s *SPE) Utilization() float64 {
@@ -170,28 +157,6 @@ func (s *SPE) DMAAsync(size int) (sim.Time, error) {
 	return s.mach.eib.Reserve(s.mach.Eng.Now(), s.mach.dmaDuration(size)), nil
 }
 
-// DMAList issues a list of DMA requests (the MFC's DMA-list facility for
-// moving more than 16 KB) and returns the completion time of the last one.
-func (s *SPE) DMAList(sizes []int) (sim.Time, error) {
-	if len(sizes) == 0 {
-		return 0, fmt.Errorf("cell: empty DMA list")
-	}
-	if len(sizes) > s.mach.DMAListMax {
-		return 0, fmt.Errorf("cell: DMA list of %d entries exceeds the %d limit", len(sizes), s.mach.DMAListMax)
-	}
-	var done sim.Time
-	for _, size := range sizes {
-		d, err := s.DMAAsync(size)
-		if err != nil {
-			return 0, err
-		}
-		if d > done {
-			done = d
-		}
-	}
-	return done, nil
-}
-
 // WaitDMA blocks the process until the given completion time has passed
 // (no-op if it already has).
 func (s *SPE) WaitDMA(p *sim.Proc, done sim.Time) {
@@ -216,26 +181,4 @@ func validateDMASize(size, max int) error {
 		return fmt.Errorf("cell: DMA size %d is not 1, 2, 4, 8 or a multiple of 16", size)
 	}
 	return nil
-}
-
-// ChunkDMA splits a transfer of total bytes into MFC-legal request sizes
-// (16-byte aligned chunks capped at the DMA maximum).
-func ChunkDMA(total, max int) ([]int, error) {
-	if total <= 0 {
-		return nil, fmt.Errorf("cell: transfer of %d bytes", total)
-	}
-	// Round up to the 16-byte granule like a real buffer allocation would.
-	if total%16 != 0 {
-		total += 16 - total%16
-	}
-	var sizes []int
-	for total > 0 {
-		n := total
-		if n > max {
-			n = max
-		}
-		sizes = append(sizes, n)
-		total -= n
-	}
-	return sizes, nil
 }

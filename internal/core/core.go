@@ -116,7 +116,10 @@ type Analysis struct {
 	Best     *phylotree.Tree // best-known ML tree (aligned to the alignment's taxa)
 	BestLogL float64
 	Alpha    float64 // fitted Gamma shape of the best inference
-	Support  map[phylotree.Bipartition]float64
+	// Rates are the best inference's fitted GTR exchangeabilities, nil
+	// unless the search fitted them (search.Options.ModelOpt).
+	Rates   *[6]float64
+	Support map[phylotree.Bipartition]float64
 	// Consensus is the majority-rule consensus of the bootstrap trees
 	// (nil when fewer than two bootstraps were run).
 	Consensus *phylotree.ConsensusNode
@@ -136,10 +139,20 @@ type Analysis struct {
 // alignment and unit exchangeabilities (the starting point RAxML also uses
 // before model optimization).
 func ModelFor(pat *alignment.Patterns, alpha float64, cats int) (*model.Model, error) {
+	return modelWith(pat, nil, alpha, cats)
+}
+
+// modelWith is ModelFor with the given GTR exchangeabilities, unit ones if
+// rates is nil.
+func modelWith(pat *alignment.Patterns, rates *[6]float64, alpha float64, cats int) (*model.Model, error) {
 	if cats <= 0 {
 		cats = 4
 	}
-	g, err := model.NewGTR([6]float64{1, 1, 1, 1, 1, 1}, pat.BaseFrequencies())
+	r := [6]float64{1, 1, 1, 1, 1, 1}
+	if rates != nil {
+		r = *rates
+	}
+	g, err := model.NewGTR(r, pat.BaseFrequencies())
 	if err != nil {
 		return nil, err
 	}
@@ -246,6 +259,7 @@ func Analyze(pat *alignment.Patterns, cfg Config) (*Analysis, error) {
 		Best:        bestTree,
 		BestLogL:    best.LogL,
 		Alpha:       best.Alpha,
+		Rates:       best.Rates,
 		Results:     results,
 		Quarantined: rep.Quarantined,
 		Stats:       rep.Stats,
@@ -356,12 +370,13 @@ func InferOnce(pat *alignment.Patterns, cfg Config) (*search.Result, *likelihood
 // catCount categories — RAxML's fast approximation of rate heterogeneity,
 // and the mode whose 25-category transition-matrix loop the paper's SPE
 // measurements reflect. It fits the categories on a copy of tree under the
-// alignment's GTR with unit exchangeabilities (FitCAT reads no Gamma
-// shape), smooths the copy's branch lengths under the CAT model, and
-// returns the copy with its CAT log-likelihood; tree itself is not touched.
-// It runs no search: the topology is tree's.
-func InferCAT(pat *alignment.Patterns, cfg Config, tree *phylotree.Tree, catCount int) (*phylotree.Tree, float64, error) {
-	mod, err := ModelFor(pat, cfg.Alpha, cfg.Cats)
+// alignment's GTR with the given exchangeabilities (nil: unit ones, the
+// model of a search that fitted none; FitCAT reads no Gamma shape), smooths
+// the copy's branch lengths under the CAT model, and returns the copy with
+// its CAT log-likelihood; tree itself is not touched. It runs no search: the
+// topology is tree's.
+func InferCAT(pat *alignment.Patterns, cfg Config, tree *phylotree.Tree, rates *[6]float64, catCount int) (*phylotree.Tree, float64, error) {
+	mod, err := modelWith(pat, rates, cfg.Alpha, cfg.Cats)
 	if err != nil {
 		return nil, 0, err
 	}

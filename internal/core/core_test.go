@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"raxmlcell/internal/alignment"
 	"raxmlcell/internal/cell"
 	"raxmlcell/internal/cellrt"
+	"raxmlcell/internal/mw"
 	"raxmlcell/internal/obs"
 	"raxmlcell/internal/phylotree"
 	"raxmlcell/internal/search"
@@ -163,7 +167,7 @@ func TestInferCAT(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := res.Tree.Newick()
-	refit, catLL, err := InferCAT(pat, cfg, res.Tree, 10)
+	refit, catLL, err := InferCAT(pat, cfg, res.Tree, nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +186,104 @@ func TestInferCAT(t *testing.T) {
 	if catLL >= 0 || math.IsNaN(catLL) {
 		t.Errorf("CAT logL = %v", catLL)
 	}
-	if _, _, err := InferCAT(pat, cfg, res.Tree, 1); err == nil {
+	if _, _, err := InferCAT(pat, cfg, res.Tree, nil, 1); err == nil {
 		t.Error("CAT with 1 category accepted")
+	}
+}
+
+// TestInferCATNilRatesAreUnit: nil rates are the unit exchangeabilities of
+// a search that fitted none, bit for bit, and the rates InferCAT is given
+// are read, not written.
+func TestInferCATNilRatesAreUnit(t *testing.T) {
+	pat, _ := testPatterns(t, 8, 300, 13)
+	cfg := fastConfig()
+	res, _, err := InferOnce(pat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nilTree, nilLL, err := InferCAT(pat, cfg, res.Tree, nil, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := [6]float64{1, 1, 1, 1, 1, 1}
+	unitTree, unitLL, err := InferCAT(pat, cfg, res.Tree, &unit, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nilLL != unitLL || nilTree.Newick() != unitTree.Newick() {
+		t.Errorf("nil rates fit %v, unit rates %v", nilLL, unitLL)
+	}
+	fitted := [6]float64{0.8, 6, 0.6, 0.9, 5, 1}
+	given := fitted
+	if _, _, err := InferCAT(pat, cfg, res.Tree, &given, 10); err != nil {
+		t.Fatal(err)
+	}
+	if given != fitted {
+		t.Errorf("InferCAT changed the rates it was given: %v, was %v", given, fitted)
+	}
+}
+
+// TestOptModelRatesReachCAT: with ModelOpt every job's fitted GTR
+// exchangeabilities travel with its result, the best inference's reach
+// Analysis.Rates and survive a resume from the checkpoint, and InferCAT fits
+// the categories under them. Without ModelOpt no result carries rates, so a
+// default campaign's checkpoint has no rates field.
+func TestOptModelRatesReachCAT(t *testing.T) {
+	pat, _ := testPatterns(t, 8, 400, 21)
+	cfg := fastConfig()
+	cfg.Bootstraps = 1
+	cfg.Workers = 2
+	cfg.Search.ModelOpt = true
+	cfg.Checkpoint = filepath.Join(t.TempDir(), "fitted.json")
+	a, err := Analyze(pat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Rates == nil || *a.Rates == [6]float64{1, 1, 1, 1, 1, 1} {
+		t.Fatalf("Analysis.Rates = %v, want the fitted exchangeabilities", a.Rates)
+	}
+	for _, r := range a.Results {
+		if r.Err == nil && r.Rates == nil {
+			t.Errorf("%v job %d carries no rates", r.Job.Kind, r.Job.Index)
+		}
+	}
+	if best, err := mw.Best(a.Results, mw.Inference); err != nil || *best.Rates != *a.Rates {
+		t.Errorf("Analysis.Rates %v are not the best inference's (%v)", *a.Rates, err)
+	}
+	resumed, err := Analyze(pat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Rates == nil || *resumed.Rates != *a.Rates {
+		t.Errorf("resumed rates %v, want %v", resumed.Rates, *a.Rates)
+	}
+	_, fitted, err := InferCAT(pat, cfg, a.Best, a.Rates, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, unit, err := InferCAT(pat, cfg, a.Best, nil, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fitted == unit {
+		t.Errorf("CAT logL %v under the fitted rates equals the unit rates' fit", fitted)
+	}
+
+	cfg.Search.ModelOpt = false
+	cfg.Checkpoint = filepath.Join(t.TempDir(), "plain.json")
+	plain, err := Analyze(pat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Rates != nil {
+		t.Errorf("Analysis.Rates = %v without ModelOpt", *plain.Rates)
+	}
+	raw, err := os.ReadFile(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"rates"`)) {
+		t.Error("a campaign without ModelOpt wrote rates into its checkpoint")
 	}
 }
 

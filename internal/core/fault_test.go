@@ -6,7 +6,6 @@ import (
 
 	"raxmlcell/internal/fault"
 	"raxmlcell/internal/mw"
-	"raxmlcell/internal/phylotree"
 )
 
 // TestAnalyzeUnderChaosMatchesFaultFree is the end-to-end determinism
@@ -115,7 +114,7 @@ func TestAnalyzeQuarantineLimit(t *testing.T) {
 	}
 	// Support, when present, must come from surviving replicates only.
 	if len(a.Support) > 0 {
-		if mean := phylotree.MeanSupport(a.Support); mean < 0 || mean > 1 {
+		if mean := meanSupport(a.Support); mean < 0 || mean > 1 {
 			t.Errorf("mean support %v out of range", mean)
 		}
 	}

@@ -80,13 +80,15 @@ func TestNJRecoversAdditiveTree(t *testing.T) {
 		if rf != 0 {
 			t.Errorf("seed %d: NJ on additive distances gave RF %d", seed, rf)
 		}
-		// Branch lengths are recovered too (additive metric).
-		bsd, err := phylotree.BranchScoreDistance(truth, nj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bsd > 1e-6 {
-			t.Errorf("seed %d: branch score distance %g on additive input", seed, bsd)
+		// Branch lengths are recovered too (additive metric): the NJ tree's
+		// path lengths are the input distances.
+		got := pathDistances(nj)
+		for i := range got.D {
+			for j := range got.D[i] {
+				if d := math.Abs(got.D[i][j] - m.D[i][j]); d > 1e-6 {
+					t.Fatalf("seed %d: path %d-%d is %g in the NJ tree, %g in the input", seed, i, j, got.D[i][j], m.D[i][j])
+				}
+			}
 		}
 	}
 }

@@ -163,7 +163,7 @@ func TestBackendsMatchScalarGamma(t *testing.T) {
 			}
 			ref.InvalidateAll()
 			alt.InvalidateAll()
-			cands := append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...)
+			cands := append(radiusEdges(ps.Q, 3), radiusEdges(ps.R, 3)...)
 			if len(cands) < 4 {
 				t.Fatalf("%d insertion candidates", len(cands))
 			}

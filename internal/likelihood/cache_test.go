@@ -99,8 +99,8 @@ func lazyScoreAudit(t *testing.T, stage string, eng *Engine, tr *phylotree.Tree,
 	eng.NewView(ps.Q)
 	eng.NewView(ps.R)
 	eng.NewView(ps.P.Back)
-	cands = append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...)
-	ccands := append(phylotree.RadiusEdges(cps.Q, 3), phylotree.RadiusEdges(cps.R, 3)...)
+	cands = append(radiusEdges(ps.Q, 3), radiusEdges(ps.R, 3)...)
+	ccands := append(radiusEdges(cps.Q, 3), radiusEdges(cps.R, 3)...)
 	if len(cands) != len(ccands) {
 		t.Fatalf("%s: %d candidates, %d on the clone", stage, len(cands), len(ccands))
 	}
@@ -274,8 +274,8 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 				if err != nil {
 					continue
 				}
-				targets := phylotree.RadiusEdges(ps.Q, 3)
-				targets = append(targets, phylotree.RadiusEdges(ps.R, 3)...)
+				targets := radiusEdges(ps.Q, 3)
+				targets = append(targets, radiusEdges(ps.R, 3)...)
 				if len(targets) == 0 || rng.Intn(3) == 0 {
 					if err := tr.Undo(ps); err != nil {
 						t.Fatal(err)
@@ -364,7 +364,7 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 				if err != nil {
 					continue
 				}
-				targets := append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...)
+				targets := append(radiusEdges(ps.Q, 3), radiusEdges(ps.R, 3)...)
 				if len(targets) == 0 {
 					err = cl.Undo(ps)
 				} else {

@@ -143,7 +143,7 @@ func TestClassTablesMatchScalar(t *testing.T) {
 			if !slices.Equal(across[1].proj, across[0].proj) || !slices.Equal(across[1].sc, across[0].sc) {
 				t.Fatalf("CarryAcross of %d differs from scalar", ps.P.Back.Index)
 			}
-			for _, cand := range append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...) {
+			for _, cand := range append(radiusEdges(ps.Q, 3), radiusEdges(ps.R, 3)...) {
 				var vs [2][2]vec // each engine's two sides, computed before the prescore
 				for i, v := range [...]*Engine{ref, alt} {
 					vs[i][0], _ = v.vector(cand)

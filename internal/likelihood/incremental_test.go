@@ -443,8 +443,8 @@ func TestAttachTreeTopologyMoves(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		targets := phylotree.RadiusEdges(ps.Q, 5)
-		targets = append(targets, phylotree.RadiusEdges(ps.R, 5)...)
+		targets := radiusEdges(ps.Q, 5)
+		targets = append(targets, radiusEdges(ps.R, 5)...)
 		if step%3 == 0 || len(targets) == 0 {
 			if err := tr.Undo(ps); err != nil {
 				t.Fatal(err)

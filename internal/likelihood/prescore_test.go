@@ -112,7 +112,7 @@ func TestPrescoreMatchesCombineThenEvaluate(t *testing.T) {
 				eng.NewView(ps.Q)
 				eng.NewView(ps.R)
 				eng.NewView(ps.P.Back)
-				cands := append(phylotree.RadiusEdges(ps.Q, 4), phylotree.RadiusEdges(ps.R, 4)...)
+				cands := append(radiusEdges(ps.Q, 4), radiusEdges(ps.R, 4)...)
 				var across Across
 				if err := eng.CarryAcross(&across, ps.P, z0); err != nil {
 					t.Fatal(err)

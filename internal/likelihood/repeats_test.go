@@ -258,7 +258,7 @@ func TestRepeatsKeptAcrossLengthsAndModels(t *testing.T) {
 	for _, r := range internalRecords(tr) {
 		e.NewView(r)
 	}
-	if want := uint64(3 * tr.NumInner()); e.Meter.ClassPasses != want {
+	if want := uint64(len(internalRecords(tr))); e.Meter.ClassPasses != want {
 		t.Fatalf("the %d records of a tree took %d class passes", want, e.Meter.ClassPasses)
 	}
 	for _, step := range []struct {
@@ -393,7 +393,7 @@ func TestRepeatsDroppedOnlyBehindTopologyEdits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		targets := append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...)
+		targets := append(radiusEdges(ps.Q, 3), radiusEdges(ps.R, 3)...)
 		if round%2 == 0 || len(targets) == 0 {
 			err = tr.Undo(ps)
 		} else {

@@ -183,3 +183,9 @@ func TestCombineLoneTipEitherSide(t *testing.T) {
 			alt.Meter.ScaleEvents, ref.Meter.ScaleEvents, alt.Meter.Flops(), ref.Meter.Flops())
 	}
 }
+
+// radiusEdges returns the insertion edges within radius of origin.
+func radiusEdges(origin *phylotree.Node, radius int) []*phylotree.Node {
+	out, _ := phylotree.RadiusEdgesInto(nil, nil, origin, radius)
+	return out
+}

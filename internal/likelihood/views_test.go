@@ -136,8 +136,8 @@ func TestInsertionScoreMatchesExhaustive(t *testing.T) {
 	}
 	z0 := ps.P.Z
 
-	cands := phylotree.RadiusEdges(ps.Q, 4)
-	cands = append(cands, phylotree.RadiusEdges(ps.R, 4)...)
+	cands := radiusEdges(ps.Q, 4)
+	cands = append(cands, radiusEdges(ps.R, 4)...)
 	if len(cands) < 3 {
 		t.Fatalf("only %d candidates", len(cands))
 	}

@@ -130,19 +130,6 @@ func NewGTR(rates [6]float64, freqs [NumStates]float64) (*GTR, error) {
 	return g, nil
 }
 
-// JC69 returns the Jukes-Cantor special case (all rates and frequencies
-// equal) — useful as an analytically verifiable reference model.
-func JC69() *GTR {
-	g, err := NewGTR(
-		[6]float64{1, 1, 1, 1, 1, 1},
-		[NumStates]float64{0.25, 0.25, 0.25, 0.25},
-	)
-	if err != nil {
-		panic("model: JC69 construction failed: " + err.Error())
-	}
-	return g
-}
-
 // TransitionMatrix fills p with P(t·rate) = V·exp(Λ·t·rate)·VInv, the
 // substitution probability matrix for a branch of length t under rate
 // multiplier rate. This is the "small loop" computation of the paper's

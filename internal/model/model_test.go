@@ -196,7 +196,7 @@ func TestJacobiErrors(t *testing.T) {
 }
 
 func TestGTRJukesCantorAnalytic(t *testing.T) {
-	g := JC69()
+	g := jc69(t)
 	var p [4][4]float64
 	for _, tt := range []float64{0.01, 0.1, 0.5, 1, 3} {
 		g.TransitionMatrix(tt, 1, &p)
@@ -308,7 +308,7 @@ func TestGTRChapmanKolmogorov(t *testing.T) {
 
 func TestGTRRateMultiplier(t *testing.T) {
 	// P(t, rate r) == P(t*r, rate 1).
-	g := JC69()
+	g := jc69(t)
 	var a, b [4][4]float64
 	g.TransitionMatrix(0.3, 2.5, &a)
 	g.TransitionMatrix(0.75, 1, &b)
@@ -335,7 +335,7 @@ func TestNewGTRValidation(t *testing.T) {
 }
 
 func TestNewModel(t *testing.T) {
-	g := JC69()
+	g := jc69(t)
 	m, err := NewModel(g, 0.5, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -395,4 +395,15 @@ func TestEigenDecompositionConsistency(t *testing.T) {
 			t.Fatalf("eigenvalue signature: %v", g.Lambda)
 		}
 	}
+}
+
+// jc69 is the Jukes-Cantor special case (all rates and frequencies equal),
+// the analytically verifiable reference model.
+func jc69(t *testing.T) *GTR {
+	t.Helper()
+	g, err := NewGTR([6]float64{1, 1, 1, 1, 1, 1}, [NumStates]float64{0.25, 0.25, 0.25, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

@@ -29,6 +29,7 @@ type savedResult struct {
 	Newick string           `json:"newick"`
 	LogL   float64          `json:"logl"`
 	Alpha  float64          `json:"alpha"`
+	Rates  *[6]float64      `json:"rates,omitempty"`
 	Meter  likelihood.Meter `json:"meter"`
 	Err    string           `json:"err,omitempty"`
 }
@@ -47,14 +48,14 @@ func toSaved(r JobResult) savedResult {
 		s.Err = r.Err.Error()
 		return s
 	}
-	s.Newick, s.LogL, s.Alpha, s.Meter = r.Newick, r.LogL, r.Alpha, r.Meter
+	s.Newick, s.LogL, s.Alpha, s.Rates, s.Meter = r.Newick, r.LogL, r.Alpha, r.Rates, r.Meter
 	return s
 }
 
 func fromSaved(s savedResult) JobResult {
 	r := JobResult{
 		Job:    Job{Kind: s.Kind, Index: s.Index, Seed: s.Seed},
-		Newick: s.Newick, LogL: s.LogL, Alpha: s.Alpha, Meter: s.Meter,
+		Newick: s.Newick, LogL: s.LogL, Alpha: s.Alpha, Rates: s.Rates, Meter: s.Meter,
 	}
 	if s.Err != "" {
 		r.Err = fmt.Errorf("%s: %w", s.Err, ErrResumed)

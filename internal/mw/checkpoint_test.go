@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -284,5 +285,52 @@ func TestCheckpointEntrySanitization(t *testing.T) {
 	}
 	if r := byJob[Job{Kind: Bootstrap, Index: 1, Seed: 13}]; r.Err == nil || !errors.Is(r.Err, ErrInvalidResult) {
 		t.Errorf("invalid-alpha entry not rejected: %+v", r)
+	}
+}
+
+// TestCheckpointRates: fitted GTR exchangeabilities survive a save and load
+// bit for bit; a result without them writes no "rates" field, so a campaign
+// that fits none writes the bytes it wrote before results carried rates,
+// and a file of that format loads with nil rates; an entry with a rate that
+// is not positive is downgraded to a restored failure.
+func TestCheckpointRates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	nwk := "(a:0.1,b:0.1,(c:0.1,d:0.1):0.1);"
+	rates := [6]float64{1.2345678901234567, 3.4, 0.9, 1.1, 4.2, 1}
+	fitted := JobResult{Job: Job{Kind: Inference, Index: 0, Seed: 5}, Newick: nwk, LogL: -10, Alpha: 0.9, Rates: &rates}
+	plain := JobResult{Job: Job{Kind: Bootstrap, Index: 0, Seed: 9}, Newick: nwk, LogL: -12, Alpha: 0.7}
+	if err := saveCheckpoint(path, []JobResult{plain, fitted}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(raw, []byte(`"rates"`)); n != 1 {
+		t.Errorf(`%d "rates" fields for one fitted result:\n%s`, n, raw)
+	}
+	loaded, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded) != 2 || loaded[0].Rates == nil || *loaded[0].Rates != rates || loaded[1].Rates != nil {
+		t.Fatalf("loaded %+v, want the fitted rates on the inference and none on the bootstrap", loaded)
+	}
+
+	blob := `{"version":1,"done":[
+	 {"kind":0,"index":0,"seed":5,"newick":"` + nwk + `","logl":-10,"alpha":0.9,"meter":{}},
+	 {"kind":1,"index":0,"seed":9,"newick":"` + nwk + `","logl":-12,"alpha":0.9,"rates":[1,2,0,1,1,1],"meter":{}}
+	]}`
+	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err = LoadCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded) != 2 || loaded[0].Err != nil || loaded[0].Rates != nil {
+		t.Fatalf("an entry without rates loaded as %+v", loaded)
+	}
+	if r := loaded[1]; !errors.Is(r.Err, ErrInvalidResult) || !errors.Is(r.Err, ErrResumed) {
+		t.Errorf("an entry with a zero rate loaded as %+v", r)
 	}
 }

@@ -53,6 +53,7 @@ type JobResult struct {
 	Newick string
 	LogL   float64
 	Alpha  float64
+	Rates  *[6]float64 // fitted GTR exchangeabilities; nil unless the search fitted them
 	Meter  likelihood.Meter
 	Err    error
 }
@@ -180,6 +181,7 @@ func runJob(ctx context.Context, pat *alignment.Patterns, mod *model.Model, job 
 	res.Newick = out.Tree.Newick()
 	res.LogL = out.LogL
 	res.Alpha = out.Alpha
+	res.Rates = out.Rates
 	res.Meter = eng.Meter
 	return res
 }

@@ -134,6 +134,13 @@ func ValidateResult(r *JobResult) error {
 	if math.IsNaN(r.Alpha) || math.IsInf(r.Alpha, 0) || r.Alpha <= 0 {
 		return fmt.Errorf("%w: %v job %d: invalid alpha %v", ErrInvalidResult, r.Job.Kind, r.Job.Index, r.Alpha)
 	}
+	if r.Rates != nil {
+		for _, v := range r.Rates {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+				return fmt.Errorf("%w: %v job %d: invalid GTR rates %v", ErrInvalidResult, r.Job.Kind, r.Job.Index, *r.Rates)
+			}
+		}
+	}
 	return nil
 }
 

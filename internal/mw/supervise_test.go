@@ -275,14 +275,21 @@ func TestValidateResult(t *testing.T) {
 	if err := ValidateResult(&good); err != nil {
 		t.Errorf("valid result rejected: %v", err)
 	}
+	fitted := good
+	fitted.Rates = &[6]float64{1.2, 3.4, 0.9, 1.1, 4.2, 1}
+	if err := ValidateResult(&fitted); err != nil {
+		t.Errorf("valid fitted rates rejected: %v", err)
+	}
 	cases := []JobResult{
-		{Newick: "(a:0.1,b:0.2", LogL: -1, Alpha: 1},                                          // torn newick
-		{Newick: good.Newick, LogL: math.NaN(), Alpha: 1},                                     // NaN logL
-		{Newick: good.Newick, LogL: math.Inf(-1), Alpha: 1},                                   // -Inf logL
-		{Newick: good.Newick, LogL: -1, Alpha: math.NaN()},                                    // NaN alpha
-		{Newick: good.Newick, LogL: -1, Alpha: -2},                                            // negative alpha
-		{Newick: "", LogL: -1, Alpha: 1},                                                      // empty tree
-		{Newick: good.Newick, LogL: -1, Alpha: 1, Err: errors.New("already failed upstream")}, // existing error wins
+		{Newick: "(a:0.1,b:0.2", LogL: -1, Alpha: 1},                                             // torn newick
+		{Newick: good.Newick, LogL: math.NaN(), Alpha: 1},                                        // NaN logL
+		{Newick: good.Newick, LogL: math.Inf(-1), Alpha: 1},                                      // -Inf logL
+		{Newick: good.Newick, LogL: -1, Alpha: math.NaN()},                                       // NaN alpha
+		{Newick: good.Newick, LogL: -1, Alpha: -2},                                               // negative alpha
+		{Newick: "", LogL: -1, Alpha: 1},                                                         // empty tree
+		{Newick: good.Newick, LogL: -1, Alpha: 1, Rates: &[6]float64{1, 2, 1, 1, math.NaN(), 1}}, // NaN GTR rate
+		{Newick: good.Newick, LogL: -1, Alpha: 1, Rates: &[6]float64{1, 2, 0, 1, 1, 1}},          // zero GTR rate
+		{Newick: good.Newick, LogL: -1, Alpha: 1, Err: errors.New("already failed upstream")},    // existing error wins
 	}
 	for i, r := range cases {
 		err := ValidateResult(&r)

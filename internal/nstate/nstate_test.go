@@ -131,7 +131,7 @@ func TestDNAGenericMatchesOptimizedEngine(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			cands := append(phylotree.RadiusEdges(ps.Q, 3), phylotree.RadiusEdges(ps.R, 3)...)
+			cands := append(radiusEdges(ps.Q, 3), radiusEdges(ps.R, 3)...)
 			if len(cands) == 0 {
 				if err := tr.Undo(ps); err != nil {
 					t.Fatal(err)
@@ -335,4 +335,10 @@ func TestEvaluatorValidation(t *testing.T) {
 	if _, err := ev.LogL(wrong); err == nil {
 		t.Error("foreign taxa accepted")
 	}
+}
+
+// radiusEdges returns the insertion edges within radius of origin.
+func radiusEdges(origin *phylotree.Node, radius int) []*phylotree.Node {
+	out, _ := phylotree.RadiusEdgesInto(nil, nil, origin, radius)
+	return out
 }

@@ -23,14 +23,6 @@ import (
 	"raxmlcell/internal/phylotree"
 )
 
-// Score computes the weighted Fitch parsimony score of a complete tree.
-func Score(tr *phylotree.Tree, pat *alignment.Patterns) (int, error) {
-	if tr.NumTips() != pat.NumTaxa {
-		return 0, fmt.Errorf("parsimony: tree has %d tips, alignment %d taxa", tr.NumTips(), pat.NumTaxa)
-	}
-	return newScorer(pat).score(tr.Tips[0]), nil
-}
-
 // scorer holds the bit-sliced tip sets of one alignment, the Fitch set behind
 // every directed record of one tree walk, and the walk itself. Nothing in it
 // is allocated after newScorer.

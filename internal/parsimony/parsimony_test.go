@@ -60,10 +60,7 @@ func TestScoreHandComputed(t *testing.T) {
 	if err := tr.AlignTaxa(p.Names); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Score(tr, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustScore(t, tr, p)
 	if got != 3 {
 		t.Errorf("Score = %d, want 3", got)
 	}
@@ -78,10 +75,7 @@ func TestScoreConstantAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Score(tr, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustScore(t, tr, p)
 	if got != 0 {
 		t.Errorf("constant alignment score = %d, want 0", got)
 	}
@@ -97,10 +91,7 @@ func TestScoreGapsAreFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Score(tr, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustScore(t, tr, p)
 	if got != 0 {
 		t.Errorf("gap columns scored %d, want 0", got)
 	}
@@ -149,14 +140,8 @@ func TestScoreWeightsMatchExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := Score(tr, p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3, err := Score(tr, p3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := mustScore(t, tr, p1)
+	s3 := mustScore(t, tr, p3)
 	if s3 != 3*s1 {
 		t.Errorf("triplicated score = %d, want %d", s3, 3*s1)
 	}
@@ -231,23 +216,32 @@ func TestBuildStepwiseBeatsRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s1, err := Score(sw, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s1 := mustScore(t, sw, p)
 		rd, err := phylotree.RandomTopology(p.Names, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Score(rd, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s2 := mustScore(t, rd, p)
 		swTotal += s1
 		rndTotal += s2
 	}
 	if swTotal >= rndTotal {
 		t.Errorf("stepwise total %d not better than random total %d", swTotal, rndTotal)
+	}
+}
+
+// TestBuildStepwiseTooFewTaxa: two taxa make no unrooted tree and are
+// refused; three make the triplet, with nothing left to insert.
+func TestBuildStepwiseTooFewTaxa(t *testing.T) {
+	if _, err := BuildStepwise(pats(t, map[string]string{"a": "ACGT", "b": "ACGA"}), rand.New(rand.NewSource(1))); err == nil {
+		t.Error("two taxa accepted")
+	}
+	tr, err := BuildStepwise(pats(t, map[string]string{"a": "ACGT", "b": "ACGA", "c": "ACTA"}), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(); err != nil || !tr.Complete() || len(tr.Edges()) != 3 {
+		t.Errorf("three taxa gave %s (%v)", tr.Newick(), err)
 	}
 }
 
@@ -267,17 +261,6 @@ func TestBuildStepwiseDeterministic(t *testing.T) {
 	}
 	if t1.Newick() != t2.Newick() {
 		t.Error("same seed produced different trees")
-	}
-}
-
-func TestScoreMismatch(t *testing.T) {
-	p := pats(t, map[string]string{"a": "ACGT", "b": "ACGT", "c": "ACGT", "d": "ACGT"})
-	tr, err := phylotree.ParseNewick("(a,b,c);")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Score(tr, p); err == nil {
-		t.Error("taxon count mismatch accepted")
 	}
 }
 

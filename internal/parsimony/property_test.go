@@ -14,18 +14,18 @@ import (
 	"raxmlcell/internal/seqsim"
 )
 
+// mustScore is the weighted Fitch score of a complete tree.
 func mustScore(t testing.TB, tr *phylotree.Tree, pat *alignment.Patterns) int {
 	t.Helper()
-	s, err := Score(tr, pat)
-	if err != nil {
-		t.Fatal(err)
+	if tr.NumTips() != pat.NumTaxa {
+		t.Fatalf("tree has %d tips, alignment %d taxa", tr.NumTips(), pat.NumTaxa)
 	}
-	return s
+	return newScorer(pat).score(tr.Tips[0])
 }
 
 // TestInsertionCostIsScoreDifference: on every branch of a generated tree
-// with one taxon removed, the insertion cost the passes give is Score after
-// InsertTip minus Score before.
+// with one taxon removed, the insertion cost the passes give is the score after
+// InsertTip minus the score before.
 func TestInsertionCostIsScoreDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for c := 0; c < 30; c++ {

@@ -5,22 +5,18 @@ import (
 	"sort"
 )
 
-// MajorityRuleConsensus builds the (extended) majority-rule consensus of a
-// set of trees over the same taxon set: every bipartition appearing in more
-// than threshold (e.g. 0.5) of the input trees becomes a clade of the
-// consensus. The result may be multifurcating; it is returned as a rooted
-// clade structure (ConsensusNode) rather than a binary Tree, exactly like
-// the consensus output of phylogenetics packages.
-func MajorityRuleConsensus(trees []*Tree, threshold float64) (*ConsensusNode, error) {
-	return MajorityRuleConsensusWeighted(trees, nil, threshold)
-}
-
-// MajorityRuleConsensusWeighted is MajorityRuleConsensus over a deduplicated
-// tree set: tree i counts weights[i] times. Every count, the majority cutoff
-// and the reported supports are computed from the same integers the expanded
-// set would produce, so the consensus is identical to replicating each tree
-// to its multiplicity. A nil weights slice means all ones; weights must
-// otherwise match trees in length with every entry >= 1.
+// MajorityRuleConsensusWeighted builds the (extended) majority-rule
+// consensus of a set of trees over the same taxon set: every bipartition
+// appearing in more than threshold (e.g. 0.5) of the input trees becomes a
+// clade of the consensus. The result may be multifurcating; it is returned as
+// a rooted clade structure (ConsensusNode) rather than a binary Tree, exactly
+// like the consensus output of phylogenetics packages.
+//
+// The tree set may be deduplicated: tree i counts weights[i] times. Every
+// count, the majority cutoff and the reported supports are computed from the
+// same integers the expanded set would produce, so the consensus is identical
+// to replicating each tree to its multiplicity. A nil weights slice means all
+// ones; weights must otherwise match trees in length with every entry >= 1.
 func MajorityRuleConsensusWeighted(trees []*Tree, weights []int, threshold float64) (*ConsensusNode, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("phylotree: no trees for consensus")

@@ -23,7 +23,7 @@ func parseAligned(t *testing.T, s string, taxa []string) *Tree {
 func TestConsensusIdenticalTrees(t *testing.T) {
 	base := parseAligned(t, "((a:1,b:1):1,(c:1,d:1):1,e:1);", nil)
 	trees := []*Tree{base, base.Clone(), base.Clone()}
-	cons, err := MajorityRuleConsensus(trees, 0.5)
+	cons, err := MajorityRuleConsensusWeighted(trees, nil, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestConsensusMajority(t *testing.T) {
 	t1 := parseAligned(t, "((a:1,b:1):1,(c:1,d:1):1,e:1);", taxa)
 	t2 := parseAligned(t, "((a:1,b:1):1,(d:1,e:1):1,c:1);", taxa)
 	t3 := parseAligned(t, "((a:1,c:1):1,(b:1,d:1):1,e:1);", taxa)
-	cons, err := MajorityRuleConsensus([]*Tree{t1, t2, t3}, 0.5)
+	cons, err := MajorityRuleConsensusWeighted([]*Tree{t1, t2, t3}, nil, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestConsensusAllTaxaPresent(t *testing.T) {
 		}
 		trees = append(trees, tr)
 	}
-	cons, err := MajorityRuleConsensus(trees, 0.5)
+	cons, err := MajorityRuleConsensusWeighted(trees, nil, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,18 +111,18 @@ func TestConsensusAllTaxaPresent(t *testing.T) {
 }
 
 func TestConsensusErrors(t *testing.T) {
-	if _, err := MajorityRuleConsensus(nil, 0.5); err == nil {
+	if _, err := MajorityRuleConsensusWeighted(nil, nil, 0.5); err == nil {
 		t.Error("empty tree set accepted")
 	}
 	a := parseAligned(t, "(a,b,(c,d));", nil)
-	if _, err := MajorityRuleConsensus([]*Tree{a}, 0.4); err == nil {
+	if _, err := MajorityRuleConsensusWeighted([]*Tree{a}, nil, 0.4); err == nil {
 		t.Error("sub-majority threshold accepted")
 	}
-	if _, err := MajorityRuleConsensus([]*Tree{a}, 1.0); err == nil {
+	if _, err := MajorityRuleConsensusWeighted([]*Tree{a}, nil, 1.0); err == nil {
 		t.Error("threshold 1.0 accepted")
 	}
 	b := parseAligned(t, "(a,b,(c,e));", nil)
-	if _, err := MajorityRuleConsensus([]*Tree{a, b}, 0.5); err == nil {
+	if _, err := MajorityRuleConsensusWeighted([]*Tree{a, b}, nil, 0.5); err == nil {
 		t.Error("mismatched taxon sets accepted")
 	}
 }
@@ -136,7 +136,7 @@ func TestConsensusStrictThreshold(t *testing.T) {
 	trees := []*Tree{t1, t2, t3}
 
 	// At 0.5: both (a,b) and (e,f) survive.
-	c1, err := MajorityRuleConsensus(trees, 0.5)
+	c1, err := MajorityRuleConsensusWeighted(trees, nil, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestConsensusStrictThreshold(t *testing.T) {
 	}
 	// At 0.9: the unanimous splits survive — ef|abcd and abc|def (the
 	// latter present in all three trees despite the ab/ac disagreement).
-	c2, err := MajorityRuleConsensus(trees, 0.9)
+	c2, err := MajorityRuleConsensusWeighted(trees, nil, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestWeightedAggregatorsMatchExpansion(t *testing.T) {
 		t.Fatalf("weights = %v, want [3 2 1]", weights)
 	}
 
-	plain, err := SupportValues(ref, reps)
+	plain, err := SupportValuesWeighted(ref, reps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestWeightedAggregatorsMatchExpansion(t *testing.T) {
 		t.Errorf("weighted support %v != expanded %v", weighted, plain)
 	}
 
-	consPlain, err := MajorityRuleConsensus(reps, 0.5)
+	consPlain, err := MajorityRuleConsensusWeighted(reps, nil, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,8 @@ func ExampleParseNewick() {
 		panic(err)
 	}
 	fmt.Println(tr.NumTips(), "taxa,", len(tr.Edges()), "branches")
-	fmt.Printf("total branch length %.2f\n", tr.TotalBranchLength())
 	// Output:
 	// 4 taxa, 5 branches
-	// total branch length 0.75
 }
 
 func ExampleTree_Ascii() {
@@ -48,7 +46,7 @@ func ExampleRobinsonFoulds() {
 	// RF distance: 4
 }
 
-func ExampleMajorityRuleConsensus() {
+func ExampleMajorityRuleConsensusWeighted() {
 	taxa := []string{"a", "b", "c", "d", "e"}
 	var trees []*phylotree.Tree
 	for _, s := range []string{
@@ -65,7 +63,7 @@ func ExampleMajorityRuleConsensus() {
 		}
 		trees = append(trees, tr)
 	}
-	cons, err := phylotree.MajorityRuleConsensus(trees, 0.5)
+	cons, err := phylotree.MajorityRuleConsensusWeighted(trees, nil, 0.5)
 	if err != nil {
 		panic(err)
 	}

@@ -77,7 +77,7 @@ func TestRobinsonFouldsIsAMetric(t *testing.T) {
 		}
 
 		for i, tr := range trees {
-			sup, err := phylotree.SupportValues(tr, []*phylotree.Tree{tr})
+			sup, err := phylotree.SupportValuesWeighted(tr, []*phylotree.Tree{tr}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

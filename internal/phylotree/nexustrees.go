@@ -4,128 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // NamedTree pairs a tree with its NEXUS label.
 type NamedTree struct {
 	Name string
 	Tree *Tree
-}
-
-// ReadNexusTrees parses the TREES block of a NEXUS file, honoring an
-// optional TRANSLATE table (the numeric-label indirection most programs
-// emit). Rooted markers [&R]/[&U] and other bracket comments are ignored.
-func ReadNexusTrees(r io.Reader) ([]NamedTree, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	if !sc.Scan() || !strings.EqualFold(strings.TrimSpace(sc.Text()), "#NEXUS") {
-		return nil, fmt.Errorf("nexus: missing #NEXUS header")
-	}
-
-	var (
-		inTrees     bool
-		inTranslate bool
-		translate   = map[string]string{}
-		out         []NamedTree
-	)
-	for sc.Scan() {
-		line := stripBracketComments(sc.Text())
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" {
-			continue
-		}
-		upper := strings.ToUpper(trimmed)
-		switch {
-		case strings.HasPrefix(upper, "BEGIN TREES"):
-			inTrees = true
-		case strings.HasPrefix(upper, "END;"):
-			inTrees, inTranslate = false, false
-		case !inTrees:
-			continue
-		case strings.HasPrefix(upper, "TRANSLATE"):
-			inTranslate = true
-			rest := strings.TrimSpace(trimmed[len("TRANSLATE"):])
-			if rest != "" {
-				inTranslate = !parseTranslate(rest, translate)
-			}
-		case inTranslate:
-			inTranslate = !parseTranslate(trimmed, translate)
-		case strings.HasPrefix(upper, "TREE"):
-			eq := strings.IndexByte(trimmed, '=')
-			if eq < 0 {
-				return nil, fmt.Errorf("nexus: malformed tree line %q", trimmed)
-			}
-			name := strings.TrimSpace(trimmed[len("TREE"):eq])
-			name = strings.Trim(name, "'* ")
-			newick := strings.TrimSpace(trimmed[eq+1:])
-			tr, err := ParseNewick(newick)
-			if err != nil {
-				return nil, fmt.Errorf("nexus: tree %q: %w", name, err)
-			}
-			if len(translate) > 0 {
-				if err := applyTranslate(tr, translate); err != nil {
-					return nil, fmt.Errorf("nexus: tree %q: %w", name, err)
-				}
-			}
-			out = append(out, NamedTree{Name: name, Tree: tr})
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("nexus: %w", err)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("nexus: no trees found")
-	}
-	return out, nil
-}
-
-// parseTranslate consumes one line of a TRANSLATE table ("1 taxonA," ...)
-// and reports whether the table is complete (line ended with ';').
-func parseTranslate(line string, into map[string]string) (done bool) {
-	done = strings.HasSuffix(line, ";")
-	line = strings.TrimSuffix(line, ";")
-	for _, pair := range strings.Split(line, ",") {
-		fields := strings.Fields(strings.TrimSpace(pair))
-		if len(fields) >= 2 {
-			into[fields[0]] = strings.Trim(strings.Join(fields[1:], " "), "'")
-		}
-	}
-	return done
-}
-
-// applyTranslate renames the tree's tips through the TRANSLATE table.
-func applyTranslate(tr *Tree, translate map[string]string) error {
-	seen := map[string]bool{}
-	for i, tip := range tr.Tips {
-		full, ok := translate[tip.Name]
-		if !ok {
-			// Untranslated labels are allowed to be literal names already.
-			full = tip.Name
-		}
-		if seen[full] {
-			return fmt.Errorf("duplicate taxon %q after translation", full)
-		}
-		seen[full] = true
-		tip.Name = full
-		tr.Taxa[i] = full
-	}
-	return nil
-}
-
-// stripBracketComments removes [...] comments, as in NEXUS.
-func stripBracketComments(line string) string {
-	for {
-		open := strings.IndexByte(line, '[')
-		if open < 0 {
-			return line
-		}
-		end := strings.IndexByte(line[open:], ']')
-		if end < 0 {
-			return line[:open]
-		}
-		line = line[:open] + line[open+end+1:]
-	}
 }
 
 // WriteNexusTrees emits a TREES block with the given labelled trees.

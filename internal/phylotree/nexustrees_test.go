@@ -2,109 +2,74 @@ package phylotree
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
 
-const nexusTrees = `#NEXUS
-BEGIN TREES;
-  TRANSLATE
-    1 'Homo sapiens',
-    2 Pan,
-    3 Gorilla,
-    4 Pongo;
-  TREE best = [&U] ((1:0.1,2:0.1):0.05,3:0.2,4:0.3);
-  TREE alt = ((1:0.1,3:0.1):0.05,2:0.2,4:0.3);
-END;
-`
-
-func TestReadNexusTrees(t *testing.T) {
-	trees, err := ReadNexusTrees(strings.NewReader(nexusTrees))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trees) != 2 {
-		t.Fatalf("trees = %d", len(trees))
-	}
-	if trees[0].Name != "best" || trees[1].Name != "alt" {
-		t.Errorf("names = %q, %q", trees[0].Name, trees[1].Name)
-	}
-	best := trees[0].Tree
-	if err := best.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	found := map[string]bool{}
-	for _, n := range best.Taxa {
-		found[n] = true
-	}
-	for _, want := range []string{"Homo sapiens", "Pan", "Gorilla", "Pongo"} {
-		if !found[want] {
-			t.Errorf("taxon %q missing after translation: %v", want, best.Taxa)
-		}
-	}
-	// The two trees differ topologically.
-	alt := trees[1].Tree
-	if err := alt.AlignTaxa(best.Taxa); err != nil {
-		t.Fatal(err)
-	}
-	d, err := RobinsonFoulds(best, alt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d == 0 {
-		t.Error("best and alt parsed identical")
-	}
-}
-
-func TestReadNexusTreesNoTranslate(t *testing.T) {
-	in := "#NEXUS\nBEGIN TREES;\n  TREE t1 = ((a:1,b:1):1,c:1,d:1);\nEND;\n"
-	trees, err := ReadNexusTrees(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trees[0].Tree.NumTips() != 4 {
-		t.Errorf("tips = %d", trees[0].Tree.NumTips())
-	}
-}
-
-func TestReadNexusTreesErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"not nexus",
-		"#NEXUS\nBEGIN TREES;\nEND;\n", // no trees
-		"#NEXUS\nBEGIN TREES;\n  TREE broken (a,b,c);\nEND;\n",                     // no '='
-		"#NEXUS\nBEGIN TREES;\n  TREE x = ((a,b),c;\nEND;\n",                       // bad newick
-		"#NEXUS\nBEGIN TREES;\nTRANSLATE 1 a, 2 a;\nTREE x = (1,2,(1,2));\nEND;\n", // dup after translate
-	}
-	for _, in := range bad {
-		if _, err := ReadNexusTrees(strings.NewReader(in)); err == nil {
-			t.Errorf("accepted %q", in)
-		}
-	}
-}
-
+// TestNexusTreesRoundTrip: every TREE line WriteNexusTrees emits carries its
+// label and a Newick string that parses back to the tree it was given (RF 0,
+// same branch lengths), quoted taxon names included.
 func TestNexusTreesRoundTrip(t *testing.T) {
-	orig, err := ParseNewick("((a:0.1,b:0.2):0.05,c:0.3,d:0.1);")
-	if err != nil {
-		t.Fatal(err)
+	var in []NamedTree
+	for i, nwk := range []string{
+		"((a:0.1,b:0.2):0.05,c:0.3,d:0.1);",
+		"((a:0.1,c:0.2):0.05,b:0.3,d:0.1);",
+		"(('Homo sapiens':0.1,'it''s':0.2):0.05,c:0.3,d:0.1);",
+	} {
+		tr, err := ParseNewick(nwk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in = append(in, NamedTree{Name: "t" + string(rune('1'+i)), Tree: tr})
 	}
 	var buf bytes.Buffer
-	if err := WriteNexusTrees(&buf, []NamedTree{{Name: "t1", Tree: orig}}); err != nil {
+	if err := WriteNexusTrees(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	trees, err := ReadNexusTrees(&buf)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != len(in)+3 || lines[0] != "#NEXUS" || lines[1] != "BEGIN TREES;" || lines[len(lines)-1] != "END;" {
+		t.Fatalf("not a NEXUS TREES block:\n%s", buf.String())
+	}
+	for i, nt := range in {
+		label, nwk, ok := strings.Cut(strings.TrimSpace(lines[i+2]), " = ")
+		if !ok || label != "TREE "+nt.Name {
+			t.Fatalf("line %q, want TREE %s = …", lines[i+2], nt.Name)
+		}
+		got, err := ParseNewick(nwk)
+		if err != nil {
+			t.Fatalf("%s: %v", nt.Name, err)
+		}
+		if err := got.AlignTaxa(nt.Tree.Taxa); err != nil {
+			t.Fatal(err)
+		}
+		d, err := RobinsonFoulds(nt.Tree, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != 0 {
+			t.Errorf("%s: round trip changed topology (RF=%d)", nt.Name, d)
+		}
+		if got.Newick() != nt.Tree.Newick() {
+			t.Errorf("%s: round trip changed the tree:\n got %s\nwant %s", nt.Name, got.Newick(), nt.Tree.Newick())
+		}
+	}
+}
+
+type failingWriter struct{}
+
+var errWrite = errors.New("disk full")
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errWrite }
+
+// TestWriteNexusTreesWriterError: a failing writer's error reaches the
+// caller, so raxml's -trees-out does not report a file it could not write.
+func TestWriteNexusTreesWriterError(t *testing.T) {
+	tr, err := ParseNewick("(a:0.1,b:0.2,c:0.3);")
 	if err != nil {
-		t.Fatalf("re-read: %v\n%s", err, buf.String())
-	}
-	got := trees[0].Tree
-	if err := got.AlignTaxa(orig.Taxa); err != nil {
 		t.Fatal(err)
 	}
-	d, err := RobinsonFoulds(orig, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
-		t.Errorf("round trip changed topology (RF=%d)", d)
+	if err := WriteNexusTrees(failingWriter{}, []NamedTree{{Name: "best", Tree: tr}}); !errors.Is(err, errWrite) {
+		t.Errorf("WriteNexusTrees = %v, want the writer's error", err)
 	}
 }

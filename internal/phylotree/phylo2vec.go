@@ -30,7 +30,7 @@ func (t *Tree) Phylo2Vec() ([]int, error) {
 	}
 
 	// Build an index-keyed adjacency copy so peeling does not disturb the
-	// live topology. Internal indices may exceed MaxNodeIndex after heavy
+	// live topology. Internal indices may exceed the 2n-2 bound after heavy
 	// insert/remove churn, so size by the largest index actually present.
 	edges := t.Edges()
 	maxIdx := 0

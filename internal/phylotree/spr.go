@@ -2,8 +2,6 @@ package phylotree
 
 import (
 	"fmt"
-	"math"
-	"slices"
 )
 
 // PrunedSubtree records the state needed to undo a Prune.
@@ -141,16 +139,11 @@ func SubtreeTips(nd *Node, out []int) []int {
 	return out
 }
 
-// RadiusEdges returns the directed insertion edges reachable from origin
-// within the given node radius, excluding the origin branch itself. It is
-// the move-set enumeration for RAxML's rearrangement-radius-bounded SPR.
-func RadiusEdges(origin *Node, radius int) []*Node {
-	out, _ := RadiusEdgesInto(nil, nil, origin, radius)
-	return out
-}
-
-// RadiusEdgesInto is RadiusEdges appending into caller-supplied buffers, so
-// the SPR hot loop can reuse its slices. parents gets, per edge appended to
+// RadiusEdgesInto appends to out the directed insertion edges reachable from
+// origin within the given node radius, excluding the origin branch itself:
+// the move-set enumeration for RAxML's rearrangement-radius-bounded SPR. It
+// appends into caller-supplied buffers, so the SPR hot loop can reuse its
+// slices. parents gets, per edge appended to
 // out, the index in out of the edge whose far end it hangs off (-1 at the
 // origin's), so a caller can stop the walk below an edge.
 func RadiusEdgesInto(out []*Node, parents []int, origin *Node, radius int) ([]*Node, []int) {
@@ -219,48 +212,6 @@ func (t *Tree) Bipartitions() map[Bipartition]bool {
 		out[bipartitionOf(e, len(t.Tips))] = true
 	}
 	return out
-}
-
-// BranchScoreDistance returns Kuhner & Felsenstein's branch-score distance:
-// the square root of the sum of squared branch-length differences over all
-// bipartitions (trivial and non-trivial), with a bipartition's length taken
-// as 0 in a tree that lacks it. Unlike RF it is sensitive to branch
-// lengths, so it distinguishes trees of equal topology.
-func BranchScoreDistance(a, b *Tree) (float64, error) {
-	if len(a.Tips) != len(b.Tips) {
-		return 0, fmt.Errorf("phylotree: taxon count mismatch %d vs %d", len(a.Tips), len(b.Tips))
-	}
-	for i := range a.Taxa {
-		if a.Taxa[i] != b.Taxa[i] {
-			return 0, fmt.Errorf("phylotree: taxon order mismatch at %d: %q vs %q", i, a.Taxa[i], b.Taxa[i])
-		}
-	}
-	lengths := func(t *Tree) map[Bipartition]float64 {
-		out := make(map[Bipartition]float64)
-		for _, e := range t.Edges() {
-			out[bipartitionOf(e, len(t.Tips))] = e.Z
-		}
-		return out
-	}
-	la, lb := lengths(a), lengths(b)
-	var terms []float64
-	for k, va := range la {
-		d := va - lb[k]
-		terms = append(terms, d*d)
-	}
-	for k, vb := range lb {
-		if _, ok := la[k]; !ok {
-			terms = append(terms, vb*vb)
-		}
-	}
-	// Summed in sorted order, not map order: the same terms in the same order
-	// whichever tree comes first, so the distance is symmetric to the bit.
-	slices.Sort(terms)
-	sum := 0.0
-	for _, t := range terms {
-		sum += t
-	}
-	return math.Sqrt(sum), nil
 }
 
 // RobinsonFoulds returns the RF distance between two trees over the same

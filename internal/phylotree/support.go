@@ -2,20 +2,16 @@ package phylotree
 
 import "fmt"
 
-// SupportValues computes non-parametric bootstrap support: for every
+// SupportValuesWeighted computes non-parametric bootstrap support: for every
 // non-trivial bipartition of the reference tree, the fraction of replicate
 // trees that contain the same bipartition. All trees must share the
 // reference's taxon order (use AlignTaxa on parsed replicates first).
-func SupportValues(ref *Tree, replicates []*Tree) (map[Bipartition]float64, error) {
-	return SupportValuesWeighted(ref, replicates, nil)
-}
-
-// SupportValuesWeighted is SupportValues over a deduplicated replicate set:
-// replicate i counts weights[i] times, so the result is identical — the
-// same integer counts, the same division — to expanding every replicate to
-// its multiplicity and calling SupportValues. A nil weights slice means all
-// ones (plain SupportValues); weights must otherwise match replicates in
-// length with every entry >= 1.
+//
+// The replicate set may be deduplicated: replicate i counts weights[i] times,
+// so the result is identical — the same integer counts, the same division —
+// to expanding every replicate to its multiplicity. A nil weights slice means
+// all ones; weights must otherwise match replicates in length with every
+// entry >= 1.
 func SupportValuesWeighted(ref *Tree, replicates []*Tree, weights []int) (map[Bipartition]float64, error) {
 	if len(replicates) == 0 {
 		return nil, fmt.Errorf("phylotree: no replicate trees")
@@ -53,17 +49,4 @@ func SupportValuesWeighted(ref *Tree, replicates []*Tree, weights []int) (map[Bi
 		out[b] = float64(counts[b]) / float64(total)
 	}
 	return out, nil
-}
-
-// MeanSupport averages the support values of a tree's bipartitions — a
-// scalar summary used by examples and tests.
-func MeanSupport(values map[Bipartition]float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range values {
-		s += v
-	}
-	return s / float64(len(values))
 }

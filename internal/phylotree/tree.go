@@ -150,19 +150,12 @@ func (t *Tree) notifyBranch(nd *Node, topo bool) {
 // NumTips returns the number of taxa.
 func (t *Tree) NumTips() int { return len(t.Tips) }
 
-// NumInner returns the number of internal nodes currently in the topology.
-func (t *Tree) NumInner() int { return len(t.inner) }
-
-// MaxNodeIndex returns an exclusive upper bound on Index values, used to
-// size likelihood-vector tables (2n-2 covers tips plus all internals).
-func (t *Tree) MaxNodeIndex() int { return 2*len(t.Tips) - 2 }
-
 // NewInternalRing allocates a fresh, detached internal node ring and
 // returns its representative; the tree's own edits and algorithms that
 // assemble topologies bottom-up (e.g. neighbor joining) wire its three
 // records with Connect. It prefers released indices, so that repeated
 // insert/remove cycles (trial insertions during stepwise addition) do not
-// grow the index space past MaxNodeIndex.
+// grow the index space past 2n-2.
 func (t *Tree) NewInternalRing() *Node {
 	var idx int
 	if n := len(t.freeIdx); n > 0 {
@@ -264,24 +257,6 @@ func (t *Tree) InternalEdges() []*Node {
 		}
 	}
 	return out
-}
-
-// Start returns a canonical traversal anchor: the record opposite tip 0.
-func (t *Tree) Start() *Node { return t.Tips[0].Back }
-
-// Postorder appends to out every directed record on the "away" side of nd in
-// postorder: children before parents. Calling it with t.Start() visits every
-// internal record needed to compute the view toward tip 0.
-func Postorder(nd *Node, out []*Node) []*Node {
-	if nd.IsTip() {
-		return out
-	}
-	for _, r := range nd.Ring() {
-		if r != nd {
-			out = Postorder(r.Back, out)
-		}
-	}
-	return append(out, nd)
 }
 
 // Complete reports whether every tip is attached and the topology has the
@@ -393,15 +368,6 @@ func (t *Tree) AlignTaxa(taxa []string) error {
 	t.Tips = newTips
 	t.Taxa = append(t.Taxa[:0], taxa...)
 	return nil
-}
-
-// TotalBranchLength sums all branch lengths.
-func (t *Tree) TotalBranchLength() float64 {
-	sum := 0.0
-	for _, e := range t.Edges() {
-		sum += e.Z
-	}
-	return sum
 }
 
 // Clone deep-copies the topology and branch lengths. The clone's records

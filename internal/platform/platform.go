@@ -71,9 +71,3 @@ func (p Platform) Makespan(b int) (float64, error) {
 	perContext := int(math.Ceil(float64(b) / float64(contexts)))
 	return float64(perContext) * p.SearchSeconds * p.SMTFactor, nil
 }
-
-// Throughput returns searches per hour at saturation, a convenience for
-// example programs.
-func (p Platform) Throughput() float64 {
-	return 3600 / (p.SearchSeconds * p.SMTFactor) * float64(p.Contexts())
-}

@@ -66,16 +66,8 @@ func TestPaperRelativeOrdering(t *testing.T) {
 	}
 }
 
-func TestContextsAndThroughput(t *testing.T) {
-	p := Power5()
-	if p.Contexts() != 4 {
+func TestContexts(t *testing.T) {
+	if p := Power5(); p.Contexts() != 4 {
 		t.Errorf("Power5 contexts = %d", p.Contexts())
-	}
-	if p.Throughput() <= 0 {
-		t.Error("throughput not positive")
-	}
-	x := Xeon2GHzPair()
-	if x.Throughput() >= p.Throughput() {
-		t.Error("Xeon throughput should be below Power5's")
 	}
 }

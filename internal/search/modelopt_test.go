@@ -115,6 +115,54 @@ func TestRunWithModelOpt(t *testing.T) {
 	}
 }
 
+// TestResultRatesOnlyWhenFitted: a search that fits the exchangeabilities
+// returns them, and a fresh engine built from the returned rates and alpha
+// scores the returned tree at the returned logL, so a caller can rebuild the
+// model the search ended on; a search that fits none returns nil rates.
+func TestResultRatesOnlyWhenFitted(t *testing.T) {
+	pat, truth, gen := simulateWithModel(t, 107, 8, 300)
+	newEngine := func(rates [6]float64, alpha float64) *likelihood.Engine {
+		g, err := model.NewGTR(rates, gen.GTR.Freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := model.NewModel(g, alpha, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	unit := [6]float64{1, 1, 1, 1, 1, 1}
+	opt := Options{Radius: 2, MaxRounds: 1, SmoothPasses: 2, Epsilon: 0.05, AlphaOpt: true}
+	res, err := Run(newEngine(unit, 0.8), truth.Clone(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rates != nil {
+		t.Errorf("a search without ModelOpt returned rates %v", *res.Rates)
+	}
+	opt.ModelOpt = true
+	if res, err = Run(newEngine(unit, 0.8), truth.Clone(), opt); err != nil {
+		t.Fatal(err)
+	}
+	if res.Rates == nil || *res.Rates == unit {
+		t.Fatalf("a search with ModelOpt returned rates %v", res.Rates)
+	}
+	eng := newEngine(*res.Rates, res.Alpha)
+	eng.AttachTree(res.Tree)
+	ll, err := eng.Evaluate(res.Tree.Tips[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(ll-res.LogL) > 1e-6*math.Abs(res.LogL) {
+		t.Errorf("the returned rates and alpha score the returned tree at %.6f, the search reported %.6f", ll, res.LogL)
+	}
+}
+
 func TestOptimizeAllConverges(t *testing.T) {
 	pat, truth, gen := simulateWithModel(t, 103, 8, 600)
 	g, err := model.NewGTR([6]float64{1, 1, 1, 1, 1, 1}, gen.GTR.Freqs)

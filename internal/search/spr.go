@@ -198,6 +198,7 @@ type Result struct {
 	Tree   *phylotree.Tree
 	LogL   float64
 	Alpha  float64
+	Rates  *[6]float64 // fitted GTR exchangeabilities; nil unless Options.ModelOpt
 	Rounds int
 	Moves  int // accepted SPR moves
 }
@@ -298,6 +299,8 @@ func RunContext(ctx context.Context, eng *likelihood.Engine, start *phylotree.Tr
 			ll = fitted
 		}
 		res.Alpha = eng.Mod.Alpha
+		rates := eng.Mod.GTR.Rates
+		res.Rates = &rates
 	}
 	res.LogL = ll
 	if opt.OnProgress != nil {

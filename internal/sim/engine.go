@@ -76,9 +76,6 @@ func (e *Engine) Now() Time { return e.now }
 // before Run so process spawns are captured.
 func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
-// Tracer returns the attached tracer, or nil.
-func (e *Engine) Tracer() Tracer { return e.tracer }
-
 // Proc is one simulated thread of execution. All Proc methods must be
 // called from within the process's own body function.
 type Proc struct {
@@ -90,7 +87,6 @@ type Proc struct {
 
 	started   bool
 	done      bool
-	daemon    bool // daemons may remain blocked when the simulation ends
 	blocked   bool // parked without a pending wake event (waiting on a Cond)
 	blockedAt Time // when the current block began (tracing)
 	err       error
@@ -115,21 +111,13 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	return p
 }
 
-// SetDaemon marks the process as a daemon: the simulation is allowed to
-// finish while a daemon is still blocked (e.g. an SPE thread busy-waiting
-// for work that will never come).
-func (p *Proc) SetDaemon(v bool) { p.daemon = v }
-
-// Done reports whether the process body has returned.
-func (p *Proc) Done() bool { return p.done }
-
 func (e *Engine) schedule(p *Proc, at Time) {
 	e.seq++
 	heap.Push(&e.events, event{at: at, seq: e.seq, proc: p})
 }
 
 // Run drives the simulation until no events remain. It returns an error if
-// any non-daemon process is still blocked at that point (deadlock).
+// any process is still blocked at that point (deadlock).
 func (e *Engine) Run() error {
 	for len(e.events) > 0 {
 		ev := heap.Pop(&e.events).(event)
@@ -168,7 +156,7 @@ func (e *Engine) Run() error {
 		}
 	}
 	for _, p := range e.procs {
-		if !p.done && p.started && p.blocked && !p.daemon {
+		if !p.done && p.started && p.blocked {
 			return fmt.Errorf("sim: deadlock: process %q blocked with no pending events at t=%d", p.Name, e.now)
 		}
 	}
@@ -192,10 +180,6 @@ func (p *Proc) Advance(d Time) {
 	p.park()
 }
 
-// Yield reschedules the process at the current time behind already-pending
-// same-time events (a cooperative context switch).
-func (p *Proc) Yield() { p.Advance(0) }
-
 // block parks the process with no wake-up event; a Cond signal must
 // reschedule it. Used by the synchronization primitives.
 func (p *Proc) block() {
@@ -214,6 +198,3 @@ func (p *Proc) unblock() {
 
 // Now returns the current simulated time (convenience).
 func (p *Proc) Now() Time { return p.eng.now }
-
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -91,24 +92,6 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestDaemonMayStayBlocked(t *testing.T) {
-	e := NewEngine()
-	var c Cond
-	e.Spawn("spe-idle", func(p *Proc) {
-		p.SetDaemon(true)
-		c.Wait(p)
-	})
-	e.Spawn("main", func(p *Proc) {
-		p.Advance(100)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("daemon counted as deadlock: %v", err)
-	}
-	if e.Now() != 100 {
-		t.Errorf("time = %d", e.Now())
-	}
-}
-
 func TestResource(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(2)
@@ -136,8 +119,8 @@ func TestResource(t *testing.T) {
 	if e.Now() != 30 {
 		t.Errorf("makespan = %d, want 30", e.Now())
 	}
-	if r.InUse() != 0 || r.Capacity() != 2 {
-		t.Errorf("resource state %d/%d", r.InUse(), r.Capacity())
+	if r.InUse() != 0 {
+		t.Errorf("%d units still in use", r.InUse())
 	}
 }
 
@@ -180,27 +163,6 @@ func TestQueueBlockingBehaviour(t *testing.T) {
 	// Producer's 3rd send can only complete after the 1st recv at t=10.
 	if sendDone < 10 {
 		t.Errorf("producer finished at %d, expected to block until >= 10", sendDone)
-	}
-	if q.Len() != 0 {
-		t.Errorf("queue not drained: %d", q.Len())
-	}
-}
-
-func TestQueueTryRecv(t *testing.T) {
-	q := NewQueue(1)
-	if _, ok := q.TryRecv(); ok {
-		t.Error("TryRecv on empty queue succeeded")
-	}
-	e := NewEngine()
-	e.Spawn("p", func(p *Proc) {
-		q.Send(p, "x")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := q.TryRecv()
-	if !ok || v.(string) != "x" {
-		t.Errorf("TryRecv = %v, %v", v, ok)
 	}
 }
 
@@ -259,7 +221,7 @@ func TestYield(t *testing.T) {
 	var order []string
 	e.Spawn("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Advance(0)
 		order = append(order, "a2")
 	})
 	e.Spawn("b", func(p *Proc) {
@@ -268,7 +230,7 @@ func TestYield(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// a yields at t=0, letting b run before a resumes.
+	// a advances by 0 at t=0, which yields: b runs before a resumes.
 	want := []string{"a1", "b1", "a2"}
 	for i := range want {
 		if order[i] != want[i] {
@@ -335,5 +297,26 @@ func TestDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic: %v vs %v", a, b)
 		}
+	}
+}
+
+// TestDeadlockNamesBlockedProcess: a process left waiting on a condition no
+// one signals is a deadlock only once every other event has run, and the
+// error names it and the time it was found at.
+func TestDeadlockNamesBlockedProcess(t *testing.T) {
+	e := NewEngine()
+	var c Cond
+	e.Spawn("spe-idle", func(p *Proc) {
+		c.Wait(p)
+	})
+	e.Spawn("main", func(p *Proc) {
+		p.Advance(100)
+	})
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), `"spe-idle"`) || !strings.Contains(err.Error(), "t=100") {
+		t.Errorf("Run = %v, want a deadlock of spe-idle at t=100", err)
+	}
+	if e.Now() != 100 {
+		t.Errorf("time = %d, want 100: the deadlock cut the other process short", e.Now())
 	}
 }

@@ -32,9 +32,6 @@ func (c *Cond) Broadcast() {
 	c.waiters = nil
 }
 
-// Waiting returns the number of parked processes.
-func (c *Cond) Waiting() int { return len(c.waiters) }
-
 // Resource is a counted resource with FIFO acquisition (a semaphore with
 // fairness), e.g. PPE hardware threads.
 type Resource struct {
@@ -74,9 +71,6 @@ func (r *Resource) Release(n int) {
 // InUse reports the currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Capacity reports the total units.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // Queue is a bounded FIFO channel between processes (the model for Cell
 // mailboxes). Send blocks when full, Recv blocks when empty.
 type Queue struct {
@@ -114,20 +108,6 @@ func (q *Queue) Recv(p *Proc) interface{} {
 	return v
 }
 
-// TryRecv dequeues without blocking; ok is false when empty.
-func (q *Queue) TryRecv() (interface{}, bool) {
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	q.notFull.Signal()
-	return v, true
-}
-
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
-
 // Server models a pipelined fixed-rate device (an EIB ring, a memory
 // channel): requests serialize in FIFO order without needing a process
 // context. Reserve returns the completion time of a request of the given
@@ -146,9 +126,6 @@ func (s *Server) Reserve(now Time, dur Time) Time {
 	s.nextFree = start + dur
 	return s.nextFree
 }
-
-// NextFree reports when the server becomes idle.
-func (s *Server) NextFree() Time { return s.nextFree }
 
 // MultiServer is a bank of identical Servers (the EIB's four rings):
 // Reserve picks the earliest-available channel.

@@ -212,12 +212,3 @@ func FromMeter(name string, m *likelihood.Meter, patterns int) (Profile, error) 
 	}
 	return p, nil
 }
-
-// TotalInvocations returns the number of kernel calls in one search.
-func (p *Profile) TotalInvocations() float64 {
-	t := 0.0
-	for _, c := range p.Classes {
-		t += c.Count
-	}
-	return t
-}
