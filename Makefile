@@ -132,8 +132,9 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadNexus -fuzztime=$(FUZZTIME) ./internal/alignment
 	$(GO) test -run=NONE -fuzz=FuzzParseNewick -fuzztime=$(FUZZTIME) ./internal/phylotree
 
-# lint mirrors the CI gates that need no network: gofmt, go vet, and the
-# four-analyzer project invariant suite (cmd/raxmlvet) driven through the
+# lint mirrors the CI gates that need no network: gofmt, go vet, go vet and
+# go build for arm64 (the portable path the amd64 vector kernels leave), and
+# the four-analyzer project invariant suite (cmd/raxmlvet) driven through the
 # vet tool protocol over every package, the commands and the lint engine
 # itself included (each run also audits //lint:ignore directives).
 # staticcheck/govulncheck run in CI where their pinned versions are
@@ -142,6 +143,7 @@ lint: raxmlvet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed for:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 	$(GO) vet -vettool=$(CURDIR)/$(BIN)/raxmlvet ./...
 
 raxmlvet:

@@ -105,7 +105,7 @@ func TestGatesMirrorCI(t *testing.T) {
 // benchmark/ and testdata/, counted after gofmt. It only moves down: a change
 // that deletes code lowers it to the new count, and one that must raise it
 // states in CHANGES.md the measured win that pays for the lines.
-const codeCeiling = 16005
+const codeCeiling = 16171
 
 // TestCodeBudget counts the gofmt'd lines of every non-test Go file outside
 // benchmark/ and testdata/ and fails above codeCeiling.
@@ -152,6 +152,7 @@ func TestCodeBudget(t *testing.T) {
 // Config.noRepeats), never a global.
 var packageVarAllowed = map[string]string{
 	"executor":      "the range executor: one per process, shared by every engine",
+	"simd":          "the CPU's vector kernels, nil where it has none; set at init, never by a test",
 	"TwoTo256":      "scaling constant; math.Ldexp is not a constant expression",
 	"MinLikelihood": "scaling constant; math.Ldexp is not a constant expression",
 	"logMinLik":     "scaling constant; math.Log is not a constant expression",

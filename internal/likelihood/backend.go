@@ -19,7 +19,9 @@ import (
 // "given these operands, compute patterns (or rows) [lo, hi)" — which is exactly the
 // seam BEAGLE 4.1 draws around its CPU/SSE/GPU implementations, and the Go
 // analogue of the paper swapping restructured SPU loops under an unchanged
-// search.
+// search. Below the seam the batched backend has a second one of BEAGLE's
+// kind: its hot tile loops run 4-wide AVX bodies where the CPU has them
+// (simdKernels, avx_amd64.s) and its Go loops elsewhere, with the same bits.
 //
 // Concurrency: a backend must be stateless, because the executor runs
 // several blocks of one pass concurrently, some of them on helper goroutines
@@ -33,7 +35,9 @@ import (
 // relative log-likelihood on any workload (the 42sc cross-validation gate
 // enforces this for both backends); they keep the per-element accumulation
 // order of the reference loops, so they agree bit for bit where the compiler
-// does not re-fuse floating point ops.
+// does not re-fuse floating point ops. It does not at the default GOAMD64
+// (v1), and the vector bodies use no fused multiply-add: each lane rounds
+// every product and sum on its own, as the Go loops do.
 type Backend interface {
 	// Name reports the backend's name ("scalar" or "batched").
 	Name() string

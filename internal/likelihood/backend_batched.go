@@ -1,6 +1,9 @@
 package likelihood
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // batchTile is the pattern-tile width of the batched backend: 32 patterns
 // × 4 Gamma categories × 4 states × 8 bytes = 4 KiB per projection tile —
@@ -13,7 +16,9 @@ const batchTile = 32
 // owns one for the blocks its owner runs, every executor helper one for the
 // blocks it adopts, so concurrent blocks of one pass never share a tile.
 type tileScratch struct {
-	a []float64 // projection tile, laid out like lv: [t*ncat*ns + cat*ns + i]
+	// a is the projection tile, laid out like lv: [t*ncat*ns + cat*ns + i];
+	// a Newton derivative pass keeps its tile's three sums in it instead.
+	a []float64
 
 	// The rows (or tip codes) a tile gathers from its operands, one per
 	// tile position: qi/ri the two projected sides, pi evaluate's p-side
@@ -54,10 +59,14 @@ func (ts *tileScratch) fit(ncat int) {
 // tiles with the transition-matrix × partial-vector loops fused: each
 // matrix (or exponential) row is hoisted into locals once per category and
 // reused across the whole tile, instead of being reloaded for every
-// pattern as the scalar loops do. This is the Go analogue of the paper's
-// SPU vectorization of the two FP-intensive loops (Section 5.2.5, the
-// 36→24 and 44→22 instruction-count reductions): the FLOP count is
-// unchanged, the per-pattern load traffic and loop overhead are what drop.
+// pattern as the scalar loops do. On a CPU with AVX the projections, the
+// sum table's factors and the Newton derivative sums run vector bodies
+// (simdKernels) — the paper's SPU vectorization of the two FP-intensive
+// loops (Section 5.2.5, the 36→24 and 44→22 instruction-count reductions),
+// for real on the host: P's four columns in four registers, four states or
+// four patterns a lane each. The FLOP count is unchanged; the instructions
+// that carry it, the per-pattern load traffic and loop overhead are what
+// drop.
 //
 // Every accumulation keeps the scalar backend's per-element order
 // (category-major, state-ascending, sequential adds), so results are
@@ -75,9 +84,13 @@ type batchedBackend struct {
 // row i stands for pattern first[i] (nil: i), where a tip operand (data)
 // has its code and an inner one (v) the row of its class map. It fills idx,
 // or, for an operand read one row per pattern, returns the engine's
-// identity rows without a loop.
-func gatherTile(e *Engine, idx, first []int32, data []byte, v *vec, lo, hi int) []int32 {
+// identity rows without a loop. It panics on a row past the operand's rows,
+// which the vector bodies would read unchecked: a bug, never an input.
+func gatherTile(e *Engine, idx, first []int32, data []byte, v *vec, lo, hi, rows int) []int32 {
 	if first == nil && data == nil && v.cls == nil {
+		if hi > rows {
+			rowPastOperand(hi-1, rows)
+		}
 		return e.ident[lo:hi]
 	}
 	for row := lo; row < hi; row++ {
@@ -85,16 +98,75 @@ func gatherTile(e *Engine, idx, first []int32, data []byte, v *vec, lo, hi int) 
 		if first != nil {
 			pat = int(first[row])
 		}
+		var r int
 		switch {
 		case data != nil:
-			idx[row-lo] = int32(data[pat] & 0x0f)
+			r = int(data[pat] & 0x0f)
 		case v.cls != nil:
-			idx[row-lo] = int32(v.cls[pat])
+			r = int(v.cls[pat])
 		default:
-			idx[row-lo] = int32(pat)
+			r = pat
 		}
+		if uint(r) >= uint(rows) {
+			rowPastOperand(r, rows)
+		}
+		idx[row-lo] = int32(r)
 	}
 	return idx[:hi-lo]
+}
+
+func rowPastOperand(r, rows int) {
+	panic(fmt.Sprintf("likelihood: tile row %d of an operand of %d rows", r, rows))
+}
+
+// operandRows is the rows a tile may gather from an operand read from tab,
+// or, where tab is nil, projected from lv.
+func operandRows(tab, lv []float64, stride int) int {
+	if tab != nil {
+		return len(tab) / stride
+	}
+	return len(lv) / stride
+}
+
+// simdKernels are vector bodies of the tile loops below, installed where the
+// CPU has them (avx_amd64.go). Each has its Go loop's bits: a lane rounds
+// every product and every sum on its own, in that loop's order, with no
+// fused multiply-add. They check no bound, so their callers hand them rows
+// gatherTile has checked and slices cut to the lengths they access.
+type simdKernels struct {
+	// project is projectInnerTile, projectTimes projectTimes.
+	project      func(p, src []float64, idx []int32, out []float64, ncat int)
+	projectTimes func(p, src []float64, idx []int32, a []float64, aIdx []int32, out []float64, ncat int)
+
+	// sumP and mat4 are sumTableFactors' two loops over len(f)/4 rows of
+	// four: f = Σ_i (π_i·x_i)·V[i] on the p side, f = W·y on an inner q side.
+	sumP func(fr *[ns]float64, v *[ns][ns]float64, x, f []float64)
+	mat4 func(m *[ns][ns]float64, y, f []float64)
+
+	// newtonDeriv leaves in l0, l1 and l2 newtonDerivRange's three sums of
+	// len(l0) patterns, a multiple of four, whose rows of len(e0) tab holds.
+	newtonDeriv func(tab, e0, e1, e2, l0, l1, l2 []float64)
+}
+
+// simd holds the CPU's vector kernels, nil where it has none.
+var simd *simdKernels
+
+// projectTile is projectInnerTile on the vector body where there is one.
+func projectTile(p, src []float64, idx []int32, out []float64, ncat int) {
+	if simd == nil {
+		projectInnerTile(p, src, idx, out, ncat)
+		return
+	}
+	simd.project(p[:ncat*ns*ns], src, idx, out[:len(idx)*ncat*ns], ncat)
+}
+
+// projectTimesTile is projectTimes on the vector body where there is one.
+func projectTimesTile(p, src []float64, idx []int32, a []float64, aIdx []int32, out []float64, ncat int) {
+	if simd == nil {
+		projectTimes(p, src, idx, a, aIdx, out, ncat)
+		return
+	}
+	simd.projectTimes(p[:ncat*ns*ns], src, idx, a, aIdx[:len(idx)], out[:len(idx)*ncat*ns], ncat)
 }
 
 // projectInnerTile projects the rows idx of an inner child's partial vectors
@@ -157,8 +229,11 @@ func projectTimes(p, src []float64, idx []int32, a []float64, aIdx []int32, out 
 // into the same rows of dst a tile at a time: a class table's rows
 // (Engine.classTable), each projectInnerTile's expression on its row.
 func projectRows(e *Engine, p, src, dst []float64, lo, hi int) {
+	if hi > len(src)/(e.ncat*ns) {
+		rowPastOperand(hi-1, len(src)/(e.ncat*ns))
+	}
 	for l := lo; l < hi; l += batchTile {
-		projectInnerTile(p, src, e.ident[l:min(l+batchTile, hi)], dst[l*e.ncat*ns:], e.ncat)
+		projectTile(p, src, e.ident[l:min(l+batchTile, hi)], dst[l*e.ncat*ns:], e.ncat)
 	}
 }
 
@@ -188,12 +263,14 @@ func (b batchedBackend) combineRows(e *Engine, op *combineOp, pr patRange, ts *t
 		rt = e.scr.tipPR
 	}
 
+	qRows, rRows := operandRows(qt, op.q.lv, stride), operandRows(rt, op.r.lv, stride)
+
 	var st combineStats
 	for lo := pr.lo; lo < pr.hi; lo += batchTile {
 		hi := min(lo+batchTile, pr.hi)
 		n := hi - lo
-		qi := gatherTile(e, ts.qi, op.first, op.qData, &op.q, lo, hi)
-		ri := gatherTile(e, ts.ri, op.first, op.rData, &op.r, lo, hi)
+		qi := gatherTile(e, ts.qi, op.first, op.qData, &op.q, lo, hi, qRows)
+		ri := gatherTile(e, ts.ri, op.first, op.rData, &op.r, lo, hi, rRows)
 		out := dst[(lo-dstLo)*stride : (hi-dstLo)*stride]
 		switch {
 		case qt != nil && rt != nil:
@@ -206,12 +283,12 @@ func (b batchedBackend) combineRows(e *Engine, op *combineOp, pr patRange, ts *t
 				}
 			}
 		case qt != nil:
-			projectTimes(e.scr.pRight, op.r.lv, ri, qt, qi, out, ncat)
+			projectTimesTile(e.scr.pRight, op.r.lv, ri, qt, qi, out, ncat)
 		case rt != nil:
-			projectTimes(e.scr.pLeft, op.q.lv, qi, rt, ri, out, ncat)
+			projectTimesTile(e.scr.pLeft, op.q.lv, qi, rt, ri, out, ncat)
 		default:
-			projectInnerTile(e.scr.pLeft, op.q.lv, qi, ts.a, ncat)
-			projectTimes(e.scr.pRight, op.r.lv, ri, ts.a, e.ident[:n], out, ncat)
+			projectTile(e.scr.pLeft, op.q.lv, qi, ts.a, ncat)
+			projectTimesTile(e.scr.pRight, op.r.lv, ri, ts.a, e.ident[:n], out, ncat)
 		}
 		st.muls += uint64(n) * (inner*uint64(ncat)*ns*ns + uint64(stride))
 		st.adds += uint64(n) * inner * uint64(ncat) * ns * (ns - 1)
@@ -256,6 +333,14 @@ func (b batchedBackend) evaluateRange(e *Engine, op *evalOp, pr patRange, ts *ti
 	freqs := &e.Mod.GTR.Freqs
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
 	p, pLo := &op.p, op.pLo
+	qa := op.qTab // what the q-side is read from; nil: projected a tile at a time
+	switch {
+	case op.qProj != nil:
+		qa = op.qProj
+	case op.qData != nil:
+		qa = e.scr.tipPR
+	}
+	pRows, qRows := len(p.lv)/stride, operandRows(qa, op.q.lv, stride)
 
 	var out evalPart
 	for lo := pr.lo; lo < pr.hi; lo += batchTile {
@@ -263,17 +348,12 @@ func (b batchedBackend) evaluateRange(e *Engine, op *evalOp, pr patRange, ts *ti
 		n := hi - lo
 		pi := e.ident[lo-pLo : hi-pLo]
 		if p.cls != nil {
-			pi = gatherTile(e, ts.pi, nil, nil, p, lo, hi)
+			pi = gatherTile(e, ts.pi, nil, nil, p, lo, hi, pRows)
 		}
-		qi := gatherTile(e, ts.qi, nil, op.qData, &op.q, lo, hi)
-		a, ai := op.qTab, qi
-		switch {
-		case op.qProj != nil:
-			a, ai = op.qProj, e.ident[lo:hi]
-		case op.qData != nil:
-			a = e.scr.tipPR
-		case a == nil:
-			projectInnerTile(e.scr.pLeft, op.q.lv, qi, ts.a, ncat)
+		qi := gatherTile(e, ts.qi, nil, op.qData, &op.q, lo, hi, qRows)
+		a, ai := qa, qi
+		if a == nil {
+			projectTile(e.scr.pLeft, op.q.lv, qi, ts.a, ncat)
 			a, ai = ts.a, e.ident[:n]
 		}
 		if op.qProj == nil && op.qData == nil {
@@ -324,79 +404,113 @@ func (b batchedBackend) sumTableFactors(e *Engine, op *sumOp, pr, qr patRange, t
 	}
 	g := e.Mod.GTR
 	stride := e.ncat * ns
-	v, w, fr := &g.V, &g.VInv, &g.Freqs
-	// fx[i] = π_i·x_i once per row and category; the flat 4-term forms group
-	// left-associatively exactly like the scalar += chains.
-	for o := pr.lo * stride; o < pr.hi*stride; o += ns {
-		x, f := op.p.lv[o:o+ns], e.scr.sumP[o:o+ns]
+	sumP, mat4 := sumPRows, mat4Rows
+	if simd != nil {
+		sumP, mat4 = simd.sumP, simd.mat4
+	}
+	sumP(&g.Freqs, &g.V, op.p.lv[pr.lo*stride:pr.hi*stride], e.scr.sumP[pr.lo*stride:pr.hi*stride])
+	if op.qData == nil {
+		mat4(&g.VInv, op.q.lv[qr.lo*stride:qr.hi*stride], e.scr.sumQ[qr.lo*stride:qr.hi*stride])
+	} else {
+		for o := qr.lo * stride; o < qr.hi*stride; o += ns {
+			mat4Rows(&g.VInv, e.tipVec[o/stride][:], e.scr.sumQ[o:o+ns])
+		}
+	}
+	return sumTableStats(e, pr, qr)
+}
+
+// sumPRows writes, for every row of four of x, f = Σ_i (π_i·x_i)·v[i]: fx[i]
+// = π_i·x_i once per row; the flat 4-term forms group left-associatively
+// exactly like the scalar += chains.
+func sumPRows(fr *[ns]float64, v *[ns][ns]float64, x, f []float64) {
+	for o := 0; o+ns <= len(f); o += ns {
+		x, f := x[o:o+ns], f[o:o+ns]
 		fx0, fx1, fx2, fx3 := fr[0]*x[0], fr[1]*x[1], fr[2]*x[2], fr[3]*x[3]
 		f[0] = fx0*v[0][0] + fx1*v[1][0] + fx2*v[2][0] + fx3*v[3][0]
 		f[1] = fx0*v[0][1] + fx1*v[1][1] + fx2*v[2][1] + fx3*v[3][1]
 		f[2] = fx0*v[0][2] + fx1*v[1][2] + fx2*v[2][2] + fx3*v[3][2]
 		f[3] = fx0*v[0][3] + fx1*v[1][3] + fx2*v[2][3] + fx3*v[3][3]
 	}
-	for o := qr.lo * stride; o < qr.hi*stride; o += ns {
-		var y []float64
-		if op.qData != nil {
-			y = e.tipVec[o/stride][:]
-		} else {
-			y = op.q.lv[o : o+ns]
-		}
+}
+
+// mat4Rows writes f = w·y for every row of four of y.
+func mat4Rows(w *[ns][ns]float64, y, f []float64) {
+	for o := 0; o+ns <= len(f); o += ns {
+		y, f := y[o:o+ns], f[o:o+ns]
 		y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
-		f := e.scr.sumQ[o : o+ns]
 		f[0] = w[0][0]*y0 + w[0][1]*y1 + w[0][2]*y2 + w[0][3]*y3
 		f[1] = w[1][0]*y0 + w[1][1]*y1 + w[1][2]*y2 + w[1][3]*y3
 		f[2] = w[2][0]*y0 + w[2][1]*y1 + w[2][2]*y2 + w[2][3]*y3
 		f[3] = w[3][0]*y0 + w[3][1]*y1 + w[3][2]*y2 + w[3][3]*y3
 	}
-	return sumTableStats(e, pr, qr)
 }
 
-// newtonDerivRange runs pattern at a time with L, L′ and L″ in locals: each
-// is added up in the scalar loop's order (category-major, state-ascending),
-// so the pass keeps its bits, and no per-pattern sum goes through memory.
+// newtonDerivRange takes a tile of patterns at a time: their sums L, L′
+// and L″ into the tile scratch, the vector body four patterns at a time
+// and the loop the rest, then the epilogue pattern by pattern in order.
 func (b batchedBackend) newtonDerivRange(e *Engine, op *newtonOp, pr patRange, ts *tileScratch) derivPart {
 	if e.patCat != nil {
 		return b.scalar.newtonDerivRange(e, op, pr, ts)
 	}
 	stride := e.ncat * ns
 	e0, e1, e2 := op.e0[:stride], op.e1[:stride], op.e2[:stride]
+	l0, l1, l2 := ts.a[:batchTile], ts.a[batchTile:2*batchTile], ts.a[2*batchTile:3*batchTile]
 
 	var out derivPart
-	for pat := pr.lo; pat < pr.hi; pat++ {
-		a := e.scr.sumTab[pat*stride : pat*stride+stride]
-		var l0, l1, l2 float64
+	for lo := pr.lo; lo < pr.hi; lo += batchTile {
+		n := min(batchTile, pr.hi-lo)
+		tab := e.scr.sumTab[lo*stride : (lo+n)*stride]
+		v := 0
+		if simd != nil {
+			v = n &^ 3
+			simd.newtonDeriv(tab[:v*stride], e0, e1, e2, l0[:v], l1[:v], l2[:v])
+		}
+		newtonDerivSums(tab[v*stride:], e0, e1, e2, l0[v:n], l1[v:n], l2[v:n])
+		for j := range n {
+			L := l0[j] * e.invCats
+			L1 := l1[j] * e.invCats
+			L2 := l2[j] * e.invCats
+			if L < minPositive {
+				out.underflow++
+				L = minPositive
+			}
+			w := float64(op.weights[lo+j])
+			out.d1 += w * (L1 / L)
+			out.d2 += w * (L2/L - (L1/L)*(L1/L))
+		}
+	}
+	return out
+}
+
+// newtonDerivSums writes the derivative pass's sums of len(l0) patterns,
+// whose rows of len(e0) tab holds, into l0, l1 and l2, each added up in the
+// scalar loop's order (category-major, state-ascending) from +0.
+func newtonDerivSums(tab, e0, e1, e2, l0, l1, l2 []float64) {
+	stride := len(e0)
+	for j := range l0 {
+		a := tab[j*stride : j*stride+stride]
+		var s0, s1, s2 float64
 		for co := 0; co+ns <= stride; co += ns {
 			ac := a[co : co+ns : co+ns]
 			a0, a1, a2, a3 := ac[0], ac[1], ac[2], ac[3]
 			x := e0[co : co+ns : co+ns]
-			l0 += a0 * x[0]
-			l0 += a1 * x[1]
-			l0 += a2 * x[2]
-			l0 += a3 * x[3]
+			s0 += a0 * x[0]
+			s0 += a1 * x[1]
+			s0 += a2 * x[2]
+			s0 += a3 * x[3]
 			x = e1[co : co+ns : co+ns]
-			l1 += a0 * x[0]
-			l1 += a1 * x[1]
-			l1 += a2 * x[2]
-			l1 += a3 * x[3]
+			s1 += a0 * x[0]
+			s1 += a1 * x[1]
+			s1 += a2 * x[2]
+			s1 += a3 * x[3]
 			x = e2[co : co+ns : co+ns]
-			l2 += a0 * x[0]
-			l2 += a1 * x[1]
-			l2 += a2 * x[2]
-			l2 += a3 * x[3]
+			s2 += a0 * x[0]
+			s2 += a1 * x[1]
+			s2 += a2 * x[2]
+			s2 += a3 * x[3]
 		}
-		L := l0 * e.invCats
-		L1 := l1 * e.invCats
-		L2 := l2 * e.invCats
-		if L < minPositive {
-			out.underflow++
-			L = minPositive
-		}
-		w := float64(op.weights[pat])
-		out.d1 += w * (L1 / L)
-		out.d2 += w * (L2/L - (L1/L)*(L1/L))
+		l0[j], l1[j], l2[j] = s0, s1, s2
 	}
-	return out
 }
 
 // newtonValueRange is newtonDerivRange's loop on e0 alone.

@@ -32,12 +32,13 @@ var (
 type Config struct {
 	// Backend selects the compute backend the kernels' per-pattern inner
 	// loops run on: "batched" (the default: pattern-major cache-blocked
-	// tiles with fused transition×partial loops — the Go analogue of the
-	// paper's SPU vectorization; CAT models run the scalar loops through
-	// it) or "scalar" (the reference loops, kept as the oracle the tests
-	// and the benchmark compare against). See Backends; the batched
-	// backend must agree with scalar to ≤1e-9 logL. Empty means
-	// DefaultBackend.
+	// tiles with fused transition×partial loops, whose projections, sum
+	// table factors and Newton derivative sums run 4-wide AVX bodies on a
+	// CPU that has them — the paper's SPU vectorization on the host; CAT
+	// models run the scalar loops through it) or "scalar" (the reference
+	// loops, kept as the oracle the tests and the benchmark compare
+	// against). See Backends; the batched backend must agree with scalar
+	// to ≤1e-9 logL, and has its bits. Empty means DefaultBackend.
 	Backend string
 
 	// Observer, when set together with Now, receives the elapsed wall time

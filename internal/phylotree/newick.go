@@ -21,7 +21,9 @@ func (t *Tree) Newick() string {
 		writeSubtree(&b, r.Back, r.Z)
 	}
 	b.WriteString(");")
-	return b.String()
+	// An exact-size copy: the builder's buffer can hold twice the bytes, and
+	// callers keep these strings (a campaign keeps one per job result).
+	return strings.Clone(b.String())
 }
 
 func writeSubtree(b *strings.Builder, nd *Node, z float64) {
