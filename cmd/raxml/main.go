@@ -274,7 +274,9 @@ func main() {
 		if err := phylotree.WriteNexusTrees(tf, trees); err != nil {
 			fatal(logger, err)
 		}
-		tf.Close()
+		if err := tf.Close(); err != nil {
+			fatal(logger, err)
+		}
 		fmt.Printf("%d trees written to %s\n", len(trees), *treesOut)
 	}
 

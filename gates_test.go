@@ -52,6 +52,21 @@ func runPatterns(t *testing.T, text string) map[string][]string {
 	return out
 }
 
+// jqFilter matches a jq -e command and its filter, the first single-quoted
+// argument after it.
+var jqFilter = regexp.MustCompile(`\bjq -e[^'\n]*'([^']+)'`)
+
+// jqFilters returns, sorted, the filters of text's jq -e commands, continued
+// lines joined, with make's $$ read as the shell's $.
+func jqFilters(text string) []string {
+	var out []string
+	for _, m := range jqFilter.FindAllStringSubmatch(continued.ReplaceAllString(text, " "), -1) {
+		out = append(out, strings.ReplaceAll(m[1], "$$", "$"))
+	}
+	slices.Sort(out)
+	return out
+}
+
 // section returns the part of text from the first line that is exactly start
 // to the line before the next one matching end.
 func section(t *testing.T, text, start string, end *regexp.Regexp) string {
@@ -70,7 +85,8 @@ func section(t *testing.T, text, start string, end *regexp.Regexp) string {
 // TestGatesMirrorCI: each gate that runs both as a make target and as a CI
 // job of the same name (backend-gate, obs-gate, chaos) is the local mirror
 // of that job, so for every package list and race mode the go test -run
-// patterns of the two name the same tests.
+// patterns of the two name the same tests, and the two run the same jq -e
+// filters — the pinned counts of the traced workloads among them.
 func TestGatesMirrorCI(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -97,6 +113,14 @@ func TestGatesMirrorCI(t *testing.T) {
 					t.Errorf("go test %s: CI's %s job runs %s, make %s nothing", key, gate, strings.Join(names, "|"), gate)
 				}
 			}
+			localJq := jqFilters(section(t, string(mk), gate+":", regexp.MustCompile(`(?m)^\S`)))
+			jobJq := jqFilters(section(t, string(ci), "  "+gate+":", regexp.MustCompile(`(?m)^  \S`)))
+			if gate == "backend-gate" && len(localJq) == 0 {
+				t.Error("make backend-gate runs no jq -e filter: the pinned counts went unread")
+			}
+			if !slices.Equal(localJq, jobJq) {
+				t.Errorf("make %s runs the jq filters\n  %s\nCI's %s job\n  %s", gate, strings.Join(localJq, "\n  "), gate, strings.Join(jobJq, "\n  "))
+			}
 		})
 	}
 }
@@ -105,7 +129,7 @@ func TestGatesMirrorCI(t *testing.T) {
 // benchmark/ and testdata/, counted after gofmt. It only moves down: a change
 // that deletes code lowers it to the new count, and one that must raise it
 // states in CHANGES.md the measured win that pays for the lines.
-const codeCeiling = 16171
+const codeCeiling = 16072
 
 // TestCodeBudget counts the gofmt'd lines of every non-test Go file outside
 // benchmark/ and testdata/ and fails above codeCeiling.
@@ -190,5 +214,38 @@ func TestNoPackageVarsInSearchAndLikelihood(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// fusedOp matches an x86 fused multiply-add mnemonic at the start of an
+// assembly instruction.
+var fusedOp = regexp.MustCompile(`(?m)^\s*(?:[A-Za-z_][\w·]*:\s*)?(VF(?:N?MADD|N?MSUB)\w*)\b`)
+
+// TestNoFusedMultiplyAddInAssembly fails on any VFMADD*, VFMSUB*, VFNMADD*
+// or VFNMSUB* instruction in a .s file under internal/: a fused lane rounds
+// once where the Go loop it mirrors rounds twice, so the vector bodies'
+// bits would leave the scalar oracle's.
+func TestNoFusedMultiplyAddInAssembly(t *testing.T) {
+	files := 0
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".s") {
+			return err
+		}
+		files++
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range fusedOp.FindAllSubmatchIndex(src, -1) {
+			line := 1 + bytes.Count(src[:m[2]], []byte("\n"))
+			t.Errorf("%s:%d: fused multiply-add %s", path, line, src[m[2]:m[3]])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("no .s file under internal/: the test reads nothing")
 	}
 }

@@ -12,8 +12,8 @@ import (
 // swapped in without touching search code.
 //
 // Everything outside the contract is backend-independent and stays in the
-// Engine: traversal descriptors and cache invalidation, the lazy-SPR vector
-// memo, transition-matrix and tip-projection table construction, the
+// Engine: the vector store and its invalidation, transition-matrix and
+// tip-projection table construction, the
 // Newton solver driver, numerical scaling policy, and the block executor
 // that spreads a pass over idle CPUs (executor.go). A backend only answers
 // "given these operands, compute patterns (or rows) [lo, hi)" — which is exactly the
@@ -35,9 +35,11 @@ import (
 // relative log-likelihood on any workload (the 42sc cross-validation gate
 // enforces this for both backends); they keep the per-element accumulation
 // order of the reference loops, so they agree bit for bit where the compiler
-// does not re-fuse floating point ops. It does not at the default GOAMD64
-// (v1), and the vector bodies use no fused multiply-add: each lane rounds
-// every product and sum on its own, as the Go loops do.
+// does not re-fuse floating point ops. On amd64 it fuses only an explicit
+// math.FMA, which this package never calls, at any GOAMD64 level (a v3 build
+// of the package holds no fused op), and the vector bodies use no fused
+// multiply-add: each lane rounds every product and sum on its own, as the Go
+// loops do. arm64 fuses x*y+z by default, so no bits are claimed there.
 type Backend interface {
 	// Name reports the backend's name ("scalar" or "batched").
 	Name() string

@@ -43,8 +43,8 @@ func TestBackendRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Backend() != "batched" {
-		t.Errorf("Engine.Backend() = %q, want batched", eng.Backend())
+	if eng.backend.Name() != "batched" {
+		t.Errorf("the engine runs backend %q, want batched", eng.backend.Name())
 	}
 }
 
@@ -76,19 +76,7 @@ func TestBackendsMatchScalarGamma(t *testing.T) {
 
 			// Partial vectors and scale counters bit-identical.
 			p := tr.Tips[0].Back
-			ref.NewView(p)
-			alt.NewView(p)
-			idx := p.Index
-			for i := range ref.lv[idx] {
-				if ref.lv[idx][i] != alt.lv[idx][i] {
-					t.Fatalf("partial vector diverges at %d: %g vs %g", i, ref.lv[idx][i], alt.lv[idx][i])
-				}
-			}
-			for i := range ref.scale[idx] {
-				if ref.scale[idx][i] != alt.scale[idx][i] {
-					t.Fatalf("scale counter diverges at pattern %d: %d vs %d", i, ref.scale[idx][i], alt.scale[idx][i])
-				}
-			}
+			assertVectorsEqual(t, "partial vector", alt, mustVector(t, alt, p), mustVector(t, ref, p))
 
 			// Log-likelihood bit-identical.
 			llR, err := ref.Evaluate(tr.Tips[0])
@@ -315,7 +303,7 @@ func FuzzBackendEquivalence(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		idx := tr.Tips[0].Back.Index
+		refLv, _ := expandVec(ref, mustVector(t, ref, tr.Tips[0].Back))
 		var alts []*Engine
 		for _, name := range Backends() {
 			if name == "scalar" {
@@ -333,8 +321,9 @@ func FuzzBackendEquivalence(f *testing.F) {
 				t.Fatalf("%s logL %.15g != scalar %.15g (taxa=%d sites=%d cats=%d cat=%v)",
 					name, llA, llR, nt, nsites, nc, useCAT)
 			}
-			for i := range ref.lv[idx] {
-				if ref.lv[idx][i] != alt.lv[idx][i] {
+			altLv, _ := expandVec(alt, mustVector(t, alt, tr.Tips[0].Back))
+			for i := range refLv {
+				if refLv[i] != altLv[i] {
 					t.Fatalf("%s partial vector diverges at %d (taxa=%d sites=%d cats=%d cat=%v)",
 						name, i, nt, nsites, nc, useCAT)
 				}
@@ -363,10 +352,10 @@ func FuzzBackendEquivalence(f *testing.F) {
 		for _, alt := range alts {
 			if got := newtonStage(alt); got != want {
 				t.Fatalf("%s Newton stage from z=%g, probe %g: %+v, scalar %+v (taxa=%d sites=%d cats=%d cat=%v)",
-					alt.Backend(), z0, zProbe, got, want, nt, nsites, nc, useCAT)
+					alt.backend.Name(), z0, zProbe, got, want, nt, nsites, nc, useCAT)
 			}
 			if alt.Meter != ref.Meter {
-				t.Fatalf("%s meter diverges:\n scalar %s\n %s %s", alt.Backend(), ref.Meter.String(), alt.Backend(), alt.Meter.String())
+				t.Fatalf("%s meter diverges:\n scalar %s\n %s %s", alt.backend.Name(), ref.Meter.String(), alt.backend.Name(), alt.Meter.String())
 			}
 		}
 	})

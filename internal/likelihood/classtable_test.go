@@ -23,7 +23,7 @@ func tablesFor(rows int, vs ...vec) uint64 {
 }
 
 // TestClassTablesMatchScalar drives every path that reads a class table —
-// a slot newview whose child has few classes beside a sibling with many, on
+// a newview whose child has few classes beside a sibling with many, on
 // either side; an evaluate whose inner q-side has few; a prescore's combine;
 // CarryAcross — on a 24-taxon simulated tree over three blocks of patterns,
 // and requires the batched engine's vectors, logs, carried vectors,
@@ -64,21 +64,29 @@ func TestClassTablesMatchScalar(t *testing.T) {
 		}
 	}
 
-	// Newviews: one combine per record, its children current first.
+	// Newviews: one combine per record, its children current first; a
+	// record the children's reads computed is released and computed again.
+	recompute := func(e *Engine, p *phylotree.Node) vec {
+		if s := e.entryOf(p); s != nil {
+			e.release(s)
+		}
+		return mustVector(t, e, p)
+	}
 	var sides [2]uint64
 	for _, p := range internalRecords(tr) {
 		q, r := p.Next.Back, p.Next.Next.Back
+		var qv, rv vec
 		for _, e := range [...]*Engine{ref, alt} {
-			e.NewView(q)
-			e.NewView(r)
+			qv, rv = mustVector(t, e, q), mustVector(t, e, r)
 		}
-		ref.computeView(p)
+		want := recompute(ref, p)
 		rows := ref.classes(p).rows
-		qs, rs := tablesFor(rows, alt.slotVec(q)), tablesFor(rows, alt.slotVec(r))
-		tabled(qs+rs, "a newview", func() { alt.computeView(p) })
+		qs, rs := tablesFor(rows, qv), tablesFor(rows, rv)
+		var got vec
+		tabled(qs+rs, "a newview", func() { got = recompute(alt, p) })
 		sides[0] += qs
 		sides[1] += rs
-		assertVectorsEqual(t, "newview", alt, alt.slotVec(p), ref.slotVec(p))
+		assertVectorsEqual(t, "newview", alt, got, want)
 	}
 
 	// Evaluates across every branch, per-site logs included.
@@ -88,15 +96,16 @@ func TestClassTablesMatchScalar(t *testing.T) {
 		if p.IsTip() {
 			p, q = q, p
 		}
+		var qv vec
 		for _, e := range [...]*Engine{ref, alt} {
-			e.NewView(p)
-			e.NewView(q)
+			mustVector(t, e, p)
+			qv = mustVector(t, e, q)
 		}
 		want, err := ref.PerSiteLogL(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := tablesFor(npat, alt.slotVec(q))
+		n := tablesFor(npat, qv)
 		var got []float64
 		tabled(n, "an evaluate", func() { got, err = alt.PerSiteLogL(p, nil) })
 		if err != nil {
@@ -126,15 +135,14 @@ func TestClassTablesMatchScalar(t *testing.T) {
 				continue
 			}
 			var across [2]Across
+			var sv vec
 			for _, e := range [...]*Engine{ref, alt} {
-				e.NewView(ps.Q)
-				e.NewView(ps.R)
-				e.NewView(ps.P.Back)
+				sv = mustVector(t, e, ps.P.Back)
 			}
 			if err := ref.CarryAcross(&across[0], ps.P, 0.05); err != nil {
 				t.Fatal(err)
 			}
-			n := tablesFor(npat, alt.slotVec(ps.P.Back))
+			n := tablesFor(npat, sv)
 			tabled(n, "CarryAcross", func() { err = alt.CarryAcross(&across[1], ps.P, 0.05) })
 			if err != nil {
 				t.Fatal(err)

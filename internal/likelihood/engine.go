@@ -66,22 +66,20 @@ func (cfg Config) BackendName() string {
 }
 
 // Engine computes likelihoods of trees over one compressed alignment and one
-// substitution model. It owns the partial likelihood vectors for every node
-// index and a Meter of kernel operations.
+// substitution model. It owns the partial likelihood vectors of the trees it
+// scores and a Meter of kernel operations.
 //
-// The engine never recomputes a valid vector: every internal node's lv/scale
-// slot remembers which of its three ring orientations it holds (RAxML's
-// "x-vector"), NewView recomputes only the slots a traversal descriptor
-// finds missing or mis-oriented, and every edit drops exactly the slots it
-// dirtied: the tree reports its edits, lengths included, to an attached
-// engine (AttachTree), and SetModel is the engine's own. Full recomputation
-// is what a fresh engine, or InvalidateAll before the call, gives.
-//
-// The vectors the slots cannot hold — those of records facing away from the
-// slots' orientation, which lazy SPR reads — are memoized per directed ring
-// record (vector), valid until the next edit. All per-call kernel scratch
-// lives in scr. An engine is used from one goroutine at a time; the range
-// executor's helpers touch it only for the blocks of its running pass.
+// The engine never recomputes a valid vector. Its store keeps one entry per
+// directed ring record of an inner node (views.go): the record's repeat
+// classes and its vector, in a buffer from one engine-wide free list.
+// Whatever reads a vector reads it through vector, which computes a missing
+// one from its children's, recursively, and every edit releases exactly the
+// vectors it dirtied: the tree reports its edits, lengths included, to an
+// attached engine (AttachTree), and SetModel is the engine's own. Full
+// recomputation is what a fresh engine, or InvalidateAll before the call,
+// gives. All per-call kernel scratch lives in scr. An engine is used from one
+// goroutine at a time; the range executor's helpers touch it only for the
+// blocks of its running pass.
 type Engine struct {
 	Pat   *alignment.Patterns
 	Mod   *model.Model
@@ -92,25 +90,22 @@ type Engine struct {
 	nblk       int // blocks of rangeBlock patterns a pass runs over
 	nmat       int // distinct rate categories = transition matrices
 	patCat     []int
-	invCats    float64     // per-site averaging weight (1 under CAT)
-	lv         [][]float64 // [nodeIndex][pat*ncat*ns + cat*ns + state]
-	scale      [][]int32   // [nodeIndex][pat] cumulative scaling counts
+	invCats    float64 // per-site averaging weight (1 under CAT)
 	tipVec     [16][ns]float64
 	tipCodes   []int // the ambiguity codes that occur in Pat.Data, ascending
 
-	// orient[idx] is the ring record whose directed view the lv/scale
-	// slot of internal node idx currently holds, or nil when the slot is
-	// invalid. Record identity doubles as the validity flag: a record
-	// pointer from a different tree (or a rewired ring) never compares
-	// equal, so stale entries read as invalid.
-	orient []*phylotree.Node
-
-	// rep[idx] holds the repeat classes of up to three records of inner
-	// node idx (repeats.go); the slot holds one row per class of the record
-	// it is oriented to. nil under CAT, where the per-pattern matrix index
-	// would have to join the class key, and beyond maxRepeatPatterns: one
-	// row per pattern.
-	rep [][3]repSlot
+	// store[idx] holds the entries of up to three records of inner node
+	// idx: their repeat classes (repeats.go) and their vectors, whose
+	// buffers ([row*ncat*ns + cat*ns + state] and cumulative scaling counts
+	// [row], one row per class) come from free, or are allocated when it is
+	// empty (take); bufs counts those allocated. Record identity is the key: a
+	// record pointer from a different tree never compares equal, so stale
+	// entries read as missing. Class maps are nil under CAT, where the
+	// per-pattern matrix index would have to join the class key, and beyond
+	// maxRepeatPatterns: one row per pattern.
+	store [][3]entry
+	free  []vec
+	bufs  int
 
 	// ident[i] = i for every pattern: the rows a tile reads from a vector
 	// of one row per pattern (gatherTile).
@@ -126,16 +121,8 @@ type Engine struct {
 	kobs KernelObserver
 	know func() time.Duration
 
-	// memo[idx] holds vector's vectors of up to three records of inner node
-	// idx, like rep; an entry is valid while its epoch is the engine's
-	// epoch, which every edit advances (newEpoch). Their buffers come from
-	// arena, the first arenaNext of which the current epoch has taken.
 	// virtual is InsertionScore's virtual insertion node.
-	memo      [][3]memoEntry
-	epoch     uint64
-	arena     []vec
-	arenaNext int
-	virtual   vec
+	virtual vec
 
 	trees []*phylotree.Tree // AttachTree's: their edits reach the engine
 
@@ -152,12 +139,11 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 		return nil, fmt.Errorf("likelihood: need >= 3 taxa, got %d", pat.NumTaxa)
 	}
 	e := &Engine{
-		Pat:   pat,
-		Mod:   mod,
-		Cfg:   cfg,
-		npat:  pat.NumPatterns(),
-		nmat:  mod.NumCats(),
-		epoch: 1, // a memo entry of epoch 0 was never filled
+		Pat:  pat,
+		Mod:  mod,
+		Cfg:  cfg,
+		npat: pat.NumPatterns(),
+		nmat: mod.NumCats(),
 	}
 	e.nblk = max(1, (e.npat+rangeBlock-1)/rangeBlock)
 	if e.nblk >= minPublishBlocks {
@@ -177,18 +163,7 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 		e.ncat = mod.NumCats()
 		e.invCats = 1 / float64(e.ncat)
 	}
-	maxIdx := 2*pat.NumTaxa - 2
-	e.orient = make([]*phylotree.Node, maxIdx)
-	e.memo = make([][3]memoEntry, maxIdx)
-	e.lv = make([][]float64, maxIdx)
-	e.scale = make([][]int32, maxIdx)
-	for i := pat.NumTaxa; i < maxIdx; i++ {
-		e.lv[i] = make([]float64, e.npat*e.ncat*ns)
-		e.scale[i] = make([]int32, e.npat)
-	}
-	if !mod.IsCAT() && !cfg.noRepeats && e.npat <= maxRepeatPatterns {
-		e.allocRepeats(pat.NumTaxa, maxIdx)
-	}
+	e.allocStore(pat.NumTaxa, 2*pat.NumTaxa-2, !mod.IsCAT() && !cfg.noRepeats && e.npat <= maxRepeatPatterns)
 	e.ident = make([]int32, e.npat)
 	for i := range e.ident {
 		e.ident[i] = int32(i)
@@ -221,9 +196,6 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 	e.allocScratch()
 	return e, nil
 }
-
-// Backend reports the name of the compute backend the engine runs on.
-func (e *Engine) Backend() string { return e.backend.Name() }
 
 // matIdx maps a pattern and storage-category slot to the transition-matrix
 // index: the identity for Gamma, the per-pattern assignment for CAT.
@@ -278,42 +250,41 @@ func (e *Engine) SetWeights(weights []int) error {
 func (e *Engine) UnderflowSites() uint64 { return e.underflowSites }
 
 // invalidate marks the minimal dirty set after an edit of the branch
-// (p, p.Back): every cached view whose subtree contains that branch — i.e.
-// every view not oriented toward it — is dropped. Views oriented toward the
-// branch exclude it by construction and stay valid, which is what makes
-// branch smoothing O(changed path) instead of O(taxa). The walk is pure
-// pointer chasing (no kernel work). After a topology edit (topo) it also
-// drops the repeat classes of those views' records; a length edit keeps
-// them. Either way the memo's epoch ends: vector recomputes whatever it is
-// asked for next.
+// (p, p.Back): every stored vector whose subtree contains that branch — i.e.
+// every vector not facing it — is released. Vectors facing the branch
+// exclude it by construction and stay valid, which is what makes branch
+// smoothing O(changed path) instead of O(taxa). The walk is pure pointer
+// chasing (no kernel work). After a topology edit (topo) it also drops the
+// repeat classes of the released records; a length edit keeps them.
 func (e *Engine) invalidate(p *phylotree.Node, topo bool) {
 	q := p.Back
 	if q == nil {
-		// Detached record: no branch to orient against, drop everything.
+		// Detached record: no branch to keep facing, drop everything.
 		e.InvalidateAll()
 		return
 	}
-	e.newEpoch()
 	e.keepFacing(p, topo)
 	e.keepFacing(q, topo)
 }
 
 // keepFacing is the engine's one staleness rule. It walks the component
 // behind record a, away from the changed branch, and keeps at each ring only
-// the orientation facing that branch (a itself here, the corresponding Back
+// the record facing that branch (a itself here, the corresponding Back
 // records deeper down): its subtree excludes the branch by construction,
-// every other orientation contains it. The node's slot is cleared unless it
-// holds that orientation, and after a topology edit (topo) the classes of
-// the ring's two other records are dropped.
+// every other record's contains it. The ring's two other records lose their
+// vectors, and after a topology edit (topo) their classes too.
 func (e *Engine) keepFacing(a *phylotree.Node, topo bool) {
 	if a.IsTip() {
 		return
 	}
-	if e.orient[a.Index] != a {
-		e.orient[a.Index] = nil
-	}
-	if topo {
-		e.dropClasses(a)
+	ring := &e.store[a.Index]
+	for k := range ring {
+		if s := &ring[k]; s.rec != a {
+			e.release(s)
+			if topo {
+				s.rec = nil
+			}
+		}
 	}
 	if b := a.Next.Back; b != nil {
 		e.keepFacing(b, topo)
@@ -323,24 +294,24 @@ func (e *Engine) keepFacing(a *phylotree.Node, topo bool) {
 	}
 }
 
-// InvalidateAll drops every cached partial vector and repeat class; the next
+// InvalidateAll drops every stored vector and repeat class; the next
 // evaluation recomputes the full tree. Cross-tree reuse and callers that
 // edit an unattached tree call this.
 func (e *Engine) InvalidateAll() {
 	e.dropVectors()
-	for i := range e.rep {
-		for k := range e.rep[i] {
-			e.rep[i][k].rec = nil
+	for i := range e.store {
+		for k := range e.store[i] {
+			e.store[i][k].rec = nil
 		}
 	}
 }
 
-// dropVectors drops every cached partial vector, slots and memo, and keeps
-// the classes.
+// dropVectors releases every stored vector and keeps the classes.
 func (e *Engine) dropVectors() {
-	e.newEpoch()
-	for i := range e.orient {
-		e.orient[i] = nil
+	for i := range e.store {
+		for k := range e.store[i] {
+			e.release(&e.store[i][k])
+		}
 	}
 }
 

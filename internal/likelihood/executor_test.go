@@ -78,8 +78,11 @@ func driveKernels(e *Engine, tr *phylotree.Tree) (kernelTrace, error) {
 	e.InvalidateAll()
 	var k kernelTrace
 	p := tr.Tips[0].Back
-	e.NewView(p)
-	lv, _ := expandVec(e, e.slotVec(p))
+	v, err := e.vector(p)
+	if err != nil {
+		return k, err
+	}
+	lv, _ := expandVec(e, v)
 	k.vals = append(k.vals, lv...)
 	for _, at := range []*phylotree.Node{tr.Tips[0], edges[len(edges)/2]} {
 		ll, err := e.Evaluate(at)
@@ -296,7 +299,7 @@ func TestExecutorStressFourEngines(t *testing.T) {
 				return
 			}
 			for round := 0; round < 3 && errs[i] == nil; round++ {
-				e.Meter.Reset()
+				e.Meter = Meter{}
 				e.underflowSites = 0
 				got, err := driveKernels(e, f.tr)
 				if err != nil {
@@ -526,13 +529,12 @@ func TestKernelPassesDoNotAllocate(t *testing.T) {
 	_, adopted0 := RangeBlocks()
 	passes := e.Meter.ClassPasses
 	if n := testing.AllocsPerRun(20, func() {
-		e.InvalidateAll() // the classes too: every NewView runs class passes
-		e.NewView(tr.Tips[0].Back)
+		e.InvalidateAll() // the classes too: every newview runs a class pass
 		if _, err := e.Evaluate(tr.Tips[0]); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("NewView + Evaluate allocate %v times per run", n)
+		t.Errorf("a cold Evaluate allocates %v times per run", n)
 	}
 	if e.Meter.ClassPasses == passes {
 		t.Error("no class pass ran during the measurement")

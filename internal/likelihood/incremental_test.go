@@ -71,14 +71,14 @@ func TestIncrementalEvaluateMatchesFull(t *testing.T) {
 
 // TestInvalidateAfterSetZ: after a branch length set by hand on an attached
 // tree — no call after the SetZ — the engine evaluates as a full
-// recomputation does; its slots keep the one orientation per ring that faces
-// the changed branch, which vector serves from the slot itself (a CacheHit,
-// no newview), while every other orientation at the branch's rings is
+// recomputation does; its store keeps the one record per ring that faces
+// the changed branch, which vector serves from the buffer it held (a
+// CacheHit, no newview), while every other record at the branch's rings is
 // recomputed, bit-identical to a fresh engine's; after InvalidateAll nothing
-// is a slot read. Then the memo's edit paths, one row each: after every kind
-// of edit the engine hears of, every vector memoized before it is served with
-// a fresh engine's bits, and after an edit that concerns no vector of the
-// engine every one is still a memo hit.
+// is a store read. Then the store's edit paths, one row each: after every
+// kind of edit the engine hears of, every vector stored before it is served
+// with a fresh engine's bits, and after an edit that concerns no vector of
+// the engine every read is still a store hit.
 func TestInvalidateAfterSetZ(t *testing.T) {
 	cached, full, tr := enginePair(t, 222, 10, 60)
 	cached.AttachTree(tr)
@@ -126,25 +126,24 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 	if e == nil {
 		t.Fatal("no internal-internal edge")
 	}
-	cached.NewView(e)
-	cached.NewView(e.Back)
+	held := [...]vec{mustVector(t, cached, e), mustVector(t, cached, e.Back)}
 	e.SetZ(e.Z * 1.31)
 	fresh, err := NewEngine(cached.Pat, cached.Mod, cached.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range [...]*phylotree.Node{e, e.Back} {
+	for i, r := range [...]*phylotree.Node{e, e.Back} {
 		newviews, hits := cached.Meter.NewviewCalls, cached.Meter.CacheHits
 		got, err := cached.vector(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cached.Meter.NewviewCalls != newviews || cached.Meter.CacheHits != hits+1 {
-			t.Errorf("facing record: newviews %d -> %d, CacheHits %d -> %d, want a slot read",
+			t.Errorf("facing record: newviews %d -> %d, CacheHits %d -> %d, want a store read",
 				newviews, cached.Meter.NewviewCalls, hits, cached.Meter.CacheHits)
 		}
-		if &got.lv[0] != &cached.lv[r.Index][0] {
-			t.Error("facing record served from a buffer that is not the node's slot")
+		if &got.lv[0] != &held[i].lv[0] {
+			t.Error("facing record served from a buffer other than the one it held before the edit")
 		}
 	}
 	for _, r := range [...]*phylotree.Node{e.Next, e.Next.Next, e.Back.Next, e.Back.Next.Next} {
@@ -168,14 +167,14 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cached.Meter.CacheHits != hits {
-		t.Error("read after InvalidateAll served from a slot")
+		t.Error("read after InvalidateAll served from the store")
 	}
 
-	// The memo's edit paths. Each row may edit the tree first (before the
-	// memo is filled) and returns the edit under test.
-	for _, row := range []memoRow{
+	// The store's edit paths. Each row may edit the tree first (before the
+	// store is filled) and returns the edit under test.
+	for _, row := range []editRow{
 		{name: "Prune", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
-			return func() error { _, err := tr.Prune(memoInner(t, tr)); return err }
+			return func() error { _, err := tr.Prune(editInner(t, tr)); return err }
 		}},
 		{name: "Regraft", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			ps := mustPrune(t, tr)
@@ -192,11 +191,11 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 			if err := tr.RemoveTip(0); err != nil {
 				t.Fatal(err)
 			}
-			return func() error { return tr.InsertTip(0, memoInner(t, tr)) }
+			return func() error { return tr.InsertTip(0, editInner(t, tr)) }
 		}},
 		{name: "SetZ", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			return func() error {
-				c := memoInner(t, tr)
+				c := editInner(t, tr)
 				c.SetZ(c.Z * 1.7)
 				return nil
 			}
@@ -225,7 +224,7 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 		// see reaches the engine: here a Connect, which tells no one.
 		{name: "InvalidateAll", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			return func() error {
-				c := memoInner(t, tr)
+				c := editInner(t, tr)
 				phylotree.Connect(c, c.Back, c.Z*1.7)
 				e.InvalidateAll()
 				return nil
@@ -233,7 +232,7 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 		}},
 		{name: "AttachTree", arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			return func() error {
-				c := memoInner(t, tr)
+				c := editInner(t, tr)
 				phylotree.Connect(c, c.Back, c.Z*1.7)
 				e.AttachTree(tr)
 				return nil
@@ -248,7 +247,7 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 		}},
 		{name: "SetZ/same-bits", keeps: true, arm: func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
 			return func() error {
-				c := memoInner(t, tr)
+				c := editInner(t, tr)
 				if c.SetZ(c.Z) {
 					t.Error("SetZ of the stored length reported a change")
 				}
@@ -264,15 +263,15 @@ func TestInvalidateAfterSetZ(t *testing.T) {
 			}
 		}},
 	} {
-		t.Run("memo/"+row.name, func(t *testing.T) { checkMemoEditPath(t, row) })
+		t.Run("store/"+row.name, func(t *testing.T) { checkEditPath(t, row) })
 	}
 }
 
-// memoRow is one edit path of the memo: arm may edit the tree before the
-// memo is filled and returns the edit under test. keeps marks an edit that
+// editRow is one edit path of the store: arm may edit the tree before the
+// store is filled and returns the edit under test. keeps marks an edit that
 // concerns no vector of the engine; unattached runs the row on an engine
 // that does not observe the tree.
-type memoRow struct {
+type editRow struct {
 	name       string
 	arm        func(t *testing.T, e *Engine, tr *phylotree.Tree) func() error
 	keeps      bool
@@ -280,16 +279,16 @@ type memoRow struct {
 }
 
 // armMakeNewz moves an inner–inner branch far from its optimum before the
-// memo is filled, so the solve under test moves it back.
+// store is filled, so the solve under test moves it back.
 func armMakeNewz(t *testing.T, e *Engine, tr *phylotree.Tree) func() error {
-	c := memoInner(t, tr)
+	c := editInner(t, tr)
 	c.SetZ(c.Z * 5)
 	return func() error { _, _, err := e.MakeNewz(c); return err }
 }
 
-// memoInner is an inner–inner edge of tr whose near end has an inner
-// child: the target of the memo rows' edits.
-func memoInner(t *testing.T, tr *phylotree.Tree) *phylotree.Node {
+// editInner is an inner–inner edge of tr whose near end has an inner
+// child: the target of the store rows' edits.
+func editInner(t *testing.T, tr *phylotree.Tree) *phylotree.Node {
 	t.Helper()
 	for _, c := range tr.Edges() {
 		if !c.IsTip() && !c.Back.IsTip() && !c.Next.Back.IsTip() {
@@ -300,24 +299,23 @@ func memoInner(t *testing.T, tr *phylotree.Tree) *phylotree.Node {
 	return nil
 }
 
-// mustPrune prunes the subtree behind memoInner's far end.
+// mustPrune prunes the subtree behind editInner's far end.
 func mustPrune(t *testing.T, tr *phylotree.Tree) *phylotree.PrunedSubtree {
 	t.Helper()
-	ps, err := tr.Prune(memoInner(t, tr))
+	ps, err := tr.Prune(editInner(t, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ps
 }
 
-// checkMemoEditPath arms a row on an engine (attached to the tree unless the
-// row says otherwise), fills its memo with every directed vector of the tree
-// (its slots are empty, so vector memoizes each), makes the edit, and reads
-// every vector again: each must have a fresh engine's bits. After a keeps
-// edit every read must be a memo hit; after any other, at least one vector
-// must differ from what it was before the edit, or the row could not tell a
-// stale memo from a valid one.
-func checkMemoEditPath(t *testing.T, row memoRow) {
+// checkEditPath arms a row on an engine (attached to the tree unless the
+// row says otherwise), fills its store with every directed vector of the
+// tree, makes the edit, and reads every vector again: each must have a fresh
+// engine's bits. After a keeps edit every read must be a store hit; after
+// any other, at least one vector must differ from what it was before the
+// edit, or the row could not tell a stale store from a valid one.
+func checkEditPath(t *testing.T, row editRow) {
 	rng := rand.New(rand.NewSource(444))
 	pat := randomPatterns(t, rng, 10, 60)
 	tr := randomTreeFor(t, rng, pat)
@@ -343,7 +341,7 @@ func checkMemoEditPath(t *testing.T, row memoRow) {
 		t.Fatal(err)
 	}
 	newviews, hits := eng.Meter.NewviewCalls, eng.Meter.CacheHits
-	changed := 0
+	changed, reads := 0, uint64(0)
 	for _, r := range internalRecords(tr) {
 		want, err := fresh.vector(r)
 		if err != nil {
@@ -353,6 +351,7 @@ func checkMemoEditPath(t *testing.T, row memoRow) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		reads++
 		assertVectorsEqual(t, "after the edit", eng, got, want)
 		if old, ok := before[r]; ok {
 			if lv, _ := expandVec(eng, want); !slices.Equal(lv, old) {
@@ -361,12 +360,12 @@ func checkMemoEditPath(t *testing.T, row memoRow) {
 		}
 	}
 	if row.keeps {
-		if eng.Meter.NewviewCalls != newviews || eng.Meter.CacheHits != hits {
-			t.Errorf("newviews %d -> %d, slot reads %d -> %d, want every read a memo hit",
-				newviews, eng.Meter.NewviewCalls, hits, eng.Meter.CacheHits)
+		if eng.Meter.NewviewCalls != newviews || eng.Meter.CacheHits != hits+reads {
+			t.Errorf("newviews %d -> %d, store hits %d -> %d over %d reads, want every read a hit",
+				newviews, eng.Meter.NewviewCalls, hits, eng.Meter.CacheHits, reads)
 		}
 	} else if changed == 0 {
-		t.Error("no memoized vector changed: the row cannot tell a stale memo")
+		t.Error("no stored vector changed: the row cannot tell a stale store")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // scratch is the per-call scratch of the engine's kernels (transition-matrix
 // panels, tip-projection tables, Newton sum tables and exponential blocks,
-// traversal descriptors, the backend's operand blocks), reused across calls.
+// the backend's operand blocks), reused across calls.
 // It is one field of the Engine and has no methods, so that backendpurity
 // can tell a write to scratch from a write to engine state by type. The
 // only concurrency inside it is the range executor's, whose helpers run
@@ -28,8 +28,6 @@ type scratch struct {
 	sumTab, sumP, sumQ     []float64
 	lamr                   []float64
 	newzE0, newzE1, newzE2 []float64
-
-	trav []*phylotree.Node // traversal-descriptor scratch
 
 	// classes is the class pass's table (repeats.go), sized on first use.
 	classes classTable
@@ -157,72 +155,6 @@ func (e *Engine) tipProjection(p []float64, dst []float64) {
 	e.Meter.Adds += uint64(e.nmat * len(e.tipCodes) * ns * (ns - 1))
 }
 
-// NewView makes the partial likelihood vector behind the internal ring
-// record p current — the conditional likelihood of the subtree containing
-// p's two other ring members, exactly like the paper's newview() (which
-// "calls itself recursively when the two children are not tips"). Tips need
-// no computation.
-//
-// The work is organized as a traversal descriptor: a postorder list of the
-// ring records whose views must actually be recomputed. The descent stops
-// at nodes whose cached vector is valid in the needed orientation, so only
-// the dirty path is recomputed.
-func (e *Engine) NewView(p *phylotree.Node) {
-	if p.IsTip() {
-		return
-	}
-	e.scr.trav = e.appendTraversal(e.scr.trav[:0], p)
-	for _, nd := range e.scr.trav {
-		e.computeView(nd)
-	}
-}
-
-// appendTraversal builds the traversal descriptor rooted at p: the
-// postorder (children before parents) list of ring records whose views are
-// missing or cached under a different orientation.
-func (e *Engine) appendTraversal(steps []*phylotree.Node, p *phylotree.Node) []*phylotree.Node {
-	if p.IsTip() {
-		return steps
-	}
-	if e.orient[p.Index] == p {
-		e.Meter.CacheHits++
-		return steps
-	}
-	steps = e.appendTraversal(steps, p.Next.Back)
-	steps = e.appendTraversal(steps, p.Next.Next.Back)
-	return append(steps, p)
-}
-
-// computeView executes one descriptor entry: combine the two child vectors
-// of ring record p into p's slot, one row per repeat class of p (numbered
-// first if the topology behind p changed since they last were), and record
-// the orientation.
-func (e *Engine) computeView(p *phylotree.Node) {
-	t0 := e.tick()
-	q := p.Next.Back
-	r := p.Next.Next.Back
-	var first []int32
-	if e.rep != nil {
-		if rs := e.classes(p); rs != nil {
-			first = e.firstPatterns(rs)
-		} else {
-			var qData, rData []byte
-			if q.IsTip() {
-				qData = e.Pat.Data[q.Index]
-			}
-			if r.IsTip() {
-				rData = e.Pat.Data[r.Index]
-			}
-			rs = e.classPass(p, qData, e.classes(q), rData, e.classes(r))
-			first = e.scr.classes.first[:rs.rows]
-		}
-	}
-	e.combine(q, p.Next.Z, e.slotVec(q), r, p.Next.Next.Z, e.slotVec(r),
-		vec{lv: e.lv[p.Index], sc: e.scale[p.Index]}, first)
-	e.orient[p.Index] = p
-	e.tock(OpNewview, t0)
-}
-
 // evaluate computes the log-likelihood of the tree across the branch
 // (p, p.Back), optionally filling perSite with per-pattern logs. It is a
 // thin timing shell over evaluateKernel so the kernel body keeps its early
@@ -243,12 +175,18 @@ func (e *Engine) evaluateKernel(p *phylotree.Node, perSite []float64) (float64, 
 	if p.IsTip() && q.IsTip() {
 		return 0, fmt.Errorf("likelihood: tip-tip branch cannot exist in an unrooted tree with >= 3 taxa")
 	}
-	// Orient so that q is the (possibly) tip side.
+	// Swap so that q is the (possibly) tip side.
 	if p.IsTip() {
 		p, q = q, p
 	}
-	e.NewView(p)
-	e.NewView(q)
+	pv, err := e.vector(p)
+	if err != nil {
+		return 0, err
+	}
+	qv, err := e.vector(q)
+	if err != nil {
+		return 0, err
+	}
 	e.Meter.EvaluateCalls++
 
 	e.transitionMatrices(p.Z, e.scr.pLeft)
@@ -259,7 +197,7 @@ func (e *Engine) evaluateKernel(p *phylotree.Node, perSite []float64) (float64, 
 		e.tipProjection(e.scr.pLeft, e.scr.tipPR)
 	}
 
-	e.scr.evalOp = evalOp{p: e.slotVec(p), qData: qData, q: e.slotVec(q), perSite: perSite}
+	e.scr.evalOp = evalOp{p: pv, qData: qData, q: qv, perSite: perSite}
 	e.scr.evalOp.qTab = e.classTable(&e.scr.evalOp.q, e.scr.pLeft, e.npat)
 	e.projectTables()
 	e.runPass(passEvaluate)

@@ -116,11 +116,15 @@ func BenchmarkNewview(b *testing.B) {
 				continue
 			}
 			b.Run(shape.name+"/"+tc.name, func(b *testing.B) {
-				eng.NewView(tc.p)
+				if _, err := eng.vector(tc.p); err != nil {
+					b.Fatal(err)
+				}
 				rows := eng.Meter.CombineRows
 				for b.Loop() {
-					eng.orient[tc.p.Index] = nil
-					eng.NewView(tc.p)
+					eng.release(eng.entryOf(tc.p))
+					if _, err := eng.vector(tc.p); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.ReportMetric(float64(eng.npat), "patterns")
 				b.ReportMetric(float64(eng.Meter.CombineRows-rows)/float64(b.N), "rows/op")

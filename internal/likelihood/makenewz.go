@@ -46,10 +46,10 @@ func (e *Engine) MakeNewzTo(p *phylotree.Node, gainTol float64) (float64, error)
 }
 
 // makeNewz is MakeNewz and MakeNewzTo: the solve stops at gainTol, and the
-// logL it returns is NaN unless value is set. It recomputes the per-node
-// vectors it needs (NewView) and writes the branch length back into the
-// tree; Engine.InsertionScore runs the same Newton core against its
-// virtual node and the memo and leaves both alone.
+// logL it returns is NaN unless value is set. It reads the two vectors it
+// needs through the store (vector) and writes the branch length back into
+// the tree; Engine.InsertionScore runs the same Newton core against its
+// virtual node and leaves the tree alone.
 func (e *Engine) makeNewz(p *phylotree.Node, gainTol float64, value bool) (float64, float64, error) {
 	q := p.Back
 	if q == nil {
@@ -61,13 +61,17 @@ func (e *Engine) makeNewz(p *phylotree.Node, gainTol float64, value bool) (float
 	if p.IsTip() {
 		p, q = q, p
 	}
-	// After these two calls every valid cached view is oriented toward the
-	// branch (p, q): the traversal recomputes exactly the mis-oriented
-	// nodes, so the final SetZ below only dirties views the invalidate
-	// walk actually finds stale.
-	e.NewView(p)
-	e.NewView(q)
-	bestT, bestLL := e.newtonOnBranch(e.slotVec(p), q, e.slotVec(q), p.Z, gainTol, value)
+	// After these two reads every vector facing the branch (p, q) is in
+	// the store, and the final SetZ below keeps exactly those.
+	pv, err := e.vector(p)
+	if err != nil {
+		return 0, 0, err
+	}
+	qv, err := e.vector(q)
+	if err != nil {
+		return 0, 0, err
+	}
+	bestT, bestLL := e.newtonOnBranch(pv, q, qv, p.Z, gainTol, value)
 	// A length that moved is an edit of p's tree, which an attached engine
 	// hears of; any other engine drops its own views, keeping the classes.
 	if p.SetZ(bestT) && !slices.Contains(e.trees, p.Tree()) {

@@ -45,8 +45,9 @@ type Meter struct {
 	TipInnerCalls   uint64
 	InnerInnerCalls uint64
 
-	// CacheHits counts traversal-descriptor stops at valid cached vectors:
-	// newview work avoided, not performed. All other counters always
+	// CacheHits counts reads of a vector the store holds, at the top of a
+	// read or inside a newview's recursion: newview work avoided, not
+	// performed. All other counters always
 	// reflect only the operations actually executed.
 	CacheHits uint64
 
@@ -78,9 +79,6 @@ func (m *Meter) Add(other *Meter) {
 	m.CacheHits += other.CacheHits
 	m.SharedHits += other.SharedHits
 }
-
-// Reset zeroes all counters.
-func (m *Meter) Reset() { *m = Meter{} }
 
 // Flops returns the total floating point operation count (muls + adds).
 func (m *Meter) Flops() uint64 { return m.Muls + m.Adds }

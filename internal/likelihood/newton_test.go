@@ -20,13 +20,19 @@ func prepareBranch(e *Engine, p *phylotree.Node) (scaleConst float64) {
 	if p.IsTip() {
 		p, q = q, p
 	}
-	e.NewView(p)
-	e.NewView(q)
+	pv, err := e.vector(p)
+	if err != nil {
+		panic(err)
+	}
+	qv, err := e.vector(q)
+	if err != nil {
+		panic(err)
+	}
 	var qData []byte
 	if q.IsTip() {
 		qData = e.Pat.Data[q.Index]
 	}
-	return e.buildSumTable(e.slotVec(p), qData, e.slotVec(q))
+	return e.buildSumTable(pv, qData, qv)
 }
 
 // catModelFor assigns the patterns round-robin to four CAT rates.
@@ -114,7 +120,7 @@ func TestNewtonPassesMatchScalar(t *testing.T) {
 					t.Errorf("%s/%s/procs=%d: meters diverge:\n scalar %s\n %s %s",
 						layout, name, procs, ref.Meter.String(), name, alt.Meter.String())
 				}
-				ref.Meter.Reset()
+				ref.Meter = Meter{}
 				ref.underflowSites = 0
 			}
 			restore()

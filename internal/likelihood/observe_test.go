@@ -30,7 +30,7 @@ func workClock(m *Meter) time.Duration {
 // work: every tick of a newview — the numbering of its repeat classes
 // included — falls inside an OpNewview bracket, every tick of a solve — its
 // sum table included — inside an OpMakenewz one, the two never nest, and each
-// call is one observation. On both backends, for NewView from cold, a solve
+// call is one observation. On both backends, for newviews from cold, a solve
 // on current vectors, a smoothing sweep and lazy-SPR scoring.
 func TestKernelTimeCoversWholeKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2901))
@@ -72,7 +72,13 @@ func TestKernelTimeCoversWholeKernel(t *testing.T) {
 			}
 		}
 		classes := eng.Meter.ClassPasses
-		check("NewView from cold", true, false, func() error { eng.NewView(inner); eng.NewView(inner.Back); return nil })
+		check("newviews from cold", true, false, func() error {
+			if _, err := eng.vector(inner); err != nil {
+				return err
+			}
+			_, err := eng.vector(inner.Back)
+			return err
+		})
 		if eng.Meter.ClassPasses == classes {
 			t.Fatalf("%s: no class pass ran: the test lost what it pins", backend)
 		}

@@ -109,9 +109,9 @@ func TestPrescoreMatchesCombineThenEvaluate(t *testing.T) {
 				if ps.P.Back.IsTip() {
 					tipSubtrees++
 				}
-				eng.NewView(ps.Q)
-				eng.NewView(ps.R)
-				eng.NewView(ps.P.Back)
+				mustVector(t, eng, ps.Q)
+				mustVector(t, eng, ps.R)
+				mustVector(t, eng, ps.P.Back)
 				cands := append(radiusEdges(ps.Q, 4), radiusEdges(ps.R, 4)...)
 				var across Across
 				if err := eng.CarryAcross(&across, ps.P, z0); err != nil {

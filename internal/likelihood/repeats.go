@@ -5,8 +5,8 @@ import "raxmlcell/internal/phylotree"
 // Site repeats (Kobert, Stamatakis & Flouri, Syst. Biol. 66(2), 2017; the
 // scheme RAxML-NG and libpll run): two patterns whose columns agree on every
 // taxon of a subtree have the same partial vector at the subtree's root, so
-// a node slot stores one row per repeat class of its directed record and a
-// class map from pattern to row. A record's classes are the distinct pairs
+// the store keeps one row per repeat class of a directed record and a class
+// map from pattern to row. A record's classes are the distinct pairs
 // of its two children's classes, numbered in first-occurrence order; a tip's
 // classes are its codes. They depend on the topology behind the record
 // only, so they are kept per directed ring record until the tree's topology
@@ -39,68 +39,13 @@ func (v *vec) row(pat int) int {
 	return int(v.cls[pat])
 }
 
-// repSlot holds the repeat classes of one directed ring record. Which
-// pattern each row stands for is not kept: the first of its class, found by
-// one scan of cls (Engine.firstPatterns) when a combine needs it.
-type repSlot struct {
-	rec  *phylotree.Node // whose classes these are; nil: none
-	rows int
-	cls  []uint16 // pattern → row
-}
-
-// allocRepeats gives each of the three records of every inner node a class
-// map, all in one slab.
-func (e *Engine) allocRepeats(ntaxa, maxIdx int) {
-	e.rep = make([][3]repSlot, maxIdx)
-	slab := make([]uint16, 3*(maxIdx-ntaxa)*e.npat)
-	for i := ntaxa; i < maxIdx; i++ {
-		for k := range e.rep[i] {
-			e.rep[i][k].cls, slab = slab[:e.npat:e.npat], slab[e.npat:]
-		}
-	}
-}
-
-// classes returns inner record r's repeat classes, or nil when it has none
-// (or the engine keeps one row per pattern).
-func (e *Engine) classes(r *phylotree.Node) *repSlot {
-	if e.rep == nil {
-		return nil
-	}
-	s := &e.rep[r.Index]
-	for k := range s {
-		if s[k].rec == r {
-			return &s[k]
-		}
+// classes returns inner record r's entry when it holds r's repeat classes,
+// or nil when it does not (or the engine keeps one row per pattern).
+func (e *Engine) classes(r *phylotree.Node) *entry {
+	if s := e.entryOf(r); s != nil && s.cls != nil {
+		return s
 	}
 	return nil
-}
-
-// slotVec is the vector of record r as the slot of its node holds it: a
-// tip's zero vec, or the slot's rows with r's class map. The slot must hold
-// r's orientation (or be about to).
-func (e *Engine) slotVec(r *phylotree.Node) vec {
-	if r.IsTip() {
-		return vec{}
-	}
-	v := vec{lv: e.lv[r.Index], sc: e.scale[r.Index]}
-	if s := e.classes(r); s != nil {
-		v.cls, v.rows = s.cls, s.rows
-	}
-	return v
-}
-
-// dropClasses forgets the classes of the two records of a's ring other
-// than a: the topology behind them contains the edited branch.
-func (e *Engine) dropClasses(a *phylotree.Node) {
-	if e.rep == nil {
-		return
-	}
-	s := &e.rep[a.Index]
-	for k := range s {
-		if s[k].rec != a {
-			s[k].rec = nil
-		}
-	}
 }
 
 // classTable is the class pass's scratch: a dense table indexed by the pair
@@ -121,7 +66,7 @@ func (t *classTable) fit(npat int) {
 	if t.dense != nil {
 		return
 	}
-	t.dense = make([]uint64, max(2*npat, 256))
+	t.dense = make([]uint64, max(2*npat, 1<<14))
 	n := 1
 	for n < 2*npat {
 		n <<= 1
@@ -155,25 +100,30 @@ func (t *classTable) probe(key, gen uint64) *uint64 {
 	}
 }
 
-// classPass numbers the repeat classes of inner record p from its children's
-// — class maps for inner children (qc, rc), codes for tips (qData, rData) —
-// in one serial pass over the patterns, and files them in a slot of p's node
-// that holds neither of the ring's other records. It leaves each class's
-// first pattern in e.scr.classes.first.
-func (e *Engine) classPass(p *phylotree.Node, qData []byte, qc *repSlot, rData []byte, rc *repSlot) *repSlot {
+// classPass numbers the repeat classes of inner record d.rec from its
+// children's, q and r — class maps for inner children, codes for tips — in
+// one serial pass over the patterns, and returns each class's first pattern.
+// A child with one class per pattern gives d.rec one too: the identity,
+// which needs no pass and whose map is never read (entry.vec), and whose
+// first patterns are nil, one row per pattern.
+func (e *Engine) classPass(d *entry, q, r *phylotree.Node) []int32 {
 	e.Meter.ClassPasses++
-	ring := &e.rep[p.Index]
-	d := &ring[0]
-	for k := 1; d.rec == p.Next || d.rec == p.Next.Next; k++ {
-		d = &ring[k]
+	var qData, rData []byte
+	qc, rc := e.classes(q), e.classes(r)
+	if qc != nil && qc.rows == e.npat || rc != nil && rc.rows == e.npat {
+		d.rows = e.npat
+		return nil
 	}
-	nr := 16
-	if rc != nil {
-		nr = rc.rows
-	}
-	nq := 16
-	if qc != nil {
+	nq, nr := 16, 16
+	if q.IsTip() {
+		qData = e.Pat.Data[q.Index]
+	} else {
 		nq = qc.rows
+	}
+	if r.IsTip() {
+		rData = e.Pat.Data[r.Index]
+	} else {
+		nr = rc.rows
 	}
 	t := &e.scr.classes
 	t.fit(e.npat)
@@ -207,14 +157,17 @@ func (e *Engine) classPass(p *phylotree.Node, qData []byte, qc *repSlot, rData [
 		t.first[rows] = int32(pat)
 		rows++
 	}
-	d.rec, d.rows = p, int(rows)
-	return d
+	d.rows = int(rows)
+	return t.first[:rows]
 }
 
 // firstPatterns returns the first pattern of each of s's classes, in row
 // order: classes are numbered in first-occurrence order, so one scan of the
-// map finds them.
-func (e *Engine) firstPatterns(s *repSlot) []int32 {
+// map finds them. One class per pattern returns nil, one row per pattern.
+func (e *Engine) firstPatterns(s *entry) []int32 {
+	if s.rows == e.npat {
+		return nil
+	}
 	t := &e.scr.classes
 	t.fit(e.npat)
 	first := t.first[:s.rows]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"raxmlcell/internal/alignment"
@@ -87,8 +86,8 @@ func repeatCases(t *testing.T) []repeatCase {
 }
 
 // repeatTrace is what one engine returned on a case: log-likelihoods, per-site
-// logs and optimised lengths in call order, every valid slot written out one
-// row per pattern after each evaluate, and the meter it left.
+// logs and optimised lengths in call order, every stored vector written out
+// one row per pattern after each evaluate, and the meter it left.
 type repeatTrace struct {
 	vals      []float64
 	slots     [][]float64
@@ -112,9 +111,9 @@ func driveRepeats(t *testing.T, e *Engine, tr *phylotree.Tree) repeatTrace {
 			t.Fatal(err)
 		}
 		k.vals = append(k.vals, ll)
-		for idx, r := range e.orient {
-			if r != nil && r.Index == idx {
-				lv, sc := expandVec(e, e.slotVec(r))
+		for _, r := range internalRecords(tr) {
+			if s := e.entryOf(r); s != nil && s.buf.lv != nil {
+				lv, sc := expandVec(e, s.vec())
 				k.slots, k.scales = append(k.slots, lv), append(k.scales, sc)
 			}
 		}
@@ -244,7 +243,7 @@ func TestRepeatsPulleyPrinciple(t *testing.T) {
 
 // TestRepeatsKeptAcrossLengthsAndModels: the classes of a record depend on
 // the topology behind it only, so neither a MakeNewz nor a model swap makes
-// the next NewView number any class again, though both make it recompute.
+// the next newview number any class again, though both make it recompute.
 func TestRepeatsKeptAcrossLengthsAndModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(2803))
 	pat := repeatPatterns(t, rng, 12, 200)
@@ -256,7 +255,7 @@ func TestRepeatsKeptAcrossLengthsAndModels(t *testing.T) {
 	}
 	e.AttachTree(tr)
 	for _, r := range internalRecords(tr) {
-		e.NewView(r)
+		mustVector(t, e, r)
 	}
 	if want := uint64(len(internalRecords(tr))); e.Meter.ClassPasses != want {
 		t.Fatalf("the %d records of a tree took %d class passes", want, e.Meter.ClassPasses)
@@ -281,7 +280,7 @@ func TestRepeatsKeptAcrossLengthsAndModels(t *testing.T) {
 		if err := step.edit(); err != nil {
 			t.Fatal(err)
 		}
-		e.NewView(tr.Tips[0].Back)
+		mustVector(t, e, tr.Tips[0].Back)
 		if _, err := e.Evaluate(tr.Tips[5]); err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +329,7 @@ func TestRepeatsDroppedByInvalidate(t *testing.T) {
 	}
 	for _, edge := range tr.Edges() {
 		for _, r := range internalRecords(tr) {
-			e.NewView(r)
+			mustVector(t, e, r)
 		}
 		behind := behindBranch(edge)
 		e.invalidate(edge, true)
@@ -376,7 +375,7 @@ func TestRepeatsDroppedOnlyBehindTopologyEdits(t *testing.T) {
 	}
 	everyView := func() {
 		for _, r := range internalRecords(tr) {
-			e.NewView(r)
+			mustVector(t, e, r)
 		}
 	}
 	for round := 0; round < 6; round++ {
@@ -420,9 +419,9 @@ func TestRepeatsDroppedOnlyBehindTopologyEdits(t *testing.T) {
 				if rr[0].IsTip() {
 					continue
 				}
-				fresh.NewView(rr[1])
+				mustVector(t, fresh, rr[1])
 				got, want := e.classes(rr[0]), fresh.classes(rr[1])
-				if got.rows != want.rows || !slices.Equal(got.cls, want.cls) {
+				if !sameClasses(got, want) {
 					t.Fatalf("round %d: node %d has %d classes, a fresh engine %d, or another map", round, rr[0].Index, got.rows, want.rows)
 				}
 			}

@@ -170,9 +170,7 @@ func TestCombineLoneTipEitherSide(t *testing.T) {
 			default:
 				continue
 			}
-			ref.NewView(r)
-			alt.NewView(r)
-			assertVectorsEqual(t, fmt.Sprintf("%s newview at node %d", kind, r.Index), alt, alt.slotVec(r), ref.slotVec(r))
+			assertVectorsEqual(t, fmt.Sprintf("%s newview at node %d", kind, r.Index), alt, mustVector(t, alt, r), mustVector(t, ref, r))
 		}
 	}
 	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {

@@ -6,76 +6,115 @@ import (
 	"raxmlcell/internal/phylotree"
 )
 
-// memoEntry is the vector of one directed ring record that the slot of its
-// node does not hold, computed by vector: one row per pattern, valid while
-// epoch is the engine's epoch.
-type memoEntry struct {
-	rec   *phylotree.Node
-	epoch uint64
-	v     vec
+// entry is the store's entry for one directed ring record of an inner node:
+// the record's repeat classes, kept until a topology edit reaches the
+// record, and its vector, one row per class, kept until any edit reaches it.
+// The entry of a record whose classes are kept but whose vector is not
+// holds no buffer; an engine that keeps no classes has no class maps.
+type entry struct {
+	rec  *phylotree.Node // whose entry this is; nil: none
+	rows int             // rec's classes
+	cls  []uint16        // pattern → row; nil when the engine keeps no classes
+	buf  vec             // rec's vector (lv and sc only); lv nil: none
 }
 
-// newEpoch ends the memo's epoch: every entry goes stale at once, and the
-// arena's buffers are free to be taken again. The engine calls it on every
-// edit it hears of (invalidate, SetModel, InvalidateAll, AttachTree), so a
-// memoized vector never outlives the tree it was computed on; SetWeights does
-// not, since weights never enter a vector.
-func (e *Engine) newEpoch() {
-	e.epoch++
-	e.arenaNext = 0
-}
-
-// memoized returns the memo entry of inner record r: its own if it is valid,
-// otherwise the first of its node's three that holds no valid vector. An
-// epoch fills a node's entries in order, so its valid ones come first.
-func (e *Engine) memoized(r *phylotree.Node) *memoEntry {
-	m := &e.memo[r.Index]
-	k := 0
-	for k < 2 && m[k].epoch == e.epoch && m[k].rec != r {
-		k++
+// vec is the entry's vector as the kernels read it. A record with one class
+// per pattern has the identity map, classes being numbered in
+// first-occurrence order, and reads as a vector of one row per pattern.
+func (s *entry) vec() vec {
+	v := vec{lv: s.buf.lv, sc: s.buf.sc}
+	if s.rows < len(s.cls) {
+		v.cls, v.rows = s.cls, s.rows
 	}
-	return &m[k]
+	return v
 }
 
-// arenaVec takes the next buffer of the epoch from the memo's arena, which
-// grows to the most vectors one epoch has memoized and no further. A reused
-// buffer's scale counts are zeroed.
-func (e *Engine) arenaVec() vec {
-	if e.arenaNext == len(e.arena) {
-		e.arena = append(e.arena, e.newVec())
-	} else {
-		clear(e.arena[e.arenaNext].sc)
+// allocStore gives each of the three records of every inner node an entry,
+// and each entry a class map when the engine keeps classes, all in one slab.
+// No entry has a buffer yet: take allocates them on first need.
+func (e *Engine) allocStore(ntaxa, maxIdx int, classes bool) {
+	e.store = make([][3]entry, maxIdx)
+	if !classes {
+		return
 	}
-	e.arenaNext++
-	return e.arena[e.arenaNext-1]
+	slab := make([]uint16, 3*(maxIdx-ntaxa)*e.npat)
+	for i := ntaxa; i < maxIdx; i++ {
+		for k := range e.store[i] {
+			e.store[i][k].cls, slab = slab[:e.npat:e.npat], slab[e.npat:]
+		}
+	}
 }
 
-// newVec allocates a vector of one row per pattern.
-func (e *Engine) newVec() vec {
-	return vec{lv: make([]float64, e.npat*e.ncat*ns), sc: make([]int32, e.npat)}
+// entryOf returns inner record r's entry, or nil when it has none.
+func (e *Engine) entryOf(r *phylotree.Node) *entry {
+	s := &e.store[r.Index]
+	for k := range s {
+		if s[k].rec == r {
+			return &s[k]
+		}
+	}
+	return nil
+}
+
+// take gives a buffer of at least rows rows: the smallest on the store's
+// free list that holds them, or else the last one there, replaced by one of
+// a row per pattern, or a new one of rows rows when the list is empty. So the
+// store holds as many buffers as the most records it has held valid at once,
+// and a buffer sized for a small record's classes is replaced at most once.
+func (e *Engine) take(rows int) vec {
+	k := len(e.free) - 1
+	if k < 0 {
+		e.bufs++
+		return e.newVec(rows)
+	}
+	for i := range e.free {
+		if n := len(e.free[i].sc); n >= rows && (len(e.free[k].sc) < rows || n < len(e.free[k].sc)) {
+			k = i
+		}
+	}
+	v := e.free[k]
+	e.free[k] = e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
+	if len(v.sc) < rows {
+		v = e.newVec(e.npat)
+	}
+	return v
+}
+
+// release ends the vector of entry s, if it holds one, and returns its
+// buffer to the free list.
+func (e *Engine) release(s *entry) {
+	if s.buf.lv != nil {
+		e.free = append(e.free, s.buf)
+		s.buf = vec{}
+	}
+}
+
+// newVec allocates a vector of rows rows.
+func (e *Engine) newVec(rows int) vec {
+	return vec{lv: make([]float64, rows*e.ncat*ns), sc: make([]int32, rows)}
 }
 
 // vector returns the partial likelihood vector of the subtree behind record
-// r (computed through r's two other ring members): the node's own slot when
-// it holds that orientation (Meter.CacheHits), with one row per repeat class
-// of r, or else the vector the engine memoized for r, one row per pattern,
-// computed recursively on first use in the epoch. It is the engine's
-// implementation of RAxML's lazy SPR evaluation: once the search has oriented
-// every slot toward the prune point the memo holds only the vectors facing
-// away from it, one per candidate edge, and every candidate insertion branch
-// is scored in O(patterns) time from the two. The vector is read-only and
-// good until the next NewView or edit. For tip records it is the zero vec:
-// callers use the tip codes directly.
+// r (computed through r's two other ring members), the paper's newview
+// ("calls itself recursively when the two children are not tips"): the
+// store's vector when r's entry holds one (Meter.CacheHits), otherwise the
+// vector computed from the two children's, recursively, into a buffer of
+// r's entry, one row per repeat class of r (numbered first if the topology
+// behind r changed since they last were). Every reader of a vector reads
+// through it, so the store holds whatever the last reads needed in either
+// direction — lazy SPR reads the vectors facing the prune point and those
+// facing away from it — until an edit reaches them. The vector is read-only
+// and good until the next edit. For tip records it is the zero vec: callers
+// use the tip codes directly.
 func (e *Engine) vector(r *phylotree.Node) (vec, error) {
 	if r.IsTip() {
 		return vec{}, nil
 	}
-	if e.orient[r.Index] == r {
+	s := e.entryOf(r)
+	if s != nil && s.buf.lv != nil {
 		e.Meter.CacheHits++
-		return e.slotVec(r), nil
-	}
-	if m := e.memoized(r); m.epoch == e.epoch && m.rec == r {
-		return m.v, nil
+		return s.vec(), nil
 	}
 	q := r.Next.Back
 	w := r.Next.Next.Back
@@ -90,20 +129,43 @@ func (e *Engine) vector(r *phylotree.Node) (vec, error) {
 	if err != nil {
 		return vec{}, err
 	}
-	dst := e.arenaVec()
 	t0 := e.tick()
-	e.combine(q, r.Next.Z, qv, w, r.Next.Next.Z, wv, dst, nil)
+	var first []int32
+	rows := e.npat
+	switch {
+	case s == nil:
+		s = e.claim(r)
+		if s.cls != nil {
+			first, rows = e.classPass(s, q, w), s.rows
+		}
+	case s.cls != nil:
+		first, rows = e.firstPatterns(s), s.rows
+	}
+	s.buf = e.take(rows)
+	e.combine(q, r.Next.Z, qv, w, r.Next.Next.Z, wv, s.buf, first)
 	e.tock(OpNewview, t0)
-	*e.memoized(r) = memoEntry{rec: r, epoch: e.epoch, v: dst}
-	return dst, nil
+	return s.vec(), nil
+}
+
+// claim gives inner record r, which has no entry, the first entry of its
+// node that neither of the ring's two other records holds, releasing what
+// that entry held.
+func (e *Engine) claim(r *phylotree.Node) *entry {
+	ring := &e.store[r.Index]
+	s := &ring[0]
+	for k := 1; s.rec == r.Next || s.rec == r.Next.Next; k++ {
+		s = &ring[k]
+	}
+	e.release(s)
+	s.rec, s.rows = r, 0
+	return s
 }
 
 // combine is the core of newview factored over explicit child vectors:
-// children may come from the engine's per-node slots, its memo, or
-// (zero vecs for tips) the pattern data of the child's taxon. dst gets one
-// row per entry of first, the pattern it stands for, or one per pattern when
-// first is nil. The caller times it, as one OpNewview call with whatever
-// else the newview needs.
+// children come from the store, or (zero vecs for tips) the pattern data of
+// the child's taxon. dst gets one row per entry of first, the pattern it
+// stands for, or one per pattern when first is nil. The caller times it, as
+// one OpNewview call with whatever else the newview needs.
 func (e *Engine) combine(q *phylotree.Node, zq float64, qv vec,
 	r *phylotree.Node, zr float64, rv vec, dst vec, first []int32) {
 
@@ -306,8 +368,8 @@ func (e *Engine) Prescore(cand *phylotree.Node, across *Across) (logL float64, e
 // views, and only the subtree's own branch length is optimized by
 // Newton-Raphson (RAxML's "lazy" evaluation). sub is the detached ring
 // record holding the subtree behind sub.Back; z0 is the starting branch
-// length. The tree itself is not modified, nor is any slot: the engine
-// memoizes the vectors it computes (vector).
+// length. The tree itself is not modified; the vectors the score reads stay
+// in the store (vector).
 func (e *Engine) InsertionScore(cand *phylotree.Node, sub *phylotree.Node, z0 float64) (bestZ, logL float64, err error) {
 	if cand.Back == nil {
 		return 0, 0, fmt.Errorf("likelihood: candidate edge is detached")
@@ -333,7 +395,7 @@ func (e *Engine) InsertionScore(cand *phylotree.Node, sub *phylotree.Node, z0 fl
 	}
 	// Virtual node x over the split candidate branch.
 	if e.virtual.lv == nil {
-		e.virtual = e.newVec()
+		e.virtual = e.newVec(e.npat)
 	} else {
 		clear(e.virtual.sc)
 	}

@@ -51,9 +51,6 @@ func (fs *FactSet) Get(object, name string) (string, bool) {
 	return v, ok
 }
 
-// Len reports the number of recorded facts.
-func (fs *FactSet) Len() int { return len(fs.m) }
-
 // Merge copies every fact of other into fs (first value wins, as in Add).
 func (fs *FactSet) Merge(other *FactSet) {
 	if other == nil {

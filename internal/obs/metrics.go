@@ -35,20 +35,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Max raises the gauge to v if v is larger (e.g. a best-so-far
-// log-likelihood published by racing workers).
-func (g *Gauge) Max(v float64) {
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value reads the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

@@ -32,14 +32,6 @@ func TestCounterGauge(t *testing.T) {
 	if got := g.Value(); got != -1234.5 {
 		t.Fatalf("gauge = %v", got)
 	}
-	g.Max(-2000) // lower: ignored
-	if got := g.Value(); got != -1234.5 {
-		t.Fatalf("Max lowered the gauge to %v", got)
-	}
-	g.Max(-1000)
-	if got := g.Value(); got != -1000 {
-		t.Fatalf("Max did not raise the gauge: %v", got)
-	}
 }
 
 func TestCounterConcurrent(t *testing.T) {

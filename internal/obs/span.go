@@ -40,9 +40,6 @@ func NewSpanTracer(now func() time.Duration) *SpanTracer {
 // histograms through EndObserve — it just stops retaining timeline events.
 func (t *SpanTracer) SetRecording(on bool) { t.recording.Store(on) }
 
-// Now reads the tracer's monotonic clock.
-func (t *SpanTracer) Now() time.Duration { return t.now() }
-
 // usec converts a monotonic offset to the trace "ts" unit (microseconds).
 func usec(d time.Duration) int64 { return int64(d / time.Microsecond) }
 

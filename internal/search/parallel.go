@@ -74,10 +74,9 @@ func (s *candScore) solved(z, ll float64, err error) {
 // searchCtx carries the state of one search's candidate scoring: reusable
 // candidate/score buffers (hoisted out of the SPR hot loop, so that a prune
 // allocates only its PrunedSubtree — TestPruneScoringAllocs), the round's
-// likelihood cutoff and live metric handles. The vectors a candidate reads are the engine's: every one that
-// faces the prune point comes from its node slots, and the ones facing away
-// from it, one per candidate edge, from its memo, which the next edit of the
-// tree (the Undo or Regraft that ends the prune) drops.
+// likelihood cutoff and live metric handles. The vectors a candidate reads
+// are the engine's store's, which the next edit of the tree (the Undo or
+// Regraft that ends the prune) prunes to those facing the edited branches.
 type searchCtx struct {
 	cands   []*phylotree.Node
 	parents []int // per candidate, the index of the one it hangs off in the radius walk (-1 at the prune)
@@ -146,10 +145,10 @@ func (sc *searchCtx) startRound(logL float64) {
 // scoreInsertions scores the regraft of the subtree pruned by ps (entry branch
 // length z0) into the candidate edges of a radius walk (parents as
 // phylotree.RadiusEdgesInto gives them), in the two stages RAxML has, and
-// returns sc.scores, indexed by candidate. It first orients the engine's slots
-// toward the prune point, so that a candidate reads the vector facing away
-// from it at its edge (computed once, shared with the candidates beyond it)
-// and slots nobody writes. Stage 1 prescores, in candidate order, the
+// returns sc.scores, indexed by candidate. A candidate reads the two vectors
+// at its edge from the engine's store: the one facing the prune point, and
+// the one facing away from it (computed once, shared with the candidates
+// beyond it). Stage 1 prescores, in candidate order, the
 // candidates the walk reaches: the virtual insertion node and the
 // log-likelihood across the subtree's branch at z0, nothing optimised. A
 // prescore at least sc.cutoff below baseline, the current tree's
@@ -178,14 +177,6 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 		}
 	}
 	sc.list = list[:attached]
-
-	// Orient every slot toward the prune point: Prune left valid exactly the
-	// slots that already face the joined branch, so this recomputes only the
-	// mis-oriented ones, and every vector a candidate needs that does not
-	// contain the prune point is then a read of a slot nobody writes.
-	eng.NewView(ps.Q)
-	eng.NewView(ps.R)
-	eng.NewView(sub.Back)
 
 	if attached > shortListLen {
 		if err := eng.CarryAcross(&sc.across, sub, z0); err != nil {

@@ -2,8 +2,11 @@ package raxmlcell
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -22,13 +25,15 @@ type surfaceDecl struct {
 	method   bool
 	path     string // the declaring package's import path
 	pos, end token.Pos
+	fn       *types.Func // a method's object
 }
 
 // surfaceUses is every name the non-test files name, by the way they name it.
 type surfaceUses struct {
 	qualified map[string]bool        // import path + "." + name, as pkg.Name
-	member    map[string][]token.Pos // x.Name where x is not a package
 	bare      map[string][]token.Pos // import path + "." + name, a plain identifier in that package
+	methods   map[types.Object][]token.Pos
+	ifaces    []*types.Interface // every interface a method may be called through
 }
 
 // outside reports whether some position of ps lies outside [pos, end).
@@ -55,7 +60,8 @@ func receiverType(e ast.Expr) string {
 }
 
 // scanSurface parses every non-test Go file of the module at root outside
-// testdata/ and returns the exported declarations of the library packages
+// testdata/ that the host's build constraints select, type-checks the
+// packages, and returns the exported declarations of the library packages
 // that some other package's non-test file imports, and the names those
 // files use.
 func scanSurface(t *testing.T, root string) ([]surfaceDecl, surfaceUses) {
@@ -85,6 +91,9 @@ func scanSurface(t *testing.T, root string) ([]surfaceDecl, surfaceUses) {
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+			return err
+		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -100,7 +109,7 @@ func scanSurface(t *testing.T, root string) ([]surfaceDecl, surfaceUses) {
 		t.Fatal(err)
 	}
 
-	uses := surfaceUses{map[string]bool{}, map[string][]token.Pos{}, map[string][]token.Pos{}}
+	uses := surfaceUses{qualified: map[string]bool{}, bare: map[string][]token.Pos{}, methods: map[types.Object][]token.Pos{}}
 	imported := map[string]bool{} // import paths another package imports
 	for _, fl := range files {
 		imports := map[string]string{} // local name → import path
@@ -143,7 +152,6 @@ func scanSurface(t *testing.T, root string) ([]surfaceDecl, surfaceUses) {
 						return true
 					}
 				}
-				uses.member[n.Sel.Name] = append(uses.member[n.Sel.Name], n.Sel.Pos())
 			case *ast.Ident:
 				if !skip[n] {
 					key := fl.path + "." + n.Name
@@ -153,6 +161,23 @@ func scanSurface(t *testing.T, root string) ([]surfaceDecl, surfaceUses) {
 			return true
 		})
 	}
+
+	byPath := map[string][]*ast.File{}
+	for _, fl := range files {
+		byPath[fl.path] = append(byPath[fl.path], fl.f)
+	}
+	info := typeCheck(t, fset, byPath)
+	for id, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+			uses.methods[fn] = append(uses.methods[fn], id.Pos())
+		}
+	}
+	for _, tv := range info.Types {
+		if it, ok := tv.Type.Underlying().(*types.Interface); ok {
+			uses.ifaces = append(uses.ifaces, it)
+		}
+	}
+	uses.ifaces = append(uses.ifaces, stdInterfaces(info)...)
 
 	var decls []surfaceDecl
 	for _, fl := range files {
@@ -167,21 +192,23 @@ func scanSurface(t *testing.T, root string) ([]surfaceDecl, surfaceUses) {
 					continue
 				}
 				key, method := pkg+"."+d.Name.Name, d.Recv != nil
+				var fn *types.Func
 				if method {
 					key = pkg + "." + receiverType(d.Recv.List[0].Type) + "." + d.Name.Name
+					fn, _ = info.Defs[d.Name].(*types.Func)
 				}
-				decls = append(decls, surfaceDecl{key, d.Name.Name, method, fl.path, d.Pos(), d.End()})
+				decls = append(decls, surfaceDecl{key, d.Name.Name, method, fl.path, d.Pos(), d.End(), fn})
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						if s.Name.IsExported() {
-							decls = append(decls, surfaceDecl{pkg + "." + s.Name.Name, s.Name.Name, false, fl.path, s.Pos(), s.End()})
+							decls = append(decls, surfaceDecl{pkg + "." + s.Name.Name, s.Name.Name, false, fl.path, s.Pos(), s.End(), nil})
 						}
 					case *ast.ValueSpec:
 						for _, id := range s.Names {
 							if id.IsExported() {
-								decls = append(decls, surfaceDecl{pkg + "." + id.Name, id.Name, false, fl.path, s.Pos(), s.End()})
+								decls = append(decls, surfaceDecl{pkg + "." + id.Name, id.Name, false, fl.path, s.Pos(), s.End(), nil})
 							}
 						}
 					}
@@ -192,15 +219,117 @@ func scanSurface(t *testing.T, root string) ([]surfaceDecl, surfaceUses) {
 	return decls, uses
 }
 
+// typeCheck type-checks the module's packages, given as their files by
+// import path, each after the module packages it imports; the standard
+// library comes from the toolchain's export data. It returns what the checks
+// recorded for every file.
+func typeCheck(t *testing.T, fset *token.FileSet, byPath map[string][]*ast.File) *types.Info {
+	t.Helper()
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	imp := &moduleImporter{fset: fset, files: byPath, done: map[string]*types.Package{}, std: importer.Default(), info: info}
+	paths := make([]string, 0, len(byPath))
+	for p := range byPath {
+		paths = append(paths, p)
+	}
+	slices.Sort(paths)
+	for _, p := range paths {
+		if _, err := imp.Import(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return info
+}
+
+// moduleImporter type-checks a module package from its parsed files the
+// first time another package imports it, and imports everything else from
+// std.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	done  map[string]*types.Package
+	std   types.Importer
+	info  *types.Info
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m.done[path]; ok {
+		return p, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	m.done[path] = p
+	return p, err
+}
+
+// stdInterfaces returns the interface types the packages that info's
+// packages import declare (fmt.Stringer, heap.Interface, …), and error: the
+// ones a method may be called through inside the standard library.
+func stdInterfaces(info *types.Info) []*types.Interface {
+	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					out = append(out, it)
+				}
+			}
+		}
+		for _, q := range p.Imports() {
+			walk(q)
+		}
+	}
+	for _, obj := range info.Defs {
+		if pn, ok := obj.(*types.PkgName); ok {
+			walk(pn.Imported())
+		}
+	}
+	for _, obj := range info.Uses {
+		if pn, ok := obj.(*types.PkgName); ok {
+			walk(pn.Imported())
+		}
+	}
+	return out
+}
+
 // used reports whether a non-test file names d outside d's own declaration:
-// a method by any x.Name, anything else as pkg.Name from another package or
-// as a plain identifier in its own.
+// a method as the method go/types resolves a selector to, or through an
+// interface its receiver type implements that declares it; anything else as
+// pkg.Name from another package or as a plain identifier in its own.
 func (u surfaceUses) used(d surfaceDecl) bool {
 	if d.method {
-		return outside(u.member[d.name], d.pos, d.end)
+		return d.fn == nil || outside(u.methods[d.fn], d.pos, d.end) || u.implements(d.fn)
 	}
 	key := d.path + "." + d.name
 	return u.qualified[key] || outside(u.bare[key], d.pos, d.end)
+}
+
+// implements reports whether method fn's receiver type, or a pointer to it,
+// implements an interface of u.ifaces that declares fn's name: a call
+// through that interface is a call of fn.
+func (u surfaceUses) implements(fn *types.Func) bool {
+	recv := fn.Signature().Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, it := range u.ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() &&
+				(types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // surfaceRows returns the names of the library-surface table in root's
@@ -264,8 +393,10 @@ func auditSurface(t *testing.T, root string) (unused, stale []string, n int) {
 // count), or has a Kept row in DESIGN.md's library-surface table saying which
 // test or reason keeps it; and every Kept row names a declaration. Packages
 // that only tests import (treegen, coldref, linttest, nstate) and struct
-// fields are out of scope. staticcheck's U1000 cannot see these names: it
-// counts a test's use as a use.
+// fields are out of scope. A method is resolved with go/types, so a method
+// only tests call is found even when a used one shares its name.
+// staticcheck's U1000 cannot see these names: it counts a test's use as a
+// use.
 func TestLibrarySurface(t *testing.T) {
 	unused, stale, n := auditSurface(t, ".")
 	if len(unused) > 0 {
@@ -278,9 +409,11 @@ func TestLibrarySurface(t *testing.T) {
 }
 
 // writeSurfaceFixture writes a small module: a library package lib that a
-// main package imports, a test file that calls what main does not, and a
-// DESIGN.md with a library-surface table of two Kept rows, one naming a
-// declaration of lib and one naming nothing.
+// main package imports, a test file that calls what main does not — a
+// method among them that shares its name with one main calls — a method
+// main calls only through fmt.Stringer, and a DESIGN.md with a
+// library-surface table of two Kept rows, one naming a declaration of lib
+// and one naming nothing.
 func writeSurfaceFixture(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
@@ -296,6 +429,11 @@ type T struct{}
 
 func (T) Called() {}
 func (T) Orphan() {}
+func (T) String() string { return "T" }
+
+type U struct{}
+
+func (U) Called() {}
 
 const Kept = 1
 
@@ -307,14 +445,18 @@ func helper() {}
 
 import "testing"
 
-func TestAll(t *testing.T) { Unused(); T{}.Orphan(); _ = Dead }
+func TestAll(t *testing.T) { Unused(); T{}.Orphan(); U{}.Called(); _ = Dead }
 `,
 		"lib/testdata/skip.go": "package skip\n\nfunc Ignored() {}\n",
 		"cmd/main.go": `package main
 
-import "fixture/lib"
+import (
+	"fmt"
 
-func main() { lib.Used(); lib.T{}.Called() }
+	"fixture/lib"
+)
+
+func main() { lib.Used(); lib.T{}.Called(); fmt.Println(lib.T{}, lib.U{}) }
 `,
 		"DESIGN.md": "# Design\n\n<!-- library surface table -->\n" +
 			"| name | lines | former callers | verdict |\n|---|---|---|---|\n" +
@@ -336,16 +478,17 @@ func main() { lib.Used(); lib.T{}.Called() }
 
 // TestLibrarySurfaceFlagsUnusedNames: on the fixture, the audit names every
 // exported declaration only a test or its own body names (a func, a method,
-// a var, a recursive func), and nothing main names, the Kept row keeps,
-// unexported or under testdata/.
+// a method named like one main calls, a var, a recursive func), and nothing
+// main names or calls through an interface, the Kept row keeps, unexported
+// or under testdata/.
 func TestLibrarySurfaceFlagsUnusedNames(t *testing.T) {
 	unused, _, n := auditSurface(t, writeSurfaceFixture(t))
-	want := []string{"lib.Dead", "lib.Self", "lib.T.Orphan", "lib.Unused"}
+	want := []string{"lib.Dead", "lib.Self", "lib.T.Orphan", "lib.U.Called", "lib.Unused"}
 	if !slices.Equal(unused, want) {
 		t.Errorf("unused %v, want %v", unused, want)
 	}
-	if n != 8 {
-		t.Errorf("%d declarations in scope, want lib's 8 exported ones", n)
+	if n != 11 {
+		t.Errorf("%d declarations in scope, want lib's 11 exported ones", n)
 	}
 }
 
