@@ -18,9 +18,9 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
 
-# backend-gate is the local mirror of the CI compute-backend gate: every
-# registered likelihood backend must reproduce the scalar reference on the
-# 42_SC search (same accepted moves, logL within 1e-9), and TestTwinGates, the
+# backend-gate: every likelihood backend (likelihood.Backends lists them,
+# newBackend resolves each) must reproduce the scalar reference on the 42_SC
+# search (same accepted moves, logL within 1e-9), and TestTwinGates, the
 # four no-worse gates a search that is not bit-identical with its parent
 # passes through, as one table of parallel pairs: random-start searches that
 # solve only the short list of each prune must end no lower than their
@@ -29,9 +29,8 @@ bench:
 # which lost the cutoff no lower than their twins that list such prescores,
 # and fits and searches that smooth each branch for its length only, at
 # eps/n, no lower than their exactly smoothed twins (go test -race ./... runs
-# the short-list row whole and a prefix of the others;
-# TestGatesMirrorCI keeps these -run patterns and CI's the same), the
-# per-kernel equivalence suite — the
+# the short-list row whole and a prefix of the others). The per-kernel
+# equivalence suite — the
 # two Newton passes, the step, the stop rule against the parent's, the
 # solve's entry-point safeguard, the length-only solve against the full one,
 # what the kernel timers bracket and the prescore against
@@ -46,28 +45,26 @@ bench:
 # list (every 42_SC prune solves exactly the short list) and
 # the site-repeat properties (TestRepeats*: one row per
 # repeat class has the bits of one row per pattern, classes outlive length
-# and model changes and fall exactly with the topology behind them) must pass
-# under the race detector, and traced 5-s runs hold the exact,
-# host-independent call counts of the serial workloads (needs jq) — wide24
-# twice, with the range executor's helper and under GOMAXPROCS=1 without it,
-# requiring the same counts, Newton iterations and flops: 180 length-only
-# smoothing solves of 438 iterations, at most 16 evaluates (the alpha fit's
-# and one per smoothing pass) and exactly 642 232 304 flops;
-# search20-serial exactly its 3 329 newviews, 787 solves, 1 967 Newton
-# iterations and 100 727 322 flops; campaign20, whose bootstrap jobs run on the
-# patterns their replicate drew while its replay runs them on the whole
-# replicate, with no failed operation (the replay's logL-bits check included),
-# exactly 20 592 newviews / 4 157 solves / 9 101 Newton iterations and
-# 262 605 763 flops. TestGatesMirrorCI holds these jq filters and CI's equal.
+# and model changes and fall exactly with the topology behind them), the range
+# executor's (GOMAXPROCS 1 against 4 bit for bit, four engines publishing at
+# once, adoption only of idle CPUs) and the short list's ties and non-finite
+# scores (an error, never ranked) must pass under the race detector. Traced
+# 5-s runs of wide24, search20-serial and campaign20 must then hold the
+# exact, host-independent counts in the jq filters below (needs jq); wide24
+# runs twice, with the range executor's helper and under GOMAXPROCS=1
+# without it, and both must read the same counts, Newton iterations and
+# flops. campaign20's bootstrap jobs run on the patterns their replicate drew
+# while its replay runs them on the whole replicate and checks the logL bits
+# of every traced job.
 # Last, `raxml` on a 24 x 4 000 alignment (five blocks of
 # patterns) must write byte-identical stdout and tree at GOMAXPROCS 1 and 2.
 # The fuzz session that hunts for alignment shapes where a backend diverges is
 # part of `make fuzz`.
 backend-gate:
 	@mkdir -p $(BIN)
-	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC|TestTwinGates' ./internal/search
+	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC|TestTwinGates' -v ./internal/search
 	$(GO) test -race -count=1 -run 'TestBackend|TestNewton|TestTipProjection|TestParallel|TestExecutor|TestHelpers|TestPrescoreMatchesCombineThenEvaluate|TestRepeats|TestMakeNewzTo|TestKernelTime|TestTransitionMatricesBits|TestTipTableColumns|TestCombineLoneTipEitherSide|TestClassTables|FuzzBackendEquivalence|FuzzEpochCacheEquivalence' ./internal/likelihood
-	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestCandidateCost42SC|TestOptimizeAlphaCost42SC|TestBrentMax|TestResultBitsIndependentOfGOMAXPROCS|TestShortListTieBreak|TestCutoffRule|TestNonFiniteScoreNeverSteers' ./internal/search
+	$(GO) test -race -count=1 -run 'TestNewtonSafeguardShare42SC|TestSmoothingOneLogPerPatternPerSolve42SC|TestCandidateCost42SC|TestOptimizeAlphaCost42SC|TestBrentMax|TestResultBitsIndependentOfGOMAXPROCS|TestShortListTieBreak|TestCutoffRule|TestNonFiniteScoreNeverSteers' -v ./internal/search
 	$(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 | tee $(BIN)/wide24.json | jq -e \
 		'.failed == 0 and .metrics["likelihood.evaluate_calls"].value <= 16 and .metrics["likelihood.makenewz_calls"].value == 180 and .metrics["likelihood.newview_calls"].value == 506 and .metrics["likelihood.newton_iters"].value == 438 and .metrics["likelihood.flops"].value == 642232304'
 	GOMAXPROCS=1 $(GO) run ./benchmark --workload wide24 --seed 1 --seconds 5 --trace 1 | tail -n 1 > $(BIN)/wide24-serial.json
@@ -83,12 +80,10 @@ backend-gate:
 		-quiet -out $(BIN)/wide.nwk > $(BIN)/wide-$$p.txt && mv $(BIN)/wide.nwk $(BIN)/wide-$$p.nwk || exit 1; done
 	cmp $(BIN)/wide-1.txt $(BIN)/wide-2.txt && cmp $(BIN)/wide-1.nwk $(BIN)/wide-2.nwk
 
-# obs-gate is the local mirror of the CI observability gate: the span
-# tracer / flight recorder / histogram / debug-server suite under the race
-# detector, the pinned-seed chaos flight post-mortem scenario, and a real CLI
-# run whose wall-trace and flight artifacts are re-validated on write.
-# TestGatesMirrorCI keeps its -run patterns and CI's the same, as it does
-# backend-gate's and chaos's. The instrumentation-overhead ratio is the
+# obs-gate: the span tracer / flight recorder / histogram / debug-server
+# suite under the race detector, the pinned-seed chaos flight post-mortem
+# scenario, and a real CLI run whose wall-trace and flight artifacts are
+# re-validated on write. The instrumentation-overhead ratio is the
 # benchmark's obs.instrumented_ratio.
 obs-gate:
 	@mkdir -p $(BIN)

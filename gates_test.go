@@ -2,6 +2,8 @@ package raxmlcell
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"go/ast"
 	"go/format"
 	"go/parser"
@@ -10,118 +12,50 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"strings"
 	"testing"
 )
 
-// goTestRun matches a go test command line with a -run pattern: its flags
-// before the pattern, the pattern, and the rest of the line.
-var goTestRun = regexp.MustCompile(`(?m)(?:\bgo|\$\(GO\)) test([^'\n]*)-run '([^']+)'([^\n]*)$`)
-
-// continued matches a backslash line continuation and the next line's indent.
-var continued = regexp.MustCompile(`\\\n[ \t]*`)
-
-// runPatterns maps each go test -run command of text, its continued lines
-// joined, keyed by whether it runs under the race detector and by its
-// packages, to the sorted names in its pattern.
-func runPatterns(t *testing.T, text string) map[string][]string {
-	t.Helper()
-	out := map[string][]string{}
-	for _, m := range goTestRun.FindAllStringSubmatch(continued.ReplaceAllString(text, " "), -1) {
-		var pkgs []string
-		for _, f := range strings.Fields(m[3]) {
-			if !strings.HasPrefix(f, "-") {
-				pkgs = append(pkgs, f)
-			}
-		}
-		if len(pkgs) == 0 {
-			t.Fatalf("go test line without a package: %q", m[0])
-		}
-		key := strings.Join(pkgs, " ")
-		if strings.Contains(m[1]+m[3], "-race") {
-			key = "-race " + key
-		}
-		names := strings.Split(m[2], "|")
-		slices.Sort(names)
-		if _, dup := out[key]; dup {
-			t.Fatalf("two go test lines for %s", key)
-		}
-		out[key] = names
-	}
-	return out
-}
-
-// jqFilter matches a jq -e command and its filter, the first single-quoted
-// argument after it.
-var jqFilter = regexp.MustCompile(`\bjq -e[^'\n]*'([^']+)'`)
-
-// jqFilters returns, sorted, the filters of text's jq -e commands, continued
-// lines joined, with make's $$ read as the shell's $.
-func jqFilters(text string) []string {
-	var out []string
-	for _, m := range jqFilter.FindAllStringSubmatch(continued.ReplaceAllString(text, " "), -1) {
-		out = append(out, strings.ReplaceAll(m[1], "$$", "$"))
-	}
-	slices.Sort(out)
-	return out
-}
-
-// section returns the part of text from the first line that is exactly start
-// to the line before the next one matching end.
-func section(t *testing.T, text, start string, end *regexp.Regexp) string {
-	t.Helper()
-	i := strings.Index(text, "\n"+start+"\n")
-	if i < 0 {
-		t.Fatalf("no line %q", start)
-	}
-	rest := text[i+len(start)+2:]
-	if j := end.FindStringIndex(rest); j != nil {
-		rest = rest[:j[0]]
-	}
-	return rest
-}
-
-// TestGatesMirrorCI: each gate that runs both as a make target and as a CI
-// job of the same name (backend-gate, obs-gate, chaos) is the local mirror
-// of that job, so for every package list and race mode the go test -run
-// patterns of the two name the same tests, and the two run the same jq -e
-// filters — the pinned counts of the traced workloads among them.
-func TestGatesMirrorCI(t *testing.T) {
-	mk, err := os.ReadFile("Makefile")
-	if err != nil {
+// TestCIRunsMakeGates: the Makefile alone defines the gates. CI runs its gate
+// targets and no gate command itself, and make fuzz runs every Fuzz* target.
+func TestCIRunsMakeGates(t *testing.T) {
+	mk, mkErr := os.ReadFile("Makefile")
+	ci, ciErr := os.ReadFile(".github/workflows/ci.yml")
+	if err := errors.Join(mkErr, ciErr); err != nil {
 		t.Fatal(err)
 	}
-	ci, err := os.ReadFile(".github/workflows/ci.yml")
-	if err != nil {
-		t.Fatal(err)
+	m := regexp.MustCompile(`(?s)\n +gate: \[([^\]]*)\]\n.*\n +run: make \$\{\{ matrix\.gate \}\}\n`).FindSubmatch(ci)
+	if m == nil || string(m[1]) != "backend-gate, obs-gate, chaos, fuzz, trace" {
+		t.Fatal("ci.yml has no job running make ${{ matrix.gate }} over backend-gate, obs-gate, chaos, fuzz and trace")
 	}
-	for _, gate := range []string{"backend-gate", "obs-gate", "chaos"} {
+	for _, gate := range strings.Split(string(m[1]), ", ") {
 		t.Run(gate, func(t *testing.T) {
-			local := runPatterns(t, section(t, string(mk), gate+":", regexp.MustCompile(`(?m)^\S`)))
-			job := runPatterns(t, section(t, string(ci), "  "+gate+":", regexp.MustCompile(`(?m)^  \S`)))
-			if len(local) == 0 {
-				t.Fatalf("make %s runs no go test -run line", gate)
-			}
-			for key, names := range local {
-				if !slices.Equal(names, job[key]) {
-					t.Errorf("go test %s: make %s runs\n  %s\nCI's %s job\n  %s", key, gate, strings.Join(names, "|"), gate, strings.Join(job[key], "|"))
-				}
-			}
-			for key, names := range job {
-				if _, ok := local[key]; !ok {
-					t.Errorf("go test %s: CI's %s job runs %s, make %s nothing", key, gate, strings.Join(names, "|"), gate)
-				}
-			}
-			localJq := jqFilters(section(t, string(mk), gate+":", regexp.MustCompile(`(?m)^\S`)))
-			jobJq := jqFilters(section(t, string(ci), "  "+gate+":", regexp.MustCompile(`(?m)^  \S`)))
-			if gate == "backend-gate" && len(localJq) == 0 {
-				t.Error("make backend-gate runs no jq -e filter: the pinned counts went unread")
-			}
-			if !slices.Equal(localJq, jobJq) {
-				t.Errorf("make %s runs the jq filters\n  %s\nCI's %s job\n  %s", gate, strings.Join(localJq, "\n  "), gate, strings.Join(jobJq, "\n  "))
+			if !bytes.Contains(mk, []byte("\n"+gate+":")) {
+				t.Errorf("ci.yml runs make %s, which the Makefile does not define", gate)
 			}
 		})
+	}
+	for _, cmd := range regexp.MustCompile(`-run '|jq -e|\./cmd/(?:raxml|seqgen)\b|\./benchmark\b`).FindAll(ci, -1) {
+		t.Errorf("ci.yml runs a gate's command (%s) itself: it belongs in a Makefile target", cmd)
+	}
+	fuzz := regexp.MustCompile(`(?m)^func (Fuzz\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && (d.Name() == "testdata" || d.Name() == ".git") {
+			return filepath.SkipDir
+		}
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, f := range fuzz.FindAllSubmatch(src, -1) {
+			if !bytes.Contains(mk, fmt.Appendf(nil, " -fuzz=%s -fuzztime=$(FUZZTIME) ./%s\n", f[1], filepath.ToSlash(filepath.Dir(path)))) {
+				t.Errorf("%s: make fuzz does not run %s", path, f[1])
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

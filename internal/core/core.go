@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -207,7 +208,7 @@ func Analyze(pat *alignment.Patterns, cfg Config) (*Analysis, error) {
 	if cfg.Log == nil {
 		cfg.Log = obs.Discard()
 	}
-	if cfg.Metrics != nil || cfg.Log.Enabled(nil, slog.LevelDebug) {
+	if cfg.Metrics != nil || cfg.Log.Enabled(context.Background(), slog.LevelDebug) {
 		log, reg := cfg.Log, cfg.Metrics
 		mwCfg.OnProgress = func(job mw.Job, pr search.Progress) {
 			if reg != nil {
@@ -241,9 +242,8 @@ func Analyze(pat *alignment.Patterns, cfg Config) (*Analysis, error) {
 	if err2 != nil {
 		return nil, fmt.Errorf("core: campaign failed: %w", err2)
 	}
-	results := rep.Results
 
-	best, err := mw.Best(results, mw.Inference)
+	best, err := mw.Best(rep.Results, mw.Inference)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +260,7 @@ func Analyze(pat *alignment.Patterns, cfg Config) (*Analysis, error) {
 		BestLogL:    best.LogL,
 		Alpha:       best.Alpha,
 		Rates:       best.Rates,
-		Results:     results,
+		Results:     rep.Results,
 		Quarantined: rep.Quarantined,
 		Stats:       rep.Stats,
 		// The supervisor already merged every successful job's kernel meter
@@ -278,7 +278,7 @@ func Analyze(pat *alignment.Patterns, cfg Config) (*Analysis, error) {
 		// over the replicates that survived, which is exactly the partial-
 		// results semantics of a degraded campaign.
 		var boots []*phylotree.Tree
-		for _, r := range results {
+		for _, r := range rep.Results {
 			if r.Job.Kind != mw.Bootstrap || r.Err != nil {
 				continue
 			}

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"log/slog"
 	"strings"
 	"testing"
@@ -48,7 +49,7 @@ func TestNewLoggerStripsTimestamp(t *testing.T) {
 func TestDiscard(t *testing.T) {
 	log := obs.Discard()
 	log.Error("dropped", "k", "v") // must not panic or write anywhere
-	if log.Enabled(nil, slog.LevelError) {
+	if log.Enabled(context.Background(), slog.LevelError) {
 		t.Fatal("discard logger claims to be enabled")
 	}
 }
